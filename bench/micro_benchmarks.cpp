@@ -57,10 +57,8 @@ BENCHMARK(BM_SatPigeonhole)->Arg(5)->Arg(7)->Arg(8);
 
 void BM_SatIncremental(benchmark::State& state) {
   // The dep-engine query pattern: one wide cone CNF, every flip-flop leaf
-  // probed under assumptions. Arg toggles the incremental machinery
-  // (verdict cache, trail-prefix reuse, Unsat-core reuse, model rotation)
-  // so the committed JSON keeps both sides of the comparison.
-  const bool incremental = state.range(0) != 0;
+  // probed under assumptions through the incremental machinery (verdict
+  // cache, trail-prefix reuse, Unsat-core reuse, model rotation).
   constexpr std::size_t kWidth = 96;
   netlist::Netlist nl;
   std::vector<netlist::NodeId> ffs;
@@ -78,11 +76,9 @@ void BM_SatIncremental(benchmark::State& state) {
   netlist::NodeId t = nl.add_ff("t");
   nl.set_ff_input(t, acc);
   netlist::Cone cone = nl.extract_next_state_cone(t);
-  netlist::ConeCheckOptions opts;
-  opts.incremental = incremental;
   std::uint64_t solves = 0;
   for (auto _ : state) {
-    netlist::ConeDependenceChecker chk(nl, cone, opts);
+    netlist::ConeDependenceChecker chk(nl, cone);
     for (std::size_t i = 0; i < cone.leaves.size(); ++i)
       benchmark::DoNotOptimize(chk.query(i));
     solves = chk.solver_solves();
@@ -91,7 +87,7 @@ void BM_SatIncremental(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWidth));
 }
-BENCHMARK(BM_SatIncremental)->Arg(0)->Arg(1);
+BENCHMARK(BM_SatIncremental);
 
 void BM_ConeDependenceCheck(benchmark::State& state) {
   // A wide AND-XOR cone; every leaf requires a SAT query when the random
@@ -301,13 +297,11 @@ void BM_IclLoad(benchmark::State& state) {
 BENCHMARK(BM_IclLoad);
 
 // ---------------------------------------------------------------------------
-// Detect-and-resolve: incremental delta engine vs from-scratch oracle
-// (the BENCH_resolve.json suite). arg0 selects the engine (0 = oracle,
-// 1 = incremental). Both engines produce bit-identical change logs and
-// final networks; only the wall clock differs. The workloads are tuned
-// so the resolution loop actually runs (a restrictive spec over a dense
-// cross-functional circuit); a run that applies no change is reported as
-// an error rather than a vacuous timing.
+// Detect-and-resolve with the incremental delta engine (the
+// BENCH_resolve.json suite). The workloads are tuned so the resolution
+// loop actually runs (a restrictive spec over a dense cross-functional
+// circuit); a run that applies no change is reported as an error rather
+// than a vacuous timing.
 
 struct ResolveWorkload {
   rsn::RsnDocument doc;
@@ -335,24 +329,17 @@ struct ResolveWorkload {
   }
 };
 
-void EngineArgs(benchmark::internal::Benchmark* b) {
-  b->ArgName("incremental")->Arg(0)->Arg(1);
-}
-
 void BM_PureResolve(benchmark::State& state) {
   // Pure-path resolution (element-granular propagation) under a
   // restrictive spec; the circuit is irrelevant to the pure analyzer.
-  ResolveWorkload w("Mingle", static_cast<double>(state.range(1)), 3, 0.0,
+  ResolveWorkload w("Mingle", static_cast<double>(state.range(0)), 3, 0.0,
                     8.0, 0.9, 0.7, /*with_circuit=*/false);
   security::TokenTable tokens(w.spec, w.spec.num_modules());
   security::PureScanAnalyzer pure(w.spec, tokens);
-  security::ResolveOptions ropt;
-  ropt.incremental = state.range(0) != 0;
   std::size_t changes = 0;
   for (auto _ : state) {
     rsn::Rsn net = w.doc.network;
-    security::PureStats stats = pure.detect_and_resolve(
-        net, nullptr, security::ResolutionPolicy::BestGlobal, {}, ropt);
+    security::PureStats stats = pure.detect_and_resolve(net);
     changes = stats.applied_changes;
     benchmark::DoNotOptimize(net.num_elements());
   }
@@ -362,12 +349,7 @@ void BM_PureResolve(benchmark::State& state) {
   }
   state.counters["changes"] = static_cast<double>(changes);
 }
-BENCHMARK(BM_PureResolve)
-    ->ArgNames({"incremental", "ffs"})
-    ->Args({0, 900})
-    ->Args({1, 900})
-    ->Args({0, 2000})
-    ->Args({1, 2000});
+BENCHMARK(BM_PureResolve)->ArgName("ffs")->Arg(900)->Arg(2000);
 
 void BM_HybridResolve(benchmark::State& state) {
   // The flagship hybrid workload: a balanced-tree RSN at 3000 scan FFs
@@ -375,8 +357,8 @@ void BM_HybridResolve(benchmark::State& state) {
   // for ~10 applied changes, resolved from the raw generated network.
   // The dependency analysis and token table are built once outside the
   // timed region (the pipeline shares them across stages anyway); the
-  // timed region is exactly one detect_and_resolve, which on the
-  // incremental path includes its index rebuild.
+  // timed region is exactly one detect_and_resolve, including its index
+  // build.
   ResolveWorkload w("TreeBalanced", 3000, 5, 2.0, 6.0, 0.8, 0.5,
                     /*with_circuit=*/true);
   dep::DependencyAnalyzer deps(w.circuit, w.doc.network, {});
@@ -385,7 +367,6 @@ void BM_HybridResolve(benchmark::State& state) {
   security::HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec,
                                   tokens);
   security::ResolveOptions ropt;
-  ropt.incremental = state.range(0) != 0;
   ropt.num_threads = 1;
   std::size_t changes = 0;
   for (auto _ : state) {
@@ -401,18 +382,16 @@ void BM_HybridResolve(benchmark::State& state) {
   }
   state.counters["changes"] = static_cast<double>(changes);
 }
-BENCHMARK(BM_HybridResolve)->Apply(EngineArgs)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_HybridResolve)->Unit(benchmark::kMillisecond);
 
 // Cone-isomorphism memoization of the dependency analysis on a workload
-// with heavily repeated structure (MBIST memory interfaces). arg:
-// 0 = cache off, 1 = on. Results are bit-identical either way.
+// with heavily repeated structure (MBIST memory interfaces).
 void BM_DependencyAnalysisConeCache(benchmark::State& state) {
   Rng rng(11);
   rsn::RsnDocument doc = benchgen::generate_mbist(2, 3, 4, 1.0);
   netlist::Netlist nl = benchgen::attach_random_circuit(doc, {}, rng);
   dep::DepOptions opt;
   opt.num_threads = 1;
-  opt.cone_cache = state.range(0) != 0;
   std::uint64_t hits = 0;
   for (auto _ : state) {
     dep::DependencyAnalyzer a(nl, doc.network, opt);
@@ -422,10 +401,7 @@ void BM_DependencyAnalysisConeCache(benchmark::State& state) {
   }
   state.counters["cone_cache_hits"] = static_cast<double>(hits);
 }
-BENCHMARK(BM_DependencyAnalysisConeCache)
-    ->ArgName("cache")
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_DependencyAnalysisConeCache);
 
 // Pair-ternary SAT triage of the dependency analysis on the standard
 // Mingle workload. arg: 0 = prefilter off (every undecided leaf goes to

@@ -185,6 +185,7 @@ struct ProbeSecret {
   SecretLoc loc;
   rsn::ElemId carrier = rsn::no_elem;  ///< flush phase start register
   std::string what;
+  std::size_t token = 0;  ///< token of the source module
 };
 
 }  // namespace
@@ -211,13 +212,15 @@ std::optional<std::string> verify_no_leakage(
   std::vector<ProbeSecret> secrets;
   for (std::size_t m = 0; m < spec.num_modules(); ++m) {
     netlist::ModuleId mod = static_cast<netlist::ModuleId>(m);
-    if (tokens.token_of(mod) < 0) continue;  // permissive data: no token
+    const int token = tokens.token_of(mod);
+    if (token < 0) continue;  // permissive data: no token
     std::size_t reg_picks = 0;
     for (rsn::ElemId reg : network.registers()) {
       if (network.elem(reg).module != mod || reg_picks >= 2) continue;
       ++reg_picks;
       secrets.push_back({SecretLoc::scan_ff(reg, 0), reg,
-                         "scan FF 0 of register " + network.elem(reg).name});
+                         "scan FF 0 of register " + network.elem(reg).name,
+                         static_cast<std::size_t>(token)});
     }
     std::size_t ff_picks = 0;
     rsn::ElemId carrier =
@@ -227,13 +230,18 @@ std::optional<std::string> verify_no_leakage(
       if (nl.node(ff).module != mod || ff_picks >= 2) continue;
       ++ff_picks;
       secrets.push_back({SecretLoc::circuit_ff(ff), carrier,
-                         "circuit FF " + nl.node(ff).name});
+                         "circuit FF " + nl.node(ff).name,
+                         static_cast<std::size_t>(token)});
     }
   }
 
   std::size_t probes = 0;
   for (const ProbeSecret& secret : secrets) {
     for (rsn::ElemId victim : victims) {
+      // Only a victim whose trust rejects this secret's module can suffer
+      // a violation; data its policy accepts may legally reach it.
+      const netlist::ModuleId vm = network.elem(victim).module;
+      if (!tokens.bad(spec.policy(vm).trust).test(secret.token)) continue;
       if (probes >= options.max_probes) return std::nullopt;
       rsn::ElemId carrier =
           secret.carrier != rsn::no_elem ? secret.carrier : victim;

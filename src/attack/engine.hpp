@@ -88,11 +88,13 @@ struct ProbeStats {
 /// Bounded differential non-leakage probe for secured networks: plants
 /// differential secrets into data the spec marks sensitive (scan state
 /// and circuit FFs of token-generating modules) and replays generic flush
-/// schedules, watching untrusted registers. Returns a description of the
-/// first leak found, or nullopt. Sound as a post-`secure` check: any
-/// reported leak is a replayed counterexample to the security claim —
-/// `secure --verify` treats it as a hard error. Absence of leaks is not a
-/// proof (the probe is bounded); the proof side is `certify`.
+/// schedules, watching each register whose trust category rejects the
+/// secret's module (the only places a leak violates the spec). Returns a
+/// description of the first leak found, or nullopt. Sound as a
+/// post-`secure` check: any reported leak is a replayed counterexample to
+/// the security claim — `secure --verify` treats it as a hard error.
+/// Absence of leaks is not a proof (the probe is bounded); the proof side
+/// is `certify`.
 std::optional<std::string> verify_no_leakage(const netlist::Netlist& nl,
                                              const rsn::Rsn& network,
                                              const security::SecuritySpec& spec,

@@ -32,10 +32,8 @@ struct PipelineOptions {
   /// Repair-candidate selection strategy (see bench/ablation_resolution).
   security::ResolutionPolicy resolution =
       security::ResolutionPolicy::BestGlobal;
-  /// Resolution-engine execution options: incremental delta-maintained
-  /// violation state (default) vs. from-scratch recomputation
-  /// (`--no-incremental`), and the trial-evaluation thread count. Both
-  /// engines produce bit-identical results.
+  /// Resolution-engine execution options: the trial-evaluation thread
+  /// count or a shared pool. Results are bit-identical for any choice.
   security::ResolveOptions resolve;
   /// Debug/verify mode: run the lint post-transformation invariant pass
   /// (src/lint/invariant.hpp) after every applied RSN change and once on

@@ -330,10 +330,8 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     // checker (and its solver) is task-local: SAT state is never shared
     // between threads; clause sharing passes immutable clause vectors
     // between the two scheduling waves, never live solvers.
-    netlist::ConeCheckOptions copts;
-    copts.conflict_limit = options_.sat_conflict_limit;
-    copts.incremental = options_.sat_incremental;
-    netlist::ConeDependenceChecker checker(nl_, cone, copts);
+    netlist::ConeDependenceChecker checker(nl_, cone,
+                                           options_.sat_conflict_limit);
     if (share != nullptr && share->import != nullptr) {
       stats.shared_clauses +=
           checker.import_clauses(*share->import, *share->leaf_to_canon);
@@ -428,44 +426,35 @@ void DependencyAnalyzer::compute_one_cycle() {
   // Phase 2 (sequential): group isomorphic cones. The representative of a
   // group is its lowest task index; membership is decided by full
   // signature equality — the 64-bit hash only buckets, so a hash
-  // collision can never make two different cones share verdicts. With the
-  // cache off every task is its own group, which runs the identical code
-  // path below (same RNG streams, same verdicts) minus the sharing.
+  // collision can never make two different cones share verdicts.
   std::vector<std::size_t> group_of(ntasks);
   std::vector<std::size_t> reps;
-  if (options_.cone_cache) {
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-    buckets.reserve(ntasks);
-    for (std::size_t t = 0; t < ntasks; ++t) {
-      std::vector<std::size_t>& bucket = buckets[sigs[t].hash];
-      std::size_t g = static_cast<std::size_t>(-1);
-      for (std::size_t cand : bucket) {
-        if (sigs[reps[cand]] == sigs[t]) {
-          g = cand;
-          break;
-        }
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
+  buckets.reserve(ntasks);
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    std::vector<std::size_t>& bucket = buckets[sigs[t].hash];
+    std::size_t g = static_cast<std::size_t>(-1);
+    for (std::size_t cand : bucket) {
+      if (sigs[reps[cand]] == sigs[t]) {
+        g = cand;
+        break;
       }
-      if (g == static_cast<std::size_t>(-1)) {
-        g = reps.size();
-        reps.push_back(t);
-        bucket.push_back(g);
-      }
-      group_of[t] = g;
     }
-  } else {
-    reps.resize(ntasks);
-    for (std::size_t t = 0; t < ntasks; ++t) {
-      reps[t] = t;
-      group_of[t] = t;
+    if (g == static_cast<std::size_t>(-1)) {
+      g = reps.size();
+      reps.push_back(t);
+      bucket.push_back(g);
     }
+    group_of[t] = g;
   }
 
   // Phase 3 (parallel): classify one representative per group. The RNG
   // stream is a pure function of (seed, signature), so a representative's
   // verdicts are bit for bit what classifying any member would produce.
   //
-  // With clause sharing on, classification runs in two deterministic
-  // waves: representatives whose cones are isomorphic modulo a leaf
+  // In DepMode::Exact, classification runs in two deterministic waves
+  // (StructuralOnly makes no SAT queries, so there is nothing to share):
+  // representatives whose cones are isomorphic modulo a leaf
   // permutation (equal canonical forms, dep/clause_share.hpp) form share
   // groups; wave 1 classifies each share-group leader (lowest
   // representative index) and every singleton, leaders of multi-member
@@ -476,10 +465,7 @@ void DependencyAnalyzer::compute_one_cycle() {
   // the receiving CNF — verdicts are unchanged, only solver work shrinks.
   std::vector<std::vector<LeafDep>> group_results(reps.size());
   std::vector<DepStats> group_stats(reps.size());
-  const bool sharing = options_.cone_cache && options_.share_clauses &&
-                       options_.sat_incremental &&
-                       options_.mode == DepMode::Exact;
-  if (!sharing) {
+  if (options_.mode != DepMode::Exact) {
     pool_->parallel_for(
         0, reps.size(),
         [&](std::size_t g) {
@@ -555,7 +541,8 @@ void DependencyAnalyzer::compute_one_cycle() {
   // Phase 4 (sequential): distribute verdicts (translating cone-local
   // leaf indices back to each member's own leaves) and counters in task
   // order. Counters are replicated per member — the cache saves work, not
-  // logical results — so every DepStats field matches a cache-off run.
+  // logical results — so every classification counter matches
+  // classifying each cone on its own.
   for (std::size_t t = 0; t < ntasks; ++t) {
     const std::size_t g = group_of[t];
     const Cone& cone = task_cone(t);

@@ -75,19 +75,6 @@ struct DepOptions {
   /// Per-query SAT conflict limit; on Unknown the dependency is
   /// conservatively classified as functional (sound for security).
   std::uint64_t sat_conflict_limit = 200000;
-  /// Incremental SAT queries inside a cone: verdict caching, Unsat-core
-  /// reuse across leaves, model rotation and periodic solver
-  /// inprocessing (see ConeCheckOptions). Matrices and classification
-  /// counters are identical with this off; with a finite
-  /// sat_conflict_limit the incremental path can only be strictly more
-  /// precise (fewer sat_unknown), never less.
-  bool sat_incremental = true;
-  /// Share learned SAT clauses between isomorphic-modulo-leaf-permutation
-  /// cones (translated through the canonical leaf permutation, see
-  /// dep/clause_share.hpp). Only active in DepMode::Exact with
-  /// sat_incremental and cone_cache on. Affects solver work counters
-  /// only, never verdicts.
-  bool share_clauses = true;
   /// Bound on the number of clock cycles the multi-cycle dependency may
   /// span (0 = unbounded fixpoint, the paper's setting). A bound
   /// under-approximates the attacker (who can wait arbitrarily many
@@ -99,15 +86,9 @@ struct DepOptions {
   /// Seed for the simulation prefilter patterns. Every cone draws its
   /// patterns from a private stream seeded as hash(seed, cone signature),
   /// so the analysis result is bit-identical for any num_threads — and,
-  /// because isomorphic cones share a signature, identical with and
-  /// without the cone cache.
+  /// because isomorphic cones share a signature, one classification
+  /// serves every cone of the same shape (the cone cache).
   std::uint64_t seed = 1;
-  /// Memoize cone classifications by structural signature: replicated
-  /// modules (MBIST arrays, BASTION instruments) produce many isomorphic
-  /// capture/next-state cones, and one sim+SAT classification serves all
-  /// of them. Results (matrices and all stats counters except
-  /// cone_cache_hits) are bit-identical with the cache disabled.
-  bool cone_cache = true;
   /// Worker threads for the cone fan-out and the closure's row blocks.
   /// 0 = auto: the RSNSEC_JOBS environment variable if set, else
   /// std::thread::hardware_concurrency(). Any value yields bit-identical
@@ -157,10 +138,10 @@ struct DepStats {
   /// Queries that exhausted DepOptions::sat_conflict_limit; each is
   /// conservatively classified as a functional (Path) dependency.
   std::uint64_t sat_unknown = 0;
-  /// Cones whose classification was reused from an isomorphic cone (0
-  /// when DepOptions::cone_cache is off). All other counters report the
-  /// logical work — a cache hit replicates the representative's sim/SAT
-  /// counters — so they match a cache-off run bit for bit.
+  /// Cones whose classification was reused from an isomorphic cone. All
+  /// other counters report the logical work — a cache hit replicates the
+  /// representative's sim/SAT counters — so they match classifying every
+  /// cone on its own bit for bit.
   std::uint64_t cone_cache_hits = 0;
   /// Solver work counters. Unlike the classification counters above,
   /// these measure *actual* work: they are aggregated once per

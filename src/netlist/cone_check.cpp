@@ -122,11 +122,11 @@ sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
     trace->histogram("cone.leaves_per_query")
         .record(cone_.leaves.size());
   }
-  if (opts_.incremental && verdict_[leaf_idx] != 0) {
+  if (verdict_[leaf_idx] != 0) {
     return verdict_[leaf_idx] == 1 ? sat::Result::Sat : sat::Result::Unsat;
   }
 
-  if (opts_.incremental && opts_.inprocess_interval != 0 &&
+  if (opts_.inprocess_interval != 0 &&
       solver_solves_ - last_inprocess_solves_ >= opts_.inprocess_interval) {
     solver_.inprocess();
     last_inprocess_solves_ = solver_solves_;
@@ -148,7 +148,6 @@ sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
 
   sat::Result r = solver_.solve(assumptions);
   ++solver_solves_;
-  if (!opts_.incremental) return r;
   if (r == sat::Result::Sat) {
     verdict_[leaf_idx] = 1;
     rotate_model();

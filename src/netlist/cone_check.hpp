@@ -14,17 +14,8 @@ struct ConeCheckOptions {
   /// makes query() return sat::Result::Unknown.
   std::uint64_t conflict_limit = 0;
 
-  /// Enables the incremental query machinery: verdict caching, Unsat-core
-  /// reuse across leaves, model rotation (a Sat model is perturbed one
-  /// leaf at a time to witness other dependencies for free) and periodic
-  /// solver inprocessing. Verdicts are identical to the non-incremental
-  /// path except that with a finite conflict_limit the incremental path
-  /// can be strictly more precise (a leaf another query already decided
-  /// cannot come back Unknown).
-  bool incremental = true;
-
   /// Solver solve() calls between bounded inprocess() rounds on the cone
-  /// CNF (0 = never). Only active when `incremental` is set.
+  /// CNF (0 = never).
   std::size_t inprocess_interval = 64;
 };
 
@@ -50,7 +41,9 @@ struct ConeCheckOptions {
 /// without any solver call. An Unsat answer yields an assumption core; when the core
 /// avoids the flipped leaf's literals, every other leaf whose eq selector
 /// is outside the core is Unsat by the same proof and is discharged
-/// without a solve.
+/// without a solve. Verdicts match a fresh checker per query, except that
+/// with a finite conflict_limit a leaf another query already decided
+/// cannot come back Unknown.
 class ConeDependenceChecker {
  public:
   /// Builds the two-copy CNF for `cone` of netlist `nl`. The cone must
@@ -63,8 +56,7 @@ class ConeDependenceChecker {
   /// conflict limit.
   ConeDependenceChecker(const Netlist& nl, const Cone& cone,
                         std::uint64_t conflict_limit = 0)
-      : ConeDependenceChecker(nl, cone,
-                              ConeCheckOptions{conflict_limit, true, 64}) {}
+      : ConeDependenceChecker(nl, cone, ConeCheckOptions{conflict_limit}) {}
 
   /// Exact query for cone.leaves[leaf_idx]: Sat means the root
   /// functionally depends on the leaf, Unsat means the connection is
@@ -81,9 +73,8 @@ class ConeDependenceChecker {
   }
 
   /// Number of logical SAT queries so far. Cached verdicts (from core
-  /// reuse or model rotation) still count: the number is identical to the
-  /// non-incremental path's and measures classification work, not solver
-  /// invocations (see solver_solves()).
+  /// reuse or model rotation) still count: the number measures
+  /// classification work, not solver invocations (see solver_solves()).
   std::uint64_t sat_calls() const { return sat_calls_; }
 
   /// Number of actual solver solve() calls issued.

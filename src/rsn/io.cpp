@@ -150,8 +150,13 @@ RsnDocument read_rsn(std::istream& is) {
       auto k = static_cast<std::size_t>(
           parse_num(tok[3], "mux input count", kMaxCount));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
+      // add_mux requires >= 2 inputs, but resolution may shrink a mux to
+      // one input (Rsn::remove_mux_input), and write_rsn writes it as is:
+      // create it with two and drop the extra one, like store::decode_rsn.
       try {
-        by_name[tok[1]] = doc.network.add_mux(tok[1], k);
+        ElemId id = doc.network.add_mux(tok[1], k == 1 ? 2 : k);
+        if (k == 1) doc.network.remove_mux_input(id, 1);
+        by_name[tok[1]] = id;
       } catch (const std::exception& e) {
         throw fail(e.what());
       }

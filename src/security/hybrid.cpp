@@ -329,37 +329,27 @@ HybridStats HybridAnalyzer::detect_and_resolve(
   obs::Span resolve_span(trace, "hybrid.resolve");
   HybridStats stats;
 
-  const bool incremental = resolve_options.incremental;
-  std::optional<HybridViolationIndex> index;
+  HybridViolationIndex index(*this, network);
   // ResolveOptions::pool (shared, serve scheduler) wins over a private
   // per-resolve pool sized by num_threads.
   ThreadPool* pool = resolve_options.pool;
   std::optional<ThreadPool> owned_pool;
-  if (incremental) {
-    index.emplace(*this, network);
-    if (pool == nullptr) {
-      owned_pool.emplace(
-          ThreadPool::resolve_num_threads(resolve_options.num_threads));
-      pool = &*owned_pool;
-    }
-    stats.initial_violating_registers = index->violating_registers();
-    stats.initial_violating_pairs = index->pairs();
-  } else {
-    stats.initial_violating_registers = count_violating_registers(network);
-    stats.initial_violating_pairs = count_violating_pairs(network);
+  if (pool == nullptr) {
+    owned_pool.emplace(
+        ThreadPool::resolve_num_threads(resolve_options.num_threads));
+    pool = &*owned_pool;
   }
+  stats.initial_violating_registers = index.violating_registers();
+  stats.initial_violating_pairs = index.pairs();
   // Applying a cut re-runs the deterministic cut_connection on the real
   // network, so the selected trial's residual count IS the new current
-  // count; only the fallback isolation needs a recount. (Previously every
-  // iteration recounted from scratch on top of find_violation's own
-  // propagation.)
+  // count; only the fallback isolation needs a recount.
   std::size_t cur_pairs = stats.initial_violating_pairs;
 
   std::size_t max_iters = 8 * network.registers().size() + 64;
   std::size_t iter = 0;
   for (;;) {
-    std::optional<Violation> v =
-        incremental ? index->find_violation() : find_violation(network);
+    std::optional<Violation> v = index.find_violation();
     if (!v) break;
     if (++iter > max_iters)
       throw std::runtime_error(
@@ -373,23 +363,15 @@ HybridStats HybridAnalyzer::detect_and_resolve(
 
     // Each cut is evaluated with both reconnection variants ([17]-style
     // candidate generation); the policy decides how exhaustively.
-    Rewirer::Selection sel;
-    if (incremental) {
-      sel = Rewirer::select_cut_parallel(
-          network, v->rsn_connections,
-          [&index]() -> Rewirer::TrialCounter {
-            auto scratch = std::make_shared<HybridViolationIndex::Scratch>();
-            return [&index, scratch](const Rsn& n) {
-              return index->eval_trial(n, *scratch);
-            };
-          },
-          cur_pairs, policy, *pool);
-    } else {
-      sel = Rewirer::select_cut(
-          network, v->rsn_connections,
-          [this](const Rsn& n) { return count_violating_pairs(n); },
-          cur_pairs, policy);
-    }
+    Rewirer::Selection sel = Rewirer::select_cut_parallel(
+        network, v->rsn_connections,
+        [&index]() -> Rewirer::TrialCounter {
+          auto scratch = std::make_shared<HybridViolationIndex::Scratch>();
+          return [&index, scratch](const Rsn& n) {
+            return index.eval_trial(n, *scratch);
+          };
+        },
+        cur_pairs, policy, *pool);
 
     AppliedChange change;
     if (sel.found) {
@@ -400,7 +382,7 @@ HybridStats HybridAnalyzer::detect_and_resolve(
       change.note = "hybrid: cut " + network.elem(sel.cut.from).name +
                     " -> " + network.elem(sel.cut.to).name;
       cur_pairs = sel.residual_pairs;
-      if (incremental) index->commit(network);
+      index.commit(network);
     } else {
       // Isolate the source register of the last RSN hop on the path.
       ElemId iso = v->rsn_connections.front().from;
@@ -424,12 +406,8 @@ HybridStats HybridAnalyzer::detect_and_resolve(
           Rewirer::isolate_register_output(network, iso);
       change.note = "hybrid: isolate " + network.elem(iso).name;
       ++stats.fallback_isolations;
-      if (incremental) {
-        index->commit(network);
-        cur_pairs = index->pairs();
-      } else {
-        cur_pairs = count_violating_pairs(network);
-      }
+      index.commit(network);
+      cur_pairs = index.pairs();
     }
     ++stats.applied_changes;
     stats.rewire_operations += change.rewire_operations;

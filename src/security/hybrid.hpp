@@ -56,8 +56,9 @@ struct HybridStats {
 /// once ... without RSN-internal connections", Sec. III-A). Tokens
 /// propagate only over path-dependent edges; only-structural connections
 /// cannot transport data (Fig. 5's XOR reconvergence). Propagation is
-/// cyclic ("omnidirectional", Sec. III-D) and runs to a fixed point,
-/// recomputed from scratch after every applied change.
+/// cyclic ("omnidirectional", Sec. III-D) and runs to a fixed point;
+/// detect_and_resolve keeps that fixpoint up to date under every applied
+/// change (HybridViolationIndex).
 class HybridAnalyzer {
  public:
   HybridAnalyzer(const netlist::Netlist& nl,
@@ -111,12 +112,11 @@ class HybridAnalyzer {
   /// be clean. Modifies `network`; appends changes to `log`; invokes
   /// `on_change` after every applied change (see ChangeCallback).
   ///
-  /// By default (ResolveOptions::incremental) violation state is kept in
-  /// a HybridViolationIndex and maintained under deltas, with candidate
-  /// cuts trial-evaluated in parallel; with incremental off every query
-  /// recomputes the fixpoint from scratch (the oracle the incremental
-  /// path is tested against). Both paths — at any thread count — produce
-  /// bit-identical change logs, stats and final networks.
+  /// Violation state is kept in a HybridViolationIndex and maintained
+  /// under deltas, with candidate cuts trial-evaluated in parallel. At
+  /// any thread count the change logs, stats and final networks are
+  /// bit-identical to recomputing the fixpoint from scratch for every
+  /// query (the oracle in tests/oracle).
   HybridStats detect_and_resolve(
       rsn::Rsn& network, std::vector<AppliedChange>* log = nullptr,
       ResolutionPolicy policy = ResolutionPolicy::BestGlobal,

@@ -62,10 +62,10 @@ class PureScanAnalyzer {
   /// applied changes to `log`; invokes `on_change` after every applied
   /// change (see ChangeCallback). Returns run statistics.
   ///
-  /// ResolveOptions selects between the incremental engine (delta
-  /// queries against a PureViolationIndex, parallel candidate trials)
-  /// and the from-scratch oracle path; both produce bit-identical change
-  /// logs, stats and final networks.
+  /// Violation state lives in a PureViolationIndex: every query is a
+  /// delta against it and candidate trials run in parallel, with
+  /// bit-identical change logs, stats and final networks at any thread
+  /// count (pinned against a from-scratch oracle in tests/oracle).
   PureStats detect_and_resolve(
       rsn::Rsn& network, std::vector<AppliedChange>* log = nullptr,
       ResolutionPolicy policy = ResolutionPolicy::BestGlobal,

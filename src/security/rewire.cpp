@@ -109,48 +109,15 @@ int Rewirer::attach_to_scan_out_avoiding(Rsn& network, ElemId from,
   return created == rsn::no_elem ? 1 : 2;
 }
 
-Rewirer::Selection Rewirer::select_cut(
-    const Rsn& network, const std::vector<Connection>& candidates,
-    const std::function<std::size_t(const Rsn&)>& count_pairs,
-    std::size_t current_pairs, ResolutionPolicy policy) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  Selection best;
-  for (const Connection& c : candidates) {
-    std::vector<ElemId> hints{rsn::no_elem, network.scan_in()};
-    if (policy == ResolutionPolicy::PreferScanIn)
-      std::swap(hints[0], hints[1]);
-    // A hint-insensitive cut yields the same trial for both hints;
-    // evaluating it twice cannot change the selection (identical pairs
-    // and ops lose every strict tie-break), so the duplicate is skipped.
-    if (cut_is_hint_insensitive(network, c)) hints.resize(1);
-    for (ElemId hint : hints) {
-      if (trace != nullptr) trace->counter("rewire.trials").add(1);
-      Rsn trial = network;
-      int ops = cut_connection(trial, c, hint);
-      std::size_t pairs = count_pairs(trial);
-      if (pairs >= current_pairs) continue;
-      if (policy != ResolutionPolicy::BestGlobal) {
-        return {true, c, hint, pairs, ops};
-      }
-      if (!best.found || pairs < best.residual_pairs ||
-          (pairs == best.residual_pairs && ops < best.operations)) {
-        best = {true, c, hint, pairs, ops};
-      }
-    }
-  }
-  return best;
-}
-
 Rewirer::Selection Rewirer::select_cut_parallel(
     const Rsn& network, const std::vector<Connection>& candidates,
     const TrialCounterFactory& make_counter, std::size_t current_pairs,
     ResolutionPolicy policy, ThreadPool& pool) {
   obs::TraceSession* trace = obs::TraceSession::active();
-  // Flatten the nested (candidate, hint) loop of select_cut into one
-  // combo list in the same order; evaluate all combos concurrently; then
-  // select by scanning the results in combo order. The scan replicates
-  // the sequential policy logic exactly, so the Selection is identical
-  // for any thread count — including the sequential path itself.
+  // Flatten the nested (candidate, hint) loop into one combo list in the
+  // same order; evaluate all combos concurrently; then select by scanning
+  // the results in combo order. The scan replicates the sequential policy
+  // logic exactly, so the Selection is identical for any thread count.
   struct Combo {
     Connection cut;
     rsn::ElemId hint;
@@ -162,7 +129,9 @@ Rewirer::Selection Rewirer::select_cut_parallel(
     if (policy == ResolutionPolicy::PreferScanIn)
       std::swap(hints[0], hints[1]);
     combos.push_back({c, hints[0]});
-    // Same dedupe as select_cut, so both paths stay in lockstep.
+    // A hint-insensitive cut yields the same trial for both hints;
+    // evaluating it twice cannot change the selection (identical pairs
+    // and ops lose every strict tie-break), so the duplicate is skipped.
     if (!cut_is_hint_insensitive(network, c)) combos.push_back({c, hints[1]});
   }
   std::vector<std::size_t> pairs(combos.size(), 0);

@@ -31,16 +31,9 @@ enum class ResolutionPolicy : std::uint8_t {
 
 /// Execution options of the detect-and-resolve loops (pure and hybrid).
 struct ResolveOptions {
-  /// Maintain violation state in a ViolationIndex and evaluate candidate
-  /// cuts as deltas against it (parallel across candidates). When false,
-  /// every query recomputes reachability from scratch — the oracle path
-  /// (`--no-incremental`). Both paths produce bit-identical change logs,
-  /// stats and final networks.
-  bool incremental = true;
-  /// Worker threads for candidate trial evaluation (incremental path
-  /// only). 0 = auto: RSNSEC_JOBS if set, else hardware concurrency.
-  /// Any value yields bit-identical results (in-order selection).
-  /// Ignored when `pool` is set.
+  /// Worker threads for candidate trial evaluation. 0 = auto: RSNSEC_JOBS
+  /// if set, else hardware concurrency. Any value yields bit-identical
+  /// results (in-order selection). Ignored when `pool` is set.
   std::size_t num_threads = 0;
   /// External thread pool for the trial evaluation (not owned; must
   /// outlive the resolve call). When set, the loops run on it instead of
@@ -131,15 +124,6 @@ class Rewirer {
     int operations = 0;
   };
 
-  /// Trial-evaluates cutting each candidate (with both reconnection
-  /// variants) against `count_pairs` and selects per `policy`. Only
-  /// candidates that strictly reduce the violating-pair count below
-  /// `current_pairs` qualify.
-  static Selection select_cut(
-      const rsn::Rsn& network, const std::vector<Connection>& candidates,
-      const std::function<std::size_t(const rsn::Rsn&)>& count_pairs,
-      std::size_t current_pairs, ResolutionPolicy policy);
-
   /// Counts the violating pairs of one trial network. Instances returned
   /// by a TrialCounterFactory may carry per-chunk scratch state; each
   /// instance is used by one thread at a time.
@@ -148,12 +132,16 @@ class Rewirer {
   /// counter is reused for every trial of that chunk (scratch reuse).
   using TrialCounterFactory = std::function<TrialCounter()>;
 
-  /// Parallel variant of select_cut: every (cut, reconnect) candidate is
-  /// trial-evaluated concurrently on `pool`, then the selection scans the
-  /// results in the same nested (candidate, hint) order as the sequential
-  /// loop — so for every policy the returned Selection is identical to
-  /// select_cut's. (FirstImproving/PreferScanIn evaluate trials past the
-  /// one selected; only side-effect-free counters may observe that.)
+  /// Trial-evaluates cutting each candidate (with both reconnection
+  /// variants, a hint-insensitive cut once) and selects per `policy`.
+  /// Only candidates that strictly reduce the violating-pair count below
+  /// `current_pairs` qualify. Every (cut, reconnect) candidate is
+  /// evaluated concurrently on `pool`, then the selection scans the
+  /// results in nested (candidate, hint) order — so for every policy the
+  /// returned Selection is the one a sequential first-to-last evaluation
+  /// would pick, at any thread count. (FirstImproving/PreferScanIn
+  /// evaluate trials past the one selected; only side-effect-free
+  /// counters may observe that.)
   static Selection select_cut_parallel(
       const rsn::Rsn& network, const std::vector<Connection>& candidates,
       const TrialCounterFactory& make_counter, std::size_t current_pairs,

@@ -34,9 +34,9 @@ namespace rsnsec::security {
 /// least fixpoint and every retained committed token keeps an untouched
 /// support path, the chaotic iteration converges exactly to that least
 /// fixpoint — bit-identical to a from-scratch propagation, for any
-/// evaluation order. This is what makes the incremental and
-/// `--no-incremental` resolution paths produce identical change logs,
-/// stats and networks.
+/// evaluation order. This is what makes resolution produce the same
+/// change logs, stats and networks as recomputing every query from
+/// scratch (the oracle in tests/oracle).
 ///
 /// eval_trial is const and touches only caller-owned scratch, so
 /// independent candidate cuts are evaluated concurrently (one scratch

@@ -1,15 +1,11 @@
 #include "store/codec.hpp"
 
+#include <cassert>
 #include <cstring>
 
 namespace rsnsec::store {
 
 namespace {
-
-/// Upper bound on any single length field (string, fanin list, section).
-/// A hostile blob must not be able to request a multi-gigabyte
-/// allocation before the bounds check on the remaining bytes trips.
-constexpr std::uint64_t kMaxLength = 1ull << 32;
 
 [[noreturn]] void fail(const char* msg) { throw CodecError(msg); }
 
@@ -93,11 +89,9 @@ std::uint64_t ByteReader::fixed64() {
 }
 
 std::string ByteReader::str() {
-  std::uint64_t n = varint();
-  if (n > kMaxLength) fail("string length out of range");
-  need(static_cast<std::size_t>(n));
-  std::string s(data_.substr(pos_, static_cast<std::size_t>(n)));
-  pos_ += static_cast<std::size_t>(n);
+  const std::size_t n = count(1);
+  std::string s(data_.substr(pos_, n));
+  pos_ += n;
   return s;
 }
 
@@ -108,12 +102,18 @@ void ByteReader::raw(void* out, std::size_t n) {
 }
 
 ByteReader ByteReader::section() {
-  std::uint64_t n = varint();
-  if (n > kMaxLength) fail("section length out of range");
-  need(static_cast<std::size_t>(n));
-  ByteReader r(data_.substr(pos_, static_cast<std::size_t>(n)));
-  pos_ += static_cast<std::size_t>(n);
+  const std::size_t n = count(1);
+  ByteReader r(data_.substr(pos_, n));
+  pos_ += n;
   return r;
+}
+
+std::size_t ByteReader::count(std::size_t min_bytes_per_item) {
+  assert(min_bytes_per_item > 0);
+  std::uint64_t n = varint();
+  if (n > remaining() / min_bytes_per_item)
+    fail("count exceeds the remaining data");
+  return static_cast<std::size_t>(n);
 }
 
 void ByteReader::expect_end() const {
@@ -273,17 +273,18 @@ void encode_netlist(ByteWriter& w, const netlist::Netlist& nl) {
 
 netlist::Netlist decode_netlist(ByteReader& r) {
   netlist::Netlist nl;
-  std::uint64_t num_modules = r.varint();
-  if (num_modules > kMaxLength) fail("module count out of range");
-  for (std::uint64_t m = 0; m < num_modules; ++m) nl.add_module(r.str());
-  std::uint64_t num_nodes = r.varint();
-  if (num_nodes > kMaxLength) fail("node count out of range");
+  // Minimum encoded sizes: a module is a string (>= 1 byte); a node is
+  // type, module, name length and fanin count (>= 4 bytes); a fanin is a
+  // varint (>= 1 byte).
+  const std::size_t num_modules = r.count(1);
+  for (std::size_t m = 0; m < num_modules; ++m) nl.add_module(r.str());
+  const std::size_t num_nodes = r.count(4);
   // FF data inputs may reference later nodes (sequential cycles are
   // legal), so they are applied after all nodes exist.
   std::vector<std::pair<netlist::NodeId, netlist::NodeId>> ff_inputs;
   auto check_module = [&](std::int64_t m) -> netlist::ModuleId {
     if (m != netlist::no_module &&
-        (m < 0 || static_cast<std::uint64_t>(m) >= num_modules))
+        (m < 0 || static_cast<std::size_t>(m) >= num_modules))
       fail("node module out of range");
     return static_cast<netlist::ModuleId>(m);
   };
@@ -291,16 +292,15 @@ netlist::Netlist decode_netlist(ByteReader& r) {
     if (id >= num_nodes) fail("fanin id out of range");
     return static_cast<netlist::NodeId>(id);
   };
-  for (std::uint64_t i = 0; i < num_nodes; ++i) {
+  for (std::size_t i = 0; i < num_nodes; ++i) {
     auto type = static_cast<netlist::GateType>(r.u8());
     if (type > netlist::GateType::FF) fail("unknown gate type");
     netlist::ModuleId module = check_module(r.zigzag());
     std::string name = r.str();
-    std::uint64_t nf = r.varint();
-    if (nf > kMaxLength) fail("fanin count out of range");
+    const std::size_t nf = r.count(1);
     std::vector<netlist::NodeId> fanins;
-    fanins.reserve(static_cast<std::size_t>(nf));
-    for (std::uint64_t f = 0; f < nf; ++f)
+    fanins.reserve(nf);
+    for (std::size_t f = 0; f < nf; ++f)
       fanins.push_back(check_node(r.varint()));
     netlist::NodeId id;
     switch (type) {
@@ -358,8 +358,10 @@ void encode_rsn(ByteWriter& w, const rsn::Rsn& network) {
 
 rsn::Rsn decode_rsn(ByteReader& r) {
   std::string name = r.str();
-  std::uint64_t num_elems = r.varint();
-  if (num_elems > kMaxLength) fail("element count out of range");
+  // Minimum encoded sizes: an element is kind, name length, module,
+  // select, input count and FF count (>= 6 bytes); an input port is a
+  // varint (>= 1 byte); a scan FF is two varints (>= 2 bytes).
+  const std::size_t num_elems = r.count(6);
   if (num_elems < 2) fail("network without scan ports");
   rsn::Rsn network(std::move(name));
 
@@ -367,33 +369,31 @@ rsn::Rsn decode_rsn(ByteReader& r) {
     std::vector<rsn::ElemId> inputs;
     std::size_t sel = 0;
   };
-  std::vector<PendingElem> pending(static_cast<std::size_t>(num_elems));
+  std::vector<PendingElem> pending(num_elems);
   auto check_elem = [&](std::uint64_t id) -> rsn::ElemId {
     if (id != rsn::no_elem && id >= num_elems) fail("element id out of range");
     return static_cast<rsn::ElemId>(id);
   };
 
-  for (std::uint64_t i = 0; i < num_elems; ++i) {
+  for (std::size_t i = 0; i < num_elems; ++i) {
     auto kind = static_cast<rsn::ElemKind>(r.u8());
     if (kind > rsn::ElemKind::Mux) fail("unknown element kind");
     std::string ename = r.str();
     std::int64_t module = r.zigzag();
     std::uint64_t sel = r.varint();
-    std::uint64_t n_inputs = r.varint();
-    if (n_inputs > kMaxLength) fail("input count out of range");
-    PendingElem& pe = pending[static_cast<std::size_t>(i)];
-    for (std::uint64_t p = 0; p < n_inputs; ++p)
+    const std::size_t n_inputs = r.count(1);
+    PendingElem& pe = pending[i];
+    for (std::size_t p = 0; p < n_inputs; ++p)
       pe.inputs.push_back(check_elem(r.varint()));
-    std::uint64_t n_ffs = r.varint();
-    if (n_ffs > kMaxLength) fail("scan FF count out of range");
+    const std::size_t n_ffs = r.count(2);
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ffs;
-    ffs.reserve(static_cast<std::size_t>(n_ffs));
-    for (std::uint64_t f = 0; f < n_ffs; ++f) {
+    ffs.reserve(n_ffs);
+    for (std::size_t f = 0; f < n_ffs; ++f) {
       std::uint64_t cap = r.varint();
       std::uint64_t upd = r.varint();
       ffs.emplace_back(cap, upd);
     }
-    if (sel >= std::max<std::uint64_t>(1, n_inputs))
+    if (sel >= std::max<std::size_t>(1, n_inputs))
       fail("mux select out of range");
     pe.sel = static_cast<std::size_t>(sel);
 
@@ -413,8 +413,7 @@ rsn::Rsn decode_rsn(ByteReader& r) {
       if (pe.inputs.size() != 1) fail("register with port count != 1");
       rsn::ElemId id;
       try {
-        id = network.add_register(std::move(ename),
-                                  static_cast<std::size_t>(n_ffs),
+        id = network.add_register(std::move(ename), n_ffs,
                                   static_cast<netlist::ModuleId>(module));
       } catch (const std::exception&) {
         fail("invalid register");
@@ -450,8 +449,8 @@ rsn::Rsn decode_rsn(ByteReader& r) {
 
   // Connections and mux selects, after every element exists (ports may
   // reference elements with higher ids).
-  for (std::uint64_t i = 0; i < num_elems; ++i) {
-    const PendingElem& pe = pending[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < num_elems; ++i) {
+    const PendingElem& pe = pending[i];
     auto id = static_cast<rsn::ElemId>(i);
     const rsn::Element& e = network.elem(id);
     if (e.inputs.size() != pe.inputs.size()) fail("port count skew");
@@ -474,10 +473,11 @@ void encode_dep_matrix(ByteWriter& w, const DepMatrix& m) {
 }
 
 DepMatrix decode_dep_matrix(ByteReader& r) {
-  std::uint64_t n64 = r.varint();
-  if (n64 > (1ull << 24)) fail("matrix dimension out of range");
-  const std::size_t n = static_cast<std::size_t>(n64);
+  // Every row holds at least one word per plane; the exact plane size
+  // must be present too before the planes are allocated.
+  const std::size_t n = r.count(16);
   const std::size_t words = n * ((n + 63) / 64);
+  if (words > r.remaining() / 16) fail("matrix planes exceed the data");
   std::vector<std::uint64_t> s(words), p(words);
   for (std::uint64_t& word : s) word = r.fixed64();
   for (std::uint64_t& word : p) word = r.fixed64();
@@ -510,14 +510,15 @@ TiledDepMatrix decode_tiled_matrix(ByteReader& r) {
   if (n64 > (1ull << 24)) fail("matrix dimension out of range");
   const std::size_t n = static_cast<std::size_t>(n64);
   const std::size_t nb = (n + 63) / 64;
-  std::uint64_t tiles = r.varint();
+  // A tile is two coordinate varints and 128 words.
+  const std::size_t tiles = r.count(2 + 128 * 8);
   if (tiles > nb * nb) fail("tile count out of range");
   TiledDepMatrix m(n);
   TiledDepMatrix::Tile t;
   bool first = true;
   std::uint64_t last_rb = 0;
   std::uint64_t last_cb = 0;
-  for (std::uint64_t k = 0; k < tiles; ++k) {
+  for (std::size_t k = 0; k < tiles; ++k) {
     std::uint64_t rb = r.varint();
     std::uint64_t cb = r.varint();
     if (rb >= nb || cb >= nb) fail("tile coordinates out of range");

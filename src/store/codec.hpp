@@ -66,6 +66,12 @@ class ByteReader {
   /// Enters a length-prefixed section, returning a reader bounded to it.
   ByteReader section();
 
+  /// Reads a varint item count and rejects it unless that many items of
+  /// at least `min_bytes_per_item` bytes each can still follow. Decoders
+  /// size containers from the result, so no count — however corrupted —
+  /// requests an allocation larger than the remaining input justifies.
+  std::size_t count(std::size_t min_bytes_per_item);
+
   bool at_end() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 

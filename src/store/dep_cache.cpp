@@ -9,7 +9,7 @@ namespace {
 /// Versioned domain label: any change to the key recipe or the snapshot
 /// payload format must bump this, so old blobs become unreachable rather
 /// than mis-decoded.
-constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v4";
+constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v5";
 
 void encode_options_fingerprint(ByteWriter& w,
                                 const dep::DepOptions& options) {
@@ -19,18 +19,9 @@ void encode_options_fingerprint(ByteWriter& w,
   w.varint(options.sat_conflict_limit);
   w.varint(options.max_cycles);
   w.varint(options.seed);
-  // cone_cache is result-invariant for every counter except
-  // cone_cache_hits — which DepStats reports and the snapshot replays —
-  // so it participates in the key to keep even that field bit-identical.
-  w.u8(options.cone_cache ? 1 : 0);
-  // Like cone_cache: matrices are bit-identical either way, but the
-  // ternary_resolved / sat_* counters the snapshot replays are not.
+  // Matrices are bit-identical either way, but the ternary_resolved /
+  // sat_* counters the snapshot replays are not.
   w.u8(options.ternary_prefilter ? 1 : 0);
-  // Incremental SAT and clause sharing keep matrices and classification
-  // counters bit-identical, but the solver work counters the snapshot
-  // replays (solver_solves, cores_reused, ...) depend on both.
-  w.u8(options.sat_incremental ? 1 : 0);
-  w.u8(options.share_clauses ? 1 : 0);
   // The representation choice selects the snapshot payload format (dense
   // vs. tiled sections) and the footprint stats, so it must split the key
   // space — otherwise a dense analyzer would keep discarding a tiled
@@ -55,8 +46,11 @@ void encode_bits(ByteWriter& w, const std::vector<bool>& bits) {
 }
 
 std::vector<bool> decode_bits(ByteReader& r) {
-  std::uint64_t n = r.varint();
-  if (n > (1ull << 32)) throw CodecError("bit vector length out of range");
+  // 64 bits per word: the words must be present before the bits are
+  // allocated.
+  const std::uint64_t n = r.varint();
+  if (n / 64 + (n % 64 != 0) > r.remaining() / 8)
+    throw CodecError("bit vector exceeds the data");
   std::vector<bool> bits(static_cast<std::size_t>(n));
   std::uint64_t word = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -198,34 +192,35 @@ dep::DependencyAnalyzer::AnalysisSnapshot decode_dep_snapshot(ByteReader& r) {
   const std::uint8_t tiled = r.u8();
   if (tiled > 1) throw CodecError("matrix representation flag out of range");
   s.tiled = tiled != 0;
+  // Both matrices are circuit-FF square, like the internal bits. Checking
+  // the dimension before decoding keeps a corrupted one from sizing the
+  // tiled row index, which the tile payload does not bound.
+  auto matrix_section = [&](auto decode) {
+    ByteReader sec = r.section();
+    ByteReader peek = sec;
+    if (peek.varint() != s.internal.size())
+      throw CodecError("matrix dimension differs from the FF count");
+    auto m = decode(sec);
+    sec.expect_end();
+    return m;
+  };
   if (s.tiled) {
-    ByteReader sec = r.section();
-    s.one_cycle_tiled = decode_tiled_matrix(sec);
-    sec.expect_end();
-    ByteReader sec2 = r.section();
-    s.closure_tiled = decode_tiled_matrix(sec2);
-    sec2.expect_end();
+    s.one_cycle_tiled = matrix_section(decode_tiled_matrix);
+    s.closure_tiled = matrix_section(decode_tiled_matrix);
   } else {
-    ByteReader sec = r.section();
-    s.one_cycle = decode_dep_matrix(sec);
-    sec.expect_end();
-    ByteReader sec2 = r.section();
-    s.closure = decode_dep_matrix(sec2);
-    sec2.expect_end();
+    s.one_cycle = matrix_section(decode_dep_matrix);
+    s.closure = matrix_section(decode_dep_matrix);
   }
-  std::uint64_t num_regs = r.varint();
-  if (num_regs > (1ull << 24)) throw CodecError("register count out of range");
-  s.capture_deps.resize(static_cast<std::size_t>(num_regs));
+  // Minimum encoded sizes: a register is its FF count, a scan FF its
+  // dependency count (>= 1 byte each); a dependency is a node varint and
+  // a kind byte (>= 2 bytes).
+  s.capture_deps.resize(r.count(1));
   for (auto& reg : s.capture_deps) {
-    std::uint64_t num_ffs = r.varint();
-    if (num_ffs > (1ull << 24)) throw CodecError("scan FF count out of range");
-    reg.resize(static_cast<std::size_t>(num_ffs));
+    reg.resize(r.count(1));
     for (auto& deps : reg) {
-      std::uint64_t n = r.varint();
-      if (n > (1ull << 24))
-        throw CodecError("capture dependency count out of range");
-      deps.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
+      const std::size_t n = r.count(2);
+      deps.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t ff = r.varint();
         if (ff >= netlist::no_node)
           throw CodecError("capture dependency node id out of range");

@@ -11,10 +11,10 @@ namespace rsnsec::store {
 /// Content-addressed cache key of a dependency analysis: SHA-256 over a
 /// versioned label, the canonical encodings of circuit and RSN, and a
 /// fingerprint of every DepOptions field that can influence the result —
-/// mode, bridging, sim_rounds, conflict limit, max_cycles, seed and
-/// cone_cache. num_threads is deliberately excluded: the engine is
-/// bit-identical at any thread count (PR 2), so all thread counts share
-/// one cache entry.
+/// mode, bridging, sim_rounds, conflict limit, max_cycles, seed, the
+/// ternary prefilter and the partition mode. num_threads is deliberately
+/// excluded: the engine is bit-identical at any thread count, so all
+/// thread counts share one cache entry.
 std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
                           const dep::DepOptions& options);
 

@@ -1,9 +1,9 @@
 // Incremental query machinery of ConeDependenceChecker: verdict caching,
 // core reuse and model rotation never change a leaf's classification
-// versus the query-every-leaf oracle; the conflict budget is per query;
-// clause export/import across leaf-permuted isomorphic cones preserves
-// verdicts; and the 256-bit simulation block matches the scalar
-// evaluator lane for lane.
+// versus the oracle of one fresh checker per query (tests/oracle); the
+// conflict budget is per query; clause export/import across leaf-permuted
+// isomorphic cones preserves verdicts; and the 256-bit simulation block
+// matches the scalar evaluator lane for lane.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "netlist/cone_check.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim.hpp"
+#include "oracle/dep_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace rsnsec::netlist {
@@ -81,23 +82,20 @@ TEST(ConeIncremental, MatchesOracleAndBruteForceOnRandomCones) {
     if (cone.leaves.size() > 14) continue;
 
     ConeCheckOptions inc_opts;
-    inc_opts.incremental = true;
     inc_opts.inprocess_interval = 4;  // exercise inprocessing often
     ConeDependenceChecker incremental(nl, cone, inc_opts);
-    ConeCheckOptions oracle_opts;
-    oracle_opts.incremental = false;
-    ConeDependenceChecker oracle(nl, cone, oracle_opts);
 
+    std::vector<sat::Result> want(cone.leaves.size());
     for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
       sat::Result got = incremental.query(i);
-      sat::Result want = oracle.query(i);
-      EXPECT_EQ(got, want) << "instance " << inst << " leaf " << i;
+      want[i] = oracle::fresh_cone_query(nl, cone, i).result;
+      EXPECT_EQ(got, want[i]) << "instance " << inst << " leaf " << i;
       EXPECT_EQ(got == sat::Result::Sat, brute_force_depends(nl, cone, i))
           << "instance " << inst << " leaf " << i;
     }
     // Re-querying (pure cache hits) stays stable.
     for (std::size_t i = 0; i < cone.leaves.size(); ++i)
-      EXPECT_EQ(incremental.query(i), oracle.query(i));
+      EXPECT_EQ(incremental.query(i), want[i]);
     EXPECT_LE(incremental.solver_solves(), incremental.sat_calls());
   }
 }
@@ -145,43 +143,36 @@ TEST(ConeIncremental, ManyLimitedQueriesOnOneCheckerKeepFullBudget) {
   // Regression for the cumulative-conflict-limit bug: a checker that
   // answers many budgeted queries from one solver must give each query
   // the full budget instead of silently draining one shared budget into
-  // Unknown verdicts.
+  // Unknown verdicts. The solver-level contract is pinned by
+  // SatIncremental.ConflictLimitIsPerSolveNotCumulative.
   Netlist nl;
   NodeId t = build_and_xor(nl, 48);
   Cone cone = nl.extract_next_state_cone(t);
 
-  // Calibrate: measure the most expensive single query without a limit.
-  ConeCheckOptions unlimited;
-  unlimited.incremental = false;
-  ConeDependenceChecker probe(nl, cone, unlimited);
-  std::uint64_t max_per_query = 0, before = 0;
+  // Calibrate: the most expensive single query without a limit, each on
+  // its own fresh checker.
+  std::uint64_t max_per_query = 0, total = 0;
   for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
-    probe.query(i);
-    std::uint64_t now = probe.solver_stats().conflicts;
-    max_per_query = std::max(max_per_query, now - before);
-    before = now;
+    std::uint64_t c = oracle::fresh_cone_query(nl, cone, i).conflicts;
+    max_per_query = std::max(max_per_query, c);
+    total += c;
   }
-  std::uint64_t total = probe.solver_stats().conflicts;
   std::uint64_t limit = std::max<std::uint64_t>(max_per_query + 1, 8);
   ASSERT_GT(total, limit)
       << "workload too easy to distinguish per-solve from cumulative";
 
   // Every query fits in `limit` on its own, but their sum exceeds it:
-  // under per-solve semantics no query may come back Unknown.
+  // under per-solve semantics no query may come back Unknown, whether it
+  // runs on a fresh checker or on one checker answering all of them.
   ConeCheckOptions limited;
-  limited.incremental = false;
   limited.conflict_limit = limit;
   ConeDependenceChecker chk(nl, cone, limited);
-  for (std::size_t i = 0; i < cone.leaves.size(); ++i)
+  for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
     EXPECT_NE(chk.query(i), sat::Result::Unknown) << "leaf " << i;
-  EXPECT_GT(chk.solver_stats().conflicts, limit);
-
-  // The incremental path obeys the same budget contract.
-  ConeCheckOptions limited_inc = limited;
-  limited_inc.incremental = true;
-  ConeDependenceChecker inc(nl, cone, limited_inc);
-  for (std::size_t i = 0; i < cone.leaves.size(); ++i)
-    EXPECT_NE(inc.query(i), sat::Result::Unknown) << "leaf " << i;
+    EXPECT_NE(oracle::fresh_cone_query(nl, cone, i, limit).result,
+              sat::Result::Unknown)
+        << "leaf " << i;
+  }
 }
 
 TEST(ConeIncremental, ClauseSharingAcrossPermutedConesKeepsVerdicts) {

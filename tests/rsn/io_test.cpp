@@ -52,6 +52,39 @@ TEST(RsnIo, RoundTripPreservesValidation) {
   EXPECT_TRUE(back.network.validate(&err)) << err;
 }
 
+TEST(RsnIo, OneInputMuxRoundTripsByteIdentically) {
+  // Resolution may shrink a mux to a single input (Rsn::remove_mux_input);
+  // write_rsn emits it as `inputs 1`, and read_rsn must accept it.
+  RsnDocument doc;
+  doc.network = Rsn("shrunk");
+  doc.module_names = {"core"};
+  Rsn& net = doc.network;
+  ElemId r = net.add_register("r", 2, 0);
+  ElemId buf = net.add_mux("buf", 2);
+  net.remove_mux_input(buf, 1);
+  net.connect(net.scan_in(), r, 0);
+  net.connect(r, buf, 0);
+  net.connect(buf, net.scan_out(), 0);
+
+  std::ostringstream os;
+  write_rsn(os, net, doc.module_names);
+  ASSERT_NE(os.str().find("mux buf inputs 1\n"), std::string::npos);
+  std::istringstream is(os.str());
+  RsnDocument back = read_rsn(is);
+  ASSERT_EQ(back.network.muxes().size(), 1u);
+  EXPECT_EQ(back.network.elem(back.network.muxes()[0]).inputs.size(), 1u);
+  std::string err;
+  EXPECT_TRUE(back.network.validate(&err)) << err;
+  std::ostringstream os2;
+  write_rsn(os2, back.network, back.module_names);
+  EXPECT_EQ(os.str(), os2.str());
+}
+
+TEST(RsnIo, RejectsInputlessMux) {
+  std::istringstream is("rsn x\nmux m inputs 0\n");
+  EXPECT_THROW(read_rsn(is), std::runtime_error);
+}
+
 TEST(RsnIo, ParsesCommentsAndBlankLines) {
   std::istringstream is(
       "# a comment\n"

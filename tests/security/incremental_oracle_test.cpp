@@ -1,7 +1,7 @@
 // Oracle equivalence of the incremental resolution engine: for every
 // BASTION benchmark family (plus one MBIST configuration) and both main
 // resolution policies, running detect-and-resolve with
-//   - the from-scratch oracle path (ResolveOptions::incremental = false),
+//   - the from-scratch oracle loops (tests/oracle/resolve_oracle),
 //   - the incremental engine at 1 thread,
 //   - the incremental engine at 8 threads
 // must produce bit-identical applied-change logs, statistics and final
@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
 #include "dep/analyzer.hpp"
+#include "oracle/resolve_oracle.hpp"
 #include "rsn/io.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
@@ -75,25 +77,31 @@ struct RunOutcome {
   HybridStats hybrid;
 };
 
-/// One full pure-then-hybrid resolution of the workload under the given
-/// engine configuration. The hybrid stage runs only when the static
-/// checks are clean (mirroring the pipeline); `run_hybrid` is decided by
-/// the caller so every configuration of one workload runs the same
-/// stages.
+/// One full pure-then-hybrid resolution of the workload, by the
+/// incremental engine with options `engine`, or by the from-scratch
+/// oracle when `engine` is empty. The hybrid stage runs only when the
+/// static checks are clean (mirroring the pipeline); `run_hybrid` is
+/// decided by the caller so every configuration of one workload runs the
+/// same stages.
 RunOutcome run_resolution(const Workload& w,
                           const dep::DependencyAnalyzer& deps,
                           ResolutionPolicy policy, bool run_hybrid,
-                          const ResolveOptions& ropt) {
+                          const std::optional<ResolveOptions>& engine) {
   TokenTable tokens(w.spec, w.spec.num_modules());
   rsn::Rsn net = w.doc.network;
 
   RunOutcome out;
   std::vector<AppliedChange> log;
   PureScanAnalyzer pure(w.spec, tokens);
-  out.pure = pure.detect_and_resolve(net, &log, policy, {}, ropt);
+  out.pure = engine ? pure.detect_and_resolve(net, &log, policy, {}, *engine)
+                    : oracle::resolve_pure_from_scratch(pure, net, &log,
+                                                        policy);
   if (run_hybrid) {
     HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec, tokens);
-    out.hybrid = hybrid.detect_and_resolve(net, &log, policy, {}, ropt);
+    out.hybrid =
+        engine ? hybrid.detect_and_resolve(net, &log, policy, {}, *engine)
+               : oracle::resolve_hybrid_from_scratch(hybrid, net, &log,
+                                                     policy);
   }
   out.log = describe(log);
   std::ostringstream os;
@@ -141,14 +149,12 @@ void check_family(const benchgen::BenchmarkProfile& profile,
 
   for (ResolutionPolicy policy :
        {ResolutionPolicy::BestGlobal, ResolutionPolicy::FirstImproving}) {
-    ResolveOptions oracle;
-    oracle.incremental = false;
     ResolveOptions inc1;
     inc1.num_threads = 1;
     ResolveOptions inc8;
     inc8.num_threads = 8;
 
-    RunOutcome a = run_resolution(w, deps, policy, run_hybrid, oracle);
+    RunOutcome a = run_resolution(w, deps, policy, run_hybrid, std::nullopt);
     RunOutcome b = run_resolution(w, deps, policy, run_hybrid, inc1);
     RunOutcome c = run_resolution(w, deps, policy, run_hybrid, inc8);
 
@@ -194,12 +200,10 @@ TEST(IncrementalOracleMbist, MbistMatchesOracle) {
     HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec, tokens);
     run_hybrid = hybrid.check_static().clean();
   }
-  ResolveOptions oracle;
-  oracle.incremental = false;
   ResolveOptions inc8;
   inc8.num_threads = 8;
   RunOutcome a = run_resolution(w, deps, ResolutionPolicy::BestGlobal,
-                                run_hybrid, oracle);
+                                run_hybrid, std::nullopt);
   RunOutcome c = run_resolution(w, deps, ResolutionPolicy::BestGlobal,
                                 run_hybrid, inc8);
   expect_same(a, c, "MBIST_2_2_2 oracle vs incremental@8");

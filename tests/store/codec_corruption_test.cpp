@@ -1,0 +1,240 @@
+// Truncation and single-byte corruption sweeps over every store decoder,
+// run under an allocation budget: this binary's global operator new
+// refuses any single request larger than kAllocMultiple times the blob
+// being decoded. A corrupted count that asks for gigabytes therefore
+// fails here on every host, instead of passing or throwing
+// std::bad_alloc depending on the host's overcommit policy.
+//
+// Separate binary because the operator new override applies to the whole
+// executable.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "dep/analyzer.hpp"
+#include "store/codec.hpp"
+#include "store/codec_fixtures.hpp"
+#include "store/dep_cache.hpp"
+
+namespace {
+
+/// Largest single allocation allowed while armed (0 = unlimited), and the
+/// size of the last request refused.
+std::atomic<std::size_t> g_alloc_cap{0};
+std::atomic<std::size_t> g_refused{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  const std::size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
+  if (cap != 0 && n > cap) {
+    g_refused.store(n, std::memory_order_relaxed);
+    throw std::bad_alloc();
+  }
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace rsnsec::store {
+namespace {
+
+/// Budget per decoded byte. The largest legitimate expansion is a vector
+/// of ~100-byte RSN elements or netlist nodes, grown geometrically from
+/// encodings of at least 4-6 bytes each (~40x); a corrupted count is
+/// either rejected by ByteReader::count or exceeds this by orders of
+/// magnitude.
+constexpr std::size_t kAllocMultiple = 64;
+
+enum class Outcome { Decoded, Rejected, OverBudget };
+
+/// Arms the allocation cap for the lifetime of the guard.
+struct AllocCap {
+  explicit AllocCap(std::size_t cap) {
+    g_refused.store(0, std::memory_order_relaxed);
+    g_alloc_cap.store(cap, std::memory_order_relaxed);
+  }
+  ~AllocCap() { g_alloc_cap.store(0, std::memory_order_relaxed); }
+};
+
+/// Runs `decode` on `blob` (it must consume the blob exactly) with every
+/// single allocation capped at kAllocMultiple * blob.size().
+template <typename Decode>
+Outcome decode_capped(const std::string& blob, Decode&& decode) {
+  AllocCap cap(kAllocMultiple * std::max<std::size_t>(blob.size(), 1));
+  try {
+    ByteReader r(blob);
+    decode(r);
+    r.expect_end();
+  } catch (const CodecError&) {
+    return Outcome::Rejected;
+  } catch (const std::bad_alloc&) {
+    return Outcome::OverBudget;
+  }
+  return Outcome::Decoded;
+}
+
+/// Flips every byte of `blob` with three masks. No mutation may crash,
+/// throw anything but CodecError, or exceed the allocation budget.
+template <typename Decode>
+void sweep_single_byte_corruption(const std::string& blob, Decode&& decode) {
+  ASSERT_EQ(decode_capped(blob, decode), Outcome::Decoded)
+      << "the uncorrupted blob must decode within the budget";
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    for (unsigned char delta : {0x01, 0x80, 0xff}) {
+      std::string mutated = blob;
+      mutated[i] = static_cast<char>(
+          static_cast<unsigned char>(mutated[i]) ^ delta);
+      EXPECT_NE(decode_capped(mutated, decode), Outcome::OverBudget)
+          << "byte " << i << " ^ " << static_cast<int>(delta) << " asked for "
+          << g_refused.load() << " bytes from a " << blob.size()
+          << "-byte blob";
+    }
+  }
+}
+
+/// Every proper prefix of `blob` must be rejected within the budget.
+template <typename Decode>
+void sweep_truncation(const std::string& blob, Decode&& decode) {
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    EXPECT_EQ(decode_capped(blob.substr(0, cut), decode), Outcome::Rejected)
+        << "prefix length " << cut;
+  }
+}
+
+std::string netlist_blob() {
+  ByteWriter w;
+  encode_netlist(w, example_netlist());
+  return w.take();
+}
+
+std::string rsn_blob() {
+  ByteWriter w;
+  encode_rsn(w, example_rsn());
+  return w.take();
+}
+
+void decode_netlist_only(ByteReader& r) { decode_netlist(r); }
+
+/// Decodes an RSN; a surviving mutation must still be a structurally
+/// coherent network (it was built through the Rsn API).
+void decode_rsn_checked(ByteReader& r) {
+  rsn::Rsn decoded = decode_rsn(r);
+  if (decoded.num_elements() < 2) throw std::logic_error("lost scan ports");
+}
+
+/// Snapshot of a small exact analysis — the Fig. 3 bridging constellation
+/// (two internal flip-flops between three scan-attached ones, one input
+/// reaching them only structurally) — in the requested representation.
+std::string snapshot_blob(dep::PartitionMode mode) {
+  using netlist::GateType;
+  netlist::Netlist nl;
+  netlist::NodeId f5 = nl.add_ff("F5");
+  netlist::NodeId f6 = nl.add_ff("F6");
+  netlist::NodeId if1 = nl.add_ff("IF1");
+  netlist::NodeId if2 = nl.add_ff("IF2");
+  netlist::NodeId f9 = nl.add_ff("F9");
+  nl.set_ff_input(f5, f5);
+  nl.set_ff_input(f6, f6);
+  netlist::NodeId dead = nl.add_gate(GateType::Xor, {f6, f6});
+  nl.set_ff_input(if1, nl.add_gate(GateType::Or, {f5, dead}));
+  nl.set_ff_input(if2, if1);
+  nl.set_ff_input(f9, if2);
+  rsn::Rsn net("fig3");
+  rsn::ElemId reg = net.add_register("r", 3, 0);
+  net.connect(net.scan_in(), reg, 0);
+  net.connect(reg, net.scan_out(), 0);
+  net.set_capture(reg, 0, f5);
+  net.set_capture(reg, 1, f6);
+  net.set_capture(reg, 2, f9);
+
+  dep::DepOptions opt;
+  opt.num_threads = 1;
+  opt.partition = mode;
+  dep::DependencyAnalyzer a(nl, net, opt);
+  a.run();
+  ByteWriter w;
+  encode_dep_snapshot(w, a.snapshot());
+  return w.take();
+}
+
+void decode_snapshot_only(ByteReader& r) { decode_dep_snapshot(r); }
+
+TEST(NetlistCodec, EveryTruncationThrowsCodecError) {
+  sweep_truncation(netlist_blob(), decode_netlist_only);
+}
+
+TEST(NetlistCodec, SingleByteCorruptionNeverCrashes) {
+  sweep_single_byte_corruption(netlist_blob(), decode_netlist_only);
+}
+
+TEST(RsnCodec, EveryTruncationThrowsCodecError) {
+  sweep_truncation(rsn_blob(), decode_rsn_checked);
+}
+
+TEST(RsnCodec, SingleByteCorruptionNeverCrashes) {
+  sweep_single_byte_corruption(rsn_blob(), decode_rsn_checked);
+}
+
+TEST(DepMatrixCodec, SingleByteCorruptionNeverCrashes) {
+  DepMatrix m(70);
+  for (std::size_t i = 0; i < 70; ++i) {
+    m.upgrade(i, (i * 7 + 3) % 70, DepKind::Structural);
+    if (i % 3 == 0) m.upgrade((i * 5) % 70, i, DepKind::Path);
+  }
+  ByteWriter w;
+  encode_dep_matrix(w, m);
+  sweep_single_byte_corruption(w.bytes(),
+                               [](ByteReader& r) { decode_dep_matrix(r); });
+}
+
+// The tiled matrix decoder is swept inside the tiled snapshot: its
+// dimension is bounded by the snapshot's FF bit vector, not by the tiles
+// that follow it.
+TEST(DepSnapshotCodec, DenseSingleByteCorruptionNeverCrashes) {
+  sweep_single_byte_corruption(snapshot_blob(dep::PartitionMode::Dense),
+                               decode_snapshot_only);
+}
+
+TEST(DepSnapshotCodec, TiledSingleByteCorruptionNeverCrashes) {
+  sweep_single_byte_corruption(snapshot_blob(dep::PartitionMode::Tiled),
+                               decode_snapshot_only);
+}
+
+TEST(DepSnapshotCodec, EveryTruncationThrowsCodecError) {
+  sweep_truncation(snapshot_blob(dep::PartitionMode::Dense),
+                   decode_snapshot_only);
+  sweep_truncation(snapshot_blob(dep::PartitionMode::Tiled),
+                   decode_snapshot_only);
+}
+
+TEST(AllocationBudget, RefusesOversizedRequests) {
+  // The hook itself: an armed cap refuses a larger request and admits a
+  // smaller one, so a clean sweep is not vacuous.
+  const std::string blob(16, 'x');
+  EXPECT_EQ(decode_capped(blob,
+                          [](ByteReader& r) {
+                            std::vector<char> big(kAllocMultiple * 16 + 1);
+                            r.raw(big.data(), 16);
+                          }),
+            Outcome::OverBudget);
+  EXPECT_EQ(decode_capped(blob,
+                          [](ByteReader& r) {
+                            std::vector<char> fits(kAllocMultiple * 16);
+                            r.raw(fits.data(), 16);
+                          }),
+            Outcome::Decoded);
+}
+
+}  // namespace
+}  // namespace rsnsec::store

@@ -1,11 +1,15 @@
 // Codec layer of the artifact store: canonical primitive encodings, the
 // checksum/key hashes, and the model-object codecs. The decoders face
 // on-disk bytes that may be truncated or hostile, so every malformation
-// must surface as CodecError — never as a crash or silent misparse.
+// must surface as CodecError — never as a crash or silent misparse. The
+// truncation and corruption sweeps live in codec_corruption_test.cpp,
+// under an allocation budget.
 
 #include "store/codec.hpp"
 
 #include <gtest/gtest.h>
+
+#include "store/codec_fixtures.hpp"
 
 #include <cstdint>
 #include <string>
@@ -112,6 +116,24 @@ TEST(SectionCodec, ExpectEndCatchesTrailingBytes) {
   EXPECT_THROW(sec.expect_end(), CodecError);
 }
 
+TEST(CountCodec, RejectsCountsTheRemainingBytesCannotHold) {
+  ByteWriter w;
+  w.varint(3);
+  w.raw("abcdef", 6);
+  {
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.count(2), 3u);  // 3 items x 2 bytes fit in 6
+  }
+  {
+    ByteReader r(w.bytes());
+    EXPECT_THROW(r.count(3), CodecError);  // 9 bytes needed, 6 present
+  }
+  ByteWriter huge;
+  huge.varint(~0ull);
+  ByteReader r(huge.bytes());
+  EXPECT_THROW(r.count(1), CodecError);
+}
+
 // ------------------------------------------------------------- checksums
 
 TEST(Checksums, Fnv1a64KnownVectors) {
@@ -147,25 +169,6 @@ TEST(Checksums, Sha256IncrementalMatchesOneShot) {
 
 // ---------------------------------------------------------------- netlist
 
-netlist::Netlist example_netlist() {
-  using netlist::GateType;
-  netlist::Netlist nl;
-  netlist::ModuleId core = nl.add_module("core");
-  netlist::ModuleId instr = nl.add_module("instrument");
-  netlist::NodeId in0 = nl.add_input("in0", core);
-  nl.add_const(false);
-  netlist::NodeId one = nl.add_const(true);
-  netlist::NodeId g =
-      nl.add_gate(GateType::And, {in0, one}, "g_and", instr);
-  netlist::NodeId f1 = nl.add_ff("ff1", core);
-  netlist::NodeId f2 = nl.add_ff("ff2", instr, g);
-  netlist::NodeId inv = nl.add_gate(GateType::Not, {f2});
-  // Forward reference: ff1's data input has a higher node id, so the
-  // decoder must defer FF inputs until all nodes exist.
-  nl.set_ff_input(f1, inv);
-  return nl;
-}
-
 TEST(NetlistCodec, RoundTripIsCanonical) {
   netlist::Netlist nl = example_netlist();
   ByteWriter w;
@@ -188,23 +191,6 @@ TEST(NetlistCodec, RoundTripIsCanonical) {
   ByteWriter w2;
   encode_netlist(w2, decoded);
   EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(NetlistCodec, EveryTruncationThrowsCodecError) {
-  ByteWriter w;
-  encode_netlist(w, example_netlist());
-  const std::string& full = w.bytes();
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::string prefix = full.substr(0, cut);  // keep the view's storage alive
-    ByteReader r(prefix);
-    EXPECT_THROW(
-        {
-          decode_netlist(r);
-          r.expect_end();
-        },
-        CodecError)
-        << "prefix length " << cut;
-  }
 }
 
 TEST(NetlistCodec, RejectsHostileStructures) {
@@ -267,25 +253,6 @@ TEST(NetlistCodec, RejectsHostileStructures) {
 
 // -------------------------------------------------------------------- rsn
 
-rsn::Rsn example_rsn() {
-  rsn::Rsn net("example");
-  rsn::ElemId r1 = net.add_register("r1", 2, 0);
-  rsn::ElemId r2 = net.add_register("r2", 1);
-  rsn::ElemId m = net.add_mux("m", 3);
-  rsn::ElemId buf = net.add_mux("buf", 2);
-  net.remove_mux_input(buf, 1);  // degenerate 1-input mux
-  net.connect(net.scan_in(), r1, 0);
-  net.connect(r1, m, 0);
-  net.connect(net.scan_in(), r2, 0);
-  net.connect(r2, m, 1);  // mux port 2 stays dangling
-  net.connect(m, buf, 0);
-  net.connect(buf, net.scan_out(), 0);
-  net.set_mux_select(m, 1);
-  net.set_capture(r1, 0, 5);
-  net.set_update(r1, 1, 7);
-  return net;
-}
-
 TEST(RsnCodec, RoundTripIsCanonical) {
   rsn::Rsn net = example_rsn();
   ByteWriter w;
@@ -310,46 +277,6 @@ TEST(RsnCodec, RoundTripIsCanonical) {
   ByteWriter w2;
   encode_rsn(w2, decoded);
   EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(RsnCodec, EveryTruncationThrowsCodecError) {
-  ByteWriter w;
-  encode_rsn(w, example_rsn());
-  const std::string& full = w.bytes();
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::string prefix = full.substr(0, cut);  // keep the view's storage alive
-    ByteReader r(prefix);
-    EXPECT_THROW(
-        {
-          decode_rsn(r);
-          r.expect_end();
-        },
-        CodecError)
-        << "prefix length " << cut;
-  }
-}
-
-TEST(RsnCodec, SingleByteCorruptionNeverCrashes) {
-  ByteWriter w;
-  encode_rsn(w, example_rsn());
-  const std::string full = w.bytes();
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    for (unsigned char delta : {0x01, 0x80, 0xff}) {
-      std::string mutated = full;
-      mutated[i] = static_cast<char>(
-          static_cast<unsigned char>(mutated[i]) ^ delta);
-      ByteReader r(mutated);
-      try {
-        rsn::Rsn decoded = decode_rsn(r);
-        r.expect_end();
-        // A surviving mutation must still be a structurally coherent
-        // network (it was built through the Rsn API).
-        EXPECT_GE(decoded.num_elements(), 2u);
-      } catch (const CodecError&) {
-        // Expected for most mutations.
-      }
-    }
-  }
 }
 
 TEST(RsnCodec, RejectsHostileStructures) {

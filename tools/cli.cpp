@@ -96,9 +96,9 @@ Args parse_args(const std::vector<std::string>& argv) {
     std::string key = a.substr(2);
     // Boolean flags.
     if (key == "structural" || key == "json" || key == "no-pure" ||
-        key == "no-hybrid" || key == "no-incremental" ||
-        key == "no-ternary" || key == "filter-baseline" || key == "verify" ||
-        key == "metrics" || key == "no-secure") {
+        key == "no-hybrid" || key == "no-ternary" ||
+        key == "filter-baseline" || key == "verify" || key == "metrics" ||
+        key == "no-secure") {
       args.flags.push_back(key);
       continue;
     }
@@ -242,10 +242,6 @@ PipelineOptions pipeline_options(const Args& args) {
     opt.verify_certify = true;
     opt.verify_attack = true;
   }
-  // Oracle mode: recompute violation state from scratch on every query
-  // instead of maintaining it incrementally. Same results, much slower;
-  // useful to cross-check the delta engine.
-  if (args.has_flag("no-incremental")) opt.resolve.incremental = false;
   // Matrix representation. Bit-identical results either way (pinned by
   // the partitioned-oracle tests); "auto" switches on circuit size.
   if (auto p = args.get("partition")) {
