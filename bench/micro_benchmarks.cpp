@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -16,13 +17,16 @@
 #include "dep/analyzer.hpp"
 #include "flow/certify.hpp"
 #include "netlist/cone_check.hpp"
+#include "netlist/verilog.hpp"
 #include "rsn/access.hpp"
 #include "rsn/csu_sim.hpp"
 #include "rsn/icl.hpp"
+#include "rsn/io.hpp"
 #include "sat/solver.hpp"
 #include "security/filter.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
+#include "security/spec_io.hpp"
 #include "store/artifact_store.hpp"
 #include "store/dep_cache.hpp"
 #include "util/dep_matrix.hpp"
@@ -295,6 +299,95 @@ void BM_IclLoad(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_IclLoad);
+
+// ---------------------------------------------------------------------------
+// Text front ends (the BENCH_parse.json suite): the readers every CLI run
+// and every daemon `analyze` starts with, on the files `rsnsec generate
+// --benchmark MBIST_<n>_4_4 --seed 1` writes, reported as bytes/s.
+
+struct GeneratedTexts {
+  std::string rsn, verilog, spec;
+  std::vector<std::string> module_names;
+};
+
+const GeneratedTexts& mbist_texts(std::size_t n) {
+  static std::map<std::size_t, GeneratedTexts> cache;
+  auto [it, added] = cache.try_emplace(n);
+  if (!added) return it->second;
+  Rng rng(1);
+  rsn::RsnDocument doc = benchgen::generate_mbist(n, 4, 4, 1.0);
+  netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
+  security::SecuritySpec spec =
+      benchgen::random_spec(doc.module_names.size(), {}, rng);
+  std::ostringstream rsn_os, v_os, spec_os;
+  rsn::write_rsn(rsn_os, doc.network, doc.module_names, &circuit);
+  netlist::verilog::write(v_os, circuit, doc.network.name());
+  security::write_spec(spec_os, spec, doc.module_names);
+  it->second = {rsn_os.str(), v_os.str(), spec_os.str(), doc.module_names};
+  return it->second;
+}
+
+template <typename Read>
+void parse_loop(benchmark::State& state, const std::string& text,
+                Read&& read) {
+  for (auto _ : state) {
+    std::istringstream is(text);
+    read(is);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+  state.counters["bytes"] = static_cast<double>(text.size());
+}
+
+void BM_ParseVerilog(benchmark::State& state) {
+  const GeneratedTexts& t =
+      mbist_texts(static_cast<std::size_t>(state.range(0)));
+  parse_loop(state, t.verilog, [](std::istream& is) {
+    benchmark::DoNotOptimize(netlist::verilog::parse(is).netlist.num_nodes());
+  });
+}
+BENCHMARK(BM_ParseVerilog)
+    ->ArgName("mbist")
+    ->Arg(10)
+    ->Arg(30)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
+
+// Gates written before their fanins' drivers: a buffer chain in reverse.
+void BM_ParseVerilogReversed(benchmark::State& state) {
+  const auto gates = static_cast<int>(state.range(0));
+  std::string text = "module chain(input n0);\n";
+  for (int i = gates; i >= 1; --i)
+    text += "  buf (n" + std::to_string(i) + ", n" + std::to_string(i - 1) +
+            ");\n";
+  text += "  dff (q, n" + std::to_string(gates) + ");\nendmodule\n";
+  parse_loop(state, text, [](std::istream& is) {
+    benchmark::DoNotOptimize(netlist::verilog::parse(is).netlist.num_nodes());
+  });
+}
+BENCHMARK(BM_ParseVerilogReversed)->Arg(8000)->Unit(benchmark::kMillisecond);
+
+void BM_ReadRsn(benchmark::State& state) {
+  const GeneratedTexts& t =
+      mbist_texts(static_cast<std::size_t>(state.range(0)));
+  parse_loop(state, t.rsn, [](std::istream& is) {
+    benchmark::DoNotOptimize(rsn::read_rsn(is).network.num_scan_ffs());
+  });
+}
+BENCHMARK(BM_ReadRsn)
+    ->ArgName("mbist")
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ReadSpec(benchmark::State& state) {
+  const GeneratedTexts& t =
+      mbist_texts(static_cast<std::size_t>(state.range(0)));
+  parse_loop(state, t.spec, [&](std::istream& is) {
+    benchmark::DoNotOptimize(
+        security::read_spec(is, t.module_names).num_modules());
+  });
+}
+BENCHMARK(BM_ReadSpec)->ArgName("mbist")->Arg(100);
 
 // ---------------------------------------------------------------------------
 // Detect-and-resolve with the incremental delta engine (the

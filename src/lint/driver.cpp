@@ -12,11 +12,6 @@ namespace rsnsec::lint {
 
 namespace {
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 bool contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;
 }
@@ -68,8 +63,8 @@ Diagnostic classify_load_error(const std::string& path,
   } else if (contains(what, "spec parse error")) {
     d.code = "SPEC005";
     d.fix_hint = "fix the malformed line; see the message for its number";
-  } else if (contains(what, "rsn parse error") ||
-             contains(what, "icl parse error")) {
+  } else if (contains(what, "parse error at line")) {
+    // The shared form of the .rsn, ICL and Verilog readers' syntax errors.
     d.code = "IO003";
     d.fix_hint = "fix the malformed line; see the message for its number";
   } else {
@@ -85,7 +80,7 @@ LoadedFiles load_files(const std::vector<std::string>& paths,
   std::map<std::string, netlist::NodeId> circuit_nets;
   for (const std::string& path : paths) {
     try {
-      if (ends_with(path, ".rsn") || ends_with(path, ".icl")) {
+      if (path.ends_with(".rsn") || path.ends_with(".icl")) {
         if (out.doc) {
           add_io_error(out, path,
                        "second network file (already loaded '" +
@@ -93,10 +88,10 @@ LoadedFiles load_files(const std::vector<std::string>& paths,
           continue;
         }
         std::ifstream f = open_input(path);
-        out.doc = ends_with(path, ".icl") ? rsn::icl::load_icl(f, icl_top)
+        out.doc = path.ends_with(".icl") ? rsn::icl::load_icl(f, icl_top)
                                           : rsn::read_rsn(f);
         out.network_source = path;
-      } else if (ends_with(path, ".v")) {
+      } else if (path.ends_with(".v")) {
         if (out.circuit) {
           add_io_error(out, path,
                        "second circuit file (already loaded '" +
@@ -112,7 +107,7 @@ LoadedFiles load_files(const std::vector<std::string>& paths,
           if (it != parsed.nets.end()) out.circuit_outputs.push_back(it->second);
         }
         circuit_nets = std::move(parsed.nets);
-      } else if (ends_with(path, ".spec")) {
+      } else if (path.ends_with(".spec")) {
         // Deferred: specs with module *names* need the network's name
         // table, which may be loaded after the spec on the command line.
         spec_paths.push_back(path);

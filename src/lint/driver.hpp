@@ -16,7 +16,9 @@ namespace rsnsec::lint {
 /// produced while loading. A strict parser rejecting a file is itself a
 /// lint finding: known failure classes (multi-driven nets, combinational
 /// loops, undriven nets) are mapped to their stable NET codes by
-/// classify_load_error, everything else becomes IO001.
+/// classify_load_error, spec errors to SPEC codes, line-numbered syntax
+/// errors of the .rsn, ICL and Verilog readers to IO003, and everything
+/// else to IO001.
 struct LoadedFiles {
   std::optional<rsn::RsnDocument> doc;
   std::string network_source;

@@ -36,8 +36,8 @@ namespace rsnsec::lint {
 ///   INV004  transformed network fails structural validation
 ///   IO001   input file could not be parsed (unclassified)
 ///   IO002   attachment references an unknown circuit net
-///   IO003   malformed RSN/ICL file (parse error with line number;
-///           emitted by the file driver for the strict rsn/icl parsers)
+///   IO003   malformed RSN/ICL/Verilog file (parse error with line
+///           number; emitted by the file driver for the strict readers)
 std::unique_ptr<Pass> make_netlist_multi_driver_pass();
 std::unique_ptr<Pass> make_netlist_comb_loop_pass();
 std::unique_ptr<Pass> make_netlist_dangling_input_pass();

@@ -1,400 +1,329 @@
 #include "netlist/verilog.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <unordered_map>
+
+#include "util/lexer.hpp"
 
 namespace rsnsec::netlist::verilog {
 
 namespace {
 
-struct Token {
-  std::string text;
-  int line = 0;
-  bool is_punct = false;
+/// Gate inputs 1'b0 and 1'b1 (net indices stay below these).
+constexpr std::uint32_t kConst0 = 0xfffffffeu;
+constexpr std::uint32_t kConst1 = 0xffffffffu;
+
+/// The primitives, read and written with these keywords.
+constexpr std::pair<std::string_view, GateType> kPrimitives[] = {
+    {"and", GateType::And}, {"or", GateType::Or},   {"nand", GateType::Nand},
+    {"nor", GateType::Nor}, {"xor", GateType::Xor}, {"xnor", GateType::Xnor},
+    {"not", GateType::Not}, {"buf", GateType::Buf}, {"mux", GateType::Mux},
+    {"dff", GateType::FF}};
+
+/// One interned net name.
+struct Net {
+  std::string_view name;
+  NodeId node = no_node;
+  bool driven = false;  ///< claimed by an input, flip-flop or gate output
 };
 
-class Lexer {
+/// A gate or flip-flop statement awaiting its node.
+struct Prim {
+  GateType type = GateType::Buf;
+  std::uint32_t out = 0;                       ///< output net
+  std::uint32_t args_begin = 0, args_end = 0;  ///< fanins in Reader::args_
+  std::string_view instrument;  ///< empty: none
+  int line = 0;
+  std::uint32_t missing = 0;  ///< fanin nets without a node yet
+};
+
+std::string quoted(const Token& t) {
+  return std::string("'").append(t.text).append("'");
+}
+
+bool is_direction(const Token& t) {
+  return t.is("input") || t.is("output") || t.is("wire");
+}
+
+/// Parses the statements, interning every net name once, then builds the
+/// netlist in time linear in gates plus fanins, whatever the gate order.
+class Reader {
  public:
-  explicit Lexer(std::istream& is) {
-    std::string s((std::istreambuf_iterator<char>(is)),
-                  std::istreambuf_iterator<char>());
-    int line = 1;
-    std::size_t i = 0;
-    auto fail = [&](const std::string& m) {
-      throw std::runtime_error("verilog parse error at line " +
-                               std::to_string(line) + ": " + m);
-    };
-    while (i < s.size()) {
-      char c = s[i];
-      if (c == '\n') {
-        ++line;
-        ++i;
-      } else if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-      } else if (c == '/' && i + 1 < s.size() && s[i + 1] == '/') {
-        while (i < s.size() && s[i] != '\n') ++i;
-      } else if (c == '/' && i + 1 < s.size() && s[i + 1] == '*') {
-        i += 2;
-        while (i + 1 < s.size() && !(s[i] == '*' && s[i + 1] == '/')) {
-          if (s[i] == '\n') ++line;
-          ++i;
-        }
-        i += 2;
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-                 c == '\\') {
-        // Identifier; '\' starts an escaped identifier ending at space.
-        std::size_t j = i;
-        if (c == '\\') {
-          ++j;
-          while (j < s.size() &&
-                 !std::isspace(static_cast<unsigned char>(s[j])))
-            ++j;
-          tokens_.push_back({s.substr(i + 1, j - i - 1), line, false});
-        } else {
-          while (j < s.size() &&
-                 (std::isalnum(static_cast<unsigned char>(s[j])) ||
-                  s[j] == '_' || s[j] == '$' || s[j] == '.'))
-            ++j;
-          tokens_.push_back({s.substr(i, j - i), line, false});
-        }
-        i = j;
-      } else if (std::isdigit(static_cast<unsigned char>(c))) {
-        // Number or sized constant like 1'b0.
-        std::size_t j = i;
-        while (j < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[j])) ||
-                s[j] == '\''))
-          ++j;
-        tokens_.push_back({s.substr(i, j - i), line, false});
-        i = j;
-      } else if (c == '(' && i + 1 < s.size() && s[i + 1] == '*') {
-        tokens_.push_back({"(*", line, true});
-        i += 2;
-      } else if (c == '*' && i + 1 < s.size() && s[i + 1] == ')') {
-        tokens_.push_back({"*)", line, true});
-        i += 2;
-      } else if (c == '"') {
-        std::size_t j = i + 1;
-        while (j < s.size() && s[j] != '"') ++j;
-        if (j >= s.size()) fail("unterminated string");
-        tokens_.push_back({s.substr(i + 1, j - i - 1), line, false});
-        i = j + 1;
-      } else if (std::string("(),;=").find(c) != std::string::npos) {
-        tokens_.push_back({std::string(1, c), line, true});
-        ++i;
+  explicit Reader(std::istream& is) : lex_(is, "verilog") {}
+
+  ParsedCircuit run() {
+    expect("module");
+    out_.module_name = ident("module name").text;
+    expect("(");
+    std::string_view dir;  // header ports may carry their direction
+    if (lex_.peek().is(")")) lex_.next();
+    else
+      do {
+        if (is_direction(lex_.peek())) dir = lex_.next().text;
+        declare(dir, ident("port name"));
+      } while (more(")"));
+    expect(";");
+
+    std::string_view instrument;  // set by (* instrument = "name" *)
+    Token t;
+    for (t = lex_.next(); !t.is("endmodule"); t = lex_.next()) {
+      if (t.kind == TokKind::End) fail(t.line, "missing 'endmodule'");
+      if (t.is("(*")) {
+        Token key = lex_.next();
+        if (!key.is("instrument"))
+          fail(key.line, "unsupported attribute " + quoted(key));
+        expect("=");
+        Token v = lex_.next();
+        if (v.kind != TokKind::String && v.kind != TokKind::Ident)
+          fail(v.line, "expected instrument name, got " + quoted(v));
+        expect("*)");
+        instrument = v.text;
+      } else if (is_direction(t)) {
+        do declare(t.text, ident("net name"));
+        while (more(";"));
       } else {
-        fail(std::string("unexpected character '") + c + "'");
+        primitive(t, instrument);
+        instrument = {};
       }
     }
-    tokens_.push_back({"<eof>", line, true});
-  }
-
-  const Token& peek() const { return tokens_[pos_]; }
-  Token next() {
-    const Token& t = tokens_[pos_];
-    if (pos_ + 1 < tokens_.size()) ++pos_;
-    return t;
+    t = lex_.next();
+    if (t.kind != TokKind::End)
+      fail(t.line, "unexpected " + quoted(t) + " after 'endmodule'");
+    build();
+    return std::move(out_);
   }
 
  private:
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
+  Lexer lex_;
+  ParsedCircuit out_;
+  std::unordered_map<std::string_view, std::uint32_t> net_ids_;
+  std::vector<Net> nets_;
+  std::vector<std::uint32_t> inputs_;
+  std::vector<std::uint32_t> args_;
+  std::vector<Prim> prims_;  ///< gates and flip-flops, in file order
+  std::unordered_map<std::string_view, ModuleId> modules_;  ///< instruments
 
-/// A pending gate instantiation awaiting fanin resolution.
-struct PendingGate {
-  GateType type = GateType::Buf;
-  std::string name;
-  std::vector<std::string> args;  // [out, in...] net names
-  std::string instrument;
-  int line = 0;
-};
+  [[noreturn]] void fail(int line, const std::string& m) const {
+    lex_.fail(line, m);
+  }
+  void expect(std::string_view p) {
+    Token t = lex_.next();
+    if (!t.is(p))
+      fail(t.line, "expected '" + std::string(p) + "', got " + quoted(t));
+  }
+  Token ident(const char* what) {
+    Token t = lex_.next();
+    if (t.kind != TokKind::Ident)
+      fail(t.line, std::string("expected ") + what + ", got " + quoted(t));
+    return t;
+  }
+  /// After a list item: true on ',', false on `close`.
+  bool more(std::string_view close) {
+    Token t = lex_.next();
+    if (t.is(close)) return false;
+    if (!t.is(","))
+      fail(t.line, "expected ',' or '" + std::string(close) + "', got " +
+                       quoted(t));
+    return true;
+  }
 
-bool prim_type(const std::string& kw, GateType* out) {
-  if (kw == "and") *out = GateType::And;
-  else if (kw == "or") *out = GateType::Or;
-  else if (kw == "nand") *out = GateType::Nand;
-  else if (kw == "nor") *out = GateType::Nor;
-  else if (kw == "xor") *out = GateType::Xor;
-  else if (kw == "xnor") *out = GateType::Xnor;
-  else if (kw == "not") *out = GateType::Not;
-  else if (kw == "buf") *out = GateType::Buf;
-  else if (kw == "mux") *out = GateType::Mux;
-  else if (kw == "dff") *out = GateType::FF;
-  else return false;
-  return true;
-}
+  std::uint32_t intern(std::string_view name) {
+    auto [it, added] = net_ids_.try_emplace(
+        name, static_cast<std::uint32_t>(nets_.size()));
+    if (added) nets_.push_back({name});
+    return it->second;
+  }
+
+  /// Claims net `n` for its one driver.
+  void drive(std::uint32_t n, int line) {
+    if (nets_[n].driven)
+      fail(line, "net '" + std::string(nets_[n].name) + "' redefined");
+    nets_[n].driven = true;
+  }
+
+  /// Undirected and wire declarations only name nets.
+  void declare(std::string_view dir, const Token& name) {
+    if (dir == "input") {
+      inputs_.push_back(intern(name.text));
+      drive(inputs_.back(), name.line);
+    } else if (dir == "output") {
+      out_.outputs.emplace_back(name.text);
+    }
+  }
+
+  void primitive(const Token& t, std::string_view instrument) {
+    auto kw = std::find_if(std::begin(kPrimitives), std::end(kPrimitives),
+                           [&](const auto& p) { return t.is(p.first); });
+    if (kw == std::end(kPrimitives))
+      fail(t.line, "unknown primitive " + quoted(t));
+    Prim g;
+    g.type = kw->second;
+    g.line = t.line;
+    g.instrument = instrument;
+    if (lex_.peek().kind == TokKind::Ident) lex_.next();  // instance name
+    expect("(");
+    g.out = intern(ident("net name").text);
+    g.args_begin = static_cast<std::uint32_t>(args_.size());
+    while (more(")")) {
+      Token a = lex_.next();
+      if (a.kind == TokKind::Ident)
+        args_.push_back(intern(a.text));
+      else if (a.kind == TokKind::Number && a.text == "1'b0")
+        args_.push_back(kConst0);
+      else if (a.kind == TokKind::Number && a.text == "1'b1")
+        args_.push_back(kConst1);
+      else
+        fail(a.line, "expected net name, 1'b0 or 1'b1, got " + quoted(a));
+    }
+    expect(";");
+    g.args_end = static_cast<std::uint32_t>(args_.size());
+    const std::size_t n = g.args_end - g.args_begin + 1;  // with the output
+    if (n < 2) fail(g.line, "primitive needs an output and >= 1 input");
+    if (g.type == GateType::Mux && n != 4)
+      fail(g.line, "mux needs (out, sel, in0, in1)");
+    if (g.type == GateType::FF && n != 2) fail(g.line, "dff needs (q, d)");
+    if ((g.type == GateType::Not || g.type == GateType::Buf) && n != 2)
+      fail(g.line, "not/buf need (out, in)");
+    drive(g.out, g.line);
+    prims_.push_back(g);
+  }
+
+  /// The instrument's module, created when its first node is.
+  ModuleId module_of(std::string_view instrument) {
+    if (instrument.empty()) return no_module;
+    auto [it, added] = modules_.try_emplace(instrument, no_module);
+    if (added) it->second = out_.netlist.add_module(std::string(instrument));
+    return it->second;
+  }
+
+  /// True if `arg` is a net without a node yet.
+  bool absent(std::uint32_t arg) const {
+    return arg < kConst0 && nets_[arg].node == no_node;
+  }
+  /// The node feeding a gate input; each constant use gets its own node.
+  NodeId fanin(std::uint32_t arg) {
+    if (arg == kConst0) return out_.netlist.add_const(false);
+    if (arg == kConst1) return out_.netlist.add_const(true);
+    return nets_[arg].node;
+  }
+
+  /// Node order: inputs, flip-flops, then gates in file order, each as
+  /// soon as its fanins exist. A gate with missing fanins waits on their
+  /// nets and is built when the last one appears, so a file whose gates
+  /// follow their fanins is built in file order and any other order costs
+  /// no extra passes.
+  void build() {
+    Netlist& nl = out_.netlist;
+    for (std::uint32_t n : inputs_)
+      nets_[n].node = nl.add_input(std::string(nets_[n].name));
+    for (const Prim& g : prims_)
+      if (g.type == GateType::FF)
+        nets_[g.out].node =
+            nl.add_ff(std::string(nets_[g.out].name), module_of(g.instrument));
+
+    std::vector<std::vector<std::uint32_t>> waiting(nets_.size());
+    std::vector<std::uint32_t> ready;
+    for (std::uint32_t i = 0; i < prims_.size(); ++i) {
+      if (prims_[i].type == GateType::FF) continue;
+      for (std::uint32_t a = prims_[i].args_begin; a < prims_[i].args_end; ++a)
+        if (absent(args_[a])) {
+          ++prims_[i].missing;
+          waiting[args_[a]].push_back(i);
+        }
+      if (prims_[i].missing != 0) continue;
+      ready.assign(1, i);
+      for (std::size_t r = 0; r < ready.size(); ++r) {
+        const Prim& g = prims_[ready[r]];
+        std::vector<NodeId> fanins;
+        fanins.reserve(g.args_end - g.args_begin);
+        for (std::uint32_t a = g.args_begin; a < g.args_end; ++a)
+          fanins.push_back(fanin(args_[a]));
+        nets_[g.out].node = nl.add_gate(g.type, std::move(fanins),
+                                        std::string(nets_[g.out].name),
+                                        module_of(g.instrument));
+        for (std::uint32_t w : waiting[g.out])
+          if (--prims_[w].missing == 0) ready.push_back(w);
+      }
+    }
+    for (const Prim& g : prims_)
+      if (nets_[g.out].node == no_node)
+        fail(g.line,
+             "unresolvable nets (combinational loop or undriven wire "
+             "feeding '" + std::string(nets_[g.out].name) + "')");
+
+    for (const Prim& g : prims_) {
+      if (g.type != GateType::FF) continue;
+      const std::uint32_t d = args_[g.args_begin];
+      if (absent(d))
+        fail(g.line, "dff '" + std::string(nets_[g.out].name) +
+                         "': undriven data net '" +
+                         std::string(nets_[d].name) + "'");
+      nl.set_ff_input(nets_[g.out].node, fanin(d));
+    }
+
+    // Inserting in sorted order at the end builds the map in linear time.
+    std::vector<const Net*> named;
+    for (const Net& n : nets_)
+      if (n.node != no_node) named.push_back(&n);
+    std::sort(named.begin(), named.end(),
+              [](const Net* a, const Net* b) { return a->name < b->name; });
+    for (const Net* n : named)
+      out_.nets.emplace_hint(out_.nets.end(), n->name, n->node);
+
+    std::string err;
+    if (!nl.validate(&err))
+      throw std::runtime_error("verilog: parsed netlist invalid: " + err);
+  }
+};
 
 }  // namespace
 
-ParsedCircuit parse(std::istream& is) {
-  Lexer lex(is);
-  ParsedCircuit out;
-  std::map<std::string, ModuleId> instruments;
-
-  auto fail = [&](int line, const std::string& m) -> std::runtime_error {
-    return std::runtime_error("verilog parse error at line " +
-                              std::to_string(line) + ": " + m);
-  };
-  auto expect = [&](const std::string& p) {
-    Token t = lex.next();
-    if (t.text != p)
-      throw fail(t.line, "expected '" + p + "', got '" + t.text + "'");
-  };
-
-  // --- header ---
-  {
-    Token t = lex.next();
-    if (t.text != "module") throw fail(t.line, "expected 'module'");
-  }
-  out.module_name = lex.next().text;
-  std::vector<std::string> inputs, wires;
-  expect("(");
-  std::string pending_dir;
-  while (lex.peek().text != ")") {
-    Token t = lex.next();
-    if (t.text == ",") continue;
-    if (t.text == "input" || t.text == "output" || t.text == "wire") {
-      pending_dir = t.text;
-      continue;
-    }
-    if (pending_dir == "input") inputs.push_back(t.text);
-    else if (pending_dir == "output") out.outputs.push_back(t.text);
-    // Undirected header ports get their direction from body decls.
-  }
-  expect(")");
-  expect(";");
-
-  // --- body ---
-  std::vector<PendingGate> gates;
-  std::string next_instrument;
-  int anon = 0;
-  for (;;) {
-    Token t = lex.next();
-    if (t.text == "endmodule") break;
-    if (t.text == "<eof>") throw fail(t.line, "missing 'endmodule'");
-    if (t.text == "(*") {
-      // (* instrument = "name" *)
-      Token key = lex.next();
-      if (key.text != "instrument")
-        throw fail(key.line, "unsupported attribute '" + key.text + "'");
-      expect("=");
-      next_instrument = lex.next().text;
-      expect("*)");
-      continue;
-    }
-    if (t.text == "input" || t.text == "output" || t.text == "wire") {
-      while (true) {
-        Token n = lex.next();
-        if (n.is_punct)
-          throw fail(n.line, "expected net name");
-        if (t.text == "input") inputs.push_back(n.text);
-        if (t.text == "output") out.outputs.push_back(n.text);
-        Token sep = lex.next();
-        if (sep.text == ";") break;
-        if (sep.text != ",") throw fail(sep.line, "expected ',' or ';'");
-      }
-      continue;
-    }
-    GateType type;
-    if (!prim_type(t.text, &type))
-      throw fail(t.line, "unknown primitive '" + t.text + "'");
-    PendingGate g;
-    g.type = type;
-    g.line = t.line;
-    g.instrument = next_instrument;
-    next_instrument.clear();
-    if (lex.peek().text != "(") g.name = lex.next().text;
-    if (g.name.empty())
-      g.name = "g$" + std::to_string(anon++);
-    expect("(");
-    while (lex.peek().text != ")") {
-      Token a = lex.next();
-      if (a.text == ",") continue;
-      g.args.push_back(a.text);
-    }
-    expect(")");
-    expect(";");
-    if (g.args.size() < 2)
-      throw fail(g.line, "primitive needs an output and >= 1 input");
-    if (g.type == GateType::Mux && g.args.size() != 4)
-      throw fail(g.line, "mux needs (out, sel, in0, in1)");
-    if (g.type == GateType::FF && g.args.size() != 2)
-      throw fail(g.line, "dff needs (q, d)");
-    if ((g.type == GateType::Not || g.type == GateType::Buf) &&
-        g.args.size() != 2)
-      throw fail(g.line, "not/buf need (out, in)");
-    gates.push_back(std::move(g));
-  }
-
-  auto instrument_id = [&](const std::string& name) {
-    if (name.empty()) return no_module;
-    auto it = instruments.find(name);
-    if (it != instruments.end()) return it->second;
-    ModuleId id = out.netlist.add_module(name);
-    instruments.emplace(name, id);
-    return id;
-  };
-
-  // Inputs and flip-flop outputs exist up front; combinational gates are
-  // created once all their fanins exist (rejects combinational loops).
-  for (const std::string& in : inputs) {
-    if (out.nets.count(in)) throw fail(0, "net '" + in + "' redefined");
-    out.nets[in] = out.netlist.add_input(in);
-  }
-  for (const PendingGate& g : gates) {
-    if (g.type != GateType::FF) continue;
-    if (out.nets.count(g.args[0]))
-      throw fail(g.line, "net '" + g.args[0] + "' redefined");
-    out.nets[g.args[0]] =
-        out.netlist.add_ff(g.args[0], instrument_id(g.instrument));
-  }
-
-  auto resolve = [&](const std::string& name) -> NodeId {
-    if (name == "1'b0") {
-      return out.netlist.add_const(false);
-    }
-    if (name == "1'b1") {
-      return out.netlist.add_const(true);
-    }
-    auto it = out.nets.find(name);
-    return it == out.nets.end() ? no_node : it->second;
-  };
-
-  std::vector<const PendingGate*> todo;
-  for (const PendingGate& g : gates)
-    if (g.type != GateType::FF) todo.push_back(&g);
-  while (!todo.empty()) {
-    bool progress = false;
-    for (auto it = todo.begin(); it != todo.end();) {
-      const PendingGate& g = **it;
-      std::vector<NodeId> fanins;
-      bool ready = true;
-      for (std::size_t a = 1; a < g.args.size(); ++a) {
-        NodeId n = resolve(g.args[a]);
-        if (n == no_node) {
-          ready = false;
-          break;
-        }
-        fanins.push_back(n);
-      }
-      if (!ready) {
-        ++it;
-        continue;
-      }
-      if (out.nets.count(g.args[0]))
-        throw fail(g.line, "net '" + g.args[0] + "' redefined");
-      out.nets[g.args[0]] = out.netlist.add_gate(
-          g.type, std::move(fanins), g.args[0],
-          instrument_id(g.instrument));
-      it = todo.erase(it);
-      progress = true;
-    }
-    if (!progress) {
-      throw fail(todo.front()->line,
-                 "unresolvable nets (combinational loop or undriven "
-                 "wire feeding '" +
-                     todo.front()->args[0] + "')");
-    }
-  }
-
-  // Flip-flop data inputs.
-  for (const PendingGate& g : gates) {
-    if (g.type != GateType::FF) continue;
-    NodeId d = resolve(g.args[1]);
-    if (d == no_node)
-      throw fail(g.line, "dff '" + g.args[0] + "': undriven data net '" +
-                             g.args[1] + "'");
-    out.netlist.set_ff_input(out.nets[g.args[0]], d);
-  }
-
-  std::string err;
-  if (!out.netlist.validate(&err))
-    throw std::runtime_error("verilog: parsed netlist invalid: " + err);
-  return out;
-}
+ParsedCircuit parse(std::istream& is) { return Reader(is).run(); }
 
 void write(std::ostream& os, const Netlist& nl, const std::string& name) {
   auto net_name = [&](NodeId id) {
     const Node& n = nl.node(id);
-    if (!n.name.empty()) return n.name;
-    return "n" + std::to_string(id);
+    return n.name.empty() ? std::string("n").append(std::to_string(id))
+                          : n.name;
+  };
+  auto net_list = [&](const std::vector<NodeId>& ids) {
+    for (std::size_t i = 0; i < ids.size(); ++i)
+      os << (i == 0 ? "" : ", ") << net_name(ids[i]);
   };
 
   os << "module " << name << "(";
-  bool first = true;
-  for (NodeId in : nl.inputs()) {
-    os << (first ? "" : ", ") << net_name(in);
-    first = false;
-  }
+  net_list(nl.inputs());
   os << ");\n";
   if (!nl.inputs().empty()) {
     os << "  input ";
-    first = true;
-    for (NodeId in : nl.inputs()) {
-      os << (first ? "" : ", ") << net_name(in);
-      first = false;
-    }
+    net_list(nl.inputs());
     os << ";\n";
   }
-
-  auto emit_attr = [&](const Node& n) {
-    if (n.module != no_module)
-      os << "  (* instrument = \"" << nl.module_name(n.module) << "\" *)\n";
-  };
-
   // Declare wires for gate outputs.
-  for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-    const Node& n = nl.node(id);
-    if (n.type == GateType::Input) continue;
-    os << "  wire " << net_name(id) << ";\n";
-  }
+  for (NodeId id = 0; id < nl.num_nodes(); ++id)
+    if (nl.node(id).type != GateType::Input)
+      os << "  wire " << net_name(id) << ";\n";
   // Constants.
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-    const Node& n = nl.node(id);
-    if (n.type == GateType::Const0)
-      os << "  buf (" << net_name(id) << ", 1'b0);\n";
-    if (n.type == GateType::Const1)
-      os << "  buf (" << net_name(id) << ", 1'b1);\n";
+    const GateType t = nl.node(id).type;
+    if (t == GateType::Const0 || t == GateType::Const1)
+      os << "  buf (" << net_name(id)
+         << (t == GateType::Const0 ? ", 1'b0);\n" : ", 1'b1);\n");
   }
-  // Gates and flip-flops (any order: the parser resolves).
+  // Gates and flip-flops in node order: every gate follows its fanins.
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {
     const Node& n = nl.node(id);
-    switch (n.type) {
-      case GateType::Input:
-      case GateType::Const0:
-      case GateType::Const1:
-        break;
-      case GateType::FF: {
-        emit_attr(n);
-        os << "  dff (" << net_name(id) << ", " << net_name(n.fanins[0])
-           << ");\n";
-        break;
-      }
-      default: {
-        emit_attr(n);
-        const char* prim = nullptr;
-        switch (n.type) {
-          case GateType::Buf: prim = "buf"; break;
-          case GateType::Not: prim = "not"; break;
-          case GateType::And: prim = "and"; break;
-          case GateType::Nand: prim = "nand"; break;
-          case GateType::Or: prim = "or"; break;
-          case GateType::Nor: prim = "nor"; break;
-          case GateType::Xor: prim = "xor"; break;
-          case GateType::Xnor: prim = "xnor"; break;
-          case GateType::Mux: prim = "mux"; break;
-          default: break;
-        }
-        os << "  " << prim << " (" << net_name(id);
-        for (NodeId f : n.fanins) os << ", " << net_name(f);
-        os << ");\n";
-        break;
-      }
-    }
+    auto kw = std::find_if(std::begin(kPrimitives), std::end(kPrimitives),
+                           [&](const auto& p) { return p.second == n.type; });
+    if (kw == std::end(kPrimitives)) continue;  // input or constant
+    if (n.module != no_module)
+      os << "  (* instrument = \"" << nl.module_name(n.module) << "\" *)\n";
+    os << "  " << kw->first << " (" << net_name(id);
+    for (NodeId f : n.fanins) os << ", " << net_name(f);
+    os << ");\n";
   }
   os << "endmodule\n";
 }

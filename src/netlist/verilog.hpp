@@ -34,12 +34,14 @@ struct ParsedCircuit {
 ///
 /// Port directions may also be declared in the header
 /// ("module top(input a, output y);"). Constants 1'b0/1'b1 are allowed
-/// as gate inputs. Gates may appear in any order; combinational loops
-/// are rejected. An `(* instrument = "name" *)` attribute assigns the
-/// following primitive to that named instrument (netlist module);
-/// instruments are created on first use.
+/// as gate inputs. Gates may appear in any order (combinational loops are
+/// rejected): nodes are created inputs first, then flip-flops, then gates
+/// in file order as soon as their fanins exist, in linear time. An
+/// `(* instrument = "name" *)` attribute assigns the following primitive
+/// to that named instrument (netlist module), created with its first node.
 ///
-/// Throws std::runtime_error with a line-numbered message on errors.
+/// Throws std::runtime_error ("verilog parse error at line N: ...") on
+/// malformed input, including a file that ends early.
 ParsedCircuit parse(std::istream& is);
 
 /// Writes `nl` as a flat structural Verilog module named `name`, using

@@ -2,183 +2,74 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <optional>
 #include <set>
 #include <stdexcept>
 
+#include "util/lexer.hpp"
 #include "util/strings.hpp"
 
 namespace rsnsec::rsn::icl {
 
 namespace {
 
-// ---------------------------------------------------------------- lexer
-
-enum class TokKind : std::uint8_t {
-  Ident,
-  Number,
-  SizedConst,  // 2'b01
-  String,      // "text" (only inside skipped statements)
-  Punct,       // { } [ ] ; : =
-  End
-};
-
-struct Token {
-  TokKind kind = TokKind::End;
-  std::string text;
-  std::uint32_t value = 0;  // Number / SizedConst
-  int line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::istream& is) {
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    tokenize(text);
-  }
-
-  const Token& peek() const { return tokens_[pos_]; }
-  Token next() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
-
- private:
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-
-  [[noreturn]] static void fail(int line, const std::string& msg) {
-    throw std::runtime_error("icl parse error at line " +
-                             std::to_string(line) + ": " + msg);
-  }
-
-  void tokenize(const std::string& s) {
-    int line = 1;
-    std::size_t i = 0;
-    while (i < s.size()) {
-      char c = s[i];
-      if (c == '\n') {
-        ++line;
-        ++i;
-        continue;
-      }
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-        continue;
-      }
-      if (c == '/' && i + 1 < s.size() && s[i + 1] == '/') {
-        while (i < s.size() && s[i] != '\n') ++i;
-        continue;
-      }
-      if (c == '/' && i + 1 < s.size() && s[i + 1] == '*') {
-        i += 2;
-        while (i + 1 < s.size() && !(s[i] == '*' && s[i + 1] == '/')) {
-          if (s[i] == '\n') ++line;
-          ++i;
-        }
-        i += 2;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::size_t j = i;
-        while (j < s.size() &&
-               (std::isalnum(static_cast<unsigned char>(s[j])) ||
-                s[j] == '_' || s[j] == '.'))
-          ++j;
-        tokens_.push_back({TokKind::Ident, s.substr(i, j - i), 0, line});
-        i = j;
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        std::size_t j = i;
-        while (j < s.size() && std::isdigit(static_cast<unsigned char>(s[j])))
-          ++j;
-        if (j < s.size() && s[j] == '\'') {
-          // Sized binary constant: <width>'b<bits> (also accepts 'd/'h).
-          std::size_t k = j + 1;
-          if (k >= s.size()) fail(line, "truncated sized constant");
-          char base = static_cast<char>(
-              std::tolower(static_cast<unsigned char>(s[k])));
-          ++k;
-          std::size_t v = k;
-          while (v < s.size() &&
-                 std::isxdigit(static_cast<unsigned char>(s[v])))
-            ++v;
-          std::string digits = s.substr(k, v - k);
-          if (digits.empty()) fail(line, "sized constant without digits");
-          int radix = base == 'b' ? 2 : base == 'd' ? 10 : base == 'h' ? 16
-                                                                       : 0;
-          if (radix == 0) fail(line, "unsupported constant base");
-          // Strict radix-checked accumulation: std::stoul would silently
-          // stop at the first out-of-base digit ("2'b02" -> 0) and throw
-          // an uncaught out_of_range on overflow; a hostile file gets a
-          // line-numbered diagnostic instead.
-          std::uint64_t value = 0;
-          for (char d : digits) {
-            int dv = d >= '0' && d <= '9'
-                         ? d - '0'
-                         : 10 + (std::tolower(static_cast<unsigned char>(d)) -
-                                 'a');
-            if (dv >= radix)
-              fail(line, "digit '" + std::string(1, d) +
-                             "' invalid for base-" + std::to_string(radix) +
-                             " constant");
-            value = value * static_cast<std::uint64_t>(radix) +
-                    static_cast<std::uint64_t>(dv);
-            if (value > 0xffffffffULL)
-              fail(line, "sized constant '" + s.substr(i, v - i) +
-                             "' overflows 32 bits");
-          }
-          tokens_.push_back({TokKind::SizedConst, s.substr(i, v - i),
-                             static_cast<std::uint32_t>(value), line});
-          i = v;
-        } else {
-          std::string digits = s.substr(i, j - i);
-          std::optional<std::uint64_t> parsed = parse_u64(digits);
-          if (!parsed || *parsed > 0xffffffffULL)
-            fail(line, "number '" + digits + "' out of range");
-          tokens_.push_back({TokKind::Number, std::move(digits),
-                             static_cast<std::uint32_t>(*parsed), line});
-          i = j;
-        }
-        continue;
-      }
-      if (c == '"') {
-        std::size_t j = i + 1;
-        while (j < s.size() && s[j] != '"') {
-          if (s[j] == '\n') ++line;
-          ++j;
-        }
-        if (j >= s.size()) fail(line, "unterminated string literal");
-        tokens_.push_back(
-            {TokKind::String, s.substr(i + 1, j - i - 1), 0, line});
-        i = j + 1;
-        continue;
-      }
-      if (std::string("{}[];:=,()").find(c) != std::string::npos) {
-        tokens_.push_back({TokKind::Punct, std::string(1, c), 0, line});
-        ++i;
-        continue;
-      }
-      fail(line, std::string("unexpected character '") + c + "'");
-    }
-    tokens_.push_back({TokKind::End, "<eof>", 0, line});
-  }
-};
-
 // --------------------------------------------------------------- parser
+
+/// Value of a number token: a plain decimal ("7") or a sized constant
+/// <width>'<base><digits> with base b, d or h ("2'b01", "16'h00ff").
+std::uint32_t number_value(const Lexer& lex, const Token& t) {
+  const std::string_view s = t.text;
+  const std::size_t tick = s.find('\'');
+  if (tick == std::string_view::npos) {
+    std::optional<std::uint64_t> parsed = parse_u64(s);
+    if (!parsed || *parsed > 0xffffffffULL)
+      lex.fail(t.line,
+               "number '" + std::string(s) + "' is not a 32-bit decimal");
+    return static_cast<std::uint32_t>(*parsed);
+  }
+  if (s.find_first_not_of("0123456789") != tick)
+    lex.fail(t.line, "invalid sized constant '" + std::string(s) + "'");
+  if (tick + 1 >= s.size()) lex.fail(t.line, "truncated sized constant");
+  const char base = static_cast<char>(
+      std::tolower(static_cast<unsigned char>(s[tick + 1])));
+  const std::string_view digits = s.substr(tick + 2);
+  if (digits.empty()) lex.fail(t.line, "sized constant without digits");
+  const int radix = base == 'b' ? 2 : base == 'd' ? 10 : base == 'h' ? 16 : 0;
+  if (radix == 0) lex.fail(t.line, "unsupported constant base");
+  // Strict: every digit must belong to the base and the value must fit,
+  // or the file gets a line-numbered diagnostic.
+  std::uint32_t value = 0;
+  const char* end = digits.data() + digits.size();
+  auto [ptr, ec] = std::from_chars(digits.data(), end, value, radix);
+  if (ec == std::errc::result_out_of_range)
+    lex.fail(t.line,
+             "sized constant '" + std::string(s) + "' overflows 32 bits");
+  if (ec != std::errc{} || ptr != end)
+    lex.fail(t.line, "digit '" + std::string(1, *ptr) + "' invalid for base-" +
+                         std::to_string(radix) + " constant");
+  return value;
+}
+
+/// Module statements the elaborator does not need.
+constexpr std::string_view kSkipped[] = {
+    "Attribute", "Alias", "LocalParameter", "Parameter", "SelectPort",
+    "ToSelectPort", "CaptureEnPort", "ShiftEnPort", "UpdateEnPort",
+    "TCKPort", "ResetPort", "DataInPort", "DataOutPort", "LogicSignal"};
 
 class Parser {
  public:
-  explicit Parser(std::istream& is) : lex_(is) {}
+  explicit Parser(std::istream& is) : lex_(is, "icl") {}
 
   Document parse_document() {
     Document doc;
     while (lex_.peek().kind != TokKind::End) {
-      expect_keyword("Module");
+      expect("Module");
       ModuleDecl mod;
       mod.name = expect_ident("module name");
-      expect_punct("{");
-      while (!accept_punct("}")) parse_statement(mod);
+      expect("{");
+      while (!accept("}")) parse_statement(mod);
       if (doc.modules.count(mod.name))
         fail("duplicate module '" + mod.name + "'");
       doc.modules.emplace(mod.name, std::move(mod));
@@ -190,43 +81,39 @@ class Parser {
   Lexer lex_;
 
   [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error("icl parse error at line " +
-                             std::to_string(lex_.peek().line) + ": " + msg);
+    lex_.fail(lex_.peek().line, msg);
   }
   std::string expect_ident(const std::string& what) {
     Token t = lex_.next();
     if (t.kind != TokKind::Ident) fail("expected " + what);
-    return t.text;
+    return std::string(t.text);
   }
-  void expect_keyword(const std::string& kw) {
+  void expect(std::string_view s) {
     Token t = lex_.next();
-    if (t.kind != TokKind::Ident || t.text != kw)
-      fail("expected '" + kw + "', got '" + t.text + "'");
+    if (!t.is(s))
+      fail("expected '" + std::string(s) + "', got '" + std::string(t.text) +
+           "'");
   }
-  void expect_punct(const std::string& p) {
-    Token t = lex_.next();
-    if (t.kind != TokKind::Punct || t.text != p)
-      fail("expected '" + p + "', got '" + t.text + "'");
+  bool accept(std::string_view p) {
+    if (!lex_.peek().is(p)) return false;
+    lex_.next();
+    return true;
   }
-  bool accept_punct(const std::string& p) {
-    if (lex_.peek().kind == TokKind::Punct && lex_.peek().text == p) {
-      lex_.next();
-      return true;
-    }
-    return false;
-  }
+  /// A plain decimal number (a width bound or bit index).
   std::uint32_t expect_number(const std::string& what) {
     Token t = lex_.next();
-    if (t.kind != TokKind::Number) fail("expected " + what);
-    return t.value;
+    if (t.kind != TokKind::Number ||
+        t.text.find('\'') != std::string_view::npos)
+      fail("expected " + what);
+    return number_value(lex_, t);
   }
 
   Ref parse_ref() {
     Ref r;
     r.name = expect_ident("signal reference");
-    if (accept_punct("[")) {
+    if (accept("[")) {
       r.bit = static_cast<int>(expect_number("bit index"));
-      expect_punct("]");
+      expect("]");
     }
     return r;
   }
@@ -237,112 +124,98 @@ class Parser {
     for (;;) {
       Token t = lex_.next();
       if (t.kind == TokKind::End) fail("unterminated statement");
-      if (t.kind == TokKind::Punct) {
-        if (t.text == "{") ++depth;
-        if (t.text == "}") {
-          if (depth == 0) fail("unexpected '}'");
-          if (--depth == 0) return;  // brace-form statement
-        }
-        if (t.text == ";" && depth == 0) return;
+      if (t.kind == TokKind::Number) number_value(lex_, t);
+      if (t.is("(*") || t.is("*)"))
+        fail("unexpected '" + std::string(t.text) + "'");
+      if (t.is("{")) ++depth;
+      if (t.is("}")) {
+        if (depth == 0) fail("unexpected '}'");
+        if (--depth == 0) return;  // brace-form statement
       }
+      if (t.is(";") && depth == 0) return;
     }
+  }
+
+  /// Ends a declaration: ';' or a '{ ... }' block of attributes. `known`
+  /// parses the attributes it handles and returns false for the rest,
+  /// which are skipped.
+  template <typename Known>
+  void attributes(Known&& known) {
+    if (accept(";")) return;
+    expect("{");
+    while (!accept("}"))
+      if (!known(expect_ident("attribute"))) skip_statement();
   }
 
   void parse_statement(ModuleDecl& mod) {
     std::string kw = expect_ident("statement keyword");
     if (kw == "ScanInPort") {
       mod.scan_in_ports.push_back(expect_ident("port name"));
-      expect_punct(";");
+      expect(";");
     } else if (kw == "ScanOutPort") {
       std::string name = expect_ident("port name");
-      if (accept_punct(";")) {
-        mod.scan_out_ports.emplace_back(name, Ref{});
-        return;
-      }
-      expect_punct("{");
       Ref source;
-      while (!accept_punct("}")) {
-        std::string attr = expect_ident("attribute");
-        if (attr == "Source") {
-          source = parse_ref();
-          expect_punct(";");
-        } else {
-          skip_statement();
-        }
-      }
+      attributes([&](const std::string& attr) {
+        if (attr != "Source") return false;
+        source = parse_ref();
+        expect(";");
+        return true;
+      });
       mod.scan_out_ports.emplace_back(name, source);
     } else if (kw == "ScanRegister") {
       ScanRegisterDecl reg;
       reg.name = expect_ident("register name");
-      if (accept_punct("[")) {
+      if (accept("[")) {
         std::uint32_t msb = expect_number("msb");
-        expect_punct(":");
+        expect(":");
         std::uint32_t lsb = expect_number("lsb");
-        expect_punct("]");
+        expect("]");
         reg.width = static_cast<std::size_t>(
                         msb > lsb ? msb - lsb : lsb - msb) + 1;
+        if (reg.width > kMaxElementCount)
+          fail("register '" + reg.name + "' is " + std::to_string(reg.width) +
+               " bits wide (max " + std::to_string(kMaxElementCount) + ")");
       }
-      if (accept_punct(";")) {
-        mod.registers.push_back(std::move(reg));
-        return;
-      }
-      expect_punct("{");
-      while (!accept_punct("}")) {
-        std::string attr = expect_ident("attribute");
-        if (attr == "ScanInSource") {
-          reg.scan_in_source = parse_ref();
-          expect_punct(";");
-        } else {
-          skip_statement();  // CaptureSource, ResetValue, ...
-        }
-      }
+      attributes([&](const std::string& attr) {
+        if (attr != "ScanInSource") return false;  // CaptureSource, ...
+        reg.scan_in_source = parse_ref();
+        expect(";");
+        return true;
+      });
       mod.registers.push_back(std::move(reg));
     } else if (kw == "ScanMux") {
       ScanMuxDecl mux;
       mux.name = expect_ident("mux name");
-      expect_keyword("SelectedBy");
+      expect("SelectedBy");
       mux.select = expect_ident("select signal");
-      expect_punct("{");
-      while (!accept_punct("}")) {
+      expect("{");
+      while (!accept("}")) {
         Token t = lex_.next();
-        if (t.kind != TokKind::SizedConst && t.kind != TokKind::Number)
-          fail("expected select constant");
-        expect_punct(":");
+        if (t.kind != TokKind::Number) fail("expected select constant");
+        const std::uint32_t value = number_value(lex_, t);
+        expect(":");
         Ref src = parse_ref();
-        expect_punct(";");
-        mux.inputs.emplace_back(t.value, src);
+        expect(";");
+        mux.inputs.emplace_back(value, src);
       }
       if (mux.inputs.size() < 2) fail("ScanMux needs >= 2 inputs");
       mod.muxes.push_back(std::move(mux));
     } else if (kw == "Instance") {
       InstanceDecl inst;
       inst.name = expect_ident("instance name");
-      expect_keyword("Of");
+      expect("Of");
       inst.of_module = expect_ident("module name");
-      if (accept_punct(";")) {
-        mod.instances.push_back(std::move(inst));
-        return;
-      }
-      expect_punct("{");
-      while (!accept_punct("}")) {
-        std::string attr = expect_ident("attribute");
-        if (attr == "InputPort") {
-          std::string port = expect_ident("port name");
-          expect_punct("=");
-          inst.bindings[port] = parse_ref();
-          expect_punct(";");
-        } else {
-          skip_statement();
-        }
-      }
+      attributes([&](const std::string& attr) {
+        if (attr != "InputPort") return false;
+        std::string port = expect_ident("port name");
+        expect("=");
+        inst.bindings[port] = parse_ref();
+        expect(";");
+        return true;
+      });
       mod.instances.push_back(std::move(inst));
-    } else if (kw == "Attribute" || kw == "Alias" ||
-               kw == "LocalParameter" || kw == "Parameter" ||
-               kw == "SelectPort" || kw == "ToSelectPort" ||
-               kw == "CaptureEnPort" || kw == "ShiftEnPort" ||
-               kw == "UpdateEnPort" || kw == "TCKPort" ||
-               kw == "ResetPort" || kw == "DataInPort" ||
-               kw == "DataOutPort" || kw == "LogicSignal") {
+    } else if (std::find(std::begin(kSkipped), std::end(kSkipped), kw) !=
+               std::end(kSkipped)) {
       skip_statement();
     } else {
       fail("unsupported statement '" + kw + "'");
@@ -362,6 +235,13 @@ class Elaborator {
   /// module's scan-out.
   ElemId run(const ModuleDecl& mod, const std::string& prefix,
              ElemId input) {
+    if (std::find(active_.begin(), active_.end(), &mod) != active_.end())
+      throw std::runtime_error("icl elaborate: module '" + mod.name +
+                               "' instantiates itself");
+    if (active_.size() == kMaxNesting)
+      throw std::runtime_error("icl elaborate: instances nested deeper than " +
+                               std::to_string(kMaxNesting));
+    active_.push_back(&mod);
     if (mod.scan_in_ports.size() != 1 || mod.scan_out_ports.size() != 1)
       throw std::runtime_error(
           "icl elaborate: module '" + mod.name +
@@ -453,13 +333,19 @@ class Elaborator {
                              producer[m.name], p);
       }
     }
-    return resolve(mod.scan_out_ports.front().second,
-                   "scan-out of module " + mod.name);
+    ElemId scan_out = resolve(mod.scan_out_ports.front().second,
+                              "scan-out of module " + mod.name);
+    active_.pop_back();
+    return scan_out;
   }
 
  private:
+  /// Bounds the recursion, so hostile hierarchies cannot exhaust the stack.
+  static constexpr std::size_t kMaxNesting = 1000;
+
   const Document& doc_;
   RsnDocument& out_;
+  std::vector<const ModuleDecl*> active_;  ///< modules being elaborated
 };
 
 }  // namespace

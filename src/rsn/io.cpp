@@ -82,25 +82,33 @@ RsnDocument read_rsn(std::istream& is) {
     return std::runtime_error("rsn parse error at line " +
                               std::to_string(line_no) + ": " + msg);
   };
-  auto lookup = [&](const std::string& name) {
+  auto lookup = [&](std::string_view name) {
     auto it = by_name.find(name);
-    if (it == by_name.end()) throw fail("unknown element '" + name + "'");
+    if (it == by_name.end())
+      throw fail("unknown element '" + std::string(name) + "'");
     return it->second;
+  };
+  // The Rsn API rejects impossible structure with std::logic_error.
+  auto checked = [&](auto&& build) {
+    try {
+      return build();
+    } catch (const std::logic_error& e) {
+      throw fail(e.what());
+    }
   };
   // Guarded numeric fields (like spec_io.cpp): a malformed or absurd
   // number in a hostile file is a line-numbered parse error, never an
   // uncaught std::sto* exception or a multi-gigabyte allocation.
-  constexpr std::uint64_t kMaxIndex = 1u << 20;   // modules, ports, ffs
-  constexpr std::uint64_t kMaxCount = 1u << 22;   // ffs/inputs per element
-  auto parse_num = [&](const std::string& tok, const char* what,
+  constexpr std::uint64_t kMaxIndex = 1u << 20;  // modules, ports, ffs
+  auto parse_num = [&](std::string_view tok, const char* what,
                        std::uint64_t max) -> std::uint64_t {
     std::optional<std::uint64_t> v = parse_u64(tok);
     if (!v)
-      throw fail(std::string("invalid ") + what + " '" + tok +
+      throw fail(std::string("invalid ") + what + " '" + std::string(tok) +
                  "' (expected a non-negative integer)");
     if (*v > max)
-      throw fail(std::string(what) + " " + tok + " out of range (max " +
-                 std::to_string(max) + ")");
+      throw fail(std::string(what) + " " + std::string(tok) +
+                 " out of range (max " + std::to_string(max) + ")");
     return *v;
   };
 
@@ -108,12 +116,12 @@ RsnDocument read_rsn(std::istream& is) {
     ++line_no;
     std::string_view sv = trim(line);
     if (sv.empty() || sv.front() == '#') continue;
-    std::vector<std::string> tok = split(sv, ' ');
-    const std::string& kw = tok[0];
+    const std::vector<std::string_view> tok = split_ws(sv);
+    const std::string_view kw = tok[0];
     if (kw == "rsn") {
       if (tok.size() != 2) throw fail("expected: rsn <name>");
       if (named) throw fail("duplicate rsn header");
-      doc.network = Rsn(tok[1]);
+      doc.network = Rsn(std::string(tok[1]));
       named = true;
       by_name["scan_in"] = doc.network.scan_in();
       by_name["scan_out"] = doc.network.scan_out();
@@ -123,13 +131,13 @@ RsnDocument read_rsn(std::istream& is) {
           parse_num(tok[1], "module index", kMaxIndex));
       if (idx != doc.module_names.size())
         throw fail("module indices must be consecutive from 0");
-      doc.module_names.push_back(tok[2]);
+      doc.module_names.emplace_back(tok[2]);
     } else if (kw == "register") {
       if (tok.size() != 6 || tok[2] != "ffs" || tok[4] != "module")
         throw fail("expected: register <name> ffs <n> module <index>");
       if (!named) throw fail("missing rsn header");
       auto n = static_cast<std::size_t>(
-          parse_num(tok[3], "scan FF count", kMaxCount));
+          parse_num(tok[3], "scan FF count", kMaxElementCount));
       // "module -1" marks an unowned register (write_rsn emits it for
       // registers without a module).
       netlist::ModuleId mod =
@@ -138,55 +146,47 @@ RsnDocument read_rsn(std::istream& is) {
               : static_cast<netlist::ModuleId>(
                     parse_num(tok[5], "module index", kMaxIndex));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
-      try {
-        by_name[tok[1]] = doc.network.add_register(tok[1], n, mod);
-      } catch (const std::exception& e) {
-        throw fail(e.what());
-      }
+      by_name.emplace(tok[1], checked([&] {
+        return doc.network.add_register(std::string(tok[1]), n, mod);
+      }));
     } else if (kw == "mux") {
       if (tok.size() != 4 || tok[2] != "inputs")
         throw fail("expected: mux <name> inputs <k>");
       if (!named) throw fail("missing rsn header");
       auto k = static_cast<std::size_t>(
-          parse_num(tok[3], "mux input count", kMaxCount));
+          parse_num(tok[3], "mux input count", kMaxElementCount));
       if (by_name.count(tok[1])) throw fail("duplicate element name");
       // add_mux requires >= 2 inputs, but resolution may shrink a mux to
       // one input (Rsn::remove_mux_input), and write_rsn writes it as is:
       // create it with two and drop the extra one, like store::decode_rsn.
-      try {
-        ElemId id = doc.network.add_mux(tok[1], k == 1 ? 2 : k);
+      by_name.emplace(tok[1], checked([&] {
+        ElemId id = doc.network.add_mux(std::string(tok[1]), k == 1 ? 2 : k);
         if (k == 1) doc.network.remove_mux_input(id, 1);
-        by_name[tok[1]] = id;
-      } catch (const std::exception& e) {
-        throw fail(e.what());
-      }
+        return id;
+      }));
     } else if (kw == "connect") {
       if (tok.size() != 4) throw fail("expected: connect <from> <to> <port>");
       ElemId from = lookup(tok[1]);
       ElemId to = lookup(tok[2]);
       auto port = static_cast<std::size_t>(
           parse_num(tok[3], "port index", kMaxIndex));
-      try {
-        doc.network.connect(from, to, port);
-      } catch (const std::exception& e) {
-        throw fail(e.what());
-      }
+      checked([&] { doc.network.connect(from, to, port); });
     } else if (kw == "capture" || kw == "update") {
       if (tok.size() != 4)
-        throw fail("expected: " + kw + " <register> <ff> <net>");
+        throw fail("expected: " + std::string(kw) + " <register> <ff> <net>");
       Attachment a;
       a.reg = lookup(tok[1]);
       if (doc.network.elem(a.reg).kind != ElemKind::Register)
-        throw fail("'" + tok[1] + "' is not a register");
+        throw fail("'" + std::string(tok[1]) + "' is not a register");
       a.ff = static_cast<std::size_t>(
           parse_num(tok[2], "ff index", kMaxIndex));
       if (a.ff >= doc.network.elem(a.reg).ffs.size())
-        throw fail("ff index out of range on '" + tok[1] + "'");
+        throw fail("ff index out of range on '" + std::string(tok[1]) + "'");
       a.is_update = (kw == "update");
       a.net = tok[3];
       doc.attachments.push_back(std::move(a));
     } else {
-      throw fail("unknown keyword '" + kw + "'");
+      throw fail("unknown keyword '" + std::string(kw) + "'");
     }
   }
   if (!named) throw fail("empty document (no rsn header)");

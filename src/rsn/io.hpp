@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -30,6 +31,11 @@ struct RsnDocument {
   std::vector<Attachment> attachments;
 };
 
+/// Most scan FFs (or mux inputs) one element of a network file may ask
+/// for: the text readers (read_rsn, icl::parse) reject larger counts with
+/// a line-numbered error instead of allocating them.
+inline constexpr std::uint64_t kMaxElementCount = 1u << 22;
+
 /// Serializes an RSN to the library's ICL-like plain-text format:
 ///
 ///   rsn <name>
@@ -53,8 +59,9 @@ void write_rsn(std::ostream& os, const Rsn& network,
 void apply_attachments(RsnDocument& doc,
                        const std::map<std::string, netlist::NodeId>& nets);
 
-/// Parses the format produced by write_rsn. Throws std::runtime_error with
-/// a line-numbered message on malformed input.
+/// Parses the format produced by write_rsn. Fields are separated by runs
+/// of spaces or tabs. Throws std::runtime_error with a line-numbered
+/// message on malformed input.
 RsnDocument read_rsn(std::istream& is);
 
 /// Renders a one-line summary ("name: R registers, F scan FFs, M muxes").

@@ -70,11 +70,11 @@ SecuritySpec read_spec(std::istream& is,
   };
   // Guarded numeric parse: a hostile or truncated file must surface as a
   // line-numbered diagnostic, never as an uncaught std::stoul exception.
-  auto parse_num = [&](const std::string& tok,
+  auto parse_num = [&](std::string_view tok,
                        const char* what) -> std::uint64_t {
     std::optional<std::uint64_t> v = parse_u64(tok);
     if (!v)
-      throw fail(std::string("invalid ") + what + " '" + tok +
+      throw fail(std::string("invalid ") + what + " '" + std::string(tok) +
                  "' (expected a non-negative integer)");
     return *v;
   };
@@ -84,7 +84,7 @@ SecuritySpec read_spec(std::istream& is,
     if (sv.empty() || sv.front() == '#') continue;
     // split_ws: tabs and runs of spaces separate tokens just like a
     // single space, so indented or column-aligned specs parse the same.
-    std::vector<std::string> tok = split_ws(sv);
+    const std::vector<std::string_view> tok = split_ws(sv);
     if (tok[0] == "categories") {
       if (tok.size() != 2) throw fail("expected: categories <n>");
       std::uint64_t n = parse_num(tok[1], "category count");
@@ -101,17 +101,16 @@ SecuritySpec read_spec(std::istream& is,
       auto it = by_name.find(tok[1]);
       if (it != by_name.end()) {
         e.module = it->second;
-      } else if (!tok[1].empty() &&
-                 std::all_of(tok[1].begin(), tok[1].end(), [](char c) {
-                   return c >= '0' && c <= '9';
-                 })) {
-        std::uint64_t m = parse_num(tok[1], "module index");
-        if (m > kMaxModuleIndex)
-          throw fail("module index " + tok[1] + " out of range (max " +
+      } else if (tok[1].find_first_not_of("0123456789") ==
+                 std::string_view::npos) {
+        std::optional<std::uint64_t> m = parse_u64(tok[1]);
+        if (!m || *m > kMaxModuleIndex)
+          throw fail("module index " + std::string(tok[1]) +
+                     " out of range (max " +
                      std::to_string(kMaxModuleIndex) + ")");
-        e.module = static_cast<std::size_t>(m);
+        e.module = static_cast<std::size_t>(*m);
       } else {
-        throw fail("unknown module '" + tok[1] + "'");
+        throw fail("unknown module '" + std::string(tok[1]) + "'");
       }
       std::uint64_t trust = parse_num(tok[3], "trust category");
       if (trust >= categories) throw fail("trust category out of range");
@@ -126,7 +125,7 @@ SecuritySpec read_spec(std::istream& is,
       max_module = std::max(max_module, e.module + 1);
       entries.push_back(e);
     } else {
-      throw fail("unknown keyword '" + tok[0] + "'");
+      throw fail("unknown keyword '" + std::string(tok[0]) + "'");
     }
   }
   if (categories == 0) throw fail("missing 'categories' line");

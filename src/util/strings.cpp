@@ -26,18 +26,18 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
+std::vector<std::string_view> split_ws(std::string_view s) {
+  // The "C" locale's isspace, inlined: this runs on every byte of the
+  // .rsn and .spec readers.
+  auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  std::vector<std::string_view> out;
+  out.reserve(8);  // every .rsn/.spec statement in one allocation
   std::size_t pos = 0;
   while (pos < s.size()) {
-    while (pos < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[pos])))
-      ++pos;
+    while (pos < s.size() && space(s[pos])) ++pos;
     std::size_t start = pos;
-    while (pos < s.size() &&
-           !std::isspace(static_cast<unsigned char>(s[pos])))
-      ++pos;
-    if (pos > start) out.emplace_back(s.substr(start, pos - start));
+    while (pos < s.size() && !space(s[pos])) ++pos;
+    if (pos > start) out.push_back(s.substr(start, pos - start));
   }
   return out;
 }

@@ -15,10 +15,10 @@ std::string_view trim(std::string_view s);
 std::vector<std::string> split(std::string_view s, char sep);
 
 /// Splits `s` on runs of ASCII whitespace (spaces, tabs, ...). Leading,
-/// trailing and consecutive whitespace never yield empty tokens, so
-/// keyword parsers (spec files, CLI sub-syntax) see the same token list
-/// however the input was indented.
-std::vector<std::string> split_ws(std::string_view s);
+/// trailing and consecutive whitespace never yield empty tokens, so the
+/// line-oriented readers (.rsn, .spec) see the same token list however
+/// the input was indented. The tokens are views into `s`.
+std::vector<std::string_view> split_ws(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

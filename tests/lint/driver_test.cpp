@@ -161,6 +161,28 @@ TEST_F(DriverTest, GarbageRsnFileClassifiesAsIo003) {
   }
 }
 
+TEST_F(DriverTest, GarbageVerilogFileClassifiesAsIo003) {
+  // Syntax errors of every strict reader share the IO003 code; a Verilog
+  // file cut off inside its port list ends with an error, not a loop.
+  for (const auto& [text, line] :
+       {std::pair<std::string, std::string>{"module m(input a);\n"
+                                            "  wire w;\n"
+                                            "  this is not verilog;\n"
+                                            "endmodule\n",
+                                            "line 3"},
+        {"module m(input a, b", "line 1"},
+        {"module m(input a);\n  and g(x, a", "line 2"}}) {
+    std::vector<Diagnostic> diags = lint({write("garbage.v", text)});
+    ASSERT_EQ(count_code(diags, "IO003"), 1u) << text;
+    for (const Diagnostic& d : diags) {
+      if (d.code != "IO003") continue;
+      EXPECT_NE(d.message.find("verilog parse error at " + line),
+                std::string::npos)
+          << d.message;
+    }
+  }
+}
+
 TEST_F(DriverTest, UnknownFileClassifiesAsIo001) {
   std::string unknown = write("notes.txt", "hello\n");
   std::vector<Diagnostic> diags = lint({unknown});

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <sstream>
 
 #include "rsn/access.hpp"
+#include "store/codec.hpp"
 
 namespace rsnsec::rsn::icl {
 namespace {
@@ -96,6 +99,73 @@ Module M {
 }
 )");
   EXPECT_THROW(parse(is), std::runtime_error);
+}
+
+TEST(IclParser, RejectsRegistersWiderThanTheElementLimit) {
+  // A width above rsn::kMaxElementCount would ask Rsn::add_register for
+  // billions of scan flip-flops; the parser stops at the declaration.
+  auto module_with = [](const std::string& range) {
+    return "Module M {\n  ScanInPort SI;\n  ScanOutPort SO { Source R; }\n"
+           "  ScanRegister R[" +
+           range + "] { ScanInSource SI; }\n}\n";
+  };
+  std::istringstream at_limit(module_with("4194303:0"));
+  EXPECT_EQ(parse(at_limit).modules.at("M").registers[0].width,
+            kMaxElementCount);
+  for (const char* range : {"4194304:0", "0:4294967295", "4294967295:0"}) {
+    std::istringstream is(module_with(range));
+    try {
+      parse(is);
+      FAIL() << range << ": expected a parse error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("icl parse error at line 4"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(IclParser, AcceptsDollarAndEscapedIdentifiers) {
+  std::istringstream is(R"(
+Module M$1 {
+  ScanInPort \si[0] ;
+  ScanOutPort SO { Source r$x; }
+  ScanRegister r$x { ScanInSource \si[0] ; }
+}
+)");
+  RsnDocument doc = load_icl(is);
+  ASSERT_EQ(doc.network.registers().size(), 1u);
+  EXPECT_EQ(doc.network.elem(doc.network.registers()[0]).name, "r$x");
+  EXPECT_EQ(doc.module_names, std::vector<std::string>{"M$1"});
+}
+
+TEST(IclParser, SizedConstantErrorsCarryLineNumbers) {
+  for (const char* constant :
+       {"2'b02", "1'", "1'q0", "1'b", "64'hffffffffff", "8a'b0"}) {
+    std::istringstream is(std::string("Module M {\n  ScanInPort SI;\n"
+                                      "  ScanMux m SelectedBy SI {\n    ") +
+                          constant + " : SI;\n    1'b1 : SI;\n  }\n}\n");
+    try {
+      parse(is);
+      FAIL() << constant << ": expected a parse error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("icl parse error at line 4"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(IclElaborate, RejectsInstantiationCycles) {
+  std::istringstream is(R"(
+Module A { ScanInPort SI; ScanOutPort SO { Source b; }
+  Instance b Of B { InputPort SI = SI; } }
+Module B { ScanInPort SI; ScanOutPort SO { Source a; }
+  Instance a Of A { InputPort SI = SI; } }
+Module Top { ScanInPort SI; ScanOutPort SO { Source a; }
+  Instance a Of A { InputPort SI = SI; } }
+)");
+  EXPECT_THROW(load_icl(is), std::runtime_error);
 }
 
 TEST(IclElaborate, FlattensHierarchy) {
@@ -207,6 +277,19 @@ Module M {
   const Element& mux = doc.network.elem(m);
   EXPECT_EQ(doc.network.elem(mux.inputs[0]).name, "A");
   EXPECT_EQ(doc.network.elem(mux.inputs[1]).name, "B");
+}
+
+TEST(IclElaborate, SocDemoMatchesPinnedDigest) {
+  // The shipped example elaborates to the same network, element for
+  // element, and the same instrument table.
+  std::ifstream f(RSNSEC_SOURCE_DIR "/examples/data/soc_demo.icl");
+  ASSERT_TRUE(f) << "cannot open soc_demo.icl";
+  RsnDocument doc = load_icl(f);
+  store::ByteWriter w;
+  store::encode_rsn(w, doc.network);
+  for (const std::string& name : doc.module_names) w.str(name);
+  const std::uint64_t got = store::fnv1a64(w.bytes());
+  EXPECT_EQ(got, 0xb5684a313240767bull) << "digest 0x" << std::hex << got;
 }
 
 }  // namespace

@@ -98,6 +98,38 @@ TEST(RsnIo, ParsesCommentsAndBlankLines) {
   EXPECT_TRUE(doc.network.validate());
 }
 
+TEST(RsnIo, FieldsMaySeparateByTabsAndRuns) {
+  std::istringstream is(
+      "rsn\tx\n"
+      "register\tr  ffs\t1 \t module -1\n"
+      "connect scan_in\t\tr 0\n"
+      "  connect r scan_out 0\n");
+  RsnDocument doc = read_rsn(is);
+  ASSERT_EQ(doc.network.registers().size(), 1u);
+  EXPECT_EQ(doc.network.elem(doc.network.registers()[0]).name, "r");
+  EXPECT_TRUE(doc.network.validate());
+}
+
+TEST(RsnIo, RejectsElementsAboveTheCountLimit) {
+  // The limit is rsn::kMaxElementCount, shared with the ICL reader.
+  for (const char* line : {"register r ffs 4194305 module -1",
+                           "mux m inputs 4194305"}) {
+    std::istringstream is(std::string("rsn x\n") + line + "\n");
+    try {
+      read_rsn(is);
+      FAIL() << line;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("rsn parse error at line 2"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(
+                    "(max " + std::to_string(kMaxElementCount) + ")"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(RsnIo, RejectsUnknownElement) {
   std::istringstream is(
       "rsn x\n"

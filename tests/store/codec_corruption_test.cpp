@@ -1,9 +1,10 @@
-// Truncation and single-byte corruption sweeps over every store decoder,
-// run under an allocation budget: this binary's global operator new
-// refuses any single request larger than kAllocMultiple times the blob
-// being decoded. A corrupted count that asks for gigabytes therefore
-// fails here on every host, instead of passing or throwing
-// std::bad_alloc depending on the host's overcommit policy.
+// Truncation and single-byte corruption sweeps over every store decoder
+// and every text reader (.rsn, structural Verilog, .spec, ICL), run under
+// an allocation budget: this binary's global operator new refuses any
+// single request larger than kAllocMultiple times the blob or text being
+// read. A corrupted count that asks for gigabytes therefore fails here on
+// every host, instead of passing or throwing std::bad_alloc depending on
+// the host's overcommit policy.
 //
 // Separate binary because the operator new override applies to the whole
 // executable.
@@ -12,13 +13,23 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "benchgen/circuit.hpp"
+#include "benchgen/families.hpp"
+#include "benchgen/specgen.hpp"
 #include "dep/analyzer.hpp"
+#include "netlist/verilog.hpp"
+#include "rsn/icl.hpp"
+#include "rsn/io.hpp"
+#include "security/spec_io.hpp"
 #include "store/codec.hpp"
 #include "store/codec_fixtures.hpp"
 #include "store/dep_cache.hpp"
@@ -234,6 +245,199 @@ TEST(AllocationBudget, RefusesOversizedRequests) {
                             r.raw(fits.data(), 16);
                           }),
             Outcome::Decoded);
+}
+
+// ---------------------------------------------------------------------------
+// Text readers. Each input must parse or throw std::runtime_error (any
+// other exception fails the test) within the same per-byte budget; tiny
+// inputs get kMinTextBytes' worth so error messages fit.
+
+constexpr std::size_t kMinTextBytes = 64;
+
+enum class TextOutcome { Parsed, Rejected, OverBudget };
+
+using TextReader = void (*)(std::istream&, const std::vector<std::string>&);
+
+TextOutcome read_capped(const std::string& text, TextReader read,
+                        const std::vector<std::string>& module_names) {
+  AllocCap cap(kAllocMultiple * std::max(text.size(), kMinTextBytes));
+  try {
+    std::istringstream is(text);
+    read(is, module_names);
+  } catch (const std::bad_alloc&) {
+    return TextOutcome::OverBudget;
+  } catch (const std::runtime_error&) {
+    return TextOutcome::Rejected;
+  }
+  return TextOutcome::Parsed;
+}
+
+void read_rsn_text(std::istream& is, const std::vector<std::string>&) {
+  rsn::read_rsn(is);
+}
+void read_verilog_text(std::istream& is, const std::vector<std::string>&) {
+  netlist::verilog::parse(is);
+}
+void read_spec_text(std::istream& is, const std::vector<std::string>& names) {
+  security::read_spec(is, names);
+}
+void read_icl_text(std::istream& is, const std::vector<std::string>&) {
+  rsn::icl::load_icl(is);
+}
+
+/// One reader's input: its text and the module names a spec resolves.
+struct TextCase {
+  const char* what;
+  TextReader read;
+  std::string text;
+  std::vector<std::string> module_names;
+};
+
+/// A generated small-BASTION .rsn/.v/.spec triple and the shipped ICL
+/// example.
+std::vector<TextCase> generated_texts() {
+  Rng rng(2);
+  rsn::RsnDocument doc = benchgen::generate_bastion(
+      benchgen::bastion_profile("BasicSCB"), 0.01, rng);
+  netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
+  security::SecuritySpec spec =
+      benchgen::random_spec(doc.module_names.size(), {}, rng);
+  std::ostringstream rsn_os, v_os, spec_os;
+  rsn::write_rsn(rsn_os, doc.network, doc.module_names, &circuit);
+  netlist::verilog::write(v_os, circuit, doc.network.name());
+  security::write_spec(spec_os, spec, doc.module_names);
+  std::ifstream icl(RSNSEC_SOURCE_DIR "/examples/data/soc_demo.icl");
+  std::ostringstream icl_os;
+  icl_os << icl.rdbuf();
+  return {{"rsn", read_rsn_text, rsn_os.str(), {}},
+          {"verilog", read_verilog_text, v_os.str(), {}},
+          {"spec", read_spec_text, spec_os.str(), doc.module_names},
+          {"icl", read_icl_text, icl_os.str(), {}}};
+}
+
+TEST(TextReaders, GeneratedInputsParseWithinBudget) {
+  for (const TextCase& c : generated_texts()) {
+    ASSERT_GT(c.text.size(), 100u) << c.what;
+    EXPECT_EQ(read_capped(c.text, c.read, c.module_names),
+              TextOutcome::Parsed)
+        << c.what;
+  }
+}
+
+TEST(TextReaders, EveryTruncationParsesOrThrows) {
+  for (const TextCase& c : generated_texts()) {
+    for (std::size_t cut = 0; cut < c.text.size(); ++cut) {
+      EXPECT_NE(read_capped(c.text.substr(0, cut), c.read, c.module_names),
+                TextOutcome::OverBudget)
+          << c.what << " prefix length " << cut << " asked for "
+          << g_refused.load() << " bytes";
+    }
+  }
+}
+
+TEST(TextReaders, SingleByteCorruptionParsesOrThrows) {
+  for (const TextCase& c : generated_texts()) {
+    for (std::size_t i = 0; i < c.text.size(); ++i) {
+      for (unsigned char delta : {0x01, 0x80, 0xff}) {
+        std::string mutated = c.text;
+        mutated[i] = static_cast<char>(
+            static_cast<unsigned char>(mutated[i]) ^ delta);
+        EXPECT_NE(read_capped(mutated, c.read, c.module_names),
+                  TextOutcome::OverBudget)
+            << c.what << " byte " << i << " ^ " << static_cast<int>(delta)
+            << " asked for " << g_refused.load() << " bytes";
+      }
+    }
+  }
+}
+
+TEST(TextReaders, HostileCorpusIsRejected) {
+  using namespace std::string_literals;  // keeps embedded NUL bytes
+  const TextCase corpus[] = {
+      // A Verilog file cut off inside its port list or an argument list.
+      {"verilog", read_verilog_text, "module m(input a, b", {}},
+      {"verilog", read_verilog_text, "module m(input a);\n  and g(x, a", {}},
+      {"verilog", read_verilog_text, "module m(input a);\n/* open", {}},
+      {"verilog", read_verilog_text,
+       "module m(input a);\n(* instrument = \"aes\n", {}},
+      {"verilog", read_verilog_text, "module m(input a);\0\nendmodule\n"s,
+       {}},
+      {"verilog", read_verilog_text, "module m(input a);\xff\nendmodule", {}},
+      {"verilog", read_verilog_text, "module m(input \\", {}},
+      {"verilog", read_verilog_text,
+       "module m(input a);\n(* instrument = \"x\"\n  dff (q, a);\n"
+       "endmodule\n",
+       {}},
+      {"verilog", read_verilog_text,
+       "module m(input a);\n  buf (x, 1234567890123456789012345);\n"
+       "endmodule\n",
+       {}},
+      {"verilog", read_verilog_text,
+       "module m(input a);\n  buf (x, 4'b2);\nendmodule\n", {}},
+      {"icl", read_icl_text, "Module M { /* open", {}},
+      {"icl", read_icl_text, "Module M { Attribute a = \"x; }", {}},
+      {"icl", read_icl_text, "Module M {\0}"s, {}},
+      {"icl", read_icl_text, "Module M {\xff}", {}},
+      {"icl", read_icl_text, "Module \\", {}},
+      {"icl", read_icl_text, "Module M { Attribute a = (* x; }", {}},
+      {"icl", read_icl_text,
+       "Module M { ScanInPort SI; ScanOutPort SO { Source R; }\n"
+       "  ScanRegister R[1234567890123456789012345:0] { ScanInSource SI; } }",
+       {}},
+      {"icl", read_icl_text,
+       "Module M { ScanInPort SI; ScanOutPort SO { Source m; }\n"
+       "  ScanRegister R { ScanInSource SI; }\n"
+       "  ScanMux m SelectedBy R { 4'b2 : SI; 4'b1 : R; } }",
+       {}},
+      {"icl", read_icl_text,
+       "Module M { ScanInPort SI; ScanOutPort SO { Source R; }\n"
+       "  ScanRegister R[4294967295:0] { ScanInSource SI; } }",
+       {}},
+      {"icl", read_icl_text,
+       "Module A { ScanInPort SI; ScanOutPort SO { Source b; }\n"
+       "  Instance b Of B { InputPort SI = SI; } }\n"
+       "Module B { ScanInPort SI; ScanOutPort SO { Source a; }\n"
+       "  Instance a Of A { InputPort SI = SI; } }\n"
+       "Module Top { ScanInPort SI; ScanOutPort SO { Source a; }\n"
+       "  Instance a Of A { InputPort SI = SI; } }",
+       {}},
+      {"rsn", read_rsn_text,
+       "rsn x\nregister r ffs 1234567890123456789012345 module 0\n", {}},
+      {"rsn", read_rsn_text, "rsn x\nregister \0 ffs 1"s,
+       {}},
+      {"rsn", read_rsn_text, "rsn x\nregister r\xff ffs 4'b2 module 0\n",
+       {}},
+      {"spec", read_spec_text,
+       "categories 2\nmodule 0 trust 1234567890123456789012345 accepts 0\n",
+       {}},
+      {"spec", read_spec_text, "categories \0\n"s, {}},
+  };
+  for (const TextCase& c : corpus)
+    EXPECT_EQ(read_capped(c.text, c.read, c.module_names),
+              TextOutcome::Rejected)
+        << c.what << ": " << c.text;
+}
+
+TEST(TextReaders, ReverseOrderGateChainParsesInLinearTime) {
+  // A 50,000-gate buffer chain, each gate written before its fanin's
+  // driver: every gate waits on the next line's output.
+  constexpr int kGates = 50000;
+  std::string text = "module chain(input n0);\n";
+  for (int i = kGates; i >= 1; --i)
+    text += "  buf (n" + std::to_string(i) + ", n" + std::to_string(i - 1) +
+            ");\n";
+  text += "  dff (q, n" + std::to_string(kGates) + ");\nendmodule\n";
+
+  const auto start = std::chrono::steady_clock::now();
+  AllocCap cap(kAllocMultiple * text.size());
+  std::istringstream is(text);
+  netlist::verilog::ParsedCircuit c = netlist::verilog::parse(is);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_EQ(c.netlist.num_nodes(), static_cast<std::size_t>(kGates) + 2);
+  EXPECT_EQ(c.nets.size(), static_cast<std::size_t>(kGates) + 2);
+  EXPECT_LT(seconds, 5.0);
 }
 
 }  // namespace

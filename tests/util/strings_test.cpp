@@ -28,12 +28,12 @@ TEST(Strings, StartsWith) {
 }
 
 TEST(Strings, SplitWs) {
-  EXPECT_EQ(split_ws("a b c"), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(split_ws("a b c"), (std::vector<std::string_view>{"a", "b", "c"}));
   EXPECT_EQ(split_ws("a\tb\t\tc"),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split_ws("  a   b \t"), (std::vector<std::string>{"a", "b"}));
+            (std::vector<std::string_view>{"a", "b", "c"}));
+  EXPECT_EQ(split_ws("  a   b \t"), (std::vector<std::string_view>{"a", "b"}));
   EXPECT_EQ(split_ws("module\t x1  trust\t0"),
-            (std::vector<std::string>{"module", "x1", "trust", "0"}));
+            (std::vector<std::string_view>{"module", "x1", "trust", "0"}));
   EXPECT_TRUE(split_ws("").empty());
   EXPECT_TRUE(split_ws(" \t \t ").empty());
 }
