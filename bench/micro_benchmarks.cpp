@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/running_example.hpp"
@@ -18,6 +19,7 @@
 #include "flow/certify.hpp"
 #include "netlist/cone_check.hpp"
 #include "netlist/verilog.hpp"
+#include "obs/trace.hpp"
 #include "rsn/access.hpp"
 #include "rsn/csu_sim.hpp"
 #include "rsn/icl.hpp"
@@ -476,6 +478,60 @@ void BM_HybridResolve(benchmark::State& state) {
   state.counters["changes"] = static_cast<double>(changes);
 }
 BENCHMARK(BM_HybridResolve)->Unit(benchmark::kMillisecond);
+
+void BM_ResolveFlexScan(benchmark::State& state) {
+  // One Table I FlexScan run made with the grid's recipe (400 one-FF
+  // registers, expected_sensitive_modules 2.5, low_trust_prob 0.1):
+  // circuit 0 and spec 0 of bench::run_benchmark at base seed 1. FlexScan
+  // spends most of its Table I time in resolution, so the timed region is
+  // the pipeline's pure then hybrid detect_and_resolve on 1 thread; the
+  // dependency analysis runs once outside it.
+  bench::SweepOptions opt;
+  opt.spec.expected_sensitive_modules = 2.5;
+  opt.spec.low_trust_prob = 0.1;
+  const bench::Instance inst = bench::make_instance("FlexScan", opt, 0);
+  Rng spec_rng(opt.base_seed * 104729);
+  const security::SecuritySpec spec = benchgen::random_spec(
+      inst.doc.module_names.size(), opt.spec, spec_rng);
+  dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, {});
+  deps.run();
+  security::TokenTable tokens(spec, spec.num_modules());
+  security::HybridAnalyzer hybrid(inst.circuit, inst.doc.network, deps, spec,
+                                  tokens);
+  if (!hybrid.check_static().clean()) {
+    state.SkipWithError("statically insecure workload");
+    return;
+  }
+  security::PureScanAnalyzer pure(spec, tokens);
+  security::ResolveOptions ropt;
+  ropt.num_threads = 1;
+  const auto policy = security::ResolutionPolicy::BestGlobal;
+  auto resolve = [&] {
+    rsn::Rsn net = inst.doc.network;
+    int changes = pure.detect_and_resolve(net, nullptr, policy, {}, ropt)
+                      .applied_changes;
+    changes += hybrid.detect_and_resolve(net, nullptr, policy, {}, ropt)
+                   .applied_changes;
+    return changes;
+  };
+
+  // One traced run before the timed loop counts the trials; the timed
+  // runs are untraced.
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  const int changes = resolve();
+  obs::TraceSession::set_active(nullptr);
+  const std::uint64_t trials =
+      session.counter("resolve.candidates_evaluated").value();
+  if (changes == 0) {
+    state.SkipWithError("workload resolved no violations");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(resolve());
+  state.counters["changes"] = static_cast<double>(changes);
+  state.counters["trials"] = static_cast<double>(trials);
+}
+BENCHMARK(BM_ResolveFlexScan)->Unit(benchmark::kMillisecond);
 
 // Cone-isomorphism memoization of the dependency analysis on a workload
 // with heavily repeated structure (MBIST memory interfaces).

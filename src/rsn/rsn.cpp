@@ -1,7 +1,7 @@
 #include "rsn/rsn.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 
 namespace rsnsec::rsn {
@@ -228,20 +228,28 @@ std::vector<ElemId> Rsn::active_path() const {
 }
 
 std::vector<ElemId> Rsn::reachable_from(ElemId from) const {
-  // Forward reachability needs fanout edges; build a reverse adjacency
-  // once per query (element counts are modest and the resolver snapshots).
-  std::vector<std::vector<ElemId>> fanout(elems_.size());
-  for (ElemId id = 0; id < elems_.size(); ++id) {
+  // Forward reachability needs fanout edges. Build them once per query as
+  // flat offset arrays, a counting sort of the edges by driver: consumers
+  // of `x` land in fanout[offset[x], offset[x + 1]), in ascending id, then
+  // port, order.
+  const std::size_t n = elems_.size();
+  std::vector<std::uint32_t> offset(n + 2, 0);
+  for (const Element& e : elems_)
+    for (ElemId in : e.inputs)
+      if (in != no_elem) ++offset[in + 2];
+  for (std::size_t i = 2; i < offset.size(); ++i) offset[i] += offset[i - 1];
+  std::vector<ElemId> fanout(offset[n + 1]);
+  for (ElemId id = 0; id < n; ++id)
     for (ElemId in : elem(id).inputs)
-      if (in != no_elem) fanout[in].push_back(id);
-  }
-  std::vector<bool> seen(elems_.size(), false);
+      if (in != no_elem) fanout[offset[in + 1]++] = id;
+  std::vector<bool> seen(n, false);
   std::vector<ElemId> queue{from}, out;
   seen[from] = true;
   while (!queue.empty()) {
     ElemId id = queue.back();
     queue.pop_back();
-    for (ElemId s : fanout[id]) {
+    for (std::uint32_t k = offset[id]; k < offset[id + 1]; ++k) {
+      ElemId s = fanout[k];
       if (!seen[s]) {
         seen[s] = true;
         out.push_back(s);
@@ -272,8 +280,35 @@ std::vector<ElemId> Rsn::reaching(ElemId to) const {
 
 bool Rsn::reaches(ElemId from, ElemId to) const {
   if (from == to) return false;
-  std::vector<ElemId> r = reachable_from(from);
-  return std::find(r.begin(), r.end(), to) != r.end();
+  std::vector<bool> seen(elems_.size(), false);
+  std::vector<ElemId> stack{to};
+  seen[to] = true;
+  while (!stack.empty()) {
+    ElemId id = stack.back();
+    stack.pop_back();
+    for (ElemId in : elem(id).inputs) {
+      if (in == from) return true;
+      if (in != no_elem && !seen[in]) {
+        seen[in] = true;
+        stack.push_back(in);
+      }
+    }
+  }
+  return false;
+}
+
+void Rsn::restore(const Rsn& base) {
+  assert(elems_.size() >= base.elems_.size());
+  assert(registers_.size() == base.registers_.size());
+  elems_.resize(base.elems_.size());
+  muxes_.resize(base.muxes_.size());
+  for (std::size_t i = 0; i < elems_.size(); ++i) {
+    Element& e = elems_[i];
+    const Element& b = base.elems_[i];
+    if (e.inputs != b.inputs) e.inputs = b.inputs;
+    e.sel = b.sel;
+  }
+  next_auto_mux_ = base.next_auto_mux_;
 }
 
 }  // namespace rsnsec::rsn

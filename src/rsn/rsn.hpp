@@ -48,8 +48,10 @@ struct Element {
 /// scan-out port. Supports the structural edits (cut, reconnect, mux
 /// insertion) the resolution step of the paper applies, and computes
 /// active scan paths and any-configuration reachability for the security
-/// analysis. Value semantics: copying an Rsn snapshots the topology, which
-/// the resolver uses to trial-evaluate repair candidates.
+/// analysis. Value semantics: copying an Rsn snapshots the topology. The
+/// resolver trial-evaluates repair candidates on one such copy per work
+/// chunk and rolls it back to the committed network with restore() after
+/// each trial.
 class Rsn {
  public:
   /// Creates a network containing only the scan-in and scan-out ports.
@@ -142,7 +144,10 @@ class Rsn {
 
   /// Any-configuration reachability: true if data shifted out of `from`
   /// can reach an input of `to` under some mux configuration (i.e. `to` is
-  /// a multi-cycle successor of `from` over pure scan paths).
+  /// a multi-cycle successor of `from` over pure scan paths). False for
+  /// `from == to`. Walks input lists backward from `to` and stops at
+  /// `from`. In an acyclic network, adding an edge `u -> v` closes a cycle
+  /// exactly when `u == v || reaches(v, u)`.
   bool reaches(ElemId from, ElemId to) const;
 
   /// All elements reachable from `from` (excluding `from` itself).
@@ -150,6 +155,14 @@ class Rsn {
 
   /// All elements that reach `to` (excluding `to` itself).
   std::vector<ElemId> reaching(ElemId to) const;
+
+  /// Rolls this network back to `base`. Contract: `*this` was copied from
+  /// `base` and has since changed only through structural edits
+  /// (connect, disconnect, add_mux, add_mux_input, remove_mux_input,
+  /// attach_to_scan_out). Drops the elements added since, reassigns the
+  /// input lists that differ, copies mux selects and resets the auto-mux
+  /// counter; allocates nothing once capacities are warm.
+  void restore(const Rsn& base);
 
  private:
   std::string name_;

@@ -30,20 +30,21 @@ int Rewirer::repair_dangling_input(Rsn& network, ElemId to, std::size_t port,
   // not recreate a cycle (Sec. III-D: "only segments that are multi-cycle
   // predecessors/successors over pure scan paths are connected"); fall
   // back to the scan-in port. A hint (evaluated as a separate repair
-  // candidate by the resolver) overrides the default choice.
+  // candidate by the resolver) overrides the default choice. The network
+  // is acyclic here, so driving `to` from `cand` closes a cycle exactly
+  // when `to` already reaches `cand`.
   if (hint != rsn::no_elem && hint != avoid && hint != to &&
-      network.elem(hint).kind != ElemKind::ScanOut) {
+      network.elem(hint).kind != ElemKind::ScanOut &&
+      !network.reaches(to, hint)) {
     network.connect(hint, to, port);
-    if (network.is_acyclic()) return 1;
-    network.disconnect(to, port);
+    return 1;
   }
   for (ElemId cand : pre_preds) {
     if (cand == avoid || cand == to) continue;
-    ElemKind k = network.elem(cand).kind;
-    if (k == ElemKind::ScanOut) continue;
+    if (network.elem(cand).kind == ElemKind::ScanOut) continue;
+    if (network.reaches(to, cand)) continue;
     network.connect(cand, to, port);
-    if (network.is_acyclic()) return 1;
-    network.disconnect(to, port);
+    return 1;
   }
   network.connect(network.scan_in(), to, port);
   return 1;
@@ -52,42 +53,36 @@ int Rewirer::repair_dangling_input(Rsn& network, ElemId to, std::size_t port,
 int Rewirer::repair_lost_fanout(Rsn& network, ElemId from,
                                 const std::vector<ElemId>& pre_succs,
                                 ElemId avoid) {
-  int ops = 0;
+  // Each repair below adds a path from -> cand to an acyclic network, so
+  // it closes a cycle exactly when `cand` already reaches `from`.
   for (ElemId cand : pre_succs) {
     if (cand == avoid || cand == from) continue;
-    const rsn::Element& e = network.elem(cand);
-    if (e.kind == ElemKind::Mux) {
+    const ElemKind kind = network.elem(cand).kind;
+    if (kind == ElemKind::Mux) {
+      if (network.reaches(cand, from)) continue;
       network.add_mux_input(cand, from);
-      if (network.is_acyclic()) return 1;
-      network.remove_mux_input(cand, e.inputs.size() - 1);
-      continue;
+      return 1;
     }
-    if (e.kind == ElemKind::Register) {
-      // Insert a fresh 2:1 mux in front of the register ("placing new
-      // multiplexers", Sec. IV-C).
-      ElemId old_driver = e.inputs[0];
+    if (kind == ElemKind::Register) {
+      ElemId old_driver = network.elem(cand).inputs[0];
       if (old_driver == rsn::no_elem) {
+        if (network.reaches(cand, from)) continue;
         network.connect(from, cand, 0);
-        if (network.is_acyclic()) return 1;
-        network.disconnect(cand, 0);
-        continue;
+        return 1;
       }
+      // Insert a fresh 2:1 mux in front of the register ("placing new
+      // multiplexers", Sec. IV-C). The mux is allocated before the check,
+      // so element ids and names do not depend on its outcome; a rejected
+      // mux stays allocated but unconnected.
       ElemId m = network.add_mux(
           "repair_mux_" + std::to_string(network.num_elements()), 2);
+      if (network.reaches(cand, from)) continue;
       network.connect(old_driver, m, 0);
       network.connect(from, m, 1);
       network.connect(m, cand, 0);
-      if (network.is_acyclic()) return 2;
-      // Roll back: restore the old driver. The fresh mux stays allocated
-      // but unused; it has no connections into the rest of the network.
-      network.disconnect(m, 0);
-      network.disconnect(m, 1);
-      network.connect(old_driver, cand, 0);
-      ops = 0;
-      continue;
+      return 2;
     }
   }
-  (void)ops;
   return attach_to_scan_out_avoiding(network, from, avoid);
 }
 
@@ -140,12 +135,15 @@ Rewirer::Selection Rewirer::select_cut_parallel(
       0, combos.size(),
       [&](std::size_t cb, std::size_t ce, std::size_t) {
         // One counter (and thus one set of delta-query scratch buffers)
-        // per chunk, reused across the chunk's trials.
+        // and one working copy of the network per chunk, reused across the
+        // chunk's trials: each trial edits the copy, is counted, and is
+        // rolled back.
         TrialCounter count = make_counter();
+        Rsn trial = network;
         for (std::size_t i = cb; i < ce; ++i) {
-          Rsn trial = network;
           ops[i] = cut_connection(trial, combos[i].cut, combos[i].hint);
           pairs[i] = count(trial);
+          trial.restore(network);
         }
       },
       /*grain=*/0);

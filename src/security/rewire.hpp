@@ -87,7 +87,9 @@ struct AppliedChange {
 class Rewirer {
  public:
   /// Cuts `c` from `network` and repairs both sides. Returns the number of
-  /// individual wiring operations performed (>= 1).
+  /// individual wiring operations performed (>= 1). `network` must be
+  /// acyclic: each repair tests for a cycle with one backward walk
+  /// (Rsn::reaches) before it edits.
   ///
   /// `reconnect_hint` selects the new driver for a dangling to-side input:
   /// by default the first multi-cycle predecessor that keeps the network
@@ -141,7 +143,10 @@ class Rewirer {
   /// returned Selection is the one a sequential first-to-last evaluation
   /// would pick, at any thread count. (FirstImproving/PreferScanIn
   /// evaluate trials past the one selected; only side-effect-free
-  /// counters may observe that.)
+  /// counters may observe that.) Each work chunk copies `network` once;
+  /// a trial cuts that copy, is counted, and is rolled back with
+  /// Rsn::restore, so counters see a network equal to a fresh copy with
+  /// the cut applied.
   static Selection select_cut_parallel(
       const rsn::Rsn& network, const std::vector<Connection>& candidates,
       const TrialCounterFactory& make_counter, std::size_t current_pairs,

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "oracle/rewire_oracle.hpp"
+
 namespace rsnsec::oracle {
 
 using rsn::ElemId;
@@ -24,7 +26,7 @@ Rewirer::Selection select_cut(
     if (Rewirer::cut_is_hint_insensitive(network, c)) hints.resize(1);
     for (ElemId hint : hints) {
       rsn::Rsn trial = network;
-      int ops = Rewirer::cut_connection(trial, c, hint);
+      int ops = oracle::cut_connection(trial, c, hint);
       std::size_t pairs = count_pairs(trial);
       if (pairs >= current_pairs) continue;
       if (policy != ResolutionPolicy::BestGlobal) {
@@ -73,7 +75,7 @@ security::PureStats resolve_pure_from_scratch(
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
       change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+          oracle::cut_connection(network, sel.cut, sel.reconnect_hint);
       change.note = "pure: cut " + network.elem(sel.cut.from).name + " -> " +
                     network.elem(sel.cut.to).name;
       cur_pairs = sel.residual_pairs;
@@ -86,7 +88,7 @@ security::PureStats resolve_pure_from_scratch(
       change.kind = AppliedChange::Kind::IsolateRegister;
       change.isolated = iso;
       change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
+          oracle::isolate_register_output(network, iso);
       change.note = "pure: isolate " + network.elem(iso).name;
       ++stats.fallback_isolations;
       cur_pairs = pure.count_violating_pairs(network);
@@ -128,7 +130,7 @@ security::HybridStats resolve_hybrid_from_scratch(
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
       change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+          oracle::cut_connection(network, sel.cut, sel.reconnect_hint);
       change.note = "hybrid: cut " + network.elem(sel.cut.from).name +
                     " -> " + network.elem(sel.cut.to).name;
       cur_pairs = sel.residual_pairs;
@@ -147,7 +149,7 @@ security::HybridStats resolve_hybrid_from_scratch(
       change.kind = AppliedChange::Kind::IsolateRegister;
       change.isolated = iso;
       change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
+          oracle::isolate_register_output(network, iso);
       change.note = "hybrid: isolate " + network.elem(iso).name;
       ++stats.fallback_isolations;
       cur_pairs = hybrid.count_violating_pairs(network);

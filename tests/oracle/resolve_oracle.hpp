@@ -2,10 +2,12 @@
 
 // Test-only reference implementations of the detect-and-resolve loops.
 // Production resolution keeps violation state in a ViolationIndex and
-// evaluates candidate cuts as parallel deltas against it; the oracles
-// below recompute every query from scratch on the whole network and try
-// the candidates one after another. Both must produce bit-identical
-// change logs, stats and final networks.
+// evaluates candidate cuts as parallel deltas against it, on one working
+// copy per chunk that is rolled back after each trial. The oracles below
+// recompute every query from scratch on the whole network, try the
+// candidates one after another on a fresh copy each, and repair with the
+// probe-based oracle cut (oracle/rewire_oracle). Both must produce
+// bit-identical change logs, stats and final networks.
 
 #include <cstddef>
 #include <functional>
@@ -19,8 +21,9 @@
 namespace rsnsec::oracle {
 
 /// Sequential candidate selection: trial-cuts each candidate (with both
-/// reconnection variants, a hint-insensitive cut once) in order, counts
-/// the violating pairs of each trial with `count_pairs`, and selects per
+/// reconnection variants, a hint-insensitive cut once) in order, each on
+/// a fresh copy of `network` with oracle::cut_connection, counts the
+/// violating pairs of each trial with `count_pairs`, and selects per
 /// `policy` among the trials that leave fewer than `current_pairs`.
 security::Rewirer::Selection select_cut(
     const rsn::Rsn& network,

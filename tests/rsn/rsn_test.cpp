@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+
+#include "benchgen/families.hpp"
+#include "rsn/io.hpp"
 
 namespace rsnsec::rsn {
 namespace {
@@ -103,9 +107,13 @@ TEST(Rsn, ReachabilityQueries) {
   EXPECT_FALSE(s.net.reaches(s.r3, s.r1));
   EXPECT_FALSE(s.net.reaches(s.r2, s.r1));
   EXPECT_TRUE(s.net.reaches(s.net.scan_in(), s.net.scan_out()));
+  for (ElemId x : {s.net.scan_in(), s.r1, s.mux, s.net.scan_out()})
+    EXPECT_FALSE(s.net.reaches(x, x));
 
+  // Depth-first over fanouts listed by consumer id, then port.
   auto from_r1 = s.net.reachable_from(s.r1);
-  EXPECT_NE(std::find(from_r1.begin(), from_r1.end(), s.r3), from_r1.end());
+  EXPECT_EQ(from_r1,
+            (std::vector<ElemId>{s.r2, s.mux, s.r3, s.net.scan_out()}));
   auto to_r3 = s.net.reaching(s.r3);
   EXPECT_NE(std::find(to_r3.begin(), to_r3.end(), s.net.scan_in()),
             to_r3.end());
@@ -170,6 +178,108 @@ TEST(Rsn, CopySemanticsSnapshotTopology) {
   copy.disconnect(s.r3, 0);
   EXPECT_EQ(s.net.elem(s.r3).inputs[0], s.mux);  // original untouched
   EXPECT_EQ(copy.elem(s.r3).inputs[0], no_elem);
+}
+
+std::string rsn_text(const Rsn& net) {
+  std::ostringstream os;
+  write_rsn(os, net);
+  return os.str();
+}
+
+TEST(Rsn, RestoreRollsBackStructuralEdits) {
+  Rng rng(7);
+  RsnDocument doc = benchgen::generate_bastion(
+      benchgen::bastion_profile("TreeFlat"), 0.05, rng);
+  Rsn& base = doc.network;
+  const std::string text = rsn_text(base);
+  ASSERT_FALSE(base.muxes().empty());
+  ASSERT_GE(base.registers().size(), 2u);
+  const ElemId mux = base.muxes().front();
+  const ElemId a = base.registers().front();
+  const ElemId b = base.registers().back();
+
+  Rsn trial = base;
+  // The second round edits a copy whose capacities are already warm.
+  for (int round = 0; round < 2; ++round) {
+    ElemId m = trial.add_mux("trial_mux", 2);
+    trial.connect(a, m, 0);
+    trial.connect(b, m, 1);
+    trial.disconnect(a, 0);
+    trial.connect(trial.scan_in(), a, 0);
+    trial.add_mux_input(mux, a);
+    trial.remove_mux_input(mux, 0);
+    // A register driving scan-out makes attach_to_scan_out insert a
+    // collector mux.
+    trial.connect(b, trial.scan_out(), 0);
+    ASSERT_NE(trial.attach_to_scan_out(a), no_elem);
+
+    trial.restore(base);
+    EXPECT_EQ(rsn_text(trial), text) << "round " << round;
+    EXPECT_EQ(trial.muxes(), base.muxes());
+    EXPECT_EQ(trial.num_elements(), base.num_elements());
+    for (ElemId x : base.muxes())
+      EXPECT_EQ(trial.mux_select(x), base.mux_select(x));
+  }
+
+  // The auto-mux counter is restored too: the next collector mux gets the
+  // same name on the rolled-back copy as on the base.
+  std::string names[2];
+  Rsn* nets[2] = {&trial, &base};
+  for (int i = 0; i < 2; ++i) {
+    nets[i]->connect(b, nets[i]->scan_out(), 0);
+    ElemId m = nets[i]->attach_to_scan_out(a);
+    ASSERT_NE(m, no_elem);
+    names[i] = nets[i]->elem(m).name;
+  }
+  EXPECT_EQ(names[0], names[1]);
+}
+
+/// Connects `a` into a new input of `b` the way the repairs do: a new
+/// port on a mux, else a fresh 2:1 mux in front of `b`'s only port.
+void connect_into_new_input(Rsn& net, ElemId a, ElemId b) {
+  if (net.elem(b).kind == ElemKind::Mux) {
+    net.add_mux_input(b, a);
+    return;
+  }
+  ElemId old_driver = net.elem(b).inputs[0];
+  ElemId m = net.add_mux("probe_mux", 2);
+  if (old_driver != no_elem) net.connect(old_driver, m, 0);
+  net.connect(a, m, 1);
+  net.connect(m, b, 0);
+}
+
+TEST(Rsn, ReachesPredictsCycleOnEveryFamily) {
+  // Adding a -> b to an acyclic network closes a cycle exactly when
+  // a == b or b already reaches a.
+  std::size_t closing = 0, open = 0;
+  for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles()) {
+    Rng rng(p.registers * 31 + 5);
+    RsnDocument doc = benchgen::generate_bastion(p, 0.05, rng);
+    const Rsn& net = doc.network;
+    ASSERT_TRUE(net.is_acyclic()) << p.name;
+    const auto n = static_cast<std::uint32_t>(net.num_elements());
+    for (int i = 0; i < 200; ++i) {
+      ElemId b = rng.below(n);
+      if (b == net.scan_in()) continue;  // has no input to add
+      ElemId a = rng.below(n);
+      // Every other pair takes `a` downstream of `b`, a cycle-closing
+      // pair.
+      if (i % 2 == 0) {
+        std::vector<ElemId> down = net.reachable_from(b);
+        if (!down.empty())
+          a = down[rng.below(static_cast<std::uint32_t>(down.size()))];
+      }
+      const bool predicted = a == b || net.reaches(b, a);
+      Rsn trial = net;
+      connect_into_new_input(trial, a, b);
+      EXPECT_EQ(predicted, !trial.is_acyclic())
+          << p.name << ": " << net.elem(a).name << " -> "
+          << net.elem(b).name;
+      ++(predicted ? closing : open);
+    }
+  }
+  EXPECT_GT(closing, 0u);
+  EXPECT_GT(open, 0u);
 }
 
 }  // namespace

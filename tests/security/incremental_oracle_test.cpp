@@ -1,13 +1,16 @@
 // Oracle equivalence of the incremental resolution engine: for every
 // BASTION benchmark family (plus one MBIST configuration) and both main
 // resolution policies, running detect-and-resolve with
-//   - the from-scratch oracle loops (tests/oracle/resolve_oracle),
+//   - the from-scratch oracle loops (tests/oracle/resolve_oracle), which
+//     repair with the probe-based oracle cut (tests/oracle/rewire_oracle)
+//     on a fresh network copy per trial,
 //   - the incremental engine at 1 thread,
 //   - the incremental engine at 8 threads
 // must produce bit-identical applied-change logs, statistics and final
 // networks. This is the acceptance contract of the delta engine: any
 // divergence in dirty-set computation, affected-set closure, boundary
-// merges or parallel candidate selection shows up here as a diff.
+// merges, parallel candidate selection, the per-chunk working copy and
+// its rollback, or the repairs' cycle check shows up here as a diff.
 
 #include <gtest/gtest.h>
 

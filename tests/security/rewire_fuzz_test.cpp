@@ -1,17 +1,50 @@
 // Randomized robustness tests of the rewiring machinery: on generated
-// networks of every family, cutting any connection (with either
-// reconnection policy) and isolating any register must always leave a
-// valid, cycle-free network that contains every register — the paper's
-// structural invariants (Sec. III-D).
+// networks of every BASTION family and one MBIST configuration, cutting
+// any connection (with either reconnection policy, or a hint that would
+// close a cycle) and isolating any register must always leave a valid,
+// cycle-free network that contains every register — the paper's
+// structural invariants (Sec. III-D). Every cut and isolation must also
+// match the probe-based oracle repair (tests/oracle/rewire_oracle)
+// element for element.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "benchgen/families.hpp"
+#include "oracle/rewire_oracle.hpp"
 #include "rsn/access.hpp"
+#include "rsn/io.hpp"
 #include "security/rewire.hpp"
 
 namespace rsnsec::security {
 namespace {
+
+/// The sweep's network: a BASTION family at scale 0.05, or MBIST_2_4_4.
+rsn::RsnDocument generate(const std::string& bench, Rng& rng) {
+  if (bench == "MBIST_2_4_4") return benchgen::generate_mbist(2, 4, 4, 0.05);
+  return benchgen::generate_bastion(benchgen::bastion_profile(bench), 0.05,
+                                    rng);
+}
+
+std::string rsn_text(const rsn::Rsn& net) {
+  std::ostringstream os;
+  rsn::write_rsn(os, net);
+  return os.str();
+}
+
+/// `got` (`got_ops` operations) must equal the oracle's repair `ref`: same
+/// .rsn text, same element count and names, same operation count.
+void expect_same_as_oracle(const rsn::Rsn& got, int got_ops,
+                           const rsn::Rsn& ref, int ref_ops,
+                           const std::string& what) {
+  EXPECT_EQ(got_ops, ref_ops) << what;
+  ASSERT_EQ(got.num_elements(), ref.num_elements()) << what;
+  for (rsn::ElemId id = 0; id < got.num_elements(); ++id)
+    ASSERT_EQ(got.elem(id).name, ref.elem(id).name) << what;
+  EXPECT_EQ(rsn_text(got), rsn_text(ref)) << what;
+}
 
 class RewireFuzz
     : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
@@ -19,25 +52,42 @@ class RewireFuzz
 TEST_P(RewireFuzz, AnySingleCutKeepsInvariants) {
   auto [bench, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 37 + 11);
-  benchgen::BenchmarkProfile p = benchgen::bastion_profile(bench);
-  rsn::RsnDocument doc = benchgen::generate_bastion(p, 0.05, rng);
+  rsn::RsnDocument doc = generate(bench, rng);
   const rsn::Rsn& base = doc.network;
   std::size_t n_regs = base.registers().size();
 
   for (const Connection& c : Rewirer::all_connections(base)) {
-    // Cutting a connection from the scan-in port may legitimately repair
-    // back to scan-in (it is the reconnection fallback), and scan-in
-    // carries no tokens anyway — the resolver never selects such cuts.
-    if (c.from == base.scan_in()) continue;
-    for (rsn::ElemId hint : {rsn::no_elem, base.scan_in()}) {
+    // The resolver's two hints, plus one downstream of the cut: that
+    // driver would close a cycle, so the repair must reject it and fall
+    // back to its default choice.
+    std::vector<rsn::ElemId> hints{rsn::no_elem, base.scan_in()};
+    for (rsn::ElemId d : base.reachable_from(c.to)) {
+      if (d != base.scan_out()) {
+        hints.push_back(d);
+        break;
+      }
+    }
+    for (rsn::ElemId hint : hints) {
+      const std::string what = "cut " + base.elem(c.from).name + " -> " +
+                               base.elem(c.to).name + " hint " +
+                               std::to_string(hint);
       rsn::Rsn net = base;
+      int ops = Rewirer::cut_connection(net, c, hint);
+      rsn::Rsn ref = base;
+      int ref_ops = oracle::cut_connection(ref, c, hint);
+      expect_same_as_oracle(net, ops, ref, ref_ops, what);
+
+      // Cutting a connection from the scan-in port may legitimately
+      // repair back to scan-in (it is the reconnection fallback), and
+      // scan-in carries no tokens anyway — the resolver never selects
+      // such cuts.
+      if (c.from == base.scan_in()) continue;
       auto direct_connections = [&](const rsn::Rsn& n) {
         std::size_t count = 0;
         for (rsn::ElemId in : n.elem(c.to).inputs) count += (in == c.from);
         return count;
       };
-      std::size_t before = direct_connections(net);
-      Rewirer::cut_connection(net, c, hint);
+      std::size_t before = direct_connections(base);
       std::string err;
       ASSERT_TRUE(net.validate(&err))
           << err << " after cutting " << net.elem(c.from).name << " -> "
@@ -54,22 +104,23 @@ TEST_P(RewireFuzz, AnySingleCutKeepsInvariants) {
 TEST_P(RewireFuzz, AnyIsolationKeepsInvariants) {
   auto [bench, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 91 + 3);
-  benchgen::BenchmarkProfile p = benchgen::bastion_profile(bench);
-  rsn::RsnDocument doc = benchgen::generate_bastion(p, 0.05, rng);
+  rsn::RsnDocument doc = generate(bench, rng);
   const rsn::Rsn& base = doc.network;
 
   for (rsn::ElemId r : base.registers()) {
     rsn::Rsn net = base;
-    Rewirer::isolate_register_output(net, r);
+    int ops = Rewirer::isolate_register_output(net, r);
+    rsn::Rsn ref = base;
+    int ref_ops = oracle::isolate_register_output(ref, r);
+    expect_same_as_oracle(net, ops, ref, ref_ops,
+                          "isolate " + base.elem(r).name);
     std::string err;
     ASSERT_TRUE(net.validate(&err))
         << err << " after isolating " << net.elem(r).name;
     // The isolated register reaches no other register anymore.
-    for (rsn::ElemId other : net.registers()) {
-      if (other != r)
-        EXPECT_FALSE(net.reaches(r, other))
-            << net.elem(r).name << " still reaches "
-            << net.elem(other).name;
+    for (rsn::ElemId other : net.reachable_from(r)) {
+      EXPECT_NE(net.elem(other).kind, rsn::ElemKind::Register)
+          << net.elem(r).name << " still reaches " << net.elem(other).name;
     }
     // But it is still accessible for test/debug.
     rsn::AccessPlanner planner(net);
@@ -80,8 +131,7 @@ TEST_P(RewireFuzz, AnyIsolationKeepsInvariants) {
 TEST_P(RewireFuzz, RandomCutSequencesConverge) {
   auto [bench, seed] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 13 + 7);
-  benchgen::BenchmarkProfile p = benchgen::bastion_profile(bench);
-  rsn::RsnDocument doc = benchgen::generate_bastion(p, 0.05, rng);
+  rsn::RsnDocument doc = generate(bench, rng);
   rsn::Rsn net = doc.network;
   std::size_t n_regs = net.registers().size();
 
@@ -94,8 +144,13 @@ TEST_P(RewireFuzz, RandomCutSequencesConverge) {
     if (interesting.empty()) break;
     Connection c = interesting[rng.below(
         static_cast<std::uint32_t>(interesting.size()))];
-    Rewirer::cut_connection(net, c,
-                            rng.chance(0.5) ? net.scan_in() : rsn::no_elem);
+    rsn::ElemId hint = rng.chance(0.5) ? net.scan_in() : rsn::no_elem;
+    // Later steps cut networks that earlier repairs already rewired.
+    rsn::Rsn ref = net;
+    int ref_ops = oracle::cut_connection(ref, c, hint);
+    int ops = Rewirer::cut_connection(net, c, hint);
+    expect_same_as_oracle(net, ops, ref, ref_ops,
+                          "step " + std::to_string(step));
     std::string err;
     ASSERT_TRUE(net.validate(&err)) << err << " at step " << step;
     ASSERT_EQ(net.registers().size(), n_regs);
@@ -106,9 +161,12 @@ TEST_P(RewireFuzz, RandomCutSequencesConverge) {
 
 INSTANTIATE_TEST_SUITE_P(
     Networks, RewireFuzz,
-    ::testing::Combine(::testing::Values("BasicSCB", "TreeFlatEx",
-                                         "p34392", "TreeUnbalanced"),
-                       ::testing::Range(0, 3)));
+    ::testing::Combine(
+        ::testing::Values("BasicSCB", "TreeFlatEx", "p34392",
+                          "TreeUnbalanced", "Mingle", "TreeFlat",
+                          "TreeBalanced", "q12710", "t512505", "p22810",
+                          "a586710", "p93791", "FlexScan", "MBIST_2_4_4"),
+        ::testing::Range(0, 3)));
 
 }  // namespace
 }  // namespace rsnsec::security
