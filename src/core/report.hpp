@@ -64,10 +64,11 @@ void print_table_summary(std::ostream& os, const std::vector<BenchRow>& rows);
 /// record: phase timings, statistics, and the full change log).
 void write_json(std::ostream& os, const PipelineResult& result);
 
-/// Deterministic summary of one `analyze` run: counts and modes only, no
-/// timings. Shared by the CLI's `analyze --json` output and the serve
-/// daemon's analyze replies — one emitter is what makes a request through
-/// the daemon byte-identical to a one-shot CLI run of the same design.
+/// Deterministic summary of one `analyze` run (core/analyze): counts and
+/// modes only, no timings. Shared by the CLI's `analyze --json` output and
+/// the serve daemon's analyze replies — one analyze body and one emitter
+/// make a request through the daemon byte-identical to a one-shot CLI run
+/// of the same design.
 struct AnalyzeReport {
   bool insecure_logic = false;
   bool intra_segment = false;

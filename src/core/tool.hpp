@@ -40,7 +40,8 @@ struct PipelineOptions {
   /// the final network. A violated invariant (cycle introduced, register
   /// lost or inaccessible) throws std::logic_error with the rendered
   /// diagnostics instead of silently corrupting the model. Costs one
-  /// access-planning sweep per change.
+  /// cycle check and one linear accessibility sweep (Rsn::scan_access)
+  /// per change.
   bool verify_invariants = false;
   /// Defense-in-depth: after a successful transformation, re-verify the
   /// final network with the independent SAT-free certifier (src/flow,

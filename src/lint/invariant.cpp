@@ -4,8 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "rsn/access.hpp"
-
 namespace rsnsec::lint {
 
 InvariantChecker::InvariantChecker(const rsn::Rsn& before) {
@@ -38,9 +36,9 @@ std::vector<Diagnostic> InvariantChecker::check(const rsn::Rsn& after) const {
           "scan register present before the transformation is gone");
   }
 
-  rsn::AccessPlanner planner(after);
+  const rsn::ScanAccess access = after.scan_access();
   for (rsn::ElemId r : after.registers()) {
-    if (!planner.plan(r))
+    if (!access.accessible(r))
       add("INV003", "register '" + after.elem(r).name + "'",
           "transformation left the register without any complete scan "
           "path (inaccessible)");

@@ -1,13 +1,12 @@
 // RSN structural passes (RSN001-RSN005). The reachability/accessibility
-// passes skip cyclic networks: the acyclicity pass reports the cycle as
-// the root cause, and path planning over a cyclic graph would only add
-// derived noise.
+// pass skips cyclic networks: the acyclicity pass reports the cycle as the
+// root cause, and reachability over a cyclic graph would only add derived
+// noise.
 
 #include <string>
 #include <vector>
 
 #include "lint/passes.hpp"
-#include "rsn/access.hpp"
 
 namespace rsnsec::lint {
 
@@ -127,15 +126,15 @@ class ConnectivityPass final : public RsnPass {
   }
 };
 
-/// RSN003 + RSN004: every scan register must lie on some scan-in ->
-/// scan-out trajectory (RSN003), and the access planner must find a mux
-/// configuration that puts it on a complete active path (RSN004). The
-/// paper's transformation guarantees both for every register it keeps.
+/// RSN003 + RSN004: every scan register must be reachable from scan-in
+/// (RSN003), and some mux configuration must put it on a complete active
+/// path, i.e. it must also reach scan-out (RSN004). The paper's
+/// transformation guarantees both for every register it keeps.
 class ReachabilityPass final : public RsnPass {
  public:
   const char* name() const override { return "rsn-reachability"; }
   const char* description() const override {
-    return "registers reachable from scan-in and accessible via planning";
+    return "registers reachable from scan-in and reaching scan-out";
   }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
@@ -147,17 +146,15 @@ class ReachabilityPass final : public RsnPass {
       }
     }
     if (!net.is_acyclic()) return;  // RSN001 reports the root cause
-    std::vector<bool> fwd(net.num_elements(), false);
-    for (ElemId id : net.reachable_from(net.scan_in())) fwd[id] = true;
-    rsn::AccessPlanner planner(net);
+    const rsn::ScanAccess access = net.scan_access();
     for (ElemId r : net.registers()) {
-      if (!fwd[r]) {
+      if (!access.from_scan_in[r]) {
         sink.add("RSN003", Severity::Error, in.network_source,
                  elem_label(net, r), "register is unreachable from scan-in",
                  "connect its segment into the network");
-        continue;  // planning needs the scan-in side; RSN004 would repeat
+        continue;  // RSN004 would repeat the finding
       }
-      if (!planner.plan(r)) {
+      if (!access.to_scan_out[r]) {
         sink.add("RSN004", Severity::Error, in.network_source,
                  elem_label(net, r),
                  "no mux configuration puts the register on a complete "
@@ -179,8 +176,12 @@ class DeadMuxPass final : public RsnPass {
   }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
+    std::vector<bool> drives(net.num_elements(), false);
+    for (ElemId id = 0; id < net.num_elements(); ++id)
+      for (ElemId drv : net.elem(id).inputs)
+        if (valid_elem(net, drv)) drives[drv] = true;
     for (ElemId m : net.muxes()) {
-      if (net.fanouts(m).empty()) {
+      if (!drives[m]) {
         sink.add("RSN005", Severity::Warning, in.network_source,
                  elem_label(net, m), "mux output drives nothing (dead mux)",
                  "remove the mux or route it toward scan-out");

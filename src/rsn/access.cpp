@@ -86,9 +86,9 @@ void AccessPlanner::apply(const AccessPlan& plan, Rsn& network) {
 }
 
 bool AccessPlanner::all_registers_accessible() const {
-  return std::all_of(
-      net_.registers().begin(), net_.registers().end(),
-      [this](ElemId r) { return plan(r).has_value(); });
+  const ScanAccess access = net_.scan_access();
+  return std::all_of(net_.registers().begin(), net_.registers().end(),
+                     [&access](ElemId r) { return access.accessible(r); });
 }
 
 }  // namespace rsnsec::rsn

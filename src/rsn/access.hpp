@@ -64,9 +64,10 @@ class FanoutIndex {
 /// core of tools like eda1687 [20], reduced to path planning).
 ///
 /// The paper's method guarantees that the transformed, secure network
-/// still contains every scan register; the planner makes that guarantee
-/// checkable: plan_access() must succeed for every register before *and*
-/// after the transformation.
+/// still contains every scan register, each one accessible. Checking that
+/// guarantee needs no plans: Rsn::scan_access answers it for all
+/// registers in one linear sweep. plan() is for callers that need the
+/// concrete mux configuration and shift offsets of one register.
 class AccessPlanner {
  public:
   explicit AccessPlanner(const Rsn& network) : net_(network) {}
@@ -80,7 +81,8 @@ class AccessPlanner {
   /// same topology this planner was built over).
   static void apply(const AccessPlan& plan, Rsn& network);
 
-  /// True if every register of the network is accessible.
+  /// True if every register of the network is accessible
+  /// (Rsn::scan_access).
   bool all_registers_accessible() const;
 
  private:

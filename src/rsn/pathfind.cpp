@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "rsn/access.hpp"
+
 namespace rsnsec::rsn {
 
 std::size_t PathPlan::position_of(ElemId reg, std::size_t ff) const {
@@ -14,19 +16,7 @@ std::optional<PathPlan> find_path_through(
     const Rsn& network, const std::vector<ElemId>& waypoints) {
   const std::size_t n = network.num_elements();
   const std::size_t phases = waypoints.size() + 1;
-
-  // Forward adjacency from the per-element input lists: succ[from] holds
-  // (consumer, input port) pairs.
-  std::vector<std::vector<std::pair<ElemId, std::size_t>>> succ(n);
-  for (std::size_t to = 0; to < n; ++to) {
-    const Element& e = network.elem(static_cast<ElemId>(to));
-    for (std::size_t port = 0; port < e.inputs.size(); ++port) {
-      ElemId from = e.inputs[port];
-      if (from != no_elem)
-        succ[static_cast<std::size_t>(from)].push_back(
-            {static_cast<ElemId>(to), port});
-    }
-  }
+  const FanoutIndex succ(network);  // (consumer, input port) pairs
 
   std::vector<int> wp_of(n, -1);
   for (std::size_t i = 0; i < waypoints.size(); ++i)
@@ -58,7 +48,7 @@ std::optional<PathPlan> find_path_through(
       if (wp == waypoints.size()) found = state(cur, wp);
       continue;
     }
-    for (auto [to, port] : succ[static_cast<std::size_t>(cur)]) {
+    for (auto [to, port] : succ.of(cur)) {
       std::size_t nwp = wp;
       int w = wp_of[static_cast<std::size_t>(to)];
       if (w >= 0) {

@@ -194,16 +194,11 @@ bool Rsn::validate(std::string* error) const {
   // Every register must be reachable from scan-in and must reach scan-out
   // under some configuration (the paper's method keeps every scan register
   // in the final secure network).
-  std::vector<ElemId> fwd = reachable_from(scan_in_);
-  std::vector<bool> fwd_set(elems_.size(), false);
-  for (ElemId id : fwd) fwd_set[id] = true;
-  std::vector<ElemId> bwd = reaching(scan_out_);
-  std::vector<bool> bwd_set(elems_.size(), false);
-  for (ElemId id : bwd) bwd_set[id] = true;
+  const ScanAccess access = scan_access();
   for (ElemId r : registers_) {
-    if (!fwd_set[r])
+    if (!access.from_scan_in[r])
       return fail("register '" + elem(r).name + "' unreachable from scan-in");
-    if (!bwd_set[r])
+    if (!access.to_scan_out[r])
       return fail("register '" + elem(r).name + "' cannot reach scan-out");
   }
   return true;
@@ -276,6 +271,17 @@ std::vector<ElemId> Rsn::reaching(ElemId to) const {
     }
   }
   return out;
+}
+
+ScanAccess Rsn::scan_access() const {
+  ScanAccess access;
+  access.from_scan_in.assign(elems_.size(), false);
+  access.to_scan_out.assign(elems_.size(), false);
+  access.from_scan_in[scan_in_] = true;
+  for (ElemId id : reachable_from(scan_in_)) access.from_scan_in[id] = true;
+  access.to_scan_out[scan_out_] = true;
+  for (ElemId id : reaching(scan_out_)) access.to_scan_out[id] = true;
+  return access;
 }
 
 bool Rsn::reaches(ElemId from, ElemId to) const {

@@ -43,6 +43,18 @@ struct Element {
   netlist::ModuleId module = netlist::no_module;
 };
 
+/// Any-configuration scan access of every element (Rsn::scan_access),
+/// indexed by ElemId.
+struct ScanAccess {
+  std::vector<bool> from_scan_in;  ///< scan-in reaches the element
+  std::vector<bool> to_scan_out;   ///< the element reaches scan-out
+
+  /// Some mux configuration puts `id` on a complete scan path.
+  bool accessible(ElemId id) const {
+    return from_scan_in[id] && to_scan_out[id];
+  }
+};
+
 /// Reconfigurable scan network (IEEE Std 1687 style): a directed acyclic
 /// graph of scan registers and scan multiplexers between a scan-in and a
 /// scan-out port. Supports the structural edits (cut, reconnect, mux
@@ -155,6 +167,13 @@ class Rsn {
 
   /// All elements that reach `to` (excluding `to` itself).
   std::vector<ElemId> reaching(ElemId to) const;
+
+  /// Scan access of every element from one forward sweep out of scan-in
+  /// and one backward sweep out of scan-out: O(elements + connections) for
+  /// the whole network. A register is accessible exactly when
+  /// AccessPlanner::plan finds a plan for it, cyclic networks included:
+  /// the plan joins a chain from scan-in with a chain to scan-out.
+  ScanAccess scan_access() const;
 
   /// Rolls this network back to `base`. Contract: `*this` was copied from
   /// `base` and has since changed only through structural edits

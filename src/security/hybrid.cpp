@@ -1,12 +1,9 @@
 #include "security/hybrid.hpp"
 
-#include <cassert>
-#include <memory>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
 #include "security/violation_index.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 
@@ -162,20 +159,22 @@ std::vector<TokenSet> HybridAnalyzer::run_worklist(
   return state;
 }
 
+std::vector<std::vector<std::size_t>> HybridAnalyzer::rsn_successors(
+    const Rsn& network, const std::vector<RsnEdge>& edges) const {
+  std::vector<std::vector<std::size_t>> succ(owner_module_.size());
+  for (const RsnEdge& e : edges)
+    succ[scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1)]
+        .push_back(scan_node(e.to_reg, 0));
+  return succ;
+}
+
 std::vector<TokenSet> HybridAnalyzer::propagate(const Rsn* network,
                                                 bool circuit_only) const {
   if (obs::TraceSession* trace = obs::TraceSession::active())
     trace->counter("hybrid.propagations").add(1);
   std::vector<std::vector<std::size_t>> extra;
-  if (network != nullptr && !circuit_only) {
-    extra.assign(owner_module_.size(), {});
-    for (const RsnEdge& e : build_rsn_edges(*network)) {
-      std::size_t from =
-          scan_node(e.from_reg, network->elem(e.from_reg).ffs.size() - 1);
-      std::size_t to = scan_node(e.to_reg, 0);
-      extra[from].push_back(to);
-    }
-  }
+  if (network != nullptr && !circuit_only)
+    extra = rsn_successors(*network, build_rsn_edges(*network));
   return run_worklist(extra, circuit_only);
 }
 
@@ -219,14 +218,11 @@ StaticReport HybridAnalyzer::check_static() const {
   return report;
 }
 
-std::size_t HybridAnalyzer::count_violating_pairs(const Rsn& network) const {
-  return violating_pairs(propagate(&network));
-}
-
-std::size_t HybridAnalyzer::count_violating_registers(
+HybridAnalyzer::ViolationCounts HybridAnalyzer::count_violations(
     const Rsn& network) const {
   std::vector<TokenSet> state = propagate(&network);
-  std::size_t count = 0;
+  ViolationCounts counts;
+  counts.pairs = violating_pairs(state);
   for (ElemId r : network.registers()) {
     const rsn::Element& e = network.elem(r);
     if (e.module < 0) continue;
@@ -234,54 +230,66 @@ std::size_t HybridAnalyzer::count_violating_registers(
     const TokenSet& bad = tokens_.bad(t);
     for (std::size_t f = 0; f < e.ffs.size(); ++f) {
       if (state[scan_node(r, f)].intersects(bad)) {
-        ++count;
+        ++counts.registers;
         break;
       }
     }
   }
-  return count;
+  return counts;
+}
+
+std::size_t HybridAnalyzer::count_violating_pairs(const Rsn& network) const {
+  return count_violations(network).pairs;
+}
+
+std::size_t HybridAnalyzer::count_violating_registers(
+    const Rsn& network) const {
+  return count_violations(network).registers;
 }
 
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
     const Rsn& network) const {
   std::vector<RsnEdge> rsn_edges = build_rsn_edges(network);
+  return trace_violation(
+      network, rsn_edges,
+      run_worklist(rsn_successors(network, rsn_edges), false));
+}
 
-  // Forward adjacency with provenance (-1 = static/circuit edge, else
-  // index into rsn_edges), for path tracing.
+std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
+    const Rsn& network, const std::vector<RsnEdge>& rsn_edges,
+    const std::vector<TokenSet>& state) const {
+  // Predecessors with provenance (-1 = static/circuit edge, else index
+  // into rsn_edges), for path tracing.
   struct Pred {
     std::size_t node;
     int rsn_edge;
   };
-  std::vector<std::vector<Pred>> preds(owner_module_.size());
-  for (std::size_t n = 0; n < owner_module_.size(); ++n) {
+  const std::size_t nodes = owner_module_.size();
+  std::vector<std::vector<Pred>> preds(nodes);
+  for (std::size_t n = 0; n < nodes; ++n) {
     for (std::size_t s : static_succ_[n]) preds[s].push_back({n, -1});
     for (std::size_t s : circuit_succ_[n]) preds[s].push_back({n, -1});
   }
-  std::vector<std::vector<std::size_t>> extra(owner_module_.size());
   for (std::size_t ei = 0; ei < rsn_edges.size(); ++ei) {
     const RsnEdge& e = rsn_edges[ei];
     std::size_t from =
         scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1);
-    std::size_t to = scan_node(e.to_reg, 0);
-    extra[from].push_back(to);
-    preds[to].push_back({from, static_cast<int>(ei)});
+    preds[scan_node(e.to_reg, 0)].push_back({from, static_cast<int>(ei)});
   }
 
-  std::vector<TokenSet> state = run_worklist(extra, false);
-  for (std::size_t victim = 0; victim < state.size(); ++victim) {
+  for (std::size_t victim = 0; victim < nodes; ++victim) {
     if (owner_module_[victim] < 0) continue;
     TrustCategory t = spec_.policy(owner_module_[victim]).trust;
     int tok = state[victim].first_common(tokens_.bad(t));
     if (tok < 0) continue;
 
     // Backward BFS to a seed of the token, over predecessors carrying it.
-    std::vector<int> parent_edge(owner_module_.size(), -2);
-    std::vector<std::size_t> parent(owner_module_.size(), 0);
-    std::vector<bool> seen(owner_module_.size(), false);
+    std::vector<int> parent_edge(nodes, -2);
+    std::vector<std::size_t> parent(nodes, 0);
+    std::vector<bool> seen(nodes, false);
     std::vector<std::size_t> queue{victim};
     seen[victim] = true;
-    std::size_t seed = owner_module_.size();
-    bool victim_is_seed = false;
+    std::size_t seed = nodes;
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       std::size_t cur = queue[qi];
       if (seed_token_[cur] == tok && cur != victim) {
@@ -297,12 +305,10 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
         queue.push_back(p.node);
       }
     }
-    if (seed == owner_module_.size() && !victim_is_seed) {
-      // The token can only have been seeded upstream; if no seed was
-      // found the victim itself must carry it (cannot happen after spec
-      // validation, but keep the analysis robust).
-      continue;
-    }
+    // The token can only have been seeded upstream; if no seed was found
+    // the victim itself must carry it (cannot happen after spec
+    // validation, but keep the analysis robust).
+    if (seed == nodes) continue;
 
     Violation v;
     v.token = tok;
@@ -325,100 +331,33 @@ HybridStats HybridAnalyzer::detect_and_resolve(
     Rsn& network, std::vector<AppliedChange>* log,
     ResolutionPolicy policy, const ChangeCallback& on_change,
     const ResolveOptions& resolve_options) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span resolve_span(trace, "hybrid.resolve");
-  HybridStats stats;
-
-  HybridViolationIndex index(*this, network);
-  // ResolveOptions::pool (shared, serve scheduler) wins over a private
-  // per-resolve pool sized by num_threads.
-  ThreadPool* pool = resolve_options.pool;
-  std::optional<ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    owned_pool.emplace(
-        ThreadPool::resolve_num_threads(resolve_options.num_threads));
-    pool = &*owned_pool;
-  }
-  stats.initial_violating_registers = index.violating_registers();
-  stats.initial_violating_pairs = index.pairs();
-  // Applying a cut re-runs the deterministic cut_connection on the real
-  // network, so the selected trial's residual count IS the new current
-  // count; only the fallback isolation needs a recount.
-  std::size_t cur_pairs = stats.initial_violating_pairs;
-
-  std::size_t max_iters = 8 * network.registers().size() + 64;
-  std::size_t iter = 0;
-  for (;;) {
-    std::optional<Violation> v = index.find_violation();
-    if (!v) break;
-    if (++iter > max_iters)
-      throw std::runtime_error(
-          "hybrid resolution did not converge (iteration cap exceeded)");
-    if (trace != nullptr)
-      trace->counter("resolve.hybrid_iterations").add(1);
-    if (v->rsn_connections.empty())
-      throw std::runtime_error(
-          "hybrid violation without RSN connection on its path; "
-          "run check_static() before resolution");
-
-    // Each cut is evaluated with both reconnection variants ([17]-style
-    // candidate generation); the policy decides how exhaustively.
-    Rewirer::Selection sel = Rewirer::select_cut_parallel(
-        network, v->rsn_connections,
-        [&index]() -> Rewirer::TrialCounter {
-          auto scratch = std::make_shared<HybridViolationIndex::Scratch>();
-          return [&index, scratch](const Rsn& n) {
-            return index.eval_trial(n, *scratch);
-          };
-        },
-        cur_pairs, policy, *pool);
-
-    AppliedChange change;
-    if (sel.found) {
-      change.kind = AppliedChange::Kind::CutConnection;
-      change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
-      change.note = "hybrid: cut " + network.elem(sel.cut.from).name +
-                    " -> " + network.elem(sel.cut.to).name;
-      cur_pairs = sel.residual_pairs;
-      index.commit(network);
-    } else {
-      // Isolate the source register of the last RSN hop on the path.
-      ElemId iso = v->rsn_connections.front().from;
-      // rsn_connections were collected walking seed -> victim, so the
-      // last chain's first element is the register driving the final
-      // inter-segment hop; fall back to any register endpoint.
-      for (auto it = v->rsn_connections.rbegin();
-           it != v->rsn_connections.rend(); ++it) {
-        if (network.elem(it->from).kind == ElemKind::Register) {
-          iso = it->from;
-          break;
+  return resolve_with_index<HybridStats, HybridViolationIndex>(
+      "hybrid", *this, network, log, policy, on_change, resolve_options,
+      [](const Violation& v) {
+        if (v.rsn_connections.empty())
+          throw std::runtime_error(
+              "hybrid violation without RSN connection on its path; "
+              "run check_static() before resolution");
+        return v.rsn_connections;
+      },
+      [&network](const Violation& v) {
+        // Isolate the source register of the last RSN hop on the path:
+        // rsn_connections were collected walking seed -> victim, so the
+        // last chain's first element is the register driving the final
+        // inter-segment hop; fall back to any register endpoint.
+        ElemId iso = v.rsn_connections.front().from;
+        for (auto it = v.rsn_connections.rbegin();
+             it != v.rsn_connections.rend(); ++it) {
+          if (network.elem(it->from).kind == ElemKind::Register) {
+            iso = it->from;
+            break;
+          }
         }
-      }
-      if (network.elem(iso).kind != ElemKind::Register) {
-        throw std::runtime_error(
-            "hybrid resolution fallback found no register to isolate");
-      }
-      change.kind = AppliedChange::Kind::IsolateRegister;
-      change.isolated = iso;
-      change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
-      change.note = "hybrid: isolate " + network.elem(iso).name;
-      ++stats.fallback_isolations;
-      index.commit(network);
-      cur_pairs = index.pairs();
-    }
-    ++stats.applied_changes;
-    stats.rewire_operations += change.rewire_operations;
-    if (trace != nullptr) {
-      trace->counter("rewire.changes_applied").add(1);
-      trace->counter("rewire.operations").add(change.rewire_operations);
-    }
-    if (on_change) on_change(network, change);
-    if (log) log->push_back(std::move(change));
-  }
-  return stats;
+        if (network.elem(iso).kind != ElemKind::Register)
+          throw std::runtime_error(
+              "hybrid resolution fallback found no register to isolate");
+        return iso;
+      });
 }
 
 }  // namespace rsnsec::security

@@ -89,10 +89,17 @@ class HybridAnalyzer {
   /// before detect_and_resolve is meaningful.
   StaticReport check_static() const;
 
-  /// Number of (node, token) violating pairs under the given propagation.
+  /// Both violation counts of `network`, from one propagation.
+  struct ViolationCounts {
+    std::size_t pairs = 0;      ///< (node, token) violating pairs
+    std::size_t registers = 0;  ///< registers with a violating scan FF
+  };
+  ViolationCounts count_violations(const rsn::Rsn& network) const;
+
+  /// count_violations(network).pairs.
   std::size_t count_violating_pairs(const rsn::Rsn& network) const;
 
-  /// Registers with at least one violating scan flip-flop.
+  /// count_violations(network).registers (Table I, column 5).
   std::size_t count_violating_registers(const rsn::Rsn& network) const;
 
   /// A violation over a hybrid (or pure) path in the combined graph.
@@ -188,6 +195,18 @@ class HybridAnalyzer {
     }
   }
   std::vector<RsnEdge> build_rsn_edges(const rsn::Rsn& network) const;
+  /// Node successor lists of `edges`: the last scan FF of each edge's
+  /// source register feeds the first scan FF of its target.
+  std::vector<std::vector<std::size_t>> rsn_successors(
+      const rsn::Rsn& network, const std::vector<RsnEdge>& edges) const;
+  /// The first violation of the fixpoint `state`, propagated over
+  /// `rsn_edges` of `network`, with its witnessing path: a backward BFS
+  /// from the victim over predecessors that carry the token, to a seed of
+  /// it. Shared by find_violation and the violation index, so both return
+  /// the same Violation for the same state.
+  std::optional<Violation> trace_violation(
+      const rsn::Rsn& network, const std::vector<RsnEdge>& rsn_edges,
+      const std::vector<TokenSet>& state) const;
 
   void build_nodes(const rsn::Rsn& layout);
   void build_static_edges(const rsn::Rsn& layout);

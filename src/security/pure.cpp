@@ -1,13 +1,8 @@
 #include "security/pure.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
-#include <stdexcept>
 
-#include "obs/trace.hpp"
 #include "security/violation_index.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 
@@ -104,7 +99,11 @@ std::size_t PureScanAnalyzer::count_violating_pairs(
 
 std::optional<PureViolation> PureScanAnalyzer::find_violation(
     const Rsn& network) const {
-  std::vector<TokenSet> out = propagate(network);
+  return trace_violation(network, propagate(network));
+}
+
+std::optional<PureViolation> PureScanAnalyzer::trace_violation(
+    const Rsn& network, const std::vector<TokenSet>& out) const {
   for (ElemId reg : network.registers()) {
     TokenSet incoming;
     for (ElemId in : network.elem(reg).inputs)
@@ -153,96 +152,30 @@ PureStats PureScanAnalyzer::detect_and_resolve(
     Rsn& network, std::vector<AppliedChange>* log,
     ResolutionPolicy policy, const ChangeCallback& on_change,
     const ResolveOptions& resolve_options) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span resolve_span(trace, "pure.resolve");
-  PureStats stats;
-
-  PureViolationIndex index(*this, network);
-  // ResolveOptions::pool (shared, serve scheduler) wins over a private
-  // per-resolve pool sized by num_threads.
-  ThreadPool* pool = resolve_options.pool;
-  std::optional<ThreadPool> owned_pool;
-  if (pool == nullptr) {
-    owned_pool.emplace(
-        ThreadPool::resolve_num_threads(resolve_options.num_threads));
-    pool = &*owned_pool;
-  }
-  stats.initial_violating_registers = index.violating_registers();
-  stats.initial_violating_pairs = index.pairs();
-  // Applying a cut re-runs the deterministic cut_connection on the real
-  // network, so the selected trial's residual count IS the new current
-  // count; only the fallback isolation needs a recount.
-  std::size_t cur_pairs = stats.initial_violating_pairs;
-
-  std::size_t max_iters = 8 * network.registers().size() + 64;
-  std::size_t iter = 0;
-  for (;;) {
-    std::optional<PureViolation> v = index.find_violation();
-    if (!v) break;
-    if (++iter > max_iters)
-      throw std::runtime_error(
-          "pure resolution did not converge (iteration cap exceeded)");
-    if (trace != nullptr) trace->counter("resolve.pure_iterations").add(1);
-
-    // Candidate cuts: every connection along the witnessing path.
-    std::vector<Connection> candidates;
-    for (std::size_t i = 0; i + 1 < v->path.size(); ++i) {
-      const rsn::Element& to = network.elem(v->path[i + 1]);
-      for (std::size_t p = 0; p < to.inputs.size(); ++p) {
-        if (to.inputs[p] == v->path[i])
-          candidates.push_back({v->path[i], v->path[i + 1], p});
-      }
-    }
-
-    // Each cut is evaluated with both reconnection variants ([17]-style
-    // candidate generation); the policy decides how exhaustively.
-    Rewirer::Selection sel = Rewirer::select_cut_parallel(
-        network, candidates,
-        [&index]() -> Rewirer::TrialCounter {
-          auto scratch = std::make_shared<PureViolationIndex::Scratch>();
-          return [&index, scratch](const Rsn& n) {
-            return index.eval_trial(n, *scratch);
-          };
-        },
-        cur_pairs, policy, *pool);
-
-    AppliedChange change;
-    if (sel.found) {
-      change.kind = AppliedChange::Kind::CutConnection;
-      change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
-      change.note = "pure: cut " + network.elem(sel.cut.from).name + " -> " +
-                    network.elem(sel.cut.to).name;
-      cur_pairs = sel.residual_pairs;
-      index.commit(network);
-    } else {
-      // Guaranteed-progress fallback: isolate the last register on the
-      // path before the victim (or the origin itself).
-      ElemId iso = v->origin;
-      for (std::size_t i = 0; i + 1 < v->path.size(); ++i) {
-        if (network.elem(v->path[i]).kind == ElemKind::Register)
-          iso = v->path[i];
-      }
-      change.kind = AppliedChange::Kind::IsolateRegister;
-      change.isolated = iso;
-      change.rewire_operations =
-          Rewirer::isolate_register_output(network, iso);
-      change.note = "pure: isolate " + network.elem(iso).name;
-      ++stats.fallback_isolations;
-      index.commit(network);
-      cur_pairs = index.pairs();
-    }
-    ++stats.applied_changes;
-    stats.rewire_operations += change.rewire_operations;
-    if (trace != nullptr) {
-      trace->counter("rewire.changes_applied").add(1);
-      trace->counter("rewire.operations").add(change.rewire_operations);
-    }
-    if (on_change) on_change(network, change);
-    if (log) log->push_back(std::move(change));
-  }
-  return stats;
+  return resolve_with_index<PureStats, PureViolationIndex>(
+      "pure", *this, network, log, policy, on_change, resolve_options,
+      [&network](const PureViolation& v) {
+        // Candidate cuts: every connection along the witnessing path.
+        std::vector<Connection> candidates;
+        for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+          const rsn::Element& to = network.elem(v.path[i + 1]);
+          for (std::size_t p = 0; p < to.inputs.size(); ++p) {
+            if (to.inputs[p] == v.path[i])
+              candidates.push_back({v.path[i], v.path[i + 1], p});
+          }
+        }
+        return candidates;
+      },
+      [&network](const PureViolation& v) {
+        // Guaranteed-progress fallback: isolate the last register on the
+        // path before the victim (or the origin itself).
+        ElemId iso = v.origin;
+        for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+          if (network.elem(v.path[i]).kind == ElemKind::Register)
+            iso = v.path[i];
+        }
+        return iso;
+      });
 }
 
 }  // namespace rsnsec::security

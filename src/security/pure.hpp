@@ -80,6 +80,12 @@ class PureScanAnalyzer {
   int register_token(const rsn::Rsn& network, rsn::ElemId reg) const;
   bool violates(const rsn::Rsn& network, rsn::ElemId reg,
                 const TokenSet& incoming) const;
+  /// The first violating register of the propagation `out` of `network`
+  /// (registers() order), with a witnessing path found by a backward BFS
+  /// over drivers carrying the token. Shared by find_violation and the
+  /// violation index, so both return the same witness for the same state.
+  std::optional<PureViolation> trace_violation(
+      const rsn::Rsn& network, const std::vector<TokenSet>& out) const;
 };
 
 }  // namespace rsnsec::security

@@ -1,7 +1,6 @@
 #include "security/violation_index.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 
 #include "obs/trace.hpp"
@@ -523,78 +522,14 @@ void HybridViolationIndex::commit(const Rsn& network) {
 
 std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
     const {
-  // Mirror of HybridAnalyzer::find_violation, answered from the
-  // committed fixpoint: same rsn_edges order (chains concatenated in
-  // registers() order — exactly build_rsn_edges' emission order), same
-  // predecessor construction order, same BFS — so the same Violation.
+  // HybridAnalyzer::find_violation, answered from the committed fixpoint:
+  // the chains concatenated in registers() order are exactly
+  // build_rsn_edges' emission order, so the same Violation.
   std::vector<HybridAnalyzer::RsnEdge> rsn_edges;
   for (ElemId r : net_.registers())
     for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
       rsn_edges.push_back(e);
-
-  const std::size_t nodes = state_.size();
-  struct Pred {
-    std::size_t node;
-    int rsn_edge;
-  };
-  std::vector<std::vector<Pred>> preds(nodes);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    for (std::size_t t : a_.static_succ_[n]) preds[t].push_back({n, -1});
-    for (std::size_t t : a_.circuit_succ_[n]) preds[t].push_back({n, -1});
-  }
-  for (std::size_t ei = 0; ei < rsn_edges.size(); ++ei) {
-    const HybridAnalyzer::RsnEdge& e = rsn_edges[ei];
-    std::size_t from =
-        a_.scan_node(e.from_reg, net_.elem(e.from_reg).ffs.size() - 1);
-    std::size_t to = a_.scan_node(e.to_reg, 0);
-    preds[to].push_back({from, static_cast<int>(ei)});
-  }
-
-  const std::vector<TokenSet>& state = state_;
-  for (std::size_t victim = 0; victim < nodes; ++victim) {
-    if (a_.owner_module_[victim] < 0) continue;
-    TrustCategory t = a_.spec_.policy(a_.owner_module_[victim]).trust;
-    int tok = state[victim].first_common(a_.tokens_.bad(t));
-    if (tok < 0) continue;
-
-    std::vector<int> parent_edge(nodes, -2);
-    std::vector<std::size_t> parent(nodes, 0);
-    std::vector<bool> seen(nodes, false);
-    std::vector<std::size_t> queue{victim};
-    seen[victim] = true;
-    std::size_t seed = nodes;
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      std::size_t cur = queue[qi];
-      if (a_.seed_token_[cur] == tok && cur != victim) {
-        seed = cur;
-        break;
-      }
-      for (const Pred& p : preds[cur]) {
-        if (seen[p.node]) continue;
-        if (!state[p.node].test(static_cast<std::size_t>(tok))) continue;
-        seen[p.node] = true;
-        parent[p.node] = cur;
-        parent_edge[p.node] = p.rsn_edge;
-        queue.push_back(p.node);
-      }
-    }
-    if (seed == nodes) continue;
-
-    HybridAnalyzer::Violation v;
-    v.token = tok;
-    v.victim_node = victim;
-    for (std::size_t cur = seed;; cur = parent[cur]) {
-      v.node_path.push_back(cur);
-      if (parent_edge[cur] >= 0) {
-        const HybridAnalyzer::RsnEdge& e =
-            rsn_edges[static_cast<std::size_t>(parent_edge[cur])];
-        for (const Connection& c : e.chain) v.rsn_connections.push_back(c);
-      }
-      if (cur == victim) break;
-    }
-    return v;
-  }
-  return std::nullopt;
+  return a_.trace_violation(net_, rsn_edges, state_);
 }
 
 // ---------------------------------------------------------------------------
@@ -772,48 +707,9 @@ void PureViolationIndex::commit(const Rsn& network) {
 }
 
 std::optional<PureViolation> PureViolationIndex::find_violation() const {
-  // Mirror of PureScanAnalyzer::find_violation, answered from the
-  // committed propagation (same register order, same backward BFS).
-  for (ElemId reg : net_.registers()) {
-    TokenSet incoming;
-    for (ElemId in : net_.elem(reg).inputs)
-      if (in != rsn::no_elem) incoming.merge(state_[in]);
-    TrustCategory t = a_.spec_.policy(net_.elem(reg).module).trust;
-    int tok = incoming.first_common(a_.tokens_.bad(t));
-    if (tok < 0) continue;
-
-    PureViolation v;
-    v.victim = reg;
-    v.token = tok;
-    std::vector<ElemId> parent(net_.num_elements(), rsn::no_elem);
-    std::vector<bool> seen(net_.num_elements(), false);
-    std::vector<ElemId> queue;
-    seen[reg] = true;
-    queue.push_back(reg);
-    ElemId origin = rsn::no_elem;
-    for (std::size_t qi = 0; qi < queue.size() && origin == rsn::no_elem;
-         ++qi) {
-      ElemId cur = queue[qi];
-      for (ElemId in : net_.elem(cur).inputs) {
-        if (in == rsn::no_elem || seen[in]) continue;
-        if (!state_[in].test(static_cast<std::size_t>(tok))) continue;
-        seen[in] = true;
-        parent[in] = cur;
-        if (net_.elem(in).kind == ElemKind::Register &&
-            a_.register_token(net_, in) == tok) {
-          origin = in;
-          break;
-        }
-        queue.push_back(in);
-      }
-    }
-    assert(origin != rsn::no_elem && "token present but no origin found");
-    v.origin = origin;
-    for (ElemId cur = origin; cur != rsn::no_elem; cur = parent[cur])
-      v.path.push_back(cur);
-    return v;
-  }
-  return std::nullopt;
+  // PureScanAnalyzer::find_violation, answered from the committed
+  // propagation.
+  return a_.trace_violation(net_, state_);
 }
 
 }  // namespace rsnsec::security

@@ -1,14 +1,19 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "rsn/access.hpp"
 #include "rsn/rsn.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
 #include "security/spec.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 
@@ -108,7 +113,7 @@ class HybridViolationIndex {
   /// HybridAnalyzer::find_violation of the committed network, answered
   /// from the committed fixpoint instead of a fresh propagation. The
   /// witnessing path and cut candidates are bit-identical to the from-
-  /// scratch result (same predecessor construction order, same state).
+  /// scratch result (same tracing code, same edge order, same state).
   std::optional<HybridAnalyzer::Violation> find_violation() const;
 
  private:
@@ -203,5 +208,100 @@ class PureViolationIndex {
                                   const TokenSet& incoming) const;
   std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
 };
+
+/// The detect-and-resolve loop the pure and hybrid stages share (Fig. 2,
+/// steps 3 and 4), over an `Index` (PureViolationIndex or
+/// HybridViolationIndex) built from `analyzer`: find a violation,
+/// trial-evaluate every cut candidate on the pool, apply the best cut or,
+/// failing that, isolate a register, commit, and repeat until secure.
+/// `candidates(v)` lists the cut candidates of violation `v`;
+/// `isolated(v)` names its fallback register. `stage` ("pure", "hybrid")
+/// names the span, the iteration counter and the change notes.
+template <typename Stats, typename Index, typename Analyzer,
+          typename Candidates, typename Isolated>
+Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
+                         rsn::Rsn& network, std::vector<AppliedChange>* log,
+                         ResolutionPolicy policy,
+                         const ChangeCallback& on_change,
+                         const ResolveOptions& resolve_options,
+                         Candidates&& candidates, Isolated&& isolated) {
+  obs::TraceSession* trace = obs::TraceSession::active();
+  obs::Span resolve_span(trace, std::string(stage) + ".resolve");
+  Stats stats;
+
+  Index index(analyzer, network);
+  // ResolveOptions::pool (shared, serve scheduler) wins over a private
+  // per-resolve pool sized by num_threads.
+  ThreadPool* pool = resolve_options.pool;
+  std::optional<ThreadPool> owned_pool;
+  if (pool == nullptr) {
+    owned_pool.emplace(
+        ThreadPool::resolve_num_threads(resolve_options.num_threads));
+    pool = &*owned_pool;
+  }
+  stats.initial_violating_registers = index.violating_registers();
+  stats.initial_violating_pairs = index.pairs();
+  // Applying a cut re-runs the deterministic cut_connection on the real
+  // network, so the selected trial's residual count IS the new current
+  // count; only the fallback isolation needs a recount.
+  std::size_t cur_pairs = stats.initial_violating_pairs;
+
+  std::size_t max_iters = 8 * network.registers().size() + 64;
+  std::size_t iter = 0;
+  for (;;) {
+    auto v = index.find_violation();
+    if (!v) break;
+    if (++iter > max_iters)
+      throw std::runtime_error(
+          std::string(stage) +
+          " resolution did not converge (iteration cap exceeded)");
+    if (trace != nullptr)
+      trace->counter(std::string("resolve.") + stage + "_iterations").add(1);
+
+    // Each cut is evaluated with both reconnection variants ([17]-style
+    // candidate generation); the policy decides how exhaustively.
+    Rewirer::Selection sel = Rewirer::select_cut_parallel(
+        network, candidates(*v),
+        [&index]() -> Rewirer::TrialCounter {
+          auto scratch = std::make_shared<typename Index::Scratch>();
+          return [&index, scratch](const rsn::Rsn& n) {
+            return index.eval_trial(n, *scratch);
+          };
+        },
+        cur_pairs, policy, *pool);
+
+    AppliedChange change;
+    if (sel.found) {
+      change.kind = AppliedChange::Kind::CutConnection;
+      change.cut = sel.cut;
+      change.rewire_operations =
+          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+      change.note = std::string(stage) + ": cut " +
+                    network.elem(sel.cut.from).name + " -> " +
+                    network.elem(sel.cut.to).name;
+      cur_pairs = sel.residual_pairs;
+      index.commit(network);
+    } else {
+      rsn::ElemId iso = isolated(*v);
+      change.kind = AppliedChange::Kind::IsolateRegister;
+      change.isolated = iso;
+      change.rewire_operations =
+          Rewirer::isolate_register_output(network, iso);
+      change.note = std::string(stage) + ": isolate " + network.elem(iso).name;
+      ++stats.fallback_isolations;
+      index.commit(network);
+      cur_pairs = index.pairs();
+    }
+    ++stats.applied_changes;
+    stats.rewire_operations += change.rewire_operations;
+    if (trace != nullptr) {
+      trace->counter("rewire.changes_applied").add(1);
+      trace->counter("rewire.operations").add(change.rewire_operations);
+    }
+    if (on_change) on_change(network, change);
+    if (log) log->push_back(std::move(change));
+  }
+  return stats;
+}
 
 }  // namespace rsnsec::security

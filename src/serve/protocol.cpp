@@ -102,7 +102,10 @@ ParseOutcome parse_request(std::string_view line) {
       req.id = id->string;
     } else if (id->is_number()) {
       // Integral ids round-trip exactly; anything fancier the client
-      // should send as a string.
+      // should send as a string. Converting a number outside long long
+      // (1e400 parses as infinity) would be undefined.
+      if (!(std::fabs(id->number) < 0x1p63))
+        return fail(ServeCode::BadField, "field 'id' is out of range");
       req.id = std::to_string(static_cast<long long>(id->number));
     } else if (!id->is_null()) {
       return fail(ServeCode::BadField,
@@ -134,9 +137,11 @@ ParseOutcome parse_request(std::string_view line) {
       req.benchmark = b->string;
       if (const JsonValue* seed = root.find("seed")) {
         if (!seed->is_number() || seed->number < 0 ||
-            seed->number != std::floor(seed->number))
+            seed->number != std::floor(seed->number) ||
+            seed->number >= 0x1p64)
           return fail(ServeCode::BadField,
-                      "field 'seed' must be a non-negative integer");
+                      "field 'seed' must be a non-negative integer below "
+                      "2^64");
         req.seed = static_cast<std::uint64_t>(seed->number);
       }
       break;

@@ -11,18 +11,14 @@
 #include "attack/engine.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/redteam.hpp"
+#include "core/analyze.hpp"
 #include "core/report.hpp"
 #include "core/tool.hpp"
 #include "dep/analyzer.hpp"
 #include "flow/certify.hpp"
-#include "netlist/verilog.hpp"
 #include "obs/trace.hpp"
 #include "rsn/io.hpp"
-#include "security/hybrid.hpp"
-#include "security/pure.hpp"
-#include "security/spec_io.hpp"
 #include "store/artifact_store.hpp"
-#include "store/dep_cache.hpp"
 #include "util/strings.hpp"
 
 namespace rsnsec::serve {
@@ -83,31 +79,11 @@ struct TenantStats {
   LocalHist queue_wait_us;
 };
 
-struct Workload {
-  rsn::RsnDocument doc;
-  netlist::Netlist circuit;
-  security::SecuritySpec spec{1, 1};
-};
-
 /// Parses the inline payloads. Throws std::runtime_error with the
 /// parser's line-numbered message (surfaced to the client as SRV004).
 Workload parse_workload(const Request& req) {
-  Workload w;
-  {
-    std::istringstream is(req.rsn);
-    w.doc = rsn::read_rsn(is);
-  }
-  {
-    std::istringstream is(req.verilog);
-    netlist::verilog::ParsedCircuit parsed = netlist::verilog::parse(is);
-    rsn::apply_attachments(w.doc, parsed.nets);
-    w.circuit = std::move(parsed.netlist);
-  }
-  {
-    std::istringstream is(req.spec);
-    w.spec = security::read_spec(is, w.doc.module_names);
-  }
-  return w;
+  std::istringstream rsn_text(req.rsn), verilog(req.verilog), spec(req.spec);
+  return attach_design(rsn::read_rsn(rsn_text), verilog, spec);
 }
 
 std::uint64_t to_us(double seconds) {
@@ -115,36 +91,17 @@ std::uint64_t to_us(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e6);
 }
 
-ExecResult run_analyze(const Request& req, Workload& w, ThreadPool& pool,
-                       store::ArtifactStore* store) {
+ExecResult run_analyze(const Request& req, const Workload& w,
+                       ThreadPool& pool, store::ArtifactStore* store) {
   dep::DepOptions dopt;
   if (req.structural) dopt.mode = dep::DepMode::StructuralOnly;
   dopt.ternary_prefilter = !req.no_ternary;
   dopt.pool = &pool;
-  dep::DependencyAnalyzer deps(w.circuit, w.doc.network, dopt);
-  ExecResult r;
-  r.cache_hit = store::run_with_store(store, deps);
-
-  security::TokenTable tokens(w.spec, w.spec.num_modules());
-  security::HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec,
-                                  tokens);
-  security::PureScanAnalyzer pure(w.spec, tokens);
-  security::StaticReport st = hybrid.check_static();
-
-  AnalyzeReport rep;
-  rep.insecure_logic = st.insecure_logic;
-  rep.intra_segment = st.intra_segment;
-  rep.pure_violating_pairs = pure.count_violating_pairs(w.doc.network);
-  rep.hybrid_violating_pairs = hybrid.count_violating_pairs(w.doc.network);
-  rep.violating_registers = hybrid.count_violating_registers(w.doc.network);
-  rep.dep_mode = deps.options().mode;
-  rep.dep_ternary_prefilter = deps.options().ternary_prefilter;
-  rep.dep_partition = deps.options().partition;
-  rep.dep_tiled = deps.tiled();
-  rep.dep_stats = deps.stats();
-
+  AnalyzeResult analysis = analyze(w, dopt, store);
   std::ostringstream os;
-  write_analyze_json(os, rep);
+  write_analyze_json(os, analysis.report);
+  ExecResult r;
+  r.cache_hit = analysis.cache_hit;
   r.result_json = os.str();
   return r;
 }

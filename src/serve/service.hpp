@@ -19,8 +19,9 @@
 // execute() is fully re-entrant: any number of scheduler workers may run
 // requests concurrently. All per-request state (parsed workload,
 // analyzer, result text) is local; results are bit-identical to one-shot
-// CLI runs because the emitters are shared and carry no timings (wall
-// clock lives only in the separate "server" reply object and the stats).
+// CLI runs because the analyze body (core/analyze) and the emitters are
+// shared and carry no timings (wall clock lives only in the separate
+// "server" reply object and the stats).
 
 #include <cstdint>
 #include <functional>

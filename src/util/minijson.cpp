@@ -1,6 +1,9 @@
 #include "util/minijson.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <deque>
+#include <iterator>
 
 namespace rsnsec {
 
@@ -108,15 +111,23 @@ class Parser {
     if (!consume('[')) return fail("expected '['");
     skip_ws();
     if (consume(']')) return true;
+    // Elements collect in fixed-size deque blocks and then move into an
+    // exactly sized vector. Growing the vector geometrically would make
+    // one allocation of up to twice the final size: ~96 bytes for every
+    // 2-byte "0," element of a hostile frame.
+    std::deque<JsonValue> items;
     for (;;) {
       skip_ws();
       JsonValue v;
       if (!value(v, depth + 1)) return false;
-      out.array.push_back(std::move(v));
+      items.push_back(std::move(v));
       skip_ws();
-      if (consume(']')) return true;
+      if (consume(']')) break;
       if (!consume(',')) return fail("expected ',' or ']' in array");
     }
+    out.array.reserve(items.size());
+    std::move(items.begin(), items.end(), std::back_inserter(out.array));
+    return true;
   }
 
   static void append_utf8(std::string& out, unsigned cp) {

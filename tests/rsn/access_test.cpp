@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "rsn/csu_sim.hpp"
@@ -110,6 +112,68 @@ TEST(AccessPlanner, DetectsInaccessibleRegister) {
   EXPECT_TRUE(planner.plan(a).has_value());
   EXPECT_FALSE(planner.plan(orphan).has_value());
   EXPECT_FALSE(planner.all_registers_accessible());
+}
+
+/// Rsn::scan_access answers, for every register, exactly whether the
+/// planner finds a plan.
+void expect_sweep_matches_planner(const Rsn& net, const std::string& what) {
+  const ScanAccess access = net.scan_access();
+  AccessPlanner planner(net);
+  for (ElemId r : net.registers())
+    EXPECT_EQ(access.accessible(r), planner.plan(r).has_value())
+        << what << ": register " << net.elem(r).name;
+}
+
+TEST(ScanAccess, MatchesPlannerOnEveryGeneratorFamily) {
+  for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles()) {
+    Rng rng(5);
+    rsn::RsnDocument doc = benchgen::generate_bastion(
+        p, p.name == "FlexScan" ? 0.015 : 0.05, rng);
+    const ScanAccess access = doc.network.scan_access();
+    for (ElemId r : doc.network.registers())
+      EXPECT_TRUE(access.accessible(r)) << p.name << " " << r;
+    expect_sweep_matches_planner(doc.network, p.name);
+  }
+  rsn::RsnDocument mbist = benchgen::generate_mbist(2, 4, 4, 1.0);
+  expect_sweep_matches_planner(mbist.network, "MBIST_2_4_4");
+}
+
+TEST(ScanAccess, MatchesPlannerOnBrokenNetworks) {
+  // Orphan: reaches scan-out through a collector mux, but nothing feeds
+  // it.
+  Net orphan;
+  ElemId o = orphan.net.add_register("orphan", 1, 0);
+  orphan.net.attach_to_scan_out(o);
+  EXPECT_FALSE(orphan.net.scan_access().from_scan_in[o]);
+  EXPECT_TRUE(orphan.net.scan_access().to_scan_out[o]);
+  expect_sweep_matches_planner(orphan.net, "orphan");
+
+  // Dead end: fed from scan-in, but its output goes nowhere.
+  Net dead;
+  ElemId d = dead.net.add_register("dead_end", 2, 0);
+  dead.net.connect(dead.net.scan_in(), d, 0);
+  EXPECT_TRUE(dead.net.scan_access().from_scan_in[d]);
+  EXPECT_FALSE(dead.net.scan_access().to_scan_out[d]);
+  expect_sweep_matches_planner(dead.net, "dead end");
+
+  // Cycles: c feeds back into a through a second mux, so a, b and c lie
+  // on a cycle that scan-in enters and scan-out leaves; x and y form an
+  // island cycle nothing enters or leaves.
+  Net cyc;
+  ElemId back = cyc.net.add_mux("back", 2);
+  cyc.net.connect(cyc.net.scan_in(), back, 0);
+  cyc.net.connect(cyc.c, back, 1);
+  cyc.net.connect(back, cyc.a, 0);
+  ElemId x = cyc.net.add_register("x", 1, 0);
+  ElemId y = cyc.net.add_register("y", 1, 0);
+  cyc.net.connect(x, y, 0);
+  cyc.net.connect(y, x, 0);
+  ASSERT_FALSE(cyc.net.is_acyclic());
+  const ScanAccess access = cyc.net.scan_access();
+  for (ElemId r : {cyc.a, cyc.b, cyc.c}) EXPECT_TRUE(access.accessible(r));
+  EXPECT_FALSE(access.accessible(x));
+  EXPECT_FALSE(access.accessible(y));
+  expect_sweep_matches_planner(cyc.net, "cycle");
 }
 
 class GeneratedAccess : public ::testing::TestWithParam<std::string> {};

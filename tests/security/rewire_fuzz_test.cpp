@@ -154,6 +154,12 @@ TEST_P(RewireFuzz, RandomCutSequencesConverge) {
     std::string err;
     ASSERT_TRUE(net.validate(&err)) << err << " at step " << step;
     ASSERT_EQ(net.registers().size(), n_regs);
+    // The linear sweep and per-register planning agree on every register.
+    const rsn::ScanAccess access = net.scan_access();
+    rsn::AccessPlanner planner(net);
+    for (rsn::ElemId r : net.registers())
+      EXPECT_EQ(access.accessible(r), planner.plan(r).has_value())
+          << net.elem(r).name << " at step " << step;
   }
   rsn::AccessPlanner planner(net);
   EXPECT_TRUE(planner.all_registers_accessible());

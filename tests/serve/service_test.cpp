@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "benchgen/families.hpp"
 #include "obs/trace.hpp"
 #include "rsn/io.hpp"
+#include "store/codec.hpp"
 #include "tests/serve/test_workload.hpp"
 #include "tools/cli.hpp"
 #include "util/minijson.hpp"
@@ -42,27 +46,114 @@ JsonParseResult parse_result(const ExecResult& result) {
   return parse_json(result.result_json);
 }
 
+/// `rsnsec analyze --json` on the files of `w`, with `extra` flags.
+std::string cli_analyze_json(const Workload& w, const fs::path& dir,
+                             const std::vector<std::string>& extra) {
+  std::ofstream(dir / "net.rsn") << w.rsn_text;
+  std::ofstream(dir / "ckt.v") << w.verilog_text;
+  std::ofstream(dir / "policy.spec") << w.spec_text;
+  std::vector<std::string> args = {
+      "analyze", "--rsn", (dir / "net.rsn").string(), "--verilog",
+      (dir / "ckt.v").string(), "--spec", (dir / "policy.spec").string(),
+      "--json"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::ostringstream out, err;
+  cli::run(args, out, err);
+  EXPECT_FALSE(out.str().empty()) << err.str();
+  return out.str();
+}
+
 TEST(AnalysisService, AnalyzeMatchesCliJsonByteForByte) {
   Workload w;
-  // The exact design the daemon sees, written to files for the CLI.
+  fs::path dir = test_root();
+  AnalysisService service({});
+  // The request options and the CLI flags that spell the same analysis.
+  struct Variant {
+    bool structural, no_ternary;
+    std::vector<std::string> flags;
+  };
+  const Variant variants[] = {{false, false, {}},
+                              {true, false, {"--structural"}},
+                              {false, true, {"--no-ternary"}}};
+  for (const Variant& v : variants) {
+    const std::string cli_out = cli_analyze_json(w, dir, v.flags);
+    Request req = w.request(Command::Analyze);
+    req.structural = v.structural;
+    req.no_ternary = v.no_ternary;
+    ExecResult result = service.execute(req);
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.result_json + "\n", cli_out)
+        << "daemon analyze must match the CLI byte-for-byte (structural "
+        << v.structural << ", no_ternary " << v.no_ternary << ")";
+  }
+  fs::remove_all(dir);
+}
+
+// `analyze --json` of one small design per generator family, in exact and
+// structural mode, pinned by FNV-1a digest. Seeds and sizes pick a design
+// with violations where the family yields one at this size. Both front
+// ends must produce the pinned bytes, and each analyze runs the hybrid
+// fixpoint three times: twice in the static check, once for both
+// violation counts.
+TEST(AnalysisService, AnalyzeJsonPinnedOnEveryFamily) {
+  struct Pinned {
+    const char* family;
+    std::uint64_t seed;
+    double target_ffs;
+    std::uint64_t exact;
+    std::uint64_t structural;
+  };
+  const Pinned pinned[] = {
+      {"BasicSCB", 2, 300, 0x893461c05ae11380ull, 0xa266ce7e1c598c4bull},
+      {"Mingle", 8, 300, 0x4c44800821015471ull, 0x4973f3a9c0531be3ull},
+      {"TreeFlat", 3, 300, 0x703864abcfe0e869ull, 0x16973cb344b50b9full},
+      {"TreeFlatEx", 6, 300, 0x407a768ab0056f8eull, 0x133a43fdc7acb323ull},
+      {"TreeBalanced", 12, 300, 0x7045b4bca239b13bull, 0x74f0c5bf6316d1fdull},
+      {"TreeUnbalanced", 12, 300, 0x552f3e040727e7fbull, 0x931f3afb17a0009aull},
+      {"q12710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
+      {"t512505", 5, 1200, 0xec16d5a2864481afull, 0x9c201547332d6b07ull},
+      {"p22810", 2, 600, 0xd7b830a9d439cc08ull, 0xbf29873223d0c039ull},
+      {"a586710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
+      {"p34392", 7, 1200, 0xd5c4e15a51a59effull, 0xd4b41df84ea04b2dull},
+      {"p93791", 5, 600, 0x4b73b871c1395aa3ull, 0xd4085ad9ca876626ull},
+      {"FlexScan", 3, 300, 0x31435779c0cd1478ull, 0xcc81ef1e54c17470ull},
+      {"MBIST_2_4_4", 5, 0, 0x1bce45ca5dd776abull, 0x13c5b50d225cfe3aull},
+  };
+  ASSERT_EQ(std::size(pinned), benchgen::bastion_profiles().size() + 1);
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  obs::Counter& propagations = session.counter("hybrid.propagations");
   fs::path dir = test_root();
   {
-    std::ofstream(dir / "net.rsn") << w.rsn_text;
-    std::ofstream(dir / "ckt.v") << w.verilog_text;
-    std::ofstream(dir / "policy.spec") << w.spec_text;
-  }
-  std::ostringstream cli_out, cli_err;
-  cli::run({"analyze", "--rsn", (dir / "net.rsn").string(), "--verilog",
-            (dir / "ckt.v").string(), "--spec",
-            (dir / "policy.spec").string(), "--json"},
-           cli_out, cli_err);
-  ASSERT_FALSE(cli_out.str().empty()) << cli_err.str();
+    AnalysisService service({});
+    for (const Pinned& p : pinned) {
+      const Workload w(p.family, p.seed, p.target_ffs);
+      for (bool structural : {false, true}) {
+        const std::string what =
+            std::string(p.family) + (structural ? " structural" : " exact");
+        std::uint64_t before = propagations.value();
+        const std::string cli_out = cli_analyze_json(
+            w, dir,
+            structural ? std::vector<std::string>{"--structural"}
+                       : std::vector<std::string>{});
+        // cli::run deactivates the ambient session on return.
+        obs::TraceSession::set_active(&session);
+        EXPECT_EQ(propagations.value() - before, 3u) << what << " (CLI)";
+        const std::uint64_t got = store::fnv1a64(cli_out);
+        EXPECT_EQ(got, structural ? p.structural : p.exact)
+            << what << " digest 0x" << std::hex << got << "\n" << cli_out;
 
-  AnalysisService service({});
-  ExecResult result = service.execute(w.request(Command::Analyze));
-  ASSERT_TRUE(result.ok()) << result.message;
-  EXPECT_EQ(result.result_json + "\n", cli_out.str())
-      << "daemon analyze must reuse the CLI's emitter byte-for-byte";
+        Request req = w.request(Command::Analyze);
+        req.structural = structural;
+        before = propagations.value();
+        ExecResult result = service.execute(req);
+        ASSERT_TRUE(result.ok()) << what << ": " << result.message;
+        EXPECT_EQ(propagations.value() - before, 3u) << what << " (daemon)";
+        EXPECT_EQ(result.result_json + "\n", cli_out) << what;
+      }
+    }
+  }
+  obs::TraceSession::set_active(nullptr);
   fs::remove_all(dir);
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 
-// One small BASTION design serialized to the inline payload strings the
-// serve protocol carries — shared by the service- and server-level
-// tests (the same shape `rsnsec bench serve` replays).
+// One small generated design (a BASTION family, or MBIST_2_4_4)
+// serialized to the inline payload strings the serve protocol carries —
+// shared by the service- and server-level tests (the same shape `rsnsec
+// bench serve` replays).
 
 #include <algorithm>
 #include <cstdint>
@@ -28,10 +29,15 @@ struct TestWorkload {
   explicit TestWorkload(const std::string& family = "Mingle",
                         std::uint64_t seed = 11, double target_ffs = 60) {
     Rng rng(seed);
-    const benchgen::BenchmarkProfile& p = benchgen::bastion_profile(family);
-    double scale =
-        std::min(1.0, target_ffs / static_cast<double>(p.scan_ffs));
-    rsn::RsnDocument doc = benchgen::generate_bastion(p, scale, rng);
+    rsn::RsnDocument doc;
+    if (family == "MBIST_2_4_4") {
+      doc = benchgen::generate_mbist(2, 4, 4, 1.0);
+    } else {
+      const benchgen::BenchmarkProfile& p = benchgen::bastion_profile(family);
+      double scale =
+          std::min(1.0, target_ffs / static_cast<double>(p.scan_ffs));
+      doc = benchgen::generate_bastion(p, scale, rng);
+    }
     netlist::Netlist circuit =
         benchgen::attach_random_circuit(doc, {}, rng);
     benchgen::SpecOptions spec_opt;

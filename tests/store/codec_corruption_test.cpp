@@ -20,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/circuit.hpp"
@@ -30,9 +31,11 @@
 #include "rsn/icl.hpp"
 #include "rsn/io.hpp"
 #include "security/spec_io.hpp"
+#include "serve/protocol.hpp"
 #include "store/codec.hpp"
 #include "store/codec_fixtures.hpp"
 #include "store/dep_cache.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -438,6 +441,147 @@ TEST(TextReaders, ReverseOrderGateChainParsesInLinearTime) {
   EXPECT_EQ(c.netlist.num_nodes(), static_cast<std::size_t>(kGates) + 2);
   EXPECT_EQ(c.nets.size(), static_cast<std::size_t>(kGates) + 2);
   EXPECT_LT(seconds, 5.0);
+}
+
+// ---------------------------------------------------------------------------
+// Protocol frames. serve::parse_request never throws: every frame comes
+// back as a request or an SRV outcome, within the same per-byte budget as
+// the text readers.
+
+enum class FrameOutcome { Request, Refused, OverBudget, Threw };
+
+FrameOutcome parse_frame_capped(const std::string& frame,
+                                serve::ServeCode* code = nullptr) {
+  AllocCap cap(kAllocMultiple * std::max(frame.size(), kMinTextBytes));
+  try {
+    serve::ParseOutcome o = serve::parse_request(frame);
+    if (code != nullptr) *code = o.code;
+    return o.ok() ? FrameOutcome::Request : FrameOutcome::Refused;
+  } catch (const std::bad_alloc&) {
+    return FrameOutcome::OverBudget;
+  } catch (...) {
+    return FrameOutcome::Threw;
+  }
+}
+
+/// One analyze frame with inline payloads: a small BasicSCB design, its
+/// circuit and its policy.
+std::string analyze_frame() {
+  Rng rng(4);
+  rsn::RsnDocument doc = benchgen::generate_bastion(
+      benchgen::bastion_profile("BasicSCB"), 0.002, rng);
+  netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
+  security::SecuritySpec spec =
+      benchgen::random_spec(doc.module_names.size(), {}, rng);
+  std::ostringstream rsn_os, v_os, spec_os;
+  rsn::write_rsn(rsn_os, doc.network, doc.module_names, &circuit);
+  netlist::verilog::write(v_os, circuit, doc.network.name());
+  security::write_spec(spec_os, spec, doc.module_names);
+  return "{\"id\": 17, \"tenant\": \"acme\", \"command\": \"analyze\", "
+         "\"rsn\": \"" + json_escape(rsn_os.str()) + "\", \"verilog\": \"" +
+         json_escape(v_os.str()) + "\", \"spec\": \"" +
+         json_escape(spec_os.str()) +
+         "\", \"options\": {\"structural\": true, \"no_ternary\": false}}";
+}
+
+TEST(ProtocolFrames, AnalyzeFrameParsesWithinBudget) {
+  const std::string frame = analyze_frame();
+  EXPECT_GT(frame.size(), 1000u);
+  EXPECT_LT(frame.size(), 8000u);
+  EXPECT_EQ(parse_frame_capped(frame), FrameOutcome::Request);
+}
+
+TEST(ProtocolFrames, EveryTruncationReturnsAnOutcome) {
+  const std::string frame = analyze_frame();
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    serve::ServeCode code = serve::ServeCode::Ok;
+    EXPECT_EQ(parse_frame_capped(frame.substr(0, cut), &code),
+              FrameOutcome::Refused)
+        << "prefix length " << cut << " asked for " << g_refused.load()
+        << " bytes";
+    EXPECT_EQ(code, serve::ServeCode::MalformedFrame) << "prefix " << cut;
+  }
+}
+
+TEST(ProtocolFrames, SingleByteCorruptionReturnsAnOutcome) {
+  const std::string frame = analyze_frame();
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (unsigned char delta : {0x01, 0x80, 0xff}) {
+      std::string mutated = frame;
+      mutated[i] = static_cast<char>(
+          static_cast<unsigned char>(mutated[i]) ^ delta);
+      const FrameOutcome o = parse_frame_capped(mutated);
+      EXPECT_TRUE(o == FrameOutcome::Request || o == FrameOutcome::Refused)
+          << "byte " << i << " ^ " << static_cast<int>(delta)
+          << " asked for " << g_refused.load() << " bytes";
+    }
+  }
+}
+
+TEST(ProtocolFrames, HostileCorpusReturnsOutcomes) {
+  using namespace std::string_literals;  // keeps embedded NUL bytes
+  using serve::ServeCode;
+  const std::string ping = "{\"command\": \"ping\", ";
+  auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  std::string objects;
+  for (int i = 0; i < 10000; ++i) objects += "{\"a\": ";
+  std::string wide = "[";
+  for (int i = 0; i < 2049; ++i) wide += i ? ",0" : "0";
+  wide += "]";
+  const std::pair<std::string, ServeCode> corpus[] = {
+      // Nesting up to the parser's depth limit, and far beyond it.
+      {ping + "\"x\": " + nested(64) + "}", ServeCode::Ok},
+      {ping + "\"x\": " + nested(65) + "}", ServeCode::MalformedFrame},
+      {std::string(100000, '['), ServeCode::MalformedFrame},
+      {objects, ServeCode::MalformedFrame},
+      {ping + "\"x\": " + wide + "}", ServeCode::Ok},
+      // Unterminated strings.
+      {"\"", ServeCode::MalformedFrame},
+      {"{\"command\": \"ping", ServeCode::MalformedFrame},
+      {"{\"command\": \"analyze\", \"rsn\": \"register r",
+       ServeCode::MalformedFrame},
+      {"{\"command\": \"ping\", \"id\": \"\\", ServeCode::MalformedFrame},
+      // \u escapes: decoded, NUL, lone surrogate, truncated, not hex.
+      {"{\"command\": \"p\\u0069ng\"}", ServeCode::Ok},
+      {ping + "\"tenant\": \"\\u0000\"}", ServeCode::Ok},
+      {ping + "\"id\": \"\\ud800\"}", ServeCode::Ok},
+      {ping + "\"id\": \"\\u12\"}", ServeCode::MalformedFrame},
+      {ping + "\"id\": \"\\uZZZZ\"}", ServeCode::MalformedFrame},
+      {ping + "\"id\": \"\\u", ServeCode::MalformedFrame},
+      // Out-of-range numbers: ids and seeds that no integer type holds.
+      {ping + "\"id\": 1e400}", ServeCode::BadField},
+      {ping + "\"id\": -1e400}", ServeCode::BadField},
+      {ping + "\"id\": 9223372036854775808}", ServeCode::BadField},
+      {ping + "\"id\": 9007199254740993}", ServeCode::Ok},
+      {ping + "\"id\": 1e-400}", ServeCode::Ok},
+      {"{\"command\": \"attack\", \"benchmark\": \"Mingle\", \"seed\": 1e400}",
+       ServeCode::BadField},
+      {"{\"command\": \"attack\", \"benchmark\": \"Mingle\", "
+       "\"seed\": 18446744073709551616}",
+       ServeCode::BadField},
+      {"{\"command\": \"attack\", \"benchmark\": \"Mingle\", \"seed\": 1e19}",
+       ServeCode::Ok},
+      {ping + "\"id\": 1e99999999999999999999}", ServeCode::BadField},
+      // Bytes that are not UTF-8, inside and outside strings.
+      {ping + "\"tenant\": \"\xff\xfe\"}", ServeCode::Ok},
+      {"{\"command\": \"\xc0\x80\"}", ServeCode::UnknownCommand},
+      {"\xef\xbb\xbf{\"command\": \"ping\"}", ServeCode::MalformedFrame},
+      {"{\"command\": \"ping\"}\0"s, ServeCode::MalformedFrame},
+      {"{\"command\": \"ping\"\x80}", ServeCode::MalformedFrame},
+      {"{\"command\": \"ping\", \"tenant\": \"a\0b\"}"s,
+       ServeCode::MalformedFrame},
+      {"", ServeCode::MalformedFrame},
+  };
+  for (const auto& [frame, want] : corpus) {
+    ServeCode code = ServeCode::Internal;
+    const FrameOutcome o = parse_frame_capped(frame, &code);
+    EXPECT_TRUE(o == FrameOutcome::Request || o == FrameOutcome::Refused)
+        << frame.substr(0, 80) << " asked for " << g_refused.load()
+        << " bytes";
+    EXPECT_EQ(code, want) << frame.substr(0, 80);
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "support/minijson.hpp"
 
@@ -138,13 +139,34 @@ TEST_F(CliTest, AnalyzeJsonAndFilterBaseline) {
                      path("s.spec")}),
             0)
       << err_.str();
-  int rc = run_cli({"analyze", "--rsn", path("n.rsn"), "--verilog",
-                    path("c.v"), "--spec", path("s.spec"), "--json",
-                    "--filter-baseline"});
+  const std::vector<std::string> analyze = {
+      "analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
+      "--spec", path("s.spec")};
+  auto with = [&](std::vector<std::string> flags) {
+    std::vector<std::string> args = analyze;
+    args.insert(args.end(), flags.begin(), flags.end());
+    return args;
+  };
+  // --json: stdout is exactly one JSON object.
+  int rc = run_cli(with({"--json"}));
   ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
   EXPECT_NE(out_.str().find("\"hybrid_violating_pairs\""),
             std::string::npos);
-  EXPECT_NE(out_.str().find("filter baseline"), std::string::npos);
+  EXPECT_TRUE(testsupport::is_valid_json(out_.str())) << out_.str();
+  // The filter baseline only has a text report, so combining it with
+  // --json is a usage error (exit 2) that prints nothing on stdout.
+  rc = run_cli(with({"--json", "--filter-baseline"}));
+  EXPECT_EQ(rc, 2);
+  EXPECT_EQ(out_.str(), "");
+  EXPECT_NE(err_.str().find("--filter-baseline"), std::string::npos)
+      << err_.str();
+  // Text mode appends the baseline line to the report.
+  rc = run_cli(with({"--filter-baseline"}));
+  ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
+  EXPECT_NE(out_.str().find("violating registers:"), std::string::npos);
+  EXPECT_NE(out_.str().find("filter baseline would lock out "),
+            std::string::npos)
+      << out_.str();
 }
 
 TEST_F(CliTest, InfoFromIcl) {

@@ -27,12 +27,12 @@
 #include "benchgen/families.hpp"
 #include "benchgen/redteam.hpp"
 #include "benchgen/specgen.hpp"
+#include "core/analyze.hpp"
 #include "core/report.hpp"
 #include "core/tool.hpp"
 #include "flow/certify.hpp"
 #include "lint/driver.hpp"
 #include "netlist/verilog.hpp"
-#include "rsn/access.hpp"
 #include "rsn/icl.hpp"
 #include "rsn/io.hpp"
 #include "security/filter.hpp"
@@ -137,26 +137,11 @@ rsn::RsnDocument load_network(const Args& args) {
   throw std::runtime_error("need --rsn FILE or --icl FILE");
 }
 
-struct LoadedWorkload {
-  rsn::RsnDocument doc;
-  netlist::Netlist circuit;
-  security::SecuritySpec spec{1, 1};
-};
-
-LoadedWorkload load_workload(const Args& args) {
-  LoadedWorkload w;
-  w.doc = load_network(args);
-  {
-    std::ifstream f = open_input(args.require("verilog"));
-    netlist::verilog::ParsedCircuit parsed = netlist::verilog::parse(f);
-    rsn::apply_attachments(w.doc, parsed.nets);
-    w.circuit = std::move(parsed.netlist);
-  }
-  {
-    std::ifstream f = open_input(args.require("spec"));
-    w.spec = security::read_spec(f, w.doc.module_names);
-  }
-  return w;
+Workload load_workload(const Args& args) {
+  rsn::RsnDocument doc = load_network(args);
+  std::ifstream verilog = open_input(args.require("verilog"));
+  std::ifstream spec = open_input(args.require("spec"));
+  return attach_design(std::move(doc), verilog, spec);
 }
 
 /// Guarded numeric parses: any malformed or overflowing number in the
@@ -358,80 +343,66 @@ int cmd_info(const Args& args, std::ostream& out) {
   std::string err;
   out << "valid: " << (doc.network.validate(&err) ? "yes" : "no (" + err + ")")
       << "\n";
-  rsn::AccessPlanner planner(doc.network);
-  std::size_t accessible = 0;
-  for (rsn::ElemId r : doc.network.registers())
-    accessible += planner.plan(r).has_value();
-  out << "accessible registers: " << accessible << " / "
-      << doc.network.registers().size() << "\n";
+  const rsn::ScanAccess access = doc.network.scan_access();
+  const std::vector<rsn::ElemId>& regs = doc.network.registers();
+  out << "accessible registers: "
+      << std::count_if(regs.begin(), regs.end(),
+                       [&](rsn::ElemId r) { return access.accessible(r); })
+      << " / " << regs.size() << "\n";
   return 0;
 }
 
 int cmd_analyze(const Args& args, std::ostream& out) {
-  LoadedWorkload w = load_workload(args);
-  security::TokenTable tokens(w.spec, w.spec.num_modules());
-
+  // The filter-baseline line is text; after a JSON report it would break
+  // the one-object stdout contract.
+  if (args.has_flag("json") && args.has_flag("filter-baseline"))
+    throw UsageError(
+        "analyze --filter-baseline only has a text report; drop --json");
+  Workload w = load_workload(args);
   std::unique_ptr<store::ArtifactStore> artifact_store = open_store(args);
   PipelineOptions popt = pipeline_options(args);
   std::unique_ptr<store::ArtifactSpillBackend> spill =
       wire_spill(popt, artifact_store.get());
-  dep::DependencyAnalyzer deps(w.circuit, w.doc.network, popt.dep);
-  store::run_with_store(artifact_store.get(), deps);
-  security::HybridAnalyzer hybrid(w.circuit, w.doc.network, deps, w.spec,
-                                  tokens);
-  security::PureScanAnalyzer pure(w.spec, tokens);
-
-  security::StaticReport st = hybrid.check_static();
-  std::size_t pure_pairs = pure.count_violating_pairs(w.doc.network);
-  std::size_t hybrid_pairs = hybrid.count_violating_pairs(w.doc.network);
-  std::size_t viol_regs = hybrid.count_violating_registers(w.doc.network);
+  const AnalyzeResult result = analyze(w, popt.dep, artifact_store.get());
+  const AnalyzeReport& rep = result.report;
 
   if (args.has_flag("json")) {
-    // Shared emitter (also used by the serve daemon's analyze replies, so
-    // a daemon request is byte-identical to this one-shot output).
-    AnalyzeReport rep;
-    rep.insecure_logic = st.insecure_logic;
-    rep.intra_segment = st.intra_segment;
-    rep.pure_violating_pairs = pure_pairs;
-    rep.hybrid_violating_pairs = hybrid_pairs;
-    rep.violating_registers = viol_regs;
-    rep.dep_mode = deps.options().mode;
-    rep.dep_ternary_prefilter = deps.options().ternary_prefilter;
-    rep.dep_partition = deps.options().partition;
-    rep.dep_tiled = deps.tiled();
-    rep.dep_stats = deps.stats();
+    // Shared emitter and analyze body (also the serve daemon's analyze
+    // replies, so a daemon request is byte-identical to this output).
     write_analyze_json(out, rep);
     out << "\n";
   } else {
-    out << "insecure circuit logic: " << (st.insecure_logic ? "YES" : "no")
+    const dep::DepStats& ds = rep.dep_stats;
+    out << "insecure circuit logic: " << (rep.insecure_logic ? "YES" : "no")
         << "\n";
-    out << "intra-segment flows:    " << (st.intra_segment ? "YES" : "no")
+    out << "intra-segment flows:    " << (rep.intra_segment ? "YES" : "no")
         << "\n";
-    out << "violating registers:    " << viol_regs << "\n";
-    out << "violating pairs:        " << pure_pairs << " pure, "
-        << hybrid_pairs << " incl. hybrid\n";
-    out << "dependency matrices:    "
-        << (deps.tiled() ? "tiled" : "dense") << ", "
-        << deps.stats().matrix_bytes << " bytes resident";
-    if (deps.tiled())
-      out << " (" << deps.stats().regions << " regions, "
-          << deps.stats().tiles_nonzero << " tiles, "
-          << deps.stats().tiles_spilled << " spill evictions)";
+    out << "violating registers:    " << rep.violating_registers << "\n";
+    out << "violating pairs:        " << rep.pure_violating_pairs << " pure, "
+        << rep.hybrid_violating_pairs << " incl. hybrid\n";
+    out << "dependency matrices:    " << (rep.dep_tiled ? "tiled" : "dense")
+        << ", " << ds.matrix_bytes << " bytes resident";
+    if (rep.dep_tiled)
+      out << " (" << ds.regions << " regions, " << ds.tiles_nonzero
+          << " tiles, " << ds.tiles_spilled << " spill evictions)";
     out << "\n";
-    for (const std::string& d : st.details) out << "  " << d << "\n";
+    for (const std::string& d : result.static_details)
+      out << "  " << d << "\n";
   }
   if (args.has_flag("filter-baseline")) {
+    security::TokenTable tokens(w.spec, w.spec.num_modules());
     security::AccessFilterBaseline filter(w.doc.network, w.spec, tokens);
     security::FilterReport fr = filter.analyze();
     out << "filter baseline would lock out " << fr.inaccessible.size()
         << " / " << w.doc.network.registers().size() << " registers\n";
   }
-  bool any = st.insecure_logic || st.intra_segment || hybrid_pairs > 0;
+  bool any = rep.insecure_logic || rep.intra_segment ||
+             rep.hybrid_violating_pairs > 0;
   return any ? 2 : 0;
 }
 
 int cmd_secure(const Args& args, std::ostream& out) {
-  LoadedWorkload w = load_workload(args);
+  Workload w = load_workload(args);
   std::unique_ptr<store::ArtifactStore> artifact_store = open_store(args);
   PipelineOptions opt = pipeline_options(args);
   opt.store = artifact_store.get();
@@ -458,7 +429,7 @@ int cmd_secure(const Args& args, std::ostream& out) {
 }
 
 int cmd_certify(const Args& args, std::ostream& out) {
-  LoadedWorkload w = load_workload(args);
+  Workload w = load_workload(args);
   flow::CertifyOptions opt;
   if (args.has_flag("no-ternary")) opt.ternary_refine = false;
   if (auto m = args.get("max-findings"))
