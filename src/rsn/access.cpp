@@ -15,6 +15,37 @@ FanoutIndex::FanoutIndex(const Rsn& network)
   }
 }
 
+CommittedView::CommittedView(const Rsn& network)
+    : net_(network), fanout_(net_) {
+  // Kahn's algorithm over the fanout index, from a stack: scan-in is
+  // pushed last among the sources so it pops (and ranks) first, and a
+  // scan-out that drives nothing is held back to rank last.
+  const std::size_t n = net_.num_elements();
+  std::vector<std::uint32_t> pending(n, 0);
+  for (ElemId id = 0; id < n; ++id)
+    for (ElemId in : net_.elem(id).inputs)
+      if (in != no_elem) ++pending[id];
+  const ElemId last =
+      fanout_.of(net_.scan_out()).empty() ? net_.scan_out() : no_elem;
+  std::vector<ElemId> ready;
+  for (ElemId id = 0; id < n; ++id)
+    if (pending[id] == 0 && id != net_.scan_in() && id != last)
+      ready.push_back(id);
+  ready.push_back(net_.scan_in());
+  rank_.assign(n, 0);
+  std::uint32_t next = 0;
+  while (!ready.empty()) {
+    ElemId id = ready.back();
+    ready.pop_back();
+    rank_[id] = next++;
+    for (const auto& [consumer, port] : fanout_.of(id))
+      if (--pending[consumer] == 0 && consumer != last)
+        ready.push_back(consumer);
+  }
+  if (last != no_elem && pending[last] == 0) rank_[last] = next++;
+  if (next != n) rank_.clear();  // a cycle: some elements never ranked
+}
+
 std::vector<ElemId> AccessPlanner::find_chain(ElemId from, ElemId to) const {
   // BFS backward over input edges from `to`; reconstruct the chain.
   std::vector<ElemId> parent(net_.num_elements(), no_elem);

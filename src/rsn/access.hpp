@@ -60,6 +60,35 @@ class FanoutIndex {
   std::vector<std::vector<std::pair<ElemId, std::size_t>>> fanout_;
 };
 
+/// One committed network together with what resolution trials read from
+/// it: its fanout index and a topological rank. The violation indexes
+/// build one when they are built and after every applied change, and the
+/// rewirer's trials walk it for their pre-cut fanout counts and
+/// predecessor/successor sets instead of scanning the edited copy.
+class CommittedView {
+ public:
+  /// Snapshots `network` (a copy: later edits of `network` do not show).
+  explicit CommittedView(const Rsn& network);
+
+  const Rsn& network() const { return net_; }
+  const FanoutIndex& fanout() const { return fanout_; }
+
+  /// False if the network has a cycle; then rank() must not be called.
+  bool ranked() const { return !rank_.empty(); }
+
+  /// Position of `id` in one topological order of the network: every
+  /// driver ranks below its consumers, scan-in ranks first and scan-out
+  /// (when it drives nothing) last. Distinct elements rank differently.
+  std::uint32_t rank(ElemId id) const {
+    return rank_[static_cast<std::size_t>(id)];
+  }
+
+ private:
+  Rsn net_;
+  FanoutIndex fanout_;
+  std::vector<std::uint32_t> rank_;
+};
+
 /// Plans scan access to registers of an RSN (the pattern-retargeting
 /// core of tools like eda1687 [20], reduced to path planning).
 ///

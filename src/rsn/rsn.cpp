@@ -54,6 +54,7 @@ void Rsn::connect(ElemId from, ElemId to, std::size_t port) {
   if (port >= t.inputs.size())
     throw std::out_of_range("no such input port on '" + t.name + "'");
   t.inputs[port] = from;
+  note_edit(to);
 }
 
 void Rsn::disconnect(ElemId to, std::size_t port) {
@@ -61,6 +62,7 @@ void Rsn::disconnect(ElemId to, std::size_t port) {
   if (port >= t.inputs.size())
     throw std::out_of_range("no such input port on '" + t.name + "'");
   t.inputs[port] = no_elem;
+  note_edit(to);
 }
 
 void Rsn::remove_mux_input(ElemId mux, std::size_t port) {
@@ -72,20 +74,21 @@ void Rsn::remove_mux_input(ElemId mux, std::size_t port) {
     throw std::logic_error("cannot remove the last mux input");
   m.inputs.erase(m.inputs.begin() + static_cast<std::ptrdiff_t>(port));
   if (m.sel >= m.inputs.size()) m.sel = m.inputs.size() - 1;
+  note_edit(mux);
 }
 
 std::size_t Rsn::add_mux_input(ElemId mux, ElemId from) {
   Element& m = mut(mux);
   assert(m.kind == ElemKind::Mux);
   m.inputs.push_back(from);
+  note_edit(mux);
   return m.inputs.size() - 1;
 }
 
 ElemId Rsn::attach_to_scan_out(ElemId elem_id) {
-  Element& so = mut(scan_out_);
-  ElemId driver = so.inputs[0];
+  ElemId driver = elem(scan_out_).inputs[0];
   if (driver == no_elem) {
-    so.inputs[0] = elem_id;
+    connect(elem_id, scan_out_, 0);
     return no_elem;
   }
   if (driver == elem_id) return no_elem;
@@ -303,17 +306,39 @@ bool Rsn::reaches(ElemId from, ElemId to) const {
   return false;
 }
 
+void Rsn::note_edit(ElemId id) {
+  if (edits_.overflow) return;
+  for (ElemId x : edits_.ids)
+    if (x == id) return;
+  if (edits_.ids.size() == edit_record_bound) {
+    edits_.ids.clear();
+    edits_.overflow = true;
+    return;
+  }
+  edits_.ids.push_back(id);
+}
+
 void Rsn::restore(const Rsn& base) {
   assert(elems_.size() >= base.elems_.size());
   assert(registers_.size() == base.registers_.size());
   elems_.resize(base.elems_.size());
   muxes_.resize(base.muxes_.size());
-  for (std::size_t i = 0; i < elems_.size(); ++i) {
+  // Only edited input lists (and the selects remove_mux_input clamps)
+  // can differ from the base; after an overflow, any of them.
+  auto roll_back = [&](std::size_t i) {
     Element& e = elems_[i];
     const Element& b = base.elems_[i];
     if (e.inputs != b.inputs) e.inputs = b.inputs;
     e.sel = b.sel;
+  };
+  if (edits_.overflow) {
+    for (std::size_t i = 0; i < elems_.size(); ++i) roll_back(i);
+  } else {
+    for (ElemId id : edits_.ids)
+      if (id < elems_.size()) roll_back(id);
   }
+  edits_.ids.clear();
+  edits_.overflow = false;
   next_auto_mux_ = base.next_auto_mux_;
 }
 

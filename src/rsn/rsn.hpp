@@ -63,7 +63,8 @@ struct ScanAccess {
 /// analysis. Value semantics: copying an Rsn snapshots the topology. The
 /// resolver trial-evaluates repair candidates on one such copy per work
 /// chunk and rolls it back to the committed network with restore() after
-/// each trial.
+/// each trial; the copy's edit record (edited()) tells restore() and the
+/// violation indexes which input lists a trial changed.
 class Rsn {
  public:
   /// Creates a network containing only the scan-in and scan-out ports.
@@ -180,10 +181,45 @@ class Rsn {
   /// (connect, disconnect, add_mux, add_mux_input, remove_mux_input,
   /// attach_to_scan_out). Drops the elements added since, reassigns the
   /// input lists that differ, copies mux selects and resets the auto-mux
-  /// counter; allocates nothing once capacities are warm.
+  /// counter; allocates nothing once capacities are warm. Visits only
+  /// the edit record's ids while it holds a list, every element after it
+  /// overflowed, and clears the record.
   void restore(const Rsn& base);
 
+  /// Most ids the edit record lists before it reads "everything changed".
+  static constexpr std::size_t edit_record_bound = 64;
+
+  /// The edit record: the ids whose input lists connect, disconnect,
+  /// add_mux_input or remove_mux_input (attach_to_scan_out included)
+  /// changed since this network was copied or last restore()d, each
+  /// once, in first-edit order. Elements added since count as changed
+  /// whether listed or not: they are the ids past the base's
+  /// num_elements(). nullptr once more than edit_record_bound ids
+  /// changed: then anything may have changed, and a long-lived network
+  /// (generated, parsed, committed) never carries a growing list. A copy
+  /// starts with an empty record; the record never travels with a copy.
+  const std::vector<ElemId>* edited() const {
+    return edits_.overflow ? nullptr : &edits_.ids;
+  }
+
  private:
+  /// The edit record's storage. Copying yields an empty record, so
+  /// copying a network costs nothing extra.
+  struct EditRecord {
+    std::vector<ElemId> ids;
+    bool overflow = false;
+
+    EditRecord() = default;
+    EditRecord(const EditRecord&) {}
+    EditRecord& operator=(const EditRecord&) {
+      ids.clear();
+      overflow = false;
+      return *this;
+    }
+    EditRecord(EditRecord&&) noexcept = default;
+    EditRecord& operator=(EditRecord&&) noexcept = default;
+  };
+
   std::string name_;
   std::vector<Element> elems_;
   std::vector<ElemId> registers_;
@@ -191,8 +227,11 @@ class Rsn {
   ElemId scan_in_ = no_elem;
   ElemId scan_out_ = no_elem;
   int next_auto_mux_ = 0;
+  EditRecord edits_;
 
   Element& mut(ElemId id) { return elems_[static_cast<std::size_t>(id)]; }
+  /// Adds `id` to the edit record (see edited()).
+  void note_edit(ElemId id);
 };
 
 }  // namespace rsnsec::rsn

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "rsn/access.hpp"
 #include "rsn/rsn.hpp"
 
 namespace rsnsec {
@@ -86,10 +87,22 @@ struct AppliedChange {
 ///  - the scan network stays cycle-free and keeps every scan register.
 class Rewirer {
  public:
+  /// Reusable buffers of the cuts one thread makes (the lazy pre-cut
+  /// walks' marks and stack; a cut's walks run one after the other).
+  /// Never share an instance between threads.
+  struct Scratch {
+    std::vector<std::uint32_t> seen;
+    std::vector<rsn::ElemId> stack;
+    std::uint32_t epoch = 0;
+    /// Cycle checks the committed rank could not decide, so they walked
+    /// (Rsn::reaches); accumulated over cuts until the caller resets it.
+    std::size_t cycle_walks = 0;
+  };
+
   /// Cuts `c` from `network` and repairs both sides. Returns the number of
   /// individual wiring operations performed (>= 1). `network` must be
-  /// acyclic: each repair tests for a cycle with one backward walk
-  /// (Rsn::reaches) before it edits.
+  /// acyclic. Snapshots `network` into a CommittedView and cuts with the
+  /// overload below.
   ///
   /// `reconnect_hint` selects the new driver for a dangling to-side input:
   /// by default the first multi-cycle predecessor that keeps the network
@@ -100,11 +113,25 @@ class Rewirer {
   static int cut_connection(rsn::Rsn& network, const Connection& c,
                             rsn::ElemId reconnect_hint = rsn::no_elem);
 
-  /// True if cut_connection(network, c, hint) produces the same network
-  /// for every hint (the cut shrinks a multi-input mux and does not
-  /// orphan its source, so no dangling-input repair consults the hint).
-  /// The selection loops evaluate such cuts once instead of per hint.
-  static bool cut_is_hint_insensitive(const rsn::Rsn& network,
+  /// The same cut, on a `network` equal to `view.network()` (a trial copy
+  /// of the committed network, or the committed network itself). The
+  /// pre-cut fanout count comes from the view's index, and the pre-cut
+  /// predecessor and successor sets are walked lazily over the view in
+  /// Rsn::reaching / Rsn::reachable_from discovery order, so a repair
+  /// that stops at its first acceptable candidate visits little else.
+  /// Each repair tests for a cycle before it edits: "no path" is proved
+  /// by rank without a walk when it can be, else answered by one
+  /// backward walk (Rsn::reaches), counted in `scratch.cycle_walks`.
+  static int cut_connection(rsn::Rsn& network, const rsn::CommittedView& view,
+                            const Connection& c, rsn::ElemId reconnect_hint,
+                            Scratch& scratch);
+
+  /// True if cut_connection(view.network(), c, hint) produces the same
+  /// network for every hint (the cut shrinks a multi-input mux and does
+  /// not orphan its source, so no dangling-input repair consults the
+  /// hint). The selection loops evaluate such cuts once instead of per
+  /// hint.
+  static bool cut_is_hint_insensitive(const rsn::CommittedView& view,
                                       const Connection& c);
 
   /// Removes every outgoing connection of register `reg` and routes its
@@ -135,33 +162,24 @@ class Rewirer {
   using TrialCounterFactory = std::function<TrialCounter()>;
 
   /// Trial-evaluates cutting each candidate (with both reconnection
-  /// variants, a hint-insensitive cut once) and selects per `policy`.
-  /// Only candidates that strictly reduce the violating-pair count below
-  /// `current_pairs` qualify. Every (cut, reconnect) candidate is
-  /// evaluated concurrently on `pool`, then the selection scans the
-  /// results in nested (candidate, hint) order — so for every policy the
-  /// returned Selection is the one a sequential first-to-last evaluation
-  /// would pick, at any thread count. (FirstImproving/PreferScanIn
-  /// evaluate trials past the one selected; only side-effect-free
-  /// counters may observe that.) Each work chunk copies `network` once;
-  /// a trial cuts that copy, is counted, and is rolled back with
-  /// Rsn::restore, so counters see a network equal to a fresh copy with
-  /// the cut applied.
+  /// variants, a hint-insensitive cut once) from the committed network
+  /// `view.network()` and selects per `policy`. Only candidates that
+  /// strictly reduce the violating-pair count below `current_pairs`
+  /// qualify. Every (cut, reconnect) candidate is evaluated concurrently
+  /// on `pool`, then the selection scans the results in nested
+  /// (candidate, hint) order — so for every policy the returned Selection
+  /// is the one a sequential first-to-last evaluation would pick, at any
+  /// thread count. (FirstImproving/PreferScanIn evaluate trials past the
+  /// one selected; only side-effect-free counters may observe that.) Each
+  /// work chunk copies the network once; a trial cuts that copy against
+  /// `view`, is counted, and is rolled back with Rsn::restore, so counters
+  /// see a network equal to a fresh copy with the cut applied, whose edit
+  /// record lists what the cut changed.
   static Selection select_cut_parallel(
-      const rsn::Rsn& network, const std::vector<Connection>& candidates,
+      const rsn::CommittedView& view,
+      const std::vector<Connection>& candidates,
       const TrialCounterFactory& make_counter, std::size_t current_pairs,
       ResolutionPolicy policy, ThreadPool& pool);
-
- private:
-  static int repair_dangling_input(rsn::Rsn& network, rsn::ElemId to,
-                                   std::size_t port,
-                                   const std::vector<rsn::ElemId>& pre_preds,
-                                   rsn::ElemId avoid, rsn::ElemId hint);
-  static int repair_lost_fanout(rsn::Rsn& network, rsn::ElemId from,
-                                const std::vector<rsn::ElemId>& pre_succs,
-                                rsn::ElemId avoid);
-  static int attach_to_scan_out_avoiding(rsn::Rsn& network, rsn::ElemId from,
-                                         rsn::ElemId avoid);
 };
 
 }  // namespace rsnsec::security

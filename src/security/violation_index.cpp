@@ -1,7 +1,9 @@
 #include "security/violation_index.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <functional>
 
 #include "obs/trace.hpp"
 #include "rsn/access.hpp"
@@ -48,6 +50,32 @@ void count_delta_query() {
     trace->counter("resolve.delta_queries").add(1);
 }
 
+/// Writes the consumers whose input lists differ between the committed
+/// network `base` and `trial`, plus the elements only `trial` has, to
+/// `out`, ascending. With `use_record`, `trial`'s edit record (relative to
+/// `base`, see eval_trial's contract) names the candidates, unless it has
+/// overflowed; otherwise every input list is compared.
+void changed_consumers(const Rsn& base, const Rsn& trial, bool use_record,
+                       std::vector<ElemId>& out) {
+  assert(trial.num_elements() >= base.num_elements());
+  out.clear();
+  const std::size_t n_base = base.num_elements();
+  const std::vector<ElemId>* edited = use_record ? trial.edited() : nullptr;
+  auto differs = [&](ElemId id) {
+    return trial.elem(id).inputs != base.elem(id).inputs;
+  };
+  if (edited != nullptr) {
+    for (ElemId id : *edited)
+      if (id < n_base && differs(id)) out.push_back(id);
+    std::sort(out.begin(), out.end());
+  } else {
+    for (ElemId id = 0; id < n_base; ++id)
+      if (differs(id)) out.push_back(id);
+  }
+  for (auto id = static_cast<ElemId>(n_base); id < trial.num_elements(); ++id)
+    out.push_back(id);
+}
+
 void count_index_rebuild() {
   if (obs::TraceSession* trace = obs::TraceSession::active())
     trace->counter("resolve.index_rebuilds").add(1);
@@ -60,10 +88,11 @@ void count_index_rebuild() {
 
 HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
                                            const Rsn& network)
-    : a_(analyzer), net_(network), fanout_(network) {
+    : a_(analyzer), view_(network) {
   count_index_rebuild();
+  const Rsn& net = view_.network();
   const std::size_t nodes = a_.owner_module_.size();
-  reg_chains_.assign(net_.num_elements(), {});
+  reg_chains_.assign(net.num_elements(), {});
   rsn_succ_.assign(nodes, {});
   rsn_pred_.assign(nodes, {});
   // Flatten the (dense, immutable) static + circuit adjacency into one
@@ -84,8 +113,9 @@ HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
       fixed_succ_[o++] = static_cast<std::uint32_t>(t);
   }
   std::vector<std::vector<std::size_t>> extra(nodes);
-  for (ElemId r : net_.registers()) {
-    HybridAnalyzer::append_register_chains(net_, fanout_, r, reg_chains_[r]);
+  for (ElemId r : net.registers()) {
+    HybridAnalyzer::append_register_chains(net, view_.fanout(), r,
+                                           reg_chains_[r]);
     for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r]) {
       std::size_t f = from_node(e.from_reg);
       std::size_t t = a_.scan_node(e.to_reg, 0);
@@ -114,13 +144,14 @@ std::size_t HybridViolationIndex::node_pair_count(std::size_t node,
 }
 
 std::size_t HybridViolationIndex::from_node(ElemId reg) const {
-  return a_.scan_node(reg, net_.elem(reg).ffs.size() - 1);
+  return a_.scan_node(reg, view_.network().elem(reg).ffs.size() - 1);
 }
 
 std::size_t HybridViolationIndex::violating_registers() const {
+  const Rsn& net = view_.network();
   std::size_t count = 0;
-  for (ElemId r : net_.registers()) {
-    const rsn::Element& e = net_.elem(r);
+  for (ElemId r : net.registers()) {
+    const rsn::Element& e = net.elem(r);
     if (e.module < 0) continue;
     TrustCategory t = a_.spec_.policy(e.module).trust;
     const TokenSet& bad = a_.tokens_.bad(t);
@@ -146,7 +177,7 @@ HybridViolationIndex::trial_fanout_of(ElemId x, Scratch& s) const {
   auto add_hi = add_lo;
   while (add_hi != s.fanout_adds.end() && add_hi->first == x) ++add_hi;
   const std::vector<std::pair<ElemId, std::size_t>>* committed = nullptr;
-  if (x < net_.num_elements()) committed = &fanout_.of(x);
+  if (x < view_.network().num_elements()) committed = &view_.fanout().of(x);
   std::size_t ci = 0;
   const std::size_t cn = committed != nullptr ? committed->size() : 0;
   while (ci < cn || add_lo != add_hi) {
@@ -176,9 +207,9 @@ HybridViolationIndex::trial_fanout_of(ElemId x, Scratch& s) const {
 std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
                                                  Scratch& s) const {
   count_delta_query();
+  const Rsn& net = view_.network();
   const std::size_t nodes = state_.size();
-  const std::size_t elems =
-      std::max(net_.num_elements(), trial.num_elements());
+  const std::size_t elems = trial.num_elements();
   if (s.state.size() < nodes) {
     s.state.resize(nodes);
     s.affected_mark.assign(nodes, 0);
@@ -202,32 +233,26 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     s.epoch = 1;
   }
 
-  // 1. Input-list diff: changed consumers (elements whose input vector
-  //    differs, or that exist only in the trial), the drivers involved
-  //    on either side (endpoints — every element whose fanout differs
-  //    between the two structures has a representative among them), and
-  //    the trial-side fanout patch entries of the changed consumers.
+  // 1. Input-list diff: the changed consumers (s.changed: elements whose
+  //    input vector differs, or that exist only in the trial), the
+  //    drivers involved on either side (endpoints — every element whose
+  //    fanout differs between the two structures has a representative
+  //    among them), and the trial-side fanout patch entries of the
+  //    changed consumers.
   s.endpoints.clear();
   s.fanout_adds.clear();
-  for (ElemId id = 0; id < elems; ++id) {
-    const std::vector<ElemId>* old_in =
-        id < net_.num_elements() ? &net_.elem(id).inputs : nullptr;
-    const std::vector<ElemId>* new_in =
-        id < trial.num_elements() ? &trial.elem(id).inputs : nullptr;
-    if (old_in != nullptr && new_in != nullptr && *old_in == *new_in)
-      continue;
+  for (ElemId id : s.changed) {
     s.changed_mark[id] = s.epoch;
-    if (old_in != nullptr) {
-      for (ElemId x : *old_in)
+    if (id < net.num_elements()) {
+      for (ElemId x : net.elem(id).inputs)
         if (x != rsn::no_elem) s.endpoints.push_back(x);
     }
-    if (new_in != nullptr) {
-      for (std::size_t p = 0; p < new_in->size(); ++p) {
-        ElemId x = (*new_in)[p];
-        if (x == rsn::no_elem) continue;
-        s.endpoints.push_back(x);
-        s.fanout_adds.push_back({x, {id, p}});
-      }
+    const std::vector<ElemId>& new_in = trial.elem(id).inputs;
+    for (std::size_t p = 0; p < new_in.size(); ++p) {
+      ElemId x = new_in[p];
+      if (x == rsn::no_elem) continue;
+      s.endpoints.push_back(x);
+      s.fanout_adds.push_back({x, {id, p}});
     }
   }
   std::sort(s.endpoints.begin(), s.endpoints.end());
@@ -245,8 +270,8 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   //    must rebuild).
   s.dirty_regs.clear();
   for (ElemId x : s.endpoints) {
-    if (x < net_.num_elements())
-      collect_chain_sources(net_, x, s.vis_old_mark, s.epoch, s.chain_stack,
+    if (x < net.num_elements())
+      collect_chain_sources(net, x, s.vis_old_mark, s.epoch, s.chain_stack,
                             s.dirty_regs);
     collect_chain_sources(trial, x, s.vis_new_mark, s.epoch, s.chain_stack,
                           s.dirty_regs);
@@ -462,9 +487,11 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
         if (e.first == n) grow_to(nv, e.second);
   }
 
-  // 6. Pair-count delta over the affected nodes only.
+  // 6. Pair-count delta over the affected nodes whose value changed (a
+  //    re-solved node that kept its committed value keeps its count).
   std::ptrdiff_t delta = 0;
   for (std::size_t n : s.affected) {
+    if (s.state[n] == state_[n]) continue;
     delta += static_cast<std::ptrdiff_t>(node_pair_count(n, s.state[n]));
     delta -= static_cast<std::ptrdiff_t>(node_pairs_[n]);
   }
@@ -474,11 +501,18 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
 
 std::size_t HybridViolationIndex::eval_trial(const Rsn& trial,
                                              Scratch& scratch) const {
-  return delta_analysis(trial, scratch);
+  changed_consumers(view_.network(), trial, /*use_record=*/true,
+                    scratch.changed);
+  const std::size_t pairs = delta_analysis(trial, scratch);
+  if (obs::TraceSession* trace = obs::TraceSession::active())
+    trace->counter("resolve.hybrid_region").add(scratch.affected.size());
+  return pairs;
 }
 
 void HybridViolationIndex::commit(const Rsn& network) {
   Scratch& s = commit_scratch_;
+  changed_consumers(view_.network(), network, /*use_record=*/false,
+                    s.changed);
   const std::size_t new_pairs = delta_analysis(network, s);
   for (std::size_t n : s.affected) {
     state_[n] = s.state[n];
@@ -514,10 +548,9 @@ void HybridViolationIndex::commit(const Rsn& network) {
     rsn_succ_[e.first].push_back(e.second);
     rsn_pred_[e.second].push_back(e.first);
   }
-  net_ = network;
-  // Re-index the committed fanout (once per applied change; trials never
-  // pay for it — they patch this index instead).
-  fanout_ = rsn::FanoutIndex(net_);
+  // Re-index the committed view (once per applied change; trials never
+  // pay for it — they patch its fanout index instead).
+  view_ = rsn::CommittedView(network);
 }
 
 std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
@@ -525,43 +558,29 @@ std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
   // HybridAnalyzer::find_violation, answered from the committed fixpoint:
   // the chains concatenated in registers() order are exactly
   // build_rsn_edges' emission order, so the same Violation.
+  const Rsn& net = view_.network();
   std::vector<HybridAnalyzer::RsnEdge> rsn_edges;
-  for (ElemId r : net_.registers())
+  for (ElemId r : net.registers())
     for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
       rsn_edges.push_back(e);
-  return a_.trace_violation(net_, rsn_edges, state_);
+  return a_.trace_violation(net, rsn_edges, state_);
 }
 
 // ---------------------------------------------------------------------------
 // PureViolationIndex
 
-namespace {
-
-/// Element fanout (consumers per element, one entry per reading port) of
-/// `net` — the closure substrate PureViolationIndex keeps committed.
-std::vector<std::vector<ElemId>> build_elem_fanout(const Rsn& net) {
-  std::vector<std::vector<ElemId>> fanout(net.num_elements());
-  for (ElemId id = 0; id < net.num_elements(); ++id) {
-    for (ElemId in : net.elem(id).inputs)
-      if (in != rsn::no_elem) fanout[in].push_back(id);
-  }
-  return fanout;
-}
-
-}  // namespace
-
 PureViolationIndex::PureViolationIndex(const PureScanAnalyzer& analyzer,
                                        const Rsn& network)
-    : a_(analyzer), net_(network) {
+    : a_(analyzer), view_(network) {
   count_index_rebuild();
-  state_ = a_.propagate(net_);
-  fanout_ = build_elem_fanout(net_);
-  reg_pairs_.assign(net_.num_elements(), 0);
-  for (ElemId reg : net_.registers()) {
+  const Rsn& net = view_.network();
+  state_ = a_.propagate(net);
+  reg_pairs_.assign(net.num_elements(), 0);
+  for (ElemId reg : net.registers()) {
     TokenSet incoming;
-    for (ElemId in : net_.elem(reg).inputs)
+    for (ElemId in : net.elem(reg).inputs)
       if (in != rsn::no_elem) incoming.merge(state_[in]);
-    reg_pairs_[reg] = register_pair_count(net_, reg, incoming);
+    reg_pairs_[reg] = register_pair_count(net, reg, incoming);
     pairs_ += reg_pairs_[reg];
   }
 }
@@ -573,12 +592,13 @@ std::size_t PureViolationIndex::register_pair_count(
 }
 
 std::size_t PureViolationIndex::violating_registers() const {
+  const Rsn& net = view_.network();
   std::size_t count = 0;
-  for (ElemId reg : net_.registers()) {
+  for (ElemId reg : net.registers()) {
     TokenSet incoming;
-    for (ElemId in : net_.elem(reg).inputs)
+    for (ElemId in : net.elem(reg).inputs)
       if (in != rsn::no_elem) incoming.merge(state_[in]);
-    if (a_.violates(net_, reg, incoming)) ++count;
+    if (a_.violates(net, reg, incoming)) ++count;
   }
   return count;
 }
@@ -587,92 +607,98 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
                                                Scratch& s) const {
   count_delta_query();
   const std::size_t n = trial.num_elements();
+  const std::size_t n_base = view_.network().num_elements();
   if (s.state.size() < n) {
     s.state.resize(n);
-    s.affected_mark.resize(n, 0);
-    s.pending.resize(n, 0);
-    s.local_succ.resize(n);
+    s.touched_mark.resize(n, 0);
+    s.queued_mark.resize(n, 0);
+    s.changed_mark.resize(n, 0);
   }
-  if (++s.epoch == 0) {
-    std::fill(s.affected_mark.begin(), s.affected_mark.end(), 0u);
+  if (++s.epoch == 0) {  // epoch wrap: reset marks once per 2^32 queries
+    std::fill(s.touched_mark.begin(), s.touched_mark.end(), 0u);
+    std::fill(s.queued_mark.begin(), s.queued_mark.end(), 0u);
+    std::fill(s.changed_mark.begin(), s.changed_mark.end(), 0u);
     s.epoch = 1;
   }
+  for (ElemId id : s.changed) s.changed_mark[id] = s.epoch;
 
-  // Affected = forward closure of the elements whose input lists changed
-  // (including elements that exist only in the trial). Everything else
-  // keeps its committed attribute set: the propagation is a function of
-  // the input lists and upstream values, both unchanged. The closure
-  // expands over the *committed* fanout, which over-approximates: a
-  // trial-removed edge only adds elements that recompute to their old
-  // value, and every trial-added edge ends in a changed consumer — a
-  // closure seed already.
-  s.affected.clear();
-  s.stack.clear();
-  auto discover = [&](ElemId id) {
-    if (s.affected_mark[id] == s.epoch) return;
-    s.affected_mark[id] = s.epoch;
-    s.affected.push_back(id);
-    s.stack.push_back(id);
+  // Evaluation order: committed rank. An element only the trial has (a
+  // repair or collector mux) sorts right after its highest-ranked
+  // committed driver, which places it below the element it feeds.
+  auto key = [&](ElemId id) -> std::uint64_t {
+    if (!view_.ranked()) return 0;
+    if (id < n_base) return 2 * std::uint64_t{view_.rank(id)};
+    std::uint64_t k = 0;
+    for (ElemId in : trial.elem(id).inputs)
+      if (in != rsn::no_elem && in < n_base)
+        k = std::max(k, 2 * std::uint64_t{view_.rank(in)} + 1);
+    return k;
   };
-  for (ElemId id = 0; id < n; ++id) {
-    if (id >= net_.num_elements() ||
-        trial.elem(id).inputs != net_.elem(id).inputs)
-      discover(id);
-  }
-  while (!s.stack.empty()) {
-    ElemId id = s.stack.back();
-    s.stack.pop_back();
-    if (id >= fanout_.size()) continue;  // trial-only: consumers are seeds
-    for (ElemId t : fanout_[id]) discover(t);
-  }
-
-  // Kahn order restricted to the affected subgraph: in-degrees and
-  // successor lists only over affected-to-affected trial edges, so this
-  // stage costs O(affected region), not O(network). Unaffected inputs
-  // are ready constants (the committed value).
-  for (std::size_t id : s.affected) {
-    s.pending[id] = 0;
-    s.local_succ[id].clear();
-  }
-  for (std::size_t id : s.affected) {
-    for (ElemId in : trial.elem(static_cast<ElemId>(id)).inputs) {
-      if (in == rsn::no_elem || s.affected_mark[in] != s.epoch) continue;
-      s.local_succ[in].push_back(static_cast<ElemId>(id));
-      ++s.pending[id];
-    }
-  }
   auto value_of = [&](ElemId id) -> const TokenSet& {
-    return s.affected_mark[id] == s.epoch ? s.state[id] : state_[id];
+    return s.touched_mark[id] == s.epoch ? s.state[id] : state_[id];
   };
-  s.ready.clear();
-  for (std::size_t id : s.affected)
-    if (s.pending[id] == 0) s.ready.push_back(static_cast<ElemId>(id));
-  while (!s.ready.empty()) {
-    ElemId id = s.ready.back();
-    s.ready.pop_back();
-    s.state[id] = TokenSet{};
+  s.touched.clear();
+  s.queue.clear();
+  s.evaluations = 0;
+  auto enqueue = [&](ElemId id) {
+    if (s.touched_mark[id] != s.epoch) {
+      s.touched_mark[id] = s.epoch;
+      s.touched.push_back(id);
+      s.state[id] = id < n_base ? state_[id] : TokenSet{};
+    }
+    if (s.queued_mark[id] == s.epoch) return;
+    s.queued_mark[id] = s.epoch;
+    s.queue.push_back({key(id), id});
+    std::push_heap(s.queue.begin(), s.queue.end(), std::greater<>());
+  };
+
+  // Chaotic evaluation from the changed consumers: an element whose
+  // recomputed value equals its current one stops there; one whose value
+  // changed queues every trial consumer (committed fanout of unchanged
+  // consumers, plus the changed consumers that read it now). An element
+  // evaluated before an input settled is thereby queued again, so the
+  // values end at the trial's propagation for any acyclic trial; with
+  // every trial edge going up in committed rank, each element is
+  // evaluated once.
+  for (ElemId id : s.changed) enqueue(id);
+  while (!s.queue.empty()) {
+    std::pop_heap(s.queue.begin(), s.queue.end(), std::greater<>());
+    const ElemId id = s.queue.back().second;
+    s.queue.pop_back();
+    s.queued_mark[id] = 0;
+    ++s.evaluations;
     const rsn::Element& e = trial.elem(id);
+    TokenSet v;
     for (ElemId in : e.inputs)
-      if (in != rsn::no_elem) s.state[id].merge(value_of(in));
+      if (in != rsn::no_elem) v.merge(value_of(in));
     if (e.kind == ElemKind::Register) {
       int tok = a_.register_token(trial, id);
-      if (tok >= 0) s.state[id].set(static_cast<std::size_t>(tok));
+      if (tok >= 0) v.set(static_cast<std::size_t>(tok));
     }
-    for (ElemId t : s.local_succ[id])
-      if (--s.pending[t] == 0) s.ready.push_back(t);
+    if (v == s.state[id]) continue;
+    s.state[id] = v;
+    if (id < n_base)
+      for (const auto& [consumer, port] : view_.fanout().of(id))
+        if (s.changed_mark[consumer] != s.epoch) enqueue(consumer);
+    for (ElemId consumer : s.changed) {
+      const std::vector<ElemId>& ins = trial.elem(consumer).inputs;
+      if (std::find(ins.begin(), ins.end(), id) != ins.end())
+        enqueue(consumer);
+    }
   }
 
-  // Pair-count delta over affected registers (registers are never
+  // Pair-count delta over the touched registers: an untouched register
+  // kept its input list and every input's value (registers are never
   // created by repairs, so reg_pairs_ always has the old contribution).
   std::ptrdiff_t delta = 0;
-  for (std::size_t id : s.affected) {
-    const rsn::Element& e = trial.elem(static_cast<ElemId>(id));
+  for (ElemId id : s.touched) {
+    const rsn::Element& e = trial.elem(id);
     if (e.kind != ElemKind::Register) continue;
     TokenSet incoming;
     for (ElemId in : e.inputs)
       if (in != rsn::no_elem) incoming.merge(value_of(in));
     delta += static_cast<std::ptrdiff_t>(
-        register_pair_count(trial, static_cast<ElemId>(id), incoming));
+        register_pair_count(trial, id, incoming));
     delta -= static_cast<std::ptrdiff_t>(reg_pairs_[id]);
   }
   return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(pairs_) +
@@ -681,35 +707,38 @@ std::size_t PureViolationIndex::delta_analysis(const Rsn& trial,
 
 std::size_t PureViolationIndex::eval_trial(const Rsn& trial,
                                            Scratch& scratch) const {
-  return delta_analysis(trial, scratch);
+  changed_consumers(view_.network(), trial, /*use_record=*/true,
+                    scratch.changed);
+  const std::size_t pairs = delta_analysis(trial, scratch);
+  if (obs::TraceSession* trace = obs::TraceSession::active())
+    trace->counter("resolve.pure_region").add(scratch.evaluations);
+  return pairs;
 }
 
 void PureViolationIndex::commit(const Rsn& network) {
   Scratch& s = commit_scratch_;
+  changed_consumers(view_.network(), network, /*use_record=*/false,
+                    s.changed);
   const std::size_t new_pairs = delta_analysis(network, s);
-  if (state_.size() < network.num_elements())
-    state_.resize(network.num_elements());
-  if (reg_pairs_.size() < network.num_elements())
-    reg_pairs_.resize(network.num_elements(), 0);
-  for (std::size_t id : s.affected) state_[id] = s.state[id];
-  for (std::size_t id : s.affected) {
-    const rsn::Element& e = network.elem(static_cast<ElemId>(id));
+  state_.resize(network.num_elements());
+  reg_pairs_.resize(network.num_elements(), 0);
+  for (ElemId id : s.touched) state_[id] = s.state[id];
+  for (ElemId id : s.touched) {
+    const rsn::Element& e = network.elem(id);
     if (e.kind != ElemKind::Register) continue;
     TokenSet incoming;
     for (ElemId in : e.inputs)
       if (in != rsn::no_elem) incoming.merge(state_[in]);
-    reg_pairs_[id] =
-        register_pair_count(network, static_cast<ElemId>(id), incoming);
+    reg_pairs_[id] = register_pair_count(network, id, incoming);
   }
   pairs_ = new_pairs;
-  net_ = network;
-  fanout_ = build_elem_fanout(net_);
+  view_ = rsn::CommittedView(network);
 }
 
 std::optional<PureViolation> PureViolationIndex::find_violation() const {
   // PureScanAnalyzer::find_violation, answered from the committed
   // propagation.
-  return a_.trace_violation(net_, state_);
+  return a_.trace_violation(view_.network(), state_);
 }
 
 }  // namespace rsnsec::security

@@ -46,7 +46,8 @@ namespace rsnsec::security {
 /// eval_trial is const and touches only caller-owned scratch, so
 /// independent candidate cuts are evaluated concurrently (one scratch
 /// per thread/chunk); commit folds an applied change into the committed
-/// state.
+/// state and rebuilds the committed view (network, fanout index, rank)
+/// the selection's trials and cuts read.
 class HybridViolationIndex {
  public:
   /// Builds the full index for `network` (one "index rebuild").
@@ -59,6 +60,9 @@ class HybridViolationIndex {
 
   /// Committed violating-register count (== count_violating_registers).
   std::size_t violating_registers() const;
+
+  /// The committed network with its fanout index and topological rank.
+  const rsn::CommittedView& view() const { return view_; }
 
   /// Reusable buffers of one trial evaluation. Sized lazily; reuse one
   /// instance across many eval_trial calls on the same thread to avoid
@@ -81,6 +85,8 @@ class HybridViolationIndex {
     std::uint32_t epoch = 0;
     std::vector<std::size_t> affected;
     std::vector<std::size_t> worklist;
+    /// Consumers whose input lists the trial changed, ascending.
+    std::vector<rsn::ElemId> changed;
     std::vector<rsn::ElemId> endpoints;
     std::vector<rsn::ElemId> chain_stack;
     /// Trial-only fanout entries, (source, (consumer, port)) sorted by
@@ -100,14 +106,18 @@ class HybridViolationIndex {
     std::vector<std::pair<std::size_t, std::size_t>> edge_added;
   };
 
-  /// Violating-pair count of `trial`, a network derived from the
-  /// committed one by Rewirer edits, computed as a delta query against
-  /// the committed state. Thread-safe (const; all mutation in `scratch`).
+  /// Violating-pair count of `trial`, computed as a delta query against
+  /// the committed state. `trial` is a copy of the committed network (or
+  /// of an equal one), fresh or restore()d, changed since only by
+  /// structural edits: its edit record lists the changed input lists, or
+  /// has overflowed and every list is compared. Thread-safe (const; all
+  /// mutation in `scratch`).
   std::size_t eval_trial(const rsn::Rsn& trial, Scratch& scratch) const;
 
   /// Folds the applied change into the committed state: `network` is the
-  /// committed network after Rewirer edits. Incremental (same delta
-  /// machinery as eval_trial, then written back).
+  /// committed network after structural edits (its input lists are all
+  /// compared with the committed ones; its edit record is not read).
+  /// Incremental (same delta machinery as eval_trial, then written back).
   void commit(const rsn::Rsn& network);
 
   /// HybridAnalyzer::find_violation of the committed network, answered
@@ -118,7 +128,10 @@ class HybridViolationIndex {
 
  private:
   const HybridAnalyzer& a_;
-  rsn::Rsn net_;  ///< committed snapshot (trial diffs run against it)
+  /// Committed network (trial diffs run against it), its element-level
+  /// fanout (trial fanout is this plus the patch derived from the trial's
+  /// changed consumers) and its rank.
+  rsn::CommittedView view_;
   std::vector<TokenSet> state_;          ///< committed fixpoint, per node
   std::vector<std::size_t> node_pairs_;  ///< violating pairs per node
   std::size_t pairs_ = 0;
@@ -136,9 +149,6 @@ class HybridViolationIndex {
   /// fixed_succ_[fixed_succ_off_[n] .. fixed_succ_off_[n+1]]).
   std::vector<std::uint32_t> fixed_succ_off_;
   std::vector<std::uint32_t> fixed_succ_;
-  /// Element-level fanout of the committed network; trial fanout is this
-  /// plus the patch derived from the trial's changed consumers.
-  rsn::FanoutIndex fanout_;
   Scratch commit_scratch_;
 
   std::size_t node_pair_count(std::size_t node, const TokenSet& st) const;
@@ -147,20 +157,23 @@ class HybridViolationIndex {
   /// unchanged consumers + the trial-only patch, in FanoutIndex order.
   const std::vector<std::pair<rsn::ElemId, std::size_t>>& trial_fanout_of(
       rsn::ElemId x, Scratch& s) const;
-  /// Runs the delta analysis of `trial` against the committed state into
-  /// `s`: dirty registers, rebuilt chains, affected set (s.affected,
-  /// valid s.state entries) and the resulting pair-count delta (returned
-  /// added to pairs_).
+  /// Runs the delta analysis of `trial`, whose changed consumers are in
+  /// s.changed, against the committed state into `s`: dirty registers,
+  /// rebuilt chains, affected set (s.affected, valid s.state entries) and
+  /// the resulting pair-count delta (returned added to pairs_).
   std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
 };
 
 /// Incremental violation state of the pure-path analyzer: the committed
 /// element-granular token propagation plus per-register violating-pair
-/// contributions, maintained under structural deltas. An edit invalidates
-/// exactly the elements whose input lists changed and their forward
-/// closure; everything upstream keeps its committed attribute set (the
-/// propagation is a function over a DAG, so the restriction argument is
-/// immediate). Same determinism contract as HybridViolationIndex.
+/// contributions, maintained under structural deltas. A query re-evaluates
+/// from the elements whose input lists changed, in committed-rank order,
+/// and goes on past an element only if its value changed: everything else
+/// keeps its committed attribute set (the propagation is a function over
+/// a DAG). An element evaluated before one of its inputs settled is
+/// queued again when that input changes, so the result is exact for any
+/// acyclic trial, and in committed-rank order each element is evaluated
+/// once. Same determinism contract as HybridViolationIndex.
 class PureViolationIndex {
  public:
   PureViolationIndex(const PureScanAnalyzer& analyzer,
@@ -169,22 +182,31 @@ class PureViolationIndex {
   std::size_t pairs() const { return pairs_; }
   std::size_t violating_registers() const;
 
+  /// See HybridViolationIndex::view.
+  const rsn::CommittedView& view() const { return view_; }
+
   /// See HybridViolationIndex::Scratch.
   struct Scratch {
+    /// Values of the elements a query touched (seeded with the committed
+    /// value, empty for elements only the trial has).
     std::vector<TokenSet> state;
-    std::vector<std::uint32_t> affected_mark;
+    std::vector<std::uint32_t> touched_mark;
+    std::vector<std::uint32_t> queued_mark;
+    std::vector<std::uint32_t> changed_mark;
     std::uint32_t epoch = 0;
-    std::vector<std::size_t> affected;
-    std::vector<rsn::ElemId> stack;
-    /// Affected-subgraph Kahn state: in-degrees and successor lists are
-    /// written (and cleared) only for affected elements, so one trial's
-    /// cost is proportional to the affected region, not the network.
-    std::vector<std::uint32_t> pending;
-    std::vector<std::vector<rsn::ElemId>> local_succ;
-    std::vector<rsn::ElemId> ready;
+    /// Consumers whose input lists the trial changed, ascending.
+    std::vector<rsn::ElemId> changed;
+    /// Every element queued at least once (the pair delta's registers).
+    std::vector<rsn::ElemId> touched;
+    /// Min-heap of (committed-rank key, element) awaiting evaluation.
+    std::vector<std::pair<std::uint64_t, rsn::ElemId>> queue;
+    /// Evaluations the last query made (re-queued elements count again).
+    std::size_t evaluations = 0;
   };
 
+  /// See HybridViolationIndex::eval_trial.
   std::size_t eval_trial(const rsn::Rsn& trial, Scratch& scratch) const;
+  /// See HybridViolationIndex::commit.
   void commit(const rsn::Rsn& network);
 
   /// PureScanAnalyzer::find_violation of the committed network, answered
@@ -193,19 +215,16 @@ class PureViolationIndex {
 
  private:
   const PureScanAnalyzer& a_;
-  rsn::Rsn net_;                        ///< committed snapshot
+  rsn::CommittedView view_;             ///< committed network
   std::vector<TokenSet> state_;         ///< out[] per element
   std::vector<std::size_t> reg_pairs_;  ///< per element (registers only)
   std::size_t pairs_ = 0;
-  /// Committed element fanout (consumers per element, duplicates per
-  /// port). Used only for the affected-set closure, where edges that a
-  /// trial removed merely over-approximate (any trial-added edge has a
-  /// changed consumer, which is a closure seed already).
-  std::vector<std::vector<rsn::ElemId>> fanout_;
   Scratch commit_scratch_;
 
   std::size_t register_pair_count(const rsn::Rsn& net, rsn::ElemId reg,
                                   const TokenSet& incoming) const;
+  /// Re-evaluates `trial` from its changed consumers (s.changed) into `s`
+  /// and returns its violating-pair count.
   std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
 };
 
@@ -259,9 +278,11 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
       trace->counter(std::string("resolve.") + stage + "_iterations").add(1);
 
     // Each cut is evaluated with both reconnection variants ([17]-style
-    // candidate generation); the policy decides how exhaustively.
+    // candidate generation); the policy decides how exhaustively. Trials
+    // and the applied cut read the index's committed view, which equals
+    // `network` until the cut is applied.
     Rewirer::Selection sel = Rewirer::select_cut_parallel(
-        network, candidates(*v),
+        index.view(), candidates(*v),
         [&index]() -> Rewirer::TrialCounter {
           auto scratch = std::make_shared<typename Index::Scratch>();
           return [&index, scratch](const rsn::Rsn& n) {
@@ -274,8 +295,9 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
     if (sel.found) {
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
-      change.rewire_operations =
-          Rewirer::cut_connection(network, sel.cut, sel.reconnect_hint);
+      Rewirer::Scratch scratch;
+      change.rewire_operations = Rewirer::cut_connection(
+          network, index.view(), sel.cut, sel.reconnect_hint, scratch);
       change.note = std::string(stage) + ": cut " +
                     network.elem(sel.cut.from).name + " -> " +
                     network.elem(sel.cut.to).name;

@@ -14,6 +14,19 @@ using security::Connection;
 using security::ResolutionPolicy;
 using security::Rewirer;
 
+namespace {
+
+/// Rewirer::cut_is_hint_insensitive, answered from the network itself:
+/// the cut shrinks a multi-input mux and does not orphan its source.
+bool hint_insensitive(const rsn::Rsn& network, const Connection& c) {
+  const rsn::Element& to = network.elem(c.to);
+  if (to.kind != ElemKind::Mux || to.inputs.size() <= 1) return false;
+  return network.elem(c.from).kind == ElemKind::ScanIn ||
+         network.fanouts(c.from).size() != 1;
+}
+
+}  // namespace
+
 Rewirer::Selection select_cut(
     const rsn::Rsn& network, const std::vector<Connection>& candidates,
     const std::function<std::size_t(const rsn::Rsn&)>& count_pairs,
@@ -23,7 +36,7 @@ Rewirer::Selection select_cut(
     std::vector<ElemId> hints{rsn::no_elem, network.scan_in()};
     if (policy == ResolutionPolicy::PreferScanIn)
       std::swap(hints[0], hints[1]);
-    if (Rewirer::cut_is_hint_insensitive(network, c)) hints.resize(1);
+    if (hint_insensitive(network, c)) hints.resize(1);
     for (ElemId hint : hints) {
       rsn::Rsn trial = network;
       int ops = oracle::cut_connection(trial, c, hint);

@@ -234,6 +234,141 @@ TEST(Rsn, RestoreRollsBackStructuralEdits) {
   EXPECT_EQ(names[0], names[1]);
 }
 
+TEST(Rsn, EditRecordListsChangedInputLists) {
+  SmallNet s;
+  Rsn copy = s.net;
+  ASSERT_NE(copy.edited(), nullptr);
+  EXPECT_TRUE(copy.edited()->empty());  // a copy starts with an empty record
+  copy.disconnect(s.r3, 0);
+  copy.connect(s.r2, s.r3, 0);
+  copy.add_mux_input(s.mux, s.net.scan_in());
+  copy.remove_mux_input(s.mux, 0);
+  ASSERT_NE(copy.edited(), nullptr);
+  EXPECT_EQ(*copy.edited(), (std::vector<ElemId>{s.r3, s.mux}));
+  // attach_to_scan_out records through the edits it makes: the new
+  // collector mux is past the base's ids, scan-out is listed.
+  ElemId m = copy.attach_to_scan_out(s.r1);
+  ASSERT_NE(m, no_elem);
+  EXPECT_EQ(*copy.edited(),
+            (std::vector<ElemId>{s.r3, s.mux, m, copy.scan_out()}));
+
+  // The record never travels with a copy, by construction or assignment.
+  Rsn second = copy;
+  ASSERT_NE(second.edited(), nullptr);
+  EXPECT_TRUE(second.edited()->empty());
+  second.disconnect(s.r2, 0);
+  second = copy;
+  EXPECT_TRUE(second.edited()->empty());
+
+  // Past the bound the record reads "everything changed"; restore clears
+  // it.
+  Rsn wide = s.net;
+  for (std::size_t i = 0; i <= Rsn::edit_record_bound; ++i) {
+    ElemId mux = wide.add_mux("wide_mux", 2);
+    wide.connect(s.r1, mux, 0);
+  }
+  EXPECT_EQ(wide.edited(), nullptr);
+  wide.restore(s.net);
+  ASSERT_NE(wide.edited(), nullptr);
+  EXPECT_TRUE(wide.edited()->empty());
+  EXPECT_EQ(rsn_text(wide), rsn_text(s.net));
+}
+
+/// One random structural edit of `net` — connect, disconnect,
+/// add_mux_input, remove_mux_input, add_mux or attach_to_scan_out — on
+/// random elements and ports. restore() must undo any mix of them, cycles
+/// and dangling ports included.
+void random_structural_edit(Rsn& net, Rng& rng) {
+  const auto n = static_cast<std::uint32_t>(net.num_elements());
+  const ElemId from = rng.below(n);
+  const ElemId to = rng.below(n);
+  const Element& t = net.elem(to);
+  switch (rng.below(6)) {
+    case 0:
+      if (!t.inputs.empty())
+        net.connect(from, to,
+                    rng.below(static_cast<std::uint32_t>(t.inputs.size())));
+      break;
+    case 1:
+      if (!t.inputs.empty())
+        net.disconnect(
+            to, rng.below(static_cast<std::uint32_t>(t.inputs.size())));
+      break;
+    case 2:
+      if (t.kind == ElemKind::Mux) net.add_mux_input(to, from);
+      break;
+    case 3:
+      if (t.kind == ElemKind::Mux && t.inputs.size() > 1)
+        net.remove_mux_input(
+            to, rng.below(static_cast<std::uint32_t>(t.inputs.size())));
+      break;
+    case 4: {
+      ElemId m = net.add_mux("edit_mux", 2 + rng.below(2));
+      net.connect(from, m, 0);
+      break;
+    }
+    default:
+      if (from != net.scan_out()) net.attach_to_scan_out(from);
+      break;
+  }
+}
+
+TEST(Rsn, RestoreUndoesRandomEditSequences) {
+  std::size_t overflowed = 0, listed = 0;
+  for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles()) {
+    Rng rng(p.registers * 17 + 3);
+    RsnDocument doc = benchgen::generate_bastion(p, 0.05, rng);
+    ASSERT_GE(doc.network.registers().size(), 2u) << p.name;
+    // A second base that is itself an edited copy (non-empty record, some
+    // selects on a mux's last input, which remove_mux_input clamps): a
+    // copy of it must restore to it, not to the generated network.
+    Rsn edited = doc.network;
+    for (int i = 0; i < 5; ++i) random_structural_edit(edited, rng);
+    for (ElemId m : edited.muxes())
+      if (rng.chance(0.5))
+        edited.set_mux_select(m, edited.elem(m).inputs.size() - 1);
+    for (const Rsn* base : {&doc.network, &edited}) {
+      const std::string text = rsn_text(*base);
+      Rsn trial = *base;
+      for (int round = 0; round < 8; ++round) {
+        // Even rounds stay within the record; odd ones run past its
+        // bound.
+        const std::size_t len =
+            round % 2 == 0 ? 1 + rng.below(8)
+                           : 2 * Rsn::edit_record_bound + rng.below(64);
+        for (std::size_t i = 0; i < len; ++i)
+          random_structural_edit(trial, rng);
+        ++(trial.edited() == nullptr ? overflowed : listed);
+        trial.restore(*base);
+        const std::string what = p.name + " round " + std::to_string(round);
+        ASSERT_EQ(rsn_text(trial), text) << what;
+        EXPECT_EQ(trial.num_elements(), base->num_elements()) << what;
+        EXPECT_EQ(trial.muxes(), base->muxes()) << what;
+        for (ElemId m : base->muxes())
+          EXPECT_EQ(trial.mux_select(m), base->mux_select(m)) << what;
+        ASSERT_NE(trial.edited(), nullptr) << what;
+        EXPECT_TRUE(trial.edited()->empty()) << what;
+        // The auto-mux counter: the next collector mux gets the same
+        // name on the rolled-back copy as on the base.
+        Rsn a = trial, b = *base;
+        const ElemId r0 = base->registers().front();
+        const ElemId r1 = base->registers().back();
+        std::string names[2];
+        Rsn* nets[2] = {&a, &b};
+        for (int i = 0; i < 2; ++i) {
+          nets[i]->connect(r1, nets[i]->scan_out(), 0);
+          ElemId m = nets[i]->attach_to_scan_out(r0);
+          ASSERT_NE(m, no_elem) << what;
+          names[i] = nets[i]->elem(m).name;
+        }
+        EXPECT_EQ(names[0], names[1]) << what;
+      }
+    }
+  }
+  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(listed, 0u);
+}
+
 /// Connects `a` into a new input of `b` the way the repairs do: a new
 /// port on a mux, else a fresh 2:1 mux in front of `b`'s only port.
 void connect_into_new_input(Rsn& net, ElemId a, ElemId b) {

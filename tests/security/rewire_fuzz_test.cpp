@@ -5,7 +5,8 @@
 // cycle-free network that contains every register — the paper's
 // structural invariants (Sec. III-D). Every cut and isolation must also
 // match the probe-based oracle repair (tests/oracle/rewire_oracle)
-// element for element.
+// element for element, on a fresh copy and on the resolver's trial path
+// (one working copy cut against a committed view and rolled back).
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,41 @@ TEST_P(RewireFuzz, AnySingleCutKeepsInvariants) {
       EXPECT_LT(direct_connections(net), before);
     }
   }
+}
+
+TEST_P(RewireFuzz, TrialPathMatchesOracle) {
+  // The resolver's trial path: one working copy of the committed network,
+  // cut against the committed view (lazy pre-cut walks, rank-proved cycle
+  // checks) and rolled back with Rsn::restore after every cut.
+  auto [bench, seed] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed) * 53 + 29);
+  rsn::RsnDocument doc = generate(bench, rng);
+  const rsn::Rsn& base = doc.network;
+  const rsn::CommittedView view(base);
+  ASSERT_TRUE(view.ranked());
+  const auto n = static_cast<std::uint32_t>(base.num_elements());
+  rsn::Rsn trial = base;
+  Rewirer::Scratch scratch;
+  for (const Connection& c : Rewirer::all_connections(base)) {
+    // The resolver's two hints, then random elements (any of which may
+    // close a cycle, and must then walk to find out).
+    std::vector<rsn::ElemId> hints{rsn::no_elem, base.scan_in(),
+                                   rng.below(n), rng.below(n)};
+    for (std::size_t h = 0; h < hints.size(); ++h) {
+      const std::string what = "cut " + base.elem(c.from).name + " -> " +
+                               base.elem(c.to).name + " hint " +
+                               std::to_string(hints[h]);
+      scratch.cycle_walks = 0;
+      int ops = Rewirer::cut_connection(trial, view, c, hints[h], scratch);
+      rsn::Rsn ref = base;
+      int ref_ops = oracle::cut_connection(ref, c, hints[h]);
+      expect_same_as_oracle(trial, ops, ref, ref_ops, what);
+      // With the resolver's hints every cycle check is decided by rank.
+      if (h < 2) EXPECT_EQ(scratch.cycle_walks, 0u) << what;
+      trial.restore(base);
+    }
+  }
+  EXPECT_EQ(rsn_text(trial), rsn_text(base));
 }
 
 TEST_P(RewireFuzz, AnyIsolationKeepsInvariants) {

@@ -6,7 +6,13 @@
 //   - after commit, pairs() equals the from-scratch count and
 //     find_violation returns exactly the analyzer's witness.
 // The random walk exercises repair paths the resolution loop rarely
-// takes (arbitrary cuts, repeated commits against an aging index).
+// takes (arbitrary cuts, repeated commits against an aging index), and
+// hybrid trials that only add an edge, so some node gains a violating
+// pair. The pure index's trials take the resolver's path: one working
+// copy cut against the index's committed view, read through its edit
+// record and rolled back with Rsn::restore; one trial per step adds an
+// edge going down in committed rank, so an element is evaluated before
+// its input settles and must be queued again.
 
 #include <gtest/gtest.h>
 
@@ -73,6 +79,7 @@ TEST_P(IndexFuzz, HybridDeltaMatchesRebuild) {
 
   HybridViolationIndex::Scratch scratch;
   Rng rng(0x77700ULL + GetParam());
+  Rng gain_rng(0x6a1aULL + GetParam());
   for (int step = 0; step < 10; ++step) {
     std::vector<Connection> conns = Rewirer::all_connections(net);
     if (conns.empty()) break;
@@ -89,6 +96,23 @@ TEST_P(IndexFuzz, HybridDeltaMatchesRebuild) {
           << "step " << step << " trial " << t;
       chosen = trial;
     }
+    // Trials that only add an edge — register `u` joins register `v`'s
+    // driver through a fresh 2:1 mux — so nodes can only gain tokens (cut
+    // repairs mostly lose them), until one gains a violating pair.
+    for (int attempt = 0; attempt < 30; ++attempt) {
+      const rsn::ElemId u = gain_rng.pick(net.registers());
+      const rsn::ElemId v = gain_rng.pick(net.registers());
+      if (u == v || net.reaches(v, u)) continue;
+      rsn::Rsn trial = net;
+      const rsn::ElemId m = trial.add_mux("gain_mux", 2);
+      trial.connect(net.elem(v).inputs[0], m, 0);
+      trial.connect(u, m, 1);
+      trial.connect(m, v, 0);
+      const std::size_t want = hybrid.count_violating_pairs(trial);
+      ASSERT_EQ(index.eval_trial(trial, scratch), want)
+          << "step " << step << " gain trial " << attempt;
+      if (want > index.pairs()) break;
+    }
     net = chosen;
     index.commit(net);
     ASSERT_EQ(index.pairs(), hybrid.count_violating_pairs(net))
@@ -99,6 +123,37 @@ TEST_P(IndexFuzz, HybridDeltaMatchesRebuild) {
     expect_same_violation(index.find_violation(), hybrid.find_violation(net),
                           step);
   }
+}
+
+/// Edits `trial`, a copy of the committed network `view.network()`, so
+/// that the pure index must evaluate an element twice: register `w` is
+/// switched to scan-in, which changes the value of an element `u`
+/// downstream of it, and a register `v` ranked below `w` is driven from
+/// `u` — an edge going down in committed rank that keeps the trial
+/// acyclic. `v` is evaluated before `u` settles. Returns false if the
+/// network offers no such triple.
+bool make_down_rank_trial(rsn::Rsn& trial, const rsn::CommittedView& view,
+                          const PureScanAnalyzer& pure, Rng& rng) {
+  const rsn::Rsn& net = view.network();
+  const std::vector<TokenSet> committed = pure.propagate(net);
+  std::vector<rsn::ElemId> regs = net.registers();
+  rng.shuffle(regs);
+  for (rsn::ElemId w : regs) {
+    rsn::Rsn probe = net;
+    probe.connect(probe.scan_in(), w, 0);
+    const std::vector<TokenSet> after = pure.propagate(probe);
+    for (rsn::ElemId u : net.reachable_from(w)) {
+      if (after[u] == committed[u]) continue;
+      for (rsn::ElemId v : regs) {
+        if (v == w || view.rank(v) >= view.rank(w) || probe.reaches(v, u))
+          continue;
+        trial.connect(trial.scan_in(), w, 0);
+        trial.connect(u, v, 0);
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
@@ -113,7 +168,11 @@ TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
             pure.count_violating_registers(net));
 
   PureViolationIndex::Scratch scratch;
+  Rewirer::Scratch cut_scratch;
   Rng rng(0x12345ULL + GetParam());
+  Rng down_rng(0x5eedULL + GetParam());
+  int requeued = 0;
+  rsn::Rsn trial = net;  // the working copy, rolled back after each trial
   for (int step = 0; step < 10; ++step) {
     std::vector<Connection> conns = Rewirer::all_connections(net);
     if (conns.empty()) break;
@@ -121,15 +180,27 @@ TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
     for (int t = 0; t < 3; ++t) {
       const Connection& c = rng.pick(conns);
       rsn::ElemId hint = rng.chance(0.5) ? net.scan_in() : rsn::no_elem;
-      rsn::Rsn trial = net;
-      Rewirer::cut_connection(trial, c, hint);
+      Rewirer::cut_connection(trial, index.view(), c, hint, cut_scratch);
+      ASSERT_NE(trial.edited(), nullptr);  // the query reads the record
       ASSERT_EQ(index.eval_trial(trial, scratch),
                 pure.count_violating_pairs(trial))
           << "step " << step << " trial " << t;
       chosen = trial;
+      trial.restore(net);
+    }
+    if (make_down_rank_trial(trial, index.view(), pure, down_rng)) {
+      ASSERT_TRUE(trial.is_acyclic()) << "step " << step;
+      ASSERT_EQ(index.eval_trial(trial, scratch),
+                pure.count_violating_pairs(trial))
+          << "step " << step << " down-rank trial";
+      EXPECT_GT(scratch.evaluations, scratch.touched.size())
+          << "step " << step << ": nothing was queued again";
+      ++requeued;
+      trial.restore(net);
     }
     net = chosen;
     index.commit(net);
+    trial = net;
     ASSERT_EQ(index.pairs(), pure.count_violating_pairs(net))
         << "step " << step;
     ASSERT_EQ(index.violating_registers(),
@@ -146,6 +217,7 @@ TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
       EXPECT_EQ(a->path, b->path) << "step " << step;
     }
   }
+  EXPECT_GT(requeued, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, IndexFuzz, ::testing::Range(0, 8));
