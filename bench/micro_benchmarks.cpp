@@ -515,14 +515,16 @@ void BM_ResolveFlexScan(benchmark::State& state) {
     return changes;
   };
 
-  // One traced run before the timed loop counts the trials; the timed
-  // runs are untraced.
+  // One traced run before the timed loop counts the trials and the
+  // nodes the hybrid trials re-solved; the timed runs are untraced.
   obs::TraceSession session;
   obs::TraceSession::set_active(&session);
   const int changes = resolve();
   obs::TraceSession::set_active(nullptr);
   const std::uint64_t trials =
       session.counter("resolve.candidates_evaluated").value();
+  const std::uint64_t hybrid_region =
+      session.counter("resolve.hybrid_region").value();
   if (changes == 0) {
     state.SkipWithError("workload resolved no violations");
     return;
@@ -530,6 +532,7 @@ void BM_ResolveFlexScan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(resolve());
   state.counters["changes"] = static_cast<double>(changes);
   state.counters["trials"] = static_cast<double>(trials);
+  state.counters["hybrid_region"] = static_cast<double>(hybrid_region);
 }
 BENCHMARK(BM_ResolveFlexScan)->Unit(benchmark::kMillisecond);
 

@@ -247,48 +247,82 @@ std::size_t HybridAnalyzer::count_violating_registers(
   return count_violations(network).registers;
 }
 
+HybridAnalyzer::Csr HybridAnalyzer::fixed_successors() const {
+  const std::size_t nodes = owner_module_.size();
+  Csr g;
+  g.off.assign(nodes + 1, 0);
+  for (std::size_t n = 0; n < nodes; ++n)
+    g.off[n + 1] = g.off[n] +
+                   static_cast<std::uint32_t>(static_succ_[n].size() +
+                                              circuit_succ_[n].size());
+  g.adj.resize(g.off[nodes]);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    std::uint32_t o = g.off[n];
+    for (std::size_t t : static_succ_[n])
+      g.adj[o++] = static_cast<std::uint32_t>(t);
+    for (std::size_t t : circuit_succ_[n])
+      g.adj[o++] = static_cast<std::uint32_t>(t);
+  }
+  return g;
+}
+
+HybridAnalyzer::Csr HybridAnalyzer::transpose(const Csr& g) {
+  const std::size_t nodes = g.off.size() - 1;
+  Csr t;
+  t.off.assign(nodes + 1, 0);
+  for (std::uint32_t x : g.adj) ++t.off[x + 1];
+  for (std::size_t n = 0; n < nodes; ++n) t.off[n + 1] += t.off[n];
+  t.adj.resize(g.adj.size());
+  std::vector<std::uint32_t> next(t.off.begin(), t.off.end() - 1);
+  for (std::size_t n = 0; n < nodes; ++n)
+    for (std::uint32_t i = g.off[n]; i < g.off[n + 1]; ++i)
+      t.adj[next[g.adj[i]]++] = static_cast<std::uint32_t>(n);
+  return t;
+}
+
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
     const Rsn& network) const {
   std::vector<RsnEdge> rsn_edges = build_rsn_edges(network);
+  Predecessors preds;
+  preds.fixed = transpose(fixed_successors());
+  index_in_edges(
+      network,
+      [&rsn_edges](auto&& fn) {
+        for (const RsnEdge& e : rsn_edges) fn(e);
+      },
+      preds);
   return trace_violation(
-      network, rsn_edges,
-      run_worklist(rsn_successors(network, rsn_edges), false));
+      preds, run_worklist(rsn_successors(network, rsn_edges), false));
 }
 
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
-    const Rsn& network, const std::vector<RsnEdge>& rsn_edges,
-    const std::vector<TokenSet>& state) const {
-  // Predecessors with provenance (-1 = static/circuit edge, else index
-  // into rsn_edges), for path tracing.
-  struct Pred {
-    std::size_t node;
-    int rsn_edge;
-  };
+    const Predecessors& preds, const std::vector<TokenSet>& state) const {
   const std::size_t nodes = owner_module_.size();
-  std::vector<std::vector<Pred>> preds(nodes);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    for (std::size_t s : static_succ_[n]) preds[s].push_back({n, -1});
-    for (std::size_t s : circuit_succ_[n]) preds[s].push_back({n, -1});
-  }
-  for (std::size_t ei = 0; ei < rsn_edges.size(); ++ei) {
-    const RsnEdge& e = rsn_edges[ei];
-    std::size_t from =
-        scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1);
-    preds[scan_node(e.to_reg, 0)].push_back({from, static_cast<int>(ei)});
-  }
-
+  // BFS parents (node and crossed chain, nullptr for a fixed edge) of the
+  // nodes in `queue`; `seen` is cleared again after a victim whose token
+  // has no seed, so one allocation serves every victim.
+  std::vector<std::size_t> parent(nodes, 0);
+  std::vector<const RsnEdge*> parent_edge(nodes, nullptr);
+  std::vector<bool> seen(nodes, false);
+  std::vector<std::size_t> queue;
   for (std::size_t victim = 0; victim < nodes; ++victim) {
     if (owner_module_[victim] < 0) continue;
     TrustCategory t = spec_.policy(owner_module_[victim]).trust;
     int tok = state[victim].first_common(tokens_.bad(t));
     if (tok < 0) continue;
+    const auto k = static_cast<std::size_t>(tok);
 
     // Backward BFS to a seed of the token, over predecessors carrying it.
-    std::vector<int> parent_edge(nodes, -2);
-    std::vector<std::size_t> parent(nodes, 0);
-    std::vector<bool> seen(nodes, false);
-    std::vector<std::size_t> queue{victim};
+    queue.assign(1, victim);
     seen[victim] = true;
+    parent_edge[victim] = nullptr;
+    auto visit = [&](std::size_t p, std::size_t cur, const RsnEdge* edge) {
+      if (seen[p] || !state[p].test(k)) return;
+      seen[p] = true;
+      parent[p] = cur;
+      parent_edge[p] = edge;
+      queue.push_back(p);
+    };
     std::size_t seed = nodes;
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       std::size_t cur = queue[qi];
@@ -296,30 +330,29 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
         seed = cur;
         break;
       }
-      for (const Pred& p : preds[cur]) {
-        if (seen[p.node]) continue;
-        if (!state[p.node].test(static_cast<std::size_t>(tok))) continue;
-        seen[p.node] = true;
-        parent[p.node] = cur;
-        parent_edge[p.node] = p.rsn_edge;
-        queue.push_back(p.node);
-      }
+      for (std::uint32_t i = preds.fixed.off[cur];
+           i < preds.fixed.off[cur + 1]; ++i)
+        visit(preds.fixed.adj[i], cur, nullptr);
+      for (std::uint32_t i = preds.rsn_off[cur]; i < preds.rsn_off[cur + 1];
+           ++i)
+        visit(preds.rsn[i].from, cur, preds.rsn[i].edge);
     }
     // The token can only have been seeded upstream; if no seed was found
     // the victim itself must carry it (cannot happen after spec
     // validation, but keep the analysis robust).
-    if (seed == nodes) continue;
+    if (seed == nodes) {
+      for (std::size_t n : queue) seen[n] = false;
+      continue;
+    }
 
     Violation v;
     v.token = tok;
     v.victim_node = victim;
     for (std::size_t cur = seed;; cur = parent[cur]) {
       v.node_path.push_back(cur);
-      if (parent_edge[cur] >= 0) {
-        const RsnEdge& e = rsn_edges[static_cast<std::size_t>(
-            parent_edge[cur])];
-        for (const Connection& c : e.chain) v.rsn_connections.push_back(c);
-      }
+      if (parent_edge[cur] != nullptr)
+        for (const Connection& c : parent_edge[cur]->chain)
+          v.rsn_connections.push_back(c);
       if (cur == victim) break;
     }
     return v;

@@ -199,14 +199,62 @@ class HybridAnalyzer {
   /// source register feeds the first scan FF of its target.
   std::vector<std::vector<std::size_t>> rsn_successors(
       const rsn::Rsn& network, const std::vector<RsnEdge>& edges) const;
-  /// The first violation of the fixpoint `state`, propagated over
-  /// `rsn_edges` of `network`, with its witnessing path: a backward BFS
-  /// from the victim over predecessors that carry the token, to a seed of
-  /// it. Shared by find_violation and the violation index, so both return
-  /// the same Violation for the same state.
+
+  /// An adjacency in CSR form: node n's entries are
+  /// `adj[off[n] .. off[n + 1])`.
+  struct Csr {
+    std::vector<std::uint32_t> off;
+    std::vector<std::uint32_t> adj;
+  };
+  /// Static + circuit successors of every node (fixed across rewirings),
+  /// per node the static entries before the circuit ones.
+  Csr fixed_successors() const;
+  /// The transpose of `g`: per node, its sources in ascending order, and
+  /// within one source in g's entry order.
+  static Csr transpose(const Csr& g);
+
+  /// Predecessor lists in trace_violation's search order: per node, its
+  /// fixed predecessors (the transpose of fixed_successors: source
+  /// ascending, static before circuit), then its inter-segment in-edges
+  /// in build_rsn_edges order, each with the chain it crosses.
+  struct Predecessors {
+    Csr fixed;
+    struct InEdge {
+      std::uint32_t from;
+      const RsnEdge* edge;
+    };
+    std::vector<std::uint32_t> rsn_off;
+    std::vector<InEdge> rsn;
+  };
+  /// Rebuilds preds.rsn_off / preds.rsn from the inter-segment edges of
+  /// `network`: `for_each_edge(fn)` must call fn(const RsnEdge&) for every
+  /// edge in build_rsn_edges order (it is called twice), and the edges
+  /// must outlive every use of `preds`.
+  template <typename ForEachEdge>
+  void index_in_edges(const rsn::Rsn& network, ForEachEdge&& for_each_edge,
+                      Predecessors& preds) const {
+    const std::size_t nodes = num_nodes();
+    preds.rsn_off.assign(nodes + 1, 0);
+    for_each_edge(
+        [&](const RsnEdge& e) { ++preds.rsn_off[scan_node(e.to_reg, 0) + 1]; });
+    for (std::size_t n = 0; n < nodes; ++n)
+      preds.rsn_off[n + 1] += preds.rsn_off[n];
+    preds.rsn.resize(preds.rsn_off[nodes]);
+    std::vector<std::uint32_t> next(preds.rsn_off.begin(),
+                                    preds.rsn_off.end() - 1);
+    for_each_edge([&](const RsnEdge& e) {
+      const std::size_t from =
+          scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1);
+      preds.rsn[next[scan_node(e.to_reg, 0)]++] = {
+          static_cast<std::uint32_t>(from), &e};
+    });
+  }
+  /// The first violation of the fixpoint `state` with its witnessing
+  /// path: a backward BFS from the victim over `preds` that carry the
+  /// token, to a seed of it. Shared by find_violation and the violation
+  /// index, so both return the same Violation for the same state.
   std::optional<Violation> trace_violation(
-      const rsn::Rsn& network, const std::vector<RsnEdge>& rsn_edges,
-      const std::vector<TokenSet>& state) const;
+      const Predecessors& preds, const std::vector<TokenSet>& state) const;
 
   void build_nodes(const rsn::Rsn& layout);
   void build_static_edges(const rsn::Rsn& layout);

@@ -94,44 +94,98 @@ HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
   const std::size_t nodes = a_.owner_module_.size();
   reg_chains_.assign(net.num_elements(), {});
   rsn_succ_.assign(nodes, {});
-  rsn_pred_.assign(nodes, {});
-  // Flatten the (dense, immutable) static + circuit adjacency into one
-  // CSR array: the delta passes scan successor lists of thousands of
-  // nodes per query, where contiguous storage beats nested vectors.
-  fixed_succ_off_.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n)
-    fixed_succ_off_[n + 1] =
-        fixed_succ_off_[n] +
-        static_cast<std::uint32_t>(a_.static_succ_[n].size() +
-                                   a_.circuit_succ_[n].size());
-  fixed_succ_.resize(fixed_succ_off_[nodes]);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    std::uint32_t o = fixed_succ_off_[n];
-    for (std::size_t t : a_.static_succ_[n])
-      fixed_succ_[o++] = static_cast<std::uint32_t>(t);
-    for (std::size_t t : a_.circuit_succ_[n])
-      fixed_succ_[o++] = static_cast<std::uint32_t>(t);
-  }
-  std::vector<std::vector<std::size_t>> extra(nodes);
+  // The static + circuit adjacency is dense and immutable: CSR arrays in
+  // both directions, since the delta passes scan the successor and
+  // predecessor lists of many nodes per query.
+  fixed_succ_ = a_.fixed_successors();
+  preds_.fixed = HybridAnalyzer::transpose(fixed_succ_);
   for (ElemId r : net.registers()) {
     HybridAnalyzer::append_register_chains(net, view_.fanout(), r,
                                            reg_chains_[r]);
-    for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r]) {
-      std::size_t f = from_node(e.from_reg);
-      std::size_t t = a_.scan_node(e.to_reg, 0);
-      rsn_succ_[f].push_back(t);
-      rsn_pred_[t].push_back(f);
-      extra[f].push_back(t);
-    }
+    for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
+      rsn_succ_[from_node(e.from_reg)].push_back(a_.scan_node(e.to_reg, 0));
   }
+  index_in_edges();
   // The committed fixpoint. run_worklist computes the unique least
   // fixpoint, so this equals what any later from-scratch propagation of
   // the same network produces, bit for bit.
-  state_ = a_.run_worklist(extra, /*circuit_only=*/false);
+  state_ = a_.run_worklist(rsn_succ_, /*circuit_only=*/false);
   node_pairs_.assign(nodes, 0);
   for (std::size_t n = 0; n < nodes; ++n) {
     node_pairs_[n] = node_pair_count(n, state_[n]);
     pairs_ += node_pairs_[n];
+  }
+  build_support_forest();
+}
+
+void HybridViolationIndex::index_in_edges() {
+  const Rsn& net = view_.network();
+  a_.index_in_edges(
+      net,
+      [this, &net](auto&& fn) {
+        for (ElemId r : net.registers())
+          for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r]) fn(e);
+      },
+      preds_);
+}
+
+void HybridViolationIndex::build_support_forest() {
+  const std::size_t nodes = state_.size();
+  const std::size_t pairs = nodes * a_.tokens_.num_tokens();
+  sup_parent_.assign(pairs, no_parent);
+  sup_depth_.assign(pairs, 0);
+  sup_tin_.assign(pairs, 0);
+  sup_end_.assign(pairs, 0);
+  sup_order_.assign(pairs, 0);
+  std::vector<std::uint32_t> queue;
+  std::vector<bool> reached(nodes);
+  std::vector<std::uint32_t> slot(nodes);
+  for (std::size_t k = 0; k < a_.tokens_.num_tokens(); ++k) {
+    std::uint32_t* parent = &sup_parent_[k * nodes];
+    std::uint32_t* depth = &sup_depth_[k * nodes];
+    std::uint32_t* tin = &sup_tin_[k * nodes];
+    std::uint32_t* end = &sup_end_[k * nodes];
+    // Breadth-first from the token's seeds over the committed graph: the
+    // first predecessor to deliver k becomes the parent.
+    queue.clear();
+    std::fill(reached.begin(), reached.end(), false);
+    for (std::size_t n = 0; n < nodes; ++n) {
+      if (a_.seed_token_[n] != static_cast<int>(k)) continue;
+      reached[n] = true;
+      queue.push_back(static_cast<std::uint32_t>(n));
+    }
+    auto reach = [&](std::uint32_t from, std::size_t to) {
+      if (reached[to]) return;
+      reached[to] = true;
+      parent[to] = from;
+      depth[to] = depth[from] + 1;
+      queue.push_back(static_cast<std::uint32_t>(to));
+    };
+    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
+      const std::uint32_t n = queue[qi];
+      for (std::uint32_t i = fixed_succ_.off[n]; i < fixed_succ_.off[n + 1];
+           ++i)
+        reach(n, fixed_succ_.adj[i]);
+      for (std::size_t t : rsn_succ_[n]) reach(n, t);
+    }
+    for (std::size_t n = 0; n < nodes; ++n)
+      assert(reached[n] == state_[n].test(k));
+    // Subtree sizes bottom-up (held in `end`), then preorder positions
+    // top-down: each node takes the next free slot under its parent.
+    for (std::size_t qi = queue.size(); qi-- > 0;) {
+      const std::uint32_t n = queue[qi];
+      end[n] += 1;
+      if (parent[n] != no_parent) end[parent[n]] += end[n];
+    }
+    std::uint32_t next_root = 0;
+    for (std::uint32_t n : queue) {
+      std::uint32_t& pos = parent[n] == no_parent ? next_root : slot[parent[n]];
+      tin[n] = pos;
+      pos += end[n];
+      end[n] += tin[n];
+      slot[n] = tin[n] + 1;
+      sup_order_[k * nodes + tin[n]] = n;
+    }
   }
 }
 
@@ -204,6 +258,116 @@ HybridViolationIndex::trial_fanout_of(ElemId x, Scratch& s) const {
   return s.fanout_buf;
 }
 
+template <typename Fn>
+bool HybridViolationIndex::any_trial_pred(std::size_t n, const Scratch& s,
+                                          Fn&& fn) const {
+  for (std::uint32_t i = preds_.fixed.off[n]; i < preds_.fixed.off[n + 1];
+       ++i)
+    if (fn(preds_.fixed.adj[i])) return true;
+  // A committed in-edge survives iff its source register is not dirty; a
+  // dirty source's in-edges are its rebuilt chains.
+  for (std::uint32_t i = preds_.rsn_off[n]; i < preds_.rsn_off[n + 1]; ++i) {
+    const std::uint32_t p = preds_.rsn[i].from;
+    if (s.dirty_from_mark[p] != s.epoch && fn(p)) return true;
+  }
+  for (auto it = std::lower_bound(s.new_in.begin(), s.new_in.end(),
+                                  std::pair<std::size_t, std::size_t>{n, 0});
+       it != s.new_in.end() && it->first == n; ++it)
+    if (fn(it->second)) return true;
+  return false;
+}
+
+void HybridViolationIndex::support_walk(Scratch& s) const {
+  const std::size_t nodes = state_.size();
+  const auto tokens = static_cast<std::uint32_t>(a_.tokens_.num_tokens());
+  // Broken roots: pairs whose forest parent fed them over an edge the
+  // trial removes entirely. Every other forest edge survives the trial.
+  s.roots.clear();
+  for (const auto& [u, v] : s.edge_removed)
+    for (std::uint32_t k = 0; k < tokens; ++k) {
+      const std::size_t i = k * nodes + v;
+      if (sup_parent_[i] == u)
+        s.roots.push_back({sup_depth_[i], k, static_cast<std::uint32_t>(v)});
+    }
+  std::sort(s.roots.begin(), s.roots.end());
+  // The roots' subtrees per token as disjoint preorder intervals (two
+  // subtrees of one forest nest or are disjoint).
+  s.root_intervals.clear();
+  for (const auto& [d, k, v] : s.roots)
+    s.root_intervals.push_back(
+        {k, sup_tin_[k * nodes + v], sup_end_[k * nodes + v]});
+  std::sort(s.root_intervals.begin(), s.root_intervals.end());
+  std::size_t outer = 0;
+  for (const auto& iv : s.root_intervals) {
+    if (outer > 0 && s.root_intervals[outer - 1][0] == iv[0] &&
+        iv[1] < s.root_intervals[outer - 1][2])
+      continue;
+    s.root_intervals[outer++] = iv;
+  }
+  s.root_intervals.resize(outer);
+  auto under_root = [&](std::uint32_t k, std::uint32_t tin) {
+    auto it = std::upper_bound(s.root_intervals.begin(),
+                               s.root_intervals.end(),
+                               std::array<std::uint32_t, 3>{k, tin, no_parent});
+    if (it == s.root_intervals.begin()) return false;
+    --it;
+    return (*it)[0] == k && tin < (*it)[2];
+  };
+
+  // The walk, one depth at a time: the roots of that depth plus the
+  // children of the pairs reset one level up. A pair is visited when it
+  // is queued, so when a pair of depth d is decided, every pair of a
+  // smaller depth the walk will ever visit has been decided.
+  s.affected.clear();
+  s.level.clear();
+  s.next_level.clear();
+  s.walked = 0;
+  auto visit = [&](std::uint32_t k, std::uint32_t v) {
+    std::uint32_t& mark = s.walk_mark[k * nodes + v];
+    if (mark == s.epoch) return;
+    mark = s.epoch;
+    s.next_level.push_back({k, v});
+    ++s.walked;
+  };
+  std::size_t ri = 0;
+  std::uint32_t depth = 0;
+  while (ri < s.roots.size() || !s.next_level.empty()) {
+    if (s.next_level.empty()) depth = s.roots[ri][0];
+    for (; ri < s.roots.size() && s.roots[ri][0] == depth; ++ri)
+      visit(s.roots[ri][1], s.roots[ri][2]);
+    s.level.swap(s.next_level);
+    s.next_level.clear();
+    for (const auto& [k, v] : s.level) {
+      const std::size_t base = k * nodes;
+      // A predecessor holding k is provably still supported when it was
+      // kept, or is unvisited and shallower (its nearest visited ancestor
+      // was kept, or none of its ancestors is a root), or lies outside
+      // every root's subtree (its whole forest path survives).
+      auto supported = [&](std::size_t p) {
+        if (!state_[p].test(k)) return false;
+        const std::size_t i = base + p;
+        if (s.walk_mark[i] == s.epoch) return s.kept_mark[i] == s.epoch;
+        return sup_depth_[i] < depth || !under_root(k, sup_tin_[i]);
+      };
+      if (any_trial_pred(v, s, supported)) {
+        s.kept_mark[base + v] = s.epoch;
+        continue;
+      }
+      if (s.affected_mark[v] != s.epoch) {
+        s.affected_mark[v] = s.epoch;
+        s.affected.push_back(v);
+        s.lost[v] = TokenSet{};
+      }
+      s.lost[v].set(k);
+      const std::uint32_t* order = &sup_order_[base];
+      for (std::uint32_t pos = sup_tin_[base + v] + 1;
+           pos < sup_end_[base + v]; pos = sup_end_[base + order[pos]])
+        visit(k, order[pos]);
+    }
+    ++depth;
+  }
+}
+
 std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
                                                  Scratch& s) const {
   count_delta_query();
@@ -212,10 +376,12 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   const std::size_t elems = trial.num_elements();
   if (s.state.size() < nodes) {
     s.state.resize(nodes);
+    s.lost.resize(nodes);
     s.affected_mark.assign(nodes, 0);
     s.queued_mark.assign(nodes, 0);
     s.dirty_from_mark.assign(nodes, 0);
-    s.holds_lost_mark.assign(nodes, 0);
+    s.walk_mark.assign(sup_parent_.size(), 0);
+    s.kept_mark.assign(sup_parent_.size(), 0);
   }
   if (s.changed_mark.size() < elems) {
     s.changed_mark.resize(elems, 0);
@@ -226,7 +392,8 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     std::fill(s.affected_mark.begin(), s.affected_mark.end(), 0u);
     std::fill(s.queued_mark.begin(), s.queued_mark.end(), 0u);
     std::fill(s.dirty_from_mark.begin(), s.dirty_from_mark.end(), 0u);
-    std::fill(s.holds_lost_mark.begin(), s.holds_lost_mark.end(), 0u);
+    std::fill(s.walk_mark.begin(), s.walk_mark.end(), 0u);
+    std::fill(s.kept_mark.begin(), s.kept_mark.end(), 0u);
     std::fill(s.changed_mark.begin(), s.changed_mark.end(), 0u);
     std::fill(s.vis_old_mark.begin(), s.vis_old_mark.end(), 0u);
     std::fill(s.vis_new_mark.begin(), s.vis_new_mark.end(), 0u);
@@ -307,15 +474,18 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     s.dirty_from_mark[from_node(r)] = s.epoch;
   }
 
-  // 3. Removed/added inter-segment edges as multiset differences — an
-  //    edge with equal multiplicity on both sides transports the same
+  // 3. Inter-segment edges the trial removes entirely (no copy of (u, v)
+  //    survives among the rebuilt chains) and the ones it adds, as sets:
+  //    an edge whose multiplicity merely changed transports the same
   //    values and invalidates nothing.
   std::vector<std::pair<std::size_t, std::size_t>>& so = s.sorted_old;
   std::vector<std::pair<std::size_t, std::size_t>>& sn = s.sorted_new;
   so = s.old_edges;
   sn = s.new_edges;
   std::sort(so.begin(), so.end());
+  so.erase(std::unique(so.begin(), so.end()), so.end());
   std::sort(sn.begin(), sn.end());
+  sn.erase(std::unique(sn.begin(), sn.end()), sn.end());
   std::vector<std::pair<std::size_t, std::size_t>>& removed = s.edge_removed;
   std::vector<std::pair<std::size_t, std::size_t>>& added = s.edge_added;
   removed.clear();
@@ -324,120 +494,49 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
                       std::back_inserter(removed));
   std::set_difference(sn.begin(), sn.end(), so.begin(), so.end(),
                       std::back_inserter(added));
+  s.new_in.clear();
+  for (const auto& [from, to] : sn) s.new_in.push_back({to, from});
+  std::sort(s.new_in.begin(), s.new_in.end());
 
-  // 4. Shrink region: only values flowing over a removed edge can be
-  //    lost anywhere, so a node whose committed value shares no token
-  //    with `possibly_lost` can only grow — it need not be re-solved
-  //    from scratch (growth is handled monotonically in step 5). The
-  //    region is the forward closure, over the TRIAL graph, of the
-  //    removed-edge heads, pruned at content-disjoint nodes: any
-  //    committed support path of a lost token downstream of a removed
-  //    edge consists of nodes all carrying that token, so every node
-  //    that can actually lose a token is reached. This mirrors the
-  //    oracle's sparsity — its push-based worklist also never touches
-  //    token-free nodes, while an unfiltered structural closure drags
-  //    in the whole dense circuit-closure fanout.
-  TokenSet possibly_lost;
-  for (const auto& e : removed) possibly_lost.merge(state_[e.first]);
-  const std::size_t num_nodes = a_.num_nodes();
-  if (possibly_lost.any()) {
-    for (std::size_t n = 0; n < num_nodes; ++n)
-      if (state_[n].intersects(possibly_lost)) s.holds_lost_mark[n] = s.epoch;
-  }
-  s.affected.clear();
-  s.worklist.clear();
-  auto discover = [&](std::size_t n) {
-    if (s.affected_mark[n] == s.epoch) return;
-    if (s.holds_lost_mark[n] != s.epoch) return;
-    s.affected_mark[n] = s.epoch;
-    s.affected.push_back(n);
-    s.worklist.push_back(n);
-  };
-  for (const auto& e : removed) discover(e.second);
-  auto for_each_trial_rsn_succ = [&](std::size_t n, auto&& fn) {
-    if (s.dirty_from_mark[n] == s.epoch) {
-      for (const auto& e : s.new_edges)
-        if (e.first == n) fn(e.second);
-    } else {
-      for (std::size_t t : rsn_succ_[n]) fn(t);
-    }
-  };
-  while (!s.worklist.empty()) {
-    std::size_t n = s.worklist.back();
-    s.worklist.pop_back();
-    for (std::uint32_t i = fixed_succ_off_[n]; i < fixed_succ_off_[n + 1];
-         ++i)
-      discover(fixed_succ_[i]);
-    for_each_trial_rsn_succ(n, discover);
-  }
+  // 4. The region: the nodes holding a token whose support the removed
+  //    edges may break (the support walk), with the reset tokens.
+  support_walk(s);
 
-  // 5. Re-solve the fixpoint on the region (seed tokens plus committed
-  //    values of outside trial-predecessors as boundary constants), with
-  //    lazy monotone growth beyond it: a relaxation that would enlarge an
-  //    outside node's committed value pulls that node into the overlay
-  //    (committed ∪ growth, not reset) and keeps propagating. The start
-  //    assignment is pointwise ≤ the trial's least fixpoint and every
-  //    retained committed token keeps a support path untouched by the
-  //    edit (it would otherwise carry a possibly-lost token into the
-  //    region), so the chaotic iteration converges exactly to the
-  //    trial's least fixpoint — bit-identical to the from-scratch run.
+  // 5. Re-solve the region, then grow. Every token the walk kept has a
+  //    support path in the trial, so each region node starts from its
+  //    committed value minus its reset tokens, pointwise below the
+  //    trial's least fixpoint, and pulls once from all its trial
+  //    predecessors (region ones at their start or later). Tokens a node
+  //    then holds beyond its start (regained or gained) are pushed on;
+  //    a relaxation that would enlarge an outside node's committed value
+  //    pulls that node into the overlay (committed ∪ growth, nothing
+  //    reset). The chaotic iteration converges exactly to the trial's
+  //    least fixpoint — bit-identical to the from-scratch run.
   s.worklist.clear();
-  // A committed token outside `possibly_lost` keeps, at every node, a
-  // support path no removed edge touched (losing it would require its
-  // support to cross a removed edge, tagging it possibly-lost), so the
-  // stripped committed value is a sound start below the trial's
-  // fixpoint — only the possibly-lost part needs re-deriving. That in
-  // turn means the only boundary contributions the strip didn't keep
-  // come from predecessors *holding* possibly-lost tokens; they are few,
-  // so they push their values into the region (touching only their own
-  // out-edges) instead of every region node pulling its dense in-edges.
   for (std::size_t n : s.affected) {
     s.state[n] = state_[n];
-    s.state[n].subtract(possibly_lost);
-    if (a_.seed_token_[n] >= 0)
-      s.state[n].set(static_cast<std::size_t>(a_.seed_token_[n]));
+    s.state[n].subtract(s.lost[n]);
   }
-  if (possibly_lost.any()) {
-    for (std::size_t p = 0; p < num_nodes; ++p) {
-      if (s.holds_lost_mark[p] != s.epoch || s.affected_mark[p] == s.epoch)
-        continue;
-      for (std::uint32_t i = fixed_succ_off_[p]; i < fixed_succ_off_[p + 1];
-           ++i) {
-        std::uint32_t t = fixed_succ_[i];
-        if (s.affected_mark[t] == s.epoch) s.state[t].merge(state_[p]);
-      }
-      // Committed inter-segment out-edges survive into the trial iff
-      // their source register is not dirty; edges of dirty registers
-      // are re-added from the rebuilt chains below.
-      if (s.dirty_from_mark[p] != s.epoch)
-        for (std::size_t t : rsn_succ_[p])
-          if (s.affected_mark[t] == s.epoch) s.state[t].merge(state_[p]);
-    }
-  }
+  for (std::size_t n : s.affected)
+    any_trial_pred(n, s, [&](std::size_t p) {
+      s.state[n].merge(s.affected_mark[p] == s.epoch ? s.state[p]
+                                                     : state_[p]);
+      return false;
+    });
   auto enqueue = [&](std::size_t n) {
     if (s.queued_mark[n] != s.epoch) {
       s.queued_mark[n] = s.epoch;
       s.worklist.push_back(n);
     }
   };
-  for (const auto& e : s.new_edges) {
-    if (s.affected_mark[e.second] == s.epoch &&
-        s.affected_mark[e.first] != s.epoch)
-      s.state[e.second].merge(state_[e.first]);
-  }
-  // Only nodes that can deliver something a successor's init lacks —
-  // possibly-lost tokens they retained or tokens gained beyond their
-  // committed value — need to push (dirty-from nodes always do: their
-  // rebuilt inter-segment edges may be new, with no init coverage).
+  // A successor over a committed edge holds at least the source's start
+  // (committed successors hold its whole committed value, region ones
+  // pulled it), so only nodes holding more than their start push, plus
+  // dirty-from nodes: their rebuilt inter-segment edges may be new.
   for (std::size_t n : s.affected) {
-    TokenSet d = s.state[n];
-    TokenSet base = state_[n];
-    base.subtract(possibly_lost);
-    d.subtract(base);
-    if (d.any() || s.dirty_from_mark[n] == s.epoch) {
-      s.queued_mark[n] = s.epoch;
-      s.worklist.push_back(n);
-    }
+    TokenSet start = state_[n];
+    start.subtract(s.lost[n]);
+    if (s.state[n] != start || s.dirty_from_mark[n] == s.epoch) enqueue(n);
   }
   auto grow_to = [&](const TokenSet& fv, std::size_t to) {
     if (s.affected_mark[to] == s.epoch) {
@@ -450,10 +549,10 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     } else if (!state_[to].contains(fv)) {
       s.affected_mark[to] = s.epoch;
       s.affected.push_back(to);
+      s.lost[to] = TokenSet{};
       s.state[to] = state_[to];
       s.state[to].merge(fv);
-      s.queued_mark[to] = s.epoch;
-      s.worklist.push_back(to);
+      enqueue(to);
     }
   };
   // Added edges whose source stays outside the overlay deliver their
@@ -471,14 +570,14 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     // Push only what committed-edge targets can be missing (see above);
     // rebuilt inter-segment edges of dirty-from nodes may be brand new,
     // so they carry the full value.
-    TokenSet push = state_[n];
-    push.subtract(possibly_lost);
+    TokenSet start = state_[n];
+    start.subtract(s.lost[n]);
     TokenSet masked = nv;
-    masked.subtract(push);
+    masked.subtract(start);
     if (masked.any()) {
-      for (std::uint32_t i = fixed_succ_off_[n]; i < fixed_succ_off_[n + 1];
+      for (std::uint32_t i = fixed_succ_.off[n]; i < fixed_succ_.off[n + 1];
            ++i)
-        grow_to(masked, fixed_succ_[i]);
+        grow_to(masked, fixed_succ_.adj[i]);
       if (!dirty_from)
         for (std::size_t t : rsn_succ_[n]) grow_to(masked, t);
     }
@@ -504,8 +603,10 @@ std::size_t HybridViolationIndex::eval_trial(const Rsn& trial,
   changed_consumers(view_.network(), trial, /*use_record=*/true,
                     scratch.changed);
   const std::size_t pairs = delta_analysis(trial, scratch);
-  if (obs::TraceSession* trace = obs::TraceSession::active())
+  if (obs::TraceSession* trace = obs::TraceSession::active()) {
     trace->counter("resolve.hybrid_region").add(scratch.affected.size());
+    trace->counter("resolve.hybrid_support_walk").add(scratch.walked);
+  }
   return pairs;
 }
 
@@ -520,50 +621,30 @@ void HybridViolationIndex::commit(const Rsn& network) {
   }
   pairs_ = new_pairs;
 
-  // Splice the rebuilt chains and node-level adjacency of the dirty
-  // registers into the committed structures. rsn_pred_ lists are only
-  // read for (idempotent, order-insensitive) boundary merges, so
-  // filter-and-append is enough.
+  // Splice the rebuilt chains and node-level successors of the dirty
+  // registers into the committed structures.
   if (reg_chains_.size() < network.num_elements())
     reg_chains_.resize(network.num_elements());
-  std::vector<std::size_t> touched;
-  for (const auto& e : s.old_edges) touched.push_back(e.second);
-  for (const auto& e : s.new_edges) touched.push_back(e.second);
-  std::sort(touched.begin(), touched.end());
-  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (std::size_t t : touched) {
-    std::vector<std::size_t>& lst = rsn_pred_[t];
-    lst.erase(std::remove_if(lst.begin(), lst.end(),
-                             [&](std::size_t f) {
-                               return s.dirty_from_mark[f] == s.epoch;
-                             }),
-              lst.end());
-  }
   for (std::size_t i = 0; i < s.dirty_regs.size(); ++i) {
     ElemId r = s.dirty_regs[i];
     rsn_succ_[from_node(r)].clear();
     reg_chains_[r] = std::move(s.dirty_chains[i]);
   }
-  for (const auto& e : s.new_edges) {
-    rsn_succ_[e.first].push_back(e.second);
-    rsn_pred_[e.second].push_back(e.first);
-  }
+  for (const auto& e : s.new_edges) rsn_succ_[e.first].push_back(e.second);
   // Re-index the committed view (once per applied change; trials never
-  // pay for it — they patch its fanout index instead).
+  // pay for it — they patch its fanout index instead), the in-edges and
+  // the support forest.
   view_ = rsn::CommittedView(network);
+  index_in_edges();
+  build_support_forest();
 }
 
 std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
     const {
-  // HybridAnalyzer::find_violation, answered from the committed fixpoint:
-  // the chains concatenated in registers() order are exactly
-  // build_rsn_edges' emission order, so the same Violation.
-  const Rsn& net = view_.network();
-  std::vector<HybridAnalyzer::RsnEdge> rsn_edges;
-  for (ElemId r : net.registers())
-    for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
-      rsn_edges.push_back(e);
-  return a_.trace_violation(net, rsn_edges, state_);
+  // HybridAnalyzer::find_violation, answered from the committed fixpoint
+  // over the committed predecessors, which list the in-edges in
+  // build_rsn_edges' emission order: the same Violation.
+  return a_.trace_violation(preds_, state_);
 }
 
 // ---------------------------------------------------------------------------

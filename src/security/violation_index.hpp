@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -23,36 +24,45 @@ namespace rsnsec::security {
 /// The index materializes, once, everything HybridAnalyzer recomputes
 /// from scratch per query: the inter-segment chains of every register,
 /// the node-level RSN edges they induce, the token-propagation fixpoint,
-/// and the per-node violating-pair counts. Structural edits then only
-/// invalidate the chains of *dirty* registers (those whose mux-fanout
-/// region a changed connection touches) and the fixpoint values of a
-/// small re-solve *region*: the forward closure, in the edited graph, of
-/// the removed inter-segment edges' heads, pruned at nodes whose
-/// committed value is disjoint from everything a removed edge carried
-/// (such nodes can only gain tokens, never lose them — and any support
-/// path of a lost token consists of nodes all carrying it, so every node
-/// that can actually lose one is inside the region). Region nodes are
-/// reset and re-solved against committed boundary values; token *gains*
-/// (from added edges or grown region values) propagate monotonically
-/// beyond the region, lazily pulling grown nodes into the overlay.
-/// Because the start assignment is pointwise below the edited network's
-/// least fixpoint and every retained committed token keeps an untouched
-/// support path, the chaotic iteration converges exactly to that least
-/// fixpoint — bit-identical to a from-scratch propagation, for any
-/// evaluation order. This is what makes resolution produce the same
-/// change logs, stats and networks as recomputing every query from
-/// scratch (the oracle in tests/oracle).
+/// and the per-node violating-pair counts. It also keeps a *support
+/// forest* of the fixpoint: for every held (node, token) pair, the
+/// predecessor that first delivered the token in a breadth-first
+/// propagation from the token's seeds, its depth, and its preorder
+/// interval in that token's tree.
+///
+/// Structural edits only invalidate the chains of *dirty* registers
+/// (those whose mux-fanout region a changed connection touches) and the
+/// pairs whose support the edit may break. A pair is a *broken root* when
+/// its forest parent fed it over an inter-segment edge the trial removes
+/// entirely. From the roots, a walk in nondecreasing depth keeps a pair
+/// when some trial predecessor holds the token and is provably still
+/// supported (kept earlier in the walk, unvisited and shallower, or
+/// outside every root's subtree); otherwise it resets the pair and
+/// visits the pair's forest children. Every pair not reset keeps a
+/// support path of pairs not reset, so the committed values minus the
+/// reset tokens lie below the trial's least fixpoint. Only nodes with a
+/// reset token are re-solved: they pull once from all trial predecessors,
+/// and token *gains* (regained tokens, added edges) then propagate
+/// monotonically, lazily pulling grown nodes into the overlay. The
+/// chaotic iteration converges exactly to the trial's least fixpoint —
+/// bit-identical to a from-scratch propagation, for any evaluation
+/// order. This is what makes resolution produce the same change logs,
+/// stats and networks as recomputing every query from scratch (the
+/// oracle in tests/oracle).
 ///
 /// eval_trial is const and touches only caller-owned scratch, so
 /// independent candidate cuts are evaluated concurrently (one scratch
 /// per thread/chunk); commit folds an applied change into the committed
-/// state and rebuilds the committed view (network, fanout index, rank)
-/// the selection's trials and cuts read.
+/// state, rebuilds the support forest and the committed view (network,
+/// fanout index, rank) the selection's trials and cuts read.
 class HybridViolationIndex {
  public:
   /// Builds the full index for `network` (one "index rebuild").
   HybridViolationIndex(const HybridAnalyzer& analyzer,
                        const rsn::Rsn& network);
+  /// The committed in-edges point into the index's own chains.
+  HybridViolationIndex(const HybridViolationIndex&) = delete;
+  HybridViolationIndex& operator=(const HybridViolationIndex&) = delete;
 
   /// Committed violating-pair count (== analyzer.count_violating_pairs
   /// of the committed network).
@@ -69,13 +79,17 @@ class HybridViolationIndex {
   /// per-trial allocation. Never share an instance between threads.
   struct Scratch {
     std::vector<TokenSet> state;
+    /// Per overlay node, the tokens the support walk reset there (empty
+    /// for nodes pulled in by growth): its start is the committed value
+    /// minus these.
+    std::vector<TokenSet> lost;
     std::vector<std::uint32_t> affected_mark;
     std::vector<std::uint32_t> queued_mark;
     std::vector<std::uint32_t> dirty_from_mark;
-    /// Nodes whose committed value intersects the trial's possibly-lost
-    /// token set (the only nodes whose values can shrink, and the only
-    /// boundary predecessors worth pulling at region re-init).
-    std::vector<std::uint32_t> holds_lost_mark;
+    /// Support-walk marks per (token, node) pair, token-major like the
+    /// forest: visited (queued by the walk) and kept.
+    std::vector<std::uint32_t> walk_mark;
+    std::vector<std::uint32_t> kept_mark;
     /// Element-level marks (the node-level marks above are indexed by
     /// propagation node): changed consumers, and the visited sets of the
     /// backward chain walks under the committed / trial structure.
@@ -102,8 +116,21 @@ class HybridViolationIndex {
     std::vector<std::pair<std::size_t, std::size_t>> new_edges;
     std::vector<std::pair<std::size_t, std::size_t>> sorted_old;
     std::vector<std::pair<std::size_t, std::size_t>> sorted_new;
+    /// Distinct edges the trial removes entirely / adds, (from, to).
     std::vector<std::pair<std::size_t, std::size_t>> edge_removed;
     std::vector<std::pair<std::size_t, std::size_t>> edge_added;
+    /// Distinct rebuilt edges as (to, from), sorted: the trial
+    /// inter-segment in-edges of dirty sources.
+    std::vector<std::pair<std::size_t, std::size_t>> new_in;
+    /// Support walk: the broken roots (depth, token, node), sorted; their
+    /// subtrees as disjoint (token, tin, end) preorder intervals, sorted;
+    /// the pairs (token, node) of the depth being decided and of the next.
+    std::vector<std::array<std::uint32_t, 3>> roots;
+    std::vector<std::array<std::uint32_t, 3>> root_intervals;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> level;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> next_level;
+    /// Pairs the last query's walk visited.
+    std::size_t walked = 0;
   };
 
   /// Violating-pair count of `trial`, computed as a delta query against
@@ -139,24 +166,49 @@ class HybridViolationIndex {
   /// for non-registers). Concatenated in registers() order these equal
   /// HybridAnalyzer::build_rsn_edges of the committed network.
   std::vector<std::vector<HybridAnalyzer::RsnEdge>> reg_chains_;
-  /// Node-level RSN adjacency induced by the chains (duplicates kept —
+  /// Node-level RSN successors induced by the chains (duplicates kept —
   /// two chains between the same register pair yield two entries; merges
   /// are idempotent so only multiplicity bookkeeping cares).
   std::vector<std::vector<std::size_t>> rsn_succ_;
-  std::vector<std::vector<std::size_t>> rsn_pred_;
-  /// Static + circuit successors per node, flattened to CSR form (fixed
-  /// across rewirings; node n's successors are
-  /// fixed_succ_[fixed_succ_off_[n] .. fixed_succ_off_[n+1]]).
-  std::vector<std::uint32_t> fixed_succ_off_;
-  std::vector<std::uint32_t> fixed_succ_;
+  /// Static + circuit successors per node (fixed across rewirings).
+  HybridAnalyzer::Csr fixed_succ_;
+  /// The committed predecessors: the fixed ones (built once) and the
+  /// inter-segment in-edges of reg_chains_ (rebuilt per commit), in
+  /// trace_violation's search order.
+  HybridAnalyzer::Predecessors preds_;
+  /// Support forest of state_, token-major: pair (token k, node n) at
+  /// index k * num_nodes + n. Parent is the predecessor that first
+  /// delivered k to n (no_parent for seeds and for nodes without k);
+  /// [tin, end) is n's subtree in k's preorder, and
+  /// sup_order_[k * num_nodes + tin] = n, so n's children are the nodes
+  /// at tin + 1, then at each child's end, up to n's end.
+  static constexpr std::uint32_t no_parent = 0xffffffffu;
+  std::vector<std::uint32_t> sup_parent_;
+  std::vector<std::uint32_t> sup_depth_;
+  std::vector<std::uint32_t> sup_tin_;
+  std::vector<std::uint32_t> sup_end_;
+  std::vector<std::uint32_t> sup_order_;
   Scratch commit_scratch_;
 
   std::size_t node_pair_count(std::size_t node, const TokenSet& st) const;
   std::size_t from_node(rsn::ElemId reg) const;
+  /// Rebuilds preds_'s in-edges from reg_chains_ (registers() order).
+  void index_in_edges();
+  /// Rebuilds the support forest from state_: one breadth-first pass per
+  /// token from its seeds over the committed graph.
+  void build_support_forest();
   /// Merged trial fanout of `x` into s.fanout_buf: committed entries of
   /// unchanged consumers + the trial-only patch, in FanoutIndex order.
   const std::vector<std::pair<rsn::ElemId, std::size_t>>& trial_fanout_of(
       rsn::ElemId x, Scratch& s) const;
+  /// Calls fn(p) for the trial predecessors p of node `n` (fixed ones,
+  /// committed in-edges from clean sources, rebuilt in-edges) until fn
+  /// returns true; returns whether it did.
+  template <typename Fn>
+  bool any_trial_pred(std::size_t n, const Scratch& s, Fn&& fn) const;
+  /// The support walk from the broken roots of s.edge_removed: fills the
+  /// region (s.affected, each node's reset tokens in s.lost).
+  void support_walk(Scratch& s) const;
   /// Runs the delta analysis of `trial`, whose changed consumers are in
   /// s.changed, against the committed state into `s`: dirty registers,
   /// rebuilt chains, affected set (s.affected, valid s.state entries) and

@@ -8,9 +8,13 @@
 //   - the incremental engine at 8 threads
 // must produce bit-identical applied-change logs, statistics and final
 // networks. This is the acceptance contract of the delta engine: any
-// divergence in dirty-set computation, affected-set closure, boundary
-// merges, parallel candidate selection, the per-chunk working copy and
-// its rollback, or the repairs' cycle check shows up here as a diff.
+// divergence in dirty-set computation, the support walk, region pulls,
+// parallel candidate selection, the per-chunk working copy and its
+// rollback, or the repairs' cycle check shows up here as a diff.
+//
+// Those families are capped at 24 registers. GridOracle adds Table I
+// grid runs at full grid scale (up to 400 registers), where deep support
+// forests and large dirty regions arise.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
@@ -211,6 +216,80 @@ TEST(IncrementalOracleMbist, MbistMatchesOracle) {
                                 run_hybrid, inc8);
   expect_same(a, c, "MBIST_2_2_2 oracle vs incremental@8");
 }
+
+/// One (circuit, spec) run of perfbench's table1_sweep grid 1000.
+struct GridRun {
+  const char* family;
+  int circuit;
+  int spec;
+};
+
+void PrintTo(const GridRun& run, std::ostream* os) {
+  *os << run.family << " circuit " << run.circuit << " spec " << run.spec;
+}
+
+class GridOracle : public ::testing::TestWithParam<GridRun> {};
+
+TEST_P(GridOracle, HybridMatchesOracle) {
+  const GridRun& run = GetParam();
+  // The grid's recipe: bench::make_instance at base seed 1000 and the
+  // Table I harness's spec stream.
+  bench::SweepOptions opt;
+  opt.base_seed = 1000;
+  opt.spec.expected_sensitive_modules = 2.5;
+  opt.spec.low_trust_prob = 0.1;
+  const bench::Instance inst = bench::make_instance(run.family, opt,
+                                                    run.circuit);
+  Rng spec_rng(104729 + 1000 * static_cast<std::uint64_t>(run.circuit) +
+               static_cast<std::uint64_t>(run.spec));
+  const SecuritySpec spec = benchgen::random_spec(
+      inst.doc.module_names.size(), opt.spec, spec_rng);
+  dep::DepOptions dopt;
+  dopt.num_threads = 1;
+  dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, dopt);
+  deps.run();
+  TokenTable tokens(spec, spec.num_modules());
+  HybridAnalyzer hybrid(inst.circuit, inst.doc.network, deps, spec, tokens);
+  ASSERT_TRUE(hybrid.check_static().clean());
+
+  // Both hybrid runs start from the same pure-resolved network.
+  const auto policy = ResolutionPolicy::BestGlobal;
+  ResolveOptions engine;
+  engine.num_threads = 2;
+  rsn::Rsn pure_resolved = inst.doc.network;
+  PureScanAnalyzer pure(spec, tokens);
+  pure.detect_and_resolve(pure_resolved, nullptr, policy, {}, engine);
+
+  rsn::Rsn net_engine = pure_resolved;
+  rsn::Rsn net_oracle = pure_resolved;
+  std::vector<AppliedChange> log_engine;
+  std::vector<AppliedChange> log_oracle;
+  const HybridStats a = hybrid.detect_and_resolve(net_engine, &log_engine,
+                                                  policy, {}, engine);
+  const HybridStats b = oracle::resolve_hybrid_from_scratch(
+      hybrid, net_oracle, &log_oracle, policy);
+  ASSERT_GT(b.applied_changes, 0) << "no hybrid violation to resolve";
+  EXPECT_EQ(describe(log_engine), describe(log_oracle));
+  std::ostringstream os_engine;
+  std::ostringstream os_oracle;
+  rsn::write_rsn(os_engine, net_engine, inst.doc.module_names, nullptr);
+  rsn::write_rsn(os_oracle, net_oracle, inst.doc.module_names, nullptr);
+  EXPECT_EQ(os_engine.str(), os_oracle.str()) << "final networks differ";
+  EXPECT_EQ(a.initial_violating_pairs, b.initial_violating_pairs);
+  EXPECT_EQ(a.applied_changes, b.applied_changes);
+  EXPECT_EQ(a.rewire_operations, b.rewire_operations);
+  EXPECT_EQ(a.fallback_isolations, b.fallback_isolations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid1000, GridOracle,
+    ::testing::Values(GridRun{"FlexScan", 2, 1}, GridRun{"FlexScan", 2, 4},
+                      GridRun{"t512505", 0, 0}, GridRun{"t512505", 2, 4}),
+    [](const ::testing::TestParamInfo<GridRun>& info) {
+      return std::string(info.param.family) + "_c" +
+             std::to_string(info.param.circuit) + "_s" +
+             std::to_string(info.param.spec);
+    });
 
 }  // namespace
 }  // namespace rsnsec::security
