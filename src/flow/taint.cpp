@@ -147,9 +147,9 @@ void TaintAnalyzer::build_edges(const rsn::Rsn& network) {
 
   // Inter-register RSN edges: registers reachable over mux-only chains.
   // Visited-set BFS per source register — complete (terminates on cyclic
-  // mux structures and misses nothing), where the resolution engine's
-  // chain DFS caps at 256 chains because it must also enumerate the
-  // concrete connections of every chain. Certify only needs reachability.
+  // mux structures and misses nothing). The resolution engine's chain DFS
+  // reaches the same registers, and also records the concrete
+  // connections of a chain to each; certify only needs reachability.
   rsn::FanoutIndex fanout(network);
   std::vector<bool> seen(network.num_elements(), false);
   for (ElemId r : network.registers()) {

@@ -4,10 +4,12 @@
 
 namespace rsnsec::rsn {
 
-FanoutIndex::FanoutIndex(const Rsn& network)
-    : fanout_(network.num_elements()) {
+void FanoutIndex::rebuild(const Rsn& network) {
+  const std::size_t n = network.num_elements();
+  fanout_.resize(n);
+  for (auto& list : fanout_) list.clear();
   // (consumer id ascending, port ascending) — documented ordering.
-  for (ElemId id = 0; id < network.num_elements(); ++id) {
+  for (ElemId id = 0; id < n; ++id) {
     const Element& e = network.elem(id);
     for (std::size_t p = 0; p < e.inputs.size(); ++p) {
       if (e.inputs[p] != no_elem) fanout_[e.inputs[p]].push_back({id, p});
@@ -15,34 +17,40 @@ FanoutIndex::FanoutIndex(const Rsn& network)
   }
 }
 
-CommittedView::CommittedView(const Rsn& network)
-    : net_(network), fanout_(net_) {
+void CommittedView::reset(const Rsn& network) {
+  net_ = network;
+  reindex();
+}
+
+void CommittedView::reindex() {
+  fanout_.rebuild(net_);
+  ++generation_;
   // Kahn's algorithm over the fanout index, from a stack: scan-in is
   // pushed last among the sources so it pops (and ranks) first, and a
   // scan-out that drives nothing is held back to rank last.
   const std::size_t n = net_.num_elements();
-  std::vector<std::uint32_t> pending(n, 0);
+  pending_.assign(n, 0);
   for (ElemId id = 0; id < n; ++id)
     for (ElemId in : net_.elem(id).inputs)
-      if (in != no_elem) ++pending[id];
+      if (in != no_elem) ++pending_[id];
   const ElemId last =
       fanout_.of(net_.scan_out()).empty() ? net_.scan_out() : no_elem;
-  std::vector<ElemId> ready;
+  ready_.clear();
   for (ElemId id = 0; id < n; ++id)
-    if (pending[id] == 0 && id != net_.scan_in() && id != last)
-      ready.push_back(id);
-  ready.push_back(net_.scan_in());
+    if (pending_[id] == 0 && id != net_.scan_in() && id != last)
+      ready_.push_back(id);
+  ready_.push_back(net_.scan_in());
   rank_.assign(n, 0);
   std::uint32_t next = 0;
-  while (!ready.empty()) {
-    ElemId id = ready.back();
-    ready.pop_back();
+  while (!ready_.empty()) {
+    ElemId id = ready_.back();
+    ready_.pop_back();
     rank_[id] = next++;
     for (const auto& [consumer, port] : fanout_.of(id))
-      if (--pending[consumer] == 0 && consumer != last)
-        ready.push_back(consumer);
+      if (--pending_[consumer] == 0 && consumer != last)
+        ready_.push_back(consumer);
   }
-  if (last != no_elem && pending[last] == 0) rank_[last] = next++;
+  if (last != no_elem && pending_[last] == 0) rank_[last] = next++;
   if (next != n) rank_.clear();  // a cycle: some elements never ranked
 }
 

@@ -50,7 +50,11 @@ struct AccessPlan {
 /// register chain DFS of the hybrid analyzer) relies on this.
 class FanoutIndex {
  public:
-  explicit FanoutIndex(const Rsn& network);
+  FanoutIndex() = default;
+  explicit FanoutIndex(const Rsn& network) { rebuild(network); }
+
+  /// Re-indexes `network`, reusing the per-element lists' storage.
+  void rebuild(const Rsn& network);
 
   const std::vector<std::pair<ElemId, std::size_t>>& of(ElemId id) const {
     return fanout_[static_cast<std::size_t>(id)];
@@ -61,14 +65,23 @@ class FanoutIndex {
 };
 
 /// One committed network together with what resolution trials read from
-/// it: its fanout index and a topological rank. The violation indexes
-/// build one when they are built and after every applied change, and the
-/// rewirer's trials walk it for their pre-cut fanout counts and
+/// it: its fanout index and a topological rank. Each violation index
+/// keeps one for its lifetime and reset()s it after every applied change,
+/// and the rewirer's trials walk it for their pre-cut fanout counts and
 /// predecessor/successor sets instead of scanning the edited copy.
 class CommittedView {
  public:
   /// Snapshots `network` (a copy: later edits of `network` do not show).
-  explicit CommittedView(const Rsn& network);
+  explicit CommittedView(const Rsn& network) : net_(network) { reindex(); }
+
+  /// Snapshots `network` in place: copy-assigns it and re-indexes its
+  /// fanout and rank in the buffers of the previous snapshot, then bumps
+  /// generation().
+  void reset(const Rsn& network);
+
+  /// Counts the snapshots this view has taken (1 after construction).
+  /// Working copies of network() record it to notice that they are stale.
+  std::uint64_t generation() const { return generation_; }
 
   const Rsn& network() const { return net_; }
   const FanoutIndex& fanout() const { return fanout_; }
@@ -87,6 +100,13 @@ class CommittedView {
   Rsn net_;
   FanoutIndex fanout_;
   std::vector<std::uint32_t> rank_;
+  std::uint64_t generation_ = 0;
+  /// Kahn's algorithm's buffers, kept for the next reset().
+  std::vector<std::uint32_t> pending_;
+  std::vector<ElemId> ready_;
+
+  /// Indexes net_'s fanout and rank and bumps the generation.
+  void reindex();
 };
 
 /// Plans scan access to registers of an RSN (the pattern-retargeting

@@ -1,5 +1,6 @@
 #include "rsn/rsn.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
@@ -16,6 +17,31 @@ Rsn::Rsn(std::string name) : name_(std::move(name)) {
                     0,
                     {},
                     netlist::no_module});
+}
+
+namespace {
+
+/// `dst = src`, growing `dst`'s storage geometrically when it must grow.
+template <typename T>
+void assign_growing(std::vector<T>& dst, const std::vector<T>& src) {
+  if (src.size() > dst.capacity())
+    dst.reserve(std::max(src.size(), 2 * dst.capacity()));
+  dst = src;  // within capacity: assigns and constructs in place
+}
+
+}  // namespace
+
+Rsn& Rsn::operator=(const Rsn& other) {
+  if (this == &other) return *this;
+  name_ = other.name_;
+  assign_growing(elems_, other.elems_);
+  assign_growing(registers_, other.registers_);
+  assign_growing(muxes_, other.muxes_);
+  scan_in_ = other.scan_in_;
+  scan_out_ = other.scan_out_;
+  next_auto_mux_ = other.next_auto_mux_;
+  edits_ = other.edits_;  // clears the record
+  return *this;
 }
 
 ElemId Rsn::add_register(std::string name, std::size_t n_ffs,
@@ -92,7 +118,14 @@ ElemId Rsn::attach_to_scan_out(ElemId elem_id) {
     return no_elem;
   }
   if (driver == elem_id) return no_elem;
-  if (elem(driver).kind == ElemKind::Mux && fanouts(driver).size() == 1) {
+  auto driver_fanout = [&] {  // fanouts(driver).size(), without the list
+    std::size_t n = 0;
+    for (const Element& e : elems_)
+      n += static_cast<std::size_t>(
+          std::count(e.inputs.begin(), e.inputs.end(), driver));
+    return n;
+  };
+  if (elem(driver).kind == ElemKind::Mux && driver_fanout() == 1) {
     // Reuse the existing mux in front of scan-out as a collector — but
     // only if it feeds nothing else, so the attached element cannot
     // reach other segments through it.

@@ -61,14 +61,25 @@ struct ScanAccess {
 /// insertion) the resolution step of the paper applies, and computes
 /// active scan paths and any-configuration reachability for the security
 /// analysis. Value semantics: copying an Rsn snapshots the topology. The
-/// resolver trial-evaluates repair candidates on one such copy per work
-/// chunk and rolls it back to the committed network with restore() after
-/// each trial; the copy's edit record (edited()) tells restore() and the
-/// violation indexes which input lists a trial changed.
+/// resolver trial-evaluates repair candidates on long-lived working
+/// copies, rolls each back to the committed network with restore() after
+/// each trial and re-syncs it by copy-assignment after a commit; the
+/// copy's edit record (edited()) tells restore() and the violation
+/// indexes which input lists a trial changed.
 class Rsn {
  public:
   /// Creates a network containing only the scan-in and scan-out ports.
   explicit Rsn(std::string name = "rsn");
+
+  /// A copy reserves exactly the source's elements.
+  Rsn(const Rsn&) = default;
+  Rsn(Rsn&&) noexcept = default;
+  Rsn& operator=(Rsn&&) noexcept = default;
+  /// Copy-assignment reuses this network's buffers: elements that exist
+  /// on both sides are assigned in place, and element storage that must
+  /// grow grows to max(n, 2 x capacity), so re-syncing a working copy
+  /// after a commit that added k elements constructs only those k.
+  Rsn& operator=(const Rsn& other);
 
   /// Network name (benchmark name in the harness).
   const std::string& name() const { return name_; }

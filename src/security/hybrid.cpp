@@ -103,24 +103,16 @@ void HybridAnalyzer::build_static_edges(const Rsn& layout) {
   }
 }
 
-void HybridAnalyzer::append_register_chains(const Rsn& network,
-                                            const rsn::FanoutIndex& fanout,
-                                            ElemId r,
-                                            std::vector<RsnEdge>& out) {
-  append_register_chains_fn(
-      network, [&](ElemId id) -> decltype(auto) { return fanout.of(id); }, r,
-      out);
-}
-
 std::vector<HybridAnalyzer::RsnEdge> HybridAnalyzer::build_rsn_edges(
     const Rsn& network) const {
   // For every register, find the registers reachable through mux-only
   // element chains, recording the concrete connections of each chain
   // (cut candidates for the resolution step).
   std::vector<RsnEdge> edges;
-  rsn::FanoutIndex fanout(network);
+  const rsn::FanoutIndex fanout(network);
+  ChainWalk walk;
   for (ElemId r : network.registers())
-    append_register_chains(network, fanout, r, edges);
+    append_register_chains(network, index_fanout(fanout), r, walk, edges);
   return edges;
 }
 
@@ -160,11 +152,16 @@ std::vector<TokenSet> HybridAnalyzer::run_worklist(
 }
 
 std::vector<std::vector<std::size_t>> HybridAnalyzer::rsn_successors(
-    const Rsn& network, const std::vector<RsnEdge>& edges) const {
+    const Rsn& network) const {
   std::vector<std::vector<std::size_t>> succ(owner_module_.size());
-  for (const RsnEdge& e : edges)
-    succ[scan_node(e.from_reg, network.elem(e.from_reg).ffs.size() - 1)]
-        .push_back(scan_node(e.to_reg, 0));
+  const rsn::FanoutIndex fanout(network);
+  ChainWalk walk;
+  for (ElemId r : network.registers()) {
+    std::vector<std::size_t>& out =
+        succ[scan_node(r, network.elem(r).ffs.size() - 1)];
+    for_each_chain_target(network, index_fanout(fanout), r, walk,
+                          [&](ElemId to) { out.push_back(scan_node(to, 0)); });
+  }
   return succ;
 }
 
@@ -173,8 +170,7 @@ std::vector<TokenSet> HybridAnalyzer::propagate(const Rsn* network,
   if (obs::TraceSession* trace = obs::TraceSession::active())
     trace->counter("hybrid.propagations").add(1);
   std::vector<std::vector<std::size_t>> extra;
-  if (network != nullptr && !circuit_only)
-    extra = rsn_successors(*network, build_rsn_edges(*network));
+  if (network != nullptr && !circuit_only) extra = rsn_successors(*network);
   return run_worklist(extra, circuit_only);
 }
 
@@ -291,8 +287,8 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
         for (const RsnEdge& e : rsn_edges) fn(e);
       },
       preds);
-  return trace_violation(
-      preds, run_worklist(rsn_successors(network, rsn_edges), false));
+  return trace_violation(preds,
+                         run_worklist(rsn_successors(network), false));
 }
 
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -153,52 +154,107 @@ class HybridAnalyzer {
     rsn::ElemId from_reg, to_reg;
     std::vector<Connection> chain;
   };
-  /// Appends the inter-segment chains starting at register `r` (DFS over
-  /// mux-only element chains under `fanout`, capped) to `out`. The
-  /// emission order is a deterministic function of r's local fanout
-  /// structure alone, so the violation index can rebuild one register's
-  /// chains and splice them into the full build_rsn_edges order.
-  static void append_register_chains(const rsn::Rsn& network,
-                                     const rsn::FanoutIndex& fanout,
-                                     rsn::ElemId r, std::vector<RsnEdge>& out);
-  /// Generalization over the fanout source: `fanout_of(id)` must return a
-  /// range of (consumer, port) pairs in FanoutIndex order (consumer
-  /// ascending, then port). The returned reference may be invalidated by
-  /// the next fanout_of call; each result is fully consumed before the
-  /// next lookup. This is what lets the violation index rebuild chains
-  /// against a patched committed fanout without indexing a whole trial
-  /// network per candidate.
-  template <typename FanoutFn>
-  static void append_register_chains_fn(const rsn::Rsn& network,
-                                        FanoutFn&& fanout_of, rsn::ElemId r,
-                                        std::vector<RsnEdge>& out) {
-    constexpr std::size_t max_chains_per_register = 256;
-    std::size_t emitted = 0;
-    // DFS over (element, chain-so-far); chains are short in practice.
-    std::vector<std::pair<rsn::ElemId, std::vector<Connection>>> stack;
-    stack.push_back({r, {}});
-    while (!stack.empty() && emitted < max_chains_per_register) {
-      auto [cur, chain] = std::move(stack.back());
-      stack.pop_back();
-      for (auto [to, port] : fanout_of(cur)) {
-        std::vector<Connection> next_chain = chain;
-        next_chain.push_back({cur, to, port});
-        const rsn::Element& te = network.elem(to);
-        if (te.kind == rsn::ElemKind::Register) {
-          out.push_back({r, to, std::move(next_chain)});
-          ++emitted;
-        } else if (te.kind == rsn::ElemKind::Mux) {
-          stack.push_back({to, std::move(next_chain)});
-        }
+  /// Reusable buffers of the per-register chain DFS (one thread at a
+  /// time): its stack of (element, path node), per element the epoch of
+  /// the last source register that expanded it, and the chain builder's
+  /// path nodes (connection, parent node; node k is path[k - 1], node 0
+  /// the source register).
+  struct ChainWalk {
+    std::vector<std::pair<rsn::ElemId, std::uint32_t>> stack;
+    std::vector<std::uint32_t> expanded;
+    std::uint32_t epoch = 0;
+    std::vector<std::pair<Connection, std::uint32_t>> path;
+  };
+  /// The inter-segment chains starting at register `r`: a DFS over
+  /// mux-only element chains under `fanout_of`, which must return a range
+  /// of (consumer, port) pairs in FanoutIndex order (consumer ascending,
+  /// then port); the returned reference may be invalidated by the next
+  /// fanout_of call, and each result is consumed before the next lookup.
+  /// Calls on_register(node, c) for every connection `c` into a register
+  /// and pushes every mux it enters with the node on_mux(node, c)
+  /// returns, `node` being the path node of c's source. Each mux is
+  /// expanded once per source register: a mux popped again was reached
+  /// over another path, and its first expansion already reported every
+  /// register below it (registers have one input, so each register
+  /// reached is reported once). The order is a deterministic function of
+  /// r's local fanout structure alone, so the violation index can redo
+  /// one register's walk (against a patched committed fanout, without
+  /// indexing a whole trial network) and splice it into the full order.
+  template <typename FanoutFn, typename OnRegister, typename OnMux>
+  static void walk_chains(const rsn::Rsn& network, FanoutFn&& fanout_of,
+                          rsn::ElemId r, ChainWalk& w,
+                          OnRegister&& on_register, OnMux&& on_mux) {
+    if (w.expanded.size() < network.num_elements())
+      w.expanded.resize(network.num_elements(), 0);
+    if (++w.epoch == 0) {  // epoch wrap: reset marks once per 2^32 walks
+      std::fill(w.expanded.begin(), w.expanded.end(), 0u);
+      w.epoch = 1;
+    }
+    w.stack.clear();
+    w.stack.push_back({r, 0});
+    while (!w.stack.empty()) {
+      const auto [cur, node] = w.stack.back();
+      w.stack.pop_back();
+      if (w.expanded[cur] == w.epoch) continue;
+      w.expanded[cur] = w.epoch;
+      for (const auto& [to, port] : fanout_of(cur)) {
+        const Connection c{cur, to, port};
+        const rsn::ElemKind kind = network.elem(to).kind;
+        if (kind == rsn::ElemKind::Register)
+          on_register(node, c);
+        else if (kind == rsn::ElemKind::Mux)
+          w.stack.push_back({to, on_mux(node, c)});
         // Scan-out: data leaves the chip; no further segment is reached.
       }
     }
   }
+  /// Calls emit(to_reg) for every chain from `r`, in walk_chains order,
+  /// without building the chains.
+  template <typename FanoutFn, typename Emit>
+  static void for_each_chain_target(const rsn::Rsn& network,
+                                    FanoutFn&& fanout_of, rsn::ElemId r,
+                                    ChainWalk& w, Emit&& emit) {
+    walk_chains(
+        network, fanout_of, r, w,
+        [&emit](std::uint32_t, const Connection& c) { emit(c.to); },
+        [](std::uint32_t, const Connection&) { return 0u; });
+  }
+  /// Appends the chains from `r` to `out`, in walk_chains order, each
+  /// with its connections: one allocation per chain.
+  template <typename FanoutFn>
+  static void append_register_chains(const rsn::Rsn& network,
+                                     FanoutFn&& fanout_of, rsn::ElemId r,
+                                     ChainWalk& w, std::vector<RsnEdge>& out) {
+    w.path.clear();
+    walk_chains(
+        network, fanout_of, r, w,
+        [&](std::uint32_t node, const Connection& c) {
+          std::size_t len = 1;
+          for (std::uint32_t k = node; k != 0; k = w.path[k - 1].second)
+            ++len;
+          RsnEdge& e = out.emplace_back(
+              RsnEdge{r, c.to, std::vector<Connection>(len)});
+          e.chain[--len] = c;
+          for (std::uint32_t k = node; k != 0; k = w.path[k - 1].second)
+            e.chain[--len] = w.path[k - 1].first;
+        },
+        [&w](std::uint32_t node, const Connection& c) {
+          w.path.push_back({c, node});
+          return static_cast<std::uint32_t>(w.path.size());
+        });
+  }
+  /// The `fanout_of` of a FanoutIndex.
+  static auto index_fanout(const rsn::FanoutIndex& fanout) {
+    return [&fanout](rsn::ElemId id) -> decltype(auto) {
+      return fanout.of(id);
+    };
+  }
   std::vector<RsnEdge> build_rsn_edges(const rsn::Rsn& network) const;
-  /// Node successor lists of `edges`: the last scan FF of each edge's
-  /// source register feeds the first scan FF of its target.
+  /// Node successor lists of the inter-segment edges of `network`: the
+  /// last scan FF of each chain's source register feeds the first scan FF
+  /// of its target. Builds no chains.
   std::vector<std::vector<std::size_t>> rsn_successors(
-      const rsn::Rsn& network, const std::vector<RsnEdge>& edges) const;
+      const rsn::Rsn& network) const;
 
   /// An adjacency in CSR form: node n's entries are
   /// `adj[off[n] .. off[n + 1])`.

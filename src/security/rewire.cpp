@@ -215,10 +215,65 @@ int repair_lost_fanout(Rsn& network, ElemId from, NextSucc&& next_succ,
 
 }  // namespace
 
+struct Rewirer::TrialSlots::Slot {
+  explicit Slot(const CommittedView& view, TrialCounter counter)
+      : network(view.network()),
+        generation(view.generation()),
+        count(std::move(counter)) {}
+  Slot(const Slot&) = delete;  // claimed by address
+  Slot& operator=(const Slot&) = delete;
+
+  Rsn network;                ///< working copy of the view's network
+  std::uint64_t generation;   ///< view generation `network` was copied at
+  Scratch scratch;
+  TrialCounter count;
+};
+
+Rewirer::TrialSlots::TrialSlots(const CommittedView& view,
+                                TrialCounterFactory make_counter)
+    : view_(view), make_counter_(std::move(make_counter)) {}
+
+Rewirer::TrialSlots::~TrialSlots() = default;
+
+std::size_t Rewirer::TrialSlots::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return slots_.size();
+}
+
+Rewirer::TrialSlots::Slot& Rewirer::TrialSlots::acquire() {
+  obs::TraceSession* trace = obs::TraceSession::active();
+  Slot* slot = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    }
+  }
+  if (slot == nullptr) {
+    auto created = std::make_unique<Slot>(view_, make_counter_());
+    slot = created.get();
+    if (trace != nullptr) trace->counter("resolve.trial_slots").add(1);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    slots_.push_back(std::move(created));
+  } else if (slot->generation != view_.generation()) {
+    slot->network = view_.network();
+    slot->generation = view_.generation();
+    if (trace != nullptr) trace->counter("resolve.slot_syncs").add(1);
+  }
+  return *slot;
+}
+
+void Rewirer::TrialSlots::release(Slot& slot) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  free_.push_back(&slot);
+}
+
 Rewirer::Selection Rewirer::select_cut_parallel(
     const CommittedView& view, const std::vector<Connection>& candidates,
-    const TrialCounterFactory& make_counter, std::size_t current_pairs,
-    ResolutionPolicy policy, ThreadPool& pool) {
+    TrialSlots& slots, std::size_t current_pairs, ResolutionPolicy policy,
+    ThreadPool& pool) {
+  assert(&view == &slots.view_);
   const Rsn& network = view.network();
   obs::TraceSession* trace = obs::TraceSession::active();
   obs::Counter* cycle_walks =
@@ -248,21 +303,21 @@ Rewirer::Selection Rewirer::select_cut_parallel(
   pool.parallel_chunks(
       0, combos.size(),
       [&](std::size_t cb, std::size_t ce, std::size_t) {
-        // One counter (and thus one set of delta-query scratch buffers),
-        // one working copy of the network and one cut scratch per chunk,
-        // reused across the chunk's trials: each trial edits the copy, is
-        // counted, and is rolled back.
-        TrialCounter count = make_counter();
-        Rsn trial = network;
-        Scratch scratch;
+        // The slot's working copy, cut scratch and counter serve every
+        // trial of the chunk: each trial edits the copy, is counted, and
+        // is rolled back. A chunk that throws keeps its slot out of
+        // rotation (its copy may be mid-trial); the resolution aborts.
+        TrialSlots::Slot& slot = slots.acquire();
         for (std::size_t i = cb; i < ce; ++i) {
-          ops[i] = cut_connection(trial, view, combos[i].cut, combos[i].hint,
-                                  scratch);
-          pairs[i] = count(trial);
-          trial.restore(network);
-          if (cycle_walks != nullptr) cycle_walks->add(scratch.cycle_walks);
-          scratch.cycle_walks = 0;
+          ops[i] = cut_connection(slot.network, view, combos[i].cut,
+                                  combos[i].hint, slot.scratch);
+          pairs[i] = slot.count(slot.network);
+          slot.network.restore(network);
+          if (cycle_walks != nullptr)
+            cycle_walks->add(slot.scratch.cycle_walks);
+          slot.scratch.cycle_walks = 0;
         }
+        slots.release(slot);
       },
       /*grain=*/0);
   if (trace != nullptr) {

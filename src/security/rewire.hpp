@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -154,12 +156,48 @@ class Rewirer {
   };
 
   /// Counts the violating pairs of one trial network. Instances returned
-  /// by a TrialCounterFactory may carry per-chunk scratch state; each
-  /// instance is used by one thread at a time.
+  /// by a TrialCounterFactory may carry scratch state; each instance is
+  /// used by one thread at a time.
   using TrialCounter = std::function<std::size_t(const rsn::Rsn&)>;
-  /// Called once per work chunk of the parallel trial loop; the returned
-  /// counter is reused for every trial of that chunk (scratch reuse).
+  /// Called once per trial slot (see TrialSlots); the returned counter is
+  /// reused for every trial run in that slot.
   using TrialCounterFactory = std::function<TrialCounter()>;
+
+  /// The trial workspaces of one resolution run: the selections over one
+  /// committed view share them. A slot holds a working copy of the view's
+  /// network, a cut Scratch and a counter (with its scratch), and outlives
+  /// the selections: a work chunk claims a free slot and returns it when
+  /// done, and a slot is created only when every slot is in use, so there
+  /// are never more slots than chunks that ran at once. A claimed slot
+  /// whose copy predates the view's generation is re-synced by
+  /// copy-assignment, which reuses its element buffers. Which slot a chunk
+  /// gets depends on scheduling; every buffer a trial reads is reset or
+  /// overwritten first, so results do not. Must not outlive `view`.
+  class TrialSlots {
+   public:
+    TrialSlots(const rsn::CommittedView& view,
+               TrialCounterFactory make_counter);
+    TrialSlots(const TrialSlots&) = delete;
+    TrialSlots& operator=(const TrialSlots&) = delete;
+    ~TrialSlots();
+
+    /// Slots created so far.
+    std::size_t size() const;
+
+   private:
+    friend class Rewirer;
+    struct Slot;
+    /// Claims a free slot (or creates one) whose working copy equals the
+    /// view's network, re-syncing it if stale.
+    Slot& acquire();
+    void release(Slot& slot);
+
+    const rsn::CommittedView& view_;
+    const TrialCounterFactory make_counter_;
+    mutable std::mutex mutex_;
+    std::vector<std::unique_ptr<Slot>> slots_;  ///< guarded by mutex_
+    std::vector<Slot*> free_;                   ///< guarded by mutex_
+  };
 
   /// Trial-evaluates cutting each candidate (with both reconnection
   /// variants, a hint-insensitive cut once) from the committed network
@@ -171,15 +209,15 @@ class Rewirer {
   /// is the one a sequential first-to-last evaluation would pick, at any
   /// thread count. (FirstImproving/PreferScanIn evaluate trials past the
   /// one selected; only side-effect-free counters may observe that.) Each
-  /// work chunk copies the network once; a trial cuts that copy against
-  /// `view`, is counted, and is rolled back with Rsn::restore, so counters
-  /// see a network equal to a fresh copy with the cut applied, whose edit
-  /// record lists what the cut changed.
+  /// work chunk claims one of `slots` (built over `view`); a trial cuts
+  /// the slot's working copy against `view`, is counted, and is rolled
+  /// back with Rsn::restore, so counters see a network equal to a fresh
+  /// copy with the cut applied, whose edit record lists what the cut
+  /// changed.
   static Selection select_cut_parallel(
       const rsn::CommittedView& view,
-      const std::vector<Connection>& candidates,
-      const TrialCounterFactory& make_counter, std::size_t current_pairs,
-      ResolutionPolicy policy, ThreadPool& pool);
+      const std::vector<Connection>& candidates, TrialSlots& slots,
+      std::size_t current_pairs, ResolutionPolicy policy, ThreadPool& pool);
 };
 
 }  // namespace rsnsec::security

@@ -100,8 +100,9 @@ HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
   fixed_succ_ = a_.fixed_successors();
   preds_.fixed = HybridAnalyzer::transpose(fixed_succ_);
   for (ElemId r : net.registers()) {
-    HybridAnalyzer::append_register_chains(net, view_.fanout(), r,
-                                           reg_chains_[r]);
+    HybridAnalyzer::append_register_chains(
+        net, HybridAnalyzer::index_fanout(view_.fanout()), r,
+        commit_scratch_.chains, reg_chains_[r]);
     for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
       rsn_succ_[from_node(e.from_reg)].push_back(a_.scan_node(e.to_reg, 0));
   }
@@ -425,12 +426,11 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   std::sort(s.endpoints.begin(), s.endpoints.end());
   s.endpoints.erase(std::unique(s.endpoints.begin(), s.endpoints.end()),
                     s.endpoints.end());
-  // Consumers were scanned ascending (ports ascending within each), so a
-  // stable sort by source keeps each source's run in FanoutIndex order.
-  std::stable_sort(s.fanout_adds.begin(), s.fanout_adds.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  // Sorted by (source, consumer, port): each source's run is in
+  // FanoutIndex order. The key is unique, so the order is that of a
+  // stable sort by source over the ascending consumer scan, and the sort
+  // needs no buffer.
+  std::sort(s.fanout_adds.begin(), s.fanout_adds.end());
 
   //    Dirty registers: backward mux-walk from every endpoint under both
   //    structures (a register whose chains change in either direction
@@ -447,37 +447,30 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   s.dirty_regs.erase(std::unique(s.dirty_regs.begin(), s.dirty_regs.end()),
                      s.dirty_regs.end());
 
-  // 2. Rebuild the dirty registers' chains under the trial structure
-  //    (against the patched committed fanout) and derive the node-level
-  //    edge sets on both sides.
-  // Reuse the outer chain buffers across queries (clear keeps capacity).
-  if (s.dirty_chains.size() < s.dirty_regs.size())
-    s.dirty_chains.resize(s.dirty_regs.size());
-  for (std::size_t i = 0; i < s.dirty_regs.size(); ++i)
-    s.dirty_chains[i].clear();
+  // 2. The node-level edge sets of the dirty registers on both sides:
+  //    committed from their chains, trial from a walk of their chain
+  //    targets under the trial structure (against the patched committed
+  //    fanout).
   s.old_edges.clear();
   s.new_edges.clear();
-  for (std::size_t i = 0; i < s.dirty_regs.size(); ++i) {
-    ElemId r = s.dirty_regs[i];
-    HybridAnalyzer::append_register_chains_fn(
+  for (ElemId r : s.dirty_regs) {
+    const std::size_t from = from_node(r);
+    for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
+      s.old_edges.push_back({from, a_.scan_node(e.to_reg, 0)});
+    HybridAnalyzer::for_each_chain_target(
         trial,
         [&](ElemId id) -> const std::vector<std::pair<ElemId, std::size_t>>& {
           return trial_fanout_of(id, s);
         },
-        r, s.dirty_chains[i]);
-    for (const HybridAnalyzer::RsnEdge& e : reg_chains_[r])
-      s.old_edges.push_back(
-          {from_node(e.from_reg), a_.scan_node(e.to_reg, 0)});
-    for (const HybridAnalyzer::RsnEdge& e : s.dirty_chains[i])
-      s.new_edges.push_back(
-          {from_node(e.from_reg), a_.scan_node(e.to_reg, 0)});
-    s.dirty_from_mark[from_node(r)] = s.epoch;
+        r, s.chains,
+        [&](ElemId to) { s.new_edges.push_back({from, a_.scan_node(to, 0)}); });
+    s.dirty_from_mark[from] = s.epoch;
   }
 
   // 3. Inter-segment edges the trial removes entirely (no copy of (u, v)
-  //    survives among the rebuilt chains) and the ones it adds, as sets:
-  //    an edge whose multiplicity merely changed transports the same
-  //    values and invalidates nothing.
+  //    survives among the trial edges) and the ones it adds, as sets: an
+  //    edge whose multiplicity merely changed transports the same values
+  //    and invalidates nothing.
   std::vector<std::pair<std::size_t, std::size_t>>& so = s.sorted_old;
   std::vector<std::pair<std::size_t, std::size_t>>& sn = s.sorted_new;
   so = s.old_edges;
@@ -621,20 +614,23 @@ void HybridViolationIndex::commit(const Rsn& network) {
   }
   pairs_ = new_pairs;
 
-  // Splice the rebuilt chains and node-level successors of the dirty
-  // registers into the committed structures.
-  if (reg_chains_.size() < network.num_elements())
-    reg_chains_.resize(network.num_elements());
-  for (std::size_t i = 0; i < s.dirty_regs.size(); ++i) {
-    ElemId r = s.dirty_regs[i];
+  // Re-index the committed view in place (once per applied change; trials
+  // never pay for it — they patch its fanout index instead), rebuild the
+  // dirty registers' chains from it and splice them and their node-level
+  // successors into the committed structures, then re-index the in-edges
+  // and the support forest.
+  view_.reset(network);
+  const Rsn& net = view_.network();
+  if (reg_chains_.size() < net.num_elements())
+    reg_chains_.resize(net.num_elements());
+  for (ElemId r : s.dirty_regs) {
     rsn_succ_[from_node(r)].clear();
-    reg_chains_[r] = std::move(s.dirty_chains[i]);
+    reg_chains_[r].clear();
+    HybridAnalyzer::append_register_chains(
+        net, HybridAnalyzer::index_fanout(view_.fanout()), r, s.chains,
+        reg_chains_[r]);
   }
   for (const auto& e : s.new_edges) rsn_succ_[e.first].push_back(e.second);
-  // Re-index the committed view (once per applied change; trials never
-  // pay for it — they patch its fanout index instead), the in-edges and
-  // the support forest.
-  view_ = rsn::CommittedView(network);
   index_in_edges();
   build_support_forest();
 }
@@ -813,7 +809,7 @@ void PureViolationIndex::commit(const Rsn& network) {
     reg_pairs_[id] = register_pair_count(network, id, incoming);
   }
   pairs_ = new_pairs;
-  view_ = rsn::CommittedView(network);
+  view_.reset(network);
 }
 
 std::optional<PureViolation> PureViolationIndex::find_violation() const {

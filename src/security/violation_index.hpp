@@ -32,7 +32,10 @@ namespace rsnsec::security {
 ///
 /// Structural edits only invalidate the chains of *dirty* registers
 /// (those whose mux-fanout region a changed connection touches) and the
-/// pairs whose support the edit may break. A pair is a *broken root* when
+/// pairs whose support the edit may break. A trial redoes the dirty
+/// registers' chain walks for their target registers only; commit
+/// rebuilds their chains with connections, which find_violation's
+/// witnesses read. A pair is a *broken root* when
 /// its forest parent fed it over an inter-segment edge the trial removes
 /// entirely. From the roots, a walk in nondecreasing depth keeps a pair
 /// when some trial predecessor holds the token and is provably still
@@ -52,9 +55,10 @@ namespace rsnsec::security {
 ///
 /// eval_trial is const and touches only caller-owned scratch, so
 /// independent candidate cuts are evaluated concurrently (one scratch
-/// per thread/chunk); commit folds an applied change into the committed
-/// state, rebuilds the support forest and the committed view (network,
-/// fanout index, rank) the selection's trials and cuts read.
+/// per trial slot); commit folds an applied change into the committed
+/// state, rebuilds the support forest and re-indexes, in place, the
+/// committed view (network, fanout index, rank) the selection's trials
+/// and cuts read.
 class HybridViolationIndex {
  public:
   /// Builds the full index for `network` (one "index rebuild").
@@ -75,8 +79,9 @@ class HybridViolationIndex {
   const rsn::CommittedView& view() const { return view_; }
 
   /// Reusable buffers of one trial evaluation. Sized lazily; reuse one
-  /// instance across many eval_trial calls on the same thread to avoid
-  /// per-trial allocation. Never share an instance between threads.
+  /// instance across many eval_trial calls on the same thread: once its
+  /// buffers have grown to a selection's trials, eval_trial allocates
+  /// nothing. Never share an instance between threads.
   struct Scratch {
     std::vector<TokenSet> state;
     /// Per overlay node, the tokens the support walk reset there (empty
@@ -103,13 +108,15 @@ class HybridViolationIndex {
     std::vector<rsn::ElemId> changed;
     std::vector<rsn::ElemId> endpoints;
     std::vector<rsn::ElemId> chain_stack;
-    /// Trial-only fanout entries, (source, (consumer, port)) sorted by
-    /// source then FanoutIndex order; patched over the committed fanout.
+    /// Trial-only fanout entries, (source, (consumer, port)) sorted (by
+    /// source, then in FanoutIndex order); patched over the committed
+    /// fanout.
     std::vector<std::pair<rsn::ElemId, std::pair<rsn::ElemId, std::size_t>>>
         fanout_adds;
     std::vector<std::pair<rsn::ElemId, std::size_t>> fanout_buf;
     std::vector<rsn::ElemId> dirty_regs;
-    std::vector<std::vector<HybridAnalyzer::RsnEdge>> dirty_chains;
+    /// The dirty registers' chain walks (targets only).
+    HybridAnalyzer::ChainWalk chains;
     /// Node-level (from, to) inter-segment edges of the dirty registers:
     /// committed on the left, trial on the right.
     std::vector<std::pair<std::size_t, std::size_t>> old_edges;
@@ -144,7 +151,9 @@ class HybridViolationIndex {
   /// Folds the applied change into the committed state: `network` is the
   /// committed network after structural edits (its input lists are all
   /// compared with the committed ones; its edit record is not read).
-  /// Incremental (same delta machinery as eval_trial, then written back).
+  /// Incremental (same delta machinery as eval_trial, then written back);
+  /// resets view() to `network` and rebuilds the dirty registers' chains
+  /// from it.
   void commit(const rsn::Rsn& network);
 
   /// HybridAnalyzer::find_violation of the committed network, answered
@@ -157,18 +166,19 @@ class HybridViolationIndex {
   const HybridAnalyzer& a_;
   /// Committed network (trial diffs run against it), its element-level
   /// fanout (trial fanout is this plus the patch derived from the trial's
-  /// changed consumers) and its rank.
+  /// changed consumers) and its rank; reset in place by every commit.
   rsn::CommittedView view_;
   std::vector<TokenSet> state_;          ///< committed fixpoint, per node
   std::vector<std::size_t> node_pairs_;  ///< violating pairs per node
   std::size_t pairs_ = 0;
-  /// Inter-segment chains per source register (indexed by ElemId; empty
-  /// for non-registers). Concatenated in registers() order these equal
-  /// HybridAnalyzer::build_rsn_edges of the committed network.
+  /// Inter-segment chains per source register, with their connections
+  /// (indexed by ElemId; empty for non-registers), for find_violation's
+  /// witnesses. Concatenated in registers() order these equal
+  /// HybridAnalyzer::build_rsn_edges of the committed network. Trials
+  /// read only their endpoints.
   std::vector<std::vector<HybridAnalyzer::RsnEdge>> reg_chains_;
-  /// Node-level RSN successors induced by the chains (duplicates kept —
-  /// two chains between the same register pair yield two entries; merges
-  /// are idempotent so only multiplicity bookkeeping cares).
+  /// Node-level RSN successors induced by the chains: one entry per
+  /// chain, and a source register has one chain per register it reaches.
   std::vector<std::vector<std::size_t>> rsn_succ_;
   /// Static + circuit successors per node (fixed across rewirings).
   HybridAnalyzer::Csr fixed_succ_;
@@ -211,8 +221,8 @@ class HybridViolationIndex {
   void support_walk(Scratch& s) const;
   /// Runs the delta analysis of `trial`, whose changed consumers are in
   /// s.changed, against the committed state into `s`: dirty registers,
-  /// rebuilt chains, affected set (s.affected, valid s.state entries) and
-  /// the resulting pair-count delta (returned added to pairs_).
+  /// their trial edges, affected set (s.affected, valid s.state entries)
+  /// and the resulting pair-count delta (returned added to pairs_).
   std::size_t delta_analysis(const rsn::Rsn& trial, Scratch& s) const;
 };
 
@@ -301,6 +311,17 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
   Stats stats;
 
   Index index(analyzer, network);
+  // The run's trial workspaces (see Rewirer::TrialSlots): each slot's
+  // counter owns one Index::Scratch, and a slot re-syncs its working copy
+  // after a commit the first time a selection claims it.
+  Rewirer::TrialSlots slots(
+      index.view(), [&index]() -> Rewirer::TrialCounter {
+        auto scratch = std::make_shared<typename Index::Scratch>();
+        return [&index, scratch](const rsn::Rsn& n) {
+          return index.eval_trial(n, *scratch);
+        };
+      });
+  Rewirer::Scratch cut_scratch;
   // ResolveOptions::pool (shared, serve scheduler) wins over a private
   // per-resolve pool sized by num_threads.
   ThreadPool* pool = resolve_options.pool;
@@ -334,22 +355,14 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
     // and the applied cut read the index's committed view, which equals
     // `network` until the cut is applied.
     Rewirer::Selection sel = Rewirer::select_cut_parallel(
-        index.view(), candidates(*v),
-        [&index]() -> Rewirer::TrialCounter {
-          auto scratch = std::make_shared<typename Index::Scratch>();
-          return [&index, scratch](const rsn::Rsn& n) {
-            return index.eval_trial(n, *scratch);
-          };
-        },
-        cur_pairs, policy, *pool);
+        index.view(), candidates(*v), slots, cur_pairs, policy, *pool);
 
     AppliedChange change;
     if (sel.found) {
       change.kind = AppliedChange::Kind::CutConnection;
       change.cut = sel.cut;
-      Rewirer::Scratch scratch;
       change.rewire_operations = Rewirer::cut_connection(
-          network, index.view(), sel.cut, sel.reconnect_hint, scratch);
+          network, index.view(), sel.cut, sel.reconnect_hint, cut_scratch);
       change.note = std::string(stage) + ": cut " +
                     network.elem(sel.cut.from).name + " -> " +
                     network.elem(sel.cut.to).name;

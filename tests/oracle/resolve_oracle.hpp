@@ -2,8 +2,9 @@
 
 // Test-only reference implementations of the detect-and-resolve loops.
 // Production resolution keeps violation state in a ViolationIndex and
-// evaluates candidate cuts as parallel deltas against it, on one working
-// copy per chunk that is rolled back after each trial. The oracles below
+// evaluates candidate cuts as parallel deltas against it, on working
+// copies kept in trial slots for the whole run and rolled back after each
+// trial. The oracles below
 // recompute every query from scratch on the whole network, try the
 // candidates one after another on a fresh copy each, and repair with the
 // probe-based oracle cut (oracle/rewire_oracle). Both must produce

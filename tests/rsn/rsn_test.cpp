@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "benchgen/families.hpp"
 #include "rsn/io.hpp"
@@ -232,6 +233,45 @@ TEST(Rsn, RestoreRollsBackStructuralEdits) {
     names[i] = nets[i]->elem(m).name;
   }
   EXPECT_EQ(names[0], names[1]);
+}
+
+TEST(Rsn, CopyAssignmentResyncsAWorkingCopy) {
+  // A working copy that trials edited and restored is re-synced to a base
+  // that a commit changed and grew, by copy-assignment in place; assigning
+  // the smaller original back truncates it again.
+  Rng rng(11);
+  RsnDocument doc = benchgen::generate_bastion(
+      benchgen::bastion_profile("TreeFlat"), 0.05, rng);
+  const Rsn original = doc.network;
+  Rsn& base = doc.network;
+  Rsn work = base;
+  const ElemId a = base.registers().front();
+  const ElemId b = base.registers().back();
+  ElemId m = work.add_mux("trial_mux", 2);
+  work.connect(a, m, 0);
+  work.restore(base);
+
+  for (int commit = 0; commit < 3; ++commit) {
+    m = base.add_mux("commit_mux_" + std::to_string(commit), 2);
+    base.connect(a, m, 0);
+    base.connect(b, m, 1);
+    base.add_mux_input(base.muxes().front(), b);
+    work.disconnect(b, 0);  // a trial edit the re-sync must overwrite
+    work = base;
+    EXPECT_EQ(rsn_text(work), rsn_text(base)) << "commit " << commit;
+    EXPECT_EQ(work.muxes(), base.muxes());
+    EXPECT_EQ(work.registers(), base.registers());
+    EXPECT_EQ(work.elem(m).name, base.elem(m).name);
+    ASSERT_NE(work.edited(), nullptr);
+    EXPECT_TRUE(work.edited()->empty());
+  }
+  work = original;
+  EXPECT_EQ(rsn_text(work), rsn_text(original));
+  EXPECT_EQ(work.num_elements(), original.num_elements());
+  EXPECT_EQ(work.muxes(), original.muxes());
+  const Rsn& same = work;
+  work = same;  // self-assignment keeps the network
+  EXPECT_EQ(rsn_text(work), rsn_text(original));
 }
 
 TEST(Rsn, EditRecordListsChangedInputLists) {

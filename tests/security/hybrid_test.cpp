@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dep/analyzer.hpp"
+#include "oracle/resolve_oracle.hpp"
 
 namespace rsnsec::security {
 namespace {
@@ -281,6 +285,104 @@ TEST(Hybrid, ResolutionKeepsEveryRegister) {
   EXPECT_EQ(hybrid.count_violating_pairs(a.net), 0u);
   std::string err;
   EXPECT_TRUE(a.net.validate(&err)) << err;
+}
+
+/// regC (confidential, captures cf) drives mux X0, the head of `k`
+/// reconvergent 2:1 mux diamonds that end at regR: 2^k chains from regC
+/// to regR. regC also drives mux Y, created before X0 so the chain DFS
+/// pops it last, and Y drives the relay regU, which updates rf; rf feeds
+/// the untrusted uf, which regT (upstream of regC) captures. The
+/// confidential token reaches uf and regT only over the regC -> regU
+/// edge: two hybrid pairs, no pure pair.
+void build_diamonds(Analysis& a, int k) {
+  for (const char* m : {"conf", "relay", "untrusted"}) a.nl.add_module(m);
+  NodeId cf = a.nl.add_ff("cf", 0);
+  NodeId rf = a.nl.add_ff("rf", 1);
+  NodeId uf = a.nl.add_ff("uf", 2);
+  a.nl.set_ff_input(cf, cf);
+  a.nl.set_ff_input(rf, rf);
+  a.nl.set_ff_input(uf, rf);
+
+  Rsn& net = a.net;
+  ElemId reg_t = net.add_register("regT", 1, 2);
+  ElemId reg_c = net.add_register("regC", 1, 0);
+  ElemId reg_u = net.add_register("regU", 1, 1);
+  ElemId reg_r = net.add_register("regR", 1, 1);
+  ElemId y = net.add_mux("Y", 2);
+  ElemId x = net.add_mux("X0", 2);
+  net.connect(net.scan_in(), reg_t, 0);
+  net.connect(reg_t, reg_c, 0);
+  net.connect(reg_c, y, 0);
+  net.connect(net.scan_in(), y, 1);
+  net.connect(y, reg_u, 0);
+  net.connect(reg_c, x, 0);
+  net.connect(net.scan_in(), x, 1);
+  for (int i = 1; i <= k; ++i) {
+    const std::string n = std::to_string(i);
+    ElemId l = net.add_mux("A" + n, 2);
+    ElemId r = net.add_mux("B" + n, 2);
+    ElemId join = net.add_mux("X" + n, 2);
+    net.connect(x, l, 0);
+    net.connect(net.scan_in(), l, 1);
+    net.connect(x, r, 0);
+    net.connect(net.scan_in(), r, 1);
+    net.connect(l, join, 0);
+    net.connect(r, join, 1);
+    x = join;
+  }
+  net.connect(x, reg_r, 0);
+  ElemId out = net.add_mux("Z", 2);
+  net.connect(reg_u, out, 0);
+  net.connect(reg_r, out, 1);
+  net.connect(out, net.scan_out(), 0);
+  net.set_capture(reg_t, 0, uf);
+  net.set_capture(reg_c, 0, cf);
+  net.set_update(reg_u, 0, rf);
+}
+
+TEST(Hybrid, ReconvergentChainsKeepEveryInterSegmentEdge) {
+  // The chain DFS expands each mux once per source register, so the 2^k
+  // duplicate paths to regR cannot crowd out the regC -> regU edge (a cap
+  // of 256 chains per register hid it from k = 8 on).
+  for (int k : {7, 8, 10}) {
+    Analysis a;
+    build_diamonds(a, k);
+    std::string err;
+    ASSERT_TRUE(a.net.validate(&err)) << err;
+    dep::DependencyAnalyzer deps = a.run_deps();
+    TokenTable tokens(a.spec, 3);
+    HybridAnalyzer hybrid(a.nl, a.net, deps, a.spec, tokens);
+    PureScanAnalyzer pure(a.spec, tokens);
+    ASSERT_TRUE(hybrid.check_static().clean()) << "k = " << k;
+    EXPECT_EQ(pure.count_violating_pairs(a.net), 0u) << "k = " << k;
+    EXPECT_EQ(hybrid.count_violating_pairs(a.net), 2u) << "k = " << k;
+    auto v = hybrid.find_violation(a.net);
+    ASSERT_TRUE(v.has_value()) << "k = " << k;
+    EXPECT_FALSE(v->rsn_connections.empty());
+
+    // Resolution leaves no pair and matches the from-scratch oracle.
+    Rsn engine_net = a.net;
+    Rsn oracle_net = a.net;
+    std::vector<AppliedChange> engine_log;
+    std::vector<AppliedChange> oracle_log;
+    HybridStats engine = hybrid.detect_and_resolve(engine_net, &engine_log);
+    HybridStats oracle = oracle::resolve_hybrid_from_scratch(
+        hybrid, oracle_net, &oracle_log, ResolutionPolicy::BestGlobal);
+    EXPECT_GE(engine.applied_changes, 1) << "k = " << k;
+    EXPECT_EQ(hybrid.count_violating_pairs(engine_net), 0u) << "k = " << k;
+    EXPECT_TRUE(engine_net.validate(&err)) << err;
+    EXPECT_EQ(engine.applied_changes, oracle.applied_changes);
+    EXPECT_EQ(engine.rewire_operations, oracle.rewire_operations);
+    ASSERT_EQ(engine_log.size(), oracle_log.size());
+    for (std::size_t i = 0; i < engine_log.size(); ++i) {
+      EXPECT_EQ(engine_log[i].note, oracle_log[i].note) << "change " << i;
+      EXPECT_EQ(engine_log[i].cut, oracle_log[i].cut) << "change " << i;
+    }
+    ASSERT_EQ(engine_net.num_elements(), oracle_net.num_elements());
+    for (ElemId id = 0; id < engine_net.num_elements(); ++id)
+      EXPECT_EQ(engine_net.elem(id).inputs, oracle_net.elem(id).inputs)
+          << "element " << id;
+  }
 }
 
 TEST(Hybrid, NodeNamingAndIndexing) {

@@ -13,19 +13,27 @@
 // record and rolled back with Rsn::restore; one trial per step adds an
 // edge going down in committed rank, so an element is evaluated before
 // its input settles and must be queued again.
+//
+// TrialSlots keeps one slot set across the commits of a Table I grid run
+// and checks every selection against one made on fresh slots.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
+#include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
 #include "dep/analyzer.hpp"
+#include "obs/trace.hpp"
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
 #include "security/violation_index.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rsnsec::security {
 namespace {
@@ -221,6 +229,104 @@ TEST_P(IndexFuzz, PureDeltaMatchesRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, IndexFuzz, ::testing::Range(0, 8));
+
+/// The pure resolution loop's candidates and fallback register.
+std::vector<Connection> path_connections(const rsn::Rsn& net,
+                                         const PureViolation& v) {
+  std::vector<Connection> out;
+  for (std::size_t i = 0; i + 1 < v.path.size(); ++i) {
+    const rsn::Element& to = net.elem(v.path[i + 1]);
+    for (std::size_t p = 0; p < to.inputs.size(); ++p)
+      if (to.inputs[p] == v.path[i])
+        out.push_back({v.path[i], v.path[i + 1], p});
+  }
+  return out;
+}
+
+rsn::ElemId fallback_register(const rsn::Rsn& net, const PureViolation& v) {
+  rsn::ElemId iso = v.origin;
+  for (std::size_t i = 0; i + 1 < v.path.size(); ++i)
+    if (net.elem(v.path[i]).kind == rsn::ElemKind::Register) iso = v.path[i];
+  return iso;
+}
+
+TEST(TrialSlots, KeptSlotsSelectLikeFreshSlotsAcrossCommits) {
+  // Grid 1000's FlexScan circuit 1 under spec 4 (the GridOracle recipe;
+  // 37 pure changes, 20 of them inserting a repair mux), resolved by
+  // hand: every selection on the run's slot set must equal one on fresh
+  // slots, so a slot whose copy predates a commit (a cut, a cut
+  // inserting a repair mux, an isolation) re-syncs before its trials.
+  bench::SweepOptions opt;
+  opt.base_seed = 1000;
+  opt.spec.expected_sensitive_modules = 2.5;
+  opt.spec.low_trust_prob = 0.1;
+  const bench::Instance inst = bench::make_instance("FlexScan", opt, 1);
+  Rng spec_rng(104729 + 1000 * 1 + 4);
+  const SecuritySpec spec = benchgen::random_spec(
+      inst.doc.module_names.size(), opt.spec, spec_rng);
+  TokenTable tokens(spec, spec.num_modules());
+  PureScanAnalyzer pure(spec, tokens);
+
+  rsn::Rsn net = inst.doc.network;
+  PureViolationIndex index(pure, net);
+  const Rewirer::TrialCounterFactory factory =
+      [&index]() -> Rewirer::TrialCounter {
+    auto scratch = std::make_shared<PureViolationIndex::Scratch>();
+    return [&index, scratch](const rsn::Rsn& n) {
+      return index.eval_trial(n, *scratch);
+    };
+  };
+  ThreadPool pool(4);
+  Rewirer::TrialSlots kept(index.view(), factory);
+  Rewirer::Scratch cut_scratch;
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  int commits = 0;
+  int repair_mux_commits = 0;
+  int isolations = 0;
+  constexpr int kIsolateAt = 5;
+  for (std::optional<PureViolation> v = index.find_violation(); v;
+       v = index.find_violation()) {
+    const std::vector<Connection> cands = path_connections(net, *v);
+    const Rewirer::Selection a = Rewirer::select_cut_parallel(
+        index.view(), cands, kept, index.pairs(),
+        ResolutionPolicy::BestGlobal, pool);
+    Rewirer::TrialSlots fresh(index.view(), factory);
+    const Rewirer::Selection b = Rewirer::select_cut_parallel(
+        index.view(), cands, fresh, index.pairs(),
+        ResolutionPolicy::BestGlobal, pool);
+    EXPECT_EQ(a.found, b.found) << "commit " << commits;
+    EXPECT_EQ(a.cut, b.cut) << "commit " << commits;
+    EXPECT_EQ(a.reconnect_hint, b.reconnect_hint) << "commit " << commits;
+    EXPECT_EQ(a.residual_pairs, b.residual_pairs) << "commit " << commits;
+    EXPECT_EQ(a.operations, b.operations) << "commit " << commits;
+
+    const std::size_t before = net.num_elements();
+    if (commits == kIsolateAt || !a.found) {
+      Rewirer::isolate_register_output(net, fallback_register(net, *v));
+      ++isolations;
+    } else {
+      Rewirer::cut_connection(net, index.view(), a.cut, a.reconnect_hint,
+                              cut_scratch);
+      for (auto id = static_cast<rsn::ElemId>(before);
+           id < net.num_elements(); ++id)
+        if (net.elem(id).name.rfind("repair_mux_", 0) == 0) {
+          ++repair_mux_commits;
+          break;
+        }
+    }
+    index.commit(net);
+    ++commits;
+  }
+  obs::TraceSession::set_active(nullptr);
+  EXPECT_EQ(index.pairs(), 0u);
+  EXPECT_GE(commits, 20);
+  EXPECT_GE(repair_mux_commits, 1);
+  EXPECT_GE(isolations, 1);
+  EXPECT_LE(kept.size(), pool.num_threads());
+  EXPECT_GE(session.counter("resolve.slot_syncs").value(),
+            static_cast<std::uint64_t>(commits - 1));
+}
 
 }  // namespace
 }  // namespace rsnsec::security
