@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <iomanip>
-#include <iostream>
-#include <memory>
 
-#include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rsnsec::bench {
 
 namespace {
-
-std::uint64_t env_or(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
-}
 
 /// Parses "MBIST_n_m_o" into its dimensions; returns false otherwise.
 bool parse_mbist(const std::string& name, std::size_t dims[3]) {
@@ -37,40 +26,6 @@ bool parse_mbist(const std::string& name, std::size_t dims[3]) {
 }
 
 }  // namespace
-
-SweepOptions sweep_options_from_env() {
-  SweepOptions opt;
-  opt.circuits_per_benchmark =
-      static_cast<int>(env_or("RSNSEC_CIRCUITS", 3));
-  opt.specs_per_circuit = static_cast<int>(env_or("RSNSEC_SPECS", 6));
-  opt.target_ffs = env_or("RSNSEC_TARGET_FFS", 400);
-  opt.target_regs = env_or("RSNSEC_TARGET_REGS", 48);
-  opt.base_seed = env_or("RSNSEC_SEED", 1);
-  opt.jobs = env_or("RSNSEC_JOBS", 0);
-  // Sparse specifications: a couple of protected instruments and few
-  // low-trust ones, matching the violating-register densities of Table I.
-  opt.spec.expected_sensitive_modules = 2.5;
-  opt.spec.low_trust_prob = 0.1;
-  opt.pipeline.store = store_from_env();
-  return opt;
-}
-
-store::ArtifactStore* store_from_env() {
-  struct Holder {
-    std::unique_ptr<store::ArtifactStore> store;
-    Holder() {
-      const char* dir = std::getenv("RSNSEC_STORE");
-      if (dir == nullptr || *dir == '\0') return;
-      try {
-        store = std::make_unique<store::ArtifactStore>(dir);
-      } catch (const std::exception& e) {
-        std::cerr << "bench: ignoring RSNSEC_STORE: " << e.what() << "\n";
-      }
-    }
-  };
-  static Holder holder;
-  return holder.store.get();
-}
 
 Instance make_instance(const std::string& name, const SweepOptions& opt,
                        int circuit_idx) {
@@ -120,26 +75,31 @@ Instance make_instance(const std::string& name, const SweepOptions& opt,
   return inst;
 }
 
-BenchRow run_benchmark(const std::string& name, const SweepOptions& opt) {
-  RowAccumulator acc(name);
+security::SecuritySpec make_spec(const Instance& inst,
+                                 const benchgen::SpecOptions& options,
+                                 std::uint64_t spec_base_seed,
+                                 std::size_t circuit_idx,
+                                 std::size_t spec_idx) {
+  Rng rng(spec_base_seed * 104729 + circuit_idx * 1000 + spec_idx);
+  return benchgen::random_spec(inst.doc.module_names.size(), options, rng);
+}
+
+void for_each_cell(
+    const std::string& name, const SweepOptions& opt,
+    const std::function<void(const GridCell&, std::size_t)>& run) {
   ThreadPool pool(ThreadPool::resolve_num_threads(opt.jobs));
 
   // The sweep parallelizes at the (circuit, spec) granularity: the
   // outermost independent unit, mirroring how the paper's 10 x 16 grid
-  // is embarrassingly parallel. When the sweep itself is concurrent, the
-  // per-run dependency analysis defaults to 1 thread so the machine is
-  // not oversubscribed quadratically (an explicit pipeline.dep
-  // num_threads is honored).
+  // is embarrassingly parallel.
   PipelineOptions popt = opt.pipeline;
-  if (pool.num_threads() > 1 && popt.dep.num_threads == 0)
-    popt.dep.num_threads = 1;
+  if (pool.num_threads() > 1) {
+    if (popt.dep.num_threads == 0) popt.dep.num_threads = 1;
+    if (popt.resolve.num_threads == 0) popt.resolve.num_threads = 1;
+  }
 
-  const std::size_t circuits =
-      static_cast<std::size_t>(opt.circuits_per_benchmark);
-  const std::size_t specs = static_cast<std::size_t>(opt.specs_per_circuit);
-
-  // Instances are deterministic functions of (name, opt, ci) and shared
-  // read-only by that circuit's spec runs.
+  const auto circuits = static_cast<std::size_t>(opt.circuits_per_benchmark);
+  const auto specs = static_cast<std::size_t>(opt.specs_per_circuit);
   std::vector<Instance> instances(circuits);
   pool.parallel_for(
       0, circuits,
@@ -147,55 +107,15 @@ BenchRow run_benchmark(const std::string& name, const SweepOptions& opt) {
         instances[ci] = make_instance(name, opt, static_cast<int>(ci));
       },
       /*grain=*/1);
-  if (!instances.empty()) {
-    acc.set_structure(instances[0].doc.network.registers().size(),
-                      instances[0].doc.network.num_scan_ffs(),
-                      instances[0].doc.network.muxes().size());
-  }
-
-  enum class Outcome : std::uint8_t { Ok, Insecure, NoViolation };
-  std::vector<Outcome> outcomes(circuits * specs, Outcome::Ok);
-  std::vector<PipelineResult> results(circuits * specs);
   pool.parallel_for(
       0, circuits * specs,
       [&](std::size_t t) {
         const std::size_t ci = t / specs;
-        const std::size_t si = t % specs;
-        const Instance& inst = instances[ci];
-        Rng spec_rng(opt.base_seed * 104729 +
-                     static_cast<std::uint64_t>(ci) * 1000 +
-                     static_cast<std::uint64_t>(si));
-        security::SecuritySpec spec = benchgen::random_spec(
-            inst.doc.module_names.size(), opt.spec, spec_rng);
-        // Each spec run transforms a fresh copy of the network.
-        rsn::Rsn network = inst.doc.network;
-        SecureFlowTool tool(inst.circuit, network, spec, popt);
-        PipelineResult result = tool.run();
-        if (!result.static_report.clean())
-          outcomes[t] = Outcome::Insecure;
-        else if (result.initial_violating_registers == 0)
-          outcomes[t] = Outcome::NoViolation;
-        else
-          results[t] = std::move(result);
+        const security::SecuritySpec spec =
+            make_spec(instances[ci], opt.spec, opt.base_seed, ci, t % specs);
+        run(GridCell{instances[ci], spec, ci, popt}, t);
       },
       /*grain=*/1);
-
-  // Deterministic reduction: accumulate in (circuit, spec) order
-  // regardless of which thread finished first.
-  for (std::size_t t = 0; t < outcomes.size(); ++t) {
-    switch (outcomes[t]) {
-      case Outcome::Insecure:
-        acc.add_skipped_insecure();
-        break;
-      case Outcome::NoViolation:
-        acc.add_skipped_no_violation();
-        break;
-      case Outcome::Ok:
-        acc.add(results[t]);
-        break;
-    }
-  }
-  return acc.finish();
 }
 
 std::optional<PaperRow> paper_row(const std::string& name) {
@@ -232,60 +152,6 @@ std::optional<PaperRow> paper_row(const std::string& name) {
     if (name == r.name) return r;
   }
   return std::nullopt;
-}
-
-struct TraceFromEnv::Impl {
-  obs::TraceSession session;
-  std::string trace_path;
-  bool metrics = false;
-};
-
-TraceFromEnv::TraceFromEnv() {
-  const char* trace = std::getenv("RSNSEC_TRACE");
-  const char* metrics = std::getenv("RSNSEC_METRICS");
-  bool want_trace = trace != nullptr && *trace != '\0';
-  bool want_metrics = metrics != nullptr && *metrics != '\0';
-  if (!want_trace && !want_metrics) return;
-  impl_ = new Impl;
-  if (want_trace) impl_->trace_path = trace;
-  impl_->metrics = want_metrics;
-  obs::TraceSession::set_active(&impl_->session);
-}
-
-TraceFromEnv::~TraceFromEnv() {
-  if (impl_ == nullptr) return;
-  obs::TraceSession::set_active(nullptr);
-  if (!impl_->trace_path.empty()) {
-    std::ofstream f(impl_->trace_path);
-    if (f) {
-      impl_->session.write_chrome_trace(f);
-    } else {
-      std::cerr << "bench: cannot write RSNSEC_TRACE file '"
-                << impl_->trace_path << "'\n";
-    }
-  }
-  if (impl_->metrics) impl_->session.write_summary_text(std::cerr);
-  delete impl_;
-}
-
-void print_paper_reference(std::ostream& os,
-                           const std::vector<std::string>& names) {
-  os << "\nPaper reference (Table I averages; 10 circuits x 16 specs, "
-        "full-size networks, Intel Xeon 3.3 GHz):\n";
-  os << std::left << std::setw(16) << "Benchmark" << std::right
-     << std::setw(10) << "#RegViol" << std::setw(8) << "pure" << std::setw(8)
-     << "hybrid" << std::setw(8) << "total" << std::setw(12) << "t_dep[s]"
-     << std::setw(12) << "t_tot[s]" << "\n";
-  for (const std::string& n : names) {
-    if (auto r = paper_row(n)) {
-      os << std::left << std::setw(16) << r->name << std::right
-         << std::fixed << std::setprecision(2) << std::setw(10)
-         << r->viol_regs << std::setprecision(1) << std::setw(8) << r->pure
-         << std::setw(8) << r->hybrid << std::setw(8) << r->total
-         << std::setprecision(2) << std::setw(12) << r->t_dep
-         << std::setw(12) << r->t_total << "\n";
-    }
-  }
 }
 
 }  // namespace rsnsec::bench

@@ -1,24 +1,24 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
-#include "core/report.hpp"
 #include "core/tool.hpp"
-#include "store/artifact_store.hpp"
 
 namespace rsnsec::bench {
 
 /// Sweep parameters of the Table I reproduction. The paper uses 10 random
 /// circuits x 16 random specifications per benchmark on server hardware;
-/// the defaults here are scaled down so the whole harness runs in minutes
-/// (override via environment: RSNSEC_CIRCUITS, RSNSEC_SPECS,
-/// RSNSEC_TARGET_FFS).
+/// the defaults here are scaled down so the whole grid runs in minutes
+/// (`rsnsec bench` sets them with --circuits, --specs, --target-ffs,
+/// --target-regs, --seed, --jobs and --store).
 struct SweepOptions {
   int circuits_per_benchmark = 3;   ///< paper: 10
   int specs_per_circuit = 6;        ///< paper: 16
@@ -29,27 +29,17 @@ struct SweepOptions {
   /// keep their register structure while register widths shrink.
   std::size_t target_regs = 48;
   std::uint64_t base_seed = 1;
-  /// Concurrent (circuit, spec) runs per benchmark (0 = auto from
-  /// RSNSEC_JOBS / hardware concurrency). Runs are independent — each
-  /// works on its own network copy — and the averages are accumulated in
-  /// (circuit, spec) order, so the reported row is identical for any
-  /// value.
+  /// Concurrent (circuit, spec) runs (0 = auto from RSNSEC_JOBS /
+  /// hardware concurrency). Runs are independent — each works on its own
+  /// network copy — and run_grid returns them in (circuit, spec) order,
+  /// so every reduction over them is identical for any value.
   std::size_t jobs = 0;
-  benchgen::SpecOptions spec;
+  /// Sparse specifications: a couple of protected instruments and few
+  /// low-trust ones, matching the violating-register densities of Table I.
+  benchgen::SpecOptions spec{.expected_sensitive_modules = 2.5,
+                             .low_trust_prob = 0.1};
   PipelineOptions pipeline;
 };
-
-/// Reads sweep options from the environment (falling back to defaults).
-/// When RSNSEC_STORE names a directory, pipeline.store is pointed at a
-/// process-lifetime ArtifactStore rooted there (see store_from_env), so
-/// a warm sweep serves every dependency analysis from the cache.
-SweepOptions sweep_options_from_env();
-
-/// Process-lifetime artifact store rooted at $RSNSEC_STORE, opened on
-/// first call; nullptr when the variable is unset or the directory
-/// cannot be created (a broken store must not fail a benchmark run —
-/// the sweep falls back to recomputing).
-store::ArtifactStore* store_from_env();
 
 /// A generated (network, circuit) instance ready for specification runs.
 struct Instance {
@@ -62,6 +52,17 @@ struct Instance {
 Instance make_instance(const std::string& name, const SweepOptions& opt,
                        int circuit_idx);
 
+/// Specification `spec_idx` of circuit `circuit_idx` in the Table I spec
+/// stream: every grid experiment draws its specifications here with
+/// `spec_base_seed` = SweepOptions::base_seed. The spec seed is an
+/// explicit argument because the benchmark harness draws the specs of
+/// every grid with base seed 1, whatever the grid's circuit seed.
+security::SecuritySpec make_spec(const Instance& inst,
+                                 const benchgen::SpecOptions& options,
+                                 std::uint64_t spec_base_seed,
+                                 std::size_t circuit_idx,
+                                 std::size_t spec_idx);
+
 /// Published Table I reference values for side-by-side printing.
 struct PaperRow {
   const char* name;
@@ -72,34 +73,38 @@ struct PaperRow {
 /// Reference row for `name`, if the paper reports one.
 std::optional<PaperRow> paper_row(const std::string& name);
 
-/// Runs the full sweep for one benchmark and returns the averaged row.
-/// Specs whose runs find no violation, or whose circuit logic is
-/// statically insecure, are skipped and counted (the paper averages
-/// "over all security specifications, where a security violation
-/// occurred, but the circuit logic itself is not insecure").
-BenchRow run_benchmark(const std::string& name, const SweepOptions& opt);
-
-/// Prints the paper's reference block under a reproduced table.
-void print_paper_reference(std::ostream& os,
-                           const std::vector<std::string>& names);
-
-/// Env-driven tracing for the benchmark harnesses: when RSNSEC_TRACE
-/// names a file, installs a process-wide obs::TraceSession for the
-/// lifetime of this object and writes the chrome://tracing JSON there on
-/// destruction; when RSNSEC_METRICS is set (any non-empty value), prints
-/// the counter/span summary to stderr as well. A no-op when neither
-/// variable is set.
-class TraceFromEnv {
- public:
-  TraceFromEnv();
-  ~TraceFromEnv();
-
-  TraceFromEnv(const TraceFromEnv&) = delete;
-  TraceFromEnv& operator=(const TraceFromEnv&) = delete;
-
- private:
-  struct Impl;
-  Impl* impl_ = nullptr;
+/// One (circuit, spec) run of a benchmark's grid.
+struct GridCell {
+  const Instance& instance;
+  const security::SecuritySpec& spec;
+  std::size_t circuit = 0;
+  /// SweepOptions::pipeline, with the dependency analysis and the
+  /// resolution trials on one thread each when the grid itself runs
+  /// concurrently, so the host is not oversubscribed quadratically (an
+  /// explicit dep.num_threads or resolve.num_threads is kept).
+  const PipelineOptions& pipeline;
 };
+
+/// Calls `run(cell, index)` once for every (circuit, spec) cell of
+/// benchmark `name`, index = circuit * specs_per_circuit + spec, on a pool
+/// of SweepOptions::jobs threads. Instances are generated once per circuit
+/// and shared read-only by that circuit's cells.
+void for_each_cell(
+    const std::string& name, const SweepOptions& opt,
+    const std::function<void(const GridCell&, std::size_t)>& run);
+
+/// Runs `run` on every cell of benchmark `name`'s grid and returns the
+/// results in (circuit, spec) order, whatever thread finished first.
+template <class Fn>
+auto run_grid(const std::string& name, const SweepOptions& opt, Fn&& run) {
+  using Result = std::invoke_result_t<Fn&, const GridCell&>;
+  std::vector<Result> results(
+      static_cast<std::size_t>(opt.circuits_per_benchmark) *
+      static_cast<std::size_t>(opt.specs_per_circuit));
+  for_each_cell(name, opt, [&](const GridCell& cell, std::size_t index) {
+    results[index] = run(cell);
+  });
+  return results;
+}
 
 }  // namespace rsnsec::bench

@@ -482,17 +482,14 @@ BENCHMARK(BM_HybridResolve)->Unit(benchmark::kMillisecond);
 void BM_ResolveFlexScan(benchmark::State& state) {
   // One Table I FlexScan run made with the grid's recipe (400 one-FF
   // registers, expected_sensitive_modules 2.5, low_trust_prob 0.1):
-  // circuit 0 and spec 0 of bench::run_benchmark at base seed 1. FlexScan
+  // circuit 0 and spec 0 of `rsnsec bench table1` at base seed 1. FlexScan
   // spends most of its Table I time in resolution, so the timed region is
   // the pipeline's pure then hybrid detect_and_resolve on 1 thread; the
   // dependency analysis runs once outside it.
-  bench::SweepOptions opt;
-  opt.spec.expected_sensitive_modules = 2.5;
-  opt.spec.low_trust_prob = 0.1;
+  const bench::SweepOptions opt;
   const bench::Instance inst = bench::make_instance("FlexScan", opt, 0);
-  Rng spec_rng(opt.base_seed * 104729);
-  const security::SecuritySpec spec = benchgen::random_spec(
-      inst.doc.module_names.size(), opt.spec, spec_rng);
+  const security::SecuritySpec spec =
+      bench::make_spec(inst, opt.spec, opt.base_seed, 0, 0);
   dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, {});
   deps.run();
   security::TokenTable tokens(spec, spec.num_modules());

@@ -1,6 +1,5 @@
 #include "core/report.hpp"
 
-#include <iomanip>
 #include <ostream>
 
 #include "obs/trace.hpp"
@@ -42,52 +41,6 @@ BenchRow RowAccumulator::finish() const {
     r.t_total /= n;
   }
   return r;
-}
-
-void print_table_header(std::ostream& os) {
-  os << std::left << std::setw(16) << "Benchmark" << std::right
-     << std::setw(7) << "#Reg" << std::setw(9) << "#ScanFF" << std::setw(7)
-     << "#Mux" << std::setw(10) << "#RegViol" << std::setw(8) << "pure"
-     << std::setw(8) << "hybrid" << std::setw(8) << "total" << std::setw(11)
-     << "t_dep[s]" << std::setw(11) << "t_pure[s]" << std::setw(11)
-     << "t_hyb[s]" << std::setw(11) << "t_tot[s]" << std::setw(7) << "runs"
-     << "\n";
-  os << std::string(16 + 7 + 9 + 7 + 10 + 8 + 8 + 8 + 11 * 4 + 7, '-')
-     << "\n";
-}
-
-void print_table_row(std::ostream& os, const BenchRow& row) {
-  os << std::left << std::setw(16) << row.name << std::right << std::setw(7)
-     << row.registers << std::setw(9) << row.scan_ffs << std::setw(7)
-     << row.muxes << std::fixed << std::setprecision(2) << std::setw(10)
-     << row.avg_violating_registers << std::setprecision(1) << std::setw(8)
-     << row.avg_changes_pure << std::setw(8) << row.avg_changes_hybrid
-     << std::setw(8) << row.avg_changes_total << std::setprecision(3)
-     << std::setw(11) << row.t_dependency << std::setw(11) << row.t_pure
-     << std::setw(11) << row.t_hybrid << std::setw(11) << row.t_total
-     << std::setw(7) << row.runs << "\n";
-}
-
-void print_table_summary(std::ostream& os,
-                         const std::vector<BenchRow>& rows) {
-  double pure = 0.0, total = 0.0;
-  int skipped_insecure = 0, skipped_none = 0, runs = 0;
-  for (const BenchRow& r : rows) {
-    pure += r.avg_changes_pure * r.runs;
-    total += r.avg_changes_total * r.runs;
-    skipped_insecure += r.skipped_insecure;
-    skipped_none += r.skipped_no_violation;
-    runs += r.runs;
-  }
-  os << "\nIncluded runs: " << runs
-     << "  (skipped: " << skipped_none
-     << " without violations, " << skipped_insecure
-     << " with insecure circuit logic)\n";
-  if (total > 0.0) {
-    os << "Share of changes resolved by the pure stage: " << std::fixed
-       << std::setprecision(1) << 100.0 * pure / total
-       << "%  (paper reports ~43% on average)\n";
-  }
 }
 
 void write_json(std::ostream& os, const PipelineResult& r) {
@@ -190,20 +143,6 @@ void write_analyze_json(std::ostream& os, const AnalyzeReport& r) {
      << ", \"dep_matrix_bytes\": " << r.dep_stats.matrix_bytes
      << ", \"dep_tiles_nonzero\": " << r.dep_stats.tiles_nonzero
      << ", \"dep_tiles_spilled\": " << r.dep_stats.tiles_spilled << "}";
-}
-
-void write_csv(std::ostream& os, const std::vector<BenchRow>& rows) {
-  os << "benchmark,registers,scan_ffs,muxes,violating_registers,"
-        "changes_pure,changes_hybrid,changes_total,t_dependency,t_pure,"
-        "t_hybrid,t_total,runs,skipped_insecure,skipped_no_violation\n";
-  for (const BenchRow& r : rows) {
-    os << r.name << "," << r.registers << "," << r.scan_ffs << ","
-       << r.muxes << "," << r.avg_violating_registers << ","
-       << r.avg_changes_pure << "," << r.avg_changes_hybrid << ","
-       << r.avg_changes_total << "," << r.t_dependency << "," << r.t_pure
-       << "," << r.t_hybrid << "," << r.t_total << "," << r.runs << ","
-       << r.skipped_insecure << "," << r.skipped_no_violation << "\n";
-  }
 }
 
 }  // namespace rsnsec

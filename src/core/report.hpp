@@ -51,15 +51,6 @@ class RowAccumulator {
   BenchRow row_;
 };
 
-/// Prints the Table I header / one row in the paper's column layout.
-void print_table_header(std::ostream& os);
-void print_table_row(std::ostream& os, const BenchRow& row);
-
-/// Prints aggregate statistics over all rows: the share of changes
-/// resolved by the pure stage (the paper reports 43% on average) and the
-/// spec rejection counts.
-void print_table_summary(std::ostream& os, const std::vector<BenchRow>& rows);
-
 /// Writes one pipeline result as a JSON object (machine-readable audit
 /// record: phase timings, statistics, and the full change log).
 void write_json(std::ostream& os, const PipelineResult& result);
@@ -85,9 +76,5 @@ struct AnalyzeReport {
 /// Writes the analyze summary as a single-line JSON object, no trailing
 /// newline (the CLI appends one; the daemon embeds it in a reply frame).
 void write_analyze_json(std::ostream& os, const AnalyzeReport& r);
-
-/// Writes benchmark rows as CSV (header + one line per row), for
-/// spreadsheet/plotting consumption.
-void write_csv(std::ostream& os, const std::vector<BenchRow>& rows);
 
 }  // namespace rsnsec

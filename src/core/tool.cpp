@@ -68,7 +68,7 @@ PipelineResult SecureFlowTool::run() {
   // rewire that introduced it.
   lint::InvariantChecker invariants(network_);
   security::ChangeCallback on_change;
-  if (options_.verify_invariants) {
+  if (options_.verify) {
     on_change = [&invariants](const rsn::Rsn& net,
                               const security::AppliedChange& change) {
       invariants.require(net, "'" + change.note + "'");
@@ -96,7 +96,7 @@ PipelineResult SecureFlowTool::run() {
     result.t_hybrid = span.seconds();
   }
 
-  if (options_.verify_invariants)
+  if (options_.verify)
     invariants.require(network_, "the full pipeline");
   if (!network_.validate(&err))
     throw std::logic_error("transformed network failed validation: " + err);
@@ -105,7 +105,7 @@ PipelineResult SecureFlowTool::run() {
   // certifier. Its fixpoint over-approximates the pipeline's analysis,
   // so an error-level finding here on a network the phases above left
   // "secure" means the pipeline itself is broken — fail loudly.
-  if (options_.verify_certify) {
+  if (options_.verify) {
     obs::Span span(trace, "pipeline.certify");
     flow::CertifyResult cert = flow::certify(circuit_, network_, spec_);
     if (!cert.certified()) {
@@ -119,7 +119,7 @@ PipelineResult SecureFlowTool::run() {
   // differential attack schedules against the secured network. Any leak
   // is a concrete counterexample to the security claim, not a heuristic
   // finding, so it is a hard error like a failed certification.
-  if (options_.verify_attack) {
+  if (options_.verify) {
     obs::Span span(trace, "pipeline.attack_probe");
     attack::ProbeStats probe_stats;
     std::optional<std::string> leak = attack::verify_no_leakage(

@@ -29,35 +29,29 @@ struct PipelineOptions {
   bool run_pure = true;
   /// Run the hybrid-path stage (the paper's contribution).
   bool run_hybrid = true;
-  /// Repair-candidate selection strategy (see bench/ablation_resolution).
+  /// Repair-candidate selection strategy (see `rsnsec bench policy`).
   security::ResolutionPolicy resolution =
       security::ResolutionPolicy::BestGlobal;
   /// Resolution-engine execution options: the trial-evaluation thread
   /// count or a shared pool. Results are bit-identical for any choice.
   security::ResolveOptions resolve;
-  /// Debug/verify mode: run the lint post-transformation invariant pass
-  /// (src/lint/invariant.hpp) after every applied RSN change and once on
-  /// the final network. A violated invariant (cycle introduced, register
-  /// lost or inaccessible) throws std::logic_error with the rendered
-  /// diagnostics instead of silently corrupting the model. Costs one
-  /// cycle check and one linear accessibility sweep (Rsn::scan_access)
-  /// per change.
-  bool verify_invariants = false;
-  /// Defense-in-depth: after a successful transformation, re-verify the
-  /// final network with the independent SAT-free certifier (src/flow,
-  /// `rsnsec certify`). The certifier over-approximates the pipeline's
-  /// own analysis, so a violating pair it finds on a network the pipeline
-  /// claims secure means the pipeline (or its dependency analysis) has a
-  /// bug — std::logic_error with the CERT diagnostics is thrown.
-  bool verify_certify = false;
-  /// Adversarial counterpart of verify_certify: after a successful
-  /// transformation, run the bounded differential attack probe battery
-  /// (attack::verify_no_leakage) against the secured network. Every
-  /// reported leak is a bit-exact replayed counterexample, so a hit on a
-  /// network the pipeline claims secure is a pipeline bug —
-  /// std::logic_error is thrown. Bounded: a clean probe run is evidence,
-  /// not proof (that side is verify_certify).
-  bool verify_attack = false;
+  /// Debug/verify mode (`secure --verify`, the daemon's `verify` field):
+  /// three independent re-checks, each throwing std::logic_error on a
+  /// finding instead of silently returning a corrupted or leaking model.
+  ///  - The lint post-transformation invariant pass (src/lint/invariant.hpp)
+  ///    after every applied RSN change and once on the final network
+  ///    (cycle introduced, register lost or inaccessible). Costs one cycle
+  ///    check and one linear accessibility sweep (Rsn::scan_access) per
+  ///    change.
+  ///  - The SAT-free certifier (src/flow, `rsnsec certify`) on the secured
+  ///    network. It over-approximates the pipeline's own analysis, so a
+  ///    violating pair it finds means the pipeline (or its dependency
+  ///    analysis) has a bug.
+  ///  - The bounded differential attack probe battery
+  ///    (attack::verify_no_leakage) on the secured network. Every reported
+  ///    leak is a bit-exact replayed counterexample; a clean run is
+  ///    evidence, not proof (that side is the certifier).
+  bool verify = false;
 };
 
 /// Result of one pipeline run (one row of Table I).
@@ -84,7 +78,7 @@ struct PipelineResult {
   security::HybridStats hybrid;
   std::vector<security::AppliedChange> changes;
 
-  /// Post-secure differential attack probes (verify_attack only).
+  /// Post-secure differential attack probes (verify only).
   bool attack_checked = false;
   std::size_t attack_probes = 0;
 

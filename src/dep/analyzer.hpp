@@ -267,11 +267,6 @@ class DependencyAnalyzer {
   const std::vector<CaptureDep>& capture_deps(rsn::ElemId reg,
                                               std::size_t ff) const;
 
-  /// Multi-cycle dependency of circuit FF `to` on circuit FF `from`.
-  DepKind circuit_dep(netlist::NodeId from, netlist::NodeId to) const {
-    return closure_at(circuit_index(from), circuit_index(to));
-  }
-
   const DepStats& stats() const { return stats_; }
   const DepOptions& options() const { return options_; }
 

@@ -119,39 +119,4 @@ CertifyResult certify(const netlist::Netlist& nl, const rsn::Rsn& network,
   return result;
 }
 
-namespace {
-
-class CertifyPass final : public lint::Pass {
- public:
-  explicit CertifyPass(CertifyOptions options) : options_(options) {}
-
-  const char* name() const override { return "flow-certify"; }
-  const char* description() const override {
-    return "independent SAT-free certification of the secured design "
-           "against its security spec (CERT001-CERT004)";
-  }
-  bool applicable(const lint::LintInput& in) const override {
-    return in.circuit != nullptr && in.network != nullptr &&
-           in.spec != nullptr;
-  }
-  void run(const lint::LintInput& in, lint::Sink& sink) const override {
-    CertifyResult result = certify(*in.circuit, *in.network, *in.spec,
-                                   options_);
-    for (lint::Diagnostic& d : result.diagnostics) {
-      if (!in.network_source.empty())
-        d.location = in.network_source + ": " + d.location;
-      sink.report(std::move(d));
-    }
-  }
-
- private:
-  CertifyOptions options_;
-};
-
-}  // namespace
-
-std::unique_ptr<lint::Pass> make_certify_pass(CertifyOptions options) {
-  return std::make_unique<CertifyPass>(options);
-}
-
 }  // namespace rsnsec::flow

@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "lint/diagnostic.hpp"
-#include "lint/pass.hpp"
 #include "netlist/netlist.hpp"
 #include "rsn/rsn.hpp"
 #include "security/spec.hpp"
@@ -68,13 +66,5 @@ struct CertifyResult {
 CertifyResult certify(const netlist::Netlist& nl, const rsn::Rsn& network,
                       const security::SecuritySpec& spec,
                       const CertifyOptions& options = {});
-
-/// The certifier as a lint pass ("flow-certify", applicable when circuit,
-/// network and spec are all present). Not part of
-/// Registry::with_default_passes(): certification findings are security
-/// verdicts, not well-formedness diagnostics, and only make sense on a
-/// design that claims to be secure — `rsnsec certify` and
-/// `secure --verify` add it explicitly.
-std::unique_ptr<lint::Pass> make_certify_pass(CertifyOptions options = {});
 
 }  // namespace rsnsec::flow

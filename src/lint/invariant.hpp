@@ -15,7 +15,7 @@ namespace rsnsec::lint {
 /// network, and keeps every register accessible. This checker snapshots
 /// the register set of the pre-transformation network and verifies those
 /// promises against any later state — SecureFlowTool runs it after every
-/// applied change when PipelineOptions::verify_invariants is set, turning
+/// applied change when PipelineOptions::verify is set, turning
 /// silent model corruption into an immediate, located failure.
 class InvariantChecker {
  public:

@@ -43,9 +43,6 @@ class NetlistPass : public Pass {
 class MultiDriverPass final : public NetlistPass {
  public:
   const char* name() const override { return "netlist-multi-driver"; }
-  const char* description() const override {
-    return "nets driven by more than one node";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
     std::map<std::string, NodeId> first;
@@ -69,9 +66,6 @@ class MultiDriverPass final : public NetlistPass {
 class CombLoopPass final : public NetlistPass {
  public:
   const char* name() const override { return "netlist-comb-loop"; }
-  const char* description() const override {
-    return "combinational feedback loops";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
     enum class Mark : std::uint8_t { Unseen, OnStack, Done };
@@ -119,9 +113,6 @@ class CombLoopPass final : public NetlistPass {
 class DanglingInputPass final : public NetlistPass {
  public:
   const char* name() const override { return "netlist-dangling-input"; }
-  const char* description() const override {
-    return "invalid fanins, unconnected flip-flops, wrong gate arity";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
     for (NodeId id = 0; id < nl.num_nodes(); ++id) {
@@ -182,9 +173,6 @@ class DanglingInputPass final : public NetlistPass {
 class DeadLogicPass final : public NetlistPass {
  public:
   const char* name() const override { return "netlist-dead-logic"; }
-  const char* description() const override {
-    return "combinational gates consumed by nothing";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
     std::vector<bool> live(nl.num_nodes(), false);

@@ -71,9 +71,6 @@ class Pass {
   /// Stable pass identifier ("rsn-acyclicity").
   virtual const char* name() const = 0;
 
-  /// One-line human-readable description.
-  virtual const char* description() const = 0;
-
   /// True if the input carries the parts this pass inspects.
   virtual bool applicable(const LintInput& in) const = 0;
 

@@ -44,9 +44,6 @@ class RsnPass : public Pass {
 class AcyclicityPass final : public RsnPass {
  public:
   const char* name() const override { return "rsn-acyclicity"; }
-  const char* description() const override {
-    return "scan connection graph is cycle-free";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
     enum class Mark : std::uint8_t { Unseen, OnStack, Done };
@@ -94,9 +91,6 @@ class AcyclicityPass final : public RsnPass {
 class ConnectivityPass final : public RsnPass {
  public:
   const char* name() const override { return "rsn-connectivity"; }
-  const char* description() const override {
-    return "undriven inputs and invalid driver ids";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
     for (ElemId id = 0; id < net.num_elements(); ++id) {
@@ -133,9 +127,6 @@ class ConnectivityPass final : public RsnPass {
 class ReachabilityPass final : public RsnPass {
  public:
   const char* name() const override { return "rsn-reachability"; }
-  const char* description() const override {
-    return "registers reachable from scan-in and reaching scan-out";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
     for (ElemId id = 0; id < net.num_elements(); ++id) {
@@ -171,9 +162,6 @@ class ReachabilityPass final : public RsnPass {
 class DeadMuxPass final : public RsnPass {
  public:
   const char* name() const override { return "rsn-dead-mux"; }
-  const char* description() const override {
-    return "muxes that drive nothing or degenerated to buffers";
-  }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
     std::vector<bool> drives(net.num_elements(), false);

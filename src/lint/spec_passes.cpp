@@ -27,10 +27,6 @@ std::string module_label(const LintInput& in, std::size_t m) {
 class SpecConsistencyPass final : public Pass {
  public:
   const char* name() const override { return "spec-consistency"; }
-  const char* description() const override {
-    return "trust categories in range, accepted sets non-empty and "
-           "self-consistent";
-  }
   bool applicable(const LintInput& in) const override {
     return in.spec != nullptr;
   }
@@ -77,9 +73,6 @@ class SpecConsistencyPass final : public Pass {
 class SpecCrossReferencePass final : public Pass {
  public:
   const char* name() const override { return "spec-cross-reference"; }
-  const char* description() const override {
-    return "spec module indices exist in the network";
-  }
   bool applicable(const LintInput& in) const override {
     return in.spec != nullptr && in.module_names != nullptr;
   }

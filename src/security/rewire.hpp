@@ -19,7 +19,7 @@ namespace rsnsec::security {
 /// Candidate-selection strategy of the resolution loops (pure and
 /// hybrid). [17] generates multiple repair candidates per violation and
 /// applies the cheapest; the strategies below trade repair quality
-/// against trial-evaluation cost (see bench/ablation_resolution).
+/// against trial-evaluation cost (see `rsnsec bench policy`).
 enum class ResolutionPolicy : std::uint8_t {
   /// Evaluate every (cut, reconnect) candidate; apply the one leaving the
   /// fewest violating pairs, breaking ties by wiring cost. Default.
@@ -64,7 +64,7 @@ struct AppliedChange;
 
 /// Observer the resolution loops invoke after each applied change, with
 /// the already-modified network. SecureFlowTool uses it to run the lint
-/// invariant pass after every rewire (PipelineOptions::verify_invariants);
+/// invariant pass after every rewire (PipelineOptions::verify);
 /// exceptions thrown from the callback abort the resolution.
 using ChangeCallback =
     std::function<void(const rsn::Rsn&, const AppliedChange&)>;

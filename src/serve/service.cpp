@@ -114,11 +114,7 @@ ExecResult run_secure(const Request& req, Workload& w, ThreadPool& pool,
   popt.dep.pool = &pool;
   popt.resolve.pool = &pool;
   popt.store = store;
-  if (req.verify) {
-    popt.verify_invariants = true;
-    popt.verify_certify = true;
-    popt.verify_attack = true;
-  }
+  popt.verify = req.verify;
   SecureFlowTool tool(w.circuit, w.doc.network, w.spec, popt);
   PipelineResult result = tool.run();
 

@@ -72,7 +72,6 @@ class ByteReader {
   /// requests an allocation larger than the remaining input justifies.
   std::size_t count(std::size_t min_bytes_per_item);
 
-  bool at_end() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 
   /// Fails unless the reader consumed its range exactly.

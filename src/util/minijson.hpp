@@ -40,7 +40,6 @@ class JsonValue {
   bool is_bool() const { return kind == Kind::Bool; }
   bool is_number() const { return kind == Kind::Number; }
   bool is_string() const { return kind == Kind::String; }
-  bool is_array() const { return kind == Kind::Array; }
   bool is_object() const { return kind == Kind::Object; }
 
   /// Object member by key; nullptr when absent or not an object.

@@ -10,7 +10,8 @@ std::size_t ThreadPool::resolve_num_threads(std::size_t requested) {
   if (const char* env = std::getenv("RSNSEC_JOBS")) {
     char* end = nullptr;
     unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
+    if (end != env && v > 0 && v <= kMaxThreads)
+      return static_cast<std::size_t>(v);
   }
   unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;

@@ -41,9 +41,15 @@ namespace rsnsec {
 ///    chunks and is rethrown in the caller; the pool stays usable.
 class ThreadPool {
  public:
+  /// Upper bound on any thread count taken from outside the program
+  /// (--jobs, --workers, RSNSEC_JOBS), so a typo cannot ask the host for
+  /// a million threads.
+  static constexpr std::size_t kMaxThreads = 1024;
+
   /// Resolves a requested parallelism degree: `requested` if > 0, else
-  /// the RSNSEC_JOBS environment variable if set to a positive integer,
-  /// else std::thread::hardware_concurrency() (at least 1).
+  /// the RSNSEC_JOBS environment variable if set to an integer in
+  /// [1, kMaxThreads], else std::thread::hardware_concurrency() (at
+  /// least 1).
   static std::size_t resolve_num_threads(std::size_t requested = 0);
 
   /// Creates a pool of `num_threads` (0 = resolve_num_threads()).

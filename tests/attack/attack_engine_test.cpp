@@ -154,7 +154,7 @@ TEST_F(BasicScbAttack, NonLeakageProbeFindsPlantedLeakAndPassesSecured) {
 TEST_F(BasicScbAttack, VerifyPipelineRunsAttackProbe) {
   rsn::Rsn net = w_.doc.network;
   PipelineOptions opt;
-  opt.verify_attack = true;
+  opt.verify = true;
   SecureFlowTool tool(w_.circuit, net, w_.scenarios[0].spec, opt);
   PipelineResult r = tool.run();  // a probe leak would throw logic_error
   EXPECT_TRUE(r.secured);

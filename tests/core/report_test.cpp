@@ -43,18 +43,6 @@ TEST(Report, RowAccumulatorAverages) {
   EXPECT_EQ(row.skipped_insecure, 1);
 }
 
-TEST(Report, TableRendering) {
-  RowAccumulator acc("demo");
-  acc.set_structure(10, 100, 5);
-  BenchRow row = acc.finish();
-  std::ostringstream os;
-  print_table_header(os);
-  print_table_row(os, row);
-  print_table_summary(os, {row});
-  EXPECT_NE(os.str().find("Benchmark"), std::string::npos);
-  EXPECT_NE(os.str().find("demo"), std::string::npos);
-}
-
 TEST(Report, JsonContainsAllSections) {
   PipelineResult r = run_example();
   std::ostringstream os;
@@ -121,17 +109,6 @@ TEST(Report, ObservabilitySectionAppearsWhenSessionActive) {
   write_json(os2, r);
   EXPECT_TRUE(testsupport::is_valid_json(os2.str()));
   EXPECT_EQ(os2.str().find("\"observability\""), std::string::npos);
-}
-
-TEST(Report, CsvHasHeaderAndRows) {
-  RowAccumulator acc("x");
-  acc.set_structure(1, 2, 3);
-  std::vector<BenchRow> rows{acc.finish()};
-  std::ostringstream os;
-  write_csv(os, rows);
-  std::string s = os.str();
-  EXPECT_NE(s.find("benchmark,registers"), std::string::npos);
-  EXPECT_NE(s.find("\nx,1,2,3,"), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Post-transformation invariant checker (INV001-INV004), plus the
-// acceptance property: the full pipeline with verify_invariants enabled
+// acceptance property: the full pipeline with verify enabled
 // passes the post-rewire invariant pass on all 13 BASTION families.
 
 #include "lint/invariant.hpp"
@@ -88,7 +88,7 @@ TEST(InvariantChecker, RequireThrowsWithContext) {
   }
 }
 
-/// Acceptance: the pipeline with verify_invariants enabled runs the
+/// Acceptance: the pipeline with verify enabled runs the
 /// post-rewire invariant pass after every applied change on every BASTION
 /// family without tripping it, and produces the same result as a plain
 /// run.
@@ -108,7 +108,7 @@ TEST_P(VerifiedPipeline, AllChangesPreserveInvariants) {
       benchgen::random_spec(doc.module_names.size(), sopt, rng);
 
   PipelineOptions opt;
-  opt.verify_invariants = true;
+  opt.verify = true;
   SecureFlowTool tool(circuit, doc.network, spec, opt);
   PipelineResult result;
   ASSERT_NO_THROW(result = tool.run());

@@ -233,17 +233,15 @@ class GridOracle : public ::testing::TestWithParam<GridRun> {};
 TEST_P(GridOracle, HybridMatchesOracle) {
   const GridRun& run = GetParam();
   // The grid's recipe: bench::make_instance at base seed 1000 and the
-  // Table I harness's spec stream.
+  // Table I spec stream at spec base seed 1.
   bench::SweepOptions opt;
   opt.base_seed = 1000;
-  opt.spec.expected_sensitive_modules = 2.5;
-  opt.spec.low_trust_prob = 0.1;
   const bench::Instance inst = bench::make_instance(run.family, opt,
                                                     run.circuit);
-  Rng spec_rng(104729 + 1000 * static_cast<std::uint64_t>(run.circuit) +
-               static_cast<std::uint64_t>(run.spec));
-  const SecuritySpec spec = benchgen::random_spec(
-      inst.doc.module_names.size(), opt.spec, spec_rng);
+  const SecuritySpec spec = bench::make_spec(
+      inst, opt.spec, /*spec_base_seed=*/1,
+      static_cast<std::size_t>(run.circuit),
+      static_cast<std::size_t>(run.spec));
   dep::DepOptions dopt;
   dopt.num_threads = 1;
   dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, dopt);

@@ -62,12 +62,8 @@ struct Grid {
   Grid() {
     bench::SweepOptions opt;
     opt.base_seed = 1000;
-    opt.spec.expected_sensitive_modules = 2.5;
-    opt.spec.low_trust_prob = 0.1;
     inst = bench::make_instance("FlexScan", opt, 2);
-    Rng spec_rng(104729 + 1000 * 2 + 1);
-    spec = benchgen::random_spec(inst.doc.module_names.size(), opt.spec,
-                                 spec_rng);
+    spec = bench::make_spec(inst, opt.spec, /*spec_base_seed=*/1, 2, 1);
     dep::DepOptions dopt;
     dopt.num_threads = 1;
     deps = std::make_unique<dep::DependencyAnalyzer>(inst.circuit,

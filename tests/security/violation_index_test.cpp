@@ -258,12 +258,9 @@ TEST(TrialSlots, KeptSlotsSelectLikeFreshSlotsAcrossCommits) {
   // inserting a repair mux, an isolation) re-syncs before its trials.
   bench::SweepOptions opt;
   opt.base_seed = 1000;
-  opt.spec.expected_sensitive_modules = 2.5;
-  opt.spec.low_trust_prob = 0.1;
   const bench::Instance inst = bench::make_instance("FlexScan", opt, 1);
-  Rng spec_rng(104729 + 1000 * 1 + 4);
-  const SecuritySpec spec = benchgen::random_spec(
-      inst.doc.module_names.size(), opt.spec, spec_rng);
+  const SecuritySpec spec =
+      bench::make_spec(inst, opt.spec, /*spec_base_seed=*/1, 1, 4);
   TokenTable tokens(spec, spec.num_modules());
   PureScanAnalyzer pure(spec, tokens);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "support/minijson.hpp"
+#include "util/minijson.hpp"
 
 namespace rsnsec::cli {
 namespace {
@@ -44,9 +46,99 @@ class CliTest : public ::testing::Test {
     return run(args, out_, err_);
   }
 
+  /// Runs `rsnsec bench ARGS --circuits 1 --specs 2`, once with text and
+  /// once with --json output. Returns the text table's cells of `columns`,
+  /// one "name cell ..." line per row, then one "key value" line per
+  /// `summary` key. Checks that the JSON rows carry the same names in the
+  /// google-benchmark layout.
+  std::string bench_grid(std::vector<std::string> args,
+                         const std::vector<std::string>& columns,
+                         const std::vector<std::string>& summary) {
+    args.insert(args.begin(), "bench");
+    for (const char* a : {"--circuits", "1", "--specs", "2"})
+      args.emplace_back(a);
+    EXPECT_EQ(run_cli(args), 0) << err_.str();
+    std::istringstream text(out_.str());
+    args.emplace_back("--json");
+    EXPECT_EQ(run_cli(args), 0) << err_.str();
+    EXPECT_TRUE(testsupport::JsonValidator(out_.str()).validate()) << out_.str();
+    JsonParseResult json = parse_json(out_.str());
+    const JsonValue* rows = json.ok() ? json.value->find("benchmarks") : nullptr;
+    EXPECT_NE(rows, nullptr) << out_.str();
+    if (rows == nullptr) return {};
+    std::vector<std::string> names;
+    for (const JsonValue& row : rows->array) {
+      for (const char* key : {"name", "real_time", "cpu_time", "time_unit"})
+        EXPECT_NE(row.find(key), nullptr) << key;
+      names.push_back(row.string_field("name").value_or(""));
+    }
+
+    std::string line, cells;
+    while (std::getline(text, line) && line.rfind("Benchmark", 0) != 0) {
+    }
+    std::vector<std::string> header;
+    std::istringstream head(line);
+    for (std::string h; head >> h;) header.push_back(h);
+    std::getline(text, line);  // dashes
+    std::size_t row = 0;
+    while (std::getline(text, line) && !line.empty()) {
+      std::istringstream fields(line);
+      std::vector<std::string> cell;
+      for (std::string f; fields >> f;) cell.push_back(f);
+      // Every grid row fills every column, so cells split on whitespace.
+      EXPECT_EQ(cell.size(), header.size()) << line;
+      if (cell.size() != header.size()) return {};
+      EXPECT_LT(row, names.size());
+      if (row < names.size()) {
+        EXPECT_EQ(cell[0], names[row]);
+      }
+      ++row;
+      cells += cell[0];
+      for (const std::string& c : columns) {
+        auto it = std::find(header.begin(), header.end(), c);
+        EXPECT_NE(it, header.end()) << c;
+        if (it != header.end())
+          cells += " " + cell[static_cast<std::size_t>(it - header.begin())];
+      }
+      cells += "\n";
+    }
+    EXPECT_EQ(row, names.size());
+    while (std::getline(text, line)) {
+      std::size_t colon = line.find(": ");
+      if (colon == std::string::npos) continue;
+      if (std::find(summary.begin(), summary.end(), line.substr(0, colon)) !=
+          summary.end())
+        cells += line.substr(0, colon) + " " + line.substr(colon + 2) + "\n";
+    }
+    return cells;
+  }
+
   fs::path dir_;
   std::ostringstream out_, err_;
 };
+
+/// (name, keys) of every row of a google-benchmark JSON document.
+std::vector<std::pair<std::string, std::vector<std::string>>> row_keys(
+    const std::string& json) {
+  std::vector<std::pair<std::string, std::vector<std::string>>> rows;
+  JsonParseResult doc = parse_json(json);
+  const JsonValue* benchmarks =
+      doc.ok() ? doc.value->find("benchmarks") : nullptr;
+  if (benchmarks == nullptr) return rows;
+  for (const JsonValue& row : benchmarks->array) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : row.object) keys.push_back(key);
+    rows.emplace_back(row.string_field("name").value_or(""), keys);
+  }
+  return rows;
+}
+
+std::string committed(const std::string& file) {
+  std::ifstream in(std::string(RSNSEC_SOURCE_DIR) + "/" + file);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 TEST_F(CliTest, GenerateInfoAnalyzeSecureWorkflow) {
   // generate: network + circuit + spec files.
@@ -454,10 +546,59 @@ TEST_F(CliTest, ServeRejectsOutOfRangeTuning) {
   EXPECT_NE(err_.str().find("--max-request-bytes"), std::string::npos);
 }
 
-TEST_F(CliTest, BenchServeRequiresJson) {
-  int rc = run_cli({"bench", "serve"});
-  EXPECT_EQ(rc, 2);
-  EXPECT_NE(err_.str().find("--json"), std::string::npos);
+TEST_F(CliTest, BenchServeRejectsOutOfRangeCounts) {
+  // Each is rejected before the daemon or any client thread starts.
+  EXPECT_EQ(run_cli({"bench", "serve", "--clients", "0"}), 2);
+  EXPECT_NE(err_.str().find("--clients"), std::string::npos);
+  EXPECT_EQ(run_cli({"bench", "serve", "--clients", "1025"}), 2);
+  EXPECT_NE(err_.str().find("[1, 1024]"), std::string::npos);
+  EXPECT_EQ(run_cli({"bench", "serve", "--workers", "1000000"}), 2);
+  EXPECT_EQ(run_cli({"bench", "serve", "--jobs", "4096"}), 2);
+  EXPECT_EQ(run_cli({"bench", "serve", "--requests", "0"}), 2);
+  EXPECT_EQ(run_cli({"bench", "serve", "--requests", "3000000000"}), 2);
+}
+
+TEST_F(CliTest, CountsAndThreadCountsOutOfRangeAreUsageErrors) {
+  // A count cast to int used to wrap: --circuits 3000000000 ran a grid of
+  // zeros and exited 0.
+  for (const char* flag :
+       {"--circuits", "--specs", "--target-ffs", "--target-regs"}) {
+    for (const char* value : {"0", "3000000000"}) {
+      EXPECT_EQ(run_cli({"bench", "ablation", flag, value}), 2)
+          << flag << " " << value;
+      EXPECT_NE(err_.str().find(flag), std::string::npos);
+    }
+  }
+  // Thread counts above the cap are rejected before a pool is built.
+  EXPECT_EQ(run_cli({"bench", "table1", "--jobs", "1025"}), 2);
+  EXPECT_NE(err_.str().find("--jobs"), std::string::npos);
+  EXPECT_EQ(run_cli({"attack", "--benchmark", "BasicSCB", "--jobs",
+                     "1000000"}),
+            2);
+  EXPECT_EQ(run_cli({"serve", "--port", "0", "--workers", "1025"}), 2);
+  EXPECT_NE(err_.str().find("--workers"), std::string::npos);
+  EXPECT_EQ(run_cli({"serve", "--port", "0", "--jobs", "1025"}), 2);
+  EXPECT_NE(err_.str().find("--jobs"), std::string::npos);
+  // MBIST names go through one check in `generate` and `bench --families`:
+  // a zero dimension (generate_mbist used to divide by it) and a malformed
+  // name exit 2 before any work starts ...
+  for (const char* name : {"MBIST_0_5_5", "MBIST_5_5", "MBIST_5_x_5"}) {
+    EXPECT_EQ(run_cli({"generate", "--benchmark", name, "--out-rsn",
+                       path("n.rsn")}),
+              2)
+        << name;
+    EXPECT_NE(err_.str().find(name), std::string::npos) << err_.str();
+    EXPECT_EQ(run_cli({"bench", "table1", "--families", name}), 2) << name;
+    EXPECT_NE(err_.str().find(name), std::string::npos) << err_.str();
+  }
+  // ... and a dimension the generators refuse exits 2 in both commands
+  // (the grid's cube-root scaling still asks for ~1.7e12 cores, past the
+  // generators' limit, so nothing is allocated).
+  EXPECT_EQ(run_cli({"bench", "table1", "--families",
+                     "MBIST_1000000000000000000_1_1", "--circuits", "1",
+                     "--specs", "1", "--jobs", "1"}),
+            2);
+  EXPECT_NE(err_.str().find("too large"), std::string::npos) << err_.str();
 }
 
 TEST_F(CliTest, DuplicateOptionLastOccurrenceWins) {
@@ -497,8 +638,10 @@ TEST_F(CliTest, AttackEndToEndJson) {
 }
 
 TEST_F(CliTest, BenchAttackEmitsBenchmarkSchema) {
-  EXPECT_EQ(run_cli({"bench", "attack", "--families", "BasicSCB"}), 2)
-      << "bench attack without --json must be a usage error";
+  ASSERT_EQ(run_cli({"bench", "attack", "--families", "BasicSCB"}), 0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("Attack_BasicSCB/pure"), std::string::npos);
+  EXPECT_NE(out_.str().find("replay_shifts"), std::string::npos);
   int rc = run_cli({"bench", "attack", "--families", "BasicSCB", "--json"});
   ASSERT_EQ(rc, 0) << err_.str();
   const std::string json = out_.str();
@@ -511,9 +654,20 @@ TEST_F(CliTest, BenchAttackEmitsBenchmarkSchema) {
   EXPECT_NE(json.find("\"name\": \"Attack_BasicSCB/hybrid\""),
             std::string::npos);
   EXPECT_NE(json.find("\"time_unit\": \"ms\""), std::string::npos);
+  // Row names and counters are the committed BENCH_attack.json's.
+  const auto fresh = row_keys(json);
+  const auto pinned = row_keys(committed("BENCH_attack.json"));
+  ASSERT_EQ(fresh.size(), 2u);
+  for (const auto& row : fresh)
+    EXPECT_NE(std::find(pinned.begin(), pinned.end(), row), pinned.end())
+        << row.first;
   EXPECT_EQ(run_cli({"bench", "attack", "--families", "NoSuchFamily",
                      "--json"}),
             2);
+  // Red-team workloads exist for BASTION families only.
+  EXPECT_EQ(run_cli({"bench", "attack", "--families", "BasicSCB,MBIST_1_5_5"}),
+            2);
+  EXPECT_NE(err_.str().find("MBIST_1_5_5"), std::string::npos);
 }
 
 TEST_F(CliTest, PartitionFlagSelectsRepresentation) {
@@ -583,8 +737,12 @@ TEST_F(CliTest, OverflowingGenerateDimensionsAreUsageErrors) {
 }
 
 TEST_F(CliTest, BenchScaleEmitsBenchmarkSchema) {
-  EXPECT_EQ(run_cli({"bench", "scale", "--max-ffs", "600"}), 2)
-      << "bench scale without --json must be a usage error";
+  ASSERT_EQ(run_cli({"bench", "scale", "--max-ffs", "600", "--dense-max",
+                     "600"}),
+            0)
+      << err_.str();
+  EXPECT_NE(out_.str().find("Scale_MBIST/"), std::string::npos);
+  EXPECT_NE(out_.str().find("closure_speedup_vs_dense"), std::string::npos);
   int rc = run_cli({"bench", "scale", "--json", "--max-ffs", "600",
                     "--dense-max", "600", "--jobs", "2"});
   ASSERT_EQ(rc, 0) << err_.str();
@@ -601,7 +759,149 @@ TEST_F(CliTest, BenchScaleEmitsBenchmarkSchema) {
   EXPECT_NE(json.find("\"closure_speedup_vs_dense\""), std::string::npos);
   EXPECT_NE(json.find("\"matrix_bytes_reduction_vs_dense\""),
             std::string::npos);
+  // Row names are Scale_MBIST/<circuit FFs>/<variant>, with the committed
+  // BENCH_scale.json's counters per variant.
+  const auto pinned = row_keys(committed("BENCH_scale.json"));
+  const auto fresh = row_keys(json);
+  ASSERT_EQ(fresh.size(), 2u);
+  for (const auto& [name, keys] : fresh) {
+    const std::string variant = name.substr(name.rfind('/'));
+    EXPECT_EQ(name.rfind("Scale_MBIST/", 0), 0u) << name;
+    EXPECT_EQ(std::count(name.begin(), name.end(), '/'), 2) << name;
+    EXPECT_TRUE(std::any_of(pinned.begin(), pinned.end(), [&](const auto& p) {
+      return p.first.substr(p.first.rfind('/')) == variant && p.second == keys;
+    })) << name;
+  }
   EXPECT_EQ(run_cli({"bench", "scale", "--json", "--max-ffs", "0"}), 2);
+  // Above INT_MAX the decade loop used to wrap and never end.
+  EXPECT_EQ(run_cli({"bench", "scale", "--json", "--max-ffs",
+                     "18446744073709551615"}),
+            2);
+  EXPECT_NE(err_.str().find("--max-ffs"), std::string::npos);
+}
+
+// The grid experiments at 1 circuit x 2 specs. Every pinned cell is the
+// value the former bench/ programs (table1_bastion, table1_mbist,
+// ablation_bridging, ablation_resolution, baseline_filter) and
+// `bench ablation` printed at that size; timings are not pinned.
+
+TEST_F(CliTest, BenchTable1MatchesPinnedGrid) {
+  // The pins were taken at hardware concurrency; --jobs 3 and --jobs 1
+  // must give the same cells (the grid runner's contract).
+  const std::vector<std::string> columns = {
+      "regs", "scan_ffs", "muxes", "viol_regs", "pure", "hybrid", "total",
+      "runs"};
+  const std::vector<std::string> summary = {
+      "runs", "skipped_no_violation", "skipped_insecure", "pure_share_pct"};
+  EXPECT_EQ(bench_grid({"table1", "--families", "bastion", "--jobs", "3"},
+                       columns, summary),
+            "BasicSCB 21 176 10 0.00 0.0 0.0 0.0 0\n"
+            "Mingle 22 270 13 0.00 0.0 0.0 0.0 0\n"
+            "TreeFlat 24 101 24 0.00 0.0 0.0 0.0 0\n"
+            "TreeFlatEx 48 400 23 0.00 0.0 0.0 0.0 0\n"
+            "TreeBalanced 48 400 24 0.00 0.0 0.0 0.0 0\n"
+            "TreeUnbalanced 48 400 21 0.00 0.0 0.0 0.0 0\n"
+            "q12710 48 400 25 6.00 1.5 0.5 2.0 2\n"
+            "t512505 48 400 26 6.00 2.0 4.0 6.0 1\n"
+            "p22810 48 400 24 6.00 1.0 1.0 2.0 1\n"
+            "a586710 48 400 24 6.00 1.5 2.0 3.5 2\n"
+            "p34392 48 400 23 5.00 1.0 1.5 2.5 2\n"
+            "p93791 48 400 24 6.00 1.5 3.0 4.5 2\n"
+            "FlexScan 400 400 200 39.50 25.5 30.5 56.0 2\n"
+            "runs 12\nskipped_no_violation 12\nskipped_insecure 2\n"
+            "pure_share_pct 44.8\n");
+  EXPECT_EQ(bench_grid({"table1", "--families", "mbist", "--jobs", "1"},
+                       columns, summary),
+            "MBIST_1_5_5 113 548 15 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_1_5_20 145 644 11 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_1_20_20 245 1184 21 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_2_5_5 160 771 24 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_2_5_20 118 527 11 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_2_20_20 195 946 19 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_5_5_5 161 752 29 14.00 1.0 0.0 1.0 1\n"
+            "MBIST_5_20_20 113 548 15 0.00 0.0 0.0 0.0 0\n"
+            "MBIST_20_20_20 161 752 29 0.00 0.0 0.0 0.0 0\n"
+            "runs 1\nskipped_no_violation 16\nskipped_insecure 1\n"
+            "pure_share_pct 100.0\n");
+  // Every row carries the paper's Table I averages next to the measured
+  // ones.
+  EXPECT_EQ(bench_grid({"table1", "--families", "BasicSCB,MBIST_20_20_20"},
+                       {"paper_viol_regs", "paper_pure", "paper_hybrid",
+                        "paper_total", "paper_t_dep_s", "paper_t_pure_s",
+                        "paper_t_hybrid_s", "paper_t_total_s"},
+                       {}),
+            "BasicSCB 1.56 1.4 0.6 2.0 0.13 0.00 0.00 0.13\n"
+            "MBIST_20_20_20 19.62 15.1 89.8 104.8 9359.48 0.87 73.19 "
+            "9433.54\n");
+}
+
+TEST_F(CliTest, BenchBridgingMatchesPinnedGrid) {
+  EXPECT_EQ(bench_grid({"bridging"},
+                       {"circuit_ffs", "internal_ffs", "ff_red_pct",
+                        "dep_red_pct"},
+                       {"avg_ff_red_pct", "avg_dep_red_pct"}),
+            "BasicSCB 157 74 47.13 51.57\n"
+            "Mingle 236 108 45.76 54.88\n"
+            "TreeFlat 94 47 50.00 54.95\n"
+            "TreeBalanced 346 153 44.22 53.46\n"
+            "q12710 372 185 49.73 56.10\n"
+            "MBIST_1_5_5 473 210 44.61 51.39\n"
+            "MBIST_2_5_5 666 298 44.74 55.25\n"
+            "MBIST_5_5_5 659 300 45.52 54.61\n"
+            "avg_ff_red_pct 46.47\navg_dep_red_pct 54.03\n");
+}
+
+TEST_F(CliTest, BenchAblationMatchesPinnedGrid) {
+  EXPECT_EQ(bench_grid({"ablation"},
+                       {"exact_changes", "structural_changes",
+                        "extra_changes_pct", "false_insecure_pct",
+                        "attempts"},
+                       {"extra_changes_pct", "false_insecure_pct"}),
+            "BasicSCB 0.0 0.0 0.0 0.0 2\n"
+            "Mingle 0.0 0.0 0.0 0.0 2\n"
+            "TreeFlat 0.0 0.0 0.0 0.0 2\n"
+            "TreeBalanced 0.0 0.0 0.0 0.0 2\n"
+            "q12710 0.0 0.0 0.0 100.0 2\n"
+            "MBIST_1_5_5 0.0 0.0 0.0 0.0 2\n"
+            "MBIST_2_5_5 0.0 0.0 0.0 0.0 2\n"
+            "MBIST_5_5_5 0.0 0.0 0.0 50.0 2\n"
+            "extra_changes_pct 0.0\nfalse_insecure_pct 18.75\n");
+}
+
+TEST_F(CliTest, BenchFilterMatchesPinnedGrid) {
+  EXPECT_EQ(bench_grid({"filter"},
+                       {"regs", "filter_lock", "lock_pct", "hybrid_missed",
+                        "our_changes", "our_all_accessible"},
+                       {"filter_lock_pct", "runs", "runs_hybrid_missed"}),
+            "q12710 48 0.0 0.0 2 2.0 1\n"
+            "MBIST_5_5_5 161 14.0 8.7 1 1.0 1\n"
+            "filter_lock_pct 5.4\nruns 3\nruns_hybrid_missed 3\n");
+}
+
+TEST_F(CliTest, BenchPolicyMatchesPinnedGrid) {
+  EXPECT_EQ(bench_grid({"policy"}, {"changes"},
+                       {"BestGlobal_changes", "FirstImproving_changes",
+                        "PreferScanIn_changes"}),
+            "BasicSCB/BestGlobal 0.0\n"
+            "BasicSCB/FirstImproving 0.0\n"
+            "BasicSCB/PreferScanIn 0.0\n"
+            "Mingle/BestGlobal 0.0\n"
+            "Mingle/FirstImproving 0.0\n"
+            "Mingle/PreferScanIn 0.0\n"
+            "TreeFlatEx/BestGlobal 0.0\n"
+            "TreeFlatEx/FirstImproving 0.0\n"
+            "TreeFlatEx/PreferScanIn 0.0\n"
+            "q12710/BestGlobal 2.0\n"
+            "q12710/FirstImproving 2.0\n"
+            "q12710/PreferScanIn 2.0\n"
+            "MBIST_2_5_5/BestGlobal 0.0\n"
+            "MBIST_2_5_5/FirstImproving 0.0\n"
+            "MBIST_2_5_5/PreferScanIn 0.0\n"
+            "MBIST_5_5_5/BestGlobal 1.0\n"
+            "MBIST_5_5_5/FirstImproving 2.0\n"
+            "MBIST_5_5_5/PreferScanIn 2.0\n"
+            "BestGlobal_changes 5\nFirstImproving_changes 6\n"
+            "PreferScanIn_changes 6\n");
 }
 
 /// Reads a whole file into a string.

@@ -160,5 +160,18 @@ TEST(ThreadPool, ResolveHonorsRequestThenEnvThenHardware) {
   EXPECT_GE(ThreadPool::resolve_num_threads(0), 1u);
 }
 
+TEST(ThreadPool, ResolveIgnoresOutOfRangeEnvLikeMalformedEnv) {
+  // Only resolves counts; no pool is built from a rejected value.
+  ::unsetenv("RSNSEC_JOBS");
+  const std::size_t fallback = ThreadPool::resolve_num_threads(0);
+  for (const char* v : {"1025", "1000000", "99999999999999999999999", "-3"}) {
+    ::setenv("RSNSEC_JOBS", v, 1);
+    EXPECT_EQ(ThreadPool::resolve_num_threads(0), fallback) << v;
+  }
+  ::setenv("RSNSEC_JOBS", "1024", 1);
+  EXPECT_EQ(ThreadPool::resolve_num_threads(0), ThreadPool::kMaxThreads);
+  ::unsetenv("RSNSEC_JOBS");
+}
+
 }  // namespace
 }  // namespace rsnsec

@@ -1,31 +1,21 @@
 #include "tools/cli.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
+#include <array>
+#include <climits>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/trace.hpp"
-#include "util/minijson.hpp"
-#include "util/socket.hpp"
+#include "tools/cli_args.hpp"
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
-#include "attack/engine.hpp"
-#include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
-#include "benchgen/families.hpp"
-#include "benchgen/redteam.hpp"
 #include "benchgen/specgen.hpp"
 #include "core/analyze.hpp"
 #include "core/report.hpp"
@@ -37,46 +27,13 @@
 #include "rsn/io.hpp"
 #include "security/filter.hpp"
 #include "security/spec_io.hpp"
-#include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "store/artifact_store.hpp"
 #include "store/dep_cache.hpp"
 #include "store/tile_spill.hpp"
 
 namespace rsnsec::cli {
 
 namespace {
-
-/// Bad command-line *input* (malformed numbers, bad benchmark syntax).
-/// Distinct from plain runtime_error so run() can exit 2 — "your
-/// invocation is wrong" — instead of 1 ("the tool failed").
-struct UsageError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-  std::vector<std::string> flags;
-  std::vector<std::string> positionals;
-
-  bool has_flag(const std::string& f) const {
-    for (const std::string& x : flags)
-      if (x == f) return true;
-    return false;
-  }
-  std::optional<std::string> get(const std::string& key) const {
-    auto it = options.find(key);
-    if (it == options.end()) return std::nullopt;
-    return it->second;
-  }
-  std::string require(const std::string& key) const {
-    auto v = get(key);
-    if (!v) throw std::runtime_error("missing required option --" + key);
-    return *v;
-  }
-};
 
 Args parse_args(const std::vector<std::string>& argv) {
   Args args;
@@ -144,9 +101,8 @@ Workload load_workload(const Args& args) {
   return attach_design(std::move(doc), verilog, spec);
 }
 
-/// Guarded numeric parses: any malformed or overflowing number in the
-/// invocation is a UsageError (exit 2) with the offending token quoted,
-/// never an uncaught std::sto* exception.
+}  // namespace
+
 std::uint64_t u64_or_usage(const std::string& s, const std::string& what) {
   std::optional<std::uint64_t> v = parse_u64(s);
   if (!v)
@@ -161,27 +117,38 @@ double double_or_usage(const std::string& s, const std::string& what) {
   return *v;
 }
 
-/// Parses --jobs N. Without the flag, commands default to auto
-/// (RSNSEC_JOBS, else hardware concurrency) — results are bit-identical
-/// for any value, so parallelism is safe to default on. An explicit
-/// `--jobs 0` is rejected: internally 0 encodes "auto", and accepting it
-/// would silently turn a caller's attempt to say "no parallelism" into
-/// "all cores" (say `--jobs 1` for serial, omit the flag for auto).
-std::size_t jobs_option(const Args& args) {
-  if (auto j = args.get("jobs")) {
-    std::uint64_t n = u64_or_usage(*j, "--jobs");
-    if (n == 0)
-      throw UsageError(
-          "--jobs needs a positive thread count (use --jobs 1 for serial "
-          "execution, or omit the flag for auto)");
-    return static_cast<std::size_t>(n);
-  }
-  return 0;
+int count_option(const Args& args, const std::string& key, int fallback) {
+  auto v = args.get(key);
+  if (!v) return fallback;
+  std::uint64_t n = u64_or_usage(*v, "--" + key);
+  if (n == 0 || n > static_cast<std::uint64_t>(INT_MAX))
+    throw UsageError("--" + key + " needs a count in [1, " +
+                     std::to_string(INT_MAX) + "], got '" + *v + "'");
+  return static_cast<int>(n);
 }
 
-/// Resolves the artifact-store directory: the --store flag wins over the
-/// RSNSEC_STORE environment variable (the same precedence --jobs has
-/// over RSNSEC_JOBS). Empty string = no store, always recompute.
+/// An explicit `--jobs 0` is rejected rather than read as "auto" (the
+/// internal encoding): say `--jobs 1` for serial, omit the flag for auto.
+std::size_t threads_option(const Args& args, const std::string& key,
+                           std::size_t fallback) {
+  auto v = args.get(key);
+  if (!v) return fallback;
+  std::uint64_t n = u64_or_usage(*v, "--" + key);
+  if (n == 0 || n > ThreadPool::kMaxThreads)
+    throw UsageError(
+        "--" + key + " needs a thread count in [1, " +
+        std::to_string(ThreadPool::kMaxThreads) +
+        "] (omit the flag for " +
+        (fallback == 0 ? std::string("auto")
+                       : "the default of " + std::to_string(fallback)) +
+        ")");
+  return static_cast<std::size_t>(n);
+}
+
+std::size_t jobs_option(const Args& args) {
+  return threads_option(args, "jobs", 0);
+}
+
 std::string store_dir(const Args& args) {
   if (auto s = args.get("store")) return *s;
   if (const char* env = std::getenv("RSNSEC_STORE");
@@ -190,15 +157,87 @@ std::string store_dir(const Args& args) {
   return {};
 }
 
-/// Opens the artifact store of this invocation, or nullptr when neither
-/// --store nor RSNSEC_STORE is set. Composes with every subcommand that
-/// runs the dependency analysis (analyze, secure) and is the target of
-/// the `store` maintenance subcommand.
 std::unique_ptr<store::ArtifactStore> open_store(const Args& args) {
   std::string dir = store_dir(args);
   if (dir.empty()) return nullptr;
   return std::make_unique<store::ArtifactStore>(dir);
 }
+
+/// Every numeric argument goes through u64_or_usage / double_or_usage so a
+/// malformed value exits 2, like the rest of the CLI.
+AttackCliOptions attack_cli_options(const Args& args) {
+  AttackCliOptions o;
+  o.seed = u64_or_usage(args.get("seed").value_or("1"), "--seed");
+  o.redteam.scale =
+      double_or_usage(args.get("scale").value_or("1.0"), "--scale");
+  if (auto v = args.get("target-ffs"))
+    o.redteam.target_ffs =
+        static_cast<std::size_t>(u64_or_usage(*v, "--target-ffs"));
+  if (auto v = args.get("target-regs"))
+    o.redteam.target_regs =
+        static_cast<std::size_t>(u64_or_usage(*v, "--target-regs"));
+  if (auto s = args.get("scenario")) {
+    if (*s == "pure") {
+      o.redteam.plant_hybrid = false;
+    } else if (*s == "hybrid") {
+      o.redteam.plant_pure = false;
+    } else if (*s != "all") {
+      throw UsageError("unknown --scenario '" + *s +
+                       "' (try: pure, hybrid, all)");
+    }
+  }
+  o.engine.seed = o.seed;
+  o.engine.sat_conflict_limit = u64_or_usage(
+      args.get("conflict-limit").value_or("100000"), "--conflict-limit");
+  o.engine.num_threads = jobs_option(args);
+  return o;
+}
+
+std::optional<std::array<std::size_t, 3>> mbist_dimensions(
+    const std::string& name) {
+  if (name.rfind("MBIST_", 0) != 0) return std::nullopt;
+  const std::vector<std::string> pieces = split(name.substr(6), '_');
+  std::array<std::size_t, 3> dims{};
+  for (std::size_t i = 0; i < pieces.size() && i < dims.size(); ++i)
+    dims[i] = static_cast<std::size_t>(
+        u64_or_usage(pieces[i], "MBIST dimension in '" + name + "'"));
+  // A zero dimension leaves no memory data register to split the FF
+  // budget over (generate_mbist divides by n * m * o).
+  if (pieces.size() != 3 ||
+      std::find(dims.begin(), dims.end(), 0) != dims.end())
+    throw UsageError("MBIST benchmark must be MBIST_n_m_o with positive n, "
+                     "m and o, got '" + name + "'");
+  return dims;
+}
+
+const benchgen::BenchmarkProfile& attack_benchmark(const std::string& name) {
+  try {
+    return benchgen::bastion_profile(name);
+  } catch (const std::exception&) {
+    std::string known;
+    for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles())
+      known += (known.empty() ? "" : ", ") + p.name;
+    throw UsageError("unknown --benchmark '" + name + "' (try: " + known +
+                     ")");
+  }
+}
+
+void serve_tuning(const Args& args, serve::ServerOptions& opt) {
+  opt.workers = threads_option(args, "workers", opt.workers);
+  if (auto q = args.get("queue-depth")) {
+    std::uint64_t n = u64_or_usage(*q, "--queue-depth");
+    if (n == 0) throw UsageError("--queue-depth needs a positive bound");
+    opt.queue_capacity = static_cast<std::size_t>(n);
+  }
+  if (auto m = args.get("max-request-bytes")) {
+    std::uint64_t n = u64_or_usage(*m, "--max-request-bytes");
+    if (n == 0)
+      throw UsageError("--max-request-bytes needs a positive byte cap");
+    opt.max_request_bytes = static_cast<std::size_t>(n);
+  }
+}
+
+namespace {
 
 PipelineOptions pipeline_options(const Args& args) {
   PipelineOptions opt;
@@ -219,14 +258,7 @@ PipelineOptions pipeline_options(const Args& args) {
   if (args.has_flag("no-ternary")) opt.dep.ternary_prefilter = false;
   if (args.has_flag("no-pure")) opt.run_pure = false;
   if (args.has_flag("no-hybrid")) opt.run_hybrid = false;
-  // --verify turns on all three independent re-checks: the per-change
-  // lint invariant pass, the final SAT-free certification and the
-  // differential attack probe battery against the secured network.
-  if (args.has_flag("verify")) {
-    opt.verify_invariants = true;
-    opt.verify_certify = true;
-    opt.verify_attack = true;
-  }
+  opt.verify = args.has_flag("verify");
   // Matrix representation. Bit-identical results either way (pinned by
   // the partitioned-oracle tests); "auto" switches on circuit size.
   if (auto p = args.get("partition")) {
@@ -296,15 +328,10 @@ int cmd_generate(const Args& args, std::ostream& out) {
   // std::overflow_error rather than wrapping, see benchgen/families.cpp)
   // is the caller's mistake, same as a malformed number: exit 2.
   try {
-    if (name.rfind("MBIST_", 0) == 0) {
-      std::vector<std::string> dims = split(name.substr(6), '_');
-      if (dims.size() != 3)
-        throw UsageError("MBIST benchmark must be MBIST_n_m_o");
-      doc = benchgen::generate_mbist(
-          static_cast<std::size_t>(u64_or_usage(dims[0], "MBIST dimension n")),
-          static_cast<std::size_t>(u64_or_usage(dims[1], "MBIST dimension m")),
-          static_cast<std::size_t>(u64_or_usage(dims[2], "MBIST dimension o")),
-          scale);
+    if (std::optional<std::array<std::size_t, 3>> dims =
+            mbist_dimensions(name)) {
+      doc = benchgen::generate_mbist((*dims)[0], (*dims)[1], (*dims)[2],
+                                     scale);
     } else {
       doc = benchgen::generate_bastion(benchgen::bastion_profile(name), scale,
                                        rng);
@@ -458,57 +485,6 @@ int cmd_certify(const Args& args, std::ostream& out) {
   return result.certified() ? 0 : 2;
 }
 
-/// Shared option parsing of `rsnsec attack` and `rsnsec bench attack`.
-/// Every numeric argument goes through u64_or_usage / double_or_usage so a
-/// malformed value exits 2, like the rest of the CLI.
-struct AttackCliOptions {
-  std::uint64_t seed = 1;
-  benchgen::RedTeamOptions redteam;
-  attack::AttackOptions engine;
-};
-
-AttackCliOptions attack_cli_options(const Args& args) {
-  AttackCliOptions o;
-  o.seed = u64_or_usage(args.get("seed").value_or("1"), "--seed");
-  o.redteam.scale =
-      double_or_usage(args.get("scale").value_or("1.0"), "--scale");
-  if (auto v = args.get("target-ffs"))
-    o.redteam.target_ffs =
-        static_cast<std::size_t>(u64_or_usage(*v, "--target-ffs"));
-  if (auto v = args.get("target-regs"))
-    o.redteam.target_regs =
-        static_cast<std::size_t>(u64_or_usage(*v, "--target-regs"));
-  if (auto s = args.get("scenario")) {
-    if (*s == "pure") {
-      o.redteam.plant_hybrid = false;
-    } else if (*s == "hybrid") {
-      o.redteam.plant_pure = false;
-    } else if (*s != "all") {
-      throw UsageError("unknown --scenario '" + *s +
-                       "' (try: pure, hybrid, all)");
-    }
-  }
-  o.engine.seed = o.seed;
-  o.engine.sat_conflict_limit = u64_or_usage(
-      args.get("conflict-limit").value_or("100000"), "--conflict-limit");
-  o.engine.num_threads = jobs_option(args);
-  return o;
-}
-
-/// Validates a --benchmark name against the BASTION catalog; an unknown
-/// family is the caller's mistake (exit 2), with the catalog listed.
-const benchgen::BenchmarkProfile& attack_benchmark(const std::string& name) {
-  try {
-    return benchgen::bastion_profile(name);
-  } catch (const std::exception&) {
-    std::string known;
-    for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles())
-      known += (known.empty() ? "" : ", ") + p.name;
-    throw UsageError("unknown --benchmark '" + name + "' (try: " + known +
-                     ")");
-  }
-}
-
 void write_outcome_json(std::ostream& out, const attack::AttackOutcome& o) {
   out << "{\"method\": \"" << o.method << "\", \"verdict\": \""
       << attack::verdict_name(o.verdict)
@@ -650,173 +626,6 @@ int cmd_attack(const Args& args, std::ostream& out) {
   return 0;
 }
 
-/// `rsnsec bench attack [--families CSV] --json`: wall-clock of the full
-/// attack engine per BASTION family, in the google-benchmark JSON layout
-/// the CI validator checks for every committed BENCH_*.json. Cross-checks
-/// are off — this measures the attacks, not the analyses they are checked
-/// against.
-int cmd_bench_attack(const Args& args, std::ostream& out) {
-  AttackCliOptions o = attack_cli_options(args);
-  o.engine.cross_check = false;
-  std::vector<std::string> names;
-  if (auto f = args.get("families")) {
-    for (const std::string& n : split(*f, ',')) {
-      attack_benchmark(n);
-      names.push_back(n);
-    }
-    if (names.empty()) throw UsageError("--families needs at least one name");
-  } else {
-    for (const benchgen::BenchmarkProfile& p : benchgen::bastion_profiles())
-      names.push_back(p.name);
-  }
-
-  if (!args.has_flag("json"))
-    throw UsageError("bench attack only has a JSON report; pass --json");
-  out << "{\"context\": {\"executable\": \"rsnsec\", \"experiment\": "
-         "\"attack\", \"seed\": "
-      << o.seed << "},\n\"benchmarks\": [";
-  bool first = true;
-  for (const std::string& name : names) {
-    benchgen::RedTeamWorkload w =
-        benchgen::make_redteam_workload(name, o.seed, o.redteam);
-    for (const benchgen::RedTeamScenario& sc : w.scenarios) {
-      attack::AttackReport rep =
-          attack::run_attacks(w.circuit, w.doc.network, {sc}, o.engine);
-      const attack::ScenarioResult& res = rep.scenarios.at(0);
-      double seconds = 0.0;
-      std::uint64_t sat_calls = 0;
-      std::size_t recovered = 0, shifts = 0;
-      for (const attack::AttackOutcome& oc : res.outcomes) {
-        seconds += oc.seconds;
-        sat_calls += oc.sat_calls;
-        recovered += oc.recovered() ? 1 : 0;
-        shifts += oc.differential.shifts;
-      }
-      out << (first ? "\n" : ",\n") << "  {\"name\": \"Attack_" << name
-          << "/" << sc.name << "\", \"run_type\": \"iteration\", "
-          << "\"iterations\": 1, \"real_time\": " << seconds * 1e3
-          << ", \"cpu_time\": " << seconds * 1e3
-          << ", \"time_unit\": \"ms\", \"recovered\": " << recovered
-          << ", \"methods\": " << res.outcomes.size()
-          << ", \"sat_calls\": " << sat_calls
-          << ", \"replay_shifts\": " << shifts << "}";
-      first = false;
-    }
-  }
-  out << "\n]}\n";
-  return 0;
-}
-
-/// `rsnsec bench scale --json [--max-ffs N] [--dense-max N]`: dependency-
-/// analysis wall-clock and matrix footprint across MBIST sizes, tiled
-/// representation vs. the dense oracle, in the google-benchmark JSON
-/// layout the CI validator checks. Runs in DepMode::StructuralOnly so the
-/// numbers measure the matrix machinery (construction, bridging, closure)
-/// rather than the SAT portfolio in front of it; both representations
-/// produce bit-identical matrices (pinned by the partitioned-oracle
-/// tests), so the deltas are pure representation cost. The dense oracle is
-/// only run up to --dense-max flip-flops — beyond that its quadratic
-/// footprint is the problem this benchmark exists to demonstrate.
-int cmd_bench_scale(const Args& args, std::ostream& out) {
-  if (!args.has_flag("json"))
-    throw UsageError("bench scale only has a JSON report; pass --json");
-  const std::uint64_t seed =
-      u64_or_usage(args.get("seed").value_or("1"), "--seed");
-  const std::uint64_t max_ffs =
-      u64_or_usage(args.get("max-ffs").value_or("100000"), "--max-ffs");
-  const std::uint64_t dense_max =
-      u64_or_usage(args.get("dense-max").value_or("10000"), "--dense-max");
-  if (max_ffs == 0) throw UsageError("--max-ffs needs a positive FF count");
-  const std::size_t jobs = jobs_option(args);
-
-  // Decades of circuit flip-flops from 1000 up to --max-ffs.
-  std::vector<std::uint64_t> sizes;
-  for (std::uint64_t s = 1000; s < max_ffs; s *= 10) sizes.push_back(s);
-  sizes.push_back(max_ffs);
-
-  struct ScaleRun {
-    double analysis_ms = 0.0;
-    double closure_ms = 0.0;
-    std::uint64_t matrix_bytes = 0;
-    std::uint64_t tiles_nonzero = 0;
-    std::size_t regions = 0;
-    std::size_t ffs = 0;
-  };
-  auto run_one = [&](const netlist::Netlist& circuit,
-                     const rsn::Rsn& network, dep::PartitionMode mode) {
-    dep::DepOptions dopt;
-    dopt.mode = dep::DepMode::StructuralOnly;
-    dopt.partition = mode;
-    dopt.num_threads = jobs;
-    dep::DependencyAnalyzer deps(circuit, network, dopt);
-    deps.run();
-    const dep::DepStats& s = deps.stats();
-    ScaleRun r;
-    r.analysis_ms = (s.t_one_cycle + s.t_bridge + s.t_closure) * 1e3;
-    r.closure_ms = s.t_closure * 1e3;
-    r.matrix_bytes = s.matrix_bytes;
-    r.tiles_nonzero = s.tiles_nonzero;
-    r.regions = s.regions;
-    r.ffs = s.circuit_ffs;
-    return r;
-  };
-  auto write_row = [&out](bool first, const std::string& variant,
-                          const ScaleRun& r) {
-    out << (first ? "\n" : ",\n") << "  {\"name\": \"Scale_MBIST/"
-        << r.ffs << "/" << variant << "\", \"run_type\": \"iteration\", "
-        << "\"iterations\": 1, \"real_time\": " << r.analysis_ms
-        << ", \"cpu_time\": " << r.analysis_ms
-        << ", \"time_unit\": \"ms\", \"closure_ms\": " << r.closure_ms
-        << ", \"circuit_ffs\": " << r.ffs
-        << ", \"matrix_bytes\": " << r.matrix_bytes
-        << ", \"tiles_nonzero\": " << r.tiles_nonzero
-        << ", \"regions\": " << r.regions;
-  };
-
-  out << "{\"context\": {\"executable\": \"rsnsec\", \"experiment\": "
-         "\"scale\", \"seed\": "
-      << seed << ", \"max_ffs\": " << max_ffs
-      << ", \"dense_max\": " << dense_max << "},\n\"benchmarks\": [";
-  bool first = true;
-  for (std::uint64_t target : sizes) {
-    // MBIST_n_4_4 has 5 + 383 n scan FFs and the random circuit attaches
-    // ~0.85 circuit FFs per scan FF, so n ~ target / 325 lands the
-    // *circuit* FF count (what the matrices are over) near the target.
-    std::size_t n = static_cast<std::size_t>(target / 325);
-    if (n == 0) n = 1;
-    Rng rng(seed);
-    rsn::RsnDocument doc = benchgen::generate_mbist(n, 4, 4, 1.0);
-    netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
-
-    std::optional<ScaleRun> dense;
-    if (static_cast<std::uint64_t>(circuit.ffs().size()) <= dense_max) {
-      dense = run_one(circuit, doc.network, dep::PartitionMode::Dense);
-      write_row(first, "dense", *dense);
-      out << "}";
-      first = false;
-    }
-    ScaleRun tiled = run_one(circuit, doc.network, dep::PartitionMode::Tiled);
-    write_row(first, "tiled", tiled);
-    if (dense) {
-      // The headline pair: closure wall-clock speedup and matrix-memory
-      // reduction of the tiled representation over the dense oracle at
-      // the same size.
-      out << ", \"closure_speedup_vs_dense\": "
-          << (tiled.closure_ms > 0.0 ? dense->closure_ms / tiled.closure_ms
-                                     : 0.0)
-          << ", \"matrix_bytes_reduction_vs_dense\": "
-          << (tiled.matrix_bytes > 0
-                  ? static_cast<double>(dense->matrix_bytes) /
-                        static_cast<double>(tiled.matrix_bytes)
-                  : 0.0);
-    }
-    out << "}";
-    first = false;
-  }
-  out << "\n]}\n";
-  return 0;
-}
-
 /// Resolves the serve listener endpoint: --socket PATH and --port N are
 /// mutually exclusive (exit 2 when both are given); with neither, the
 /// RSNSEC_SERVE_SOCKET environment variable supplies the unix path —
@@ -843,26 +652,6 @@ serve::ServerOptions serve_endpoint(const Args& args) {
         "set)");
   }
   return opt;
-}
-
-/// Shared tuning knobs of `rsnsec serve` and `rsnsec bench serve`.
-void serve_tuning(const Args& args, serve::ServerOptions& opt) {
-  if (auto w = args.get("workers")) {
-    std::uint64_t n = u64_or_usage(*w, "--workers");
-    if (n == 0) throw UsageError("--workers needs a positive count");
-    opt.workers = static_cast<std::size_t>(n);
-  }
-  if (auto q = args.get("queue-depth")) {
-    std::uint64_t n = u64_or_usage(*q, "--queue-depth");
-    if (n == 0) throw UsageError("--queue-depth needs a positive bound");
-    opt.queue_capacity = static_cast<std::size_t>(n);
-  }
-  if (auto m = args.get("max-request-bytes")) {
-    std::uint64_t n = u64_or_usage(*m, "--max-request-bytes");
-    if (n == 0)
-      throw UsageError("--max-request-bytes needs a positive byte cap");
-    opt.max_request_bytes = static_cast<std::size_t>(n);
-  }
 }
 
 /// `rsnsec serve`: long-running analysis daemon. Line-delimited JSON
@@ -895,381 +684,6 @@ int cmd_serve(const Args& args, std::ostream& out) {
       << std::flush;
   server.serve();
   out << "drained; served " << server.requests_handled() << " request(s)\n";
-  return 0;
-}
-
-/// `rsnsec bench serve --json`: load generator against an in-process
-/// daemon on a private unix socket. N client connections replay a mixed
-/// stream (analyze of one fixed design + pings); the daemon gets a
-/// temporary artifact store, so the first analyze publishes and the rest
-/// warm-start — the replay measures daemon overhead (framing, admission,
-/// scheduling), not repeated SAT work. Every analyze reply is compared
-/// byte-for-byte against a one-shot run of the same design: concurrency
-/// must not change results. Output is the google-benchmark JSON layout
-/// the CI validator checks (p50/p99 latency, throughput, busy replies).
-int cmd_bench_serve(const Args& args, std::ostream& out) {
-  if (!args.has_flag("json"))
-    throw UsageError("bench serve only has a JSON report; pass --json");
-  const std::uint64_t seed =
-      u64_or_usage(args.get("seed").value_or("1"), "--seed");
-  const std::size_t clients = static_cast<std::size_t>(
-      u64_or_usage(args.get("clients").value_or("4"), "--clients"));
-  const std::size_t total_requests = static_cast<std::size_t>(
-      u64_or_usage(args.get("requests").value_or("2000"), "--requests"));
-  const std::string benchmark = args.get("benchmark").value_or("Mingle");
-  attack_benchmark(benchmark);
-  if (clients == 0) throw UsageError("--clients needs a positive count");
-  if (total_requests == 0)
-    throw UsageError("--requests needs a positive count");
-
-  // One fixed workload, serialized to the inline payload strings the
-  // protocol carries.
-  Rng rng(seed);
-  rsn::RsnDocument doc =
-      benchgen::generate_bastion(benchgen::bastion_profile(benchmark),
-                                 double_or_usage(
-                                     args.get("scale").value_or("1.0"),
-                                     "--scale"),
-                                 rng);
-  netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
-  benchgen::SpecOptions spec_opt;
-  security::SecuritySpec spec =
-      benchgen::random_spec(doc.module_names.size(), spec_opt, rng);
-  std::string rsn_text, verilog_text, spec_text;
-  {
-    std::ostringstream os;
-    rsn::write_rsn(os, doc.network, doc.module_names, &circuit);
-    rsn_text = os.str();
-  }
-  {
-    std::ostringstream os;
-    netlist::verilog::write(os, circuit, doc.network.name());
-    verilog_text = os.str();
-  }
-  {
-    std::ostringstream os;
-    security::write_spec(os, spec, doc.module_names);
-    spec_text = os.str();
-  }
-
-  // Private daemon: temp store + temp unix socket, removed afterwards.
-  const std::filesystem::path scratch =
-      std::filesystem::temp_directory_path() /
-      ("rsnsec-bench-serve-" + std::to_string(::getpid()));
-  std::filesystem::create_directories(scratch);
-  serve::ServiceOptions sopt;
-  sopt.store_dir = (scratch / "store").string();
-  sopt.analysis_threads = jobs_option(args);
-  serve::AnalysisService service(sopt);
-
-  serve::ServerOptions opt;
-  opt.socket_path = (scratch / "daemon.sock").string();
-  serve_tuning(args, opt);
-  serve::Server server(service, opt);
-  server.bind();
-  std::thread server_thread([&server] { server.serve(); });
-
-  // The one-shot reference result every analyze reply must match
-  // byte-for-byte (same emitter the CLI's `analyze --json` uses).
-  serve::Request ref;
-  ref.command = serve::Command::Analyze;
-  ref.rsn = rsn_text;
-  ref.verilog = verilog_text;
-  ref.spec = spec_text;
-  serve::ExecResult expected = service.execute(ref);
-  if (!expected.ok())
-    throw std::runtime_error("bench serve: reference analyze failed: " +
-                             expected.message);
-
-  const std::string analyze_body =
-      std::string("\"rsn\": \"") + json_escape(rsn_text) +
-      "\", \"verilog\": \"" + json_escape(verilog_text) +
-      "\", \"spec\": \"" + json_escape(spec_text) + "\"";
-
-  struct ClientStats {
-    std::vector<double> analyze_us;
-    std::vector<double> ping_us;
-    std::uint64_t busy = 0;
-    std::uint64_t mismatches = 0;
-    std::uint64_t errors = 0;
-  };
-  std::vector<ClientStats> per_client(clients);
-
-  auto client_fn = [&](std::size_t ci, std::size_t n_requests) {
-    ClientStats& cs = per_client[ci];
-    try {
-      Socket sock = Socket::connect_unix(opt.socket_path);
-      LineReader reader(sock, 4u << 20);
-      for (std::size_t i = 0; i < n_requests; ++i) {
-        const bool is_ping = i % 16 == 15;
-        std::string line;
-        if (is_ping) {
-          line = "{\"command\": \"ping\", \"id\": \"" + std::to_string(i) +
-                 "\", \"tenant\": \"client-" + std::to_string(ci) + "\"}\n";
-        } else {
-          line = "{\"command\": \"analyze\", \"id\": \"" +
-                 std::to_string(i) + "\", \"tenant\": \"client-" +
-                 std::to_string(ci) + "\", " + analyze_body + "}\n";
-        }
-        for (;;) {
-          auto t0 = std::chrono::steady_clock::now();
-          sock.write_all(line);
-          std::optional<LineReader::Line> reply = reader.next();
-          if (!reply || reply->oversize) {
-            ++cs.errors;
-            return;
-          }
-          double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-          JsonParseResult parsed = parse_json(reply->text);
-          if (!parsed.ok() || !parsed.value->is_object()) {
-            ++cs.errors;
-            break;
-          }
-          std::optional<bool> ok = parsed.value->bool_field("ok");
-          if (ok.value_or(false)) {
-            (is_ping ? cs.ping_us : cs.analyze_us).push_back(us);
-            if (!is_ping) {
-              // Byte-identity: the "result" object must equal the
-              // one-shot reference exactly.
-              std::size_t begin = reply->text.find("\"result\": ");
-              std::size_t end = reply->text.rfind(", \"server\": ");
-              if (begin == std::string::npos || end == std::string::npos ||
-                  reply->text.substr(begin + 10, end - begin - 10) !=
-                      expected.result_json)
-                ++cs.mismatches;
-            }
-            break;
-          }
-          // Error reply: back off and retry on SRV005, count anything
-          // else as a hard error.
-          const JsonValue* error = parsed.value->find("error");
-          std::string code;
-          std::uint64_t retry_ms = 5;
-          if (error != nullptr && error->is_object()) {
-            code = error->string_field("code").value_or("");
-            if (auto r = error->number_field("retry_after_ms"))
-              retry_ms = static_cast<std::uint64_t>(*r);
-          }
-          if (code != "SRV005") {
-            ++cs.errors;
-            break;
-          }
-          ++cs.busy;
-          std::this_thread::sleep_for(std::chrono::milliseconds(retry_ms));
-        }
-      }
-    } catch (const SocketError&) {
-      ++cs.errors;
-    }
-  };
-
-  auto bench_t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  for (std::size_t ci = 0; ci < clients; ++ci) {
-    std::size_t share = total_requests / clients +
-                        (ci < total_requests % clients ? 1 : 0);
-    threads.emplace_back(client_fn, ci, share);
-  }
-  for (std::thread& t : threads) t.join();
-  double wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - bench_t0)
-                      .count();
-
-  // Cache effectiveness straight from the daemon, then shut it down.
-  std::string store_stats = service.store_stats_json();
-  server.request_stop();
-  server_thread.join();
-  std::filesystem::remove_all(scratch);
-
-  std::vector<double> analyze_us, ping_us;
-  std::uint64_t busy = 0, mismatches = 0, errors = 0;
-  for (const ClientStats& cs : per_client) {
-    analyze_us.insert(analyze_us.end(), cs.analyze_us.begin(),
-                      cs.analyze_us.end());
-    ping_us.insert(ping_us.end(), cs.ping_us.begin(), cs.ping_us.end());
-    busy += cs.busy;
-    mismatches += cs.mismatches;
-    errors += cs.errors;
-  }
-  std::sort(analyze_us.begin(), analyze_us.end());
-  std::sort(ping_us.begin(), ping_us.end());
-  auto quantile = [](const std::vector<double>& v, double q) {
-    if (v.empty()) return 0.0;
-    std::size_t i = static_cast<std::size_t>(q * (v.size() - 1));
-    return v[i];
-  };
-  if (mismatches > 0)
-    throw std::runtime_error(
-        "bench serve: " + std::to_string(mismatches) +
-        " analyze replies differ from the one-shot reference");
-  if (errors > 0)
-    throw std::runtime_error("bench serve: " + std::to_string(errors) +
-                             " client(s) hit hard errors");
-
-  const std::size_t served = analyze_us.size() + ping_us.size();
-  out << "{\"context\": {\"executable\": \"rsnsec\", \"experiment\": "
-         "\"serve\", \"seed\": "
-      << seed << ", \"benchmark\": \"" << benchmark
-      << "\", \"clients\": " << clients << ", \"requests\": " << served
-      << ", \"workers\": " << opt.workers
-      << ", \"queue_depth\": " << opt.queue_capacity
-      << ", \"store\": " << store_stats << "},\n\"benchmarks\": [\n";
-  out << "  {\"name\": \"ServeReplay_" << benchmark
-      << "/analyze\", \"run_type\": \"iteration\", \"iterations\": "
-      << analyze_us.size() << ", \"real_time\": "
-      << quantile(analyze_us, 0.5) / 1e3 << ", \"cpu_time\": "
-      << quantile(analyze_us, 0.5) / 1e3
-      << ", \"time_unit\": \"ms\", \"p50_ms\": "
-      << quantile(analyze_us, 0.5) / 1e3
-      << ", \"p99_ms\": " << quantile(analyze_us, 0.99) / 1e3
-      << ", \"busy_replies\": " << busy
-      << ", \"result_mismatches\": " << mismatches << "},\n";
-  out << "  {\"name\": \"ServeReplay_" << benchmark
-      << "/ping\", \"run_type\": \"iteration\", \"iterations\": "
-      << ping_us.size() << ", \"real_time\": "
-      << quantile(ping_us, 0.5) / 1e3 << ", \"cpu_time\": "
-      << quantile(ping_us, 0.5) / 1e3
-      << ", \"time_unit\": \"ms\", \"p50_ms\": "
-      << quantile(ping_us, 0.5) / 1e3
-      << ", \"p99_ms\": " << quantile(ping_us, 0.99) / 1e3 << "},\n";
-  out << "  {\"name\": \"ServeReplay_" << benchmark
-      << "/throughput\", \"run_type\": \"iteration\", \"iterations\": "
-      << served << ", \"real_time\": " << wall_s * 1e3
-      << ", \"cpu_time\": " << wall_s * 1e3
-      << ", \"time_unit\": \"ms\", \"requests_per_second\": "
-      << (wall_s > 0.0 ? static_cast<double>(served) / wall_s : 0.0)
-      << "}\n]}\n";
-  return 0;
-}
-
-/// `rsnsec bench ablation`: the Sec. IV-C structural-vs-exact ablation as
-/// a first-class subcommand. Reuses the bench harness's instance recipe
-/// (bench::make_instance with the same seeds and scaling) so the reported
-/// deltas are directly comparable with the committed EXPERIMENTS.md
-/// tables and the paper's +61% / 6.21%.
-int cmd_bench(const Args& args, std::ostream& out) {
-  if (args.positionals.size() == 1 && args.positionals[0] == "attack")
-    return cmd_bench_attack(args, out);
-  if (args.positionals.size() == 1 && args.positionals[0] == "scale")
-    return cmd_bench_scale(args, out);
-  if (args.positionals.size() == 1 && args.positionals[0] == "serve")
-    return cmd_bench_serve(args, out);
-  if (args.positionals.size() != 1 || args.positionals[0] != "ablation")
-    throw UsageError(
-        (args.positionals.empty()
-             ? std::string("bench needs an experiment name")
-             : "unknown bench experiment '" + args.positionals[0] + "'") +
-        " (try: ablation, attack, scale or serve, e.g. "
-        "rsnsec bench ablation [--circuits N] [--specs N] [--json])");
-
-  bench::SweepOptions opt = bench::sweep_options_from_env();
-  if (auto c = args.get("circuits"))
-    opt.circuits_per_benchmark =
-        static_cast<int>(u64_or_usage(*c, "--circuits"));
-  if (auto s = args.get("specs"))
-    opt.specs_per_circuit = static_cast<int>(u64_or_usage(*s, "--specs"));
-  opt.pipeline.dep.num_threads = jobs_option(args);
-
-  const std::vector<std::string> names = {
-      "BasicSCB", "Mingle",      "TreeFlat",    "TreeBalanced",
-      "q12710",   "MBIST_1_5_5", "MBIST_2_5_5", "MBIST_5_5_5"};
-
-  const bool json = args.has_flag("json");
-  double total_exact = 0.0, total_struct = 0.0;
-  int total_attempts = 0, total_false_insecure = 0;
-  if (json)
-    out << "{\"benchmarks\": [";
-  else
-    out << "Benchmark        exact_chg  struct_chg  extra[%]  "
-           "false_insec[%]\n";
-
-  bool first = true;
-  for (const std::string& name : names) {
-    double exact_changes = 0.0, struct_changes = 0.0;
-    int false_insecure = 0, attempts = 0;
-    for (int ci = 0; ci < opt.circuits_per_benchmark; ++ci) {
-      bench::Instance inst = bench::make_instance(name, opt, ci);
-      for (int si = 0; si < opt.specs_per_circuit; ++si) {
-        Rng spec_rng(opt.base_seed * 104729 +
-                     static_cast<std::uint64_t>(ci) * 1000 +
-                     static_cast<std::uint64_t>(si));
-        security::SecuritySpec spec = benchgen::random_spec(
-            inst.doc.module_names.size(), opt.spec, spec_rng);
-
-        rsn::Rsn net_exact = inst.doc.network;
-        PipelineOptions pe = opt.pipeline;
-        SecureFlowTool exact(inst.circuit, net_exact, spec, pe);
-        PipelineResult re = exact.run();
-        if (!re.static_report.clean()) continue;  // genuinely insecure
-        ++attempts;
-        if (re.initial_violating_registers == 0) continue;
-
-        rsn::Rsn net_struct = inst.doc.network;
-        PipelineOptions po = opt.pipeline;
-        po.dep.mode = dep::DepMode::StructuralOnly;
-        SecureFlowTool over(inst.circuit, net_struct, spec, po);
-        PipelineResult ro = over.run();
-        if (!ro.static_report.clean()) {
-          // The exact analysis proved the logic secure; the structural
-          // over-approximation disagrees: a false insecure classification.
-          ++false_insecure;
-          continue;
-        }
-        exact_changes += re.total_changes();
-        struct_changes += ro.total_changes();
-      }
-    }
-    double extra =
-        exact_changes > 0
-            ? 100.0 * (struct_changes - exact_changes) / exact_changes
-            : 0.0;
-    double false_pct = attempts > 0 ? 100.0 * false_insecure / attempts : 0.0;
-    if (json) {
-      out << (first ? "\n" : ",\n") << "  {\"name\": \"" << name
-          << "\", \"exact_changes\": " << exact_changes
-          << ", \"structural_changes\": " << struct_changes
-          << ", \"extra_changes_pct\": " << extra
-          << ", \"false_insecure_pct\": " << false_pct
-          << ", \"attempts\": " << attempts << "}";
-      first = false;
-    } else {
-      std::ostringstream row;
-      row << std::left << std::setw(16) << name << std::right << std::fixed
-          << std::setprecision(1) << std::setw(10) << exact_changes
-          << std::setw(12) << struct_changes << std::setw(10) << extra
-          << std::setw(16) << false_pct;
-      out << row.str() << "\n";
-    }
-    total_exact += exact_changes;
-    total_struct += struct_changes;
-    total_attempts += attempts;
-    total_false_insecure += false_insecure;
-  }
-
-  double overall_extra =
-      total_exact > 0 ? 100.0 * (total_struct - total_exact) / total_exact
-                      : 0.0;
-  double overall_false =
-      total_attempts > 0 ? 100.0 * total_false_insecure / total_attempts
-                         : 0.0;
-  if (json) {
-    out << "\n], \"overall_extra_changes_pct\": " << overall_extra
-        << ", \"overall_false_insecure_pct\": " << overall_false
-        << ", \"paper_extra_changes_pct\": 61.0"
-        << ", \"paper_false_insecure_pct\": 6.21}\n";
-  } else {
-    std::ostringstream sum;
-    sum << std::fixed << std::setprecision(1)
-        << "\nOverall additional changes with structural "
-           "over-approximation: "
-        << overall_extra << "%   (paper: +61% on average)\n"
-        << std::setprecision(2)
-        << "Falsely classified as insecure circuit logic: " << overall_false
-        << "% of runs   (paper: 6.21% of investigated benchmarks)\n";
-    out << sum.str();
-  }
   return 0;
 }
 

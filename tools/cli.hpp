@@ -17,19 +17,37 @@ namespace rsnsec::cli {
 ///   rsnsec secure   --rsn F --verilog F --spec F --out F [--json]
 ///                   [--verify]
 ///   rsnsec certify  --rsn F --verilog F --spec F [--json] [--no-ternary]
+///   rsnsec attack   --benchmark NAME [--seed N] [--scenario pure|hybrid|all]
+///                   [--no-secure] [--json]
 ///   rsnsec lint     FILE... [--json] [--top NAME]
-///   rsnsec bench    ablation [--circuits N] [--specs N] [--json]
+///   rsnsec store    stats|verify|gc --store DIR [--max-bytes N] [--json]
+///   rsnsec serve    (--socket PATH | --port N) [--workers N]
+///                   [--queue-depth N] [--max-request-bytes N] [--store DIR]
+///   rsnsec bench    table1 [--families bastion|mbist|NAME,...]
+///                   [--circuits N] [--specs N] [--target-ffs N]
+///                   [--target-regs N] [--seed N] [--store DIR] [--json]
+///   rsnsec bench    bridging|ablation|filter|policy (table1's options
+///                   but --families)
+///   rsnsec bench    attack [--families NAME,...] [--seed N] [--json]
+///   rsnsec bench    scale [--max-ffs N] [--dense-max N] [--seed N] [--json]
+///   rsnsec bench    serve [--clients N] [--requests N] [--benchmark NAME]
+///                   [--workers N] [--seed N] [--json]
+///
+/// Every command takes --jobs N (1 to 1024; omitted = auto), --trace FILE
+/// and --metrics.
 ///
 /// `lint` statically checks the given files (.rsn/.icl network,
 /// .v circuit, .spec specification — any subset, cross-checked when
 /// combined) with the src/lint diagnostics passes. `certify`
 /// independently re-verifies a (secured) design against its spec with
 /// the SAT-free abstract interpreter of src/flow (CERT0xx diagnostics).
-/// `secure --verify` additionally runs the lint invariant pass after
-/// every applied RSN change (PipelineOptions::verify_invariants) and the
-/// certifier on the final network (PipelineOptions::verify_certify).
-/// `bench ablation` reproduces the Sec. IV-C structural-vs-exact
-/// ablation with the benchmark harness's instance recipe.
+/// `secure --verify` (PipelineOptions::verify) additionally runs the lint
+/// invariant pass after every applied RSN change, and the certifier and
+/// the differential attack probes on the final network. `bench` runs the
+/// paper's evaluation (Table I, Sec. III-A.2 bridging, the Sec. IV-C
+/// ablation, the Sec. I access-filter baseline, a resolution-policy
+/// ablation) on the Table I grid, and the attack, scale and serve sweeps;
+/// each prints a text table or, with --json, the google-benchmark layout.
 ///
 /// Returns the process exit code (0 = success; for `analyze`, 0 also
 /// means "no violations found" and 2 means "violations found"; for
