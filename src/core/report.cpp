@@ -84,12 +84,9 @@ void write_json(std::ostream& os, const PipelineResult& r) {
      << "      \"restarts\": " << r.dep_stats.solver_restarts << ",\n"
      << "      \"learned\": " << r.dep_stats.solver_learned << ",\n"
      << "      \"lbd_protected\": " << r.dep_stats.lbd_protected << ",\n"
-     << "      \"inprocessing_rounds\": "
-     << r.dep_stats.inprocessing_rounds << ",\n"
      << "      \"cores_reused\": " << r.dep_stats.cores_reused << ",\n"
      << "      \"rotation_witnesses\": " << r.dep_stats.rotation_witnesses
-     << ",\n"
-     << "      \"shared_clauses\": " << r.dep_stats.shared_clauses << "\n"
+     << "\n"
      << "    },\n"
      << "    \"threads\": " << r.dep_stats.threads_used << ",\n"
      << "    \"phase_seconds\": {\"one_cycle\": " << r.dep_stats.t_one_cycle

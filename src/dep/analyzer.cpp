@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "dep/clause_share.hpp"
 #include "flow/ternary.hpp"
 #include "netlist/cone_check.hpp"
 #include "netlist/sim.hpp"
@@ -21,17 +20,10 @@ using netlist::NodeId;
 
 namespace {
 
-/// Seed of the private RNG stream of a cone (splitmix64 finalizer over
-/// (seed, cone signature hash)). Hashing instead of sharing one sequential
-/// stream makes every cone's patterns independent of scheduling (bit-
-/// identical results for any thread count); hashing the *signature* rather
-/// than the task index additionally gives isomorphic cones identical
-/// pattern streams, so one cone's sim/SAT verdicts are valid verbatim for
-/// every cone of the same shape — the basis of the cone cache.
-/// Size/LBD caps on clauses exchanged between isomorphic cones: short,
-/// low-LBD clauses transfer the most propagation power per byte.
-constexpr std::size_t kShareMaxClauseSize = 8;
-constexpr std::uint32_t kShareMaxLbd = 4;
+/// Rounds of 256-pattern random simulation per cone before the ternary
+/// prefilter and SAT (each round evaluates a 4x64-bit SIMD pattern block
+/// per leaf).
+constexpr int kSimRounds = 4;
 
 /// PartitionMode::Auto switches to the tiled matrices at this many circuit
 /// flip-flops: below it the dense planes fit comfortably in cache and the
@@ -46,6 +38,13 @@ constexpr std::size_t kAutoPartitionFfs = 4096;
 constexpr std::size_t kRegionTargetFfs = 1024;
 constexpr std::size_t kRegionMinFfs = 256;
 
+/// Seed of the private RNG stream of a cone (splitmix64 finalizer over
+/// (seed, cone signature hash)). Hashing instead of sharing one sequential
+/// stream makes every cone's patterns independent of scheduling (bit-
+/// identical results for any thread count); hashing the *signature* rather
+/// than the task index additionally gives isomorphic cones identical
+/// pattern streams, so one cone's sim/SAT verdicts are valid verbatim for
+/// every cone of the same shape — the basis of the cone cache.
 std::uint64_t cone_seed(std::uint64_t seed, std::uint64_t sig_hash) {
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (sig_hash + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -251,8 +250,7 @@ void DependencyAnalyzer::classify_internal() {
 }
 
 std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
-    const Cone& cone, Rng& rng, DepStats& stats,
-    const ShareInfo* share) const {
+    const Cone& cone, Rng& rng, DepStats& stats) const {
   std::vector<LeafDep> out;
 
   // Special case: the cone start is itself a leaf (direct FF-to-FF wire);
@@ -280,7 +278,7 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
   std::vector<netlist::Word256> base(cone.leaves.size());
   std::vector<netlist::Word256> scratch;
   std::size_t undecided = ff_leaves.size();
-  for (int round = 0; round < options_.sim_rounds && undecided > 0; ++round) {
+  for (int round = 0; round < kSimRounds && undecided > 0; ++round) {
     for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
       GateType t = nl_.node(cone.leaves[i]).type;
       if (t == GateType::Const0) {
@@ -328,14 +326,9 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
   if (undecided > 0) {
     // Exact SAT check for the leaves simulation could not witness. The
     // checker (and its solver) is task-local: SAT state is never shared
-    // between threads; clause sharing passes immutable clause vectors
-    // between the two scheduling waves, never live solvers.
+    // between threads.
     netlist::ConeDependenceChecker checker(nl_, cone,
                                            options_.sat_conflict_limit);
-    if (share != nullptr && share->import != nullptr) {
-      stats.shared_clauses +=
-          checker.import_clauses(*share->import, *share->leaf_to_canon);
-    }
     for (std::size_t i : ff_leaves) {
       if (decided[i]) continue;
       ++stats.sat_calls;
@@ -357,10 +350,6 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
           break;
       }
     }
-    if (share != nullptr && share->export_to != nullptr) {
-      *share->export_to = checker.export_clauses(
-          *share->leaf_to_canon, kShareMaxClauseSize, kShareMaxLbd);
-    }
     // Solver work counters; the caller aggregates them once per
     // isomorphism-group representative (not per cache member).
     const sat::SolverStats& ss = checker.solver_stats();
@@ -371,7 +360,6 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     stats.solver_restarts += ss.restarts;
     stats.solver_learned += ss.learned_clauses;
     stats.lbd_protected += ss.lbd_protected;
-    stats.inprocessing_rounds += ss.inprocessing_rounds;
     stats.cores_reused += checker.cores_reused();
     stats.rotation_witnesses += checker.rotation_witnesses();
   }
@@ -451,92 +439,15 @@ void DependencyAnalyzer::compute_one_cycle() {
   // Phase 3 (parallel): classify one representative per group. The RNG
   // stream is a pure function of (seed, signature), so a representative's
   // verdicts are bit for bit what classifying any member would produce.
-  //
-  // In DepMode::Exact, classification runs in two deterministic waves
-  // (StructuralOnly makes no SAT queries, so there is nothing to share):
-  // representatives whose cones are isomorphic modulo a leaf
-  // permutation (equal canonical forms, dep/clause_share.hpp) form share
-  // groups; wave 1 classifies each share-group leader (lowest
-  // representative index) and every singleton, leaders of multi-member
-  // groups exporting their learned clauses; wave 2 classifies the
-  // remaining members with the leader's clauses imported through their
-  // own leaf permutation. Which clauses flow where depends only on the
-  // cones, never on the schedule, and imported clauses are all implied by
-  // the receiving CNF — verdicts are unchanged, only solver work shrinks.
   std::vector<std::vector<LeafDep>> group_results(reps.size());
   std::vector<DepStats> group_stats(reps.size());
-  if (options_.mode != DepMode::Exact) {
-    pool_->parallel_for(
-        0, reps.size(),
-        [&](std::size_t g) {
-          Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-          group_results[g] =
-              cone_deps(task_cone(reps[g]), rng, group_stats[g]);
-        },
-        /*grain=*/1);
-  } else {
-    std::vector<CanonicalCone> canon(reps.size());
-    pool_->parallel_for(
-        0, reps.size(),
-        [&](std::size_t g) {
-          canon[g] = cone_canonical(nl_, task_cone(reps[g]));
-        },
-        /*grain=*/1);
-    // Sequential: group representatives by canonical-form equality (the
-    // hash only buckets; a collision can never alias two different
-    // cones into one share group).
-    std::vector<std::vector<std::size_t>> share_groups;
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> cbuckets;
-    cbuckets.reserve(reps.size());
-    for (std::size_t g = 0; g < reps.size(); ++g) {
-      std::vector<std::size_t>& bucket = cbuckets[canon[g].hash];
-      std::size_t sg = static_cast<std::size_t>(-1);
-      for (std::size_t cand : bucket) {
-        if (canon[share_groups[cand][0]] == canon[g]) {
-          sg = cand;
-          break;
-        }
-      }
-      if (sg == static_cast<std::size_t>(-1)) {
-        sg = share_groups.size();
-        share_groups.emplace_back();
-        bucket.push_back(sg);
-      }
-      share_groups[sg].push_back(g);
-    }
-    // Wave 1: leaders and singletons.
-    std::vector<std::vector<sat::Clause>> exported(share_groups.size());
-    pool_->parallel_for(
-        0, share_groups.size(),
-        [&](std::size_t sg) {
-          std::size_t g = share_groups[sg][0];
-          ShareInfo share;
-          share.leaf_to_canon = &canon[g].leaf_to_canon;
-          if (share_groups[sg].size() > 1) share.export_to = &exported[sg];
-          Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-          group_results[g] =
-              cone_deps(task_cone(reps[g]), rng, group_stats[g], &share);
-        },
-        /*grain=*/1);
-    // Wave 2: followers import the leader's clauses.
-    std::vector<std::pair<std::size_t, std::size_t>> followers;
-    for (std::size_t sg = 0; sg < share_groups.size(); ++sg) {
-      for (std::size_t m = 1; m < share_groups[sg].size(); ++m)
-        followers.emplace_back(sg, share_groups[sg][m]);
-    }
-    pool_->parallel_for(
-        0, followers.size(),
-        [&](std::size_t i) {
-          auto [sg, g] = followers[i];
-          ShareInfo share;
-          share.leaf_to_canon = &canon[g].leaf_to_canon;
-          share.import = &exported[sg];
-          Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-          group_results[g] =
-              cone_deps(task_cone(reps[g]), rng, group_stats[g], &share);
-        },
-        /*grain=*/1);
-  }
+  pool_->parallel_for(
+      0, reps.size(),
+      [&](std::size_t g) {
+        Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
+        group_results[g] = cone_deps(task_cone(reps[g]), rng, group_stats[g]);
+      },
+      /*grain=*/1);
 
   // Phase 4 (sequential): distribute verdicts (translating cone-local
   // leaf indices back to each member's own leaves) and counters in task
@@ -584,10 +495,8 @@ void DependencyAnalyzer::compute_one_cycle() {
     stats_.solver_restarts += s.solver_restarts;
     stats_.solver_learned += s.solver_learned;
     stats_.lbd_protected += s.lbd_protected;
-    stats_.inprocessing_rounds += s.inprocessing_rounds;
     stats_.cores_reused += s.cores_reused;
     stats_.rotation_witnesses += s.rotation_witnesses;
-    stats_.shared_clauses += s.shared_clauses;
   }
 
   std::vector<bool> denoted(ff_nodes_.size(), false);
@@ -758,23 +667,13 @@ void DependencyAnalyzer::bridge_internal() {
 }
 
 void DependencyAnalyzer::compute_closure() {
-  if (options_.max_cycles > 0) {
-    // Iterative k-cycle computation ([18]); after bridging the relation
-    // contains no internal nodes, so no active mask is needed.
-    if (tiled_) {
-      closure_tiled_.bounded_closure(options_.max_cycles, pool_);
-    } else {
-      closure_.bounded_closure(options_.max_cycles, pool_);
-    }
+  std::vector<bool> active(ff_nodes_.size());
+  for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
+    active[i] = !options_.bridge_internal || !internal_[i];
+  if (tiled_) {
+    closure_tiled_.transitive_closure(&active, pool_);
   } else {
-    std::vector<bool> active(ff_nodes_.size());
-    for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
-      active[i] = !options_.bridge_internal || !internal_[i];
-    if (tiled_) {
-      closure_tiled_.transitive_closure(&active, pool_);
-    } else {
-      closure_.transitive_closure(&active, pool_);
-    }
+    closure_.transitive_closure(&active, pool_);
   }
   if (tiled_) {
     stats_.closure_deps = closure_tiled_.count_nonzero();
@@ -835,7 +734,6 @@ void DependencyAnalyzer::run() {
     trace->counter("dep.solver_solves").add(stats_.solver_solves);
     trace->counter("dep.cores_reused").add(stats_.cores_reused);
     trace->counter("dep.rotation_witnesses").add(stats_.rotation_witnesses);
-    trace->counter("dep.shared_clauses").add(stats_.shared_clauses);
     trace->counter("dep.deps_after_bridging")
         .add(stats_.deps_after_bridging);
     trace->counter("dep.closure_deps").add(stats_.closure_deps);

@@ -6,7 +6,6 @@
 
 #include "netlist/netlist.hpp"
 #include "rsn/rsn.hpp"
-#include "sat/literal.hpp"
 #include "util/dep_matrix.hpp"
 #include "util/rng.hpp"
 #include "util/tiled_matrix.hpp"
@@ -61,9 +60,6 @@ struct DepOptions {
   /// multi-cycle closure is cubic in the number of participating
   /// flip-flops, so bridging is what makes large circuits feasible.
   bool bridge_internal = true;
-  /// Rounds of 256-pattern random simulation per cone before SAT (each
-  /// round evaluates a 4x64-bit SIMD pattern block per leaf).
-  int sim_rounds = 4;
   /// After the simulation prefilter, try to *prove* the remaining
   /// undecided leaves only-structural with the pair-ternary abstract
   /// evaluator (flow::TernaryEvaluator) before falling back to SAT. A
@@ -75,14 +71,6 @@ struct DepOptions {
   /// Per-query SAT conflict limit; on Unknown the dependency is
   /// conservatively classified as functional (sound for security).
   std::uint64_t sat_conflict_limit = 200000;
-  /// Bound on the number of clock cycles the multi-cycle dependency may
-  /// span (0 = unbounded fixpoint, the paper's setting). A bound
-  /// under-approximates the attacker (who can wait arbitrarily many
-  /// cycles) but is useful for "within k cycles" what-if studies, as the
-  /// iterative computation of [18] supports. Note that with bridging
-  /// enabled a bridged hop may itself span several cycles, so the bound
-  /// is in bridged hops.
-  std::size_t max_cycles = 0;
   /// Seed for the simulation prefilter patterns. Every cone draws its
   /// patterns from a private stream seeded as hash(seed, cone signature),
   /// so the analysis result is bit-identical for any num_threads — and,
@@ -154,10 +142,8 @@ struct DepStats {
   std::uint64_t solver_restarts = 0;
   std::uint64_t solver_learned = 0;
   std::uint64_t lbd_protected = 0;       ///< glue clauses (LBD <= 2) learned
-  std::uint64_t inprocessing_rounds = 0;
   std::uint64_t cores_reused = 0;        ///< leaves discharged by Unsat cores
   std::uint64_t rotation_witnesses = 0;  ///< leaves discharged by rotation
-  std::uint64_t shared_clauses = 0;      ///< clauses imported from iso cones
   /// Regions of the deterministic partition (0 in dense mode). A pure
   /// function of the circuit — independent of num_threads — so it is part
   /// of the logical result and cached in snapshots.
@@ -347,17 +333,6 @@ class DependencyAnalyzer {
     DepKind kind;
   };
 
-  /// Clause-sharing hookup of one cone_deps call. `leaf_to_canon` is the
-  /// cone's canonical leaf permutation (dep/clause_share.hpp); `import`
-  /// holds clauses (in canonical numbering) from an isomorphic cone's
-  /// checker to install before querying; `export_to`, when non-null, is
-  /// filled with this checker's learned clauses after querying.
-  struct ShareInfo {
-    const std::vector<std::uint32_t>* leaf_to_canon = nullptr;
-    const std::vector<sat::Clause>* import = nullptr;
-    std::vector<sat::Clause>* export_to = nullptr;
-  };
-
   void build_index();
   /// Splits the dense index range into contiguous, 64-aligned regions
   /// along module boundaries (tiled mode). Pure function of the circuit —
@@ -373,8 +348,7 @@ class DependencyAnalyzer {
   /// from the caller-provided RNG stream and accumulates the sim/SAT
   /// counters into `stats` (a per-task instance when run in parallel).
   std::vector<LeafDep> cone_deps(const netlist::Cone& cone, Rng& rng,
-                                 DepStats& stats,
-                                 const ShareInfo* share = nullptr) const;
+                                 DepStats& stats) const;
   void compute_one_cycle();
   void bridge_internal();
   void compute_closure();

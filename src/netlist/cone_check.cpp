@@ -13,15 +13,13 @@ using sat::mk_lit;
 
 ConeDependenceChecker::ConeDependenceChecker(const Netlist& nl,
                                              const Cone& cone,
-                                             const ConeCheckOptions& options)
-    : nl_(nl), cone_(cone), opts_(options) {
-  solver_.set_conflict_limit(opts_.conflict_limit);
-  // Literals for the leaves of both copies. The variable layout is part
-  // of the clause-sharing contract: leaf i owns the triple
-  // (3i = a, 3i+1 = b, 3i+2 = eq); gate and diff variables follow and
-  // depend only on the gate structure, so two cones with the same
-  // canonical signature have identical CNFs modulo a permutation of the
-  // leaf triples.
+                                             std::uint64_t conflict_limit)
+    : nl_(nl), cone_(cone) {
+  solver_.set_conflict_limit(conflict_limit);
+  // Literals for the leaves of both copies. Leaf i owns the variable
+  // triple (3i = a, 3i+1 = b, 3i+2 = eq), so reuse_core() reads a core's
+  // eq selectors back to their leaves by index arithmetic; gate and diff
+  // variables follow.
   a_leaf_.reserve(cone_.leaves.size());
   b_leaf_.reserve(cone_.leaves.size());
   eq_sel_.reserve(cone_.leaves.size());
@@ -126,12 +124,6 @@ sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
     return verdict_[leaf_idx] == 1 ? sat::Result::Sat : sat::Result::Unsat;
   }
 
-  if (opts_.inprocess_interval != 0 &&
-      solver_solves_ - last_inprocess_solves_ >= opts_.inprocess_interval) {
-    solver_.inprocess();
-    last_inprocess_solves_ = solver_solves_;
-  }
-
   // Canonical assumption order: diff first, then the eq selectors in
   // ascending leaf order, then the flipped leaf's polarity literals.
   // Consecutive queries j, j' thus share an assumption prefix of length
@@ -215,51 +207,6 @@ void ConeDependenceChecker::rotate_model() {
       }
     }
   }
-}
-
-std::vector<sat::Clause> ConeDependenceChecker::export_clauses(
-    const std::vector<std::uint32_t>& leaf_to_canon, std::size_t max_size,
-    std::uint32_t max_lbd) const {
-  assert(leaf_to_canon.size() == cone_.leaves.size());
-  const auto num_leaf_vars =
-      static_cast<std::uint32_t>(3 * cone_.leaves.size());
-  std::vector<sat::Clause> out =
-      solver_.export_learnts(max_size, max_lbd);
-  for (sat::Clause& cl : out) {
-    for (Lit& l : cl) {
-      auto v = static_cast<std::uint32_t>(sat::var(l));
-      if (v < num_leaf_vars) {
-        std::uint32_t canon_v = 3 * leaf_to_canon[v / 3] + v % 3;
-        l = mk_lit(static_cast<sat::Var>(canon_v), sat::sign(l));
-      }
-    }
-  }
-  return out;
-}
-
-std::size_t ConeDependenceChecker::import_clauses(
-    const std::vector<sat::Clause>& clauses,
-    const std::vector<std::uint32_t>& leaf_to_canon) {
-  assert(leaf_to_canon.size() == cone_.leaves.size());
-  const std::size_t num_leaves = cone_.leaves.size();
-  std::vector<std::uint32_t> canon_to_own(num_leaves);
-  for (std::size_t i = 0; i < num_leaves; ++i)
-    canon_to_own[leaf_to_canon[i]] = static_cast<std::uint32_t>(i);
-  const auto num_leaf_vars = static_cast<std::uint32_t>(3 * num_leaves);
-  std::size_t installed = 0;
-  sat::Clause translated;
-  for (const sat::Clause& cl : clauses) {
-    translated = cl;
-    for (Lit& l : translated) {
-      auto v = static_cast<std::uint32_t>(sat::var(l));
-      if (v < num_leaf_vars) {
-        std::uint32_t own_v = 3 * canon_to_own[v / 3] + v % 3;
-        l = mk_lit(static_cast<sat::Var>(own_v), sat::sign(l));
-      }
-    }
-    if (solver_.import_clause(translated)) ++installed;
-  }
-  return installed;
 }
 
 }  // namespace rsnsec::netlist

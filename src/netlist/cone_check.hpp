@@ -8,17 +8,6 @@
 
 namespace rsnsec::netlist {
 
-/// Tuning knobs for ConeDependenceChecker.
-struct ConeCheckOptions {
-  /// Per-query SAT conflict budget (0 = unlimited); an exceeded budget
-  /// makes query() return sat::Result::Unknown.
-  std::uint64_t conflict_limit = 0;
-
-  /// Solver solve() calls between bounded inprocess() rounds on the cone
-  /// CNF (0 = never).
-  std::size_t inprocess_interval = 64;
-};
-
 /// SAT-based exact functional-dependence check for one combinational cone
 /// (the method of [18], Sec. III-A of the paper).
 ///
@@ -48,15 +37,11 @@ class ConeDependenceChecker {
  public:
   /// Builds the two-copy CNF for `cone` of netlist `nl`. The cone must
   /// have been produced by Netlist::extract_signal_cone or
-  /// Netlist::extract_next_state_cone.
+  /// Netlist::extract_next_state_cone. `conflict_limit` is the per-query
+  /// SAT conflict budget (0 = unlimited); an exceeded budget makes
+  /// query() return sat::Result::Unknown.
   ConeDependenceChecker(const Netlist& nl, const Cone& cone,
-                        const ConeCheckOptions& options);
-
-  /// Back-compat convenience: default options with the given per-query
-  /// conflict limit.
-  ConeDependenceChecker(const Netlist& nl, const Cone& cone,
-                        std::uint64_t conflict_limit = 0)
-      : ConeDependenceChecker(nl, cone, ConeCheckOptions{conflict_limit}) {}
+                        std::uint64_t conflict_limit = 0);
 
   /// Exact query for cone.leaves[leaf_idx]: Sat means the root
   /// functionally depends on the leaf, Unsat means the connection is
@@ -89,27 +74,9 @@ class ConeDependenceChecker {
   /// Access to the underlying solver statistics.
   const sat::SolverStats& solver_stats() const { return solver_.stats(); }
 
-  /// Learned clauses of the underlying solver, translated into the
-  /// canonical leaf numbering given by `leaf_to_canon` (own leaf index →
-  /// canonical leaf index; a permutation of 0..num_leaves-1). Clauses of
-  /// size <= max_size and LBD <= max_lbd plus all root-implied units are
-  /// returned. Any checker whose cone has the same canonical signature
-  /// (identical CNF modulo the leaf permutation) may import them.
-  std::vector<sat::Clause> export_clauses(
-      const std::vector<std::uint32_t>& leaf_to_canon, std::size_t max_size,
-      std::uint32_t max_lbd) const;
-
-  /// Imports clauses previously exported by an isomorphic cone's checker
-  /// (in canonical leaf numbering), translating them through this cone's
-  /// own `leaf_to_canon` permutation. Returns the number of clauses
-  /// installed.
-  std::size_t import_clauses(const std::vector<sat::Clause>& clauses,
-                             const std::vector<std::uint32_t>& leaf_to_canon);
-
  private:
   const Netlist& nl_;
   const Cone& cone_;
-  ConeCheckOptions opts_;
   sat::Solver solver_;
   std::vector<sat::Lit> a_leaf_, b_leaf_, eq_sel_;
   std::vector<bool> leaf_is_const_;
@@ -118,7 +85,6 @@ class ConeDependenceChecker {
   std::uint64_t solver_solves_ = 0;
   std::uint64_t cores_reused_ = 0;
   std::uint64_t rotation_witnesses_ = 0;
-  std::uint64_t last_inprocess_solves_ = 0;
   // Cached verdicts per leaf: 0 = undecided, 1 = Sat, 2 = Unsat.
   std::vector<std::uint8_t> verdict_;
   // Scratch for model rotation.

@@ -8,18 +8,6 @@
 
 namespace rsnsec::sat {
 
-namespace {
-
-// Inprocessing budgets. Each inprocess() round is bounded so a round costs
-// a fixed amount of work regardless of formula size; callers control the
-// total effort through how often they call it.
-constexpr std::size_t kProbeMaxLits = 4096;
-constexpr std::uint64_t kProbePropBudget = 300000;
-constexpr std::uint32_t kSubsumeMaxSize = 16;
-constexpr std::int64_t kSubsumeTickBudget = 200000;
-
-}  // namespace
-
 std::uint64_t luby(std::uint64_t i) {
   // Find the finite subsequence that contains index i, then index into it.
   std::uint64_t size = 1;
@@ -70,8 +58,6 @@ Solver::CRef Solver::alloc_clause(const Clause& lits, bool learnt,
     clause_activity(c) = 0.0f;
     learnts_.push_back(c);
     ++stats_.learned_clauses;
-  } else {
-    clauses_.push_back(c);
   }
   return c;
 }
@@ -97,11 +83,6 @@ void Solver::detach_clause(CRef c) {
       }
     }
   }
-}
-
-void Solver::remove_clause(CRef c) {
-  detach_clause(c);
-  mark_deleted(c);
 }
 
 bool Solver::add_clause(Clause lits) {
@@ -527,7 +508,7 @@ void Solver::reduce_db() {
         var_data_[static_cast<std::size_t>(var(first))].reason == c;
     if (removed < half && !locked && clause_size(c) > 2 &&
         clause_lbd(c) > 2) {
-      remove_clause(c);
+      detach_clause(c);
       ++removed;
     } else {
       kept.push_back(c);
@@ -663,273 +644,6 @@ Result Solver::solve_impl(const std::vector<Lit>& assumptions) {
     ++restart;
     ++stats_.restarts;
   }
-}
-
-// --- inprocessing -----------------------------------------------------
-
-bool Solver::simplify_clause_db(std::vector<CRef>& db) {
-  std::vector<CRef> kept;
-  kept.reserve(db.size());
-  for (CRef c : db) {
-    if (clause_deleted(c)) continue;
-    Lit* lits = clause_lits(c);
-    std::uint32_t n = clause_size(c);
-    bool satisfied = false;
-    std::uint32_t nfalse = 0;
-    for (std::uint32_t i = 0; i < n && !satisfied; ++i) {
-      LBool v = value(lits[i]);
-      if (v == LBool::True) satisfied = true;
-      if (v == LBool::False) ++nfalse;
-    }
-    if (satisfied) {
-      remove_clause(c);
-      continue;
-    }
-    if (nfalse == 0) {
-      kept.push_back(c);
-      continue;
-    }
-    // Strip root-level-false literals.
-    detach_clause(c);
-    std::uint32_t m = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (value(lits[i]) != LBool::False) lits[m++] = lits[i];
-    }
-    set_clause_size(c, m);
-    if (m == 0) {
-      mark_deleted(c);
-      ok_ = false;
-      return false;
-    }
-    if (m == 1) {
-      mark_deleted(c);
-      enqueue(lits[0], cref_undef);
-      if (propagate() != cref_undef) {
-        ok_ = false;
-        return false;
-      }
-      continue;
-    }
-    attach_clause(c);
-    kept.push_back(c);
-  }
-  db = std::move(kept);
-  return true;
-}
-
-bool Solver::strengthen_clause(CRef c, Lit l) {
-  // Removes `l` from clause `c` at the root level (self-subsuming
-  // resolution proved the rest of the clause implied without it), fixing
-  // up watches and absorbing the clause when it degenerates.
-  ++stats_.strengthened_lits;
-  detach_clause(c);
-  Lit* lits = clause_lits(c);
-  std::uint32_t n = clause_size(c);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (lits[i] == l) {
-      lits[i] = lits[n - 1];
-      break;
-    }
-  }
-  set_clause_size(c, --n);
-  bool satisfied = false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (value(lits[i]) == LBool::True) satisfied = true;
-  }
-  if (satisfied) {
-    mark_deleted(c);
-    return true;
-  }
-  std::uint32_t m = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (value(lits[i]) != LBool::False) lits[m++] = lits[i];
-  }
-  set_clause_size(c, m);
-  if (m == 0) {
-    mark_deleted(c);
-    ok_ = false;
-    return false;
-  }
-  if (m == 1) {
-    mark_deleted(c);
-    enqueue(lits[0], cref_undef);
-    if (propagate() != cref_undef) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-  attach_clause(c);
-  return true;
-}
-
-void Solver::probe_failed_literals() {
-  // Failed-literal probing: assume a literal, propagate; a conflict means
-  // its negation is a root-level unit. Bounded by a probe count and a
-  // propagation budget so a round's cost is independent of formula size.
-  const std::uint64_t prop_budget = stats_.propagations + kProbePropBudget;
-  std::size_t probes = 0;
-  for (std::size_t v = 0;
-       v < num_vars() && probes < kProbeMaxLits &&
-       stats_.propagations < prop_budget && ok_;
-       ++v) {
-    if (value(static_cast<Var>(v)) != LBool::Undef) continue;
-    for (int s = 0; s < 2; ++s) {
-      Lit l = mk_lit(static_cast<Var>(v), s == 1);
-      if (value(l) != LBool::Undef) break;  // assigned by a failed probe
-      ++probes;
-      new_decision_level();
-      enqueue(l, cref_undef);
-      CRef confl = propagate();
-      cancel_until(0);
-      if (confl != cref_undef) {
-        ++stats_.failed_literals;
-        enqueue(~l, cref_undef);
-        if (propagate() != cref_undef) {
-          ok_ = false;
-          return;
-        }
-      }
-    }
-  }
-}
-
-void Solver::subsumption_pass() {
-  // Budgeted backward subsumption and self-subsumption over the original
-  // clauses: if lits(c) ⊆ lits(d), d is redundant; if the inclusion holds
-  // with exactly one literal flipped, the flipped literal can be removed
-  // from d (self-subsuming resolution).
-  std::vector<CRef> cs;
-  cs.reserve(clauses_.size());
-  for (CRef c : clauses_) {
-    if (!clause_deleted(c) && clause_size(c) <= kSubsumeMaxSize)
-      cs.push_back(c);
-  }
-  std::vector<std::vector<std::uint32_t>> occ(num_vars());
-  for (std::uint32_t i = 0; i < cs.size(); ++i) {
-    const Lit* lits = clause_lits(cs[i]);
-    std::uint32_t n = clause_size(cs[i]);
-    for (std::uint32_t k = 0; k < n; ++k)
-      occ[static_cast<std::size_t>(var(lits[k]))].push_back(i);
-  }
-  std::int64_t budget = kSubsumeTickBudget;
-  for (CRef c : cs) {
-    if (budget <= 0 || !ok_) return;
-    if (clause_deleted(c)) continue;
-    const Lit* clits = clause_lits(c);
-    std::uint32_t cn = clause_size(c);
-    // Scan the occurrence list of the least-occurring variable of c.
-    std::size_t best_var = static_cast<std::size_t>(var(clits[0]));
-    for (std::uint32_t k = 1; k < cn; ++k) {
-      auto v = static_cast<std::size_t>(var(clits[k]));
-      if (occ[v].size() < occ[best_var].size()) best_var = v;
-    }
-    for (std::uint32_t di : occ[best_var]) {
-      CRef d = cs[di];
-      if (d == c || clause_deleted(d) || clause_size(d) < cn) continue;
-      budget -= static_cast<std::int64_t>(cn + clause_size(d));
-      if (budget <= 0) return;
-      // Inclusion check with at most one flipped literal.
-      const Lit* dlits = clause_lits(d);
-      std::uint32_t dn = clause_size(d);
-      Lit flip = lit_undef;
-      bool fail = false;
-      for (std::uint32_t k = 0; k < cn && !fail; ++k) {
-        Lit lc = clits[k];
-        bool found = false;
-        for (std::uint32_t j = 0; j < dn; ++j) {
-          if (dlits[j] == lc) {
-            found = true;
-            break;
-          }
-          if (dlits[j] == ~lc) {
-            if (flip != lit_undef) {
-              fail = true;
-            } else {
-              flip = ~lc;
-              found = true;
-            }
-            break;
-          }
-        }
-        if (!found) fail = true;
-      }
-      if (fail) continue;
-      if (flip == lit_undef) {
-        remove_clause(d);
-        ++stats_.subsumed_clauses;
-      } else {
-        if (!strengthen_clause(d, flip)) return;
-        // c may itself have been absorbed by unit propagation.
-        if (clause_deleted(c)) break;
-      }
-    }
-  }
-}
-
-void Solver::inprocess() {
-  if (!ok_) return;
-  backtrack_to_root();
-  if (propagate() != cref_undef) {
-    ok_ = false;
-    return;
-  }
-  ++stats_.inprocessing_rounds;
-  if (!simplify_clause_db(clauses_)) return;
-  if (!simplify_clause_db(learnts_)) return;
-  probe_failed_literals();
-  if (!ok_) return;
-  subsumption_pass();
-}
-
-// --- clause sharing ---------------------------------------------------
-
-std::vector<Clause> Solver::export_learnts(std::size_t max_size,
-                                           std::uint32_t max_lbd) const {
-  std::vector<Clause> out;
-  // Root-level implied units first: they are the strongest shareable
-  // facts and always satisfy any size/LBD filter.
-  std::size_t root_end = trail_lim_.empty() ? trail_.size() : trail_lim_[0];
-  for (std::size_t i = 0; i < root_end; ++i)
-    out.push_back(Clause{trail_[i]});
-  for (CRef c : learnts_) {
-    if (clause_deleted(c)) continue;
-    if (clause_size(c) > max_size || clause_lbd(c) > max_lbd) continue;
-    const Lit* lits = clause_lits(c);
-    out.emplace_back(lits, lits + clause_size(c));
-  }
-  return out;
-}
-
-bool Solver::import_clause(Clause lits) {
-  if (!ok_) return false;
-  backtrack_to_root();
-  // Normalize exactly like add_clause; dropping root-false literals keeps
-  // the clause implied because the root assignment itself is implied.
-  std::sort(lits.begin(), lits.end(),
-            [](Lit a, Lit b) { return a.x < b.x; });
-  Clause out;
-  Lit prev = lit_undef;
-  for (Lit l : lits) {
-    if (value(l) == LBool::True || (prev != lit_undef && l == ~prev))
-      return true;
-    if (value(l) == LBool::False || l == prev) continue;
-    out.push_back(l);
-    prev = l;
-  }
-  if (out.empty()) {
-    ok_ = false;
-    return false;
-  }
-  if (out.size() == 1) {
-    enqueue(out[0], cref_undef);
-    ok_ = (propagate() == cref_undef);
-    return ok_;
-  }
-  CRef c = alloc_clause(out, /*learnt=*/true,
-                        static_cast<std::uint32_t>(out.size()));
-  attach_clause(c);
-  return true;
 }
 
 }  // namespace rsnsec::sat

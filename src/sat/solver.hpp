@@ -22,15 +22,8 @@ struct SolverStats {
   /// reduction.
   std::uint64_t lbd_protected = 0;
   /// Literals removed from learnt clauses by on-the-fly strengthening
-  /// (binary self-subsuming resolution) and by inprocessing
-  /// self-subsumption.
+  /// (binary self-subsuming resolution).
   std::uint64_t strengthened_lits = 0;
-  /// Completed inprocess() rounds.
-  std::uint64_t inprocessing_rounds = 0;
-  /// Root-level units learned by failed-literal probing.
-  std::uint64_t failed_literals = 0;
-  /// Clauses removed by inprocessing backward subsumption.
-  std::uint64_t subsumed_clauses = 0;
 };
 
 /// Conflict-driven clause-learning (CDCL) SAT solver.
@@ -52,12 +45,7 @@ struct SolverStats {
 /// prefix. When a solve returns Unsat because an assumption failed,
 /// conflict_core() exposes the subset of assumptions the proof used, so a
 /// caller can discharge other queries whose assumption sets contain that
-/// core without further solves. Between solves, inprocess() runs bounded,
-/// equivalence-preserving formula simplification (satisfied-clause and
-/// false-literal removal, failed-literal probing, backward subsumption and
-/// self-subsumption), and learned clauses can be exported to / imported
-/// from solvers holding an identical CNF modulo variable renaming (the
-/// dep engine's isomorphic-cone clause sharing).
+/// core without further solves.
 ///
 /// Thread compatibility: a Solver is share-nothing — all state (arena,
 /// trail, heap, statistics) lives in instance members and nothing is
@@ -106,25 +94,6 @@ class Solver {
   /// of assumptions. Any assumption superset of the core is Unsat too.
   const std::vector<Lit>& conflict_core() const { return core_; }
 
-  /// Bounded, equivalence-preserving inprocessing between solves:
-  /// removes satisfied clauses and false literals at the root level, runs
-  /// failed-literal probing (learning root-level units), and a budgeted
-  /// backward subsumption / self-subsumption pass over the original
-  /// clauses. Never changes satisfiability or models of the formula.
-  void inprocess();
-
-  /// Copies of the live learnt clauses with size <= `max_size` and
-  /// LBD <= `max_lbd`, plus all root-level implied units. Every returned
-  /// clause is implied by the original formula, so it can be imported
-  /// into any solver holding the same formula (modulo renaming).
-  std::vector<Clause> export_learnts(std::size_t max_size,
-                                     std::uint32_t max_lbd) const;
-
-  /// Installs a clause known to be implied by the formula (e.g. exported
-  /// from a solver of an isomorphic CNF) as a learnt clause. Returns
-  /// false if the formula became unsatisfiable at the root level.
-  bool import_clause(Clause lits);
-
   /// Overrides the learnt-database size that triggers reduce_db()
   /// (0 = automatic: 4000 + 8 * num_vars). Exposed for tests that force
   /// heavy database reduction on small formulas.
@@ -147,11 +116,12 @@ class Solver {
     std::int32_t level = 0;
   };
 
-  // Clause arena: header word (size << 2 | learnt << 1 | deleted); learnt
-  // clauses carry a float activity word and an LBD word; then literals.
+  // Clause arena: header word (size << 2 | learnt << 1); learnt clauses
+  // carry a float activity word and an LBD word; then literals. Clauses
+  // removed by reduce_db() are detached from the watches and stay in the
+  // arena unreferenced.
   std::vector<std::uint32_t> arena_;
   std::vector<CRef> learnts_;
-  std::vector<CRef> clauses_;  // original (problem) clauses
 
   std::vector<LBool> assigns_;
   std::vector<bool> phase_;
@@ -189,12 +159,7 @@ class Solver {
   // --- clause arena helpers ---
   CRef alloc_clause(const Clause& lits, bool learnt, std::uint32_t lbd);
   std::uint32_t clause_size(CRef c) const { return arena_[c] >> 2; }
-  void set_clause_size(CRef c, std::uint32_t n) {
-    arena_[c] = (n << 2) | (arena_[c] & 3u);
-  }
   bool clause_learnt(CRef c) const { return (arena_[c] & 2) != 0; }
-  bool clause_deleted(CRef c) const { return (arena_[c] & 1) != 0; }
-  void mark_deleted(CRef c) { arena_[c] |= 1; }
   Lit* clause_lits(CRef c) {
     return reinterpret_cast<Lit*>(&arena_[c + (clause_learnt(c) ? 3 : 1)]);
   }
@@ -229,7 +194,6 @@ class Solver {
 
   void attach_clause(CRef c);
   void detach_clause(CRef c);
-  void remove_clause(CRef c);
   void enqueue(Lit l, CRef reason);
   CRef propagate();
   void new_decision_level() { trail_lim_.push_back(trail_.size()); }
@@ -246,12 +210,6 @@ class Solver {
   Result search(std::uint64_t conflicts_budget,
                 const std::vector<Lit>& assumptions);
   void reduce_db();
-
-  // --- inprocessing ---
-  bool simplify_clause_db(std::vector<CRef>& db);
-  bool strengthen_clause(CRef c, Lit l);
-  void probe_failed_literals();
-  void subsumption_pass();
 
   // --- VSIDS heap ---
   void var_bump(Var v);

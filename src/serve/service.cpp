@@ -239,15 +239,9 @@ AnalysisService::AnalysisService(ServiceOptions options)
       stats_(std::make_unique<Stats>()) {
   if (!options_.store_dir.empty())
     store_ = std::make_unique<store::ArtifactStore>(options_.store_dir);
-  if (obs::TraceSession::active() == nullptr) {
-    owned_trace_ = std::make_unique<obs::TraceSession>();
-    obs::TraceSession::set_active(owned_trace_.get());
-  }
 }
 
-AnalysisService::~AnalysisService() {
-  if (owned_trace_ != nullptr) obs::TraceSession::set_active(nullptr);
-}
+AnalysisService::~AnalysisService() = default;
 
 ExecResult AnalysisService::execute(const Request& req) {
   obs::TraceSession* trace = obs::TraceSession::active();

@@ -9,12 +9,14 @@
 //   - one ArtifactStore (optional) — repeated designs warm-start across
 //     tenants: the second analyze of a design makes zero SAT calls no
 //     matter who sent the first;
-//   - one obs::TraceSession — installed process-wide if the caller did
-//     not already install one (--trace/--metrics), so per-request spans
-//     and counters accumulate either way;
 //   - per-tenant counters (requests, errors, busy rejections, cache
 //     hits) and log2 latency/queue-wait histograms, reported by the
 //     `stats` request.
+//
+// It owns no trace session: requests record spans and counters into the
+// caller's session when one is active (`serve --trace` / `--metrics`, a
+// benchmark's traced run) and nowhere otherwise, so an untraced daemon
+// keeps no per-request trace state.
 //
 // execute() is fully re-entrant: any number of scheduler workers may run
 // requests concurrently. All per-request state (parsed workload,
@@ -31,9 +33,6 @@
 #include "serve/protocol.hpp"
 #include "util/thread_pool.hpp"
 
-namespace rsnsec::obs {
-class TraceSession;
-}
 namespace rsnsec::store {
 class ArtifactStore;
 }
@@ -96,9 +95,6 @@ class AnalysisService {
   ServiceOptions options_;
   ThreadPool pool_;
   std::unique_ptr<store::ArtifactStore> store_;
-  /// Session this service installed (null when the caller already had
-  /// one active — e.g. the CLI's --trace/--metrics scope).
-  std::unique_ptr<obs::TraceSession> owned_trace_;
   std::unique_ptr<Stats> stats_;
   std::function<std::size_t()> queue_probe_;
 };

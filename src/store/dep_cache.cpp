@@ -9,15 +9,13 @@ namespace {
 /// Versioned domain label: any change to the key recipe or the snapshot
 /// payload format must bump this, so old blobs become unreachable rather
 /// than mis-decoded.
-constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v5";
+constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v6";
 
 void encode_options_fingerprint(ByteWriter& w,
                                 const dep::DepOptions& options) {
   w.u8(static_cast<std::uint8_t>(options.mode));
   w.u8(options.bridge_internal ? 1 : 0);
-  w.zigzag(options.sim_rounds);
   w.varint(options.sat_conflict_limit);
-  w.varint(options.max_cycles);
   w.varint(options.seed);
   // Matrices are bit-identical either way, but the ternary_resolved /
   // sat_* counters the snapshot replays are not.
@@ -88,10 +86,8 @@ void encode_stats(ByteWriter& w, const dep::DepStats& s) {
   w.varint(s.solver_restarts);
   w.varint(s.solver_learned);
   w.varint(s.lbd_protected);
-  w.varint(s.inprocessing_rounds);
   w.varint(s.cores_reused);
   w.varint(s.rotation_witnesses);
-  w.varint(s.shared_clauses);
   // v4: partition region count (restore() recomputes it anyway and
   // prefers the live value; encoded for payload self-containedness). The
   // footprint fields (matrix_bytes, tiles_*) are intentionally absent:
@@ -124,10 +120,8 @@ dep::DepStats decode_stats(ByteReader& r) {
   s.solver_restarts = r.varint();
   s.solver_learned = r.varint();
   s.lbd_protected = r.varint();
-  s.inprocessing_rounds = r.varint();
   s.cores_reused = r.varint();
   s.rotation_witnesses = r.varint();
-  s.shared_clauses = r.varint();
   s.regions = static_cast<std::size_t>(r.varint());
   return s;
 }

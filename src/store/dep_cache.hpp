@@ -11,8 +11,8 @@ namespace rsnsec::store {
 /// Content-addressed cache key of a dependency analysis: SHA-256 over a
 /// versioned label, the canonical encodings of circuit and RSN, and a
 /// fingerprint of every DepOptions field that can influence the result —
-/// mode, bridging, sim_rounds, conflict limit, max_cycles, seed, the
-/// ternary prefilter and the partition mode. num_threads is deliberately
+/// mode, bridging, conflict limit, seed, the ternary prefilter and the
+/// partition mode. num_threads is deliberately
 /// excluded: the engine is bit-identical at any thread count, so all
 /// thread counts share one cache entry.
 std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,

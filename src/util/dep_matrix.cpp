@@ -98,62 +98,6 @@ void DepMatrix::closure_plane(std::vector<std::uint64_t>& plane,
   }
 }
 
-bool DepMatrix::bounded_closure(std::size_t cycles, ThreadPool* pool) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span span(trace, "closure.bounded");
-  // Round k extends chains by one hop of the original 1-cycle relation:
-  // new(i,j) |= max over v of compose(cur(i,v), one(v,j)). Keeping the
-  // original relation fixed per round gives exactly the "dependencies
-  // within <= k cycles" semantics of [18]'s iterative computation.
-  const std::vector<std::uint64_t> one_s = s_, one_p = p_;
-  const bool parallel = use_pool(pool, n_);
-  bool changed_last = false;
-  for (std::size_t round = 1; round < cycles; ++round) {
-    // Snapshot: new entries of this round must not serve as vias, so the
-    // round extends chains by exactly one cycle. Rows read only the
-    // snapshots and write themselves, so they are independent within a
-    // round and parallelize without changing any bit.
-    const std::vector<std::uint64_t> cur_s = s_, cur_p = p_;
-    auto extend_row = [&](std::size_t i) -> bool {
-      bool changed = false;
-      std::uint64_t* row_s = &s_[i * words_per_row_];
-      std::uint64_t* row_p = &p_[i * words_per_row_];
-      const std::uint64_t* ci_s = &cur_s[i * words_per_row_];
-      const std::uint64_t* ci_p = &cur_p[i * words_per_row_];
-      for (std::size_t v = 0; v < n_; ++v) {
-        bool via_s = (ci_s[v >> 6] >> (v & 63)) & 1u;
-        if (!via_s) continue;
-        bool via_p = (ci_p[v >> 6] >> (v & 63)) & 1u;
-        const std::uint64_t* vp = &one_p[v * words_per_row_];
-        const std::uint64_t* vs = &one_s[v * words_per_row_];
-        for (std::size_t w = 0; w < words_per_row_; ++w) {
-          // Path chain needs path on both hops; any other combination
-          // yields (at most) a structural chain.
-          std::uint64_t add_p = via_p ? vp[w] : 0;
-          std::uint64_t add_s = vs[w];
-          changed |= (add_p & ~row_p[w]) != 0;
-          changed |= (add_s & ~row_s[w]) != 0;
-          row_p[w] |= add_p;
-          row_s[w] |= add_s;
-        }
-      }
-      return changed;
-    };
-    bool changed = false;
-    if (parallel) {
-      changed = pool->parallel_reduce(
-          0, n_, false, extend_row, [](bool a, bool b) { return a || b; },
-          /*grain=*/32);
-    } else {
-      for (std::size_t i = 0; i < n_; ++i) changed |= extend_row(i);
-    }
-    changed_last = changed;
-    if (trace != nullptr) trace->counter("closure.rounds").add(1);
-    if (!changed) break;
-  }
-  return changed_last;
-}
-
 void DepMatrix::transitive_closure(const std::vector<bool>* active,
                                    ThreadPool* pool) {
   obs::Span span(obs::TraceSession::active(), "closure.transitive");

@@ -80,16 +80,6 @@ class DepMatrix {
   void transitive_closure(const std::vector<bool>* active = nullptr,
                           ThreadPool* pool = nullptr);
 
-  /// Dependencies over at most `cycles` clock cycles: the union of chain
-  /// compositions of length 1..cycles of the current (1-cycle) relation.
-  /// [18] computes multi-cycle dependencies iteratively per cycle; with
-  /// cycles >= n the result equals transitive_closure(). Returns true if
-  /// the final round still added dependencies (i.e. the relation had not
-  /// converged before `cycles`). `pool` (optional) processes the rows of
-  /// each round in parallel; rounds read only that round's snapshot, so
-  /// the result is bit-identical for any thread count.
-  bool bounded_closure(std::size_t cycles, ThreadPool* pool = nullptr);
-
   /// Bridges node `v` out of the relation (Fig. 3 of the paper): every
   /// incoming dependency (v on p) is composed with every outgoing one
   /// (s on v) into (s on p) under compose_dep, then row/column v are

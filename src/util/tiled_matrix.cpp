@@ -591,77 +591,6 @@ void TiledDepMatrix::transitive_closure(const std::vector<bool>* active,
   checkpoint();
 }
 
-bool TiledDepMatrix::compose_round(const TiledDepMatrix& cur,
-                                   const TiledDepMatrix& one,
-                                   ThreadPool* pool) {
-  // One bounded-closure round: row i absorbs one.row(v) for every via v
-  // with cur(i, v) set (P plane only through P vias). Tile-at-a-time:
-  // cur tile (rb, vb) composes with one tiles (vb, cb) into this (rb, cb).
-  const bool parallel = use_pool(pool, nb_) && backend_ == nullptr;
-  auto extend_block = [&](std::size_t rb) -> bool {
-    bool changed = false;
-    for (const Slot& cslot : cur.rows_[rb].slots) {
-      const Tile* ct = cslot.tile.get();
-      const std::size_t vb = cslot.cb;
-      for (const Slot& oslot : one.rows_[vb].slots) {
-        const Tile* ot = oslot.tile.get();
-        Tile* dest = nullptr;
-        for (std::size_t r = 0; r < 64; ++r) {
-          std::uint64_t svias = ct->s[r];
-          if (svias == 0) continue;
-          std::uint64_t pvias = ct->p[r];
-          std::uint64_t add_s = 0;
-          std::uint64_t add_p = 0;
-          while (svias != 0) {
-            add_s |= ot->s[std::countr_zero(svias)];
-            svias &= svias - 1;
-          }
-          while (pvias != 0) {
-            add_p |= ot->p[std::countr_zero(pvias)];
-            pvias &= pvias - 1;
-          }
-          if (add_s == 0 && add_p == 0) continue;
-          if (dest == nullptr) dest = acquire(rb, oslot.cb, /*create=*/true);
-          changed |= (add_s & ~dest->s[r]) != 0;
-          changed |= (add_p & ~dest->p[r]) != 0;
-          dest->s[r] |= add_s;
-          dest->p[r] |= add_p;
-        }
-      }
-    }
-    checkpoint();
-    return changed;
-  };
-  if (parallel) {
-    return pool->parallel_reduce(
-        std::size_t{0}, nb_, false, extend_block,
-        [](bool a, bool b) { return a || b; }, /*grain=*/1);
-  }
-  bool changed = false;
-  for (std::size_t rb = 0; rb < nb_; ++rb) changed |= extend_block(rb);
-  return changed;
-}
-
-bool TiledDepMatrix::bounded_closure(std::size_t cycles, ThreadPool* pool) {
-  obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span span(trace, "closure.bounded");
-  ThreadPool* ep = backend_ != nullptr ? nullptr : pool;
-  // Snapshots are fully-resident deep copies; with a spill backend the
-  // bounded closure therefore holds up to two extra resident copies —
-  // acceptable because the bounded mode is a repro/analysis knob, not the
-  // scale path (which runs the full transitive closure).
-  const TiledDepMatrix one(*this);
-  bool changed_last = false;
-  for (std::size_t round = 1; round < cycles; ++round) {
-    const TiledDepMatrix cur(*this);
-    const bool changed = compose_round(cur, one, ep);
-    changed_last = changed;
-    if (trace != nullptr) trace->counter("closure.rounds").add(1);
-    if (!changed) break;
-  }
-  return changed_last;
-}
-
 void TiledDepMatrix::eliminate(std::size_t v) {
   assert(v < n_);
   const std::size_t vb = v >> 6;

@@ -54,12 +54,11 @@ class InMemorySpillBackend : public TileSpillBackend {
 /// hundred MB for a 100k-FF design whose dependency structure is module-
 /// local. Tiles of one row block are kept sorted by column block.
 ///
-/// Every kernel (transitive_closure, bounded_closure, eliminate) computes
-/// bit for bit what the corresponding DepMatrix kernel computes: the
-/// closures are unique fixpoints of the relation and elimination is
-/// order-independent, so the tiled results are interchangeable with the
-/// dense oracle (pinned by tests/util/tiled_matrix_test.cpp and the
-/// dep-level oracle sweeps).
+/// Every kernel (transitive_closure, eliminate) computes bit for bit what
+/// the corresponding DepMatrix kernel computes: the closure is the unique
+/// fixpoint of the relation and elimination is order-independent, so the
+/// tiled results are interchangeable with the dense oracle (pinned by
+/// tests/util/tiled_matrix_test.cpp and the dep-level oracle sweeps).
 ///
 /// Out-of-core spill: with set_spill(backend, budget) attached, tiles
 /// beyond the resident-byte budget are evicted least-recently-stamped to
@@ -127,9 +126,6 @@ class TiledDepMatrix {
   /// where the block-sparse win over the dense kernel comes from.
   void transitive_closure(const std::vector<bool>* active = nullptr,
                           ThreadPool* pool = nullptr);
-
-  /// Tiled bounded closure; bit-identical to DepMatrix::bounded_closure.
-  bool bounded_closure(std::size_t cycles, ThreadPool* pool = nullptr);
 
   /// Tiled bridging of node v; bit-identical to DepMatrix::eliminate.
   void eliminate(std::size_t v);
@@ -213,8 +209,6 @@ class TiledDepMatrix {
   void checkpoint() const;
 
   void closure_plane(bool path_plane, const std::vector<std::uint64_t>& amask,
-                     ThreadPool* pool);
-  bool compose_round(const TiledDepMatrix& cur, const TiledDepMatrix& one,
                      ThreadPool* pool);
 };
 

@@ -152,34 +152,5 @@ TEST_F(RunningExampleDeps, SimPrefilterResolvesMostFunctionalDeps) {
   EXPECT_TRUE(a.circuit_closure() == b.circuit_closure());
 }
 
-TEST_F(RunningExampleDeps, BoundedCyclesUnderApproximate) {
-  // The hybrid path F5 -> IF1 -> IF2 -> F7 spans three cycles. Without
-  // bridging, a 2-cycle bound must not contain F5 -> F7 yet; 3 cycles
-  // (and the unbounded fixpoint) must.
-  DepOptions k2;
-  k2.bridge_internal = false;
-  k2.max_cycles = 2;
-  DepOptions k3 = k2;
-  k3.max_cycles = 3;
-  DepOptions full;
-  full.bridge_internal = false;
-  DependencyAnalyzer a2 = analyze(k2);
-  DependencyAnalyzer a3 = analyze(k3);
-  DependencyAnalyzer af = analyze(full);
-  auto idx = [&](netlist::NodeId n) { return a2.circuit_index(n); };
-  EXPECT_EQ(a2.circuit_closure().get(idx(ex_.f5), idx(ex_.f7)),
-            DepKind::None);
-  EXPECT_EQ(a3.circuit_closure().get(idx(ex_.f5), idx(ex_.f7)),
-            DepKind::Path);
-  EXPECT_EQ(af.circuit_closure().get(idx(ex_.f5), idx(ex_.f7)),
-            DepKind::Path);
-  // The bound never adds anything beyond the fixpoint.
-  for (std::size_t i = 0; i < a2.num_circuit_ffs(); ++i)
-    for (std::size_t j = 0; j < a2.num_circuit_ffs(); ++j)
-      EXPECT_EQ(max_dep(a2.circuit_closure().get(i, j),
-                        af.circuit_closure().get(i, j)),
-                af.circuit_closure().get(i, j));
-}
-
 }  // namespace
 }  // namespace rsnsec::dep

@@ -97,7 +97,6 @@ void expect_same_result(const Workload& w, const DependencyAnalyzer& dense,
   EXPECT_EQ(st.solver_conflicts, sd.solver_conflicts) << label;
   EXPECT_EQ(st.cores_reused, sd.cores_reused) << label;
   EXPECT_EQ(st.rotation_witnesses, sd.rotation_witnesses) << label;
-  EXPECT_EQ(st.shared_clauses, sd.shared_clauses) << label;
 }
 
 TEST(PartitionedOracle, TiledMatchesDenseOnAllFamilies) {

@@ -1,9 +1,8 @@
 // Incremental query machinery of ConeDependenceChecker: verdict caching,
 // core reuse and model rotation never change a leaf's classification
 // versus the oracle of one fresh checker per query (tests/oracle); the
-// conflict budget is per query; clause export/import across leaf-permuted
-// isomorphic cones preserves verdicts; and the 256-bit simulation block
-// matches the scalar evaluator lane for lane.
+// conflict budget is per query; and the 256-bit simulation block matches
+// the scalar evaluator lane for lane.
 
 #include <gtest/gtest.h>
 
@@ -81,9 +80,7 @@ TEST(ConeIncremental, MatchesOracleAndBruteForceOnRandomCones) {
     Cone cone = nl.extract_next_state_cone(t);
     if (cone.leaves.size() > 14) continue;
 
-    ConeCheckOptions inc_opts;
-    inc_opts.inprocess_interval = 4;  // exercise inprocessing often
-    ConeDependenceChecker incremental(nl, cone, inc_opts);
+    ConeDependenceChecker incremental(nl, cone);
 
     std::vector<sat::Result> want(cone.leaves.size());
     for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
@@ -106,8 +103,8 @@ TEST(ConeIncremental, QueryOrderDoesNotChangeVerdicts) {
     Netlist nl;
     NodeId t = build_random_block(nl, rng, 6 + rng.below(6));
     Cone cone = nl.extract_next_state_cone(t);
-    ConeDependenceChecker fwd(nl, cone, ConeCheckOptions{});
-    ConeDependenceChecker rev(nl, cone, ConeCheckOptions{});
+    ConeDependenceChecker fwd(nl, cone);
+    ConeDependenceChecker rev(nl, cone);
     std::vector<sat::Result> f(cone.leaves.size()), r(cone.leaves.size());
     for (std::size_t i = 0; i < cone.leaves.size(); ++i)
       f[i] = fwd.query(i);
@@ -117,8 +114,7 @@ TEST(ConeIncremental, QueryOrderDoesNotChangeVerdicts) {
 }
 
 /// Width-`w` AND-of-XORs cone: t.D = AND_i XOR(a_i, b_i). Every leaf is
-/// functional, and queries generate real search (good for budget and
-/// sharing tests).
+/// functional, and queries generate real search (good for budget tests).
 NodeId build_and_xor(Netlist& nl, std::size_t width,
                      std::size_t inputs_among = 0) {
   std::vector<NodeId> xors;
@@ -164,64 +160,12 @@ TEST(ConeIncremental, ManyLimitedQueriesOnOneCheckerKeepFullBudget) {
   // Every query fits in `limit` on its own, but their sum exceeds it:
   // under per-solve semantics no query may come back Unknown, whether it
   // runs on a fresh checker or on one checker answering all of them.
-  ConeCheckOptions limited;
-  limited.conflict_limit = limit;
-  ConeDependenceChecker chk(nl, cone, limited);
+  ConeDependenceChecker chk(nl, cone, limit);
   for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
     EXPECT_NE(chk.query(i), sat::Result::Unknown) << "leaf " << i;
     EXPECT_NE(oracle::fresh_cone_query(nl, cone, i, limit).result,
               sat::Result::Unknown)
         << "leaf " << i;
-  }
-}
-
-TEST(ConeIncremental, ClauseSharingAcrossPermutedConesKeepsVerdicts) {
-  Netlist nl;
-  NodeId t1 = build_and_xor(nl, 24);
-  NodeId t2 = build_and_xor(nl, 24);
-  Cone donor_cone = nl.extract_next_state_cone(t1);
-  Cone recv_cone = nl.extract_next_state_cone(t2);
-  ASSERT_EQ(donor_cone.leaves.size(), recv_cone.leaves.size());
-
-  // Permute the receiver's leaf list: the cones are now isomorphic only
-  // modulo a leaf permutation, which is exactly what the canonical
-  // leaf_to_canon maps absorb. Identity maps stand in for them here —
-  // the donor's discovery order already matches the receiver's
-  // pre-permutation order, so we build the canonical map by hand from
-  // the applied permutation.
-  Rng rng(99);
-  const std::size_t n = recv_cone.leaves.size();
-  std::vector<std::uint32_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i)
-    perm[i] = static_cast<std::uint32_t>(i);
-  rng.shuffle(perm);
-  Cone shuffled = recv_cone;
-  for (std::size_t i = 0; i < n; ++i)
-    shuffled.leaves[perm[i]] = recv_cone.leaves[i];
-  // Donor leaf i corresponds to receiver leaf at position perm[i]:
-  // donor's map is the identity, the receiver's map is perm^-1 applied
-  // to its positions — i.e. leaf_to_canon[perm[i]] = i.
-  std::vector<std::uint32_t> donor_map(n), recv_map(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    donor_map[i] = static_cast<std::uint32_t>(i);
-    recv_map[perm[i]] = static_cast<std::uint32_t>(i);
-  }
-
-  ConeCheckOptions opts;
-  ConeDependenceChecker donor(nl, donor_cone, opts);
-  for (std::size_t i = 0; i < n; ++i) donor.query(i);
-  std::vector<sat::Clause> exported = donor.export_clauses(donor_map, 8, 4);
-  EXPECT_FALSE(exported.empty())
-      << "donor produced no shareable clauses; widen the cone";
-
-  ConeDependenceChecker with_import(nl, shuffled, opts);
-  std::size_t imported = with_import.import_clauses(exported, recv_map);
-  EXPECT_EQ(imported, exported.size());
-  ConeDependenceChecker without_import(nl, shuffled, opts);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(with_import.query(i), without_import.query(i))
-        << "leaf " << i;
-    EXPECT_EQ(with_import.query(i), sat::Result::Sat);
   }
 }
 

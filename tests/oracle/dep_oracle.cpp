@@ -86,11 +86,7 @@ DepOracle classify_from_scratch(const dep::DependencyAnalyzer& analyzer) {
       active[v] = false;
     }
   }
-  if (opt.max_cycles > 0) {
-    out.closure.bounded_closure(opt.max_cycles);
-  } else {
-    out.closure.transitive_closure(&active);
-  }
+  out.closure.transitive_closure(&active);
   return out;
 }
 

@@ -2,9 +2,9 @@
 
 // Test-only reference implementations of the dependency layer. The
 // production engine classifies cones with an incremental checker (verdict
-// cache, Unsat-core reuse, model rotation), a cone-isomorphism cache and
-// cross-cone clause sharing; the oracles below do none of that, so the
-// equivalence suites can pin every fast path against plain per-query SAT.
+// cache, Unsat-core reuse, model rotation) behind a cone-isomorphism
+// cache; the oracles below do none of that, so the equivalence suites can
+// pin every fast path against plain per-query SAT.
 
 #include <cstdint>
 #include <vector>
@@ -32,8 +32,7 @@ FreshQuery fresh_cone_query(const netlist::Netlist& nl,
 /// From-scratch one-cycle classification of an analysis' circuit: every
 /// flip-flop leaf of every next-state and capture cone is a separate
 /// fresh_cone_query (no simulation or ternary prefilter, no cone cache,
-/// no clause sharing, no verdict reuse). Unknown is classified Path, as
-/// in the analyzer.
+/// no verdict reuse). Unknown is classified Path, as in the analyzer.
 struct DepOracle {
   /// Indexed by the analyzer's dense circuit-FF index.
   DepMatrix one_cycle;
@@ -48,8 +47,8 @@ struct DepOracle {
   std::uint64_t unknown = 0;
 };
 
-/// Classifies the inputs of `analyzer` (circuit, network, conflict limit,
-/// bridging and cycle bound) from scratch. The analyzer must have run, in
+/// Classifies the inputs of `analyzer` (circuit, network, conflict limit
+/// and bridging) from scratch. The analyzer must have run, in
 /// the dense representation: its FF index and internal set are reused.
 DepOracle classify_from_scratch(const dep::DependencyAnalyzer& analyzer);
 

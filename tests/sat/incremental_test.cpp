@@ -1,8 +1,7 @@
 // Incremental-solving guarantees of the CDCL solver: reused solvers with
-// LBD database reduction and inprocessing answer exactly like fresh
-// solvers (cross-checked against exhaustive enumeration on small
-// formulas), conflict cores are sound, learnt-clause export/import
-// preserves equivalence, and the conflict budget is per solve() call.
+// LBD database reduction answer exactly like fresh solvers (cross-checked
+// against exhaustive enumeration on small formulas), conflict cores are
+// sound, and the conflict budget is per solve() call.
 
 #include "sat/solver.hpp"
 
@@ -105,14 +104,13 @@ TEST(SatIncremental, ReusedSolverMatchesBruteForceUnderReduction) {
     solver.set_max_learnts(8);
     for (int q = 0; q < 12; ++q) {
       std::vector<Lit> as = random_assumptions(rng, cnf.num_vars);
-      if (q % 4 == 3) solver.inprocess();
       Result got = solver.solve(as);
       ASSERT_NE(got, Result::Unknown);
       bool expect = brute_force_sat(cnf, as);
       EXPECT_EQ(got == Result::Sat, expect)
           << "instance " << inst << " query " << q;
       // The same query on a throwaway solver agrees — the reused
-      // solver's learnt clauses and inprocessing never change answers.
+      // solver's learnt clauses never change answers.
       Solver fresh;
       load(fresh, cnf);
       EXPECT_EQ(fresh.solve(as), got) << "instance " << inst;
@@ -145,29 +143,6 @@ TEST(SatIncremental, ConflictCoreIsSubsetAndSufficient) {
     }
   }
   EXPECT_GE(unsat_seen, 10) << "fuzz generator produced too few Unsat cases";
-}
-
-TEST(SatIncremental, ExportImportPreservesAnswers) {
-  Rng rng(303);
-  for (int inst = 0; inst < 30; ++inst) {
-    RandomCnf cnf = make_random_cnf(rng, 14);
-    Solver teacher;
-    load(teacher, cnf);
-    for (int q = 0; q < 6; ++q)
-      teacher.solve(random_assumptions(rng, cnf.num_vars));
-    Solver student;
-    load(student, cnf);
-    for (const Clause& cl : teacher.export_learnts(8, 4)) {
-      if (!student.import_clause(cl)) break;  // root Unsat is legal
-    }
-    for (int q = 0; q < 8; ++q) {
-      std::vector<Lit> as = random_assumptions(rng, cnf.num_vars);
-      Result got = student.solve(as);
-      ASSERT_NE(got, Result::Unknown);
-      EXPECT_EQ(got == Result::Sat, brute_force_sat(cnf, as))
-          << "instance " << inst << " query " << q;
-    }
-  }
 }
 
 /// Pigeonhole clauses over fresh variables, each clause widened with the
@@ -208,28 +183,6 @@ TEST(SatIncremental, ConflictLimitIsPerSolveNotCumulative) {
   // And repeated limited queries never erode the budget either.
   for (int i = 0; i < 20; ++i)
     EXPECT_EQ(solver.solve({hard, ~easy}), Result::Unsat) << "query " << i;
-}
-
-TEST(SatIncremental, InprocessingCountsRoundsAndKeepsEquivalence) {
-  Rng rng(404);
-  // An overall-unsatisfiable formula would flip the solver's root-level
-  // ok_ flag on the first unassumed solve and turn inprocess() into a
-  // no-op, so draw instances until a satisfiable one comes up.
-  RandomCnf cnf = make_random_cnf(rng, 12);
-  while (!brute_force_sat(cnf, {})) cnf = make_random_cnf(rng, 12);
-  Solver solver;
-  load(solver, cnf);
-  std::vector<std::vector<Lit>> queries;
-  for (int q = 0; q < 6; ++q)
-    queries.push_back(random_assumptions(rng, cnf.num_vars));
-  std::vector<Result> before;
-  for (const auto& as : queries) before.push_back(solver.solve(as));
-  std::uint64_t rounds = solver.stats().inprocessing_rounds;
-  solver.inprocess();
-  solver.inprocess();
-  EXPECT_EQ(solver.stats().inprocessing_rounds, rounds + 2);
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    EXPECT_EQ(solver.solve(queries[q]), before[q]) << "query " << q;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // AnalysisService contract: daemon results are byte-identical to the
 // one-shot CLI (same emitters, no timings in result bodies), a warm
 // repeated-design request makes zero SAT calls (the store acceptance
-// criterion, asserted via obs counters), and execute() is re-entrant —
-// concurrent requests produce the same bytes as serial ones.
+// criterion, asserted via obs counters), requests trace only into the
+// caller's session, and execute() is re-entrant — concurrent requests
+// produce the same bytes as serial ones.
 
 #include "serve/service.hpp"
 
@@ -203,6 +204,35 @@ TEST(AnalysisService, WarmRepeatedDesignMakesZeroSatCalls) {
   }
   obs::TraceSession::set_active(nullptr);
   fs::remove_all(dir);
+}
+
+// The service owns no trace session: without one active it leaves the
+// process untraced, and with the caller's session it records into it and
+// leaves it installed when the service goes away.
+TEST(AnalysisService, RecordsOnlyIntoTheCallersTraceSession) {
+  Workload w;
+  obs::TraceSession::set_active(nullptr);
+  {
+    AnalysisService service({});
+    ExecResult result = service.execute(w.request(Command::Analyze));
+    EXPECT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(obs::TraceSession::active(), nullptr);
+  }
+  EXPECT_EQ(obs::TraceSession::active(), nullptr);
+
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  {
+    AnalysisService service({});
+    ExecResult result = service.execute(w.request(Command::Analyze));
+    EXPECT_TRUE(result.ok()) << result.message;
+  }
+  EXPECT_EQ(obs::TraceSession::active(), &session);
+  obs::TraceSession::set_active(nullptr);
+  std::size_t analyze_spans = 0;
+  for (const obs::SpanEvent& e : session.events())
+    analyze_spans += e.name == "serve.analyze" ? 1 : 0;
+  EXPECT_EQ(analyze_spans, 1u);
 }
 
 // Satellite check: SecureFlowTool / DependencyAnalyzer are re-entrant

@@ -160,35 +160,6 @@ TEST(TiledDepMatrix, TransitiveClosureParallelBitIdentical) {
   EXPECT_TRUE(tiled == tiled_par);
 }
 
-TEST(TiledDepMatrix, BoundedClosureMatchesDense) {
-  Rng rng(37);
-  for (std::size_t cycles : {1, 2, 3, 7, 500}) {
-    DepMatrix dense;
-    TiledDepMatrix tiled;
-    fill_random(150, 25, rng, &dense, &tiled);
-    const bool dch = dense.bounded_closure(cycles);
-    const bool tch = tiled.bounded_closure(cycles);
-    EXPECT_EQ(dch, tch) << "cycles=" << cycles;
-    expect_same(dense, tiled);
-  }
-}
-
-TEST(TiledDepMatrix, BoundedClosureParallelBitIdentical) {
-  ThreadPool pool(8);
-  Rng rng(41);
-  DepMatrix dense;
-  TiledDepMatrix tiled;
-  fill_random(300, 15, rng, &dense, &tiled);
-  TiledDepMatrix tiled_par(tiled);
-  const bool dch = dense.bounded_closure(4, &pool);
-  const bool tch = tiled.bounded_closure(4);
-  const bool pch = tiled_par.bounded_closure(4, &pool);
-  EXPECT_EQ(dch, tch);
-  EXPECT_EQ(tch, pch);
-  expect_same(dense, tiled);
-  EXPECT_TRUE(tiled == tiled_par);
-}
-
 TEST(TiledDepMatrix, EliminateMatchesDense) {
   Rng rng(43);
   for (int trial = 0; trial < 6; ++trial) {
@@ -227,8 +198,8 @@ TEST(TiledDepMatrix, EliminateSelfLoopAndDiagonalRules) {
 }
 
 TEST(TiledDepMatrix, MixedKernelSequenceMatchesDense) {
-  // Closure, elimination and compose rounds interleaved — the shape the
-  // analyzer actually produces (one-cycle fill, bridging, closure).
+  // Elimination then closure — the shape the analyzer actually produces
+  // (one-cycle fill, bridging, closure).
   Rng rng(47);
   DepMatrix dense;
   TiledDepMatrix tiled;
@@ -237,8 +208,6 @@ TEST(TiledDepMatrix, MixedKernelSequenceMatchesDense) {
     dense.eliminate(v);
     tiled.eliminate(v);
   }
-  dense.bounded_closure(3);
-  tiled.bounded_closure(3);
   std::vector<bool> active(220, true);
   for (std::size_t v = 10; v < 220; v += 17) active[v] = false;
   dense.transitive_closure(&active);
@@ -338,8 +307,6 @@ TEST(TiledDepMatrix, SpillRoundTripBitIdentical) {
   EXPECT_GT(tiled.tiles_spilled(), 0u);
   dense.eliminate(70);
   tiled.eliminate(70);
-  dense.bounded_closure(3);
-  tiled.bounded_closure(3);
   dense.transitive_closure();
   tiled.transitive_closure();
   expect_same(dense, tiled);
