@@ -20,11 +20,6 @@ using netlist::NodeId;
 
 namespace {
 
-/// Rounds of 256-pattern random simulation per cone before the ternary
-/// prefilter and SAT (each round evaluates a 4x64-bit SIMD pattern block
-/// per leaf).
-constexpr int kSimRounds = 4;
-
 /// PartitionMode::Auto switches to the tiled matrices at this many circuit
 /// flip-flops: below it the dense planes fit comfortably in cache and the
 /// dense kernels win; above it the n^2/8 plane bytes start to dominate the
@@ -194,52 +189,21 @@ std::vector<std::size_t> DependencyAnalyzer::closure_path_successors(
   return out;
 }
 
-void DependencyAnalyzer::extract_capture_cones() {
-  // One extraction per scan FF, reused by classify_internal (which needs
-  // only the leaves) and compute_one_cycle (which classifies the full
-  // cone) — previously the same cone was extracted twice.
-  capture_cones_.clear();
-  capture_cones_.resize(capture_deps_.size());
-  struct Task {
-    std::size_t slot, ff;
-    NodeId src;
-  };
-  std::vector<Task> tasks;
-  for (rsn::ElemId r : rsn_.registers()) {
-    std::size_t slot = reg_slot_[r];
-    const rsn::Element& e = rsn_.elem(r);
-    capture_cones_[slot].resize(e.ffs.size());
-    for (std::size_t f = 0; f < e.ffs.size(); ++f) {
-      if (e.ffs[f].capture_src != netlist::no_node)
-        tasks.push_back({slot, f, e.ffs[f].capture_src});
-    }
-  }
-  pool_->parallel_for(
-      0, tasks.size(),
-      [&](std::size_t t) {
-        capture_cones_[tasks[t].slot][tasks[t].ff] =
-            nl_.extract_signal_cone(tasks[t].src);
-      },
-      /*grain=*/1);
-}
-
-void DependencyAnalyzer::classify_internal() {
+void DependencyAnalyzer::classify_internal(
+    std::span<const Cone> capture_cones) {
   // A circuit flip-flop is "directly connected to the RSN" if it is an
   // update target of some scan FF or a leaf of some scan FF's capture
   // cone; every other flip-flop is internal (IF1/IF2 in Fig. 1) and gets
   // bridged out of the relation.
   std::vector<bool> connected(nl_.num_nodes(), false);
   for (rsn::ElemId r : rsn_.registers()) {
-    const rsn::Element& e = rsn_.elem(r);
-    for (std::size_t f = 0; f < e.ffs.size(); ++f) {
-      const rsn::ScanFF& sf = e.ffs[f];
+    for (const rsn::ScanFF& sf : rsn_.elem(r).ffs) {
       if (sf.update_dst != netlist::no_node) connected[sf.update_dst] = true;
-      if (sf.capture_src != netlist::no_node) {
-        const Cone& cone = capture_cones_[reg_slot_[r]][f];
-        for (NodeId leaf : cone.leaves) {
-          if (nl_.is_ff(leaf)) connected[leaf] = true;
-        }
-      }
+    }
+  }
+  for (const Cone& cone : capture_cones) {
+    for (NodeId leaf : cone.leaves) {
+      if (nl_.is_ff(leaf)) connected[leaf] = true;
     }
   }
   internal_.assign(ff_nodes_.size(), false);
@@ -270,39 +234,38 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
 
   // Random-simulation prefilter: a propagation witness under 256
   // parallel patterns (a 4x64-bit SIMD pattern block per leaf) proves
-  // functional dependence without any SAT call. All buffers are local,
-  // so concurrent cone classifications share nothing. Determinism
-  // contract: every leaf draws its four lanes in lane order from the
-  // cone's private stream, so verdicts are schedule-independent.
+  // functional dependence without any SAT call. One round: on every
+  // Table I grid and full-size design measured, further rounds witnessed
+  // no leaf the first left undecided. All buffers are local, so
+  // concurrent cone classifications share nothing. Determinism contract:
+  // every leaf draws its four lanes in lane order from the cone's private
+  // stream, so verdicts are schedule-independent.
   std::vector<bool> decided(cone.leaves.size(), false);
   std::vector<netlist::Word256> base(cone.leaves.size());
   std::vector<netlist::Word256> scratch;
   std::size_t undecided = ff_leaves.size();
-  for (int round = 0; round < kSimRounds && undecided > 0; ++round) {
-    for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
-      GateType t = nl_.node(cone.leaves[i]).type;
-      if (t == GateType::Const0) {
-        base[i] = netlist::Word256::zero();
-      } else if (t == GateType::Const1) {
-        base[i] = netlist::Word256::broadcast(true);
-      } else {
-        for (std::uint64_t& lane : base[i].lane) lane = rng.next_u64();
-      }
+  for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
+    GateType t = nl_.node(cone.leaves[i]).type;
+    if (t == GateType::Const0) {
+      base[i] = netlist::Word256::zero();
+    } else if (t == GateType::Const1) {
+      base[i] = netlist::Word256::broadcast(true);
+    } else {
+      for (std::uint64_t& lane : base[i].lane) lane = rng.next_u64();
     }
-    netlist::Word256 f0 = netlist::eval_cone(nl_, cone, base, scratch);
-    for (std::size_t i : ff_leaves) {
-      if (decided[i]) continue;
-      netlist::Word256 saved = base[i];
-      for (int lane = 0; lane < 4; ++lane)
-        base[i].lane[lane] = ~saved.lane[lane];
-      netlist::Word256 f1 = netlist::eval_cone(nl_, cone, base, scratch);
-      base[i] = saved;
-      if ((f0 ^ f1).any()) {
-        decided[i] = true;
-        --undecided;
-        ++stats.sim_resolved;
-        out.push_back({i, DepKind::Path});
-      }
+  }
+  const netlist::Word256 f0 = netlist::eval_cone(nl_, cone, base, scratch);
+  for (std::size_t i : ff_leaves) {
+    netlist::Word256 saved = base[i];
+    for (int lane = 0; lane < 4; ++lane)
+      base[i].lane[lane] = ~saved.lane[lane];
+    netlist::Word256 f1 = netlist::eval_cone(nl_, cone, base, scratch);
+    base[i] = saved;
+    if ((f0 ^ f1).any()) {
+      decided[i] = true;
+      --undecided;
+      ++stats.sim_resolved;
+      out.push_back({i, DepKind::Path});
     }
   }
 
@@ -378,38 +341,37 @@ void DependencyAnalyzer::compute_one_cycle() {
   }
 
   // One task per cone: first every circuit flip-flop's next-state cone,
-  // then every scan FF's capture cone (cached by extract_capture_cones).
+  // then every scan FF's capture cone.
   struct CaptureTask {
     std::size_t slot, ff;
+    NodeId src;
   };
   std::vector<CaptureTask> capture_tasks;
   for (rsn::ElemId r : rsn_.registers()) {
     const rsn::Element& e = rsn_.elem(r);
     for (std::size_t f = 0; f < e.ffs.size(); ++f) {
       if (e.ffs[f].capture_src != netlist::no_node)
-        capture_tasks.push_back({reg_slot_[r], f});
+        capture_tasks.push_back({reg_slot_[r], f, e.ffs[f].capture_src});
     }
   }
   const std::size_t nff = ff_nodes_.size();
   const std::size_t ntasks = nff + capture_tasks.size();
 
-  // Phase 1 (parallel): materialize every task's cone and its canonical
-  // signature. Next-state cones were previously extracted inside the
-  // classification task; grouping needs them up front.
-  std::vector<Cone> ns_cones(nff);
+  // Phase 1 (parallel): extract every task's cone and its canonical
+  // signature in one fan-out. The capture cones' leaves also decide
+  // which flip-flops are internal.
+  std::vector<Cone> cones(ntasks);
   std::vector<ConeSignature> sigs(ntasks);
-  auto task_cone = [&](std::size_t t) -> const Cone& {
-    if (t < nff) return ns_cones[t];
-    const CaptureTask& ct = capture_tasks[t - nff];
-    return capture_cones_[ct.slot][ct.ff];
-  };
   pool_->parallel_for(
       0, ntasks,
       [&](std::size_t t) {
-        if (t < nff) ns_cones[t] = nl_.extract_next_state_cone(ff_nodes_[t]);
-        sigs[t] = cone_signature(nl_, task_cone(t));
+        cones[t] = t < nff
+                       ? nl_.extract_next_state_cone(ff_nodes_[t])
+                       : nl_.extract_signal_cone(capture_tasks[t - nff].src);
+        sigs[t] = cone_signature(nl_, cones[t]);
       },
       /*grain=*/1);
+  classify_internal(std::span<const Cone>(cones).subspan(nff));
 
   // Phase 2 (sequential): group isomorphic cones. The representative of a
   // group is its lowest task index; membership is decided by full
@@ -445,7 +407,7 @@ void DependencyAnalyzer::compute_one_cycle() {
       0, reps.size(),
       [&](std::size_t g) {
         Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-        group_results[g] = cone_deps(task_cone(reps[g]), rng, group_stats[g]);
+        group_results[g] = cone_deps(cones[reps[g]], rng, group_stats[g]);
       },
       /*grain=*/1);
 
@@ -456,7 +418,7 @@ void DependencyAnalyzer::compute_one_cycle() {
   // classifying each cone on its own.
   for (std::size_t t = 0; t < ntasks; ++t) {
     const std::size_t g = group_of[t];
-    const Cone& cone = task_cone(t);
+    const Cone& cone = cones[t];
     if (t < nff) {
       for (const LeafDep& d : group_results[g]) {
         const std::size_t src = circuit_index(cone.leaves[d.leaf_idx]);
@@ -636,7 +598,7 @@ void DependencyAnalyzer::bridge_internal() {
     };
     // Each region touches only its own row blocks, so regions are
     // parallel-safe — except in spill mode, where fault-in mutates the
-    // matrix-wide eviction state (kernels are sequential there anyway).
+    // matrix-wide eviction state.
     ThreadPool* pool =
         options_.spill_backend != nullptr && options_.tile_spill_budget > 0
             ? nullptr
@@ -671,9 +633,9 @@ void DependencyAnalyzer::compute_closure() {
   for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
     active[i] = !options_.bridge_internal || !internal_[i];
   if (tiled_) {
-    closure_tiled_.transitive_closure(&active, pool_);
+    closure_tiled_.transitive_closure(&active);
   } else {
-    closure_.transitive_closure(&active, pool_);
+    closure_.transitive_closure(&active);
   }
   if (tiled_) {
     stats_.closure_deps = closure_tiled_.count_nonzero();
@@ -705,8 +667,6 @@ void DependencyAnalyzer::run() {
   {
     obs::Span span(trace, "dep.setup");
     build_index();
-    extract_capture_cones();
-    classify_internal();
   }
   {
     obs::Span span(trace, "dep.one_cycle");

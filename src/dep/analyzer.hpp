@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -77,11 +78,12 @@ struct DepOptions {
   /// because isomorphic cones share a signature, one classification
   /// serves every cone of the same shape (the cone cache).
   std::uint64_t seed = 1;
-  /// Worker threads for the cone fan-out and the closure's row blocks.
-  /// 0 = auto: the RSNSEC_JOBS environment variable if set, else
-  /// std::thread::hardware_concurrency(). Any value yields bit-identical
-  /// results (see ThreadPool and the per-cone RNG streams). Ignored when
-  /// `pool` is set.
+  /// Worker threads for the cone fan-out and the region-local bridging;
+  /// the closure runs on the calling thread, since its pivot steps are
+  /// sequential. 0 = auto: the RSNSEC_JOBS environment variable if set,
+  /// else std::thread::hardware_concurrency(). Any value yields
+  /// bit-identical results (see ThreadPool and the per-cone RNG streams).
+  /// Ignored when `pool` is set.
   std::size_t num_threads = 0;
   /// External thread pool (not owned; must outlive run()). When set, the
   /// analysis runs its parallel phases on it instead of constructing a
@@ -155,9 +157,10 @@ struct DepStats {
   std::uint64_t tiles_nonzero = 0;  ///< denoted 64x64 tiles (0 when dense)
   std::uint64_t tiles_spilled = 0;  ///< cumulative spill evictions this run
   std::size_t threads_used = 0;  ///< resolved parallelism of the run
-  /// Per-phase wall-clock seconds (cone classification incl. the
-  /// simulation prefilter and SAT, internal-FF bridging, multi-cycle
-  /// closure); t_one_cycle also covers the capture-cone classification.
+  /// Per-phase wall-clock seconds. t_one_cycle covers extracting every
+  /// next-state and capture cone, deciding which flip-flops are internal,
+  /// and classifying the cones (simulation prefilter, ternary, SAT);
+  /// t_bridge the internal-FF bridging; t_closure the multi-cycle closure.
   double t_one_cycle = 0.0;
   double t_bridge = 0.0;
   double t_closure = 0.0;
@@ -317,9 +320,6 @@ class DependencyAnalyzer {
   std::vector<std::size_t> region_first_block_;
   // capture_deps_[register slot][ff index]
   std::vector<std::vector<std::vector<CaptureDep>>> capture_deps_;
-  // Capture cones, extracted once per scan FF (classify_internal needs
-  // the leaves, compute_one_cycle the full cone); same indexing.
-  std::vector<std::vector<netlist::Cone>> capture_cones_;
   std::vector<std::size_t> reg_slot_;
   DepStats stats_;
   /// Live only during run(); loops run inline when it is null.
@@ -341,8 +341,9 @@ class DependencyAnalyzer {
   /// Recomputes the representation-dependent footprint stats (regions,
   /// matrix_bytes, tiles_nonzero, tiles_spilled) from the live matrices.
   void refresh_matrix_stats();
-  void extract_capture_cones();
-  void classify_internal();
+  /// Marks every circuit flip-flop internal that is neither an update
+  /// target nor a leaf of one of the scan FFs' `capture_cones`.
+  void classify_internal(std::span<const netlist::Cone> capture_cones);
   /// Classifies the dependencies of the cone root on the cone's flip-flop
   /// leaves (functional vs. only-structural). Thread-safe: draws patterns
   /// from the caller-provided RNG stream and accumulates the sim/SAT

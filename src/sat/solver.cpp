@@ -269,10 +269,8 @@ void Solver::strengthen_with_binaries(Clause& out_learnt) {
   std::size_t keep = 1;
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
     auto v = static_cast<std::size_t>(var(out_learnt[i]));
-    if (bin_stamp_[v] == bin_counter_ && bin_lit_[v] == lit_undef.x) {
-      ++stats_.strengthened_lits;
+    if (bin_stamp_[v] == bin_counter_ && bin_lit_[v] == lit_undef.x)
       continue;
-    }
     out_learnt[keep++] = out_learnt[i];
   }
   out_learnt.resize(keep);

@@ -21,9 +21,6 @@ struct SolverStats {
   /// Glue clauses (LBD <= 2) learned; these are exempt from database
   /// reduction.
   std::uint64_t lbd_protected = 0;
-  /// Literals removed from learnt clauses by on-the-fly strengthening
-  /// (binary self-subsuming resolution).
-  std::uint64_t strengthened_lits = 0;
 };
 
 /// Conflict-driven clause-learning (CDCL) SAT solver.

@@ -4,21 +4,8 @@
 #include <cassert>
 
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec {
-
-namespace {
-
-/// Rows below this dimension are not worth a parallel dispatch per
-/// elimination step / round: the synchronization would dominate.
-constexpr std::size_t kMinParallelRows = 192;
-
-bool use_pool(const ThreadPool* pool, std::size_t n) {
-  return pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelRows;
-}
-
-}  // namespace
 
 DepMatrix::DepMatrix(std::size_t n)
     : n_(n),
@@ -72,40 +59,35 @@ std::size_t DepMatrix::count_path() const {
 }
 
 void DepMatrix::closure_plane(std::vector<std::uint64_t>& plane,
-                              const std::vector<bool>* active,
-                              ThreadPool* pool) {
+                              const std::vector<bool>* active) {
   // Warshall's algorithm with bit-parallel row unions: for each allowed
-  // intermediate node k, every row that reaches k absorbs k's row. The
-  // rows of one elimination step are independent (row i only reads the
-  // via row k — which i == k skipping keeps stable — and writes itself),
-  // so they can be processed as parallel blocks without changing any bit
-  // of the result.
-  const bool parallel = use_pool(pool, n_);
+  // intermediate node k, every row that reaches k absorbs k's row. Row k
+  // itself is skipped, so the via row stays stable during its step. The
+  // row width is a local: the row words are std::uint64_t, the same type
+  // as the words_per_row_ member, so the compiler would otherwise reload
+  // it after every store.
+  const std::size_t wpr = words_per_row_;
+  std::uint64_t* data = plane.data();
   for (std::size_t k = 0; k < n_; ++k) {
     if (active && !(*active)[k]) continue;
-    const std::uint64_t* krow = &plane[k * words_per_row_];
-    auto absorb = [&](std::size_t i) {
-      if (i == k) return;
-      std::uint64_t* irow = &plane[i * words_per_row_];
-      if (!(irow[k >> 6] & bit(k))) return;
-      for (std::size_t w = 0; w < words_per_row_; ++w) irow[w] |= krow[w];
-    };
-    if (parallel) {
-      pool->parallel_for(0, n_, absorb, /*grain=*/64);
-    } else {
-      for (std::size_t i = 0; i < n_; ++i) absorb(i);
+    const std::uint64_t* krow = data + k * wpr;
+    const std::size_t kw = k >> 6;
+    const std::uint64_t kb = bit(k);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::uint64_t* irow = data + i * wpr;
+      if (i == k || !(irow[kw] & kb)) continue;
+      for (std::size_t w = 0; w < wpr; ++w) irow[w] |= krow[w];
     }
   }
 }
 
-void DepMatrix::transitive_closure(const std::vector<bool>* active,
-                                   ThreadPool* pool) {
+void DepMatrix::transitive_closure(const std::vector<bool>* active) {
   obs::Span span(obs::TraceSession::active(), "closure.transitive");
   // Path-dependence closes over functional (path) edges only; structural
   // dependence closes over all edges. Closing the planes independently
   // implements exactly the compose_dep semantics.
-  closure_plane(p_, active, pool);
-  closure_plane(s_, active, pool);
+  closure_plane(p_, active);
+  closure_plane(s_, active);
   // Re-establish the P-implies-S invariant (closure of P may add pairs the
   // S plane already had anyway, but be defensive).
   for (std::size_t w = 0; w < s_.size(); ++w) s_[w] |= p_[w];

@@ -6,8 +6,6 @@
 
 namespace rsnsec {
 
-class ThreadPool;
-
 /// Kind of data-flow dependency between two flip-flops (Sec. III-A of the
 /// paper, notation of [18]).
 ///
@@ -73,12 +71,10 @@ class DepMatrix {
   /// the closure of functional edges; structural dependence is the closure
   /// of all edges. `active` (optional) restricts the intermediate ("via")
   /// nodes to those marked true — used to exclude bridged-out internal
-  /// flip-flops from the cubic computation. `pool` (optional) processes
-  /// the row block of each elimination step in parallel: within one step
-  /// every row only reads the (stable) via row and ORs into itself, so
-  /// the result is bit-identical for any thread count.
-  void transitive_closure(const std::vector<bool>* active = nullptr,
-                          ThreadPool* pool = nullptr);
+  /// flip-flops from the cubic computation. Runs on the calling thread:
+  /// the pivot steps are sequential, and a fork and join per step would
+  /// cost more than the step.
+  void transitive_closure(const std::vector<bool>* active = nullptr);
 
   /// Bridges node `v` out of the relation (Fig. 3 of the paper): every
   /// incoming dependency (v on p) is composed with every outgoing one
@@ -141,7 +137,7 @@ class DepMatrix {
   static std::uint64_t bit(std::size_t j) { return 1ULL << (j & 63); }
 
   void closure_plane(std::vector<std::uint64_t>& plane,
-                     const std::vector<bool>* active, ThreadPool* pool);
+                     const std::vector<bool>* active);
 };
 
 }  // namespace rsnsec

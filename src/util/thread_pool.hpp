@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -18,12 +17,15 @@ namespace rsnsec {
 
 /// Fixed-size worker pool with chunked data-parallel loops.
 ///
-/// The pool is the concurrency substrate of the dependency engine
-/// (Sec. III-A fan-out over capture cones, row blocks of the multi-cycle
-/// closure) and of the benchmark sweeps. Design points:
+/// The pool fans out only over independent units of work: the dependency
+/// engine's cones and bridging regions (Sec. III-A), the resolution
+/// trials, the lint passes and the benchmark sweeps. A loop whose steps
+/// depend on each other, such as the pivots of the multi-cycle closure,
+/// stays on the calling thread: a fork and join per step would cost more
+/// than the step itself. Design points:
 ///
 ///  - A pool of `num_threads` has `num_threads - 1` background workers;
-///    the caller of parallel_for/parallel_reduce participates as the
+///    the caller of parallel_for/parallel_chunks participates as the
 ///    last thread. A 1-thread pool spawns nothing and runs every loop
 ///    inline, so sequential and parallel execution share one code path.
 ///  - parallel_for splits [begin, end) into chunks claimed from an
@@ -33,10 +35,6 @@ namespace rsnsec {
 ///    parallel_for on the same pool (nested parallelism) without
 ///    deadlock: if all workers are busy, the nested caller simply runs
 ///    its own chunks inline.
-///  - parallel_reduce folds per-chunk partial results left-to-right in
-///    chunk order after the loop completes, so any associative combine
-///    (even a non-commutative one) yields a result independent of thread
-///    count and scheduling.
 ///  - The first exception thrown by a loop body cancels the remaining
 ///    chunks and is rethrown in the caller; the pool stays usable.
 class ThreadPool {
@@ -93,31 +91,6 @@ class ThreadPool {
   void parallel_chunks(std::size_t begin, std::size_t end, ChunkFn&& chunk_fn,
                        std::size_t grain = 0) {
     run_chunked(begin, end, grain, std::forward<ChunkFn>(chunk_fn));
-  }
-
-  /// Folds fn(i) over [begin, end): partials are combined ascending
-  /// within each chunk and chunks are combined left-to-right, so the
-  /// result is deterministic for any thread count as long as `combine`
-  /// is associative.
-  template <typename T, typename Fn, typename Combine>
-  T parallel_reduce(std::size_t begin, std::size_t end, T identity, Fn&& fn,
-                    Combine&& combine, std::size_t grain = 0) {
-    if (begin >= end) return identity;
-    const std::size_t g = effective_grain(end - begin, grain);
-    const std::size_t num_chunks = (end - begin + g - 1) / g;
-    // deque, not vector: vector<bool>'s proxy references would break the
-    // generic fold below.
-    std::deque<T> partials(num_chunks, identity);
-    run_chunked(begin, end, grain,
-                [&](std::size_t cb, std::size_t ce, std::size_t chunk) {
-                  T acc = identity;
-                  for (std::size_t i = cb; i < ce; ++i)
-                    acc = combine(std::move(acc), fn(i));
-                  partials[chunk] = std::move(acc);
-                });
-    T result = identity;
-    for (T& p : partials) result = combine(std::move(result), std::move(p));
-    return result;
   }
 
  private:

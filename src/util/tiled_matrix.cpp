@@ -9,16 +9,11 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 #include "util/word256.hpp"
 
 namespace rsnsec {
 
 namespace {
-
-/// Blocked kernels dispatch one task per 64-row block; below this many
-/// blocks the dispatch overhead dominates any win.
-constexpr std::size_t kMinParallelBlocks = 4;
 
 constexpr std::size_t kTileBytes = sizeof(TiledDepMatrix::Tile);
 constexpr std::size_t kTileWords = 128;  // 64 S rows + 64 P rows
@@ -109,11 +104,6 @@ std::string hex64(std::uint64_t v) {
     out[15 - i] = kDigits[(v >> (4 * i)) & 0xf];
   }
   return out;
-}
-
-bool use_pool(const ThreadPool* pool, std::size_t blocks) {
-  return pool != nullptr && pool->num_threads() > 1 &&
-         blocks >= kMinParallelBlocks;
 }
 
 }  // namespace
@@ -344,7 +334,9 @@ void TiledDepMatrix::clear_node(std::size_t i) {
     t->s[ir] = 0;
     t->p[ir] = 0;
   }
-  // Column i: clear the local bit of every tile in block column ib.
+  // Column i: clear the local bit of every tile in block column ib, and
+  // prune the ones that emptied. Only block row and block column ib were
+  // touched, and every other stored tile is non-zero already.
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     Tile* t = acquire(rb, ib, /*create=*/false);
     if (t == nullptr) continue;
@@ -352,19 +344,17 @@ void TiledDepMatrix::clear_node(std::size_t i) {
       t->s[r] &= ~ibit;
       t->p[r] &= ~ibit;
     }
+    if (rb != ib) prune_if_zero(rb, ib);
   }
-  // Prune tiles the clears emptied (collect first: erasing invalidates).
-  for (std::size_t rb = 0; rb < nb_; ++rb) {
-    auto& slots = rows_[rb].slots;
-    slots.erase(std::remove_if(slots.begin(), slots.end(),
-                               [&](const Slot& s) {
-                                 if (!s.tile || !tile_is_zero(*s.tile))
-                                   return false;
-                                 if (backend_ != nullptr) --resident_;
-                                 return true;
-                               }),
-                slots.end());
-  }
+  // Block row ib is all resident (acquired above, no checkpoint since).
+  auto& slots = rows_[ib].slots;
+  slots.erase(std::remove_if(slots.begin(), slots.end(),
+                             [&](const Slot& s) {
+                               if (!tile_is_zero(*s.tile)) return false;
+                               if (backend_ != nullptr) --resident_;
+                               return true;
+                             }),
+              slots.end());
   checkpoint();
 }
 
@@ -447,8 +437,7 @@ std::uint64_t TiledDepMatrix::memory_bytes() const {
 // Kernels
 
 void TiledDepMatrix::closure_plane(bool path_plane,
-                                   const std::vector<std::uint64_t>& amask,
-                                   ThreadPool* pool) {
+                                   const std::vector<std::uint64_t>& amask) {
   // Blocked Floyd-Warshall over one bit plane. For each 64-wide via block
   // K (restricted to active vias am): close the diagonal tile, push it
   // through K's row panel (D* ⊗ T[K][C]) and, per other row block R,
@@ -459,7 +448,6 @@ void TiledDepMatrix::closure_plane(bool path_plane,
   // kernel. In-place panel updates are sound because D is closed first
   // (any chain through an already-updated row is subsumed by a direct
   // via, the standard blocked-FW argument).
-  const bool parallel = use_pool(pool, nb_);
   auto rows_of = [path_plane](Tile* t) -> std::uint64_t* {
     return path_plane ? t->p : t->s;
   };
@@ -481,12 +469,10 @@ void TiledDepMatrix::closure_plane(bool path_plane,
         }
       }
       // Row panel: every tile (K, C != K) absorbs D's reachability.
-      auto& kslots = rows_[K].slots;
-      auto panel = [&](std::size_t si) {
-        Slot& s = kslots[si];
-        if (s.cb == K) return;
+      for (const Slot& s : rows_[K].slots) {
+        if (s.cb == K) continue;
         // acquire: faults a spilled tile in and marks it dirty before the
-        // in-place update (no-op without a backend, and then thread-safe).
+        // in-place update.
         std::uint64_t* T = rows_of(acquire(K, s.cb, false));
         for (std::uint64_t vias = am; vias != 0; vias &= vias - 1) {
           const unsigned kk = static_cast<unsigned>(std::countr_zero(vias));
@@ -497,20 +483,14 @@ void TiledDepMatrix::closure_plane(bool path_plane,
             if (D[i] & kb) T[i] |= krow;
           }
         }
-      };
-      if (parallel) {
-        pool->parallel_for(0, kslots.size(), panel, /*grain=*/1);
-      } else {
-        for (std::size_t si = 0; si < kslots.size(); ++si) panel(si);
       }
     }
-    // Column panel + interior, independent per row block R: each R only
-    // mutates rows_[R] (interior creates tiles there) and reads the
-    // stable row block K.
-    auto row_block = [&](std::size_t R) {
-      if (R == K) return;
+    // Column panel + interior, per row block R: R only mutates rows_[R]
+    // (interior creates tiles there) and reads the stable row block K.
+    for (std::size_t R = 0; R < nb_; ++R) {
+      if (R == K) continue;
       Tile* at = acquire(R, K, /*create=*/false);
-      if (at == nullptr) return;
+      if (at == nullptr) continue;
       std::uint64_t* A = rows_of(at);
       if (D != nullptr) {
         for (std::size_t r = 0; r < 64; ++r) {
@@ -549,20 +529,13 @@ void TiledDepMatrix::closure_plane(bool path_plane,
           dw[r] |= add;
         }
       }
-    };
-    if (parallel) {
-      pool->parallel_for(0, nb_, row_block, /*grain=*/1);
-    } else {
-      for (std::size_t R = 0; R < nb_; ++R) row_block(R);
     }
     checkpoint();
   }
 }
 
-void TiledDepMatrix::transitive_closure(const std::vector<bool>* active,
-                                        ThreadPool* pool) {
+void TiledDepMatrix::transitive_closure(const std::vector<bool>* active) {
   obs::Span span(obs::TraceSession::active(), "closure.transitive");
-  ThreadPool* ep = backend_ != nullptr ? nullptr : pool;
   std::vector<std::uint64_t> amask(nb_, 0);
   for (std::size_t K = 0; K < nb_; ++K) {
     std::uint64_t m = edge_mask(K);
@@ -580,8 +553,8 @@ void TiledDepMatrix::transitive_closure(const std::vector<bool>* active,
   // then re-establish P implies S per tile. Tiles created while closing
   // P carry an empty S plane until the fixup — same transient state the
   // dense planes go through.
-  closure_plane(/*path_plane=*/true, amask, ep);
-  closure_plane(/*path_plane=*/false, amask, ep);
+  closure_plane(/*path_plane=*/true, amask);
+  closure_plane(/*path_plane=*/false, amask);
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     for (Slot& s : rows_[rb].slots) {
       Tile* t = acquire(rb, s.cb, false);
@@ -624,6 +597,7 @@ void TiledDepMatrix::eliminate(std::size_t v) {
         col_p |= ((col->p[r] >> vr) & 1ULL) << r;
       }
       if (pb == vb) col_s &= ~vbit, col_p &= ~vbit;  // skip p == v
+      bool diag_touched = false;
       while (col_s != 0) {
         const unsigned r = static_cast<unsigned>(std::countr_zero(col_s));
         col_s &= col_s - 1;
@@ -634,6 +608,7 @@ void TiledDepMatrix::eliminate(std::size_t v) {
           // Same diagonal rule as the dense kernel: bridging p->v->p is a
           // cycle through v, not a self-dependency of p.
           const bool diag = out.cb == pb;
+          diag_touched |= diag;
           const std::uint64_t pbit = 1ULL << (p & 63);
           const std::uint64_t old_s = diag ? (dest->s[r] & pbit) : 0;
           const std::uint64_t old_p = diag ? (dest->p[r] & pbit) : 0;
@@ -645,6 +620,10 @@ void TiledDepMatrix::eliminate(std::size_t v) {
           }
         }
       }
+      // Every destination gained a bit of v's row, except a diagonal tile
+      // the rule above created for nothing but (p, p); drop it before the
+      // checkpoint could spill it.
+      if (diag_touched) prune_if_zero(pb, pb);
       checkpoint();
     }
   }

@@ -12,8 +12,6 @@
 
 namespace rsnsec {
 
-class ThreadPool;
-
 /// Out-of-core backing for TiledDepMatrix tiles. Content-addressed: the
 /// backend derives a handle from the tile bytes (store() of equal bytes
 /// may return equal handles, deduplicating identical tiles), and a handle
@@ -66,9 +64,15 @@ class InMemorySpillBackend : public TileSpillBackend {
 /// immutable — then freed) and faulted back in on access. Eviction runs
 /// only at checkpoints between tile operations, never while a kernel
 /// holds raw tile pointers; the budget is therefore advisory — a kernel's
-/// working set may exceed it transiently. Kernels run sequentially while
-/// a backend is attached (fault-in mutates shared state), so `pool`
-/// arguments are ignored in spill mode.
+/// working set may exceed it transiently.
+///
+/// Every stored tile is non-zero: each mutator prunes the tiles it
+/// empties, so tiles_nonzero() counts denoted 64x64 blocks exactly.
+///
+/// Threading: every kernel runs on the calling thread. Without a backend,
+/// callers may mutate disjoint row blocks concurrently (the analyzer's
+/// region-local bridging does); with one, fault-in and eviction mutate
+/// matrix-wide state, so all access must be serial.
 class TiledDepMatrix {
  public:
   /// One 64x64-bit tile: 64 row words per plane, bit c of s[r] =
@@ -124,8 +128,7 @@ class TiledDepMatrix {
   /// tile is closed locally, then the row panel, column panel and
   /// interior updates absorb it — each skipping absent tiles, which is
   /// where the block-sparse win over the dense kernel comes from.
-  void transitive_closure(const std::vector<bool>* active = nullptr,
-                          ThreadPool* pool = nullptr);
+  void transitive_closure(const std::vector<bool>* active = nullptr);
 
   /// Tiled bridging of node v; bit-identical to DepMatrix::eliminate.
   void eliminate(std::size_t v);
@@ -191,8 +194,8 @@ class TiledDepMatrix {
   mutable std::uint64_t clock_ = 0;
   mutable std::uint64_t tiles_spilled_ = 0;
   /// Resident tile count, maintained only while a backend is attached
-  /// (kernels run sequentially then); without a backend it is unused so
-  /// the parallel kernels never touch shared state.
+  /// (access is serial then); without a backend it is unused, so callers
+  /// working on disjoint row blocks never touch shared state.
   mutable std::size_t resident_ = 0;
 
   /// Tail mask of the last block: bits for columns/rows >= n are invalid.
@@ -208,8 +211,7 @@ class TiledDepMatrix {
   /// at safe points (no raw tile pointers held by the caller).
   void checkpoint() const;
 
-  void closure_plane(bool path_plane, const std::vector<std::uint64_t>& amask,
-                     ThreadPool* pool);
+  void closure_plane(bool path_plane, const std::vector<std::uint64_t>& amask);
 };
 
 }  // namespace rsnsec

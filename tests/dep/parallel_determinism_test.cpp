@@ -7,7 +7,6 @@
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "dep/analyzer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::dep {
 
@@ -79,25 +78,6 @@ TEST(ParallelDeterminism, OneVsEightThreadsOnBastionFamilies) {
     EXPECT_EQ(b.stats().threads_used, 8u);
     expect_identical(w, a, b, family);
   }
-}
-
-TEST(ParallelDeterminism, DepMatrixClosuresBitIdenticalWithPool) {
-  // 256 rows: above the matrix's internal parallel threshold, so the
-  // pooled run really takes the row-block path.
-  const std::size_t n = 256;
-  Rng rng(5);
-  DepMatrix base(n);
-  for (std::size_t i = 0; i < 6 * n; ++i) {
-    base.upgrade(rng.below(n), rng.below(n),
-                 rng.chance(0.6) ? DepKind::Path : DepKind::Structural);
-  }
-  ThreadPool pool(8);
-
-  DepMatrix serial = base;
-  serial.transitive_closure();
-  DepMatrix parallel = base;
-  parallel.transitive_closure(nullptr, &pool);
-  EXPECT_TRUE(serial == parallel);
 }
 
 TEST(ParallelDeterminism, ConflictLimitStaysSoundAndAccounted) {

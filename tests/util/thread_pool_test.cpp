@@ -4,9 +4,7 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace rsnsec {
@@ -19,10 +17,6 @@ TEST(ThreadPool, EmptyRangeRunsNothing) {
   pool.parallel_for(5, 5, [&](std::size_t) { ++calls; });
   pool.parallel_for(7, 3, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls.load(), 0);
-  EXPECT_EQ(pool.parallel_reduce(
-                3, 3, 42, [](std::size_t) { return 1; },
-                [](int a, int b) { return a + b; }),
-            42);
 }
 
 TEST(ThreadPool, SingleThreadRunsInlineInOrder) {
@@ -88,33 +82,6 @@ TEST(ThreadPool, NestedSubmitRuns) {
     // Destructor joins after the queue (incl. nested submissions) drains.
   }
   EXPECT_EQ(inner_ran.load(), 8);
-}
-
-TEST(ThreadPool, ReduceIsDeterministicForNonCommutativeCombine) {
-  // String concatenation is associative but not commutative: any
-  // scheduling-dependent combine order would scramble the digits.
-  std::string expect;
-  for (int i = 0; i < 200; ++i) expect += std::to_string(i) + ",";
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    for (int rep = 0; rep < 3; ++rep) {
-      std::string got = pool.parallel_reduce(
-          0, 200, std::string(),
-          [](std::size_t i) { return std::to_string(i) + ","; },
-          [](std::string a, std::string b) { return a + b; },
-          /*grain=*/7);
-      EXPECT_EQ(got, expect) << "threads=" << threads;
-    }
-  }
-}
-
-TEST(ThreadPool, ReduceSumsLargeRange) {
-  ThreadPool pool(4);
-  std::uint64_t got = pool.parallel_reduce(
-      1, 100001, std::uint64_t{0},
-      [](std::size_t i) { return static_cast<std::uint64_t>(i); },
-      [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(got, 100000ull * 100001ull / 2);
 }
 
 TEST(ThreadPool, ParallelChunksCoverRangeWithPerChunkScratch) {

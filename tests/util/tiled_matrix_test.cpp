@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "util/dep_matrix.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec {
 namespace {
@@ -144,22 +144,6 @@ TEST(TiledDepMatrix, TransitiveClosureWithActiveMaskMatchesDense) {
   }
 }
 
-TEST(TiledDepMatrix, TransitiveClosureParallelBitIdentical) {
-  ThreadPool pool(8);
-  Rng rng(31);
-  DepMatrix dense;
-  TiledDepMatrix tiled;
-  fill_random(400, 20, rng, &dense, &tiled);
-  TiledDepMatrix tiled_par(tiled);
-  std::vector<bool> active(400, true);
-  for (std::size_t i = 0; i < active.size(); i += 3) active[i] = false;
-  dense.transitive_closure(&active, &pool);
-  tiled.transitive_closure(&active);
-  tiled_par.transitive_closure(&active, &pool);
-  expect_same(dense, tiled);
-  EXPECT_TRUE(tiled == tiled_par);
-}
-
 TEST(TiledDepMatrix, EliminateMatchesDense) {
   Rng rng(43);
   for (int trial = 0; trial < 6; ++trial) {
@@ -195,6 +179,94 @@ TEST(TiledDepMatrix, EliminateSelfLoopAndDiagonalRules) {
   expect_same(dense, tiled);
   EXPECT_EQ(tiled.get(0, 0), DepKind::None);
   EXPECT_EQ(tiled.get(0, 68), DepKind::Structural);
+  // The diagonal rule created tile (0, 0) for (a, a) alone and left it
+  // empty; it must be pruned, leaving only tile (0, 1).
+  EXPECT_EQ(tiled.tiles_nonzero(), 1u);
+}
+
+/// Tiles for_each_tile visits. It skips all-zero tiles, so the count
+/// equals tiles_nonzero() exactly when no stored tile is zero. Faults
+/// every spilled tile in.
+std::size_t visited_tiles(const TiledDepMatrix& m) {
+  std::size_t c = 0;
+  m.for_each_tile(
+      [&](std::size_t, std::size_t, const TiledDepMatrix::Tile&) { ++c; });
+  return c;
+}
+
+TEST(TiledDepMatrix, NoStoredTileIsZeroAfterRandomKernelSequences) {
+  // clear_node prunes only its own block row and column, and eliminate
+  // also the diagonal tile its diagonal rule leaves empty; every other
+  // stored tile must already be non-zero. Under a spill budget the
+  // resident count must stay exact: with every tile faulted in, one
+  // checkpoint leaves exactly min(budget, tiles) resident.
+  constexpr std::size_t kBudgetTiles = 3;
+  for (bool spill : {false, true}) {
+    Rng rng(spill ? 71 : 73);
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t n = 256 + rng.below(512);
+      DepMatrix dense(n);
+      TiledDepMatrix tiled(n);
+      // About one edge per tile, so tiles holding a single column or a
+      // single 2-cycle are common.
+      const std::size_t edges =
+          n / 4 + rng.below(static_cast<std::uint32_t>(n / 4));
+      for (std::size_t e = 0; e < edges; ++e) {
+        const std::size_t i = rng.below(static_cast<std::uint32_t>(n));
+        const std::size_t j = rng.below(static_cast<std::uint32_t>(n));
+        const DepKind k =
+            rng.below(3) == 0 ? DepKind::Structural : DepKind::Path;
+        dense.upgrade(i, j, k);
+        tiled.upgrade(i, j, k);
+        if (rng.below(2) == 0) {
+          dense.upgrade(j, i, k);
+          tiled.upgrade(j, i, k);
+        }
+      }
+      InMemorySpillBackend backend;
+      if (spill) {
+        tiled.set_spill(&backend,
+                        kBudgetTiles * sizeof(TiledDepMatrix::Tile));
+      }
+      for (int step = 0; step < 60; ++step) {
+        const std::size_t v = rng.below(static_cast<std::uint32_t>(n));
+        const std::uint32_t op = rng.below(20);
+        if (op < 4) {
+          dense.clear_node(v);
+          tiled.clear_node(v);
+        } else if (op == 4) {
+          std::vector<bool> active(n);
+          for (std::size_t i = 0; i < n; ++i) active[i] = rng.below(4) != 0;
+          dense.transitive_closure(&active);
+          tiled.transitive_closure(&active);
+        } else {
+          dense.eliminate(v);
+          tiled.eliminate(v);
+        }
+        ASSERT_EQ(visited_tiles(tiled), tiled.tiles_nonzero())
+            << "spill " << spill << " trial " << trial << " step " << step;
+        if (!spill || tiled.tiles_nonzero() == 0) continue;
+        // Rewriting one tile in place triggers a checkpoint.
+        std::size_t rb0 = 0;
+        std::size_t cb0 = 0;
+        TiledDepMatrix::Tile first{};
+        bool have = false;
+        tiled.for_each_tile([&](std::size_t rb, std::size_t cb,
+                                const TiledDepMatrix::Tile& t) {
+          if (have) return;
+          rb0 = rb;
+          cb0 = cb;
+          first = t;
+          have = true;
+        });
+        tiled.assign_tile(rb0, cb0, first);
+        ASSERT_EQ(tiled.tiles_resident(),
+                  std::min(kBudgetTiles, tiled.tiles_nonzero()))
+            << "trial " << trial << " step " << step;
+      }
+      expect_same(dense, tiled);
+    }
+  }
 }
 
 TEST(TiledDepMatrix, MixedKernelSequenceMatchesDense) {
