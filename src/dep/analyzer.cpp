@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "flow/ternary.hpp"
 #include "netlist/cone_check.hpp"
+#include "netlist/cone_workspace.hpp"
 #include "netlist/sim.hpp"
 #include "obs/trace.hpp"
+#include "util/slot_pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rsnsec::dep {
@@ -67,23 +70,21 @@ struct ConeSignature {
   }
 };
 
-ConeSignature cone_signature(const netlist::Netlist& nl, const Cone& cone) {
+ConeSignature cone_signature(const Cone& cone, netlist::ConeWorkspace& ws) {
+  const netlist::Netlist& nl = ws.netlist();
   ConeSignature sig;
   const std::size_t nl_leaves = cone.leaves.size();
   sig.data.reserve(2 + nl_leaves + 2 * cone.gates.size() + 8);
   // Cone-local code of a node: leaves first, then gates (matching the
   // variable-allocation order of the CNF encoding and the evaluation
   // order of eval_cone).
-  std::unordered_map<NodeId, std::uint32_t> codes;
-  codes.reserve(nl_leaves + cone.gates.size());
+  EpochMap<std::uint32_t>& codes = ws.node_code;
+  codes.reset(nl.num_nodes());
   for (std::size_t i = 0; i < nl_leaves; ++i)
-    codes.emplace(cone.leaves[i], static_cast<std::uint32_t>(i));
+    codes.set(cone.leaves[i], static_cast<std::uint32_t>(i));
   for (std::size_t g = 0; g < cone.gates.size(); ++g)
-    codes.emplace(cone.gates[g], static_cast<std::uint32_t>(nl_leaves + g));
-  auto local_code = [&](NodeId id) -> std::uint32_t {
-    auto it = codes.find(id);
-    return it == codes.end() ? 0xffffffffu : it->second;
-  };
+    codes.set(cone.gates[g], static_cast<std::uint32_t>(nl_leaves + g));
+  auto local_code = [&](NodeId id) { return codes.get(id, 0xffffffffu); };
   sig.data.push_back(static_cast<std::uint32_t>(nl_leaves));
   for (NodeId leaf : cone.leaves)
     sig.data.push_back(static_cast<std::uint32_t>(nl.node(leaf).type));
@@ -107,6 +108,16 @@ ConeSignature cone_signature(const netlist::Netlist& nl, const Cone& cone) {
 }
 
 }  // namespace
+
+/// The scratch of one cone fan-out chunk: the cone workspace and the
+/// ternary evaluator, both sized to the netlist once per slot. Slots
+/// come from a SlotPool that compute_one_cycle() owns, so they are freed
+/// before run() returns.
+struct DependencyAnalyzer::ConeSlot {
+  explicit ConeSlot(const netlist::Netlist& nl) : ws(nl), ternary(nl) {}
+  netlist::ConeWorkspace ws;
+  flow::TernaryEvaluator ternary;
+};
 
 DependencyAnalyzer::DependencyAnalyzer(const netlist::Netlist& nl,
                                        const rsn::Rsn& network,
@@ -214,7 +225,7 @@ void DependencyAnalyzer::classify_internal(
 }
 
 std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
-    const Cone& cone, Rng& rng, DepStats& stats) const {
+    const Cone& cone, Rng& rng, DepStats& stats, ConeSlot& slot) const {
   std::vector<LeafDep> out;
 
   // Special case: the cone start is itself a leaf (direct FF-to-FF wire);
@@ -236,13 +247,15 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
   // parallel patterns (a 4x64-bit SIMD pattern block per leaf) proves
   // functional dependence without any SAT call. One round: on every
   // Table I grid and full-size design measured, further rounds witnessed
-  // no leaf the first left undecided. All buffers are local, so
-  // concurrent cone classifications share nothing. Determinism contract:
-  // every leaf draws its four lanes in lane order from the cone's private
+  // no leaf the first left undecided. The buffers are the slot's, so
+  // concurrent cone classifications share nothing, and every leaf
+  // pattern is written before it is read. Determinism contract: every
+  // leaf draws its four lanes in lane order from the cone's private
   // stream, so verdicts are schedule-independent.
   std::vector<bool> decided(cone.leaves.size(), false);
-  std::vector<netlist::Word256> base(cone.leaves.size());
-  std::vector<netlist::Word256> scratch;
+  std::vector<netlist::Word256>& base = slot.ws.leaf_values;
+  std::vector<netlist::Word256>& scratch = slot.ws.node_values;
+  base.resize(cone.leaves.size());
   std::size_t undecided = ff_leaves.size();
   for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
     GateType t = nl_.node(cone.leaves[i]).type;
@@ -273,11 +286,10 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     // Pair-ternary triage: prove leaves only-structural by abstract
     // evaluation of the cone. Each proof is exactly an UNSAT certificate,
     // so it removes the SAT query without changing its classification.
-    // Evaluator state is task-local, like the sim buffers above.
-    flow::TernaryEvaluator ternary(nl_);
+    // The evaluator is the slot's; it writes every cone node it reads.
     for (std::size_t i : ff_leaves) {
       if (decided[i]) continue;
-      if (ternary.proves_independent(cone, i)) {
+      if (slot.ternary.proves_independent(cone, i)) {
         decided[i] = true;
         --undecided;
         ++stats.ternary_resolved;
@@ -288,9 +300,10 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
 
   if (undecided > 0) {
     // Exact SAT check for the leaves simulation could not witness. The
-    // checker (and its solver) is task-local: SAT state is never shared
-    // between threads.
-    netlist::ConeDependenceChecker checker(nl_, cone,
+    // checker resets and borrows the slot's solver: SAT state is never
+    // shared between threads, and the exact reset keeps every verdict and
+    // solver counter independent of which slot ran the cone before.
+    netlist::ConeDependenceChecker checker(slot.ws, cone,
                                            options_.sat_conflict_limit);
     for (std::size_t i : ff_leaves) {
       if (decided[i]) continue;
@@ -357,20 +370,42 @@ void DependencyAnalyzer::compute_one_cycle() {
   const std::size_t nff = ff_nodes_.size();
   const std::size_t ntasks = nff + capture_tasks.size();
 
+  // Both fan-outs below claim one slot per chunk: a chunk takes a free
+  // slot, or makes one when every slot is busy, so there is at most one
+  // per pool thread, and every netlist-sized buffer is allocated once per
+  // slot instead of once per cone.
+  SlotPool<ConeSlot> slots;
+  obs::TraceSession* trace = obs::TraceSession::active();
+  auto claim = [&]() -> ConeSlot& {
+    return slots.acquire([&] {
+      if (trace != nullptr) trace->counter("dep.cone_slots").add(1);
+      return std::make_unique<ConeSlot>(nl_);
+    });
+  };
+
   // Phase 1 (parallel): extract every task's cone and its canonical
   // signature in one fan-out. The capture cones' leaves also decide
-  // which flip-flops are internal.
+  // which flip-flops are internal. Extraction costs about the same per
+  // cone, so the chunks are the pool's automatic ones (about 8 per
+  // thread): with one chunk per cone, the per-chunk slot claims made
+  // this phase slower at --jobs 4 than at --jobs 1 on full-size designs.
   std::vector<Cone> cones(ntasks);
   std::vector<ConeSignature> sigs(ntasks);
-  pool_->parallel_for(
+  pool_->parallel_chunks(
       0, ntasks,
-      [&](std::size_t t) {
-        cones[t] = t < nff
-                       ? nl_.extract_next_state_cone(ff_nodes_[t])
-                       : nl_.extract_signal_cone(capture_tasks[t - nff].src);
-        sigs[t] = cone_signature(nl_, cones[t]);
+      [&](std::size_t cb, std::size_t ce, std::size_t) {
+        ConeSlot& slot = claim();
+        for (std::size_t t = cb; t < ce; ++t) {
+          if (t < nff) {
+            slot.ws.extract_next_state_cone(ff_nodes_[t], cones[t]);
+          } else {
+            slot.ws.extract_signal_cone(capture_tasks[t - nff].src, cones[t]);
+          }
+          sigs[t] = cone_signature(cones[t], slot.ws);
+        }
+        slots.release(slot);
       },
-      /*grain=*/1);
+      /*grain=*/0);
   classify_internal(std::span<const Cone>(cones).subspan(nff));
 
   // Phase 2 (sequential): group isomorphic cones. The representative of a
@@ -398,16 +433,22 @@ void DependencyAnalyzer::compute_one_cycle() {
     group_of[t] = g;
   }
 
-  // Phase 3 (parallel): classify one representative per group. The RNG
+  // Phase 3 (parallel): classify one representative per group, one chunk
+  // per representative, since SAT makes their costs skewed. The RNG
   // stream is a pure function of (seed, signature), so a representative's
   // verdicts are bit for bit what classifying any member would produce.
   std::vector<std::vector<LeafDep>> group_results(reps.size());
   std::vector<DepStats> group_stats(reps.size());
-  pool_->parallel_for(
+  pool_->parallel_chunks(
       0, reps.size(),
-      [&](std::size_t g) {
-        Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-        group_results[g] = cone_deps(cones[reps[g]], rng, group_stats[g]);
+      [&](std::size_t cb, std::size_t ce, std::size_t) {
+        ConeSlot& slot = claim();
+        for (std::size_t g = cb; g < ce; ++g) {
+          Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
+          group_results[g] =
+              cone_deps(cones[reps[g]], rng, group_stats[g], slot);
+        }
+        slots.release(slot);
       },
       /*grain=*/1);
 
@@ -467,12 +508,7 @@ void DependencyAnalyzer::compute_one_cycle() {
     one_cycle_tiled_.mark_endpoints(denoted);
   } else {
     stats_.deps_before_bridging = one_cycle_.count_nonzero();
-    for (std::size_t i = 0; i < ff_nodes_.size(); ++i) {
-      for (std::size_t j : one_cycle_.successors(i)) {
-        denoted[i] = true;
-        denoted[j] = true;
-      }
-    }
+    one_cycle_.mark_endpoints(denoted);
   }
   for (bool d : denoted) stats_.denoted_ffs_before += d ? 1u : 0u;
 }
@@ -501,12 +537,9 @@ void DependencyAnalyzer::bridge_internal() {
   // independent (each order yields the same bridged relation), which both
   // representations exploit below.
   if (!tiled_) {
-    // Dense: sequential word-parallel eliminations — the predecessors()/
-    // successors() index vectors this loop used to allocate per internal
-    // flip-flop dominated the bridging phase on large circuits.
-    for (std::size_t v = 0; v < n; ++v) {
-      if (internal_[v]) closure_.eliminate(v);
-    }
+    // Dense: one set elimination — word-parallel row updates per internal
+    // flip-flop, and one masked pass that clears all their columns.
+    closure_.eliminate_all(internal_);
   } else {
     // Partitioned: an internal flip-flop whose every dependency stays
     // inside its region can be bridged on a small dense matrix lifted
@@ -577,9 +610,10 @@ void DependencyAnalyzer::bridge_internal() {
                                              &local);
       assert(ok);
       (void)ok;
-      for (std::size_t v = base; v < base + m; ++v) {
-        if (internal_[v] && !cross[v]) local.eliminate(v - base);
-      }
+      std::vector<bool> local_internal(m);
+      for (std::size_t v = base; v < base + m; ++v)
+        local_internal[v - base] = internal_[v] && !cross[v];
+      local.eliminate_all(local_internal);
       // Write the bridged diagonal block back tile by tile.
       const std::vector<std::uint64_t>& ls = local.plane_s();
       const std::vector<std::uint64_t>& lp = local.plane_p();
@@ -618,12 +652,7 @@ void DependencyAnalyzer::bridge_internal() {
     closure_tiled_.mark_endpoints(denoted);
   } else {
     stats_.deps_after_bridging = closure_.count_nonzero();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j : closure_.successors(i)) {
-        denoted[i] = true;
-        denoted[j] = true;
-      }
-    }
+    closure_.mark_endpoints(denoted);
   }
   for (bool d : denoted) stats_.denoted_ffs_after += d ? 1u : 0u;
 }

@@ -344,12 +344,15 @@ class DependencyAnalyzer {
   /// Marks every circuit flip-flop internal that is neither an update
   /// target nor a leaf of one of the scan FFs' `capture_cones`.
   void classify_internal(std::span<const netlist::Cone> capture_cones);
+  /// Scratch of one cone fan-out chunk (defined in analyzer.cpp).
+  struct ConeSlot;
   /// Classifies the dependencies of the cone root on the cone's flip-flop
   /// leaves (functional vs. only-structural). Thread-safe: draws patterns
-  /// from the caller-provided RNG stream and accumulates the sim/SAT
-  /// counters into `stats` (a per-task instance when run in parallel).
+  /// from the caller-provided RNG stream, works in the caller's claimed
+  /// `slot`, and accumulates the sim/SAT counters into `stats` (a
+  /// per-task instance when run in parallel).
   std::vector<LeafDep> cone_deps(const netlist::Cone& cone, Rng& rng,
-                                 DepStats& stats) const;
+                                 DepStats& stats, ConeSlot& slot) const;
   void compute_one_cycle();
   void bridge_internal();
   void compute_closure();

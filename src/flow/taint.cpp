@@ -20,8 +20,11 @@ TaintAnalyzer::TaintAnalyzer(const netlist::Netlist& nl,
                              const security::TokenTable& tokens,
                              TaintOptions options)
     : nl_(nl), spec_(spec), tokens_(tokens), options_(options) {
-  build_nodes(network);
-  build_edges(network);
+  // Every cone of the construction is extracted through one workspace,
+  // so a cone costs its own size rather than a netlist-sized mark array.
+  netlist::ConeWorkspace ws(nl_);
+  build_nodes(network, ws);
+  build_edges(network, ws);
   if (obs::TraceSession* trace = obs::TraceSession::active()) {
     trace->counter("flow.nodes").add(owner_module_.size());
     trace->counter("flow.edges").add(stats_.circuit_edges +
@@ -32,7 +35,8 @@ TaintAnalyzer::TaintAnalyzer(const netlist::Netlist& nl,
   }
 }
 
-void TaintAnalyzer::build_nodes(const rsn::Rsn& network) {
+void TaintAnalyzer::build_nodes(const rsn::Rsn& network,
+                                netlist::ConeWorkspace& ws) {
   ff_nodes_ = nl_.ffs();
   ff_index_.assign(nl_.num_nodes(), 0);
   for (std::size_t i = 0; i < ff_nodes_.size(); ++i)
@@ -60,11 +64,12 @@ void TaintAnalyzer::build_nodes(const rsn::Rsn& network) {
   // refinement never changes the node set, only the edges), exactly like
   // the pipeline's bridging.
   std::vector<bool> connected(nl_.num_nodes(), false);
+  Cone cone;
   for (ElemId r : network.registers()) {
     for (const rsn::ScanFF& sf : network.elem(r).ffs) {
       if (sf.update_dst != netlist::no_node) connected[sf.update_dst] = true;
       if (sf.capture_src != netlist::no_node) {
-        Cone cone = nl_.extract_signal_cone(sf.capture_src);
+        ws.extract_signal_cone(sf.capture_src, cone);
         for (NodeId leaf : cone.leaves)
           if (nl_.is_ff(leaf)) connected[leaf] = true;
       }
@@ -83,7 +88,8 @@ void TaintAnalyzer::build_nodes(const rsn::Rsn& network) {
   }
 }
 
-void TaintAnalyzer::build_edges(const rsn::Rsn& network) {
+void TaintAnalyzer::build_edges(const rsn::Rsn& network,
+                                netlist::ConeWorkspace& ws) {
   circuit_succ_.assign(owner_module_.size(), {});
   static_succ_.assign(owner_module_.size(), {});
   rsn_succ_.assign(owner_module_.size(), {});
@@ -103,8 +109,9 @@ void TaintAnalyzer::build_edges(const rsn::Rsn& network) {
   // proves dead); no simulation, no SAT, no bridging — internal FFs stay
   // as transit nodes, which preserves the composed reachability bridging
   // would produce.
+  Cone cone;
   for (std::size_t j = 0; j < ff_nodes_.size(); ++j) {
-    Cone cone = nl_.extract_next_state_cone(ff_nodes_[j]);
+    ws.extract_next_state_cone(ff_nodes_[j], cone);
     for (std::size_t l = 0; l < cone.leaves.size(); ++l) {
       NodeId leaf = cone.leaves[l];
       if (!nl_.is_ff(leaf) || !edge_live(cone, l)) continue;
@@ -125,7 +132,7 @@ void TaintAnalyzer::build_edges(const rsn::Rsn& network) {
       }
       // Capture cone: circuit FF leaf -> scan FF.
       if (e.ffs[f].capture_src != netlist::no_node) {
-        Cone cone = nl_.extract_signal_cone(e.ffs[f].capture_src);
+        ws.extract_signal_cone(e.ffs[f].capture_src, cone);
         for (std::size_t l = 0; l < cone.leaves.size(); ++l) {
           NodeId leaf = cone.leaves[l];
           if (!nl_.is_ff(leaf) || !edge_live(cone, l)) continue;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "netlist/cone_workspace.hpp"
 #include "netlist/netlist.hpp"
 #include "rsn/rsn.hpp"
 #include "security/spec.hpp"
@@ -119,8 +120,9 @@ class TaintAnalyzer {
   const TaintOptions& options() const { return options_; }
 
  private:
-  void build_nodes(const rsn::Rsn& network);
-  void build_edges(const rsn::Rsn& network);
+  // Both extract their cones through the constructor's one workspace.
+  void build_nodes(const rsn::Rsn& network, netlist::ConeWorkspace& ws);
+  void build_edges(const rsn::Rsn& network, netlist::ConeWorkspace& ws);
 
   const netlist::Netlist& nl_;
   const security::SecuritySpec& spec_;

@@ -11,10 +11,26 @@ namespace rsnsec::netlist {
 using sat::Lit;
 using sat::mk_lit;
 
+ConeDependenceChecker::ConeDependenceChecker(ConeWorkspace& ws,
+                                             const Cone& cone,
+                                             std::uint64_t conflict_limit)
+    : ws_(ws), nl_(ws.netlist()), cone_(cone), solver_(ws.solver) {
+  encode(conflict_limit);
+}
+
 ConeDependenceChecker::ConeDependenceChecker(const Netlist& nl,
                                              const Cone& cone,
                                              std::uint64_t conflict_limit)
-    : nl_(nl), cone_(cone) {
+    : owned_(std::make_unique<ConeWorkspace>(nl)),
+      ws_(*owned_),
+      nl_(nl),
+      cone_(cone),
+      solver_(ws_.solver) {
+  encode(conflict_limit);
+}
+
+void ConeDependenceChecker::encode(std::uint64_t conflict_limit) {
+  solver_.reset();
   solver_.set_conflict_limit(conflict_limit);
   // Literals for the leaves of both copies. Leaf i owns the variable
   // triple (3i = a, 3i+1 = b, 3i+2 = eq), so reuse_core() reads a core's
@@ -44,9 +60,8 @@ ConeDependenceChecker::ConeDependenceChecker(const Netlist& nl,
     eq_sel_.push_back(eq);
   }
 
-  std::vector<Lit> node_lit_a, node_lit_b;
-  Lit out_a = encode_copy(node_lit_a, a_leaf_);
-  Lit out_b = encode_copy(node_lit_b, b_leaf_);
+  Lit out_a = encode_copy(ws_.lit_a, a_leaf_);
+  Lit out_b = encode_copy(ws_.lit_b, b_leaf_);
 
   diff_ = mk_lit(solver_.new_var());
   // diff -> (out_a != out_b)
@@ -57,19 +72,23 @@ ConeDependenceChecker::ConeDependenceChecker(const Netlist& nl,
 }
 
 Lit ConeDependenceChecker::encode_copy(
-    std::vector<Lit>& node_lit, const std::vector<Lit>& leaf_lits) {
-  node_lit.assign(nl_.num_nodes(), sat::lit_undef);
+    EpochMap<Lit>& node_lit, const std::vector<Lit>& leaf_lits) {
+  // A new pass over the stamped map: entries of earlier cones read as
+  // lit_undef, so the ordering assert below still catches a gate whose
+  // fanin this cone has not encoded yet.
+  node_lit.reset(nl_.num_nodes());
   for (std::size_t i = 0; i < cone_.leaves.size(); ++i)
-    node_lit[cone_.leaves[i]] = leaf_lits[i];
+    node_lit.set(cone_.leaves[i], leaf_lits[i]);
 
+  std::vector<Lit> fanin_lits;
   for (NodeId id : cone_.gates) {
     const Node& n = nl_.node(id);
-    std::vector<Lit> fanin_lits;
-    fanin_lits.reserve(n.fanins.size());
+    fanin_lits.clear();
     for (NodeId f : n.fanins) {
-      assert(node_lit[f] != sat::lit_undef &&
+      const Lit l = node_lit.get(f, sat::lit_undef);
+      assert(l != sat::lit_undef &&
              "cone gates must be topologically ordered");
-      fanin_lits.push_back(node_lit[f]);
+      fanin_lits.push_back(l);
     }
     Lit out = mk_lit(solver_.new_var());
     switch (n.type) {
@@ -104,11 +123,12 @@ Lit ConeDependenceChecker::encode_copy(
       default:
         throw std::logic_error("unexpected node type inside cone");
     }
-    node_lit[id] = out;
+    node_lit.set(id, out);
   }
 
-  assert(node_lit[cone_.root] != sat::lit_undef);
-  return node_lit[cone_.root];
+  const Lit root = node_lit.get(cone_.root, sat::lit_undef);
+  assert(root != sat::lit_undef);
+  return root;
 }
 
 sat::Result ConeDependenceChecker::query(std::size_t leaf_idx) {
@@ -197,7 +217,7 @@ void ConeDependenceChecker::rotate_model() {
     std::size_t m = std::min<std::size_t>(255, rot_cand_.size() - start);
     for (std::size_t p = 0; p < m; ++p)
       rot_vals_[rot_cand_[start + p]].flip_bit(p + 1);
-    Word256 f = eval_cone(nl_, cone_, rot_vals_, rot_scratch_);
+    Word256 f = eval_cone(nl_, cone_, rot_vals_, ws_.node_values);
     bool base = f.bit(0);
     for (std::size_t p = 0; p < m; ++p) {
       rot_vals_[rot_cand_[start + p]].flip_bit(p + 1);  // restore

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "netlist/cone_workspace.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim.hpp"
 #include "sat/solver.hpp"
@@ -35,11 +37,21 @@ namespace rsnsec::netlist {
 /// cannot come back Unknown.
 class ConeDependenceChecker {
  public:
-  /// Builds the two-copy CNF for `cone` of netlist `nl`. The cone must
-  /// have been produced by Netlist::extract_signal_cone or
-  /// Netlist::extract_next_state_cone. `conflict_limit` is the per-query
-  /// SAT conflict budget (0 = unlimited); an exceeded budget makes
-  /// query() return sat::Result::Unknown.
+  /// Builds the two-copy CNF for `cone` of the workspace's netlist in the
+  /// workspace's solver, which it first reset()s: the checker borrows the
+  /// solver, the literal maps and the simulation scratch of `ws` until it
+  /// is destroyed, and building another checker on `ws` invalidates it.
+  /// Because the reset is exact, verdicts and every counter equal those
+  /// of a checker on a fresh workspace. The cone must have been extracted
+  /// from the same netlist (ConeWorkspace::extract_signal_cone and
+  /// friends). `conflict_limit` is the per-query SAT conflict budget
+  /// (0 = unlimited); an exceeded budget makes query() return
+  /// sat::Result::Unknown.
+  ConeDependenceChecker(ConeWorkspace& ws, const Cone& cone,
+                        std::uint64_t conflict_limit = 0);
+
+  /// Convenience for one-off cones: the same checker on a private
+  /// workspace of netlist `nl`.
   ConeDependenceChecker(const Netlist& nl, const Cone& cone,
                         std::uint64_t conflict_limit = 0);
 
@@ -75,9 +87,11 @@ class ConeDependenceChecker {
   const sat::SolverStats& solver_stats() const { return solver_.stats(); }
 
  private:
+  std::unique_ptr<ConeWorkspace> owned_;  ///< set by the convenience ctor
+  ConeWorkspace& ws_;
   const Netlist& nl_;
   const Cone& cone_;
-  sat::Solver solver_;
+  sat::Solver& solver_;
   std::vector<sat::Lit> a_leaf_, b_leaf_, eq_sel_;
   std::vector<bool> leaf_is_const_;
   sat::Lit diff_{};
@@ -87,11 +101,13 @@ class ConeDependenceChecker {
   std::uint64_t rotation_witnesses_ = 0;
   // Cached verdicts per leaf: 0 = undecided, 1 = Sat, 2 = Unsat.
   std::vector<std::uint8_t> verdict_;
-  // Scratch for model rotation.
-  std::vector<Word256> rot_vals_, rot_scratch_;
+  // Scratch for model rotation (eval_cone's NodeId-indexed scratch is the
+  // workspace's).
+  std::vector<Word256> rot_vals_;
   std::vector<std::size_t> rot_cand_;
 
-  sat::Lit encode_copy(std::vector<sat::Lit>& node_lit,
+  void encode(std::uint64_t conflict_limit);
+  sat::Lit encode_copy(EpochMap<sat::Lit>& node_lit,
                        const std::vector<sat::Lit>& leaf_lits);
   void reuse_core(std::size_t leaf_idx);
   void rotate_model();

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "netlist/cone_workspace.hpp"
+
 namespace rsnsec::netlist {
 
 const char* gate_type_name(GateType t) {
@@ -71,53 +73,14 @@ void Netlist::set_ff_input(NodeId ff, NodeId d) {
 }
 
 Cone Netlist::extract_next_state_cone(NodeId ff) const {
-  const Node& n = node(ff);
-  assert(n.type == GateType::FF);
-  if (n.fanins.empty()) return {};  // unconnected FF: empty cone
-  return extract_signal_cone(n.fanins[0]);
+  Cone cone;
+  ConeWorkspace(*this).extract_next_state_cone(ff, cone);
+  return cone;
 }
 
 Cone Netlist::extract_signal_cone(NodeId net) const {
   Cone cone;
-  cone.root = net;
-  NodeId start = net;
-
-  // Iterative post-order DFS producing a topological (leaves-first) order.
-  enum class Mark : std::uint8_t { Unseen, OnStack, Done };
-  std::vector<Mark> marks(nodes_.size(), Mark::Unseen);
-  std::vector<std::pair<NodeId, std::size_t>> stack;  // node, next-fanin idx
-
-  auto is_leaf = [this](NodeId id) {
-    GateType t = node(id).type;
-    return t == GateType::FF || t == GateType::Input ||
-           t == GateType::Const0 || t == GateType::Const1;
-  };
-
-  if (is_leaf(start)) {
-    cone.leaves.push_back(start);
-    return cone;
-  }
-  stack.emplace_back(start, 0);
-  marks[start] = Mark::OnStack;
-  while (!stack.empty()) {
-    auto& [id, next] = stack.back();
-    const Node& n = node(id);
-    if (next < n.fanins.size()) {
-      NodeId f = n.fanins[next++];
-      if (marks[f] != Mark::Unseen) continue;
-      if (is_leaf(f)) {
-        marks[f] = Mark::Done;
-        cone.leaves.push_back(f);
-      } else {
-        marks[f] = Mark::OnStack;
-        stack.emplace_back(f, 0);
-      }
-    } else {
-      marks[id] = Mark::Done;
-      cone.gates.push_back(id);
-      stack.pop_back();
-    }
-  }
+  ConeWorkspace(*this).extract_signal_cone(net, cone);
   return cone;
 }
 

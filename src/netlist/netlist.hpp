@@ -110,10 +110,13 @@ class Netlist {
   /// value observable on its output). If `net` is a flip-flop, input or
   /// constant, the cone is degenerate (leaves == {net}). Used for capture
   /// sources: capturing a flip-flop's output captures its current state.
+  /// Convenience for one-off cones: it builds a ConeWorkspace per call,
+  /// so loops over many cones extract through one workspace instead.
   Cone extract_signal_cone(NodeId net) const;
 
   /// Extracts the next-state cone of flip-flop `ff` (the cone of its data
-  /// input signal). An unconnected flip-flop yields an empty cone.
+  /// input signal). An unconnected flip-flop yields an empty cone. Same
+  /// convenience as extract_signal_cone.
   Cone extract_next_state_cone(NodeId ff) const;
 
   /// Checks structural sanity: every fanin id valid, every FF has a data

@@ -26,6 +26,43 @@ std::uint64_t luby(std::uint64_t i) {
 
 Solver::Solver() { lbd_stamp_.push_back(0); }
 
+void Solver::reset() {
+  // Every member back to its initializer. clear() keeps capacity; the
+  // watch lists of the current variables are emptied but stay allocated
+  // for new_var() to reuse (lists past them are already empty).
+  arena_.clear();
+  learnts_.clear();
+  for (std::size_t l = 0; l < 2 * num_vars(); ++l) watches_[l].clear();
+  assigns_.clear();
+  phase_.clear();
+  var_data_.clear();
+  trail_.clear();
+  trail_lim_.clear();
+  qhead_ = 0;
+  activity_.clear();
+  var_inc_ = 1.0;
+  heap_.clear();
+  heap_pos_.clear();
+  cla_inc_ = 1.0;
+  seen_.clear();
+  analyze_stack_.clear();
+  analyze_toclear_.clear();
+  redundant_marked_.clear();
+  lbd_stamp_.assign(1, 0);
+  lbd_counter_ = 0;
+  bin_stamp_.clear();
+  bin_lit_.clear();
+  bin_counter_ = 0;
+  model_.clear();
+  core_.clear();
+  prev_assumptions_.clear();
+  ok_ = true;
+  conflict_limit_ = 0;
+  solve_start_conflicts_ = 0;
+  max_learnts_ = 0;
+  stats_ = {};
+}
+
 Var Solver::new_var() {
   auto v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::Undef);
@@ -37,8 +74,7 @@ Var Solver::new_var() {
   lbd_stamp_.push_back(0);
   bin_stamp_.push_back(0);
   bin_lit_.push_back(0);
-  watches_.emplace_back();
-  watches_.emplace_back();
+  if (watches_.size() < 2 * num_vars()) watches_.resize(2 * num_vars());
   model_.push_back(false);
   heap_insert(v);
   return v;

@@ -47,12 +47,21 @@ struct SolverStats {
 /// Thread compatibility: a Solver is share-nothing — all state (arena,
 /// trail, heap, statistics) lives in instance members and nothing is
 /// global or static-mutable, so distinct instances may run concurrently
-/// on distinct threads. The parallel dependency engine relies on this by
-/// giving every in-flight cone classification its own solver. A single
-/// instance is not internally synchronized.
+/// on distinct threads. The parallel dependency engine relies on this:
+/// every cone workspace (netlist::ConeWorkspace) holds its own solver,
+/// and a workspace serves one thread at a time. A single instance is not
+/// internally synchronized.
 class Solver {
  public:
   Solver();
+
+  /// Returns the solver to exactly its freshly constructed state — no
+  /// variables, clauses, statistics, limits or activity history — while
+  /// keeping the capacity of every buffer, watch lists included, so a
+  /// solver reused across many small formulas stops allocating once it
+  /// has held the largest. Every later call behaves bit for bit as on a
+  /// new Solver.
+  void reset();
 
   /// Creates a fresh unassigned variable and returns its index.
   Var new_var();
@@ -123,7 +132,9 @@ class Solver {
   std::vector<LBool> assigns_;
   std::vector<bool> phase_;
   std::vector<VarData> var_data_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by literal code
+  // Indexed by literal code. Lists past 2 * num_vars() are left empty by
+  // reset() and reused by new_var(), so their capacity survives a reset.
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<Lit> trail_;
   std::vector<std::size_t> trail_lim_;
   std::size_t qhead_ = 0;

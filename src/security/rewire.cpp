@@ -235,39 +235,23 @@ Rewirer::TrialSlots::TrialSlots(const CommittedView& view,
 
 Rewirer::TrialSlots::~TrialSlots() = default;
 
-std::size_t Rewirer::TrialSlots::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
-}
+std::size_t Rewirer::TrialSlots::size() const { return pool_.size(); }
 
 Rewirer::TrialSlots::Slot& Rewirer::TrialSlots::acquire() {
   obs::TraceSession* trace = obs::TraceSession::active();
-  Slot* slot = nullptr;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    }
-  }
-  if (slot == nullptr) {
-    auto created = std::make_unique<Slot>(view_, make_counter_());
-    slot = created.get();
+  Slot& slot = pool_.acquire([&] {
     if (trace != nullptr) trace->counter("resolve.trial_slots").add(1);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    slots_.push_back(std::move(created));
-  } else if (slot->generation != view_.generation()) {
-    slot->network = view_.network();
-    slot->generation = view_.generation();
+    return std::make_unique<Slot>(view_, make_counter_());
+  });
+  if (slot.generation != view_.generation()) {
+    slot.network = view_.network();
+    slot.generation = view_.generation();
     if (trace != nullptr) trace->counter("resolve.slot_syncs").add(1);
   }
-  return *slot;
+  return slot;
 }
 
-void Rewirer::TrialSlots::release(Slot& slot) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(&slot);
-}
+void Rewirer::TrialSlots::release(Slot& slot) { pool_.release(slot); }
 
 Rewirer::Selection Rewirer::select_cut_parallel(
     const CommittedView& view, const std::vector<Connection>& candidates,

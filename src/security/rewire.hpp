@@ -3,12 +3,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "rsn/access.hpp"
 #include "rsn/rsn.hpp"
+#include "util/slot_pool.hpp"
 
 namespace rsnsec {
 class ThreadPool;
@@ -166,13 +166,12 @@ class Rewirer {
   /// The trial workspaces of one resolution run: the selections over one
   /// committed view share them. A slot holds a working copy of the view's
   /// network, a cut Scratch and a counter (with its scratch), and outlives
-  /// the selections: a work chunk claims a free slot and returns it when
-  /// done, and a slot is created only when every slot is in use, so there
-  /// are never more slots than chunks that ran at once. A claimed slot
-  /// whose copy predates the view's generation is re-synced by
-  /// copy-assignment, which reuses its element buffers. Which slot a chunk
-  /// gets depends on scheduling; every buffer a trial reads is reset or
-  /// overwritten first, so results do not. Must not outlive `view`.
+  /// the selections: work chunks claim slots from a SlotPool, so there are
+  /// never more slots than chunks that ran at once. A claimed slot whose
+  /// copy predates the view's generation is re-synced by copy-assignment,
+  /// which reuses its element buffers. Which slot a chunk gets depends on
+  /// scheduling; every buffer a trial reads is reset or overwritten first,
+  /// so results do not. Must not outlive `view`.
   class TrialSlots {
    public:
     TrialSlots(const rsn::CommittedView& view,
@@ -194,9 +193,7 @@ class Rewirer {
 
     const rsn::CommittedView& view_;
     const TrialCounterFactory make_counter_;
-    mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<Slot>> slots_;  ///< guarded by mutex_
-    std::vector<Slot*> free_;                   ///< guarded by mutex_
+    SlotPool<Slot> pool_;
   };
 
   /// Trial-evaluates cutting each candidate (with both reconnection

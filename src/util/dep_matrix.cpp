@@ -1,5 +1,6 @@
 #include "util/dep_matrix.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -94,6 +95,56 @@ void DepMatrix::transitive_closure(const std::vector<bool>* active) {
 }
 
 void DepMatrix::eliminate(std::size_t v) {
+  bridge_row(v);
+  clear_node(v);
+}
+
+void DepMatrix::eliminate_all(const std::vector<bool>& marked) {
+  assert(marked.size() == n_);
+  std::vector<std::uint64_t> mask(words_per_row_, 0);
+  bool any = false;
+  for (std::size_t v = 0; v < n_; ++v) {
+    if (!marked[v]) continue;
+    bridge_row(v);
+    // Row v is zeroed now, so no later pivot composes through it; its
+    // column waits for the masked pass below.
+    std::fill_n(&s_[v * words_per_row_], words_per_row_, 0);
+    std::fill_n(&p_[v * words_per_row_], words_per_row_, 0);
+    mask[v >> 6] |= bit(v);
+    any = true;
+  }
+  if (!any) return;
+  for (std::uint64_t& w : mask) w = ~w;
+  for (std::size_t r = 0; r < n_; ++r) {
+    std::uint64_t* rs = &s_[r * words_per_row_];
+    std::uint64_t* rp = &p_[r * words_per_row_];
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      rs[w] &= mask[w];
+      rp[w] &= mask[w];
+    }
+  }
+}
+
+void DepMatrix::mark_endpoints(std::vector<bool>& endpoints) const {
+  assert(endpoints.size() == n_);
+  std::vector<std::uint64_t> cols(words_per_row_, 0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::uint64_t* row = &s_[i * words_per_row_];
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      any |= row[w];
+      cols[w] |= row[w];
+    }
+    if (any != 0) endpoints[i] = true;
+  }
+  for (std::size_t w = 0; w < words_per_row_; ++w) {
+    for (std::uint64_t bits = cols[w]; bits != 0; bits &= bits - 1)
+      endpoints[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] =
+          true;
+  }
+}
+
+void DepMatrix::bridge_row(std::size_t v) {
   assert(v < n_);
   const std::uint64_t* vrow_s = &s_[v * words_per_row_];
   const std::uint64_t* vrow_p = &p_[v * words_per_row_];
@@ -114,7 +165,8 @@ void DepMatrix::eliminate(std::size_t v) {
     // is a cycle through the eliminated node, not a dependency of p on
     // itself at the bridged granularity. The word-OR would set it when v
     // has an edge back to p, so preserve the old diagonal bit. (The ORed
-    // (p, v) bit — when v has a self-loop — is wiped by clear_node below.)
+    // (p, v) bit — when v has a self-loop — is wiped with column v, by
+    // eliminate's clear_node or eliminate_all's masked pass.)
     const std::size_t pw = p >> 6;
     const std::uint64_t pb = bit(p);
     const std::uint64_t old_diag_s = prow_s[pw] & pb;
@@ -130,7 +182,6 @@ void DepMatrix::eliminate(std::size_t v) {
     prow_s[pw] = (prow_s[pw] & ~pb) | old_diag_s;
     prow_p[pw] = (prow_p[pw] & ~pb) | old_diag_p;
   }
-  clear_node(v);
 }
 
 bool DepMatrix::from_planes(std::size_t n, std::vector<std::uint64_t> s,

@@ -83,10 +83,27 @@ class DepMatrix {
   ///   for p in predecessors(v): for s in successors(v):
   ///     upgrade(p, s, compose_dep(get(p, v), get(v, s)))
   ///   clear_node(v)
-  /// but word-parallel over v's row bit-planes and allocation-free — the
-  /// naive loop allocated two index vectors per eliminated flip-flop,
-  /// which dominated the bridging phase on large circuits.
+  /// but word-parallel over v's row bit-planes and allocation-free. The
+  /// dependency engine bridges whole sets with eliminate_all(); this
+  /// per-node form is the reference the tests hold eliminate_all() and
+  /// TiledDepMatrix::eliminate to.
   void eliminate(std::size_t v);
+
+  /// Bridges out every node v with marked[v] (marked.size() == size()):
+  /// the same relation as eliminate(v) for each marked v in ascending
+  /// order (the reference the tests hold it to), at one column pass for
+  /// the whole set instead of one per node. Each marked row is composed
+  /// into its predecessors and zeroed at once, and the marked columns
+  /// are cleared together at the end. Exact because a bit in an
+  /// eliminated column only ever flows into that same column: a pivot's
+  /// predecessors are read from its own column, and the pivot is not
+  /// eliminated yet.
+  void eliminate_all(const std::vector<bool>& marked);
+
+  /// Sets endpoints[i] for every i that has a dependency in either
+  /// direction (a non-None entry in row i or column i); endpoints.size()
+  /// == size(). Other entries are left as they are.
+  void mark_endpoints(std::vector<bool>& endpoints) const;
 
   /// Returns the column indices j with get(i, j) != None.
   std::vector<std::size_t> successors(std::size_t i) const;
@@ -138,6 +155,8 @@ class DepMatrix {
 
   void closure_plane(std::vector<std::uint64_t>& plane,
                      const std::vector<bool>* active);
+  /// Composes row v into each predecessor's row (eliminate's first half).
+  void bridge_row(std::size_t v);
 };
 
 }  // namespace rsnsec

@@ -1,14 +1,17 @@
 // Incremental query machinery of ConeDependenceChecker: verdict caching,
 // core reuse and model rotation never change a leaf's classification
 // versus the oracle of one fresh checker per query (tests/oracle); the
-// conflict budget is per query; and the 256-bit simulation block matches
-// the scalar evaluator lane for lane.
+// conflict budget is per query; a checker on a reused ConeWorkspace
+// answers and counts exactly like a fresh one; and the 256-bit
+// simulation block matches the scalar evaluator lane for lane.
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "netlist/cone_check.hpp"
+#include "netlist/cone_workspace.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/sim.hpp"
 #include "oracle/dep_oracle.hpp"
@@ -166,6 +169,105 @@ TEST(ConeIncremental, ManyLimitedQueriesOnOneCheckerKeepFullBudget) {
     EXPECT_NE(oracle::fresh_cone_query(nl, cone, i, limit).result,
               sat::Result::Unknown)
         << "leaf " << i;
+  }
+}
+
+/// What a checker reports after querying every leaf of its cone in
+/// ascending order.
+struct CheckerRun {
+  std::vector<sat::Result> verdicts;
+  std::uint64_t sat_calls = 0, solver_solves = 0, cores_reused = 0,
+                rotation_witnesses = 0;
+  sat::SolverStats solver;
+};
+
+CheckerRun query_all(ConeDependenceChecker& chk, std::size_t num_leaves) {
+  CheckerRun r;
+  for (std::size_t i = 0; i < num_leaves; ++i)
+    r.verdicts.push_back(chk.query(i));
+  r.sat_calls = chk.sat_calls();
+  r.solver_solves = chk.solver_solves();
+  r.cores_reused = chk.cores_reused();
+  r.rotation_witnesses = chk.rotation_witnesses();
+  r.solver = chk.solver_stats();
+  return r;
+}
+
+void expect_same_run(const CheckerRun& want, const CheckerRun& got,
+                     const std::string& what) {
+  EXPECT_EQ(want.verdicts, got.verdicts) << what;
+  EXPECT_EQ(want.sat_calls, got.sat_calls) << what;
+  EXPECT_EQ(want.solver_solves, got.solver_solves) << what;
+  EXPECT_EQ(want.cores_reused, got.cores_reused) << what;
+  EXPECT_EQ(want.rotation_witnesses, got.rotation_witnesses) << what;
+  EXPECT_EQ(want.solver.conflicts, got.solver.conflicts) << what;
+  EXPECT_EQ(want.solver.decisions, got.solver.decisions) << what;
+  EXPECT_EQ(want.solver.propagations, got.solver.propagations) << what;
+  EXPECT_EQ(want.solver.restarts, got.solver.restarts) << what;
+  EXPECT_EQ(want.solver.learned_clauses, got.solver.learned_clauses)
+      << what;
+  EXPECT_EQ(want.solver.lbd_protected, got.solver.lbd_protected) << what;
+}
+
+TEST(ConeIncremental, ReusedWorkspaceExtractsLikeAFreshOne) {
+  // Stale marks of earlier cones must never hide a node of the next one:
+  // every signal cone of the netlist, extracted in forward and reverse
+  // node order through one workspace, equals its one-off extraction.
+  Rng rng(5);
+  Netlist nl;
+  for (int b = 0; b < 10; ++b) build_random_block(nl, rng, 2 + rng.below(10));
+  const auto n = static_cast<NodeId>(nl.num_nodes());
+  for (bool reverse : {false, true}) {
+    ConeWorkspace ws(nl);
+    Cone got;
+    for (NodeId i = 0; i < n; ++i) {
+      const NodeId id = reverse ? n - 1 - i : i;
+      ws.extract_signal_cone(id, got);
+      const Cone want = nl.extract_signal_cone(id);
+      EXPECT_EQ(got.root, want.root) << "node " << id;
+      EXPECT_EQ(got.gates, want.gates) << "node " << id;
+      EXPECT_EQ(got.leaves, want.leaves) << "node " << id;
+      if (!nl.is_ff(id)) continue;
+      ws.extract_next_state_cone(id, got);
+      const Cone want_ns = nl.extract_next_state_cone(id);
+      EXPECT_EQ(got.root, want_ns.root) << "ff " << id;
+      EXPECT_EQ(got.gates, want_ns.gates) << "ff " << id;
+      EXPECT_EQ(got.leaves, want_ns.leaves) << "ff " << id;
+    }
+  }
+}
+
+TEST(ConeIncremental, ReusedWorkspaceMatchesFreshCheckerOnEveryCone) {
+  // One netlist of several random blocks plus a wide AND-of-XORs (real
+  // search); one workspace extracts and checks every flip-flop's
+  // next-state cone, in forward and in reverse order, with and without a
+  // conflict limit. Each cone must get the verdicts and counters of a
+  // fresh checker on its own workspace.
+  Rng rng(99);
+  Netlist nl;
+  for (int b = 0; b < 12; ++b) build_random_block(nl, rng, 3 + rng.below(9));
+  build_and_xor(nl, 24, /*inputs_among=*/6);
+  const std::vector<NodeId>& ffs = nl.ffs();
+  for (std::uint64_t limit : {std::uint64_t{0}, std::uint64_t{3}}) {
+    std::vector<CheckerRun> want(ffs.size());
+    for (std::size_t k = 0; k < ffs.size(); ++k) {
+      const Cone cone = nl.extract_next_state_cone(ffs[k]);
+      ConeDependenceChecker fresh(nl, cone, limit);
+      want[k] = query_all(fresh, cone.leaves.size());
+    }
+    for (bool reverse : {false, true}) {
+      ConeWorkspace ws(nl);
+      Cone cone;
+      for (std::size_t i = 0; i < ffs.size(); ++i) {
+        const std::size_t k = reverse ? ffs.size() - 1 - i : i;
+        ws.extract_next_state_cone(ffs[k], cone);
+        ConeDependenceChecker reused(ws, cone, limit);
+        expect_same_run(want[k], query_all(reused, cone.leaves.size()),
+                        "ff " + std::to_string(k) + " limit " +
+                            std::to_string(limit) +
+                            (reverse ? " reverse" : " forward"));
+      }
+    }
   }
 }
 

@@ -217,5 +217,61 @@ TEST_P(EliminateFuzz, MatchesNaiveBridging) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, EliminateFuzz, ::testing::Range(0, 30));
 
+/// Random relation with self-loops (the diagonal rule) and back edges
+/// (cycles through eliminated nodes) at the given density.
+DepMatrix random_relation(Rng& rng, std::size_t n, double density) {
+  DepMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.chance(density)) m.upgrade(i, j, DepKind::Structural);
+      if (rng.chance(density / 2)) m.upgrade(i, j, DepKind::Path);
+    }
+  for (std::size_t i = 0; i < n; ++i)
+    if (rng.chance(0.3)) m.upgrade(i, i, DepKind::Path);
+  return m;
+}
+
+TEST(DepMatrix, EliminateAllEqualsAscendingEliminate) {
+  // Sizes on and off the 64-bit word edge; empty, full and random masks
+  // of several densities.
+  Rng rng(77);
+  for (std::size_t n : {1u, 2u, 5u, 63u, 64u, 65u, 127u, 128u, 130u, 200u}) {
+    for (int variant = 0; variant < 6; ++variant) {
+      const double density = variant % 2 == 0 ? 0.05 : 0.2;
+      DepMatrix m = random_relation(rng, n, density);
+      std::vector<bool> mask(n, false);
+      for (std::size_t v = 0; v < n; ++v) {
+        if (variant == 0) mask[v] = false;
+        else if (variant == 1) mask[v] = true;
+        else mask[v] = rng.chance(variant < 4 ? 0.3 : 0.8);
+      }
+      DepMatrix ref = m;
+      for (std::size_t v = 0; v < n; ++v)
+        if (mask[v]) ref.eliminate(v);
+      m.eliminate_all(mask);
+      ASSERT_TRUE(m == ref) << "n=" << n << " variant=" << variant;
+      EXPECT_EQ(m.count_nonzero(), ref.count_nonzero());
+    }
+  }
+}
+
+TEST(DepMatrix, MarkEndpointsEqualsSuccessorLoop) {
+  Rng rng(78);
+  for (std::size_t n : {1u, 3u, 63u, 64u, 65u, 129u}) {
+    for (double density : {0.0, 0.002, 0.02, 0.3}) {
+      DepMatrix m = random_relation(rng, n, density);
+      std::vector<bool> want(n, false);
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j : m.successors(i)) {
+          want[i] = true;
+          want[j] = true;
+        }
+      std::vector<bool> got(n, false);
+      m.mark_endpoints(got);
+      EXPECT_EQ(got, want) << "n=" << n << " density=" << density;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rsnsec

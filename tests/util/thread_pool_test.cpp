@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <vector>
+
+#include "util/slot_pool.hpp"
 
 namespace rsnsec {
 namespace {
@@ -114,6 +117,34 @@ TEST(ThreadPool, ParallelChunksIndicesAreDistinctAndDense) {
       },
       /*grain=*/8);
   for (std::size_t c = 0; c < 64; ++c) EXPECT_EQ(chunk_seen[c].load(), 1);
+}
+
+TEST(SlotPool, ChunksNeverShareASlotAndSlotsStayPerThread) {
+  // Every chunk claims a slot for its whole run: no two chunks may hold
+  // one at once, and a slot is made only when all others are held, so
+  // there are never more slots than threads.
+  struct Slot {
+    std::atomic<bool> held{false};
+    std::size_t uses = 0;
+  };
+  for (std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    SlotPool<Slot> slots;
+    std::atomic<int> overlaps{0};
+    pool.parallel_chunks(
+        0, 2000,
+        [&](std::size_t, std::size_t, std::size_t) {
+          Slot& s = slots.acquire([] { return std::make_unique<Slot>(); });
+          if (s.held.exchange(true)) ++overlaps;
+          ++s.uses;
+          s.held.store(false);
+          slots.release(s);
+        },
+        /*grain=*/1);
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_GE(slots.size(), 1u);
+    EXPECT_LE(slots.size(), threads);
+  }
 }
 
 TEST(ThreadPool, ResolveHonorsRequestThenEnvThenHardware) {
