@@ -29,12 +29,15 @@ PipelineResult SecureFlowTool::run() {
   obs::Span total(trace, "pipeline");
 
   std::string err;
-  if (!spec_.validate(&err))
-    throw std::invalid_argument("invalid security specification: " + err);
-  if (!network_.validate(&err))
-    throw std::invalid_argument("invalid scan network: " + err);
-  if (!circuit_.validate(&err))
-    throw std::invalid_argument("invalid circuit: " + err);
+  {
+    obs::Span span(trace, "pipeline.validate");
+    if (!spec_.validate(&err))
+      throw std::invalid_argument("invalid security specification: " + err);
+    if (!network_.validate(&err))
+      throw std::invalid_argument("invalid scan network: " + err);
+    if (!circuit_.validate(&err))
+      throw std::invalid_argument("invalid circuit: " + err);
+  }
 
   // Phase 1: data-flow analysis over the circuit logic (Sec. III-A).
   // Computed once, without RSN-internal connections, and reused across
@@ -47,6 +50,9 @@ PipelineResult SecureFlowTool::run() {
     result.t_dependency = span.seconds();
   }
 
+  // The static phase: the token table, the hybrid analyzer's fixed
+  // graph, the Sec. III-B check and the initial violation count.
+  obs::Span static_span(trace, "pipeline.static");
   security::TokenTable tokens(spec_, spec_.num_modules());
   security::HybridAnalyzer hybrid(circuit_, network_, deps, spec_, tokens);
 
@@ -54,6 +60,7 @@ PipelineResult SecureFlowTool::run() {
   // even without scan infrastructure; they require a circuit redesign.
   result.static_report = hybrid.check_static();
   if (!result.static_report.clean()) {
+    static_span.close();
     result.t_total = total.seconds();
     return result;  // secured stays false; network untouched
   }
@@ -61,6 +68,7 @@ PipelineResult SecureFlowTool::run() {
   // Table I column 5: registers with a violation before the method runs.
   result.initial_violating_registers =
       hybrid.count_violating_registers(network_);
+  static_span.close();
 
   // Debug/verify mode: check the Sec. III-D invariants (cycle-free,
   // every register kept and accessible) after every applied change, not
@@ -96,10 +104,13 @@ PipelineResult SecureFlowTool::run() {
     result.t_hybrid = span.seconds();
   }
 
-  if (options_.verify)
-    invariants.require(network_, "the full pipeline");
-  if (!network_.validate(&err))
-    throw std::logic_error("transformed network failed validation: " + err);
+  {
+    obs::Span span(trace, "pipeline.validate");
+    if (options_.verify)
+      invariants.require(network_, "the full pipeline");
+    if (!network_.validate(&err))
+      throw std::logic_error("transformed network failed validation: " + err);
+  }
 
   // Defense-in-depth: independent re-verification with the SAT-free
   // certifier. Its fixpoint over-approximates the pipeline's analysis,

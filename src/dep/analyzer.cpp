@@ -190,16 +190,6 @@ void DependencyAnalyzer::refresh_matrix_stats() {
   }
 }
 
-std::vector<std::size_t> DependencyAnalyzer::closure_path_successors(
-    std::size_t i) const {
-  if (tiled_) return closure_tiled_.path_successors(i);
-  std::vector<std::size_t> out;
-  for (std::size_t j : closure_.successors(i)) {
-    if (closure_.get(i, j) == DepKind::Path) out.push_back(j);
-  }
-  return out;
-}
-
 void DependencyAnalyzer::classify_internal(
     std::span<const Cone> capture_cones) {
   // A circuit flip-flop is "directly connected to the RSN" if it is an

@@ -205,7 +205,7 @@ class DependencyAnalyzer {
   /// Entry (i, j): dependency of circuit FF j on circuit FF i, indices via
   /// circuit_index(). Dense representation only — throws std::logic_error
   /// in tiled mode; representation-agnostic callers use closure_at() /
-  /// closure_path_successors().
+  /// for_each_closure_path_successor().
   const DepMatrix& circuit_closure() const {
     if (tiled_) throw std::logic_error("dense closure unavailable: tiled");
     return closure_;
@@ -233,10 +233,17 @@ class DependencyAnalyzer {
     return tiled_ ? closure_tiled_.get(i, j) : closure_.get(i, j);
   }
 
-  /// Dense indices j with a Path closure dependency of FF j on FF i,
-  /// ascending; representation-agnostic (the hybrid security engine's
-  /// access path, so it never materializes a dense matrix at scale).
-  std::vector<std::size_t> closure_path_successors(std::size_t i) const;
+  /// Calls fn(j) for the dense indices j with a Path closure dependency
+  /// of FF j on FF i, ascending: one allocation-free word scan of row i's
+  /// P plane, dense or tiled (the hybrid security engine's access path,
+  /// so it never materializes a dense matrix at scale).
+  template <typename Fn>
+  void for_each_closure_path_successor(std::size_t i, Fn&& fn) const {
+    if (tiled_)
+      closure_tiled_.for_each_path_successor(i, fn);
+    else
+      closure_.for_each_path_successor(i, fn);
+  }
 
   /// Dense index of a circuit flip-flop node.
   std::size_t circuit_index(netlist::NodeId ff) const {

@@ -17,8 +17,9 @@ HybridAnalyzer::HybridAnalyzer(const netlist::Netlist& nl,
                                const SecuritySpec& spec,
                                const TokenTable& tokens)
     : nl_(nl), deps_(deps), spec_(spec), tokens_(tokens) {
+  obs::Span span(obs::TraceSession::active(), "hybrid.build");
   build_nodes(layout_network);
-  build_static_edges(layout_network);
+  build_fixed_graph(layout_network);
 }
 
 std::size_t HybridAnalyzer::scan_node(ElemId reg, std::size_t ff) const {
@@ -66,27 +67,26 @@ void HybridAnalyzer::build_nodes(const Rsn& layout) {
   }
 }
 
-void HybridAnalyzer::build_static_edges(const Rsn& layout) {
-  static_succ_.assign(owner_module_.size(), {});
-  circuit_succ_.assign(owner_module_.size(), {});
-
+template <typename OnStatic, typename OnCircuit>
+void HybridAnalyzer::for_each_fixed_edge(const Rsn& layout,
+                                         OnStatic&& on_static,
+                                         OnCircuit&& on_circuit) const {
   for (ElemId r : layout.registers()) {
     const rsn::Element& e = layout.elem(r);
     for (std::size_t f = 0; f < e.ffs.size(); ++f) {
       std::size_t node = scan_node(r, f);
       // Shift order inside the register: data only moves toward scan-out
       // (SF5 -> SF6, never SF6 -> SF5; Sec. III-C).
-      if (f + 1 < e.ffs.size())
-        static_succ_[node].push_back(scan_node(r, f + 1));
+      if (f + 1 < e.ffs.size()) on_static(node, scan_node(r, f + 1));
       // Capture-cone dependencies (path-dependent only: tokens cannot
       // ride only-structural connections).
       for (const dep::CaptureDep& d : deps_.capture_deps(r, f)) {
         if (d.kind == DepKind::Path)
-          static_succ_[circuit_node(d.circuit_ff)].push_back(node);
+          on_static(circuit_node(d.circuit_ff), node);
       }
       // Update connection into the circuit.
       if (e.ffs[f].update_dst != netlist::no_node)
-        static_succ_[node].push_back(circuit_node(e.ffs[f].update_dst));
+        on_static(node, circuit_node(e.ffs[f].update_dst));
     }
   }
 
@@ -97,10 +97,36 @@ void HybridAnalyzer::build_static_edges(const Rsn& layout) {
   // never materialized.
   for (std::size_t i = 0; i < deps_.num_circuit_ffs(); ++i) {
     if (deps_.is_internal(i)) continue;
-    for (std::size_t j : deps_.closure_path_successors(i)) {
-      if (i != j) circuit_succ_[circuit_base_ + i].push_back(circuit_base_ + j);
-    }
+    deps_.for_each_closure_path_successor(i, [&](std::size_t j) {
+      if (i != j) on_circuit(circuit_base_ + i, circuit_base_ + j);
+    });
   }
+}
+
+void HybridAnalyzer::build_fixed_graph(const Rsn& layout) {
+  // Pass 1 counts each node's static entries (into off[n + 1]) and its
+  // circuit entries (into circuit_begin_[n]). Pass 2 fills both through
+  // one cursor per node: every static edge comes first, so a node's
+  // cursor reaches circuit_begin_[n] just as its static entries are in.
+  const std::size_t nodes = num_nodes();
+  Csr& g = fixed_succ_;
+  g.off.assign(nodes + 1, 0);
+  circuit_begin_.assign(nodes, 0);
+  for_each_fixed_edge(
+      layout, [&](std::size_t from, std::size_t) { ++g.off[from + 1]; },
+      [&](std::size_t from, std::size_t) { ++circuit_begin_[from]; });
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const std::uint32_t circuit = circuit_begin_[n];
+    circuit_begin_[n] = g.off[n] + g.off[n + 1];
+    g.off[n + 1] = circuit_begin_[n] + circuit;
+  }
+  g.adj.resize(g.off[nodes]);
+  std::vector<std::uint32_t> next(g.off.begin(), g.off.end() - 1);
+  auto fill = [&](std::size_t from, std::size_t to) {
+    g.adj[next[from]++] = static_cast<std::uint32_t>(to);
+  };
+  for_each_fixed_edge(layout, fill, fill);
+  fixed_pred_ = transpose(g);
 }
 
 std::vector<HybridAnalyzer::RsnEdge> HybridAnalyzer::build_rsn_edges(
@@ -136,17 +162,20 @@ std::vector<TokenSet> HybridAnalyzer::run_worklist(
       worklist.push_back(to);
     }
   };
+  const Csr& g = fixed_succ_;
   while (!worklist.empty()) {
     std::size_t n = worklist.back();
     worklist.pop_back();
     queued[n] = false;
     if (!circuit_only) {
-      for (std::size_t s : static_succ_[n]) relax(n, s);
+      for (std::uint32_t i = g.off[n]; i < circuit_begin_[n]; ++i)
+        relax(n, g.adj[i]);
       if (n < extra_succ.size()) {
         for (std::size_t s : extra_succ[n]) relax(n, s);
       }
     }
-    for (std::size_t s : circuit_succ_[n]) relax(n, s);
+    for (std::uint32_t i = circuit_begin_[n]; i < g.off[n + 1]; ++i)
+      relax(n, g.adj[i]);
   }
   return state;
 }
@@ -180,9 +209,7 @@ std::size_t HybridAnalyzer::violating_pairs(
   for (std::size_t n = 0; n < state.size(); ++n) {
     if (owner_module_[n] < 0) continue;  // unannotated: transit only
     TrustCategory t = spec_.policy(owner_module_[n]).trust;
-    const TokenSet& bad = tokens_.bad(t);
-    for (std::size_t k = 0; k < tokens_.num_tokens(); ++k)
-      if (state[n].test(k) && bad.test(k)) ++count;
+    count += state[n].count_common(tokens_.bad(t));
   }
   return count;
 }
@@ -195,6 +222,9 @@ StaticReport HybridAnalyzer::check_static() const {
     if (owner_module_[n] < 0) continue;
     TrustCategory t = spec_.policy(owner_module_[n]).trust;
     const TokenSet& bad = tokens_.bad(t);
+    // The circuit-only fixpoint lies below the static one, so a node the
+    // static fixpoint leaves clean has nothing to report.
+    if (!stat[n].intersects(bad)) continue;
     for (std::size_t k = 0; k < tokens_.num_tokens(); ++k) {
       bool in_circ = circ[n].test(k) && bad.test(k);
       bool in_stat = stat[n].test(k) && bad.test(k);
@@ -243,25 +273,6 @@ std::size_t HybridAnalyzer::count_violating_registers(
   return count_violations(network).registers;
 }
 
-HybridAnalyzer::Csr HybridAnalyzer::fixed_successors() const {
-  const std::size_t nodes = owner_module_.size();
-  Csr g;
-  g.off.assign(nodes + 1, 0);
-  for (std::size_t n = 0; n < nodes; ++n)
-    g.off[n + 1] = g.off[n] +
-                   static_cast<std::uint32_t>(static_succ_[n].size() +
-                                              circuit_succ_[n].size());
-  g.adj.resize(g.off[nodes]);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    std::uint32_t o = g.off[n];
-    for (std::size_t t : static_succ_[n])
-      g.adj[o++] = static_cast<std::uint32_t>(t);
-    for (std::size_t t : circuit_succ_[n])
-      g.adj[o++] = static_cast<std::uint32_t>(t);
-  }
-  return g;
-}
-
 HybridAnalyzer::Csr HybridAnalyzer::transpose(const Csr& g) {
   const std::size_t nodes = g.off.size() - 1;
   Csr t;
@@ -280,7 +291,6 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
     const Rsn& network) const {
   std::vector<RsnEdge> rsn_edges = build_rsn_edges(network);
   Predecessors preds;
-  preds.fixed = transpose(fixed_successors());
   index_in_edges(
       network,
       [&rsn_edges](auto&& fn) {
@@ -326,9 +336,9 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
         seed = cur;
         break;
       }
-      for (std::uint32_t i = preds.fixed.off[cur];
-           i < preds.fixed.off[cur + 1]; ++i)
-        visit(preds.fixed.adj[i], cur, nullptr);
+      for (std::uint32_t i = fixed_pred_.off[cur];
+           i < fixed_pred_.off[cur + 1]; ++i)
+        visit(fixed_pred_.adj[i], cur, nullptr);
       for (std::uint32_t i = preds.rsn_off[cur]; i < preds.rsn_off[cur + 1];
            ++i)
         visit(preds.rsn[i].from, cur, preds.rsn[i].edge);

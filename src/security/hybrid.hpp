@@ -146,9 +146,22 @@ class HybridAnalyzer {
   std::vector<netlist::ModuleId> owner_module_;  // per node
   std::vector<int> seed_token_;                  // per node, -1 = none
 
-  // Static adjacency (node -> successor nodes), path-dependent edges only.
-  std::vector<std::vector<std::size_t>> static_succ_;
-  std::vector<std::vector<std::size_t>> circuit_succ_;  // circuit closure only
+  /// An adjacency in CSR form: node n's entries are
+  /// `adj[off[n] .. off[n + 1])`.
+  struct Csr {
+    std::vector<std::uint32_t> off;
+    std::vector<std::uint32_t> adj;
+  };
+  /// The fixed token graph: path-dependent edges only, valid across all
+  /// rewirings, built once per analyzer. Per node, its static successors
+  /// (shift order, capture cones, update connections) in build order,
+  /// then, from circuit_begin_[n], its circuit-closure successors
+  /// ascending.
+  Csr fixed_succ_;
+  std::vector<std::uint32_t> circuit_begin_;
+  /// The transpose of fixed_succ_: per node, its sources in ascending
+  /// order, and within one source in fixed_succ_'s entry order.
+  Csr fixed_pred_;
 
   struct RsnEdge {
     rsn::ElemId from_reg, to_reg;
@@ -256,25 +269,15 @@ class HybridAnalyzer {
   std::vector<std::vector<std::size_t>> rsn_successors(
       const rsn::Rsn& network) const;
 
-  /// An adjacency in CSR form: node n's entries are
-  /// `adj[off[n] .. off[n + 1])`.
-  struct Csr {
-    std::vector<std::uint32_t> off;
-    std::vector<std::uint32_t> adj;
-  };
-  /// Static + circuit successors of every node (fixed across rewirings),
-  /// per node the static entries before the circuit ones.
-  Csr fixed_successors() const;
   /// The transpose of `g`: per node, its sources in ascending order, and
   /// within one source in g's entry order.
   static Csr transpose(const Csr& g);
 
-  /// Predecessor lists in trace_violation's search order: per node, its
-  /// fixed predecessors (the transpose of fixed_successors: source
-  /// ascending, static before circuit), then its inter-segment in-edges
-  /// in build_rsn_edges order, each with the chain it crosses.
+  /// The inter-segment in-edges of one network: per node, in
+  /// build_rsn_edges order, each with the chain it crosses.
+  /// trace_violation searches a node's fixed predecessors (fixed_pred_)
+  /// first, then these.
   struct Predecessors {
-    Csr fixed;
     struct InEdge {
       std::uint32_t from;
       const RsnEdge* edge;
@@ -313,7 +316,13 @@ class HybridAnalyzer {
       const Predecessors& preds, const std::vector<TokenSet>& state) const;
 
   void build_nodes(const rsn::Rsn& layout);
-  void build_static_edges(const rsn::Rsn& layout);
+  /// Calls on_static(from, to) for every static edge, then
+  /// on_circuit(from, to) for every circuit-closure edge, each in
+  /// fixed_succ_'s entry order.
+  template <typename OnStatic, typename OnCircuit>
+  void for_each_fixed_edge(const rsn::Rsn& layout, OnStatic&& on_static,
+                           OnCircuit&& on_circuit) const;
+  void build_fixed_graph(const rsn::Rsn& layout);
   std::vector<TokenSet> run_worklist(
       const std::vector<std::vector<std::size_t>>& extra_succ,
       bool circuit_only) const;

@@ -90,9 +90,7 @@ std::size_t PureScanAnalyzer::count_violating_pairs(
     for (ElemId in : network.elem(reg).inputs)
       if (in != rsn::no_elem) incoming.merge(out[in]);
     TrustCategory t = spec_.policy(network.elem(reg).module).trust;
-    const TokenSet& bad = tokens_.bad(t);
-    for (std::size_t k = 0; k < tokens_.num_tokens(); ++k)
-      if (incoming.test(k) && bad.test(k)) ++n;
+    n += incoming.count_common(tokens_.bad(t));
   }
   return n;
 }

@@ -53,8 +53,9 @@ bool SecuritySpec::validate(std::string* error) const {
 }
 
 int TokenSet::first_common(const TokenSet& o) const {
-  for (std::size_t i = 0; i < capacity; ++i) {
-    if (test(i) && o.test(i)) return static_cast<int>(i);
+  for (std::size_t k = 0; k < w_.size(); ++k) {
+    if (const std::uint64_t common = w_[k] & o.w_[k])
+      return static_cast<int>(k * 64 + std::countr_zero(common));
   }
   return -1;
 }

@@ -94,11 +94,6 @@ HybridViolationIndex::HybridViolationIndex(const HybridAnalyzer& analyzer,
   const std::size_t nodes = a_.owner_module_.size();
   reg_chains_.assign(net.num_elements(), {});
   rsn_succ_.assign(nodes, {});
-  // The static + circuit adjacency is dense and immutable: CSR arrays in
-  // both directions, since the delta passes scan the successor and
-  // predecessor lists of many nodes per query.
-  fixed_succ_ = a_.fixed_successors();
-  preds_.fixed = HybridAnalyzer::transpose(fixed_succ_);
   for (ElemId r : net.registers()) {
     HybridAnalyzer::append_register_chains(
         net, HybridAnalyzer::index_fanout(view_.fanout()), r,
@@ -131,6 +126,7 @@ void HybridViolationIndex::index_in_edges() {
 }
 
 void HybridViolationIndex::build_support_forest() {
+  obs::Span span(obs::TraceSession::active(), "hybrid.forest");
   const std::size_t nodes = state_.size();
   const std::size_t pairs = nodes * a_.tokens_.num_tokens();
   sup_parent_.assign(pairs, no_parent);
@@ -138,6 +134,7 @@ void HybridViolationIndex::build_support_forest() {
   sup_tin_.assign(pairs, 0);
   sup_end_.assign(pairs, 0);
   sup_order_.assign(pairs, 0);
+  const HybridAnalyzer::Csr& fixed = a_.fixed_succ_;
   std::vector<std::uint32_t> queue;
   std::vector<bool> reached(nodes);
   std::vector<std::uint32_t> slot(nodes);
@@ -164,9 +161,8 @@ void HybridViolationIndex::build_support_forest() {
     };
     for (std::size_t qi = 0; qi < queue.size(); ++qi) {
       const std::uint32_t n = queue[qi];
-      for (std::uint32_t i = fixed_succ_.off[n]; i < fixed_succ_.off[n + 1];
-           ++i)
-        reach(n, fixed_succ_.adj[i]);
+      for (std::uint32_t i = fixed.off[n]; i < fixed.off[n + 1]; ++i)
+        reach(n, fixed.adj[i]);
       for (std::size_t t : rsn_succ_[n]) reach(n, t);
     }
     for (std::size_t n = 0; n < nodes; ++n)
@@ -262,9 +258,9 @@ HybridViolationIndex::trial_fanout_of(ElemId x, Scratch& s) const {
 template <typename Fn>
 bool HybridViolationIndex::any_trial_pred(std::size_t n, const Scratch& s,
                                           Fn&& fn) const {
-  for (std::uint32_t i = preds_.fixed.off[n]; i < preds_.fixed.off[n + 1];
-       ++i)
-    if (fn(preds_.fixed.adj[i])) return true;
+  const HybridAnalyzer::Csr& fixed = a_.fixed_pred_;
+  for (std::uint32_t i = fixed.off[n]; i < fixed.off[n + 1]; ++i)
+    if (fn(fixed.adj[i])) return true;
   // A committed in-edge survives iff its source register is not dirty; a
   // dirty source's in-edges are its rebuilt chains.
   for (std::uint32_t i = preds_.rsn_off[n]; i < preds_.rsn_off[n + 1]; ++i) {
@@ -505,6 +501,7 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
   //    pulls that node into the overlay (committed ∪ growth, nothing
   //    reset). The chaotic iteration converges exactly to the trial's
   //    least fixpoint — bit-identical to the from-scratch run.
+  const HybridAnalyzer::Csr& fixed = a_.fixed_succ_;
   s.worklist.clear();
   for (std::size_t n : s.affected) {
     s.state[n] = state_[n];
@@ -568,9 +565,8 @@ std::size_t HybridViolationIndex::delta_analysis(const Rsn& trial,
     TokenSet masked = nv;
     masked.subtract(start);
     if (masked.any()) {
-      for (std::uint32_t i = fixed_succ_.off[n]; i < fixed_succ_.off[n + 1];
-           ++i)
-        grow_to(masked, fixed_succ_.adj[i]);
+      for (std::uint32_t i = fixed.off[n]; i < fixed.off[n + 1]; ++i)
+        grow_to(masked, fixed.adj[i]);
       if (!dirty_from)
         for (std::size_t t : rsn_succ_[n]) grow_to(masked, t);
     }

@@ -180,11 +180,9 @@ class HybridViolationIndex {
   /// Node-level RSN successors induced by the chains: one entry per
   /// chain, and a source register has one chain per register it reaches.
   std::vector<std::vector<std::size_t>> rsn_succ_;
-  /// Static + circuit successors per node (fixed across rewirings).
-  HybridAnalyzer::Csr fixed_succ_;
-  /// The committed predecessors: the fixed ones (built once) and the
-  /// inter-segment in-edges of reg_chains_ (rebuilt per commit), in
-  /// trace_violation's search order.
+  /// The inter-segment in-edges of reg_chains_ (rebuilt per commit), in
+  /// trace_violation's search order. The fixed edges in both directions
+  /// are the analyzer's own (HybridAnalyzer::fixed_succ_, fixed_pred_).
   HybridAnalyzer::Predecessors preds_;
   /// Support forest of state_, token-major: pair (token k, node n) at
   /// index k * num_nodes + n. Parent is the predecessor that first
@@ -297,7 +295,10 @@ class PureViolationIndex {
 /// failing that, isolate a register, commit, and repeat until secure.
 /// `candidates(v)` lists the cut candidates of violation `v`;
 /// `isolated(v)` names its fallback register. `stage` ("pure", "hybrid")
-/// names the span, the iteration counter and the change notes.
+/// names the spans, the iteration counter and the change notes: one
+/// `<stage>.resolve` span per run, and per iteration one
+/// `<stage>.find_violation`, `<stage>.select` and `<stage>.commit` (the
+/// applied change, folded into the index).
 template <typename Stats, typename Index, typename Analyzer,
           typename Candidates, typename Isolated>
 Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
@@ -307,7 +308,11 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
                          const ResolveOptions& resolve_options,
                          Candidates&& candidates, Isolated&& isolated) {
   obs::TraceSession* trace = obs::TraceSession::active();
-  obs::Span resolve_span(trace, std::string(stage) + ".resolve");
+  const std::string prefix(stage);
+  obs::Span resolve_span(trace, prefix + ".resolve");
+  const std::string find_span_name = prefix + ".find_violation";
+  const std::string select_span_name = prefix + ".select";
+  const std::string commit_span_name = prefix + ".commit";
   Stats stats;
 
   Index index(analyzer, network);
@@ -341,7 +346,9 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
   std::size_t max_iters = 8 * network.registers().size() + 64;
   std::size_t iter = 0;
   for (;;) {
+    obs::Span find_span(trace, find_span_name);
     auto v = index.find_violation();
+    find_span.close();
     if (!v) break;
     if (++iter > max_iters)
       throw std::runtime_error(
@@ -354,9 +361,12 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
     // candidate generation); the policy decides how exhaustively. Trials
     // and the applied cut read the index's committed view, which equals
     // `network` until the cut is applied.
+    obs::Span select_span(trace, select_span_name);
     Rewirer::Selection sel = Rewirer::select_cut_parallel(
         index.view(), candidates(*v), slots, cur_pairs, policy, *pool);
+    select_span.close();
 
+    obs::Span commit_span(trace, commit_span_name);
     AppliedChange change;
     if (sel.found) {
       change.kind = AppliedChange::Kind::CutConnection;
@@ -379,6 +389,7 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
       index.commit(network);
       cur_pairs = index.pairs();
     }
+    commit_span.close();
     ++stats.applied_changes;
     stats.rewire_operations += change.rewire_operations;
     if (trace != nullptr) {

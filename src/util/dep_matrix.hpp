@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -110,6 +112,17 @@ class DepMatrix {
 
   /// Returns the row indices h with get(h, i) != None.
   std::vector<std::size_t> predecessors(std::size_t i) const;
+
+  /// Calls fn(j) for every column j with get(i, j) == Path, ascending:
+  /// one word scan of row i's P plane, allocation-free.
+  template <typename Fn>
+  void for_each_path_successor(std::size_t i, Fn&& fn) const {
+    assert(i < n_);
+    const std::uint64_t* row = p_.data() + i * words_per_row_;
+    for (std::size_t w = 0; w < words_per_row_; ++w)
+      for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1)
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
 
   /// True if the two matrices have identical contents.
   friend bool operator==(const DepMatrix& a, const DepMatrix& b) {

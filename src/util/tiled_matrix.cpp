@@ -650,24 +650,6 @@ std::vector<std::size_t> TiledDepMatrix::successors(std::size_t i) const {
   return out;
 }
 
-std::vector<std::size_t> TiledDepMatrix::path_successors(
-    std::size_t i) const {
-  assert(i < n_);
-  std::vector<std::size_t> out;
-  const std::size_t rb = i >> 6;
-  const std::size_t r = i & 63;
-  for (const Slot& s : rows_[rb].slots) {
-    const Tile* t = acquire(rb, s.cb, false);
-    std::uint64_t bits = t->p[r];
-    while (bits != 0) {
-      out.push_back(s.cb * 64 +
-                    static_cast<std::size_t>(std::countr_zero(bits)));
-      bits &= bits - 1;
-    }
-  }
-  return out;
-}
-
 void TiledDepMatrix::for_each_entry(
     const std::function<void(std::size_t, std::size_t, DepKind)>& fn) const {
   for (std::size_t rb = 0; rb < nb_; ++rb) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -136,8 +138,21 @@ class TiledDepMatrix {
   /// Column indices j with get(i, j) != None, ascending.
   std::vector<std::size_t> successors(std::size_t i) const;
 
-  /// Column indices j with get(i, j) == Path, ascending.
-  std::vector<std::size_t> path_successors(std::size_t i) const;
+  /// Calls fn(j) for every column j with get(i, j) == Path, ascending:
+  /// one word scan of row i's P-plane words in its row block's tiles,
+  /// allocation-free (a spilled tile is faulted in).
+  template <typename Fn>
+  void for_each_path_successor(std::size_t i, Fn&& fn) const {
+    assert(i < n_);
+    const std::size_t rb = i >> 6;
+    const std::size_t r = i & 63;
+    for (const Slot& s : rows_[rb].slots) {
+      const std::size_t base = std::size_t{s.cb} * 64;
+      for (std::uint64_t bits = acquire(rb, s.cb, false)->p[r]; bits != 0;
+           bits &= bits - 1)
+        fn(base + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
 
   /// Calls fn(i, j, kind) for every non-None entry, ascending (i, j).
   void for_each_entry(

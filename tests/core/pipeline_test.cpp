@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
+#include "obs/trace.hpp"
 #include "rsn/access.hpp"
 
 namespace rsnsec {
@@ -163,6 +168,72 @@ TEST(Pipeline, StructuralModeNeverMissesExactViolations) {
                 re.initial_violating_registers);
     }
   }
+}
+
+TEST(Pipeline, TracedRunRecordsEveryPhaseSpanUnderItsPipelineParent) {
+  // A Table I grid-1000 instance (FlexScan, circuit 2, spec 1) whose pure
+  // and hybrid stages both apply changes.
+  bench::SweepOptions sweep;
+  sweep.base_seed = 1000;
+  bench::Instance inst = bench::make_instance("FlexScan", sweep, 2);
+  security::SecuritySpec spec =
+      bench::make_spec(inst, sweep.spec, /*spec_base_seed=*/1, 2, 1);
+  PipelineOptions opt;
+  opt.dep.num_threads = 1;
+  opt.resolve.num_threads = 1;
+
+  obs::TraceSession session;
+  struct Deactivate {
+    ~Deactivate() { obs::TraceSession::set_active(nullptr); }
+  } deactivate;
+  obs::TraceSession::set_active(&session);
+  SecureFlowTool tool(inst.circuit, inst.doc.network, spec, opt);
+  PipelineResult r = tool.run();
+  ASSERT_TRUE(r.secured);
+  ASSERT_GT(r.pure.applied_changes, 0);
+  ASSERT_GT(r.hybrid.applied_changes, 0);
+
+  const std::vector<obs::SpanEvent> events = session.events();
+  std::map<std::uint64_t, const obs::SpanEvent*> by_id;
+  for (const obs::SpanEvent& e : events) by_id[e.id] = &e;
+  // The nearest enclosing span named pipeline or pipeline.*.
+  auto pipeline_parent = [&](const obs::SpanEvent& e) -> std::string {
+    for (auto it = by_id.find(e.parent); it != by_id.end();
+         it = by_id.find(it->second->parent))
+      if (it->second->name.rfind("pipeline", 0) == 0) return it->second->name;
+    return "";
+  };
+  const std::map<std::string, std::string> expected = {
+      {"pipeline.validate", "pipeline"},
+      {"pipeline.static", "pipeline"},
+      {"hybrid.build", "pipeline.static"},
+      {"pure.find_violation", "pipeline.pure"},
+      {"pure.select", "pipeline.pure"},
+      {"pure.commit", "pipeline.pure"},
+      {"hybrid.find_violation", "pipeline.hybrid"},
+      {"hybrid.select", "pipeline.hybrid"},
+      {"hybrid.commit", "pipeline.hybrid"},
+      {"hybrid.forest", "pipeline.hybrid"},
+  };
+  std::set<std::string> seen;
+  for (const obs::SpanEvent& e : events) {
+    auto it = expected.find(e.name);
+    if (it == expected.end()) continue;
+    seen.insert(e.name);
+    EXPECT_EQ(pipeline_parent(e), it->second) << e.name;
+  }
+  for (const auto& [name, parent] : expected)
+    EXPECT_TRUE(seen.count(name)) << name << " was not recorded";
+  // One find_violation per loop iteration (the last one finds none), one
+  // select and one commit per applied change.
+  std::map<std::string, int> count;
+  for (const obs::SpanEvent& e : events) ++count[e.name];
+  EXPECT_EQ(count["pure.commit"], r.pure.applied_changes);
+  EXPECT_EQ(count["pure.select"], r.pure.applied_changes);
+  EXPECT_EQ(count["pure.find_violation"], r.pure.applied_changes + 1);
+  EXPECT_EQ(count["hybrid.commit"], r.hybrid.applied_changes);
+  EXPECT_EQ(count["hybrid.select"], r.hybrid.applied_changes);
+  EXPECT_EQ(count["hybrid.find_violation"], r.hybrid.applied_changes + 1);
 }
 
 }  // namespace

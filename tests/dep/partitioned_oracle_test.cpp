@@ -63,9 +63,14 @@ void expect_same_result(const Workload& w, const DependencyAnalyzer& dense,
   EXPECT_TRUE(tiled.circuit_closure_tiled().to_dense() ==
               dense.circuit_closure())
       << label;
+  auto path_successors = [](const DependencyAnalyzer& a, std::size_t i) {
+    std::vector<std::size_t> out;
+    a.for_each_closure_path_successor(
+        i, [&out](std::size_t j) { out.push_back(j); });
+    return out;
+  };
   for (std::size_t i = 0; i < dense.num_circuit_ffs(); ++i) {
-    EXPECT_EQ(tiled.closure_path_successors(i),
-              dense.closure_path_successors(i))
+    EXPECT_EQ(path_successors(tiled, i), path_successors(dense, i))
         << label << " row " << i;
   }
   for (rsn::ElemId r : w.doc.network.registers()) {
@@ -174,8 +179,8 @@ TEST(PartitionedOracle, AutoSwitchesToTiledOnLargeCircuits) {
 }
 
 TEST(PartitionedOracle, TiledFullPipelineClassifiesIdentically) {
-  // closure_at + closure_path_successors are what the security layer
-  // consumes; cross-check them against the dense entries directly.
+  // closure_at + for_each_closure_path_successor are what the security
+  // layer consumes; cross-check them against the dense entries directly.
   Workload w("TreeUnbalanced");
   DepOptions dense_opt;
   dense_opt.partition = PartitionMode::Dense;

@@ -55,6 +55,53 @@ TEST(TokenSet, BasicOperations) {
   EXPECT_EQ(a.first_common(c), -1);
 }
 
+TEST(TokenSet, FirstCommonFindsEveryWordEdge) {
+  for (std::size_t i : {0, 1, 63, 64, 127, 128, 191, 192, 255}) {
+    TokenSet a, b;
+    a.set(i);
+    b.set(i);
+    // Bits the other set lacks, around and below i, must not count.
+    if (i > 0) a.set(i - 1);
+    if (i + 1 < TokenSet::capacity) b.set(i + 1);
+    EXPECT_EQ(a.first_common(b), static_cast<int>(i)) << "bit " << i;
+    EXPECT_EQ(b.first_common(a), static_cast<int>(i)) << "bit " << i;
+    EXPECT_EQ(a.count_common(b), 1u) << "bit " << i;
+  }
+}
+
+TEST(TokenSet, FirstCommonIsTheLowestAcrossWords) {
+  TokenSet a, b;
+  for (std::size_t i : {70, 130, 200, 255}) {
+    a.set(i);
+    b.set(i);
+  }
+  a.set(5);    // only in a
+  b.set(10);   // only in b
+  a.set(100);  // only in a
+  EXPECT_EQ(a.first_common(b), 70);
+  EXPECT_EQ(a.count_common(b), 4u);
+  a.set(66);
+  b.set(66);
+  EXPECT_EQ(a.first_common(b), 66);
+  EXPECT_EQ(a.count_common(b), 5u);
+  a.set(0);
+  b.set(0);
+  EXPECT_EQ(b.first_common(a), 0);
+  EXPECT_EQ(b.count_common(a), 6u);
+}
+
+TEST(TokenSet, DisjointSetsWithBitsInEveryWordShareNothing) {
+  TokenSet even, odd;
+  for (std::size_t i = 0; i < TokenSet::capacity; ++i)
+    (i % 2 == 0 ? even : odd).set(i);
+  EXPECT_EQ(even.first_common(odd), -1);
+  EXPECT_EQ(odd.first_common(even), -1);
+  EXPECT_EQ(even.count_common(odd), 0u);
+  EXPECT_EQ(even.count_common(even), TokenSet::capacity / 2);
+  EXPECT_EQ(TokenSet{}.first_common(even), -1);
+  EXPECT_EQ(TokenSet{}.count_common(even), 0u);
+}
+
 TEST(TokenSet, MergeReportsChange) {
   TokenSet a, b;
   b.set(7);

@@ -84,11 +84,17 @@ TEST(TiledDepMatrix, SuccessorsMatchDense) {
   fill_random(140, 40, rng, &dense, &tiled);
   for (std::size_t i = 0; i < dense.size(); ++i) {
     EXPECT_EQ(dense.successors(i), tiled.successors(i));
-    std::vector<std::size_t> dense_path;
+    std::vector<std::size_t> path;
     for (std::size_t j = 0; j < dense.size(); ++j) {
-      if (dense.get(i, j) == DepKind::Path) dense_path.push_back(j);
+      if (dense.get(i, j) == DepKind::Path) path.push_back(j);
     }
-    EXPECT_EQ(dense_path, tiled.path_successors(i));
+    std::vector<std::size_t> dense_scan, tiled_scan;
+    dense.for_each_path_successor(
+        i, [&](std::size_t j) { dense_scan.push_back(j); });
+    tiled.for_each_path_successor(
+        i, [&](std::size_t j) { tiled_scan.push_back(j); });
+    EXPECT_EQ(path, dense_scan) << "row " << i;
+    EXPECT_EQ(path, tiled_scan) << "row " << i;
   }
 }
 
