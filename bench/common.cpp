@@ -93,10 +93,8 @@ void for_each_cell(
   // outermost independent unit, mirroring how the paper's 10 x 16 grid
   // is embarrassingly parallel.
   PipelineOptions popt = opt.pipeline;
-  if (pool.num_threads() > 1) {
-    if (popt.dep.num_threads == 0) popt.dep.num_threads = 1;
-    if (popt.resolve.num_threads == 0) popt.resolve.num_threads = 1;
-  }
+  if (pool.num_threads() > 1 && popt.resolve.num_threads == 0)
+    popt.resolve.num_threads = 1;
 
   const auto circuits = static_cast<std::size_t>(opt.circuits_per_benchmark);
   const auto specs = static_cast<std::size_t>(opt.specs_per_circuit);

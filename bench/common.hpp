@@ -78,10 +78,10 @@ struct GridCell {
   const Instance& instance;
   const security::SecuritySpec& spec;
   std::size_t circuit = 0;
-  /// SweepOptions::pipeline, with the dependency analysis and the
-  /// resolution trials on one thread each when the grid itself runs
-  /// concurrently, so the host is not oversubscribed quadratically (an
-  /// explicit dep.num_threads or resolve.num_threads is kept).
+  /// SweepOptions::pipeline, with the resolution trials on one thread
+  /// when the grid itself runs concurrently, so the host is not
+  /// oversubscribed quadratically (an explicit resolve.num_threads is
+  /// kept).
   const PipelineOptions& pipeline;
 };
 

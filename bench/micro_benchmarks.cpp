@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "bench/common.hpp"
 #include "benchgen/circuit.hpp"
@@ -162,44 +161,13 @@ struct Workload {
 
 void BM_OneCycleDependencyAnalysis(benchmark::State& state) {
   Workload w(static_cast<double>(state.range(0)));
-  dep::DepOptions opt;
-  opt.num_threads = 1;
   for (auto _ : state) {
-    dep::DependencyAnalyzer a(w.circuit, w.doc.network, opt);
+    dep::DependencyAnalyzer a(w.circuit, w.doc.network);
     a.run();
     benchmark::DoNotOptimize(a.stats().closure_deps);
   }
 }
 BENCHMARK(BM_OneCycleDependencyAnalysis)->Arg(100)->Arg(300);
-
-// jobs=1 vs jobs=hardware for BENCH_dep.json: the full Sec. III-A
-// dependency analysis (cone fan-out + bridging + closure) at a Table I
-// network size. Results are bit-identical across the arg values; only
-// the wall clock may differ. A 400-FF analysis takes about 2 ms, so
-// the two cases are compared by the median of ten repetitions.
-void JobsArgs(benchmark::internal::Benchmark* b) {
-  b->ArgName("jobs")->Arg(1);
-  unsigned hw = std::thread::hardware_concurrency();
-  // Always register a >1 case so the pool machinery stays measured even
-  // on single-core CI runners.
-  b->Arg(hw > 1 ? static_cast<int>(hw) : 2);
-}
-
-void BM_DependencyAnalysisJobs(benchmark::State& state) {
-  Workload w(400);
-  dep::DepOptions opt;
-  opt.num_threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    dep::DependencyAnalyzer a(w.circuit, w.doc.network, opt);
-    a.run();
-    benchmark::DoNotOptimize(a.stats().closure_deps);
-  }
-  state.counters["jobs"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_DependencyAnalysisJobs)
-    ->Apply(JobsArgs)
-    ->Repetitions(10)
-    ->ReportAggregatesOnly(true);
 
 void BM_PurePropagation(benchmark::State& state) {
   Workload w;
@@ -522,11 +490,9 @@ void BM_DependencyAnalysisConeCache(benchmark::State& state) {
   Rng rng(11);
   rsn::RsnDocument doc = benchgen::generate_mbist(2, 3, 4, 1.0);
   netlist::Netlist nl = benchgen::attach_random_circuit(doc, {}, rng);
-  dep::DepOptions opt;
-  opt.num_threads = 1;
   std::uint64_t hits = 0;
   for (auto _ : state) {
-    dep::DependencyAnalyzer a(nl, doc.network, opt);
+    dep::DependencyAnalyzer a(nl, doc.network);
     a.run();
     hits = a.stats().cone_cache_hits;
     benchmark::DoNotOptimize(a.stats().closure_deps);
@@ -543,7 +509,6 @@ BENCHMARK(BM_DependencyAnalysisConeCache);
 void BM_DependencyAnalysisTernary(benchmark::State& state) {
   Workload w(400);
   dep::DepOptions opt;
-  opt.num_threads = 1;
   opt.ternary_prefilter = state.range(0) != 0;
   std::uint64_t ternary = 0, sat = 0;
   for (auto _ : state) {

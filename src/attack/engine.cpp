@@ -64,7 +64,6 @@ CrossCheck cross_check_scenario(const netlist::Netlist& nl,
   dep::DepOptions dopt;
   dopt.seed = options.seed;
   dopt.sat_conflict_limit = options.sat_conflict_limit;
-  dopt.num_threads = options.num_threads;
   dep::DependencyAnalyzer deps(nl, network, dopt);
   deps.run();
 

@@ -23,8 +23,6 @@ struct AttackOptions {
   /// Cross-check every verdict against the dependency matrix and the
   /// SAT-free certifier (leak recovered => violating pair must exist).
   bool cross_check = true;
-  /// Threads for the cross-check dependency analysis (0 = auto).
-  std::size_t num_threads = 0;
 };
 
 /// Consistency of the attack verdicts with the static analyses. Any

@@ -88,7 +88,6 @@ void write_json(std::ostream& os, const PipelineResult& r) {
      << "      \"rotation_witnesses\": " << r.dep_stats.rotation_witnesses
      << "\n"
      << "    },\n"
-     << "    \"threads\": " << r.dep_stats.threads_used << ",\n"
      << "    \"phase_seconds\": {\"one_cycle\": " << r.dep_stats.t_one_cycle
      << ", \"bridge\": " << r.dep_stats.t_bridge
      << ", \"closure\": " << r.dep_stats.t_closure << "}\n"

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -12,8 +10,6 @@
 #include "netlist/cone_workspace.hpp"
 #include "netlist/sim.hpp"
 #include "obs/trace.hpp"
-#include "util/slot_pool.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rsnsec::dep {
 
@@ -37,10 +33,8 @@ constexpr std::size_t kRegionTargetFfs = 1024;
 constexpr std::size_t kRegionMinFfs = 256;
 
 /// Seed of the private RNG stream of a cone (splitmix64 finalizer over
-/// (seed, cone signature hash)). Hashing instead of sharing one sequential
-/// stream makes every cone's patterns independent of scheduling (bit-
-/// identical results for any thread count); hashing the *signature* rather
-/// than the task index additionally gives isomorphic cones identical
+/// (seed, cone signature hash)). Hashing the *signature* rather than
+/// drawing from one sequential stream gives isomorphic cones identical
 /// pattern streams, so one cone's sim/SAT verdicts are valid verbatim for
 /// every cone of the same shape — the basis of the cone cache.
 std::uint64_t cone_seed(std::uint64_t seed, std::uint64_t sig_hash) {
@@ -109,10 +103,9 @@ ConeSignature cone_signature(const Cone& cone, netlist::ConeWorkspace& ws) {
 
 }  // namespace
 
-/// The scratch of one cone fan-out chunk: the cone workspace and the
-/// ternary evaluator, both sized to the netlist once per slot. Slots
-/// come from a SlotPool that compute_one_cycle() owns, so they are freed
-/// before run() returns.
+/// The scratch of the one-cycle phase: the cone workspace and the ternary
+/// evaluator, both sized to the netlist once. compute_one_cycle() owns the
+/// one slot, so it is freed before run() returns.
 struct DependencyAnalyzer::ConeSlot {
   explicit ConeSlot(const netlist::Netlist& nl) : ws(nl), ternary(nl) {}
   netlist::ConeWorkspace ws;
@@ -237,11 +230,10 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
   // parallel patterns (a 4x64-bit SIMD pattern block per leaf) proves
   // functional dependence without any SAT call. One round: on every
   // Table I grid and full-size design measured, further rounds witnessed
-  // no leaf the first left undecided. The buffers are the slot's, so
-  // concurrent cone classifications share nothing, and every leaf
-  // pattern is written before it is read. Determinism contract: every
-  // leaf draws its four lanes in lane order from the cone's private
-  // stream, so verdicts are schedule-independent.
+  // no leaf the first left undecided. The buffers are the slot's, and
+  // every leaf pattern is written before it is read. Determinism
+  // contract: every leaf draws its four lanes in lane order from the
+  // cone's private stream, so verdicts depend only on the cone.
   std::vector<bool> decided(cone.leaves.size(), false);
   std::vector<netlist::Word256>& base = slot.ws.leaf_values;
   std::vector<netlist::Word256>& scratch = slot.ws.node_values;
@@ -290,9 +282,9 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
 
   if (undecided > 0) {
     // Exact SAT check for the leaves simulation could not witness. The
-    // checker resets and borrows the slot's solver: SAT state is never
-    // shared between threads, and the exact reset keeps every verdict and
-    // solver counter independent of which slot ran the cone before.
+    // checker resets and borrows the slot's solver; the exact reset keeps
+    // every verdict and solver counter independent of the cones the
+    // solver ran before.
     netlist::ConeDependenceChecker checker(slot.ws, cone,
                                            options_.sat_conflict_limit);
     for (std::size_t i : ff_leaves) {
@@ -360,48 +352,29 @@ void DependencyAnalyzer::compute_one_cycle() {
   const std::size_t nff = ff_nodes_.size();
   const std::size_t ntasks = nff + capture_tasks.size();
 
-  // Both fan-outs below claim one slot per chunk: a chunk takes a free
-  // slot, or makes one when every slot is busy, so there is at most one
-  // per pool thread, and every netlist-sized buffer is allocated once per
-  // slot instead of once per cone.
-  SlotPool<ConeSlot> slots;
-  obs::TraceSession* trace = obs::TraceSession::active();
-  auto claim = [&]() -> ConeSlot& {
-    return slots.acquire([&] {
-      if (trace != nullptr) trace->counter("dep.cone_slots").add(1);
-      return std::make_unique<ConeSlot>(nl_);
-    });
-  };
+  // Every cone below is extracted and classified in this one slot, so
+  // every netlist-sized buffer is allocated once per run instead of once
+  // per cone.
+  ConeSlot slot(nl_);
 
-  // Phase 1 (parallel): extract every task's cone and its canonical
-  // signature in one fan-out. The capture cones' leaves also decide
-  // which flip-flops are internal. Extraction costs about the same per
-  // cone, so the chunks are the pool's automatic ones (about 8 per
-  // thread): with one chunk per cone, the per-chunk slot claims made
-  // this phase slower at --jobs 4 than at --jobs 1 on full-size designs.
+  // Phase 1: extract every task's cone and its canonical signature. The
+  // capture cones' leaves also decide which flip-flops are internal.
   std::vector<Cone> cones(ntasks);
   std::vector<ConeSignature> sigs(ntasks);
-  pool_->parallel_chunks(
-      0, ntasks,
-      [&](std::size_t cb, std::size_t ce, std::size_t) {
-        ConeSlot& slot = claim();
-        for (std::size_t t = cb; t < ce; ++t) {
-          if (t < nff) {
-            slot.ws.extract_next_state_cone(ff_nodes_[t], cones[t]);
-          } else {
-            slot.ws.extract_signal_cone(capture_tasks[t - nff].src, cones[t]);
-          }
-          sigs[t] = cone_signature(cones[t], slot.ws);
-        }
-        slots.release(slot);
-      },
-      /*grain=*/0);
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    if (t < nff) {
+      slot.ws.extract_next_state_cone(ff_nodes_[t], cones[t]);
+    } else {
+      slot.ws.extract_signal_cone(capture_tasks[t - nff].src, cones[t]);
+    }
+    sigs[t] = cone_signature(cones[t], slot.ws);
+  }
   classify_internal(std::span<const Cone>(cones).subspan(nff));
 
-  // Phase 2 (sequential): group isomorphic cones. The representative of a
-  // group is its lowest task index; membership is decided by full
-  // signature equality — the 64-bit hash only buckets, so a hash
-  // collision can never make two different cones share verdicts.
+  // Phase 2: group isomorphic cones. The representative of a group is
+  // its lowest task index; membership is decided by full signature
+  // equality — the 64-bit hash only buckets, so a hash collision can
+  // never make two different cones share verdicts.
   std::vector<std::size_t> group_of(ntasks);
   std::vector<std::size_t> reps;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
@@ -423,26 +396,17 @@ void DependencyAnalyzer::compute_one_cycle() {
     group_of[t] = g;
   }
 
-  // Phase 3 (parallel): classify one representative per group, one chunk
-  // per representative, since SAT makes their costs skewed. The RNG
-  // stream is a pure function of (seed, signature), so a representative's
-  // verdicts are bit for bit what classifying any member would produce.
+  // Phase 3: classify one representative per group. The RNG stream is a
+  // pure function of (seed, signature), so a representative's verdicts
+  // are bit for bit what classifying any member would produce.
   std::vector<std::vector<LeafDep>> group_results(reps.size());
   std::vector<DepStats> group_stats(reps.size());
-  pool_->parallel_chunks(
-      0, reps.size(),
-      [&](std::size_t cb, std::size_t ce, std::size_t) {
-        ConeSlot& slot = claim();
-        for (std::size_t g = cb; g < ce; ++g) {
-          Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
-          group_results[g] =
-              cone_deps(cones[reps[g]], rng, group_stats[g], slot);
-        }
-        slots.release(slot);
-      },
-      /*grain=*/1);
+  for (std::size_t g = 0; g < reps.size(); ++g) {
+    Rng rng(cone_seed(options_.seed, sigs[reps[g]].hash));
+    group_results[g] = cone_deps(cones[reps[g]], rng, group_stats[g], slot);
+  }
 
-  // Phase 4 (sequential): distribute verdicts (translating cone-local
+  // Phase 4: distribute verdicts (translating cone-local
   // leaf indices back to each member's own leaves) and counters in task
   // order. Counters are replicated per member — the cache saves work, not
   // logical results — so every classification counter matches
@@ -533,13 +497,12 @@ void DependencyAnalyzer::bridge_internal() {
   } else {
     // Partitioned: an internal flip-flop whose every dependency stays
     // inside its region can be bridged on a small dense matrix lifted
-    // from the region's diagonal tiles — regions are independent, so
-    // they run in parallel, and the dense eliminate kernel beats the
-    // tiled one on a region-sized matrix. Only internals with at least
-    // one inter-region edge ("cross") must be eliminated on the global
-    // tiled matrix, sequentially. Order-independence of elimination
-    // makes the reordering (locals per region, then crosses) produce
-    // exactly the dense oracle's relation.
+    // from the region's diagonal tiles, where the dense eliminate kernel
+    // beats the tiled one. Only internals with at least one inter-region
+    // edge ("cross") must be eliminated on the global tiled matrix.
+    // Order-independence of elimination makes the reordering (locals
+    // per region, then crosses) produce exactly the dense oracle's
+    // relation.
     const std::size_t nb = closure_tiled_.num_blocks();
     std::vector<std::size_t> region_of(nb);
     const std::size_t num_regions =
@@ -568,7 +531,7 @@ void DependencyAnalyzer::bridge_internal() {
         cross[cb * 64 + static_cast<std::size_t>(c)] = true;
       }
     });
-    auto bridge_region = [&](std::size_t reg) {
+    for (std::size_t reg = 0; reg < num_regions; ++reg) {
       const std::size_t b0 = region_first_block_[reg];
       const std::size_t b1 = region_first_block_[reg + 1];
       const std::size_t base = b0 * 64;
@@ -576,7 +539,7 @@ void DependencyAnalyzer::bridge_internal() {
       bool any_local = false;
       for (std::size_t v = base; v < base + m && !any_local; ++v)
         any_local = internal_[v] && !cross[v];
-      if (!any_local) return;
+      if (!any_local) continue;
       // Lift the region's diagonal block (the only tiles a local
       // internal's edges can touch) into a dense m-by-m matrix. Regions
       // are 64-aligned, so tile words copy straight into plane words.
@@ -619,18 +582,6 @@ void DependencyAnalyzer::bridge_internal() {
           closure_tiled_.assign_tile(rb, cb, t);
         }
       }
-    };
-    // Each region touches only its own row blocks, so regions are
-    // parallel-safe — except in spill mode, where fault-in mutates the
-    // matrix-wide eviction state.
-    ThreadPool* pool =
-        options_.spill_backend != nullptr && options_.tile_spill_budget > 0
-            ? nullptr
-            : pool_;
-    if (pool != nullptr) {
-      pool->parallel_for(0, num_regions, bridge_region, /*grain=*/1);
-    } else {
-      for (std::size_t reg = 0; reg < num_regions; ++reg) bridge_region(reg);
     }
     for (std::size_t v = 0; v < n; ++v) {
       if (internal_[v] && cross[v]) closure_tiled_.eliminate(v);
@@ -666,18 +617,6 @@ void DependencyAnalyzer::compute_closure() {
 }
 
 void DependencyAnalyzer::run() {
-  // A caller-provided pool (DepOptions::pool) is used as-is — the serve
-  // scheduler shares one pool across concurrent analyses; otherwise a
-  // private pool spans this run.
-  std::optional<ThreadPool> owned_pool;
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else {
-    owned_pool.emplace(ThreadPool::resolve_num_threads(options_.num_threads));
-    pool_ = &*owned_pool;
-  }
-  stats_.threads_used = pool_->num_threads();
-
   // Each phase is one trace span; Span::seconds() feeds the same DepStats
   // wall-clock fields the old per-phase stopwatches filled, so the
   // BENCH_dep.json schema and existing consumers are unchanged.
@@ -721,7 +660,6 @@ void DependencyAnalyzer::run() {
     trace->counter("dep.tiles_nonzero").add(stats_.tiles_nonzero);
     trace->counter("dep.tiles_spilled").add(stats_.tiles_spilled);
   }
-  pool_ = nullptr;
 }
 
 const std::vector<CaptureDep>& DependencyAnalyzer::capture_deps(
@@ -797,7 +735,6 @@ bool DependencyAnalyzer::restore(AnalysisSnapshot snap, std::string* error) {
   stats_.t_one_cycle = 0.0;
   stats_.t_bridge = 0.0;
   stats_.t_closure = 0.0;
-  stats_.threads_used = 0;
   // Footprint counters reflect the restored (fully resident, unspilled)
   // matrices, not the producing run's.
   refresh_matrix_stats();

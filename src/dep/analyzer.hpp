@@ -11,10 +11,6 @@
 #include "util/rng.hpp"
 #include "util/tiled_matrix.hpp"
 
-namespace rsnsec {
-class ThreadPool;
-}
-
 namespace rsnsec::dep {
 
 /// How 1-cycle dependencies are classified (Sec. III-A / Sec. IV-C).
@@ -73,24 +69,14 @@ struct DepOptions {
   /// conservatively classified as functional (sound for security).
   std::uint64_t sat_conflict_limit = 200000;
   /// Seed for the simulation prefilter patterns. Every cone draws its
-  /// patterns from a private stream seeded as hash(seed, cone signature),
-  /// so the analysis result is bit-identical for any num_threads — and,
-  /// because isomorphic cones share a signature, one classification
-  /// serves every cone of the same shape (the cone cache).
+  /// patterns from a private stream seeded as hash(seed, cone signature):
+  /// isomorphic cones share a signature, so one classification serves
+  /// every cone of the same shape (the cone cache).
   std::uint64_t seed = 1;
-  /// Worker threads for the cone fan-out and the region-local bridging;
-  /// the closure runs on the calling thread, since its pivot steps are
-  /// sequential. 0 = auto: the RSNSEC_JOBS environment variable if set,
-  /// else std::thread::hardware_concurrency(). Any value yields
-  /// bit-identical results (see ThreadPool and the per-cone RNG streams).
-  /// Ignored when `pool` is set.
+  /// No effect: the analysis runs on the calling thread. Kept because the
+  /// end-to-end benchmark harness (perfbench/harness.cpp) still sets it;
+  /// excluded from cache keys.
   std::size_t num_threads = 0;
-  /// External thread pool (not owned; must outlive run()). When set, the
-  /// analysis runs its parallel phases on it instead of constructing a
-  /// private pool. Execution knob like num_threads: results are
-  /// bit-identical, so it is excluded from cache keys. The serve
-  /// scheduler uses this to share one pool across concurrent requests.
-  ThreadPool* pool = nullptr;
   /// Matrix representation: dense oracle, tiled, or size-based Auto.
   /// Bit-identical either way (pinned by the partitioned-oracle tests);
   /// participates in the cache key only because the snapshot payload
@@ -147,8 +133,8 @@ struct DepStats {
   std::uint64_t cores_reused = 0;        ///< leaves discharged by Unsat cores
   std::uint64_t rotation_witnesses = 0;  ///< leaves discharged by rotation
   /// Regions of the deterministic partition (0 in dense mode). A pure
-  /// function of the circuit — independent of num_threads — so it is part
-  /// of the logical result and cached in snapshots.
+  /// function of the circuit, so it is part of the logical result and
+  /// cached in snapshots.
   std::size_t regions = 0;
   /// Resident heap bytes of the one-cycle + closure matrices (dense plane
   /// bytes in dense mode). Representation-dependent by design: this is
@@ -156,7 +142,6 @@ struct DepStats {
   std::uint64_t matrix_bytes = 0;
   std::uint64_t tiles_nonzero = 0;  ///< denoted 64x64 tiles (0 when dense)
   std::uint64_t tiles_spilled = 0;  ///< cumulative spill evictions this run
-  std::size_t threads_used = 0;  ///< resolved parallelism of the run
   /// Per-phase wall-clock seconds. t_one_cycle covers extracting every
   /// next-state and capture cone, deciding which flip-flops are internal,
   /// and classifying the cones (simulation prefilter, ternary, SAT);
@@ -301,8 +286,8 @@ class DependencyAnalyzer {
   /// (matrix dimensions, register/scan-FF layout, capture-dependency
   /// node ids); on mismatch returns false, fills `error`, and leaves the
   /// analyzer unusable for queries (callers fall back to run()). The
-  /// wall-clock fields of the restored stats are zeroed and threads_used
-  /// is 0 — "served from the store" does no analysis work.
+  /// wall-clock fields of the restored stats are zeroed — "served from
+  /// the store" does no analysis work.
   bool restore(AnalysisSnapshot snap, std::string* error = nullptr);
 
  private:
@@ -329,8 +314,6 @@ class DependencyAnalyzer {
   std::vector<std::vector<std::vector<CaptureDep>>> capture_deps_;
   std::vector<std::size_t> reg_slot_;
   DepStats stats_;
-  /// Live only during run(); loops run inline when it is null.
-  ThreadPool* pool_ = nullptr;
 
   /// Dependency of the cone root on cone.leaves[leaf_idx], positionally:
   /// isomorphic cones (equal signatures) share these verdicts, each cone
@@ -342,8 +325,8 @@ class DependencyAnalyzer {
 
   void build_index();
   /// Splits the dense index range into contiguous, 64-aligned regions
-  /// along module boundaries (tiled mode). Pure function of the circuit —
-  /// independent of num_threads — so partitioned results are reproducible.
+  /// along module boundaries (tiled mode). Pure function of the circuit,
+  /// so partitioned results are reproducible.
   void partition_regions();
   /// Recomputes the representation-dependent footprint stats (regions,
   /// matrix_bytes, tiles_nonzero, tiles_spilled) from the live matrices.
@@ -351,13 +334,12 @@ class DependencyAnalyzer {
   /// Marks every circuit flip-flop internal that is neither an update
   /// target nor a leaf of one of the scan FFs' `capture_cones`.
   void classify_internal(std::span<const netlist::Cone> capture_cones);
-  /// Scratch of one cone fan-out chunk (defined in analyzer.cpp).
+  /// Scratch of the one-cycle phase (defined in analyzer.cpp).
   struct ConeSlot;
   /// Classifies the dependencies of the cone root on the cone's flip-flop
-  /// leaves (functional vs. only-structural). Thread-safe: draws patterns
-  /// from the caller-provided RNG stream, works in the caller's claimed
-  /// `slot`, and accumulates the sim/SAT counters into `stats` (a
-  /// per-task instance when run in parallel).
+  /// leaves (functional vs. only-structural). Draws patterns from the
+  /// caller-provided RNG stream, works in `slot`, and accumulates the
+  /// sim/SAT counters into `stats` (one instance per isomorphism group).
   std::vector<LeafDep> cone_deps(const netlist::Cone& cone, Rng& rng,
                                  DepStats& stats, ConeSlot& slot) const;
   void compute_one_cycle();

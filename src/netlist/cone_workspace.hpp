@@ -20,9 +20,9 @@ namespace rsnsec::netlist {
 ///
 /// A workspace serves one cone at a time, and every pass resets or
 /// overwrites what it reads first, so results never depend on what the
-/// workspace did before. Not thread-safe: parallel callers hold one
-/// workspace per thread (dep::DependencyAnalyzer claims them per fan-out
-/// chunk from a SlotPool that lives for one run()).
+/// workspace did before. Not thread-safe: concurrent callers hold one
+/// workspace each (dep::DependencyAnalyzer holds one for the one-cycle
+/// phase of a run()).
 class ConeWorkspace {
  public:
   explicit ConeWorkspace(const Netlist& nl) : nl_(nl) {}

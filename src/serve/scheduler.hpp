@@ -13,10 +13,11 @@
 // (explicit backpressure instead of unbounded buffering or blocked
 // socket readers).
 //
-// Executor threads run the *request* level of parallelism; the analysis
-// inside each request fans out onto the service's shared ThreadPool
-// (DepOptions::pool / ResolveOptions::pool), so total analysis threads
-// stay bounded no matter how many tenants connect.
+// Executor threads run the *request* level of parallelism: each runs its
+// request's dependency analysis itself, and a secure request's resolution
+// trials fan out onto the service's shared ThreadPool
+// (ResolveOptions::pool), so total threads stay bounded no matter how
+// many tenants connect.
 
 #include <chrono>
 #include <condition_variable>

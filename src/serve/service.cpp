@@ -92,11 +92,10 @@ std::uint64_t to_us(double seconds) {
 }
 
 ExecResult run_analyze(const Request& req, const Workload& w,
-                       ThreadPool& pool, store::ArtifactStore* store) {
+                       store::ArtifactStore* store) {
   dep::DepOptions dopt;
   if (req.structural) dopt.mode = dep::DepMode::StructuralOnly;
   dopt.ternary_prefilter = !req.no_ternary;
-  dopt.pool = &pool;
   AnalyzeResult analysis = analyze(w, dopt, store);
   std::ostringstream os;
   write_analyze_json(os, analysis.report);
@@ -111,7 +110,6 @@ ExecResult run_secure(const Request& req, Workload& w, ThreadPool& pool,
   PipelineOptions popt;
   if (req.structural) popt.dep.mode = dep::DepMode::StructuralOnly;
   popt.dep.ternary_prefilter = !req.no_ternary;
-  popt.dep.pool = &pool;
   popt.resolve.pool = &pool;
   popt.store = store;
   popt.verify = req.verify;
@@ -192,9 +190,8 @@ ExecResult run_attack(const Request& req) {
       benchgen::make_redteam_workload(req.benchmark, req.seed, ropt);
   attack::AttackOptions aopt;
   aopt.seed = req.seed;
-  // Single-threaded, no cross-check: the reply is a deterministic
-  // function of (benchmark, seed), replayable for regression diffs.
-  aopt.num_threads = 1;
+  // No cross-check: the reply is a deterministic function of
+  // (benchmark, seed), replayable for regression diffs.
   aopt.cross_check = false;
   attack::AttackReport rep =
       attack::run_attacks(w.circuit, w.doc.network, w.scenarios, aopt);
@@ -264,7 +261,7 @@ ExecResult AnalysisService::execute(const Request& req) {
   try {
     switch (req.command) {
       case Command::Analyze:
-        return run_analyze(req, w, pool_, store_.get());
+        return run_analyze(req, w, store_.get());
       case Command::Secure:
         return run_secure(req, w, pool_, store_.get());
       case Command::Certify:

@@ -3,9 +3,10 @@
 // Execution + shared-state layer of the serve daemon. One AnalysisService
 // owns everything every tenant shares:
 //
-//   - one ThreadPool — each request's dependency analysis and resolution
-//     fan out onto it (DepOptions::pool / ResolveOptions::pool), so total
-//     analysis threads stay bounded regardless of tenant count;
+//   - one ThreadPool — each secure request's resolution trials fan out
+//     onto it (ResolveOptions::pool), so total trial threads stay bounded
+//     regardless of tenant count; the dependency analysis runs on the
+//     executor thread;
 //   - one ArtifactStore (optional) — repeated designs warm-start across
 //     tenants: the second analyze of a design makes zero SAT calls no
 //     matter who sent the first;
@@ -43,8 +44,8 @@ struct ServiceOptions {
   /// Artifact-store directory shared by all tenants ("" = no store;
   /// every request recomputes).
   std::string store_dir;
-  /// Threads of the shared analysis pool (0 = auto: RSNSEC_JOBS, else
-  /// hardware concurrency).
+  /// Threads of the shared resolution-trial pool (0 = auto: RSNSEC_JOBS,
+  /// else hardware concurrency).
   std::size_t analysis_threads = 0;
 };
 

@@ -25,9 +25,9 @@ void encode_options_fingerprint(ByteWriter& w,
   // space — otherwise a dense analyzer would keep discarding a tiled
   // analyzer's perfectly valid blobs and vice versa.
   w.u8(static_cast<std::uint8_t>(options.partition));
-  // NOT num_threads: bit-identical at any thread count. NOT
-  // tile_spill_budget / spill_backend: pure execution knobs — the
-  // snapshot is always fully resident.
+  // NOT num_threads: it has no effect. NOT tile_spill_budget /
+  // spill_backend: pure execution knobs — the snapshot is always fully
+  // resident.
 }
 
 void encode_bits(ByteWriter& w, const std::vector<bool>& bits) {
@@ -61,9 +61,9 @@ std::vector<bool> decode_bits(ByteReader& r) {
 }
 
 void encode_stats(ByteWriter& w, const dep::DepStats& s) {
-  // Logical result fields only: the wall-clock fields and threads_used
-  // describe the run that produced the snapshot, not the result, and
-  // restore() zeroes them regardless.
+  // Logical result fields only: the wall-clock fields describe the run
+  // that produced the snapshot, not the result, and restore() zeroes
+  // them regardless.
   w.varint(s.circuit_ffs);
   w.varint(s.internal_ffs);
   w.varint(s.denoted_ffs_before);

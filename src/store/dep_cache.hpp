@@ -12,9 +12,8 @@ namespace rsnsec::store {
 /// versioned label, the canonical encodings of circuit and RSN, and a
 /// fingerprint of every DepOptions field that can influence the result —
 /// mode, bridging, conflict limit, seed, the ternary prefilter and the
-/// partition mode. num_threads is deliberately
-/// excluded: the engine is bit-identical at any thread count, so all
-/// thread counts share one cache entry.
+/// partition mode. num_threads, which has no effect, is deliberately
+/// excluded, so every value shares one cache entry.
 std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
                           const dep::DepOptions& options);
 

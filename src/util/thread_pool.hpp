@@ -17,12 +17,12 @@ namespace rsnsec {
 
 /// Fixed-size worker pool with chunked data-parallel loops.
 ///
-/// The pool fans out only over independent units of work: the dependency
-/// engine's cones and bridging regions (Sec. III-A), the resolution
+/// The pool fans out only over independent units of work: the resolution
 /// trials, the lint passes and the benchmark sweeps. A loop whose steps
 /// depend on each other, such as the pivots of the multi-cycle closure,
 /// stays on the calling thread: a fork and join per step would cost more
-/// than the step itself. Design points:
+/// than the step itself. So does the dependency analysis (Sec. III-A):
+/// its cones became too cheap to pay for a fan-out. Design points:
 ///
 ///  - A pool of `num_threads` has `num_threads - 1` background workers;
 ///    the caller of parallel_for/parallel_chunks participates as the
@@ -30,7 +30,7 @@ namespace rsnsec {
 ///    inline, so sequential and parallel execution share one code path.
 ///  - parallel_for splits [begin, end) into chunks claimed from an
 ///    atomic counter (work stealing by contended increment), which load-
-///    balances cost-skewed iterations such as SAT-heavy cones.
+///    balances cost-skewed iterations such as trials of different size.
 ///  - Because the caller participates, a loop body may itself call
 ///    parallel_for on the same pool (nested parallelism) without
 ///    deadlock: if all workers are busy, the nested caller simply runs

@@ -18,13 +18,14 @@ namespace {
 constexpr std::size_t kTileBytes = sizeof(TiledDepMatrix::Tile);
 constexpr std::size_t kTileWords = 128;  // 64 S rows + 64 P rows
 
-/// OR `words` 64-bit words of src into dst, four lanes at a time. memcpy
+/// Words of one tile plane.
+constexpr std::size_t kPlaneWords = 64;
+
+/// ORs tile plane src into tile plane dst, four lanes at a time. memcpy
 /// in and out of Word256 keeps it strict-aliasing clean; the copies
 /// compile away and the lane loop auto-vectorizes.
-void or_words(std::uint64_t* dst, const std::uint64_t* src,
-              std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
+void or_plane(std::uint64_t* dst, const std::uint64_t* src) {
+  for (std::size_t i = 0; i < kPlaneWords; i += 4) {
     Word256 a;
     Word256 b;
     std::memcpy(&a, dst + i, sizeof a);
@@ -32,24 +33,19 @@ void or_words(std::uint64_t* dst, const std::uint64_t* src,
     a |= b;
     std::memcpy(dst + i, &a, sizeof a);
   }
-  for (; i < words; ++i) dst[i] |= src[i];
 }
 
-bool any_words(const std::uint64_t* w, std::size_t words) {
-  std::size_t i = 0;
-  for (; i + 4 <= words; i += 4) {
+bool any_plane(const std::uint64_t* w) {
+  for (std::size_t i = 0; i < kPlaneWords; i += 4) {
     Word256 a;
     std::memcpy(&a, w + i, sizeof a);
     if (a.any()) return true;
-  }
-  for (; i < words; ++i) {
-    if (w[i] != 0) return true;
   }
   return false;
 }
 
 bool tile_is_zero(const TiledDepMatrix::Tile& t) {
-  return !any_words(t.s, 64) && !any_words(t.p, 64);
+  return !any_plane(t.s) && !any_plane(t.p);
 }
 
 std::size_t tile_popcount(const std::uint64_t* rows) {
@@ -558,7 +554,7 @@ void TiledDepMatrix::transitive_closure(const std::vector<bool>* active) {
   for (std::size_t rb = 0; rb < nb_; ++rb) {
     for (Slot& s : rows_[rb].slots) {
       Tile* t = acquire(rb, s.cb, false);
-      or_words(t->s, t->p, 64);
+      or_plane(t->s, t->p);
     }
   }
   checkpoint();

@@ -72,9 +72,8 @@ class InMemorySpillBackend : public TileSpillBackend {
 /// empties, so tiles_nonzero() counts denoted 64x64 blocks exactly.
 ///
 /// Threading: every kernel runs on the calling thread. Without a backend,
-/// callers may mutate disjoint row blocks concurrently (the analyzer's
-/// region-local bridging does); with one, fault-in and eviction mutate
-/// matrix-wide state, so all access must be serial.
+/// callers may mutate disjoint row blocks concurrently; with one, fault-in
+/// and eviction mutate matrix-wide state, so all access must be serial.
 class TiledDepMatrix {
  public:
   /// One 64x64-bit tile: 64 row words per plane, bit c of s[r] =
@@ -209,8 +208,7 @@ class TiledDepMatrix {
   mutable std::uint64_t clock_ = 0;
   mutable std::uint64_t tiles_spilled_ = 0;
   /// Resident tile count, maintained only while a backend is attached
-  /// (access is serial then); without a backend it is unused, so callers
-  /// working on disjoint row blocks never touch shared state.
+  /// (access is serial then); unused without a backend.
   mutable std::size_t resident_ = 0;
 
   /// Tail mask of the last block: bits for columns/rows >= n are invalid.

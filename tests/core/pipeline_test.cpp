@@ -179,7 +179,6 @@ TEST(Pipeline, TracedRunRecordsEveryPhaseSpanUnderItsPipelineParent) {
   security::SecuritySpec spec =
       bench::make_spec(inst, sweep.spec, /*spec_base_seed=*/1, 2, 1);
   PipelineOptions opt;
-  opt.dep.num_threads = 1;
   opt.resolve.num_threads = 1;
 
   obs::TraceSession session;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "benchgen/circuit.hpp"
+#include "benchgen/families.hpp"
 #include "benchgen/running_example.hpp"
+#include "obs/trace.hpp"
 
 namespace rsnsec::dep {
 namespace {
@@ -150,6 +153,67 @@ TEST_F(RunningExampleDeps, SimPrefilterResolvesMostFunctionalDeps) {
   EXPECT_GT(b.stats().sat_structural, 0u);
   EXPECT_EQ(b.stats().ternary_resolved, 0u);
   EXPECT_TRUE(a.circuit_closure() == b.circuit_closure());
+}
+
+/// A 120-scan-FF Mingle network with a random circuit attached.
+struct MingleWorkload {
+  rsn::RsnDocument doc;
+  netlist::Netlist circuit;
+
+  MingleWorkload() {
+    Rng rng(11);
+    const benchgen::BenchmarkProfile& p = benchgen::bastion_profile("Mingle");
+    doc = benchgen::generate_bastion(
+        p, 120.0 / static_cast<double>(p.scan_ffs), rng);
+    circuit = benchgen::attach_random_circuit(doc, {}, rng);
+  }
+};
+
+TEST(DependencyAnalyzer, RunsOnTheCallingThread) {
+  // num_threads has no effect: neither representation starts a pool loop,
+  // whatever thread count is asked for.
+  MingleWorkload w;
+  for (PartitionMode partition : {PartitionMode::Dense, PartitionMode::Tiled}) {
+    DepOptions opt;
+    opt.num_threads = 4;
+    opt.partition = partition;
+    DependencyAnalyzer a(w.circuit, w.doc.network, opt);
+    obs::TraceSession session;
+    obs::TraceSession::set_active(&session);
+    a.run();
+    obs::TraceSession::set_active(nullptr);
+    const char* label = partition_name(partition);
+    EXPECT_EQ(a.tiled(), partition == PartitionMode::Tiled) << label;
+    EXPECT_EQ(session.counter("dep.runs").value(), 1u) << label;
+    EXPECT_EQ(session.counter("pool.loops").value(), 0u) << label;
+    for (const obs::SpanEvent& e : session.events())
+      EXPECT_NE(e.name, "pool.loop") << label;
+  }
+}
+
+TEST(DependencyAnalyzer, ConflictLimitStaysSoundAndAccounted) {
+  // With a tiny conflict budget some queries may return Unknown; those
+  // must be classified conservatively (as Path), so the limited run's
+  // path relation is a superset of the exact run's.
+  MingleWorkload w;
+  DepOptions exact;
+  DepOptions limited = exact;
+  limited.sat_conflict_limit = 1;
+  DependencyAnalyzer a(w.circuit, w.doc.network, exact);
+  a.run();
+  DependencyAnalyzer b(w.circuit, w.doc.network, limited);
+  b.run();
+  EXPECT_EQ(b.stats().sat_calls, b.stats().sat_functional +
+                                     b.stats().sat_structural +
+                                     b.stats().sat_unknown);
+  for (std::size_t i = 0; i < a.num_circuit_ffs(); ++i) {
+    for (std::size_t j = 0; j < a.num_circuit_ffs(); ++j) {
+      if (a.circuit_closure().get(i, j) == DepKind::Path) {
+        EXPECT_EQ(b.circuit_closure().get(i, j), DepKind::Path)
+            << i << " -> " << j;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,8 @@
 // instance FlexScan circuit 2 (the resolve_alloc_test instance): during
 // DependencyAnalyzer::run(), the allocations of at least num_nodes()
 // bytes — the netlist-sized buffers — are bounded by a constant per run
-// plus a constant per cone slot, independent of the number of cones, and
-// so are the bytes allocated in total. A run makes at most one slot per
-// pool thread. Checked on 1-thread and 4-thread pools; the 4-thread run
-// also hands slots between pool threads, which the TSan job race-checks.
+// plus the constant of its one cone slot, independent of the number of
+// cones, and so are the bytes allocated in total.
 //
 // Separate binary: it replaces the global operator new with a counting
 // one, which must not perturb the other suites.
@@ -18,7 +16,6 @@
 
 #include "bench/common.hpp"
 #include "dep/analyzer.hpp"
-#include "obs/trace.hpp"
 
 static std::atomic<std::size_t> g_allocs{0};
 static std::atomic<std::size_t> g_bytes{0};
@@ -59,11 +56,9 @@ struct RunAllocs {
   DepStats stats;
 };
 
-RunAllocs measure(std::size_t threads) {
+RunAllocs measure() {
   const bench::Instance& inst = instance();
-  DepOptions opt;
-  opt.num_threads = threads;
-  DependencyAnalyzer analyzer(inst.circuit, inst.doc.network, opt);
+  DependencyAnalyzer analyzer(inst.circuit, inst.doc.network);
   g_big_threshold.store(inst.circuit.num_nodes());
   const std::size_t allocs0 = g_allocs.load(), big0 = g_big.load(),
                     bytes0 = g_bytes.load();
@@ -77,22 +72,8 @@ RunAllocs measure(std::size_t threads) {
   return r;
 }
 
-/// Cone slots one run makes: the dep.cone_slots counter of a traced run
-/// (tracing allocates, so the measured runs are untraced).
-std::size_t slots_made(std::size_t threads) {
-  const bench::Instance& inst = instance();
-  DepOptions opt;
-  opt.num_threads = threads;
-  DependencyAnalyzer analyzer(inst.circuit, inst.doc.network, opt);
-  obs::TraceSession session;
-  obs::TraceSession::set_active(&session);
-  analyzer.run();
-  obs::TraceSession::set_active(nullptr);
-  return session.counter("dep.cone_slots").value();
-}
-
 /// Allocations of at least num_nodes() bytes of one run outside its cone
-/// slots: the FF index, the per-task cone, signature and grouping arrays,
+/// slot: the FF index, the per-task cone, signature and grouping arrays,
 /// the per-group results, and the planes of the two relations. (A run
 /// makes about 12 and a slot about 10 on this instance; before cone
 /// slots, a run made 1,740, about three per classified cone.)
@@ -102,7 +83,7 @@ constexpr std::size_t kBigPerRun = 16;
 /// ternary evaluator, and solver arrays a large cone grows past
 /// num_nodes() bytes.
 constexpr std::size_t kBigPerSlot = 12;
-/// Bytes of one run outside its slots (about 1.3 MB on this instance;
+/// Bytes of one run outside its slot (about 1.3 MB on this instance;
 /// 34.8 MB in all before cone slots), and of one slot per netlist node
 /// (61 bytes of stamped maps and simulation values, plus solver growth).
 constexpr std::size_t kBytesPerRun = std::size_t{2} << 20;
@@ -110,21 +91,13 @@ constexpr std::size_t kBytesPerSlotPerNode = 96;
 
 TEST(DepAlloc, NetlistSizedAllocationsDoNotScaleWithCones) {
   const std::size_t nodes = instance().circuit.num_nodes();
-  for (std::size_t threads : {1u, 4u}) {
-    const std::size_t slots = slots_made(threads);
-    EXPECT_GE(slots, 1u);
-    EXPECT_LE(slots, threads);
-    // The measured run may make a different number of slots than the
-    // counted one (scheduling), but never more than `threads`.
-    const RunAllocs r = measure(threads);
-    // There are more cones than the bound: one netlist-sized buffer per
-    // cone would exceed it.
-    EXPECT_GT(r.stats.circuit_ffs, kBigPerRun + kBigPerSlot * threads);
-    EXPECT_LE(r.big, kBigPerRun + kBigPerSlot * threads)
-        << threads << " thread(s)";
-    EXPECT_LE(r.bytes, kBytesPerRun + kBytesPerSlotPerNode * nodes * threads)
-        << threads << " thread(s), " << r.allocs << " allocations";
-  }
+  const RunAllocs r = measure();
+  // There are more cones than the bound: one netlist-sized buffer per
+  // cone would exceed it.
+  EXPECT_GT(r.stats.circuit_ffs, kBigPerRun + kBigPerSlot);
+  EXPECT_LE(r.big, kBigPerRun + kBigPerSlot);
+  EXPECT_LE(r.bytes, kBytesPerRun + kBytesPerSlotPerNode * nodes)
+      << r.allocs << " allocations";
 }
 
 }  // namespace

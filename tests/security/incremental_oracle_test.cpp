@@ -242,9 +242,7 @@ TEST_P(GridOracle, HybridMatchesOracle) {
       inst, opt.spec, /*spec_base_seed=*/1,
       static_cast<std::size_t>(run.circuit),
       static_cast<std::size_t>(run.spec));
-  dep::DepOptions dopt;
-  dopt.num_threads = 1;
-  dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, dopt);
+  dep::DependencyAnalyzer deps(inst.circuit, inst.doc.network, {});
   deps.run();
   TokenTable tokens(spec, spec.num_modules());
   HybridAnalyzer hybrid(inst.circuit, inst.doc.network, deps, spec, tokens);

@@ -64,10 +64,8 @@ struct Grid {
     opt.base_seed = 1000;
     inst = bench::make_instance("FlexScan", opt, 2);
     spec = bench::make_spec(inst, opt.spec, /*spec_base_seed=*/1, 2, 1);
-    dep::DepOptions dopt;
-    dopt.num_threads = 1;
     deps = std::make_unique<dep::DependencyAnalyzer>(inst.circuit,
-                                                     inst.doc.network, dopt);
+                                                     inst.doc.network);
     deps->run();
     tokens = std::make_unique<TokenTable>(spec, spec.num_modules());
     pure = std::make_unique<PureScanAnalyzer>(spec, *tokens);

@@ -173,7 +173,6 @@ std::string snapshot_blob(dep::PartitionMode mode) {
   net.set_capture(reg, 2, f9);
 
   dep::DepOptions opt;
-  opt.num_threads = 1;
   opt.partition = mode;
   dep::DependencyAnalyzer a(nl, net, opt);
   a.run();

@@ -97,8 +97,12 @@ void write_counters_json(std::ostream& out,
 }
 
 void emit_json(std::ostream& out, const Report& r) {
+  // Provenance: the build type and revision this binary was configured
+  // from (tools/CMakeLists.txt), and the host's CPU count.
   out << "{\"context\": {\"executable\": \"rsnsec\", \"experiment\": \""
-      << r.experiment << "\"";
+      << r.experiment << "\", \"build_type\": \"" << RSNSEC_BUILD_TYPE
+      << "\", \"git\": \"" << json_escape(RSNSEC_GIT_DESCRIBE)
+      << "\", \"nproc\": " << std::thread::hardware_concurrency();
   for (const auto& [key, value] : r.context)
     out << ", \"" << key << "\": " << value;
   out << "},\n\"benchmarks\": [";
@@ -666,7 +670,6 @@ Report bench_scale(const Args& args) {
       static_cast<std::uint64_t>(count_option(args, "max-ffs", 100000));
   const std::uint64_t dense_max =
       u64_or_usage(args.get("dense-max").value_or("10000"), "--dense-max");
-  const std::size_t jobs = jobs_option(args);
   Report r{"scale",
            {{"seed", std::to_string(seed)},
             {"max_ffs", std::to_string(max_ffs)},
@@ -684,7 +687,6 @@ Report bench_scale(const Args& args) {
     dep::DepOptions dopt;
     dopt.mode = dep::DepMode::StructuralOnly;
     dopt.partition = mode;
-    dopt.num_threads = jobs;
     dep::DependencyAnalyzer deps(circuit, network, dopt);
     deps.run();
     const dep::DepStats& s = deps.stats();

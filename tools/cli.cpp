@@ -189,7 +189,6 @@ AttackCliOptions attack_cli_options(const Args& args) {
   o.engine.seed = o.seed;
   o.engine.sat_conflict_limit = u64_or_usage(
       args.get("conflict-limit").value_or("100000"), "--conflict-limit");
-  o.engine.num_threads = jobs_option(args);
   return o;
 }
 
@@ -277,8 +276,7 @@ PipelineOptions pipeline_options(const Args& args) {
   // owns the store handle.
   if (auto b = args.get("tile-spill-budget"))
     opt.dep.tile_spill_budget = u64_or_usage(*b, "--tile-spill-budget");
-  opt.dep.num_threads = jobs_option(args);
-  opt.resolve.num_threads = opt.dep.num_threads;
+  opt.resolve.num_threads = jobs_option(args);
   return opt;
 }
 
@@ -553,6 +551,7 @@ int cmd_attack(const Args& args, std::ostream& out) {
   std::string name = args.require("benchmark");
   attack_benchmark(name);
   AttackCliOptions o = attack_cli_options(args);
+  const std::size_t jobs = jobs_option(args);
   const bool json = args.has_flag("json");
   const bool do_secure = !args.has_flag("no-secure");
 
@@ -568,8 +567,7 @@ int cmd_attack(const Args& args, std::ostream& out) {
     for (const benchgen::RedTeamScenario& sc : w.scenarios) {
       rsn::Rsn net = w.doc.network;
       PipelineOptions popt;
-      popt.dep.num_threads = o.engine.num_threads;
-      popt.resolve.num_threads = o.engine.num_threads;
+      popt.resolve.num_threads = jobs;
       SecureFlowTool tool(w.circuit, net, sc.spec, popt);
       PipelineResult r = tool.run();
       if (!r.secured)
