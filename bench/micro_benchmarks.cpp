@@ -19,7 +19,6 @@
 #include "netlist/cone_check.hpp"
 #include "netlist/verilog.hpp"
 #include "obs/trace.hpp"
-#include "rsn/access.hpp"
 #include "rsn/csu_sim.hpp"
 #include "rsn/icl.hpp"
 #include "rsn/io.hpp"
@@ -210,14 +209,13 @@ void BM_RsnCopyForTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_RsnCopyForTrial);
 
-void BM_AccessPlanning(benchmark::State& state) {
+void BM_ScanAccess(benchmark::State& state) {
   Workload w;
-  rsn::AccessPlanner planner(w.doc.network);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.all_registers_accessible());
+    benchmark::DoNotOptimize(w.doc.network.scan_access());
   }
 }
-BENCHMARK(BM_AccessPlanning);
+BENCHMARK(BM_ScanAccess);
 
 void BM_FilterBaseline(benchmark::State& state) {
   Workload w;

@@ -6,11 +6,11 @@
 //
 // Usage: icl_flow [path/to/network.icl]
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 
 #include "core/tool.hpp"
-#include "rsn/access.hpp"
 #include "rsn/icl.hpp"
 #include "rsn/io.hpp"
 
@@ -86,9 +86,14 @@ int main(int argc, char** argv) {
   for (const security::AppliedChange& c : result.changes)
     std::cout << "  - " << c.note << "\n";
 
-  rsn::AccessPlanner planner(doc.network);
+  const rsn::ScanAccess access = doc.network.scan_access();
+  const std::vector<rsn::ElemId>& regs = doc.network.registers();
   std::cout << "all instruments still accessible: "
-            << (planner.all_registers_accessible() ? "yes" : "NO") << "\n";
+            << (std::all_of(regs.begin(), regs.end(),
+                            [&](rsn::ElemId r) { return access.accessible(r); })
+                    ? "yes"
+                    : "NO")
+            << "\n";
 
   std::cout << "\nsecured network:\n";
   rsn::write_rsn(std::cout, doc.network, doc.module_names, &nl);

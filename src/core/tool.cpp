@@ -84,7 +84,7 @@ PipelineResult SecureFlowTool::run() {
   }
 
   // Phase 3: pure scan paths (method of [17]).
-  if (options_.run_pure) {
+  {
     obs::Span span(trace, "pipeline.pure");
     security::PureScanAnalyzer pure(spec_, tokens);
     result.pure =
@@ -95,7 +95,7 @@ PipelineResult SecureFlowTool::run() {
   }
 
   // Phase 4: hybrid scan paths (Sec. III-C / III-D).
-  if (options_.run_hybrid) {
+  {
     obs::Span span(trace, "pipeline.hybrid");
     result.hybrid =
         hybrid.detect_and_resolve(network_, &result.changes,

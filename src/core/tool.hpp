@@ -24,11 +24,6 @@ struct PipelineOptions {
   /// to recomputation — and published after a fresh computation. Not
   /// owned; must outlive the pipeline run. nullptr = always recompute.
   store::ArtifactStore* store = nullptr;
-  /// Run the pure-path method of [17] first (Fig. 2). Disable to measure
-  /// what the hybrid stage alone must do.
-  bool run_pure = true;
-  /// Run the hybrid-path stage (the paper's contribution).
-  bool run_hybrid = true;
   /// Repair-candidate selection strategy (see `rsnsec bench policy`).
   security::ResolutionPolicy resolution =
       security::ResolutionPolicy::BestGlobal;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lint/passes.hpp"
+#include "util/cycle_search.hpp"
 
 namespace rsnsec::lint {
 
@@ -68,43 +69,24 @@ class CombLoopPass final : public NetlistPass {
   const char* name() const override { return "netlist-comb-loop"; }
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
-    enum class Mark : std::uint8_t { Unseen, OnStack, Done };
-    std::vector<Mark> marks(nl.num_nodes(), Mark::Unseen);
-    std::vector<std::pair<NodeId, std::size_t>> stack;
     auto sequential = [&](NodeId id) {
       GateType t = nl.node(id).type;
       return t == GateType::FF || t == GateType::Input ||
              t == GateType::Const0 || t == GateType::Const1;
     };
-    for (NodeId root = 0; root < nl.num_nodes(); ++root) {
-      if (marks[root] != Mark::Unseen || sequential(root)) continue;
-      marks[root] = Mark::OnStack;
-      stack.emplace_back(root, 0);
-      while (!stack.empty()) {
-        auto& [id, next] = stack.back();
-        const netlist::Node& n = nl.node(id);
-        if (next < n.fanins.size()) {
-          NodeId f = n.fanins[next++];
-          if (!valid_fanin(nl, f) || sequential(f)) continue;
-          if (marks[f] == Mark::OnStack) {
-            // Report the cycle once, anchored at the re-entered node.
-            sink.add("NET002", Severity::Error, in.circuit_source,
-                     node_label(nl, f),
-                     "combinational loop through '" + node_label(nl, f) +
-                         "' (reached again from " + node_label(nl, id) + ")",
-                     "break the loop with a flip-flop");
-            continue;
-          }
-          if (marks[f] == Mark::Unseen) {
-            marks[f] = Mark::OnStack;
-            stack.emplace_back(f, 0);
-          }
-        } else {
-          marks[id] = Mark::Done;
-          stack.pop_back();
-        }
-      }
-    }
+    search_cycles<NodeId>(
+        nl.num_nodes(),
+        [&nl](NodeId id) -> const auto& { return nl.node(id).fanins; },
+        [&](NodeId id) { return !valid_fanin(nl, id) || sequential(id); },
+        [&](NodeId from, NodeId to, const auto&) {
+          // Report the cycle once, anchored at the re-entered node.
+          sink.add("NET002", Severity::Error, in.circuit_source,
+                   node_label(nl, to),
+                   "combinational loop through '" + node_label(nl, to) +
+                       "' (reached again from " + node_label(nl, from) + ")",
+                   "break the loop with a flip-flop");
+          return true;
+        });
   }
 };
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "lint/passes.hpp"
+#include "util/cycle_search.hpp"
 
 namespace rsnsec::lint {
 
@@ -46,41 +47,22 @@ class AcyclicityPass final : public RsnPass {
   const char* name() const override { return "rsn-acyclicity"; }
   void run(const LintInput& in, Sink& sink) const override {
     const Rsn& net = *in.network;
-    enum class Mark : std::uint8_t { Unseen, OnStack, Done };
-    std::vector<Mark> marks(net.num_elements(), Mark::Unseen);
-    std::vector<std::pair<ElemId, std::size_t>> stack;
-    for (ElemId root = 0; root < net.num_elements(); ++root) {
-      if (marks[root] != Mark::Unseen) continue;
-      marks[root] = Mark::OnStack;
-      stack.emplace_back(root, 0);
-      while (!stack.empty()) {
-        auto& [id, next] = stack.back();
-        const rsn::Element& e = net.elem(id);
-        if (next < e.inputs.size()) {
-          ElemId f = e.inputs[next++];
-          if (!valid_elem(net, f)) continue;
-          if (marks[f] == Mark::OnStack) {
-            // Walk the DFS stack back to f to render the cycle.
-            std::string cycle = elem_label(net, f);
-            for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-              cycle += " <- " + elem_label(net, it->first);
-              if (it->first == f) break;
-            }
-            sink.add("RSN001", Severity::Error, in.network_source,
-                     elem_label(net, f), "scan-path cycle: " + cycle,
-                     "cut one connection of the cycle");
-            continue;
+    search_cycles<ElemId>(
+        net.num_elements(),
+        [&net](ElemId id) -> const auto& { return net.elem(id).inputs; },
+        [&net](ElemId id) { return !valid_elem(net, id); },
+        [&](ElemId, ElemId to, const auto& stack) {
+          // Walk the DFS stack back to `to` to render the cycle.
+          std::string cycle = elem_label(net, to);
+          for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            cycle += " <- " + elem_label(net, it->first);
+            if (it->first == to) break;
           }
-          if (marks[f] == Mark::Unseen) {
-            marks[f] = Mark::OnStack;
-            stack.emplace_back(f, 0);
-          }
-        } else {
-          marks[id] = Mark::Done;
-          stack.pop_back();
-        }
-      }
-    }
+          sink.add("RSN001", Severity::Error, in.network_source,
+                   elem_label(net, to), "scan-path cycle: " + cycle,
+                   "cut one connection of the cycle");
+          return true;
+        });
   }
 };
 

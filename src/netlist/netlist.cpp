@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "netlist/cone_workspace.hpp"
+#include "util/cycle_search.hpp"
 
 namespace rsnsec::netlist {
 
@@ -99,39 +100,23 @@ bool Netlist::validate(std::string* error) const {
       return fail("flip-flop " + std::to_string(i) + " ('" + n.name +
                   "') has no data input");
   }
-  // Combinational cycle check: DFS over combinational edges only (FF
-  // fanins break the cycle because an FF output is a sequential element).
-  enum class Mark : std::uint8_t { Unseen, OnStack, Done };
-  std::vector<Mark> marks(nodes_.size(), Mark::Unseen);
-  std::vector<std::pair<NodeId, std::size_t>> stack;
-  for (NodeId r = 0; r < nodes_.size(); ++r) {
-    if (marks[r] != Mark::Unseen) continue;
-    if (node(r).type == GateType::FF || node(r).type == GateType::Input)
-      continue;
-    stack.emplace_back(r, 0);
-    marks[r] = Mark::OnStack;
-    while (!stack.empty()) {
-      auto& [id, next] = stack.back();
-      const Node& n = node(id);
-      if (next < n.fanins.size()) {
-        NodeId f = n.fanins[next++];
-        GateType t = node(f).type;
-        if (t == GateType::FF || t == GateType::Input ||
-            t == GateType::Const0 || t == GateType::Const1)
-          continue;
-        if (marks[f] == Mark::OnStack)
-          return fail("combinational cycle through node " +
-                      std::to_string(f));
-        if (marks[f] == Mark::Unseen) {
-          marks[f] = Mark::OnStack;
-          stack.emplace_back(f, 0);
-        }
-      } else {
-        marks[id] = Mark::Done;
-        stack.pop_back();
-      }
-    }
-  }
+  // Combinational cycle check over combinational edges only: FF fanins
+  // break the cycle because an FF output is a sequential element.
+  auto comb_leaf = [this](NodeId id) {
+    GateType t = node(id).type;
+    return t == GateType::FF || t == GateType::Input ||
+           t == GateType::Const0 || t == GateType::Const1;
+  };
+  NodeId reentered = no_node;
+  if (!search_cycles<NodeId>(
+          nodes_.size(),
+          [this](NodeId id) -> const auto& { return node(id).fanins; },
+          comb_leaf, [&reentered](NodeId, NodeId to, const auto&) {
+            reentered = to;
+            return false;
+          }))
+    return fail("combinational cycle through node " +
+                std::to_string(reentered));
   return true;
 }
 

@@ -4,39 +4,10 @@
 #include <optional>
 #include <vector>
 
+#include "rsn/pathfind.hpp"
 #include "rsn/rsn.hpp"
 
 namespace rsnsec::rsn {
-
-/// A concrete plan to access one scan register: the mux configuration
-/// that puts it on the active scan path, and the shift offsets needed to
-/// read its captured contents at the scan-out port or to position
-/// scan-in data into it before an update.
-struct AccessPlan {
-  ElemId target = no_elem;
-  /// Mux settings establishing the path (muxes not listed are don't-care).
-  std::vector<std::pair<ElemId, std::size_t>> mux_settings;
-  /// The resulting active path (scan-in ... scan-out).
-  std::vector<ElemId> path;
-  /// Total scan flip-flops on the active path.
-  std::size_t chain_length = 0;
-  /// Position (0-based, from scan-in) of the target's first flip-flop in
-  /// the active chain.
-  std::size_t position = 0;
-  /// Width of the target register.
-  std::size_t width = 0;
-
-  /// Shift cycles after capture until the target's flip-flop `i` appears
-  /// at the scan-out port.
-  std::size_t read_shifts(std::size_t i = 0) const {
-    return chain_length - position - i;
-  }
-  /// Shift cycles needed to move a bit inserted at scan-in into the
-  /// target's flip-flop `i` (insert the bit, then shift the remainder).
-  std::size_t write_shifts(std::size_t i = 0) const {
-    return position + i + 1;
-  }
-};
 
 /// Materialized fanout adjacency of an RSN: for every element, the
 /// (consumer, port) pairs it drives. Rsn::fanouts(id) scans all elements
@@ -109,38 +80,26 @@ class CommittedView {
   void reindex();
 };
 
-/// Plans scan access to registers of an RSN (the pattern-retargeting
-/// core of tools like eda1687 [20], reduced to path planning).
-///
-/// The paper's method guarantees that the transformed, secure network
-/// still contains every scan register, each one accessible. Checking that
-/// guarantee needs no plans: Rsn::scan_access answers it for all
-/// registers in one linear sweep. plan() is for callers that need the
-/// concrete mux configuration and shift offsets of one register.
+/// Plans scan access to one register: find_path_through with the
+/// register as the only waypoint, over a fanout index built once. Whether
+/// every register is accessible is Rsn::scan_access, one linear sweep for
+/// the whole network. Only the benchmark harness's replica of `rsnsec
+/// info` (perfbench/harness.cpp) still calls plan(), once per register;
+/// the benchmark change that aligns that replica with Rsn::scan_access
+/// deletes this class.
 class AccessPlanner {
  public:
-  explicit AccessPlanner(const Rsn& network) : net_(network) {}
+  /// Snapshots the topology of `network`, which must outlive the planner.
+  explicit AccessPlanner(const Rsn& network)
+      : net_(network), fanout_(network) {}
 
-  /// Computes an access plan for `target`, or nullopt if no mux
-  /// configuration puts it on a complete scan path. Does not modify the
-  /// network.
-  std::optional<AccessPlan> plan(ElemId target) const;
-
-  /// Applies the plan's mux settings to `network` (which must have the
-  /// same topology this planner was built over).
-  static void apply(const AccessPlan& plan, Rsn& network);
-
-  /// True if every register of the network is accessible
-  /// (Rsn::scan_access).
-  bool all_registers_accessible() const;
+  /// The plan that puts `target` on a complete scan path, or nullopt if
+  /// `target` is not a register or no mux configuration does.
+  std::optional<PathPlan> plan(ElemId target) const;
 
  private:
   const Rsn& net_;
-
-  /// Backward chain of elements from `to` to `from` following input
-  /// edges, or empty if none exists. The result is ordered from `from`
-  /// to `to` (inclusive).
-  std::vector<ElemId> find_chain(ElemId from, ElemId to) const;
+  FanoutIndex fanout_;
 };
 
 }  // namespace rsnsec::rsn

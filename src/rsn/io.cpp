@@ -158,7 +158,7 @@ RsnDocument read_rsn(std::istream& is) {
       if (by_name.count(tok[1])) throw fail("duplicate element name");
       // add_mux requires >= 2 inputs, but resolution may shrink a mux to
       // one input (Rsn::remove_mux_input), and write_rsn writes it as is:
-      // create it with two and drop the extra one, like store::decode_rsn.
+      // create it with two and drop the extra one.
       by_name.emplace(tok[1], checked([&] {
         ElemId id = doc.network.add_mux(std::string(tok[1]), k == 1 ? 2 : k);
         if (k == 1) doc.network.remove_mux_input(id, 1);

@@ -14,9 +14,14 @@ std::size_t PathPlan::position_of(ElemId reg, std::size_t ff) const {
 
 std::optional<PathPlan> find_path_through(
     const Rsn& network, const std::vector<ElemId>& waypoints) {
+  return find_path_through(network, FanoutIndex(network), waypoints);
+}
+
+std::optional<PathPlan> find_path_through(
+    const Rsn& network, const FanoutIndex& succ,
+    const std::vector<ElemId>& waypoints) {
   const std::size_t n = network.num_elements();
   const std::size_t phases = waypoints.size() + 1;
-  const FanoutIndex succ(network);  // (consumer, input port) pairs
 
   std::vector<int> wp_of(n, -1);
   for (std::size_t i = 0; i < waypoints.size(); ++i)

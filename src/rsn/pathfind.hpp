@@ -30,6 +30,8 @@ struct PathPlan {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
 
+class FanoutIndex;
+
 /// Finds a scan-in -> scan-out path that traverses `waypoints` (registers
 /// or muxes) in the given order under a *single* mux configuration, or
 /// nullopt if no such path exists. The search is a DFS over the product of
@@ -38,6 +40,12 @@ struct PathPlan {
 /// simple, so the returned configuration is conflict-free: each traversed
 /// mux is assigned exactly one select.
 std::optional<PathPlan> find_path_through(const Rsn& network,
+                                          const std::vector<ElemId>& waypoints);
+
+/// The same search over `fanout`, a FanoutIndex of `network`, so that many
+/// plans on one network index it once.
+std::optional<PathPlan> find_path_through(const Rsn& network,
+                                          const FanoutIndex& fanout,
                                           const std::vector<ElemId>& waypoints);
 
 /// Applies the plan's mux settings to `network`, making plan.elements the

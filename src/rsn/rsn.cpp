@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "util/cycle_search.hpp"
+
 namespace rsnsec::rsn {
 
 Rsn::Rsn(std::string name) : name_(std::move(name)) {
@@ -183,32 +185,12 @@ std::vector<std::pair<ElemId, std::size_t>> Rsn::fanouts(ElemId from) const {
 }
 
 bool Rsn::is_acyclic() const {
-  // DFS over input edges; a back edge means a cycle.
-  enum class Mark : std::uint8_t { Unseen, OnStack, Done };
-  std::vector<Mark> marks(elems_.size(), Mark::Unseen);
-  std::vector<std::pair<ElemId, std::size_t>> stack;
-  for (ElemId r = 0; r < elems_.size(); ++r) {
-    if (marks[r] != Mark::Unseen) continue;
-    marks[r] = Mark::OnStack;
-    stack.emplace_back(r, 0);
-    while (!stack.empty()) {
-      auto& [id, next] = stack.back();
-      const Element& e = elem(id);
-      if (next < e.inputs.size()) {
-        ElemId f = e.inputs[next++];
-        if (f == no_elem) continue;
-        if (marks[f] == Mark::OnStack) return false;
-        if (marks[f] == Mark::Unseen) {
-          marks[f] = Mark::OnStack;
-          stack.emplace_back(f, 0);
-        }
-      } else {
-        marks[id] = Mark::Done;
-        stack.pop_back();
-      }
-    }
-  }
-  return true;
+  // A back edge over input edges means a cycle; the first one decides.
+  return search_cycles<ElemId>(
+      elems_.size(),
+      [this](ElemId id) -> const auto& { return elem(id).inputs; },
+      [](ElemId id) { return id == no_elem; },
+      [](ElemId, ElemId, const auto&) { return false; });
 }
 
 bool Rsn::validate(std::string* error) const {

@@ -183,8 +183,8 @@ class Rsn {
   /// Scan access of every element from one forward sweep out of scan-in
   /// and one backward sweep out of scan-out: O(elements + connections) for
   /// the whole network. A register is accessible exactly when
-  /// AccessPlanner::plan finds a plan for it, cyclic networks included:
-  /// the plan joins a chain from scan-in with a chain to scan-out.
+  /// find_path_through finds a path through it, cyclic networks included:
+  /// the path joins a walk from scan-in with a walk to scan-out.
   ScanAccess scan_access() const;
 
   /// Rolls this network back to `base`. Contract: `*this` was copied from

@@ -271,72 +271,6 @@ void encode_netlist(ByteWriter& w, const netlist::Netlist& nl) {
   }
 }
 
-netlist::Netlist decode_netlist(ByteReader& r) {
-  netlist::Netlist nl;
-  // Minimum encoded sizes: a module is a string (>= 1 byte); a node is
-  // type, module, name length and fanin count (>= 4 bytes); a fanin is a
-  // varint (>= 1 byte).
-  const std::size_t num_modules = r.count(1);
-  for (std::size_t m = 0; m < num_modules; ++m) nl.add_module(r.str());
-  const std::size_t num_nodes = r.count(4);
-  // FF data inputs may reference later nodes (sequential cycles are
-  // legal), so they are applied after all nodes exist.
-  std::vector<std::pair<netlist::NodeId, netlist::NodeId>> ff_inputs;
-  auto check_module = [&](std::int64_t m) -> netlist::ModuleId {
-    if (m != netlist::no_module &&
-        (m < 0 || static_cast<std::size_t>(m) >= num_modules))
-      fail("node module out of range");
-    return static_cast<netlist::ModuleId>(m);
-  };
-  auto check_node = [&](std::uint64_t id) -> netlist::NodeId {
-    if (id >= num_nodes) fail("fanin id out of range");
-    return static_cast<netlist::NodeId>(id);
-  };
-  for (std::size_t i = 0; i < num_nodes; ++i) {
-    auto type = static_cast<netlist::GateType>(r.u8());
-    if (type > netlist::GateType::FF) fail("unknown gate type");
-    netlist::ModuleId module = check_module(r.zigzag());
-    std::string name = r.str();
-    const std::size_t nf = r.count(1);
-    std::vector<netlist::NodeId> fanins;
-    fanins.reserve(nf);
-    for (std::size_t f = 0; f < nf; ++f)
-      fanins.push_back(check_node(r.varint()));
-    netlist::NodeId id;
-    switch (type) {
-      case netlist::GateType::Input:
-        if (!fanins.empty()) fail("input with fanins");
-        id = nl.add_input(std::move(name), module);
-        break;
-      case netlist::GateType::Const0:
-      case netlist::GateType::Const1:
-        // add_const cannot carry a name or module; a blob claiming one
-        // is not representable and must not round-trip silently.
-        if (!fanins.empty() || !name.empty() ||
-            module != netlist::no_module)
-          fail("constant with fanins, name or module");
-        id = nl.add_const(type == netlist::GateType::Const1);
-        break;
-      case netlist::GateType::FF:
-        if (fanins.size() > 1) fail("flip-flop with more than one fanin");
-        id = nl.add_ff(std::move(name), module);
-        if (!fanins.empty())
-          ff_inputs.emplace_back(id, fanins[0]);
-        break;
-      default:
-        try {
-          id = nl.add_gate(type, std::move(fanins), std::move(name), module);
-        } catch (const std::exception&) {
-          fail("invalid gate arity");
-        }
-        break;
-    }
-    if (id != static_cast<netlist::NodeId>(i)) fail("node id skew");
-  }
-  for (auto [ff, d] : ff_inputs) nl.set_ff_input(ff, d);
-  return nl;
-}
-
 void encode_rsn(ByteWriter& w, const rsn::Rsn& network) {
   w.str(network.name());
   w.varint(network.num_elements());
@@ -354,114 +288,6 @@ void encode_rsn(ByteWriter& w, const rsn::Rsn& network) {
       w.varint(f.update_dst);
     }
   }
-}
-
-rsn::Rsn decode_rsn(ByteReader& r) {
-  std::string name = r.str();
-  // Minimum encoded sizes: an element is kind, name length, module,
-  // select, input count and FF count (>= 6 bytes); an input port is a
-  // varint (>= 1 byte); a scan FF is two varints (>= 2 bytes).
-  const std::size_t num_elems = r.count(6);
-  if (num_elems < 2) fail("network without scan ports");
-  rsn::Rsn network(std::move(name));
-
-  struct PendingElem {
-    std::vector<rsn::ElemId> inputs;
-    std::size_t sel = 0;
-  };
-  std::vector<PendingElem> pending(num_elems);
-  auto check_elem = [&](std::uint64_t id) -> rsn::ElemId {
-    if (id != rsn::no_elem && id >= num_elems) fail("element id out of range");
-    return static_cast<rsn::ElemId>(id);
-  };
-
-  for (std::size_t i = 0; i < num_elems; ++i) {
-    auto kind = static_cast<rsn::ElemKind>(r.u8());
-    if (kind > rsn::ElemKind::Mux) fail("unknown element kind");
-    std::string ename = r.str();
-    std::int64_t module = r.zigzag();
-    std::uint64_t sel = r.varint();
-    const std::size_t n_inputs = r.count(1);
-    PendingElem& pe = pending[i];
-    for (std::size_t p = 0; p < n_inputs; ++p)
-      pe.inputs.push_back(check_elem(r.varint()));
-    const std::size_t n_ffs = r.count(2);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ffs;
-    ffs.reserve(n_ffs);
-    for (std::size_t f = 0; f < n_ffs; ++f) {
-      std::uint64_t cap = r.varint();
-      std::uint64_t upd = r.varint();
-      ffs.emplace_back(cap, upd);
-    }
-    if (sel >= std::max<std::size_t>(1, n_inputs))
-      fail("mux select out of range");
-    pe.sel = static_cast<std::size_t>(sel);
-
-    if (i == 0) {
-      if (kind != rsn::ElemKind::ScanIn || n_ffs != 0 || !pe.inputs.empty())
-        fail("element 0 must be the scan-in port");
-      continue;
-    }
-    if (i == 1) {
-      if (kind != rsn::ElemKind::ScanOut || n_ffs != 0 ||
-          pe.inputs.size() != 1)
-        fail("element 1 must be the scan-out port");
-      continue;
-    }
-    if (kind == rsn::ElemKind::Register) {
-      if (n_ffs == 0) fail("register without scan FFs");
-      if (pe.inputs.size() != 1) fail("register with port count != 1");
-      rsn::ElemId id;
-      try {
-        id = network.add_register(std::move(ename), n_ffs,
-                                  static_cast<netlist::ModuleId>(module));
-      } catch (const std::exception&) {
-        fail("invalid register");
-      }
-      if (id != static_cast<rsn::ElemId>(i)) fail("element id skew");
-      auto check_node_ref = [&](std::uint64_t v) -> netlist::NodeId {
-        if (v != netlist::no_node && v > 0x7fffffffull)
-          fail("circuit node id out of range");
-        return static_cast<netlist::NodeId>(v);
-      };
-      for (std::size_t f = 0; f < ffs.size(); ++f) {
-        if (ffs[f].first != netlist::no_node)
-          network.set_capture(id, f, check_node_ref(ffs[f].first));
-        if (ffs[f].second != netlist::no_node)
-          network.set_update(id, f, check_node_ref(ffs[f].second));
-      }
-    } else if (kind == rsn::ElemKind::Mux) {
-      if (n_ffs != 0) fail("mux with scan FFs");
-      if (module != netlist::no_module) fail("mux with module");
-      if (pe.inputs.empty()) fail("mux without input ports");
-      // add_mux requires >= 2 ports, but a mux shrunk to one port by
-      // remove_mux_input is legal in a live network: create with two
-      // and drop the extra one.
-      std::size_t ports = pe.inputs.size();
-      rsn::ElemId id = network.add_mux(std::move(ename),
-                                       std::max<std::size_t>(2, ports));
-      if (id != static_cast<rsn::ElemId>(i)) fail("element id skew");
-      if (ports == 1) network.remove_mux_input(id, 1);
-    } else {
-      fail("scan port at element id >= 2");
-    }
-  }
-
-  // Connections and mux selects, after every element exists (ports may
-  // reference elements with higher ids).
-  for (std::size_t i = 0; i < num_elems; ++i) {
-    const PendingElem& pe = pending[i];
-    auto id = static_cast<rsn::ElemId>(i);
-    const rsn::Element& e = network.elem(id);
-    if (e.inputs.size() != pe.inputs.size()) fail("port count skew");
-    for (std::size_t p = 0; p < pe.inputs.size(); ++p) {
-      if (pe.inputs[p] != rsn::no_elem)
-        network.connect(pe.inputs[p], id, p);
-    }
-    if (e.kind == rsn::ElemKind::Mux && pe.sel != 0)
-      network.set_mux_select(id, pe.sel);
-  }
-  return network;
 }
 
 void encode_dep_matrix(ByteWriter& w, const DepMatrix& m) {

@@ -118,15 +118,15 @@ class Sha256 {
 /// Canonical encoding of a netlist: modules, then nodes in id order with
 /// type, module, name and fanins. Everything observable through the
 /// Netlist API is covered, so equal encodings imply indistinguishable
-/// netlists (and the encoding doubles as the content-hash input).
+/// netlists. Key material only: the store hashes it into the cache key
+/// (dep_cache_key) and never stores or decodes a netlist.
 void encode_netlist(ByteWriter& w, const netlist::Netlist& nl);
-netlist::Netlist decode_netlist(ByteReader& r);
 
 /// Canonical encoding of an RSN: name, then elements in id order with
 /// kind, name, module, mux select, input ports and scan FFs (capture /
-/// update attachments included).
+/// update attachments included). Key material only, like
+/// encode_netlist.
 void encode_rsn(ByteWriter& w, const rsn::Rsn& network);
-rsn::Rsn decode_rsn(ByteReader& r);
 
 /// Canonical encoding of a DepMatrix: dimension, then the two bit planes
 /// as little-endian words. Decode validates the plane shapes, the

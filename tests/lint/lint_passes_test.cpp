@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "lint/passes.hpp"
 
@@ -21,6 +22,17 @@ std::size_t count_code(const std::vector<Diagnostic>& diags,
 
 std::vector<Diagnostic> run_default(const LintInput& in) {
   return Registry::with_default_passes().run(in);
+}
+
+/// The diagnostics of `code`, one "location: message (hint: ...)" line
+/// each, in report order: the exact text a user sees.
+std::string render_code(const std::vector<Diagnostic>& diags,
+                        const std::string& code) {
+  std::string out;
+  for (const Diagnostic& d : diags)
+    if (d.code == code)
+      out += d.location + ": " + d.message + " (hint: " + d.fix_hint + ")\n";
+  return out;
 }
 
 // ---------------------------------------------------------------- netlist
@@ -52,6 +64,36 @@ TEST(NetlistPasses, Net001MultiDriverNet) {
   std::vector<Diagnostic> diags = run_default(in);
   EXPECT_EQ(count_code(diags, "NET001"), 1u);
   EXPECT_EQ(diags[0].severity, Severity::Error);
+}
+
+TEST(NetlistPasses, Net002ReportsEveryLoopWithBothEnds) {
+  // a -> g1 = AND(a, g2), g2 = NOT(g1): a two-gate loop the DFS enters at
+  // g1 and closes from g2.
+  netlist::Netlist nl;
+  netlist::NodeId a = nl.add_input("a");
+  netlist::NodeId g1 = nl.add_gate(netlist::GateType::And, {a, 2}, "g1");
+  netlist::NodeId g2 = nl.add_gate(netlist::GateType::Not, {g1}, "g2");
+  nl.add_ff("q", netlist::no_module, g2);
+  LintInput in;
+  in.circuit = &nl;
+  in.circuit_source = "loop.v";
+  EXPECT_EQ(render_code(run_default(in), "NET002"),
+            "loop.v: AND node 1 ('g1'): combinational loop through 'AND node "
+            "1 ('g1')' (reached again from NOT node 2 ('g2')) (hint: break "
+            "the loop with a flip-flop)\n");
+
+  // A second loop whose gate also has an out-of-range fanin: NET002
+  // skips the dangling id (NET003 reports it) and still reports both
+  // loops, the self-loop through the unnamed OR included.
+  nl.add_gate(netlist::GateType::Or, {99, 4}, "");
+  EXPECT_EQ(render_code(run_default(in), "NET002"),
+            "loop.v: AND node 1 ('g1'): combinational loop through 'AND node "
+            "1 ('g1')' (reached again from NOT node 2 ('g2')) (hint: break "
+            "the loop with a flip-flop)\n"
+            "loop.v: OR node 4: combinational loop through 'OR node 4' "
+            "(reached again from OR node 4) (hint: break the loop with a "
+            "flip-flop)\n");
+  EXPECT_EQ(count_code(run_default(in), "NET003"), 1u);
 }
 
 TEST(NetlistPasses, Net003DanglingFlipFlopInput) {
@@ -117,6 +159,42 @@ TEST(RsnPasses, Rsn001ScanPathCycle) {
   // Cycle suppresses the derived reachability diagnostics.
   EXPECT_EQ(count_code(diags, "RSN003"), 0u);
   EXPECT_EQ(count_code(diags, "RSN004"), 0u);
+}
+
+TEST(RsnPasses, Rsn001RendersEachCycleFromTheDfsStack) {
+  // a -> b -> c -> a, entered at a (the lowest id on the cycle): the
+  // cycle text walks back from the re-entered register.
+  rsn::Rsn net("cyc");
+  rsn::ElemId a = net.add_register("a", 1);
+  rsn::ElemId b = net.add_register("b", 1);
+  rsn::ElemId c = net.add_register("c", 1);
+  net.connect(a, b, 0);
+  net.connect(b, c, 0);
+  net.connect(c, a, 0);
+  net.connect(net.scan_in(), net.scan_out(), 0);
+  LintInput in;
+  in.network = &net;
+  in.network_source = "cyc.rsn";
+  EXPECT_EQ(render_code(run_default(in), "RSN001"),
+            "cyc.rsn: register 'a': scan-path cycle: register 'a' <- "
+            "register 'b' <- register 'c' <- register 'a' (hint: cut one "
+            "connection of the cycle)\n");
+
+  // A self-loop on a register, and one through a mux port next to it:
+  // one finding each.
+  rsn::ElemId r = net.add_register("r", 1);
+  net.connect(r, r, 0);
+  rsn::ElemId m = net.add_mux("m", 2);
+  net.connect(net.scan_in(), m, 0);
+  net.connect(m, m, 1);
+  EXPECT_EQ(render_code(run_default(in), "RSN001"),
+            "cyc.rsn: register 'a': scan-path cycle: register 'a' <- "
+            "register 'b' <- register 'c' <- register 'a' (hint: cut one "
+            "connection of the cycle)\n"
+            "cyc.rsn: register 'r': scan-path cycle: register 'r' <- "
+            "register 'r' (hint: cut one connection of the cycle)\n"
+            "cyc.rsn: mux 'm': scan-path cycle: mux 'm' <- mux 'm' (hint: "
+            "cut one connection of the cycle)\n");
 }
 
 TEST(RsnPasses, Rsn002DanglingInputs) {

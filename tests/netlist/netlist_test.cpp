@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 namespace rsnsec::netlist {
 namespace {
@@ -52,6 +53,24 @@ TEST(Netlist, SequentialLoopIsFine) {
   NodeId g = nl.add_gate(GateType::Not, {ff});
   nl.set_ff_input(ff, g);
   EXPECT_TRUE(nl.validate());
+}
+
+TEST(Netlist, ValidateNamesTheCombinationalCycle) {
+  // A forward fanin id closes a loop: g1 = AND(pi, g2), g2 = NOT(g1). The
+  // search enters it at g1 and names the node it re-enters.
+  Netlist nl;
+  NodeId in = nl.add_input("pi");
+  NodeId g1 = nl.add_gate(GateType::And, {in, 2}, "g1");
+  NodeId g2 = nl.add_gate(GateType::Not, {g1}, "g2");
+  nl.add_ff("ff", no_module, g2);
+  std::string err;
+  EXPECT_FALSE(nl.validate(&err));
+  EXPECT_EQ(err, "combinational cycle through node 1");
+
+  // Fanin ids are checked before the cycle search.
+  nl.add_gate(GateType::Buf, {99});
+  EXPECT_FALSE(nl.validate(&err));
+  EXPECT_EQ(err, "node 4 has invalid fanin");
 }
 
 TEST(Netlist, GateArityChecks) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
@@ -34,14 +36,15 @@ TEST(AccessPlanner, PlansThroughMux) {
   AccessPlanner planner(f.net);
   auto plan = planner.plan(f.b);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->target, f.b);
-  EXPECT_EQ(plan->width, 3u);
-  EXPECT_EQ(plan->chain_length, 6u);  // a(2) + b(3) + c(1)
-  EXPECT_EQ(plan->position, 2u);
+  EXPECT_EQ(plan->elements, (std::vector<ElemId>{f.net.scan_in(), f.a, f.b,
+                                                 f.m, f.c, f.net.scan_out()}));
+  EXPECT_EQ(plan->chain.size(), 6u);  // a(2) + b(3) + c(1)
+  EXPECT_EQ(plan->position_of(f.b, 0), 2u);
+  EXPECT_EQ(plan->position_of(f.b, 2), 4u);
   // The mux must select input 1 (through b).
-  ASSERT_EQ(plan->mux_settings.size(), 1u);
-  EXPECT_EQ(plan->mux_settings[0],
-            (std::pair<ElemId, std::size_t>{f.m, 1}));
+  ASSERT_EQ(plan->settings.size(), 1u);
+  EXPECT_EQ(plan->settings[0].mux, f.m);
+  EXPECT_EQ(plan->settings[0].sel, 1u);
 }
 
 TEST(AccessPlanner, AppliedPlanActivatesTarget) {
@@ -50,11 +53,11 @@ TEST(AccessPlanner, AppliedPlanActivatesTarget) {
   for (ElemId target : {f.a, f.b, f.c}) {
     auto plan = planner.plan(target);
     ASSERT_TRUE(plan.has_value());
-    AccessPlanner::apply(*plan, f.net);
+    apply_plan(f.net, *plan);
     std::vector<ElemId> p = f.net.active_path();
     EXPECT_NE(std::find(p.begin(), p.end(), target), p.end())
         << f.net.elem(target).name;
-    EXPECT_EQ(p, plan->path);
+    EXPECT_EQ(p, plan->elements);
   }
 }
 
@@ -68,20 +71,25 @@ TEST(AccessPlanner, ShiftOffsetsMatchSimulation) {
   AccessPlanner planner(f.net);
   auto plan = planner.plan(f.b);
   ASSERT_TRUE(plan.has_value());
-  AccessPlanner::apply(*plan, f.net);
+  apply_plan(f.net, *plan);
 
-  // Read: capture, then shift until b[1] reaches scan-out.
+  // Read: capture, then shift until b[1] reaches scan-out, which takes
+  // one shift per chain position from b[1] to the end of the chain.
   CsuSimulator sim(f.net, nl);
   sim.circuit().set_value(src, 0xAB);
   sim.capture();
   std::uint64_t out = 0;
-  for (std::size_t i = 0; i < plan->read_shifts(1); ++i) out = sim.shift(0);
+  const std::size_t read_shifts =
+      plan->chain.size() - plan->position_of(f.b, 1);
+  for (std::size_t i = 0; i < read_shifts; ++i) out = sim.shift(0);
   EXPECT_EQ(out, 0xABu);
 
-  // Write: insert a value at scan-in and shift it into b[0].
+  // Write: insert a value at scan-in and shift it into b[0], one shift
+  // per chain position up to and including b[0].
   CsuSimulator sim2(f.net, nl);
   sim2.shift(0x77);  // insert
-  for (std::size_t i = 1; i < plan->write_shifts(0); ++i) sim2.shift(0);
+  const std::size_t write_shifts = plan->position_of(f.b, 0) + 1;
+  for (std::size_t i = 1; i < write_shifts; ++i) sim2.shift(0);
   EXPECT_EQ(sim2.scan_value(f.b, 0), 0x77u);
 }
 
@@ -91,7 +99,6 @@ TEST(AccessPlanner, BypassedRegisterStillPlannable) {
   f.net.set_mux_select(f.m, 0);
   AccessPlanner planner(f.net);
   EXPECT_TRUE(planner.plan(f.b).has_value());
-  EXPECT_TRUE(planner.all_registers_accessible());
 }
 
 TEST(AccessPlanner, RejectsNonRegisters) {
@@ -111,7 +118,6 @@ TEST(AccessPlanner, DetectsInaccessibleRegister) {
   AccessPlanner planner(net);
   EXPECT_TRUE(planner.plan(a).has_value());
   EXPECT_FALSE(planner.plan(orphan).has_value());
-  EXPECT_FALSE(planner.all_registers_accessible());
 }
 
 /// Rsn::scan_access answers, for every register, exactly whether the
@@ -182,15 +188,19 @@ TEST_P(GeneratedAccess, EveryRegisterOfGeneratedNetworksIsAccessible) {
   Rng rng(5);
   benchgen::BenchmarkProfile p = benchgen::bastion_profile(GetParam());
   rsn::RsnDocument doc = benchgen::generate_bastion(p, 0.03, rng);
+  const ScanAccess access = doc.network.scan_access();
   AccessPlanner planner(doc.network);
-  EXPECT_TRUE(planner.all_registers_accessible());
-  // And every plan is internally consistent.
+  // Every register is accessible, and every plan is internally consistent.
   for (ElemId r : doc.network.registers()) {
+    EXPECT_TRUE(access.accessible(r)) << doc.network.elem(r).name;
     auto plan = planner.plan(r);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->path.front(), doc.network.scan_in());
-    EXPECT_EQ(plan->path.back(), doc.network.scan_out());
-    EXPECT_LE(plan->position + plan->width, plan->chain_length);
+    EXPECT_EQ(plan->elements.front(), doc.network.scan_in());
+    EXPECT_EQ(plan->elements.back(), doc.network.scan_out());
+    const std::size_t width = doc.network.elem(r).ffs.size();
+    EXPECT_NE(plan->position_of(r, 0), PathPlan::npos);
+    EXPECT_EQ(plan->position_of(r, width - 1),
+              plan->position_of(r, 0) + width - 1);
   }
 }
 

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "rsn/access.hpp"
 #include "store/codec.hpp"
 
 namespace rsnsec::rsn::icl {
@@ -188,8 +187,9 @@ TEST(IclElaborate, FlattensHierarchy) {
 TEST(IclElaborate, EveryRegisterAccessible) {
   std::istringstream is(kSibNetwork);
   RsnDocument doc = load_icl(is);
-  AccessPlanner planner(doc.network);
-  EXPECT_TRUE(planner.all_registers_accessible());
+  const ScanAccess access = doc.network.scan_access();
+  for (ElemId r : doc.network.registers())
+    EXPECT_TRUE(access.accessible(r)) << doc.network.elem(r).name;
 }
 
 TEST(IclElaborate, SibBypassSemantics) {

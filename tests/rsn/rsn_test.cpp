@@ -78,6 +78,16 @@ TEST(Rsn, AcyclicDetectsCycle) {
   EXPECT_FALSE(net.is_acyclic());
 }
 
+TEST(Rsn, ValidateReportsACycleBeforeAnythingElse) {
+  // Cycle-freedom is checked first, so a cycle is the whole message.
+  SmallNet s;
+  s.net.connect(s.r3, s.r2, 0);  // r2 <- r3 <- m <- r2
+  EXPECT_FALSE(s.net.is_acyclic());
+  std::string err;
+  EXPECT_FALSE(s.net.validate(&err));
+  EXPECT_EQ(err, "scan network contains a cycle");
+}
+
 TEST(Rsn, ActivePathFollowsMuxSelect) {
   SmallNet s;
   s.net.set_mux_select(s.mux, 0);  // bypass r2

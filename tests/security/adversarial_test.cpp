@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "core/tool.hpp"
-#include "rsn/access.hpp"
 #include "security/hybrid.hpp"
 
 namespace rsnsec::security {
@@ -72,8 +71,9 @@ TEST(Adversarial, DeeplyNestedSibTreeWithLeafViolation) {
   ASSERT_TRUE(r.secured);
   EXPECT_GE(r.total_changes(), 1);
   // All registers (SIB controls included) stay accessible.
-  rsn::AccessPlanner planner(net);
-  EXPECT_TRUE(planner.all_registers_accessible());
+  const rsn::ScanAccess access = net.scan_access();
+  for (rsn::ElemId r : net.registers())
+    EXPECT_TRUE(access.accessible(r)) << net.elem(r).name;
 }
 
 TEST(Adversarial, TwoTokensWithOppositeVictims) {
@@ -111,8 +111,9 @@ TEST(Adversarial, TwoTokensWithOppositeVictims) {
   TokenTable tokens(spec, 4);
   HybridAnalyzer hybrid(nl, net, deps, spec, tokens);
   EXPECT_EQ(hybrid.count_violating_pairs(net), 0u);
-  rsn::AccessPlanner planner(net);
-  EXPECT_TRUE(planner.all_registers_accessible());
+  const rsn::ScanAccess access = net.scan_access();
+  for (rsn::ElemId r : net.registers())
+    EXPECT_TRUE(access.accessible(r)) << net.elem(r).name;
 }
 
 TEST(Adversarial, SharedAcceptedMaskIsNotAViolation) {

@@ -160,17 +160,15 @@ TEST(RunningExample, PureStageAloneLeavesHybridThreat) {
   // hybrid analyzer still finds the update-through-circuit path — the
   // paper's core motivation.
   RunningExample ex = make_running_example();
-  PipelineOptions opt;
-  opt.run_hybrid = false;
-  SecureFlowTool tool(ex.circuit, ex.doc.network, ex.spec, opt);
-  PipelineResult result = tool.run();
-  ASSERT_TRUE(result.secured);
-  EXPECT_GE(result.pure.applied_changes, 1);
+  security::TokenTable tokens(ex.spec, ex.spec.num_modules());
+  security::PureScanAnalyzer pure(ex.spec, tokens);
+  EXPECT_GE(pure.detect_and_resolve(ex.doc.network).applied_changes, 1);
+  std::string err;
+  EXPECT_TRUE(ex.doc.network.validate(&err)) << err;
 
   // Re-analyze: hybrid violations remain.
   dep::DependencyAnalyzer deps(ex.circuit, ex.doc.network, {});
   deps.run();
-  security::TokenTable tokens(ex.spec, ex.spec.num_modules());
   security::HybridAnalyzer hybrid(ex.circuit, ex.doc.network, deps, ex.spec,
                                   tokens);
   EXPECT_GT(hybrid.count_violating_pairs(ex.doc.network), 0u);

@@ -33,7 +33,6 @@
 #include "security/spec_io.hpp"
 #include "serve/protocol.hpp"
 #include "store/codec.hpp"
-#include "store/codec_fixtures.hpp"
 #include "store/dep_cache.hpp"
 #include "util/strings.hpp"
 
@@ -63,9 +62,9 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace rsnsec::store {
 namespace {
 
-/// Budget per decoded byte. The largest legitimate expansion is a vector
-/// of ~100-byte RSN elements or netlist nodes, grown geometrically from
-/// encodings of at least 4-6 bytes each (~40x); a corrupted count is
+/// Budget per decoded byte. The largest legitimate expansion is a text
+/// reader's vector of ~100-byte RSN elements or netlist nodes, grown
+/// geometrically from a few input bytes each; a corrupted count is
 /// either rejected by ByteReader::count or exceeds this by orders of
 /// magnitude.
 constexpr std::size_t kAllocMultiple = 64;
@@ -126,27 +125,6 @@ void sweep_truncation(const std::string& blob, Decode&& decode) {
   }
 }
 
-std::string netlist_blob() {
-  ByteWriter w;
-  encode_netlist(w, example_netlist());
-  return w.take();
-}
-
-std::string rsn_blob() {
-  ByteWriter w;
-  encode_rsn(w, example_rsn());
-  return w.take();
-}
-
-void decode_netlist_only(ByteReader& r) { decode_netlist(r); }
-
-/// Decodes an RSN; a surviving mutation must still be a structurally
-/// coherent network (it was built through the Rsn API).
-void decode_rsn_checked(ByteReader& r) {
-  rsn::Rsn decoded = decode_rsn(r);
-  if (decoded.num_elements() < 2) throw std::logic_error("lost scan ports");
-}
-
 /// Snapshot of a small exact analysis — the Fig. 3 bridging constellation
 /// (two internal flip-flops between three scan-attached ones, one input
 /// reaching them only structurally) — in the requested representation.
@@ -182,22 +160,6 @@ std::string snapshot_blob(dep::PartitionMode mode) {
 }
 
 void decode_snapshot_only(ByteReader& r) { decode_dep_snapshot(r); }
-
-TEST(NetlistCodec, EveryTruncationThrowsCodecError) {
-  sweep_truncation(netlist_blob(), decode_netlist_only);
-}
-
-TEST(NetlistCodec, SingleByteCorruptionNeverCrashes) {
-  sweep_single_byte_corruption(netlist_blob(), decode_netlist_only);
-}
-
-TEST(RsnCodec, EveryTruncationThrowsCodecError) {
-  sweep_truncation(rsn_blob(), decode_rsn_checked);
-}
-
-TEST(RsnCodec, SingleByteCorruptionNeverCrashes) {
-  sweep_single_byte_corruption(rsn_blob(), decode_rsn_checked);
-}
 
 TEST(DepMatrixCodec, SingleByteCorruptionNeverCrashes) {
   DepMatrix m(70);

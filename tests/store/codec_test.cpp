@@ -1,5 +1,5 @@
 // Codec layer of the artifact store: canonical primitive encodings, the
-// checksum/key hashes, and the model-object codecs. The decoders face
+// checksum/key hashes, and the dependency-matrix codec. The decoders face
 // on-disk bytes that may be truncated or hostile, so every malformation
 // must surface as CodecError — never as a crash or silent misparse. The
 // truncation and corruption sweeps live in codec_corruption_test.cpp,
@@ -8,8 +8,6 @@
 #include "store/codec.hpp"
 
 #include <gtest/gtest.h>
-
-#include "store/codec_fixtures.hpp"
 
 #include <cstdint>
 #include <string>
@@ -165,136 +163,6 @@ TEST(Checksums, Sha256IncrementalMatchesOneShot) {
   Sha256 h2;
   h2.update(data);
   EXPECT_EQ(a, h2.digest());
-}
-
-// ---------------------------------------------------------------- netlist
-
-TEST(NetlistCodec, RoundTripIsCanonical) {
-  netlist::Netlist nl = example_netlist();
-  ByteWriter w;
-  encode_netlist(w, nl);
-  ByteReader r(w.bytes());
-  netlist::Netlist decoded = decode_netlist(r);
-  r.expect_end();
-
-  ASSERT_EQ(decoded.num_nodes(), nl.num_nodes());
-  ASSERT_EQ(decoded.num_modules(), nl.num_modules());
-  EXPECT_EQ(decoded.module_name(1), "instrument");
-  EXPECT_EQ(decoded.ffs(), nl.ffs());
-  EXPECT_EQ(decoded.node(4).name, "ff1");
-  EXPECT_EQ(decoded.node(4).fanins, nl.node(4).fanins);
-  std::string err;
-  EXPECT_TRUE(decoded.validate(&err)) << err;
-
-  // Canonicality: the decoded netlist re-encodes to identical bytes, so
-  // the encoding is usable as a content-hash input.
-  ByteWriter w2;
-  encode_netlist(w2, decoded);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(NetlistCodec, RejectsHostileStructures) {
-  {  // Unknown gate type.
-    ByteWriter w;
-    w.varint(0);  // modules
-    w.varint(1);  // nodes
-    w.u8(200);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_netlist(r), CodecError);
-  }
-  {  // Fanin id out of range.
-    ByteWriter w;
-    w.varint(0);
-    w.varint(1);
-    w.u8(static_cast<std::uint8_t>(netlist::GateType::Buf));
-    w.zigzag(netlist::no_module);
-    w.str("");
-    w.varint(1);
-    w.varint(5);  // only node 0 exists
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_netlist(r), CodecError);
-  }
-  {  // Primary input with fanins.
-    ByteWriter w;
-    w.varint(0);
-    w.varint(1);
-    w.u8(static_cast<std::uint8_t>(netlist::GateType::Input));
-    w.zigzag(netlist::no_module);
-    w.str("i");
-    w.varint(1);
-    w.varint(0);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_netlist(r), CodecError);
-  }
-  {  // Constant carrying a name (not representable via the API).
-    ByteWriter w;
-    w.varint(0);
-    w.varint(1);
-    w.u8(static_cast<std::uint8_t>(netlist::GateType::Const0));
-    w.zigzag(netlist::no_module);
-    w.str("named");
-    w.varint(0);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_netlist(r), CodecError);
-  }
-  {  // Node module out of range.
-    ByteWriter w;
-    w.varint(1);
-    w.str("m");
-    w.varint(1);
-    w.u8(static_cast<std::uint8_t>(netlist::GateType::Input));
-    w.zigzag(3);
-    w.str("i");
-    w.varint(0);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_netlist(r), CodecError);
-  }
-}
-
-// -------------------------------------------------------------------- rsn
-
-TEST(RsnCodec, RoundTripIsCanonical) {
-  rsn::Rsn net = example_rsn();
-  ByteWriter w;
-  encode_rsn(w, net);
-  ByteReader r(w.bytes());
-  rsn::Rsn decoded = decode_rsn(r);
-  r.expect_end();
-
-  ASSERT_EQ(decoded.num_elements(), net.num_elements());
-  EXPECT_EQ(decoded.name(), "example");
-  EXPECT_EQ(decoded.registers(), net.registers());
-  EXPECT_EQ(decoded.muxes(), net.muxes());
-  rsn::ElemId m = net.muxes()[0];
-  EXPECT_EQ(decoded.mux_select(m), 1u);
-  EXPECT_EQ(decoded.elem(m).inputs[2], rsn::no_elem);  // dangling port
-  EXPECT_EQ(decoded.elem(net.muxes()[1]).inputs.size(), 1u);
-  rsn::ElemId r1 = net.registers()[0];
-  EXPECT_EQ(decoded.elem(r1).module, 0);
-  EXPECT_EQ(decoded.elem(r1).ffs[0].capture_src, 5u);
-  EXPECT_EQ(decoded.elem(r1).ffs[1].update_dst, 7u);
-
-  ByteWriter w2;
-  encode_rsn(w2, decoded);
-  EXPECT_EQ(w.bytes(), w2.bytes());
-}
-
-TEST(RsnCodec, RejectsHostileStructures) {
-  {  // No scan ports at all.
-    ByteWriter w;
-    w.str("x");
-    w.varint(1);
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_rsn(r), CodecError);
-  }
-  {  // Element 0 is not the scan-in port.
-    ByteWriter w;
-    w.str("x");
-    w.varint(2);
-    w.u8(static_cast<std::uint8_t>(rsn::ElemKind::Register));
-    ByteReader r(w.bytes());
-    EXPECT_THROW(decode_rsn(r), CodecError);
-  }
 }
 
 // ------------------------------------------------------------- dep matrix

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/circuit.hpp"
@@ -176,6 +177,83 @@ TEST(DepStore, KeyIgnoresThreadCountOnly) {
   Workload other("TreeFlat");
   EXPECT_NE(dep_cache_key(other.circuit, other.doc.network, base), k);
   EXPECT_NE(dep_cache_key(w.circuit, other.doc.network, base), k);
+}
+
+/// A small design with one knob per field the key's netlist and RSN
+/// encodings carry. Its corners: a forward FF data input, a constant
+/// fanin, a dangling mux port.
+struct KeyDesign {
+  std::string module_name = "instrument";
+  netlist::GateType gate = netlist::GateType::And;
+  netlist::ModuleId gate_module = 1;
+  std::string gate_name = "g";
+  bool gate_reads_const = true;  ///< its second fanin: the constant, or in0
+  bool ff1_reads_inverter = true;  ///< ff1's data input: the inverter, or g
+  std::string network_name = "example";
+  std::string register_name = "r1";
+  netlist::ModuleId register_module = 0;
+  std::size_t mux_select = 1;
+  bool r2_from_scan_in = true;  ///< r2's input port: scan-in, or r1
+  netlist::NodeId capture = 5;
+  netlist::NodeId update = 4;
+
+  std::string key() const {
+    netlist::Netlist nl;
+    netlist::ModuleId core = nl.add_module("core");
+    nl.add_module(module_name);
+    netlist::NodeId in0 = nl.add_input("in0", core);
+    netlist::NodeId one = nl.add_const(true);
+    netlist::NodeId g = nl.add_gate(
+        gate, {in0, gate_reads_const ? one : in0}, gate_name, gate_module);
+    netlist::NodeId ff1 = nl.add_ff("ff1", core);
+    netlist::NodeId ff2 = nl.add_ff("ff2", core, g);
+    netlist::NodeId inv = nl.add_gate(netlist::GateType::Not, {ff2});
+    nl.set_ff_input(ff1, ff1_reads_inverter ? inv : g);
+
+    rsn::Rsn net(network_name);
+    rsn::ElemId r1 = net.add_register(register_name, 2, register_module);
+    rsn::ElemId r2 = net.add_register("r2", 1);
+    rsn::ElemId m = net.add_mux("m", 3);
+    net.connect(net.scan_in(), r1, 0);
+    net.connect(r1, m, 0);
+    net.connect(r2_from_scan_in ? net.scan_in() : r1, r2, 0);
+    net.connect(r2, m, 1);  // port 2 stays dangling
+    net.connect(m, net.scan_out(), 0);
+    net.set_mux_select(m, mux_select);
+    net.set_capture(r1, 0, capture);
+    net.set_update(r1, 1, update);
+    return dep_cache_key(nl, net, {});
+  }
+};
+
+TEST(DepStore, KeyChangesWithEveryEncodedField) {
+  // The key hashes the canonical netlist and RSN encodings, so a change
+  // to any field they carry must reach it; rebuilding the same design
+  // must not.
+  const std::string k = KeyDesign{}.key();
+  EXPECT_TRUE(is_store_key(k));
+  EXPECT_EQ(KeyDesign{}.key(), k);
+
+  const std::vector<std::pair<const char*, void (*)(KeyDesign&)>> changes = {
+      {"gate type", [](KeyDesign& d) { d.gate = netlist::GateType::Or; }},
+      {"node module", [](KeyDesign& d) { d.gate_module = 0; }},
+      {"node name", [](KeyDesign& d) { d.gate_name = "h"; }},
+      {"one fanin", [](KeyDesign& d) { d.gate_reads_const = false; }},
+      {"FF data input", [](KeyDesign& d) { d.ff1_reads_inverter = false; }},
+      {"module name", [](KeyDesign& d) { d.module_name = "trace"; }},
+      {"network name", [](KeyDesign& d) { d.network_name = "other"; }},
+      {"element name", [](KeyDesign& d) { d.register_name = "r0"; }},
+      {"element module", [](KeyDesign& d) { d.register_module = 1; }},
+      {"mux select", [](KeyDesign& d) { d.mux_select = 0; }},
+      {"input port", [](KeyDesign& d) { d.r2_from_scan_in = false; }},
+      {"capture attachment", [](KeyDesign& d) { d.capture = 4; }},
+      {"update attachment", [](KeyDesign& d) { d.update = 3; }},
+  };
+  for (const auto& [what, change] : changes) {
+    KeyDesign d;
+    change(d);
+    EXPECT_NE(d.key(), k) << what;
+  }
 }
 
 TEST(DepStore, GarbagePayloadUnderValidEnvelopeIsRecomputed) {

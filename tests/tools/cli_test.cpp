@@ -284,7 +284,8 @@ TEST_F(CliTest, GenerateMbistByName) {
 }
 
 TEST_F(CliTest, ErrorsAreReported) {
-  EXPECT_EQ(run_cli({"bogus"}), 1);
+  // A malformed invocation exits 2; a run that fails exits 1.
+  EXPECT_EQ(run_cli({"bogus"}), 2);
   EXPECT_NE(err_.str().find("unknown command"), std::string::npos);
 
   EXPECT_EQ(run_cli({"info", "--rsn", path("missing.rsn")}), 1);
@@ -294,7 +295,129 @@ TEST_F(CliTest, ErrorsAreReported) {
   EXPECT_EQ(run_cli({"generate", "--benchmark", "NoSuch", "--out-rsn",
                      path("x.rsn")}),
             1);
-  EXPECT_EQ(run_cli({"secure", "--oops"}), 1);
+  EXPECT_EQ(run_cli({"secure", "--oops"}), 2);
+}
+
+TEST_F(CliTest, InvocationMistakesAreUsageErrors) {
+  EXPECT_EQ(run_cli({}), 2);
+  EXPECT_NE(err_.str().find("missing command"), std::string::npos);
+  EXPECT_EQ(run_cli({"analyze", "--rsn"}), 2);
+  EXPECT_NE(err_.str().find("--rsn needs a value"), std::string::npos);
+  EXPECT_EQ(run_cli({"generate", "--benchmark", "Mingle"}), 2);
+  EXPECT_NE(err_.str().find("missing required option --out-rsn"),
+            std::string::npos);
+  EXPECT_EQ(run_cli({"info"}), 2);
+  EXPECT_NE(err_.str().find("need --rsn FILE or --icl FILE"),
+            std::string::npos);
+  EXPECT_EQ(run_cli({"lint"}), 2);
+  EXPECT_EQ(run_cli({"info", "net.rsn"}), 2);
+  EXPECT_NE(err_.str().find("unexpected argument 'net.rsn'"),
+            std::string::npos);
+  // --jobs is checked by every command, also by those that do not read it.
+  EXPECT_EQ(run_cli({"info", "--rsn", path("n.rsn"), "--jobs", "0"}), 2);
+  EXPECT_NE(err_.str().find("--jobs needs a thread count"), std::string::npos);
+}
+
+TEST_F(CliTest, OptionsTheCommandDoesNotReadAreUsageErrors) {
+  // Each is rejected by name before the command opens a file (the
+  // inputs do not exist) or starts a thread.
+  const std::vector<std::string> secure = {
+      "secure", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
+      "--spec", path("p.spec"), "--out", path("o.rsn")};
+  const std::vector<std::vector<std::string>> mistakes = {
+      {"--job", "0"},  // a misspelt --jobs
+      {"--no-pure"},   // retired pipeline switches
+      {"--no-hybrid"},
+      {"--seed", "3"},  // another command's option
+  };
+  for (const std::vector<std::string>& extra : mistakes) {
+    std::vector<std::string> argv = secure;
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    EXPECT_EQ(run_cli(argv), 2) << extra[0];
+    EXPECT_NE(err_.str().find("does not take " + extra[0]), std::string::npos)
+        << err_.str();
+  }
+  EXPECT_EQ(run_cli({"bench", "scale", "--jbos", "4"}), 2);
+  EXPECT_NE(err_.str().find("does not take --jbos"), std::string::npos)
+      << err_.str();
+  // bridging runs its own fixed family list.
+  EXPECT_EQ(run_cli({"bench", "bridging", "--families", "BasicSCB"}), 2);
+  EXPECT_NE(err_.str().find("bench bridging does not take --families"),
+            std::string::npos)
+      << err_.str();
+  // analyze ignores what only secure reads.
+  EXPECT_EQ(run_cli({"analyze", "--verify"}), 2);
+  EXPECT_NE(err_.str().find("does not take --verify"), std::string::npos);
+}
+
+TEST_F(CliTest, EveryDocumentedOptionIsAccepted) {
+  // tools/cli.hpp's usage, one row per command (bench: per experiment):
+  // the words before the options, then each option with a value. An
+  // unknown option is rejected by name in command-line order, so an
+  // invocation that reaches the trailing --not-an-option accepted the
+  // documented one before it without running anything.
+  struct Usage {
+    std::vector<std::string> command;
+    std::vector<std::string> options;
+  };
+  const std::vector<std::string> workload = {
+      "--rsn F", "--icl F", "--top T", "--verilog F", "--spec F"};
+  const std::vector<std::string> dep = {
+      "--store D", "--mode exact", "--structural", "--no-ternary",
+      "--partition auto", "--tile-spill-budget 1"};
+  const std::vector<std::string> grid = {
+      "--circuits 1", "--target-ffs 1", "--specs 1", "--target-regs 1",
+      "--seed 1", "--store D", "--json"};
+  const std::vector<std::string> redteam = {
+      "--seed 1", "--scale 1", "--target-ffs 1", "--target-regs 1",
+      "--scenario all", "--conflict-limit 1", "--json"};
+  auto join = [](std::vector<std::string> a,
+                 const std::vector<std::string>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  const std::vector<Usage> usages = {
+      {{"generate"},
+       {"--benchmark B", "--scale 1", "--seed 1", "--out-rsn F",
+        "--out-verilog F", "--out-spec F"}},
+      {{"info"}, {"--rsn F", "--icl F", "--top T"}},
+      {{"analyze"}, join(join(workload, dep), {"--json", "--filter-baseline"})},
+      {{"secure"},
+       join(join(workload, dep), {"--out F", "--json", "--verify"})},
+      {{"certify"},
+       join(workload, {"--json", "--no-ternary", "--max-findings 1"})},
+      {{"attack"}, join(redteam, {"--benchmark B", "--no-secure"})},
+      {{"lint", "F"}, {"--json", "--top T"}},
+      {{"store", "stats"}, {"--store D", "--max-bytes 1", "--json"}},
+      {{"serve"},
+       {"--socket S", "--port 1", "--workers 1", "--queue-depth 1",
+        "--max-request-bytes 1", "--store D"}},
+      {{"bench", "table1"}, join(grid, {"--families F"})},
+      {{"bench", "bridging"}, grid},
+      {{"bench", "ablation"}, grid},
+      {{"bench", "filter"}, grid},
+      {{"bench", "policy"}, grid},
+      {{"bench", "attack"}, join(redteam, {"--families F"})},
+      {{"bench", "scale"},
+       {"--max-ffs 1", "--dense-max 1", "--seed 1", "--json"}},
+      {{"bench", "serve"},
+       {"--clients 1", "--requests 1", "--benchmark B", "--scale 1",
+        "--workers 1", "--queue-depth 1", "--max-request-bytes 1",
+        "--seed 1", "--json"}},
+  };
+  for (const Usage& u : usages) {
+    for (const std::string& option :
+         join(u.options, {"--jobs 1", "--trace F", "--metrics"})) {
+      std::vector<std::string> argv = u.command;
+      std::istringstream words(option);
+      for (std::string word; words >> word;) argv.push_back(word);
+      argv.push_back("--not-an-option");
+      EXPECT_EQ(run_cli(argv), 2) << u.command[0] << " " << option;
+      EXPECT_NE(err_.str().find("does not take --not-an-option"),
+                std::string::npos)
+          << u.command[0] << " " << option << ": " << err_.str();
+    }
+  }
 }
 
 TEST_F(CliTest, MalformedNumbersAreUsageErrors) {
@@ -611,8 +734,8 @@ TEST_F(CliTest, DuplicateOptionLastOccurrenceWins) {
 }
 
 TEST_F(CliTest, AttackRejectsBadArguments) {
-  // Missing required option: generic error (rc 1), repo convention.
-  EXPECT_EQ(run_cli({"attack"}), 1);
+  // Missing required option: a usage error, like every invocation mistake.
+  EXPECT_EQ(run_cli({"attack"}), 2);
   EXPECT_EQ(run_cli({"attack", "--benchmark", "NoSuchFamily"}), 2);
   EXPECT_NE(err_.str().find("NoSuchFamily"), std::string::npos);
   EXPECT_NE(err_.str().find("BasicSCB"), std::string::npos);  // catalog

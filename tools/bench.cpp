@@ -17,7 +17,6 @@
 #include <cmath>
 #include <filesystem>
 #include <iomanip>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -27,7 +26,6 @@
 #include "core/report.hpp"
 #include "dep/analyzer.hpp"
 #include "netlist/verilog.hpp"
-#include "rsn/access.hpp"
 #include "rsn/io.hpp"
 #include "security/filter.hpp"
 #include "security/hybrid.hpp"
@@ -512,8 +510,10 @@ Report bench_filter(const bench::SweepOptions& opt) {
                                pure.count_violating_pairs(original);
           cell.changes = result.total_changes();
           cell.seconds = result.t_total;
-          cell.accessible =
-              rsn::AccessPlanner(network).all_registers_accessible();
+          const rsn::ScanAccess access = network.scan_access();
+          cell.accessible = std::all_of(
+              network.registers().begin(), network.registers().end(),
+              [&](rsn::ElemId r) { return access.accessible(r); });
           return cell;
         });
     double locked = 0.0, regs = 0.0, changes = 0.0, seconds = 0.0;
@@ -970,50 +970,84 @@ Report bench_serve(const Args& args) {
           {}};
 }
 
+/// Runs a grid experiment on the invocation's sweep options and store.
+template <typename Run>
+Report on_grid(const Args& args, Run&& run) {
+  bench::SweepOptions opt = sweep_options(args);
+  std::unique_ptr<store::ArtifactStore> store = open_store(args);
+  opt.pipeline.store = store.get();
+  return run(opt);
+}
+
+struct Experiment {
+  std::string_view name;
+  Report (*run)(const Args&);
+  OptionTable options;
+};
+
+/// Every experiment and the options it reads. table1 is the one grid
+/// experiment that reads --families; the others run the fixed family
+/// lists of their paper sections.
+const std::vector<Experiment>& experiments() {
+  static const OptionTable grid = {
+      {"circuits", "specs", "target-ffs", "target-regs", "seed", "store"},
+      {"json"}};
+  static const std::vector<Experiment> all = {
+      {"table1",
+       [](const Args& args) {
+         const std::vector<std::string> families =
+             families_option(args, {"bastion", "mbist"});
+         return on_grid(args, [&](const bench::SweepOptions& opt) {
+           return bench_table1(families, opt);
+         });
+       },
+       {{"families", "circuits", "specs", "target-ffs", "target-regs", "seed",
+         "store"},
+        {"json"}}},
+      {"bridging", [](const Args& a) { return on_grid(a, bench_bridging); },
+       grid},
+      {"ablation", [](const Args& a) { return on_grid(a, bench_ablation); },
+       grid},
+      {"filter", [](const Args& a) { return on_grid(a, bench_filter); }, grid},
+      {"policy", [](const Args& a) { return on_grid(a, bench_policy); }, grid},
+      {"attack", bench_attack,
+       {{"families", "seed", "scale", "target-ffs", "target-regs", "scenario",
+         "conflict-limit"},
+        {"json"}}},
+      {"scale", bench_scale, {{"seed", "max-ffs", "dense-max"}, {"json"}}},
+      {"serve", bench_serve,
+       {{"seed", "clients", "requests", "benchmark", "scale", "workers",
+         "queue-depth", "max-request-bytes"},
+        {"json"}}},
+  };
+  return all;
+}
+
+const Experiment& find_experiment(const std::string& name) {
+  std::string known;
+  for (const Experiment& e : experiments()) {
+    if (e.name == name) return e;
+    known += (known.empty() ? "" : ", ") + std::string(e.name);
+  }
+  throw UsageError((name.empty() ? std::string("bench needs an experiment name")
+                                 : "unknown bench experiment '" + name + "'") +
+                   " (try: " + known + ")");
+}
+
 }  // namespace
 
-int cmd_bench(const Args& args, std::ostream& out) {
-  using GridExperiment = Report (*)(const bench::SweepOptions&);
-  using Sweep = Report (*)(const Args&);
-  // table1 is the one grid experiment that reads --families; the others
-  // run the fixed family lists of their paper sections.
-  static const std::map<std::string, GridExperiment> grids = {
-      {"bridging", bench_bridging},
-      {"ablation", bench_ablation},
-      {"filter", bench_filter},
-      {"policy", bench_policy}};
-  static const std::map<std::string, Sweep> sweeps = {
-      {"attack", bench_attack}, {"scale", bench_scale}, {"serve", bench_serve}};
-  const std::string name =
-      args.positionals.size() == 1 ? args.positionals[0] : "";
-  const auto grid = grids.find(name);
-  const auto sweep = sweeps.find(name);
-  if (name != "table1" && grid == grids.end() && sweep == sweeps.end())
-    throw UsageError(
-        (args.positionals.empty()
-             ? std::string("bench needs an experiment name")
-             : "unknown bench experiment '" + args.positionals[0] + "'") +
-        " (try: table1, bridging, ablation, filter, policy, attack, scale or "
-        "serve, e.g. rsnsec bench ablation [--circuits N] [--specs N] "
-        "[--json])");
+const OptionTable& bench_options(const std::string& experiment) {
+  return find_experiment(experiment).options;
+}
 
+int cmd_bench(const Args& args, std::ostream& out) {
+  const std::string& name = args.positionals.at(0);
   Report report;
   // A benchmark too large for the generators (they refuse with
   // std::overflow_error, see benchgen/families.cpp) is the caller's
   // mistake, as in `rsnsec generate`: exit 2.
   try {
-    if (sweep != sweeps.end()) {
-      report = sweep->second(args);
-    } else {
-      const std::vector<std::string> families =
-          name == "table1" ? families_option(args, {"bastion", "mbist"})
-                           : std::vector<std::string>{};
-      bench::SweepOptions opt = sweep_options(args);
-      std::unique_ptr<store::ArtifactStore> store = open_store(args);
-      opt.pipeline.store = store.get();
-      report = grid == grids.end() ? bench_table1(families, opt)
-                                   : grid->second(opt);
-    }
+    report = find_experiment(name).run(args);
   } catch (const std::overflow_error& e) {
     throw UsageError("bench " + name + ": benchmark too large: " + e.what());
   }

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "tools/cli_args.hpp"
@@ -35,41 +36,6 @@ namespace rsnsec::cli {
 
 namespace {
 
-Args parse_args(const std::vector<std::string>& argv) {
-  Args args;
-  if (argv.empty()) throw std::runtime_error("missing command");
-  args.command = argv[0];
-  for (std::size_t i = 1; i < argv.size(); ++i) {
-    const std::string& a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      // Only `lint` (input files), `store` and `bench` (the action) take
-      // positional arguments.
-      if (args.command != "lint" && args.command != "store" &&
-          args.command != "bench")
-        throw std::runtime_error("unexpected argument '" + a + "'");
-      args.positionals.push_back(a);
-      continue;
-    }
-    std::string key = a.substr(2);
-    // Boolean flags.
-    if (key == "structural" || key == "json" || key == "no-pure" ||
-        key == "no-hybrid" || key == "no-ternary" ||
-        key == "filter-baseline" || key == "verify" || key == "metrics" ||
-        key == "no-secure") {
-      args.flags.push_back(key);
-      continue;
-    }
-    if (i + 1 >= argv.size())
-      throw std::runtime_error("option --" + key + " needs a value");
-    // Duplicated value options are last-occurrence-wins by contract (the
-    // map assignment overwrites): `rsnsec secure --seed 1 --seed 2` runs
-    // with seed 2, matching what shell users expect from appended
-    // overrides. Pinned by cli_tests DuplicateOptionLastOccurrenceWins.
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
-
 std::ifstream open_input(const std::string& path) {
   std::ifstream f(path);
   if (!f) throw std::runtime_error("cannot open '" + path + "'");
@@ -91,7 +57,7 @@ rsn::RsnDocument load_network(const Args& args) {
     std::ifstream f = open_input(*p);
     return rsn::icl::load_icl(f, args.get("top").value_or(""));
   }
-  throw std::runtime_error("need --rsn FILE or --icl FILE");
+  throw UsageError("need --rsn FILE or --icl FILE");
 }
 
 Workload load_workload(const Args& args) {
@@ -255,8 +221,6 @@ PipelineOptions pipeline_options(const Args& args) {
                        "' (try: exact, structural)");
   }
   if (args.has_flag("no-ternary")) opt.dep.ternary_prefilter = false;
-  if (args.has_flag("no-pure")) opt.run_pure = false;
-  if (args.has_flag("no-hybrid")) opt.run_hybrid = false;
   opt.verify = args.has_flag("verify");
   // Matrix representation. Bit-identical results either way (pinned by
   // the partitioned-oracle tests); "auto" switches on circuit size.
@@ -299,7 +263,7 @@ std::unique_ptr<store::ArtifactSpillBackend> wire_spill(
 
 int cmd_lint(const Args& args, std::ostream& out) {
   if (args.positionals.empty())
-    throw std::runtime_error(
+    throw UsageError(
         "lint needs input files (.rsn/.icl/.v/.spec), e.g. "
         "rsnsec lint net.rsn ckt.v policy.spec");
   lint::Registry registry = lint::Registry::with_default_passes();
@@ -781,20 +745,120 @@ class TraceScope {
   std::optional<obs::TraceSession> session_;
 };
 
-int dispatch(const Args& args, std::ostream& out) {
-  if (args.command == "generate") return cmd_generate(args, out);
-  if (args.command == "info") return cmd_info(args, out);
-  if (args.command == "analyze") return cmd_analyze(args, out);
-  if (args.command == "secure") return cmd_secure(args, out);
-  if (args.command == "certify") return cmd_certify(args, out);
-  if (args.command == "attack") return cmd_attack(args, out);
-  if (args.command == "lint") return cmd_lint(args, out);
-  if (args.command == "store") return cmd_store(args, out);
-  if (args.command == "bench") return cmd_bench(args, out);
-  if (args.command == "serve") return cmd_serve(args, out);
-  throw std::runtime_error("unknown command '" + args.command +
-                           "' (try: generate, info, analyze, secure, "
-                           "certify, attack, lint, store, bench, serve)");
+/// A command, the options it reads (tools/cli.hpp documents them) and
+/// whether it takes positional arguments (lint's files, store's action).
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&, std::ostream&);
+  OptionTable options;
+  bool positionals = false;
+};
+
+/// `bench` reads the options of its experiment (bench_options).
+const std::vector<Command>& commands() {
+  static const std::vector<Command> all = {
+      {"generate", cmd_generate,
+       {{"benchmark", "scale", "seed", "out-rsn", "out-verilog", "out-spec"},
+        {}}},
+      {"info", cmd_info, {{"rsn", "icl", "top"}, {}}},
+      {"analyze", cmd_analyze,
+       {{"rsn", "icl", "top", "verilog", "spec", "store", "mode", "partition",
+         "tile-spill-budget"},
+        {"json", "structural", "no-ternary", "filter-baseline"}}},
+      {"secure", cmd_secure,
+       {{"rsn", "icl", "top", "verilog", "spec", "out", "store", "mode",
+         "partition", "tile-spill-budget"},
+        {"json", "structural", "no-ternary", "verify"}}},
+      {"certify", cmd_certify,
+       {{"rsn", "icl", "top", "verilog", "spec", "max-findings"},
+        {"json", "no-ternary"}}},
+      {"attack", cmd_attack,
+       {{"benchmark", "seed", "scale", "target-ffs", "target-regs",
+         "scenario", "conflict-limit"},
+        {"json", "no-secure"}}},
+      {"lint", cmd_lint, {{"top"}, {"json"}}, true},
+      {"store", cmd_store, {{"store", "max-bytes"}, {"json"}}, true},
+      {"serve", cmd_serve,
+       {{"socket", "port", "workers", "queue-depth", "max-request-bytes",
+         "store"},
+        {}}},
+      {"bench", cmd_bench, {}},
+  };
+  return all;
+}
+
+const Command& find_command(const std::string& name) {
+  std::string known;
+  for (const Command& c : commands()) {
+    if (c.name == name) return c;
+    known += (known.empty() ? "" : ", ") + std::string(c.name);
+  }
+  throw UsageError((name.empty() ? std::string("missing command")
+                                 : "unknown command '" + name + "'") +
+                   " (try: " + known + ")");
+}
+
+/// What every command takes besides its own table.
+const OptionTable kCommonOptions = {{"jobs", "trace"}, {"metrics"}};
+
+bool lists(const std::vector<std::string_view>& keys, std::string_view key) {
+  return std::find(keys.begin(), keys.end(), key) != keys.end();
+}
+
+/// "--a, --b, ..." for an error message.
+std::string option_names(const OptionTable& t) {
+  std::string names;
+  for (const auto* keys : {&t.values, &t.flags})
+    for (std::string_view k : *keys)
+      names += (names.empty() ? "--" : ", --") + std::string(k);
+  return names;
+}
+
+/// Splits argv by the command's option table. Every invocation mistake (no
+/// or an unknown command or bench experiment, an option the command does
+/// not read, an option without its value, a stray argument) is a
+/// UsageError, raised before the command reads a file or starts a thread.
+Args parse_args(const std::vector<std::string>& argv) {
+  Args args;
+  args.command = argv.empty() ? "" : argv[0];
+  const Command& cmd = find_command(args.command);
+  const OptionTable* table = &cmd.options;
+  std::string what = args.command;  // "analyze", "bench bridging"
+  std::size_t i = 1;
+  if (cmd.run == cmd_bench) {
+    // The experiment comes first: its table says what follows.
+    args.positionals.push_back(argv.size() > 1 ? argv[1] : "");
+    table = &bench_options(args.positionals[0]);
+    what += " " + args.positionals[0];
+    i = 2;
+  }
+  for (; i < argv.size(); ++i) {
+    const std::string& a = argv[i];
+    if (a.rfind("--", 0) != 0) {
+      if (!cmd.positionals)
+        throw UsageError("unexpected argument '" + a + "'");
+      args.positionals.push_back(a);
+      continue;
+    }
+    std::string key = a.substr(2);
+    if (lists(table->flags, key) || lists(kCommonOptions.flags, key)) {
+      args.flags.push_back(key);
+      continue;
+    }
+    if (!lists(table->values, key) && !lists(kCommonOptions.values, key))
+      throw UsageError(what + " does not take " + a +
+                       " (it takes " + option_names(*table) + ", " +
+                       option_names(kCommonOptions) + ")");
+    if (i + 1 >= argv.size())
+      throw UsageError("option --" + key + " needs a value");
+    // Duplicated value options are last-occurrence-wins by contract (the
+    // map assignment overwrites): `rsnsec attack --seed 1 --seed 2` runs
+    // with seed 2, matching what shell users expect from appended
+    // overrides. Pinned by cli_tests DuplicateOptionLastOccurrenceWins.
+    args.options[key] = argv[++i];
+  }
+  jobs_option(args);  // every command takes --jobs, read or not
+  return args;
 }
 
 }  // namespace
@@ -804,7 +868,7 @@ int run(const std::vector<std::string>& args_in, std::ostream& out,
   try {
     Args args = parse_args(args_in);
     TraceScope trace(args, err);
-    int rc = dispatch(args, out);
+    int rc = find_command(args.command).run(args, out);
     trace.finish();
     return rc;
   } catch (const UsageError& e) {

@@ -13,12 +13,14 @@ namespace rsnsec::cli {
 ///   rsnsec generate --benchmark NAME [--scale S] [--seed N]
 ///                   --out-rsn F [--out-verilog F] [--out-spec F]
 ///   rsnsec info     (--rsn F | --icl F [--top NAME])
-///   rsnsec analyze  --rsn F --verilog F --spec F [--structural] [--json]
-///   rsnsec secure   --rsn F --verilog F --spec F --out F [--json]
-///                   [--verify]
-///   rsnsec certify  --rsn F --verilog F --spec F [--json] [--no-ternary]
+///   rsnsec analyze  NETWORK --verilog F --spec F [--json] [--filter-baseline]
+///                   [DEP...]
+///   rsnsec secure   NETWORK --verilog F --spec F --out F [--json]
+///                   [--verify] [DEP...]
+///   rsnsec certify  NETWORK --verilog F --spec F [--json] [--no-ternary]
+///                   [--max-findings N]
 ///   rsnsec attack   --benchmark NAME [--seed N] [--scenario pure|hybrid|all]
-///                   [--no-secure] [--json]
+///                   [--no-secure] [--json] [REDTEAM...]
 ///   rsnsec lint     FILE... [--json] [--top NAME]
 ///   rsnsec store    stats|verify|gc --store DIR [--max-bytes N] [--json]
 ///   rsnsec serve    (--socket PATH | --port N) [--workers N]
@@ -28,13 +30,23 @@ namespace rsnsec::cli {
 ///                   [--target-regs N] [--seed N] [--store DIR] [--json]
 ///   rsnsec bench    bridging|ablation|filter|policy (table1's options
 ///                   but --families)
-///   rsnsec bench    attack [--families NAME,...] [--seed N] [--json]
+///   rsnsec bench    attack [--families NAME,...] [--seed N]
+///                   [--scenario pure|hybrid|all] [--json] [REDTEAM...]
 ///   rsnsec bench    scale [--max-ffs N] [--dense-max N] [--seed N] [--json]
 ///   rsnsec bench    serve [--clients N] [--requests N] [--benchmark NAME]
-///                   [--workers N] [--seed N] [--json]
+///                   [--scale S] [--workers N] [--queue-depth N]
+///                   [--max-request-bytes N] [--seed N] [--json]
+///
+/// where NETWORK is --rsn F or --icl F [--top NAME]; DEP is --store DIR,
+/// --mode exact|structural (--structural for short), --no-ternary,
+/// --partition auto|dense|tiled or --tile-spill-budget BYTES (which needs
+/// a store); and REDTEAM is --scale S, --target-ffs N, --target-regs N or
+/// --conflict-limit N.
 ///
 /// Every command takes --jobs N (1 to 1024; omitted = auto), --trace FILE
-/// and --metrics.
+/// and --metrics, and no option it does not list: anything else is a
+/// usage error (exit 2) that names the option, before the command reads
+/// a file. `bench` takes its experiment as its first argument.
 ///
 /// `lint` statically checks the given files (.rsn/.icl network,
 /// .v circuit, .spec specification — any subset, cross-checked when
@@ -49,8 +61,10 @@ namespace rsnsec::cli {
 /// ablation) on the Table I grid, and the attack, scale and serve sweeps;
 /// each prints a text table or, with --json, the google-benchmark layout.
 ///
-/// Returns the process exit code (0 = success; for `analyze`, 0 also
-/// means "no violations found" and 2 means "violations found"; for
+/// Returns the process exit code (0 = success; 1 = the run failed, e.g.
+/// an unreadable file; 2 = a usage error: an unknown command or option, a
+/// missing value or required option, a malformed number; for `analyze`,
+/// 0 also means "no violations found" and 2 means "violations found"; for
 /// `lint` and `certify`, 0 means "no error-severity diagnostics" and 2
 /// means at least one error was reported).
 int run(const std::vector<std::string>& args, std::ostream& out,

@@ -11,6 +11,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "attack/engine.hpp"
@@ -21,17 +22,28 @@
 
 namespace rsnsec::cli {
 
-/// Bad command-line *input* (malformed numbers, bad benchmark syntax).
-/// Distinct from plain runtime_error so run() can exit 2 — "your
-/// invocation is wrong" — instead of 1 ("the tool failed").
+/// Bad command-line *input* (unknown command or option, missing value or
+/// required option, malformed numbers, bad benchmark syntax). Distinct
+/// from plain runtime_error so run() can exit 2 — "your invocation is
+/// wrong" — instead of 1 ("the tool failed").
 struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
+};
+
+/// The options one command, or one `bench` experiment, reads besides
+/// --jobs, --trace and --metrics, which every command takes. Any other
+/// option is a UsageError, raised before the command runs.
+struct OptionTable {
+  std::vector<std::string_view> values;  ///< --key VALUE
+  std::vector<std::string_view> flags;   ///< --key
 };
 
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   std::vector<std::string> flags;
+  /// lint's input files, store's action, bench's experiment (always the
+  /// first argument after `bench`).
   std::vector<std::string> positionals;
 
   bool has_flag(const std::string& f) const {
@@ -46,7 +58,7 @@ struct Args {
   }
   std::string require(const std::string& key) const {
     auto v = get(key);
-    if (!v) throw std::runtime_error("missing required option --" + key);
+    if (!v) throw UsageError("missing required option --" + key);
     return *v;
   }
 };
@@ -97,6 +109,10 @@ AttackCliOptions attack_cli_options(const Args& args);
 
 /// Shared tuning knobs of `rsnsec serve` and `rsnsec bench serve`.
 void serve_tuning(const Args& args, serve::ServerOptions& opt);
+
+/// The options `rsnsec bench EXPERIMENT` reads; a UsageError listing
+/// the experiments when `experiment` names none (tools/bench.cpp).
+const OptionTable& bench_options(const std::string& experiment);
 
 /// `rsnsec bench <experiment>` (tools/bench.cpp).
 int cmd_bench(const Args& args, std::ostream& out);
