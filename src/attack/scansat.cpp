@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 
+#include "netlist/cone_check.hpp"
 #include "obs/trace.hpp"
 #include "rsn/pathfind.hpp"
 #include "sat/encode.hpp"
@@ -62,38 +63,7 @@ SensitizeOutcome sensitize_cone(const netlist::Netlist& nl,
       for (netlist::NodeId f : n.fanins)
         ins.push_back(copy[c][static_cast<std::size_t>(f)]);
       sat::Lit o = sat::mk_lit(solver.new_var());
-      switch (n.type) {
-        case netlist::GateType::And:
-          sat::encode_and(solver, o, ins);
-          break;
-        case netlist::GateType::Nand:
-          sat::encode_and(solver, ~o, ins);
-          break;
-        case netlist::GateType::Or:
-          sat::encode_or(solver, o, ins);
-          break;
-        case netlist::GateType::Nor:
-          sat::encode_or(solver, ~o, ins);
-          break;
-        case netlist::GateType::Xor:
-          sat::encode_xor(solver, o, ins);
-          break;
-        case netlist::GateType::Xnor:
-          sat::encode_xor(solver, ~o, ins);
-          break;
-        case netlist::GateType::Not:
-          sat::encode_eq(solver, o, ~ins[0]);
-          break;
-        case netlist::GateType::Buf:
-          sat::encode_eq(solver, o, ins[0]);
-          break;
-        case netlist::GateType::Mux:
-          sat::encode_mux(solver, o, ins[0], ins[1], ins[2]);
-          break;
-        default:  // leaf types never appear in cone.gates
-          sat::encode_eq(solver, o, lit_false);
-          break;
-      }
+      netlist::encode_gate(solver, n.type, o, ins);
       copy[c][static_cast<std::size_t>(g)] = o;
     }
   }

@@ -1,6 +1,7 @@
 #include "core/analyze.hpp"
 
 #include <istream>
+#include <stdexcept>
 
 #include "netlist/verilog.hpp"
 #include "security/hybrid.hpp"
@@ -12,6 +13,9 @@ namespace rsnsec {
 
 Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
                        std::istream& spec) {
+  std::string err;
+  if (!doc.network.validate(&err))
+    throw std::invalid_argument("invalid scan network: " + err);
   Workload w;
   w.doc = std::move(doc);
   netlist::verilog::ParsedCircuit parsed = netlist::verilog::parse(verilog);

@@ -25,10 +25,11 @@ struct Workload {
   security::SecuritySpec spec{1, 1};
 };
 
-/// Completes a read network into a Workload: parses the structural
-/// Verilog, attaches the document's scan flip-flops to its nets, and reads
-/// the specification against the document's module names. Throws the
-/// readers' line-numbered errors.
+/// Completes a read network into a Workload: validates the network
+/// (Rsn::validate; an error reads "invalid scan network: ...", as from
+/// SecureFlowTool), parses the structural Verilog, attaches the document's
+/// scan flip-flops to its nets, and reads the specification against the
+/// document's module names. Throws the readers' line-numbered errors.
 Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
                        std::istream& spec);
 

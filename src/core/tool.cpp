@@ -45,7 +45,7 @@ PipelineResult SecureFlowTool::run() {
   dep::DependencyAnalyzer deps(circuit_, network_, options_.dep);
   {
     obs::Span span(trace, "pipeline.dependency");
-    store::run_with_store(options_.store, deps);
+    result.cache_hit = store::run_with_store(options_.store, deps);
     result.dep_stats = deps.stats();
     result.t_dependency = span.seconds();
   }

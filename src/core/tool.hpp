@@ -69,6 +69,9 @@ struct PipelineResult {
   dep::PartitionMode dep_partition = dep::PartitionMode::Auto;
 
   dep::DepStats dep_stats;
+  /// True iff the artifact store served the dependency phase (a hit
+  /// restores the cold run's dep_stats, so they cannot tell).
+  bool cache_hit = false;
   security::PureStats pure;
   security::HybridStats hybrid;
   std::vector<security::AppliedChange> changes;

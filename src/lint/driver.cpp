@@ -46,8 +46,7 @@ Diagnostic classify_load_error(const std::string& path,
   if (contains(what, "redefined")) {
     d.code = "NET001";
     d.fix_hint = "each net may have exactly one driver";
-  } else if (contains(what, "combinational loop") ||
-             contains(what, "combinational cycle")) {
+  } else if (contains(what, "combinational loop")) {
     d.code = "NET002";
     d.fix_hint = "break the loop with a flip-flop";
   } else if (contains(what, "undriven")) {

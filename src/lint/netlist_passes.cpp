@@ -1,13 +1,13 @@
-// Netlist well-formedness passes (NET001-NET004). Every pass tolerates
-// arbitrarily malformed netlists — out-of-range fanins are skipped here
-// and reported by the dangling-input pass.
+// Netlist well-formedness passes (NET001, NET003, NET004). A Netlist
+// cannot hold a combinational loop or a dangling fanin id (every fanin
+// exists before the gate that reads it), so NET002 comes only from the
+// Verilog reader, through the file driver.
 
 #include <map>
 #include <string>
 #include <vector>
 
 #include "lint/passes.hpp"
-#include "util/cycle_search.hpp"
 
 namespace rsnsec::lint {
 
@@ -23,10 +23,6 @@ std::string node_label(const Netlist& nl, NodeId id) {
                       std::to_string(id);
   if (!n.name.empty()) label += " ('" + n.name + "')";
   return label;
-}
-
-bool valid_fanin(const Netlist& nl, NodeId f) {
-  return f != netlist::no_node && f < nl.num_nodes();
 }
 
 class NetlistPass : public Pass {
@@ -62,36 +58,10 @@ class MultiDriverPass final : public NetlistPass {
   }
 };
 
-/// NET002: combinational cycle (DFS over combinational fanin edges; FF
-/// and input/constant fanins break the path).
-class CombLoopPass final : public NetlistPass {
- public:
-  const char* name() const override { return "netlist-comb-loop"; }
-  void run(const LintInput& in, Sink& sink) const override {
-    const Netlist& nl = *in.circuit;
-    auto sequential = [&](NodeId id) {
-      GateType t = nl.node(id).type;
-      return t == GateType::FF || t == GateType::Input ||
-             t == GateType::Const0 || t == GateType::Const1;
-    };
-    search_cycles<NodeId>(
-        nl.num_nodes(),
-        [&nl](NodeId id) -> const auto& { return nl.node(id).fanins; },
-        [&](NodeId id) { return !valid_fanin(nl, id) || sequential(id); },
-        [&](NodeId from, NodeId to, const auto&) {
-          // Report the cycle once, anchored at the re-entered node.
-          sink.add("NET002", Severity::Error, in.circuit_source,
-                   node_label(nl, to),
-                   "combinational loop through '" + node_label(nl, to) +
-                       "' (reached again from " + node_label(nl, from) + ")",
-                   "break the loop with a flip-flop");
-          return true;
-        });
-  }
-};
-
-/// NET003: structural input problems — out-of-range fanin ids, flip-flops
-/// without a data input, and fixed-arity gates with the wrong fanin count.
+/// NET003: input problems the netlist builder accepts: a flip-flop
+/// without a data input, and an n-ary gate with fewer than two fanins
+/// (the reader accepts `and (o, a)`). Netlist::add_gate already rejects
+/// missing fanins and a wrong BUF/NOT/MUX fanin count.
 class DanglingInputPass final : public NetlistPass {
  public:
   const char* name() const override { return "netlist-dangling-input"; }
@@ -99,30 +69,12 @@ class DanglingInputPass final : public NetlistPass {
     const Netlist& nl = *in.circuit;
     for (NodeId id = 0; id < nl.num_nodes(); ++id) {
       const netlist::Node& n = nl.node(id);
-      for (std::size_t p = 0; p < n.fanins.size(); ++p) {
-        if (!valid_fanin(nl, n.fanins[p])) {
-          sink.add("NET003", Severity::Error, in.circuit_source,
-                   node_label(nl, id),
-                   "fanin " + std::to_string(p) + " is dangling",
-                   "connect the input or remove the node");
-        }
-      }
-      std::size_t arity = n.fanins.size();
-      bool bad_arity = false;
       switch (n.type) {
         case GateType::FF:
-          if (arity == 0) {
+          if (n.fanins.empty())
             sink.add("NET003", Severity::Error, in.circuit_source,
                      node_label(nl, id), "flip-flop has no data input",
                      "call set_ff_input or connect the dff data pin");
-          }
-          break;
-        case GateType::Buf:
-        case GateType::Not:
-          bad_arity = arity != 1;
-          break;
-        case GateType::Mux:
-          bad_arity = arity != 3;
           break;
         case GateType::And:
         case GateType::Nand:
@@ -130,19 +82,14 @@ class DanglingInputPass final : public NetlistPass {
         case GateType::Nor:
         case GateType::Xor:
         case GateType::Xnor:
-          bad_arity = arity < 2;
+          if (n.fanins.size() < 2)
+            sink.add("NET003", Severity::Error, in.circuit_source,
+                     node_label(nl, id),
+                     "wrong fanin count (" + std::to_string(n.fanins.size()) +
+                         ") for " + gate_type_name(n.type));
           break;
-        case GateType::Input:
-        case GateType::Const0:
-        case GateType::Const1:
-          bad_arity = arity != 0;
+        default:
           break;
-      }
-      if (bad_arity) {
-        sink.add("NET003", Severity::Error, in.circuit_source,
-                 node_label(nl, id),
-                 "wrong fanin count (" + std::to_string(arity) + ") for " +
-                     gate_type_name(n.type));
       }
     }
   }
@@ -158,18 +105,14 @@ class DeadLogicPass final : public NetlistPass {
   void run(const LintInput& in, Sink& sink) const override {
     const Netlist& nl = *in.circuit;
     std::vector<bool> live(nl.num_nodes(), false);
-    for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-      for (NodeId f : nl.node(id).fanins)
-        if (valid_fanin(nl, f)) live[f] = true;
-    }
+    for (NodeId id = 0; id < nl.num_nodes(); ++id)
+      for (NodeId f : nl.node(id).fanins) live[f] = true;
     for (NodeId id : in.circuit_outputs)
       if (id < nl.num_nodes()) live[id] = true;
     for (NodeId id : in.circuit_roots)
       if (id < nl.num_nodes()) live[id] = true;
     for (NodeId id = 0; id < nl.num_nodes(); ++id) {
-      GateType t = nl.node(id).type;
-      if (t == GateType::FF || t == GateType::Input ||
-          t == GateType::Const0 || t == GateType::Const1)
+      if (is_comb_leaf(nl.node(id).type))
         continue;  // state and ports are sinks/sources, not dead logic
       if (!live[id]) {
         sink.add("NET004", Severity::Warning, in.circuit_source,
@@ -185,9 +128,6 @@ class DeadLogicPass final : public NetlistPass {
 
 std::unique_ptr<Pass> make_netlist_multi_driver_pass() {
   return std::make_unique<MultiDriverPass>();
-}
-std::unique_ptr<Pass> make_netlist_comb_loop_pass() {
-  return std::make_unique<CombLoopPass>();
 }
 std::unique_ptr<Pass> make_netlist_dangling_input_pass() {
   return std::make_unique<DanglingInputPass>();

@@ -10,9 +10,11 @@ namespace rsnsec::lint {
 /// wording is not):
 ///
 ///   NET001  multi-driver net (two nodes produce the same net name)
-///   NET002  combinational loop
-///   NET003  dangling or invalid input (bad fanin id, FF without data
-///           input, wrong gate arity)
+///   NET002  combinational loop (emitted by the file driver for the
+///           Verilog reader's loop error; a Netlist cannot hold a loop)
+///   NET003  dangling input: FF without data input, n-ary gate with fewer
+///           than 2 fanins (Netlist::add_gate rejects bad fanin ids and
+///           wrong BUF/NOT/MUX arities)
 ///   NET004  dead logic (combinational gate consumed by nothing and not a
 ///           declared output or capture source)               [warning]
 ///   RSN001  scan-path cycle
@@ -39,7 +41,6 @@ namespace rsnsec::lint {
 ///   IO003   malformed RSN/ICL/Verilog file (parse error with line
 ///           number; emitted by the file driver for the strict readers)
 std::unique_ptr<Pass> make_netlist_multi_driver_pass();
-std::unique_ptr<Pass> make_netlist_comb_loop_pass();
 std::unique_ptr<Pass> make_netlist_dangling_input_pass();
 std::unique_ptr<Pass> make_netlist_dead_logic_pass();
 std::unique_ptr<Pass> make_rsn_acyclicity_pass();

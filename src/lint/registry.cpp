@@ -9,7 +9,6 @@ namespace rsnsec::lint {
 Registry Registry::with_default_passes() {
   Registry r;
   r.add(make_netlist_multi_driver_pass());
-  r.add(make_netlist_comb_loop_pass());
   r.add(make_netlist_dangling_input_pass());
   r.add(make_netlist_dead_logic_pass());
   r.add(make_rsn_acyclicity_pass());

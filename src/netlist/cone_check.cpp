@@ -11,6 +11,30 @@ namespace rsnsec::netlist {
 using sat::Lit;
 using sat::mk_lit;
 
+void encode_gate(sat::Solver& s, GateType type, Lit out,
+                 std::span<const Lit> ins) {
+  switch (type) {
+    case GateType::Buf: sat::encode_eq(s, out, ins[0]); return;
+    case GateType::Not: sat::encode_eq(s, out, ~ins[0]); return;
+    case GateType::And: sat::encode_and(s, out, ins); return;
+    case GateType::Nand: sat::encode_and(s, ~out, ins); return;
+    case GateType::Or: sat::encode_or(s, out, ins); return;
+    case GateType::Nor: sat::encode_or(s, ~out, ins); return;
+    case GateType::Xor: sat::encode_xor(s, out, ins); return;
+    case GateType::Xnor: sat::encode_xor(s, ~out, ins); return;
+    case GateType::Mux:
+      sat::encode_mux(s, out, ins[0], ins[1], ins[2]);
+      return;
+    case GateType::Input:
+    case GateType::Const0:
+    case GateType::Const1:
+    case GateType::FF:
+      break;
+  }
+  throw std::logic_error(std::string("encode_gate on leaf type ") +
+                         gate_type_name(type));
+}
+
 ConeDependenceChecker::ConeDependenceChecker(ConeWorkspace& ws,
                                              const Cone& cone,
                                              std::uint64_t conflict_limit)
@@ -91,38 +115,7 @@ Lit ConeDependenceChecker::encode_copy(
       fanin_lits.push_back(l);
     }
     Lit out = mk_lit(solver_.new_var());
-    switch (n.type) {
-      case GateType::Buf:
-        sat::encode_eq(solver_, out, fanin_lits[0]);
-        break;
-      case GateType::Not:
-        sat::encode_eq(solver_, out, ~fanin_lits[0]);
-        break;
-      case GateType::And:
-        sat::encode_and(solver_, out, fanin_lits);
-        break;
-      case GateType::Nand:
-        sat::encode_and(solver_, ~out, fanin_lits);
-        break;
-      case GateType::Or:
-        sat::encode_or(solver_, out, fanin_lits);
-        break;
-      case GateType::Nor:
-        sat::encode_or(solver_, ~out, fanin_lits);
-        break;
-      case GateType::Xor:
-        sat::encode_xor(solver_, out, fanin_lits);
-        break;
-      case GateType::Xnor:
-        sat::encode_xor(solver_, ~out, fanin_lits);
-        break;
-      case GateType::Mux:
-        sat::encode_mux(solver_, out, fanin_lits[0], fanin_lits[1],
-                        fanin_lits[2]);
-        break;
-      default:
-        throw std::logic_error("unexpected node type inside cone");
-    }
+    encode_gate(solver_, n.type, out, fanin_lits);
     node_lit.set(id, out);
   }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "netlist/cone_workspace.hpp"
@@ -9,6 +10,14 @@
 #include "sat/solver.hpp"
 
 namespace rsnsec::netlist {
+
+/// Adds the Tseitin clauses of out <-> type(ins) to `s`, `ins` being the
+/// literals of the gate's fanins in order. The one gate-to-CNF mapping of
+/// the repository: the dependence checker below and the attack engine's
+/// sensitization encode their cones through it. Throws std::logic_error
+/// for leaf types (is_comb_leaf), which have no combinational function.
+void encode_gate(sat::Solver& s, GateType type, sat::Lit out,
+                 std::span<const sat::Lit> ins);
 
 /// SAT-based exact functional-dependence check for one combinational cone
 /// (the method of [18], Sec. III-A of the paper).

@@ -21,9 +21,7 @@ void ConeWorkspace::extract_signal_cone(NodeId net, Cone& out) {
   out.gates.clear();
   out.leaves.clear();
   auto is_leaf = [this](NodeId id) {
-    GateType t = nl_.node(id).type;
-    return t == GateType::FF || t == GateType::Input ||
-           t == GateType::Const0 || t == GateType::Const1;
+    return is_comb_leaf(nl_.node(id).type);
   };
   if (is_leaf(net)) {
     out.leaves.push_back(net);

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "netlist/cone_workspace.hpp"
-#include "util/cycle_search.hpp"
 
 namespace rsnsec::netlist {
 
@@ -26,6 +25,17 @@ const char* gate_type_name(GateType t) {
   }
   return "?";
 }
+
+namespace {
+
+/// Throws unless `f` is a node of a netlist with `num_nodes` nodes.
+void require_node(NodeId f, std::size_t num_nodes, const char* what) {
+  if (f >= num_nodes)
+    throw std::invalid_argument(std::string(what) + " " + std::to_string(f) +
+                                " is not an existing node");
+}
+
+}  // namespace
 
 ModuleId Netlist::add_module(std::string name) {
   module_names_.push_back(std::move(name));
@@ -53,6 +63,7 @@ NodeId Netlist::add_gate(GateType type, std::vector<NodeId> fanins,
     throw std::invalid_argument("MUX requires exactly 3 fanins");
   if ((type == GateType::Buf || type == GateType::Not) && fanins.size() != 1)
     throw std::invalid_argument("BUF/NOT require exactly 1 fanin");
+  for (NodeId f : fanins) require_node(f, nodes_.size(), "gate fanin");
   auto id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back({type, std::move(fanins), std::move(name), module});
   return id;
@@ -61,7 +72,10 @@ NodeId Netlist::add_gate(GateType type, std::vector<NodeId> fanins,
 NodeId Netlist::add_ff(std::string name, ModuleId module, NodeId d) {
   auto id = static_cast<NodeId>(nodes_.size());
   std::vector<NodeId> fanins;
-  if (d != no_node) fanins.push_back(d);
+  if (d != no_node) {
+    require_node(d, nodes_.size(), "flip-flop data input");
+    fanins.push_back(d);
+  }
   nodes_.push_back({GateType::FF, std::move(fanins), std::move(name), module});
   ffs_.push_back(id);
   return id;
@@ -70,6 +84,7 @@ NodeId Netlist::add_ff(std::string name, ModuleId module, NodeId d) {
 void Netlist::set_ff_input(NodeId ff, NodeId d) {
   Node& n = nodes_[static_cast<std::size_t>(ff)];
   assert(n.type == GateType::FF);
+  require_node(d, nodes_.size(), "flip-flop data input");
   n.fanins.assign(1, d);
 }
 
@@ -86,37 +101,15 @@ Cone Netlist::extract_signal_cone(NodeId net) const {
 }
 
 bool Netlist::validate(std::string* error) const {
-  auto fail = [error](const std::string& msg) {
-    if (error) *error = msg;
-    return false;
-  };
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    for (NodeId f : n.fanins) {
-      if (f >= nodes_.size())
-        return fail("node " + std::to_string(i) + " has invalid fanin");
+  for (NodeId ff : ffs_) {
+    const Node& n = node(ff);
+    if (n.fanins.empty()) {
+      if (error)
+        *error = "flip-flop " + std::to_string(ff) + " ('" + n.name +
+                 "') has no data input";
+      return false;
     }
-    if (n.type == GateType::FF && n.fanins.empty())
-      return fail("flip-flop " + std::to_string(i) + " ('" + n.name +
-                  "') has no data input");
   }
-  // Combinational cycle check over combinational edges only: FF fanins
-  // break the cycle because an FF output is a sequential element.
-  auto comb_leaf = [this](NodeId id) {
-    GateType t = node(id).type;
-    return t == GateType::FF || t == GateType::Input ||
-           t == GateType::Const0 || t == GateType::Const1;
-  };
-  NodeId reentered = no_node;
-  if (!search_cycles<NodeId>(
-          nodes_.size(),
-          [this](NodeId id) -> const auto& { return node(id).fanins; },
-          comb_leaf, [&reentered](NodeId, NodeId to, const auto&) {
-            reentered = to;
-            return false;
-          }))
-    return fail("combinational cycle through node " +
-                std::to_string(reentered));
   return true;
 }
 

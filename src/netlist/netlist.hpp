@@ -35,6 +35,13 @@ enum class GateType : std::uint8_t {
 /// Returns a short mnemonic for a gate type ("AND", "FF", ...).
 const char* gate_type_name(GateType t);
 
+/// True for the nodes that bound a combinational cone: flip-flops (their
+/// output is state), primary inputs and constants.
+inline bool is_comb_leaf(GateType t) {
+  return t == GateType::FF || t == GateType::Input ||
+         t == GateType::Const0 || t == GateType::Const1;
+}
+
 /// One node of the netlist.
 struct Node {
   GateType type = GateType::Buf;
@@ -55,8 +62,10 @@ struct Cone {
 
 /// Gate-level sequential circuit: the "underlying circuit logic" of the
 /// paper. Nodes are gates, primary inputs and D flip-flops; every node
-/// optionally belongs to a module (instrument). Combinational loops are
-/// rejected by validate().
+/// optionally belongs to a module (instrument). Every fanin is a node that
+/// already exists when it is connected, so node-id order is a topological
+/// order of the combinational logic and no netlist holds a combinational
+/// loop or a dangling fanin.
 class Netlist {
  public:
   /// Registers a module and returns its id.
@@ -76,17 +85,22 @@ class Netlist {
   /// Adds a constant node.
   NodeId add_const(bool value);
 
-  /// Adds a combinational gate with the given fanins.
+  /// Adds a combinational gate with the given fanins. Throws
+  /// std::invalid_argument, leaving the netlist unchanged, on a fanin
+  /// that is not yet a node or a wrong BUF/NOT/MUX fanin count.
   NodeId add_gate(GateType type, std::vector<NodeId> fanins,
                   std::string name = {}, ModuleId module = no_module);
 
   /// Adds a D flip-flop; its data input may be left unset and assigned
   /// later with set_ff_input (useful when building cyclic sequential
-  /// structures).
+  /// structures). Throws std::invalid_argument on a data input that is
+  /// not yet a node.
   NodeId add_ff(std::string name, ModuleId module = no_module,
                 NodeId d = no_node);
 
-  /// Sets (or replaces) the data input of flip-flop `ff`.
+  /// Sets (or replaces) the data input of flip-flop `ff`; any existing
+  /// node, `ff` itself included, may drive it. Throws
+  /// std::invalid_argument on a data input that is not a node.
   void set_ff_input(NodeId ff, NodeId d);
 
   /// Total number of nodes.
@@ -119,9 +133,9 @@ class Netlist {
   /// convenience as extract_signal_cone.
   Cone extract_next_state_cone(NodeId ff) const;
 
-  /// Checks structural sanity: every fanin id valid, every FF has a data
-  /// input, no combinational cycles. Returns true when valid; otherwise
-  /// fills `error` with a diagnostic.
+  /// Checks that every flip-flop has a data input (everything else holds
+  /// by construction). Returns true when valid; otherwise fills `error`
+  /// with a diagnostic.
   bool validate(std::string* error = nullptr) const;
 
  private:

@@ -6,45 +6,9 @@ namespace rsnsec::netlist {
 
 Simulator::Simulator(const Netlist& nl)
     : nl_(nl), values_(nl.num_nodes(), 0) {
-  build_topo();
-  // Constants are fixed once.
-  for (NodeId id = 0; id < nl_.num_nodes(); ++id) {
-    GateType t = nl_.node(id).type;
-    if (t == GateType::Const0) values_[id] = 0;
-    if (t == GateType::Const1) values_[id] = ~0ULL;
-  }
-}
-
-void Simulator::build_topo() {
-  // Kahn-style topological sort over combinational edges. FFs and inputs
-  // are sources; their values are state, not computed.
-  std::vector<std::uint32_t> pending(nl_.num_nodes(), 0);
-  std::vector<std::vector<NodeId>> fanouts(nl_.num_nodes());
-  std::vector<NodeId> ready;
-  for (NodeId id = 0; id < nl_.num_nodes(); ++id) {
-    const Node& n = nl_.node(id);
-    if (n.type == GateType::FF || n.type == GateType::Input ||
-        n.type == GateType::Const0 || n.type == GateType::Const1)
-      continue;
-    for (NodeId f : n.fanins) {
-      GateType t = nl_.node(f).type;
-      if (t == GateType::FF || t == GateType::Input ||
-          t == GateType::Const0 || t == GateType::Const1)
-        continue;
-      ++pending[id];
-      fanouts[f].push_back(id);
-    }
-    if (pending[id] == 0) ready.push_back(id);
-  }
-  topo_.clear();
-  while (!ready.empty()) {
-    NodeId id = ready.back();
-    ready.pop_back();
-    topo_.push_back(id);
-    for (NodeId s : fanouts[id]) {
-      if (--pending[s] == 0) ready.push_back(s);
-    }
-  }
+  // Constants are fixed once; every value starts at 0.
+  for (NodeId id = 0; id < nl_.num_nodes(); ++id)
+    if (nl_.node(id).type == GateType::Const1) values_[id] = ~0ULL;
 }
 
 void Simulator::randomize_state(Rng& rng) {
@@ -54,8 +18,9 @@ void Simulator::randomize_state(Rng& rng) {
 
 void Simulator::eval_comb() {
   std::vector<std::uint64_t> fanin_vals;
-  for (NodeId id : topo_) {
+  for (NodeId id = 0; id < nl_.num_nodes(); ++id) {
     const Node& n = nl_.node(id);
+    if (is_comb_leaf(n.type)) continue;
     fanin_vals.clear();
     for (NodeId f : n.fanins) fanin_vals.push_back(values_[f]);
     values_[id] = eval_gate(n.type, fanin_vals.data(), fanin_vals.size());

@@ -33,7 +33,8 @@ class Simulator {
   /// Randomizes all primary inputs and flip-flop states.
   void randomize_state(Rng& rng);
 
-  /// Evaluates all combinational gates in topological order.
+  /// Evaluates all combinational gates in node-id order, which is
+  /// topological (see Netlist).
   void eval_comb();
 
   /// Advances one clock cycle: evaluates combinational logic, then loads
@@ -43,9 +44,6 @@ class Simulator {
  private:
   const Netlist& nl_;
   std::vector<std::uint64_t> values_;
-  std::vector<NodeId> topo_;  // combinational gates in topological order
-
-  void build_topo();
 };
 
 /// Evaluates the combinational function of `cone` given packed values for

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "util/lexer.hpp"
@@ -272,10 +271,6 @@ class Reader {
               [](const Net* a, const Net* b) { return a->name < b->name; });
     for (const Net* n : named)
       out_.nets.emplace_hint(out_.nets.end(), n->name, n->node);
-
-    std::string err;
-    if (!nl.validate(&err))
-      throw std::runtime_error("verilog: parsed netlist invalid: " + err);
   }
 };
 
@@ -309,9 +304,10 @@ void write(std::ostream& os, const Netlist& nl, const std::string& name) {
   // Constants.
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {
     const GateType t = nl.node(id).type;
-    if (t == GateType::Const0 || t == GateType::Const1)
-      os << "  buf (" << net_name(id)
-         << (t == GateType::Const0 ? ", 1'b0);\n" : ", 1'b1);\n");
+    if (t == GateType::Const0)
+      os << "  buf (" << net_name(id) << ", 1'b0);\n";
+    else if (t == GateType::Const1)
+      os << "  buf (" << net_name(id) << ", 1'b1);\n";
   }
   // Gates and flip-flops in node order: every gate follows its fanins.
   for (NodeId id = 0; id < nl.num_nodes(); ++id) {

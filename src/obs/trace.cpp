@@ -40,6 +40,22 @@ void Histogram::record(std::uint64_t v) {
   buckets_[b].fetch_add(1, std::memory_order_relaxed);
 }
 
+std::uint64_t quantile_upper_bound(const Histogram& h, double q) {
+  const std::uint64_t count = h.count();
+  if (count == 0) return 0;
+  std::uint64_t rank = static_cast<std::uint64_t>(q * count);
+  if (rank >= count) rank = count - 1;
+  std::uint64_t seen = 0;
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    seen += h.bucket(b);
+    if (seen > rank) {
+      if (b == 0) return 0;
+      return b < 64 ? std::uint64_t{1} << b : h.max();
+    }
+  }
+  return h.max();
+}
+
 TraceSession::TraceSession()
     : t0_(Clock::now()),
       generation_(

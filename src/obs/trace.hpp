@@ -70,6 +70,11 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
+/// Upper bound of the bucket holding quantile `q` of `h` (0 for bucket 0,
+/// 2^b for bucket b, the recorded maximum for bucket 64, whose bound 2^64
+/// does not fit): a factor-of-two estimate. 0 when `h` is empty.
+std::uint64_t quantile_upper_bound(const Histogram& h, double q);
+
 /// One completed span, as recorded by the session.
 struct SpanEvent {
   std::string name;

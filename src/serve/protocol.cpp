@@ -56,6 +56,22 @@ std::optional<Command> lookup_command(std::string_view name) {
   return std::nullopt;
 }
 
+/// True if the request of `command` reads top-level field `key`.
+bool reads_field(Command command, std::string_view key) {
+  if (key == "command" || key == "id" || key == "tenant" || key == "options")
+    return true;
+  switch (command) {
+    case Command::Analyze:
+    case Command::Secure:
+    case Command::Certify:
+      return key == "rsn" || key == "verilog" || key == "spec";
+    case Command::Attack:
+      return key == "benchmark" || key == "seed";
+    default:
+      return false;
+  }
+}
+
 /// Required string payload field; empty-string payloads are as useless
 /// as absent ones, so both are rejected.
 bool take_payload(const JsonValue& obj, std::string_view key,
@@ -93,6 +109,14 @@ ParseOutcome parse_request(std::string_view line) {
                 "unknown command '" + cmd->string +
                     "' (try: ping, analyze, secure, certify, attack, "
                     "store-stats, stats, shutdown)");
+
+  // A field the command does not read is the client's mistake, like an
+  // option the CLI command does not take: ignoring it would run the
+  // request with settings the client did not ask for.
+  for (const auto& [key, value] : root.object)
+    if (!reads_field(*command, key))
+      return fail(ServeCode::BadField, "unknown field '" + key + "' for " +
+                                           cmd->string + " requests");
 
   Request req;
   req.command = *command;
@@ -156,6 +180,11 @@ ParseOutcome parse_request(std::string_view line) {
   if (const JsonValue* options = root.find("options")) {
     if (!options->is_object())
       return fail(ServeCode::BadField, "field 'options' must be an object");
+    for (const auto& [key, value] : options->object)
+      if (key != "structural" && key != "no_ternary" && key != "verify")
+        return fail(ServeCode::BadField,
+                    "unknown option '" + key +
+                        "' (try: structural, no_ternary, verify)");
     auto bool_option = [&](std::string_view key, bool& out) {
       const JsonValue* v = options->find(key);
       if (v == nullptr) return true;

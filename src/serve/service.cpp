@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -25,48 +24,15 @@ namespace rsnsec::serve {
 
 namespace {
 
-/// Log2-bucketed histogram over microseconds (bucket 0 holds value 0,
-/// bucket b >= 1 holds [2^(b-1), 2^b)), same layout as obs::Histogram
-/// but plain data under the service's stats mutex — tenant stats are
-/// per-service, not ambient.
-struct LocalHist {
-  static constexpr std::size_t kBuckets = 64;
-  std::array<std::uint64_t, kBuckets> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t max = 0;
-
-  void record(std::uint64_t v) {
-    std::size_t b = 0;
-    while ((std::uint64_t{1} << b) <= v && b + 1 < kBuckets) ++b;
-    ++buckets[b];
-    ++count;
-    sum += v;
-    if (v > max) max = v;
-  }
-
-  /// Upper bound of the bucket holding quantile q (2^b microseconds) —
-  /// a factor-of-two estimate, which is all a retry/back-off consumer
-  /// needs.
-  std::uint64_t quantile(double q) const {
-    if (count == 0) return 0;
-    std::uint64_t rank = static_cast<std::uint64_t>(q * count);
-    if (rank >= count) rank = count - 1;
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      seen += buckets[b];
-      if (seen > rank) return b == 0 ? 0 : (std::uint64_t{1} << b);
-    }
-    return max;
-  }
-
-  void write_json(std::ostream& os) const {
-    os << "{\"count\": " << count << ", \"mean_us\": "
-       << (count ? static_cast<double>(sum) / count : 0.0)
-       << ", \"max_us\": " << max << ", \"p50_us\": " << quantile(0.5)
-       << ", \"p99_us\": " << quantile(0.99) << "}";
-  }
-};
+/// A latency histogram as a stats reply reports it.
+void write_hist_json(std::ostream& os, const obs::Histogram& h) {
+  const std::uint64_t count = h.count();
+  os << "{\"count\": " << count << ", \"mean_us\": "
+     << (count ? static_cast<double>(h.sum()) / count : 0.0)
+     << ", \"max_us\": " << h.max()
+     << ", \"p50_us\": " << obs::quantile_upper_bound(h, 0.5)
+     << ", \"p99_us\": " << obs::quantile_upper_bound(h, 0.99) << "}";
+}
 
 struct TenantStats {
   std::uint64_t requests = 0;
@@ -75,8 +41,9 @@ struct TenantStats {
   std::uint64_t busy = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  LocalHist latency_us;
-  LocalHist queue_wait_us;
+  // Microseconds. Per-service, not the ambient trace session's.
+  obs::Histogram latency_us{"latency_us"};
+  obs::Histogram queue_wait_us{"queue_wait_us"};
 };
 
 /// Parses the inline payloads. Throws std::runtime_error with the
@@ -147,7 +114,7 @@ ExecResult run_secure(const Request& req, Workload& w, ThreadPool& pool,
   os << "}";
 
   ExecResult r;
-  r.cache_hit = result.dep_stats.sat_calls == 0 && store != nullptr;
+  r.cache_hit = result.cache_hit;
   r.result_json = os.str();
   return r;
 }
@@ -312,9 +279,9 @@ std::string AnalysisService::stats_json() const {
          << ", \"ok\": " << t.ok << ", \"errors\": " << t.errors
          << ", \"busy\": " << t.busy << ", \"cache_hits\": " << t.cache_hits
          << ", \"cache_misses\": " << t.cache_misses << ", \"latency_us\": ";
-      t.latency_us.write_json(os);
+      write_hist_json(os, t.latency_us);
       os << ", \"queue_wait_us\": ";
-      t.queue_wait_us.write_json(os);
+      write_hist_json(os, t.queue_wait_us);
       os << "}";
     }
   }

@@ -11,8 +11,9 @@ namespace rsnsec {
 /// by its input lists: `inputs(id)` is the range of nodes that drive
 /// `id`, searched in range order from roots in ascending id order. A node
 /// for which `barrier(id)` holds is neither a root nor entered through an
-/// edge, so no cycle passes through it (flip-flops and inputs in a
-/// combinational loop check; dangling or out-of-range ids).
+/// edge, so no cycle passes through it (unconnected ports). Its callers
+/// are the scan network's (Rsn::is_acyclic, lint RSN001): a netlist needs
+/// no search, since its node order is topological by construction.
 ///
 /// Every back edge, from a node to an input still on the DFS stack,
 /// closes a cycle and is reported as `on_back_edge(from, to, stack)`:

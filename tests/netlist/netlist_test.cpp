@@ -34,8 +34,8 @@ TEST(Netlist, ValidateRejectsUnconnectedFF) {
 }
 
 TEST(Netlist, ReconvergentDiamondValidates) {
-  // The builder API only allows references to already-created nodes, so
-  // combinational cycles cannot arise; reconvergent fanout must validate.
+  // The builder only accepts fanins that already exist, so combinational
+  // cycles cannot arise; reconvergent fanout must validate.
   Netlist nl;
   NodeId in = nl.add_input("pi");
   NodeId a = nl.add_gate(GateType::Not, {in});
@@ -55,22 +55,32 @@ TEST(Netlist, SequentialLoopIsFine) {
   EXPECT_TRUE(nl.validate());
 }
 
-TEST(Netlist, ValidateNamesTheCombinationalCycle) {
-  // A forward fanin id closes a loop: g1 = AND(pi, g2), g2 = NOT(g1). The
-  // search enters it at g1 and names the node it re-enters.
+TEST(Netlist, AddGateTakesOnlyExistingFanins) {
+  // Every fanin must exist before the node that reads it, so node-id
+  // order is topological and no netlist holds a combinational loop. A
+  // rejected call throws and leaves the netlist as it was.
   Netlist nl;
   NodeId in = nl.add_input("pi");
-  NodeId g1 = nl.add_gate(GateType::And, {in, 2}, "g1");
-  NodeId g2 = nl.add_gate(GateType::Not, {g1}, "g2");
-  nl.add_ff("ff", no_module, g2);
-  std::string err;
-  EXPECT_FALSE(nl.validate(&err));
-  EXPECT_EQ(err, "combinational cycle through node 1");
+  NodeId ff = nl.add_ff("ff", no_module, in);
+  auto expect_rejected = [&](auto&& call) {
+    EXPECT_THROW(call(), std::invalid_argument);
+    EXPECT_EQ(nl.num_nodes(), 2u);
+    EXPECT_EQ(nl.ffs().size(), 1u);
+    EXPECT_EQ(nl.node(ff).fanins, std::vector<NodeId>{in});
+  };
+  expect_rejected([&] { nl.add_gate(GateType::And, {in, 3}); });  // forward
+  expect_rejected([&] { nl.add_gate(GateType::Not, {2}); });  // its own id
+  expect_rejected([&] { nl.add_gate(GateType::Or, {in, no_node}); });
+  expect_rejected([&] { nl.add_ff("late", no_module, 2); });
+  expect_rejected([&] { nl.set_ff_input(ff, 2); });
+  expect_rejected([&] { nl.set_ff_input(ff, no_node); });
 
-  // Fanin ids are checked before the cycle search.
-  nl.add_gate(GateType::Buf, {99});
-  EXPECT_FALSE(nl.validate(&err));
-  EXPECT_EQ(err, "node 4 has invalid fanin");
+  // Existing nodes are accepted, a flip-flop feeding itself included.
+  NodeId g = nl.add_gate(GateType::Xor, {in, ff});
+  nl.set_ff_input(ff, ff);
+  nl.set_ff_input(ff, g);
+  EXPECT_EQ(nl.node(ff).fanins, std::vector<NodeId>{g});
+  EXPECT_TRUE(nl.validate());
 }
 
 TEST(Netlist, GateArityChecks) {

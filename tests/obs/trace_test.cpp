@@ -70,6 +70,16 @@ TEST(Histogram, PowerOfTwoBuckets) {
   EXPECT_EQ(h.bucket(1), 1u);  // value 1
   EXPECT_EQ(h.bucket(2), 2u);  // values 2, 3
   EXPECT_EQ(h.bucket(4), 1u);  // value 8
+  // Quantiles read back as the upper bound of their bucket.
+  EXPECT_EQ(quantile_upper_bound(h, 0.0), 0u);
+  EXPECT_EQ(quantile_upper_bound(h, 0.5), 4u);
+  EXPECT_EQ(quantile_upper_bound(h, 0.99), 16u);
+  // Bucket 64 holds [2^63, 2^64): its bound does not fit, so the maximum
+  // stands in for it.
+  h.record(~std::uint64_t{0} - 1);
+  EXPECT_EQ(h.bucket(64), 1u);
+  EXPECT_EQ(quantile_upper_bound(h, 1.0), ~std::uint64_t{0} - 1);
+  EXPECT_EQ(quantile_upper_bound(Histogram("empty"), 0.5), 0u);
 }
 
 TEST(Span, RecordsNestingOnOneThread) {

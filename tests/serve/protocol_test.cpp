@@ -155,6 +155,31 @@ TEST(ProtocolParse, OptionsAreTypeChecked) {
   EXPECT_FALSE(o.request->verify);
 }
 
+TEST(ProtocolParse, FieldsTheCommandDoesNotReadAreBadField) {
+  // A top-level "structural" (it belongs in "options") would otherwise
+  // run exact mode without a word.
+  ParseOutcome o = parse_request(
+      "{\"command\": \"analyze\", \"rsn\": \"x\", \"verilog\": \"y\", "
+      "\"spec\": \"z\", \"structural\": true}");
+  EXPECT_EQ(o.code, ServeCode::BadField);
+  EXPECT_NE(o.message.find("'structural'"), std::string::npos) << o.message;
+  // Another command's payload is a field this one does not read.
+  EXPECT_EQ(code_of("{\"command\": \"ping\", \"rsn\": \"x\"}"),
+            ServeCode::BadField);
+  EXPECT_EQ(code_of("{\"command\": \"attack\", \"benchmark\": \"Mingle\", "
+                    "\"spec\": \"z\"}"),
+            ServeCode::BadField);
+  o = parse_request(
+      "{\"command\": \"ping\", \"options\": {\"structual\": true}}");
+  EXPECT_EQ(o.code, ServeCode::BadField);
+  EXPECT_NE(o.message.find("'structual'"), std::string::npos) << o.message;
+  // Every field a command reads is accepted.
+  EXPECT_TRUE(parse_request("{\"command\": \"attack\", \"id\": 1, "
+                            "\"tenant\": \"t\", \"benchmark\": \"Mingle\", "
+                            "\"seed\": 3, \"options\": {\"verify\": true}}")
+                  .ok());
+}
+
 TEST(ProtocolParse, UnicodeEscapesDecodeToUtf8) {
   ParseOutcome o = parse_request(
       "{\"command\": \"ping\", \"tenant\": \"\\u00e9\\u0041\"}");

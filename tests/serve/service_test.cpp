@@ -206,6 +206,63 @@ TEST(AnalysisService, WarmRepeatedDesignMakesZeroSatCalls) {
   fs::remove_all(dir);
 }
 
+// The secure reply's cache_hit is the store's own answer. Inferring it
+// from the SAT call count read a hit as a miss (a hit restores the cold
+// run's counters) and a structural-mode miss, which makes no SAT calls,
+// as a hit.
+TEST(AnalysisService, SecureReportsTheStoresAnswerAsCacheHit) {
+  fs::path dir = test_root();
+  {
+    AnalysisService service(
+        {.store_dir = (dir / "store").string(), .analysis_threads = 1});
+    Workload w;
+    Request req = w.request(Command::Secure);
+    req.no_ternary = true;  // the cold run reaches the SAT solver
+    ExecResult cold = service.execute(req);
+    ASSERT_TRUE(cold.ok()) << cold.message;
+    EXPECT_FALSE(cold.cache_hit);
+    ExecResult warm = service.execute(req);
+    ASSERT_TRUE(warm.ok()) << warm.message;
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.result_json, cold.result_json);
+    req.structural = true;  // another store key, and no SAT calls
+    ExecResult structural = service.execute(req);
+    ASSERT_TRUE(structural.ok()) << structural.message;
+    EXPECT_FALSE(structural.cache_hit);
+  }
+  fs::remove_all(dir);
+}
+
+// Analyze, secure and certify share one workload loader, which refuses a
+// network secure would refuse: a scan-path cycle is the client's mistake
+// (SRV004), not an internal error or a silently wrong count.
+TEST(AnalysisService, CyclicNetworkIsBadFieldForEveryDesignCommand) {
+  Request req;
+  // Mux m closes the cycle m -> rc -> rr -> m; every register is still
+  // reachable from scan-in and reaches scan-out.
+  req.rsn =
+      "rsn loop\nmodule 0 conf\nmodule 1 relay\n"
+      "register rc ffs 1 module 0\nregister rr ffs 1 module 1\n"
+      "mux m inputs 2\nconnect scan_in m 0\nconnect rr m 1\n"
+      "connect m rc 0\nconnect rc rr 0\nconnect rr scan_out 0\n"
+      "capture rc 0 cf\nupdate rr 0 rf\n";
+  req.verilog =
+      "module loop(input a);\n"
+      "  (* instrument = \"conf\" *) dff (cf, cf);\n"
+      "  (* instrument = \"relay\" *) dff (rf, rf);\n"
+      "endmodule\n";
+  req.spec = "categories 2\nmodule conf trust 1 accepts 1\n";
+  AnalysisService service({.store_dir = "", .analysis_threads = 1});
+  for (Command c : {Command::Analyze, Command::Secure, Command::Certify}) {
+    req.command = c;
+    ExecResult result = service.execute(req);
+    EXPECT_EQ(result.code, ServeCode::BadField) << command_name(c);
+    EXPECT_EQ(result.message,
+              "payload: invalid scan network: scan network contains a cycle")
+        << command_name(c);
+  }
+}
+
 // The service owns no trace session: without one active it leaves the
 // process untraced, and with the caller's session it records into it and
 // leaves it installed when the service goes away.
@@ -318,7 +375,7 @@ TEST(AnalysisService, AttackRejectsUnknownBenchmarkWithCatalog) {
 }
 
 TEST(AnalysisService, StatsReportPerTenantAccounting) {
-  AnalysisService service({});
+  AnalysisService service({.store_dir = "", .analysis_threads = 1});
   service.set_queue_probe([] { return std::size_t{3}; });
 
   ExecResult ok;
@@ -352,6 +409,24 @@ TEST(AnalysisService, StatsReportPerTenantAccounting) {
   const JsonValue* zeta = tenants->find("zeta");
   ASSERT_NE(zeta, nullptr);
   EXPECT_EQ(zeta->number_field("requests").value_or(0), 1);
+
+  // The reply byte for byte: per histogram the count, mean, maximum and
+  // the log2 bucket bounds of the 50th and 99th percentiles.
+  EXPECT_EQ(service.stats_json(),
+            "{\"tenants\": {\"acme\": {\"requests\": 3, \"ok\": 1, "
+            "\"errors\": 1, \"busy\": 1, \"cache_hits\": 1, "
+            "\"cache_misses\": 0, \"latency_us\": {\"count\": 2, "
+            "\"mean_us\": 5500, \"max_us\": 10000, \"p50_us\": 16384, "
+            "\"p99_us\": 16384}, \"queue_wait_us\": {\"count\": 1, "
+            "\"mean_us\": 2000, \"max_us\": 2000, \"p50_us\": 2048, "
+            "\"p99_us\": 2048}}, \"zeta\": {\"requests\": 1, \"ok\": 1, "
+            "\"errors\": 0, \"busy\": 0, \"cache_hits\": 1, "
+            "\"cache_misses\": 0, \"latency_us\": {\"count\": 1, "
+            "\"mean_us\": 5000, \"max_us\": 5000, \"p50_us\": 8192, "
+            "\"p99_us\": 8192}, \"queue_wait_us\": {\"count\": 0, "
+            "\"mean_us\": 0, \"max_us\": 0, \"p50_us\": 0, "
+            "\"p99_us\": 0}}}, \"queue_depth\": 3, "
+            "\"analysis_threads\": 1}");
 
   // store-stats without a store is still a valid (empty) report.
   JsonParseResult ss = parse_json(service.store_stats_json());

@@ -492,12 +492,14 @@ TEST(ProtocolFrames, HostileCorpusReturnsOutcomes) {
   for (int i = 0; i < 2049; ++i) wide += i ? ",0" : "0";
   wide += "]";
   const std::pair<std::string, ServeCode> corpus[] = {
-      // Nesting up to the parser's depth limit, and far beyond it.
-      {ping + "\"x\": " + nested(64) + "}", ServeCode::Ok},
+      // Nesting up to the parser's depth limit, and far beyond it. A
+      // frame that parses is refused for "x", a field ping does not read
+      // (BadField); one past the limit never parses (MalformedFrame).
+      {ping + "\"x\": " + nested(64) + "}", ServeCode::BadField},
       {ping + "\"x\": " + nested(65) + "}", ServeCode::MalformedFrame},
       {std::string(100000, '['), ServeCode::MalformedFrame},
       {objects, ServeCode::MalformedFrame},
-      {ping + "\"x\": " + wide + "}", ServeCode::Ok},
+      {ping + "\"x\": " + wide + "}", ServeCode::BadField},
       // Unterminated strings.
       {"\"", ServeCode::MalformedFrame},
       {"{\"command\": \"ping", ServeCode::MalformedFrame},

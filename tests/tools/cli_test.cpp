@@ -575,6 +575,56 @@ TEST_F(CliTest, CertifyWorkflowOnDeterministicWorkload) {
   EXPECT_NE(out_.str().find("\"violating_pairs\": 0"), std::string::npos);
 }
 
+TEST_F(CliTest, AnalyzeAndCertifyRefuseACyclicNetwork) {
+  // The certify workload with its relay register fed back through mux m:
+  // m -> rc -> rr -> m is a scan-path cycle, and every register is still
+  // reachable from scan-in and reaches scan-out. analyze and certify
+  // refuse it as secure does, instead of counting on a network whose
+  // path order does not exist.
+  std::ofstream(path("net.rsn")) <<
+      "rsn loop\n"
+      "module 0 conf\n"
+      "module 1 relay\n"
+      "module 2 untrusted\n"
+      "register rc ffs 1 module 0\n"
+      "register rr ffs 1 module 1\n"
+      "register ru ffs 1 module 2\n"
+      "mux m inputs 2\n"
+      "connect scan_in ru 0\n"
+      "connect ru m 0\n"
+      "connect rr m 1\n"
+      "connect m rc 0\n"
+      "connect rc rr 0\n"
+      "connect rr scan_out 0\n"
+      "capture rc 0 cf\n"
+      "update rr 0 rf\n"
+      "capture ru 0 uf\n";
+  std::ofstream(path("ckt.v")) <<
+      "module loop(input a);\n"
+      "  (* instrument = \"conf\" *) dff (cf, cf);\n"
+      "  (* instrument = \"relay\" *) dff (rf, rf);\n"
+      "  (* instrument = \"untrusted\" *) dff (uf, rf);\n"
+      "endmodule\n";
+  std::ofstream(path("policy.spec")) <<
+      "categories 2\n"
+      "module conf trust 1 accepts 1\n"
+      "module untrusted trust 0 accepts 0,1\n";
+  for (const char* command : {"analyze", "certify", "secure"}) {
+    std::vector<std::string> args = {
+        command,  "--rsn",  path("net.rsn"),    "--verilog", path("ckt.v"),
+        "--spec", path("policy.spec"), "--json"};
+    if (std::string(command) == "secure") {
+      args.emplace_back("--out");
+      args.push_back(path("fixed.rsn"));
+    }
+    EXPECT_EQ(run_cli(args), 1) << command << ": " << out_.str();
+    EXPECT_EQ(out_.str(), "") << command;
+    EXPECT_EQ(err_.str(),
+              "rsnsec: invalid scan network: scan network contains a cycle\n")
+        << command;
+  }
+}
+
 TEST_F(CliTest, AnalyzeJsonEchoesDependencyConfiguration) {
   ASSERT_EQ(run_cli({"generate", "--benchmark", "BasicSCB", "--scale", "1",
                      "--seed", "3", "--out-rsn", path("n.rsn"),
