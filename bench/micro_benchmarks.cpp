@@ -27,9 +27,11 @@
 #include "security/hybrid.hpp"
 #include "security/pure.hpp"
 #include "security/spec_io.hpp"
+#include "serve/protocol.hpp"
 #include "store/artifact_store.hpp"
 #include "store/dep_cache.hpp"
 #include "util/dep_matrix.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -339,6 +341,36 @@ void BM_ReadSpec(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_ReadSpec)->ArgName("mbist")->Arg(100);
+
+// One daemon request frame: `analyze` of the serve_open benchmark's q12710
+// design (its first Table I circuit, seed 1, about 170 KB with the three
+// payloads inline), decoded by serve::parse_request as the daemon's
+// reader thread does.
+void BM_ParseRequest(benchmark::State& state) {
+  bench::SweepOptions opt;
+  bench::Instance inst = bench::make_instance("q12710", opt, 0);
+  Rng spec_rng(104729 + 4);  // serve_open's spec stream, design 4
+  security::SecuritySpec spec = benchgen::random_spec(
+      inst.doc.module_names.size(), opt.spec, spec_rng);
+  std::ostringstream rsn_os, v_os, spec_os;
+  rsn::write_rsn(rsn_os, inst.doc.network, inst.doc.module_names,
+                 &inst.circuit);
+  netlist::verilog::write(v_os, inst.circuit, inst.doc.network.name());
+  security::write_spec(spec_os, spec, inst.doc.module_names);
+  const std::string frame =
+      "{\"command\": \"analyze\", \"id\": \"4\", \"tenant\": \"client-0\", "
+      "\"rsn\": \"" + json_escape(rsn_os.str()) + "\", \"verilog\": \"" +
+      json_escape(v_os.str()) + "\", \"spec\": \"" +
+      json_escape(spec_os.str()) + "\"}";
+  for (auto _ : state) {
+    serve::ParseOutcome o = serve::parse_request(frame);
+    benchmark::DoNotOptimize(o.request->verilog.size());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+  state.counters["bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_ParseRequest)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Detect-and-resolve with the incremental delta engine (the

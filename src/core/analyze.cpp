@@ -1,6 +1,5 @@
 #include "core/analyze.hpp"
 
-#include <istream>
 #include <stdexcept>
 
 #include "netlist/verilog.hpp"
@@ -8,11 +7,12 @@
 #include "security/pure.hpp"
 #include "security/spec_io.hpp"
 #include "store/dep_cache.hpp"
+#include "util/strings.hpp"
 
 namespace rsnsec {
 
-Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
-                       std::istream& spec) {
+Workload attach_design(rsn::RsnDocument doc, std::string_view verilog,
+                       std::string_view spec) {
   std::string err;
   if (!doc.network.validate(&err))
     throw std::invalid_argument("invalid scan network: " + err);
@@ -23,6 +23,11 @@ Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
   w.circuit = std::move(parsed.netlist);
   w.spec = security::read_spec(spec, w.doc.module_names);
   return w;
+}
+
+Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
+                       std::istream& spec) {
+  return attach_design(std::move(doc), read_all(verilog), read_all(spec));
 }
 
 AnalyzeResult analyze(const Workload& w, const dep::DepOptions& options,

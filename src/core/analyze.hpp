@@ -2,6 +2,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.hpp"
@@ -30,6 +31,9 @@ struct Workload {
 /// SecureFlowTool), parses the structural Verilog, attaches the document's
 /// scan flip-flops to its nets, and reads the specification against the
 /// document's module names. Throws the readers' line-numbered errors.
+Workload attach_design(rsn::RsnDocument doc, std::string_view verilog,
+                       std::string_view spec);
+/// The same on whole streams (read once, then parsed as above).
 Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
                        std::istream& spec);
 

@@ -91,7 +91,6 @@ PairSet TernaryEvaluator::eval_gate(NodeId gate) {
       return n.type == GateType::Xnor ? invert(acc) : acc;
     }
     case GateType::Mux: {
-      if (fanins.size() != 3) return pair_top;
       const PairSet s = val_[fanins[0]];
       // Both data inputs on the same node: the select cannot matter —
       // the output *is* that node, whatever the (possibly differing)

@@ -1,7 +1,7 @@
 #include "lint/driver.hpp"
 
 #include <fstream>
-#include <map>
+#include <unordered_map>
 
 #include "netlist/verilog.hpp"
 #include "rsn/icl.hpp"
@@ -76,7 +76,7 @@ LoadedFiles load_files(const std::vector<std::string>& paths,
                        const std::string& icl_top) {
   LoadedFiles out;
   std::vector<std::string> spec_paths;
-  std::map<std::string, netlist::NodeId> circuit_nets;
+  std::unordered_map<std::string, netlist::NodeId> circuit_nets;
   for (const std::string& path : paths) {
     try {
       if (path.ends_with(".rsn") || path.ends_with(".icl")) {

@@ -1,15 +1,21 @@
 #include "netlist/verilog.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <unordered_map>
 
+#include "obs/trace.hpp"
 #include "util/lexer.hpp"
+#include "util/strings.hpp"
 
 namespace rsnsec::netlist::verilog {
 
 namespace {
+
+/// Text bytes per net that size the name table: a net write() emits
+/// takes a wire declaration and a driving statement, 30 bytes or more,
+/// so interning a written file never rehashes.
+constexpr std::size_t kBytesPerNet = 32;
 
 /// Gate inputs 1'b0 and 1'b1 (net indices stay below these).
 constexpr std::uint32_t kConst0 = 0xfffffffeu;
@@ -51,7 +57,10 @@ bool is_direction(const Token& t) {
 /// netlist in time linear in gates plus fanins, whatever the gate order.
 class Reader {
  public:
-  explicit Reader(std::istream& is) : lex_(is, "verilog") {}
+  explicit Reader(std::string_view text) : lex_(text, "verilog") {
+    net_ids_.reserve(text.size() / kBytesPerNet);
+    nets_.reserve(text.size() / kBytesPerNet);
+  }
 
   ParsedCircuit run() {
     expect("module");
@@ -104,6 +113,8 @@ class Reader {
   std::vector<std::uint32_t> args_;
   std::vector<Prim> prims_;  ///< gates and flip-flops, in file order
   std::unordered_map<std::string_view, ModuleId> modules_;  ///< instruments
+  std::string_view last_instrument_;  ///< module_of's last answer
+  ModuleId last_module_ = no_module;
 
   [[noreturn]] void fail(int line, const std::string& m) const {
     lex_.fail(line, m);
@@ -190,12 +201,18 @@ class Reader {
     prims_.push_back(g);
   }
 
-  /// The instrument's module, created when its first node is.
+  /// The instrument's module, created when its first node is. write()
+  /// tags every node, so runs of nodes name the same instrument: the
+  /// table is consulted once per run.
   ModuleId module_of(std::string_view instrument) {
     if (instrument.empty()) return no_module;
-    auto [it, added] = modules_.try_emplace(instrument, no_module);
-    if (added) it->second = out_.netlist.add_module(std::string(instrument));
-    return it->second;
+    if (instrument != last_instrument_) {
+      auto [it, added] = modules_.try_emplace(instrument, no_module);
+      if (added) it->second = out_.netlist.add_module(std::string(instrument));
+      last_instrument_ = instrument;
+      last_module_ = it->second;
+    }
+    return last_module_;
   }
 
   /// True if `arg` is a net without a node yet.
@@ -263,20 +280,20 @@ class Reader {
       nl.set_ff_input(nets_[g.out].node, fanin(d));
     }
 
-    // Inserting in sorted order at the end builds the map in linear time.
-    std::vector<const Net*> named;
+    out_.nets.reserve(nets_.size());
     for (const Net& n : nets_)
-      if (n.node != no_node) named.push_back(&n);
-    std::sort(named.begin(), named.end(),
-              [](const Net* a, const Net* b) { return a->name < b->name; });
-    for (const Net* n : named)
-      out_.nets.emplace_hint(out_.nets.end(), n->name, n->node);
+      if (n.node != no_node) out_.nets.emplace(n.name, n.node);
   }
 };
 
 }  // namespace
 
-ParsedCircuit parse(std::istream& is) { return Reader(is).run(); }
+ParsedCircuit parse(std::string_view text) {
+  obs::Span span(obs::TraceSession::active(), "parse.verilog");
+  return Reader(text).run();
+}
+
+ParsedCircuit parse(std::istream& is) { return parse(read_all(is)); }
 
 void write(std::ostream& os, const Netlist& nl, const std::string& name) {
   auto net_name = [&](NodeId id) {

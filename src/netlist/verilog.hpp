@@ -1,8 +1,9 @@
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -13,7 +14,7 @@ namespace rsnsec::netlist::verilog {
 struct ParsedCircuit {
   Netlist netlist;
   /// Net name -> producing node (inputs, gate outputs, flip-flop outputs).
-  std::map<std::string, NodeId> nets;
+  std::unordered_map<std::string, NodeId> nets;
   /// Declared output port names, in declaration order.
   std::vector<std::string> outputs;
   std::string module_name;
@@ -42,6 +43,8 @@ struct ParsedCircuit {
 ///
 /// Throws std::runtime_error ("verilog parse error at line N: ...") on
 /// malformed input, including a file that ends early.
+ParsedCircuit parse(std::string_view text);
+/// The same on a whole stream (read once, then parsed as above).
 ParsedCircuit parse(std::istream& is);
 
 /// Writes `nl` as a flat structural Verilog module named `name`, using

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <istream>
 #include <optional>
 #include <set>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "util/lexer.hpp"
 #include "util/strings.hpp"
 
@@ -60,7 +60,7 @@ constexpr std::string_view kSkipped[] = {
 
 class Parser {
  public:
-  explicit Parser(std::istream& is) : lex_(is, "icl") {}
+  explicit Parser(std::string_view text) : lex_(text, "icl") {}
 
   Document parse_document() {
     Document doc;
@@ -369,7 +369,12 @@ const ModuleDecl& Document::top() const {
   return *top;
 }
 
-Document parse(std::istream& is) { return Parser(is).parse_document(); }
+Document parse(std::string_view text) {
+  obs::Span span(obs::TraceSession::active(), "parse.icl");
+  return Parser(text).parse_document();
+}
+
+Document parse(std::istream& is) { return parse(read_all(is)); }
 
 RsnDocument elaborate(const Document& doc, const std::string& top_name) {
   const ModuleDecl* top = nullptr;

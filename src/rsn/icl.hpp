@@ -4,6 +4,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rsn/io.hpp"
@@ -75,6 +76,8 @@ struct Document {
 /// circuit programmatically), mid-register taps (a "R[3]" reference is
 /// resolved to R's scan-out side). Throws std::runtime_error with a
 /// line-numbered message on malformed input.
+Document parse(std::string_view text);
+/// The same on a whole stream (read once, then parsed as above).
 Document parse(std::istream& is);
 
 /// Elaborates the document's top module (or `top_name` if given) into a

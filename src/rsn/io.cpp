@@ -1,11 +1,10 @@
 #include "rsn/io.hpp"
 
-#include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "util/strings.hpp"
 
 namespace rsnsec::rsn {
@@ -56,8 +55,9 @@ void write_rsn(std::ostream& os, const Rsn& network,
   }
 }
 
-void apply_attachments(RsnDocument& doc,
-                       const std::map<std::string, netlist::NodeId>& nets) {
+void apply_attachments(
+    RsnDocument& doc,
+    const std::unordered_map<std::string, netlist::NodeId>& nets) {
   for (const Attachment& a : doc.attachments) {
     auto it = nets.find(a.net);
     if (it == nets.end())
@@ -71,10 +71,14 @@ void apply_attachments(RsnDocument& doc,
   }
 }
 
-RsnDocument read_rsn(std::istream& is) {
+RsnDocument read_rsn(std::string_view text) {
+  obs::Span span(obs::TraceSession::active(), "parse.rsn");
   RsnDocument doc;
-  std::map<std::string, ElemId, std::less<>> by_name;
-  std::string line;
+  // Element names as views into `text`: neither an insertion nor a
+  // lookup makes a string. Each name comes with a register or mux line
+  // of 25 bytes or more.
+  std::unordered_map<std::string_view, ElemId> by_name;
+  by_name.reserve(text.size() / 25);
   int line_no = 0;
   bool named = false;
 
@@ -112,11 +116,13 @@ RsnDocument read_rsn(std::istream& is) {
     return *v;
   };
 
-  while (std::getline(is, line)) {
+  std::vector<std::string_view> tok;
+  std::string_view line;
+  for (std::size_t pos = 0; next_line(text, pos, line);) {
     ++line_no;
     std::string_view sv = trim(line);
     if (sv.empty() || sv.front() == '#') continue;
-    const std::vector<std::string_view> tok = split_ws(sv);
+    split_ws(sv, tok);
     const std::string_view kw = tok[0];
     if (kw == "rsn") {
       if (tok.size() != 2) throw fail("expected: rsn <name>");
@@ -192,6 +198,8 @@ RsnDocument read_rsn(std::istream& is) {
   if (!named) throw fail("empty document (no rsn header)");
   return doc;
 }
+
+RsnDocument read_rsn(std::istream& is) { return read_rsn(read_all(is)); }
 
 std::string summarize(const Rsn& network) {
   std::ostringstream os;

@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "rsn/rsn.hpp"
@@ -56,12 +57,15 @@ void write_rsn(std::ostream& os, const Rsn& network,
 /// Resolves the document's pending capture/update attachments against
 /// circuit nets by name and applies them to the network. Throws on
 /// unknown net names.
-void apply_attachments(RsnDocument& doc,
-                       const std::map<std::string, netlist::NodeId>& nets);
+void apply_attachments(
+    RsnDocument& doc,
+    const std::unordered_map<std::string, netlist::NodeId>& nets);
 
 /// Parses the format produced by write_rsn. Fields are separated by runs
 /// of spaces or tabs. Throws std::runtime_error with a line-numbered
 /// message on malformed input.
+RsnDocument read_rsn(std::string_view text);
+/// The same on a whole stream (read once, then parsed as above).
 RsnDocument read_rsn(std::istream& is);
 
 /// Renders a one-line summary ("name: R registers, F scan FFs, M muxes").

@@ -1,11 +1,11 @@
 #include "security/spec_io.hpp"
 
 #include <algorithm>
-#include <istream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/trace.hpp"
 #include "util/strings.hpp"
 
 namespace rsnsec::security {
@@ -48,8 +48,9 @@ void write_spec(std::ostream& os, const SecuritySpec& spec,
   }
 }
 
-SecuritySpec read_spec(std::istream& is,
+SecuritySpec read_spec(std::string_view text,
                        const std::vector<std::string>& module_names) {
+  obs::Span span(obs::TraceSession::active(), "parse.spec");
   std::map<std::string, std::size_t, std::less<>> by_name;
   for (std::size_t i = 0; i < module_names.size(); ++i)
     by_name[module_names[i]] = i;
@@ -63,7 +64,6 @@ SecuritySpec read_spec(std::istream& is,
   std::size_t categories = 0;
   std::size_t max_module = module_names.size();
 
-  std::string line;
   int line_no = 0;
   auto fail = [&](const std::string& msg) -> SpecParseError {
     return SpecParseError(line_no, msg);
@@ -78,13 +78,15 @@ SecuritySpec read_spec(std::istream& is,
                  "' (expected a non-negative integer)");
     return *v;
   };
-  while (std::getline(is, line)) {
+  std::vector<std::string_view> tok;
+  std::string_view line;
+  for (std::size_t pos = 0; next_line(text, pos, line);) {
     ++line_no;
     std::string_view sv = trim(line);
     if (sv.empty() || sv.front() == '#') continue;
     // split_ws: tabs and runs of spaces separate tokens just like a
     // single space, so indented or column-aligned specs parse the same.
-    const std::vector<std::string_view> tok = split_ws(sv);
+    split_ws(sv, tok);
     if (tok[0] == "categories") {
       if (tok.size() != 2) throw fail("expected: categories <n>");
       std::uint64_t n = parse_num(tok[1], "category count");
@@ -141,6 +143,11 @@ SecuritySpec read_spec(std::istream& is,
     spec.set_policy(static_cast<netlist::ModuleId>(e.module), e.trust,
                     e.accepted);
   return spec;
+}
+
+SecuritySpec read_spec(std::istream& is,
+                       const std::vector<std::string>& module_names) {
+  return read_spec(read_all(is), module_names);
 }
 
 }  // namespace rsnsec::security

@@ -3,6 +3,7 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "security/spec.hpp"
@@ -45,6 +46,9 @@ void write_spec(std::ostream& os, const SecuritySpec& spec,
 /// SpecParseError with a line-numbered message on malformed input
 /// (including non-numeric or overflowing numbers), unknown module names
 /// or invalid categories.
+SecuritySpec read_spec(std::string_view text,
+                       const std::vector<std::string>& module_names = {});
+/// The same on a whole stream (read once, then parsed as above).
 SecuritySpec read_spec(std::istream& is,
                        const std::vector<std::string>& module_names = {});
 

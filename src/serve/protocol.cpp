@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/minijson.hpp"
 #include "util/strings.hpp"
@@ -72,17 +73,18 @@ bool reads_field(Command command, std::string_view key) {
   }
 }
 
-/// Required string payload field; empty-string payloads are as useless
-/// as absent ones, so both are rejected.
-bool take_payload(const JsonValue& obj, std::string_view key,
-                  std::string& out, std::string& error) {
-  const JsonValue* v = obj.find(key);
+/// Required string payload field, moved out of the parsed frame;
+/// empty-string payloads are as useless as absent ones, so both are
+/// rejected.
+bool take_payload(JsonValue& obj, std::string_view key, std::string& out,
+                  std::string& error) {
+  JsonValue* v = obj.find(key);
   if (v == nullptr || !v->is_string() || v->string.empty()) {
     error = "field '" + std::string(key) +
             "' must be a non-empty string payload";
     return false;
   }
-  out = v->string;
+  out = std::move(v->string);
   return true;
 }
 
@@ -94,7 +96,7 @@ ParseOutcome parse_request(std::string_view line) {
     return fail(ServeCode::MalformedFrame,
                 "malformed frame at byte " +
                     std::to_string(parsed.error_pos) + ": " + parsed.error);
-  const JsonValue& root = *parsed.value;
+  JsonValue& root = *parsed.value;
   if (!root.is_object())
     return fail(ServeCode::MalformedFrame,
                 "request frame must be a JSON object");

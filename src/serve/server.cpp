@@ -141,7 +141,11 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
 
 void Server::handle_line(const std::shared_ptr<Conn>& conn,
                          const std::string& text) {
-  ParseOutcome outcome = parse_request(text);
+  ParseOutcome outcome;
+  {
+    obs::Span span(obs::TraceSession::active(), "serve.json");
+    outcome = parse_request(text);
+  }
   if (!outcome.ok()) {
     conn->send(error_reply("", outcome.code, outcome.message));
     return;
@@ -177,7 +181,11 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
       break;
   }
 
-  auto job = [this, conn, req](double queue_wait_seconds) {
+  // The request, payloads included, moves into its job; the admission
+  // replies below need only its id and tenant.
+  const std::string id = req.id;
+  const std::string tenant = req.tenant;
+  auto job = [this, conn, req = std::move(req)](double queue_wait_seconds) {
     service_.record_queue_wait(req.tenant, queue_wait_seconds);
     auto t0 = std::chrono::steady_clock::now();
     ExecResult result = service_.execute(req);
@@ -201,19 +209,19 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
     }
   };
 
-  switch (scheduler_.submit(req.tenant, std::move(job))) {
+  switch (scheduler_.submit(tenant, std::move(job))) {
     case FairScheduler::Admit::Accepted:
       break;
     case FairScheduler::Admit::Busy:
-      service_.record_busy(req.tenant);
+      service_.record_busy(tenant);
       obs::bump("serve.busy_rejections");
-      conn->send(error_reply(req.id, ServeCode::Busy,
+      conn->send(error_reply(id, ServeCode::Busy,
                              "admission queue full (capacity " +
                                  std::to_string(scheduler_.capacity()) + ")",
                              scheduler_.retry_after_ms()));
       break;
     case FairScheduler::Admit::Stopping:
-      conn->send(error_reply(req.id, ServeCode::ShuttingDown,
+      conn->send(error_reply(id, ServeCode::ShuttingDown,
                              "server is draining"));
       break;
   }

@@ -46,11 +46,11 @@ struct TenantStats {
   obs::Histogram queue_wait_us{"queue_wait_us"};
 };
 
-/// Parses the inline payloads. Throws std::runtime_error with the
-/// parser's line-numbered message (surfaced to the client as SRV004).
+/// Parses the inline payloads where they lie. Throws std::runtime_error
+/// with the parser's line-numbered message (surfaced to the client as
+/// SRV004).
 Workload parse_workload(const Request& req) {
-  std::istringstream rsn_text(req.rsn), verilog(req.verilog), spec(req.spec);
-  return attach_design(rsn::read_rsn(rsn_text), verilog, spec);
+  return attach_design(rsn::read_rsn(req.rsn), req.verilog, req.spec);
 }
 
 std::uint64_t to_us(double seconds) {

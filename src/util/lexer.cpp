@@ -1,30 +1,63 @@
 #include "util/lexer.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstdio>
-#include <istream>
+#include <cstring>
 #include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace rsnsec {
 
 namespace {
 
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
-bool is_digit(char c) { return c >= '0' && c <= '9'; }
-bool is_alpha(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+/// Byte classes; one table lookup answers each scan loop's question.
+enum : std::uint8_t {
+  kSpace = 1,        ///< ' ' and '\t'..'\r' (newline included)
+  kIdentStart = 2,   ///< [A-Za-z_]
+  kIdentChar = 4,    ///< [A-Za-z0-9_$.]
+  kDigit = 8,        ///< [0-9]
+  kNumberChar = 16,  ///< [A-Za-z0-9']
+  kPunct = 32,       ///< ( ) { } [ ] ; : = ,
+};
+
+constexpr auto kClass = [] {
+  std::array<std::uint8_t, 256> cls{};
+  for (int c = '\t'; c <= '\r'; ++c) cls[c] |= kSpace;
+  cls[' '] |= kSpace;
+  for (int c = 0; c < 256; ++c) {
+    const bool alpha = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+    const bool digit = c >= '0' && c <= '9';
+    if (alpha || c == '_') cls[c] |= kIdentStart;
+    if (alpha || digit || c == '_' || c == '$' || c == '.')
+      cls[c] |= kIdentChar;
+    if (digit) cls[c] |= kDigit;
+    if (alpha || digit || c == '\'') cls[c] |= kNumberChar;
+  }
+  for (char c : std::string_view("(){}[];:=,"))
+    cls[static_cast<unsigned char>(c)] |= kPunct;
+  return cls;
+}();
+
+bool is(char c, std::uint8_t cls) {
+  return (kClass[static_cast<unsigned char>(c)] & cls) != 0;
 }
-bool is_ident_char(char c) {
-  return is_alpha(c) || is_digit(c) || c == '_' || c == '$' || c == '.';
+
+int count_newlines(const char* from, const char* to) {
+  int n = 0;
+  for (; from < to; ++from) n += *from == '\n';
+  return n;
 }
-constexpr std::string_view kPunct = "(){}[];:=,";
 
 }  // namespace
 
-Lexer::Lexer(std::istream& is, const char* lang) : lang_(lang) {
-  char buf[1 << 16];
-  while (is.read(buf, sizeof buf), is.gcount() > 0)
-    text_.append(buf, static_cast<std::size_t>(is.gcount()));
+Lexer::Lexer(std::string_view text, const char* lang)
+    : text_(text), lang_(lang) {
+  scan();
+}
+
+Lexer::Lexer(std::istream& is, const char* lang)
+    : owned_(read_all(is)), text_(owned_), lang_(lang) {
   scan();
 }
 
@@ -34,63 +67,70 @@ void Lexer::fail(int line, const std::string& msg) const {
 }
 
 void Lexer::scan() {
-  const std::string_view s = text_;
+  // The cursor and line live in locals for the scan loops and are
+  // stored back once per token.
+  const char* const s = text_.data();
+  const std::size_t n = text_.size();
+  std::size_t pos = pos_;
+  int line = line_;
   // Whitespace and comments.
   for (;;) {
-    if (pos_ >= s.size()) {
-      ahead_ = {TokKind::End, "<eof>", line_};
-      return;
-    }
-    const char c = s[pos_];
-    if (c == '\n') {
-      ++line_;
-      ++pos_;
-    } else if (is_space(c)) {
-      ++pos_;
-    } else if (s.compare(pos_, 2, "//") == 0) {
-      pos_ = std::min(s.find('\n', pos_), s.size());
-    } else if (s.compare(pos_, 2, "/*") == 0) {
-      const std::size_t close = s.find("*/", pos_ + 2);
+    while (pos < n && is(s[pos], kSpace)) line += s[pos++] == '\n';
+    if (pos + 1 >= n || s[pos] != '/') break;
+    if (s[pos + 1] == '/') {
+      const void* nl = std::memchr(s + pos, '\n', n - pos);
+      pos = nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - s)
+               : n;
+    } else if (s[pos + 1] == '*') {
+      const std::size_t close = text_.find("*/", pos + 2);
       if (close == std::string_view::npos)
-        fail(line_, "unterminated block comment");
-      for (std::size_t i = pos_; i < close; ++i) line_ += s[i] == '\n';
-      pos_ = close + 2;
+        fail(line, "unterminated block comment");
+      line += count_newlines(s + pos, s + close);
+      pos = close + 2;
     } else {
       break;
     }
   }
+  pos_ = pos;
+  line_ = line;
+  if (pos >= n) {
+    ahead_ = {TokKind::End, "<eof>", line};
+    return;
+  }
 
-  const std::size_t start = pos_;
-  const char c = s[pos_];
+  const std::size_t start = pos;
+  const char c = s[pos];
   auto emit = [&](TokKind kind, std::size_t from, std::size_t to) {
-    ahead_ = {kind, s.substr(from, to - from), line_};
+    ahead_ = {kind, text_.substr(from, to - from), line};
   };
-  if (is_alpha(c) || c == '_') {
-    while (pos_ < s.size() && is_ident_char(s[pos_])) ++pos_;
-    emit(TokKind::Ident, start, pos_);
+  if (is(c, kIdentStart)) {
+    while (++pos < n && is(s[pos], kIdentChar)) {
+    }
+    emit(TokKind::Ident, start, pos);
   } else if (c == '\\') {
-    ++pos_;
-    while (pos_ < s.size() && !is_space(s[pos_])) ++pos_;
-    if (pos_ == start + 1) fail(line_, "empty escaped identifier");
-    emit(TokKind::Ident, start + 1, pos_);
-  } else if (is_digit(c)) {
-    while (pos_ < s.size() &&
-           (is_alpha(s[pos_]) || is_digit(s[pos_]) || s[pos_] == '\''))
-      ++pos_;
-    emit(TokKind::Number, start, pos_);
+    while (++pos < n && !is(s[pos], kSpace)) {
+    }
+    if (pos == start + 1) fail(line, "empty escaped identifier");
+    emit(TokKind::Ident, start + 1, pos);
+  } else if (is(c, kDigit)) {
+    while (++pos < n && is(s[pos], kNumberChar)) {
+    }
+    emit(TokKind::Number, start, pos);
   } else if (c == '"') {
-    const std::size_t close = s.find('"', start + 1);
-    if (close == std::string_view::npos)
-      fail(line_, "unterminated string literal");
+    const void* q = std::memchr(s + start + 1, '"', n - start - 1);
+    if (q == nullptr) fail(line, "unterminated string literal");
+    const auto close =
+        static_cast<std::size_t>(static_cast<const char*>(q) - s);
     emit(TokKind::String, start + 1, close);
-    for (std::size_t i = start; i < close; ++i) line_ += s[i] == '\n';
-    pos_ = close + 1;
-  } else if (s.compare(pos_, 2, "(*") == 0 || s.compare(pos_, 2, "*)") == 0) {
-    pos_ += 2;
-    emit(TokKind::Punct, start, pos_);
-  } else if (kPunct.find(c) != std::string_view::npos) {
-    ++pos_;
-    emit(TokKind::Punct, start, pos_);
+    line_ += count_newlines(s + start, s + close);
+    pos = close + 1;
+  } else if (pos + 1 < n && ((c == '(' && s[pos + 1] == '*') ||
+                             (c == '*' && s[pos + 1] == ')'))) {
+    pos += 2;
+    emit(TokKind::Punct, start, pos);
+  } else if (is(c, kPunct)) {
+    ++pos;
+    emit(TokKind::Punct, start, pos);
   } else {
     char what[32];
     if (c >= 0x20 && c < 0x7f)
@@ -98,8 +138,9 @@ void Lexer::scan() {
     else
       std::snprintf(what, sizeof what, "byte 0x%02x",
                     static_cast<unsigned>(static_cast<unsigned char>(c)));
-    fail(line_, std::string("unexpected character ") + what);
+    fail(line, std::string("unexpected character ") + what);
   }
+  pos_ = pos;
 }
 
 }  // namespace rsnsec

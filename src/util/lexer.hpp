@@ -34,16 +34,20 @@ struct Token {
 ///   strings       "..."
 ///   punctuation   ( ) { } [ ] ; : = ,  (*  *)
 ///
-/// The input is read once, in bulk; tokens are produced on demand with
-/// one token of lookahead and no allocation. Line numbers count every
-/// newline, including those inside comments and strings. Lexical errors
-/// (an unterminated comment or string, an empty escaped identifier, a
+/// The lexer reads its input where it lies and classifies each byte with
+/// one table lookup; tokens are produced on demand with one token of
+/// lookahead and no allocation. Line numbers count every newline,
+/// including those inside comments and strings. Lexical errors (an
+/// unterminated comment or string, an empty escaped identifier, a
 /// character outside the language) throw std::runtime_error as
 /// "<lang> parse error at line N: ...". At end of input the lexer keeps
 /// returning End.
 class Lexer {
  public:
-  /// Reads all of `is`; `lang` ("verilog", "icl") prefixes error messages.
+  /// Lexes `text`, which must outlive the lexer; `lang` ("verilog",
+  /// "icl") prefixes error messages.
+  Lexer(std::string_view text, const char* lang);
+  /// Reads all of `is` into a buffer of its own and lexes that.
   Lexer(std::istream& is, const char* lang);
   Lexer(const Lexer&) = delete;
   Lexer& operator=(const Lexer&) = delete;
@@ -61,7 +65,8 @@ class Lexer {
  private:
   void scan();
 
-  std::string text_;
+  std::string owned_;  ///< the stream constructor's copy of its input
+  std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
   const char* lang_;

@@ -1,13 +1,23 @@
 #include "util/minijson.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstring>
 #include <deque>
 #include <iterator>
 
 namespace rsnsec {
 
 namespace {
+
+/// Bytes a JSON string holds as they are: all but '"', '\\' and the
+/// control characters below 0x20.
+constexpr auto kPlain = [] {
+  std::array<bool, 256> plain{};
+  for (int c = 0x20; c < 256; ++c) plain[c] = c != '"' && c != '\\';
+  return plain;
+}();
 
 class Parser {
  public:
@@ -143,53 +153,72 @@ class Parser {
     }
   }
 
+  /// Raw bytes from the cursor to the string's closing quote: the first
+  /// '"' not preceded by an odd run of backslashes (0 if there is none).
+  /// A decoded string is never longer than its raw extent.
+  std::size_t raw_extent() const {
+    const char* const begin = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    for (const char* p = begin; p < end; ++p) {
+      p = static_cast<const char*>(std::memchr(p, '"', end - p));
+      if (p == nullptr) return 0;
+      std::size_t backslashes = 0;
+      while (p - backslashes > begin && p[-1 - backslashes] == '\\')
+        ++backslashes;
+      if (backslashes % 2 == 0) return static_cast<std::size_t>(p - begin);
+    }
+    return 0;
+  }
+
   bool string(std::string& out) {
     if (!consume('"')) return fail("expected '\"'");
     out.clear();
-    while (!eof()) {
-      unsigned char c = static_cast<unsigned char>(text_[pos_]);
+    out.reserve(raw_extent());
+    const std::string_view s = text_;
+    for (;;) {
+      // Copy the run up to the next quote, backslash or control character
+      // in one append.
+      std::size_t run = pos_;
+      while (run < s.size() && kPlain[static_cast<unsigned char>(s[run])])
+        ++run;
+      out.append(s.data() + pos_, run - pos_);
+      pos_ = run;
+      if (eof()) return fail("unterminated string");
+      const auto c = static_cast<unsigned char>(s[pos_]);
       if (c == '"') {
         ++pos_;
         return true;
       }
       if (c < 0x20) return fail("raw control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return fail("truncated escape");
-        char e = text_[pos_++];
-        switch (e) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned cp = 0;
-            for (int i = 0; i < 4; ++i) {
-              if (eof() ||
-                  !std::isxdigit(static_cast<unsigned char>(peek())))
-                return fail("malformed \\u escape");
-              char h = text_[pos_++];
-              cp = cp * 16 +
-                   static_cast<unsigned>(
-                       h <= '9' ? h - '0'
-                                : (h | 0x20) - 'a' + 10);
-            }
-            append_utf8(out, cp);
-            break;
+      ++pos_;  // the backslash
+      if (eof()) return fail("truncated escape");
+      char e = text_[pos_++];
+      switch (e) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          unsigned cp = 0;
+          for (int i = 0; i < 4; ++i) {
+            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
+              return fail("malformed \\u escape");
+            char h = text_[pos_++];
+            cp = cp * 16 +
+                 static_cast<unsigned>(h <= '9' ? h - '0'
+                                                : (h | 0x20) - 'a' + 10);
           }
-          default:
-            return fail("invalid escape character");
+          append_utf8(out, cp);
+          break;
         }
-        continue;
+        default:
+          return fail("invalid escape character");
       }
-      out.push_back(static_cast<char>(c));
-      ++pos_;
     }
-    return fail("unterminated string");
   }
 
   bool number(double& out) {

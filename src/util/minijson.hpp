@@ -18,6 +18,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace rsnsec {
@@ -48,6 +49,10 @@ class JsonValue {
     for (const auto& [k, v] : object)
       if (k == key) return &v;
     return nullptr;
+  }
+  /// Mutable form, for moving a member's payload out of the tree.
+  JsonValue* find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
   }
 
   /// Convenience accessors for protocol fields: value if present and of

@@ -86,16 +86,14 @@ void Socket::write_all(std::string_view data) {
   }
 }
 
-std::string Socket::read_some(std::size_t max) {
-  std::string buf(max, '\0');
+std::size_t Socket::read_some(char* dst, std::size_t max) {
   for (;;) {
-    ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    ssize_t n = ::recv(fd_, dst, max, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("recv");
     }
-    buf.resize(static_cast<std::size_t>(n));
-    return buf;
+    return static_cast<std::size_t>(n);
   }
 }
 
@@ -197,51 +195,62 @@ void Listener::close() {
 }
 
 std::optional<LineReader::Line> LineReader::next() {
+  constexpr std::size_t kReadChunk = 65536;
   for (;;) {
     // Drain complete frames already buffered.
-    std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
+    const char* data = buffer_.data();
+    if (const void* nl = std::memchr(data + scan_, '\n', end_ - scan_)) {
+      const auto at = static_cast<std::size_t>(static_cast<const char*>(nl) -
+                                                data);
       Line line;
-      line.text = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (dropping_ > 0 || line.text.size() > max_line_) {
+      if (dropping_ > 0 || at - begin_ > max_line_) {
         // Either this newline terminates a line whose prefix was already
         // discarded, or the whole oversize line landed in one read chunk
         // (a single recv can buffer line + terminator together, so the
         // cap must also be enforced on complete frames).
-        line.text.clear();
         line.oversize = true;
         dropping_ = 0;
+      } else {
+        line.text.assign(data + begin_, at - begin_);
+        if (!line.text.empty() && line.text.back() == '\r')
+          line.text.pop_back();
       }
-      if (!line.text.empty() && line.text.back() == '\r')
-        line.text.pop_back();
+      begin_ = scan_ = at + 1;
       return line;
     }
-    if (buffer_.size() > max_line_ && dropping_ == 0) {
+    scan_ = end_;
+    if (dropping_ > 0 || end_ - begin_ > max_line_) {
       // Oversize in progress: stop accumulating, remember we owe the
       // caller one SRV002 once the terminator arrives.
-      dropping_ = buffer_.size();
-      buffer_.clear();
-    } else if (dropping_ > 0) {
-      dropping_ += buffer_.size();
-      buffer_.clear();
+      dropping_ += end_ - begin_;
+      begin_ = scan_ = end_ = 0;
     }
     if (eof_) {
-      if (buffer_.empty() && dropping_ == 0) return std::nullopt;
+      if (begin_ == end_ && dropping_ == 0) return std::nullopt;
       // Peer died mid-frame: surface the fragment (the protocol layer
       // rejects it as malformed), then report EOF.
       Line line;
-      line.text = std::move(buffer_);
+      line.text.assign(buffer_.data() + begin_, end_ - begin_);
       line.oversize = dropping_ > 0;
-      buffer_.clear();
+      begin_ = scan_ = end_ = 0;
       dropping_ = 0;
       return line;
     }
-    std::string chunk = socket_.read_some();
-    if (chunk.empty())
+    // Move the unfinished frame to the front and receive behind it. Only
+    // a growing buffer is zero-filled; a frame's bytes move at most once.
+    if (begin_ > 0) {
+      std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+      end_ -= begin_;
+      scan_ -= begin_;
+      begin_ = 0;
+    }
+    if (buffer_.size() - end_ < kReadChunk) buffer_.resize(end_ + kReadChunk);
+    const std::size_t n =
+        socket_.read_some(buffer_.data() + end_, buffer_.size() - end_);
+    if (n == 0)
       eof_ = true;
     else
-      buffer_ += chunk;
+      end_ += n;
   }
 }
 

@@ -44,9 +44,9 @@ class Socket {
   /// killing the process, which a daemon must never allow.
   void write_all(std::string_view data);
 
-  /// Reads up to `max` bytes; returns the bytes read ("" = orderly
-  /// peer shutdown). Blocks.
-  std::string read_some(std::size_t max = 65536);
+  /// Reads up to `max` bytes into `dst`; returns the count read (0 =
+  /// orderly peer shutdown). Blocks.
+  std::size_t read_some(char* dst, std::size_t max);
 
   /// Half-closes the write side (client "no more requests" signal) or
   /// both sides (server kick during shutdown; wakes a blocked reader).
@@ -99,6 +99,9 @@ class Listener {
 /// Buffered \n-delimited frame reader over a Socket. Lines longer than
 /// `max_line` are consumed to their terminator but reported as oversize
 /// (the protocol layer answers SRV002 and keeps the connection usable).
+/// The socket is read straight into one reused buffer, and the search for
+/// a terminator resumes where the previous one stopped, so each byte is
+/// scanned once however many reads a frame takes.
 class LineReader {
  public:
   LineReader(Socket& socket, std::size_t max_line)
@@ -117,7 +120,12 @@ class LineReader {
  private:
   Socket& socket_;
   std::size_t max_line_;
+  /// Received bytes are buffer_[begin_, end_); [begin_, scan_) holds no
+  /// '\n'. The tail past end_ is the next read's space.
   std::string buffer_;
+  std::size_t begin_ = 0;
+  std::size_t scan_ = 0;
+  std::size_t end_ = 0;
   std::size_t dropping_ = 0;  ///< bytes of an oversize line being skipped
   bool eof_ = false;
 };

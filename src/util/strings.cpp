@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <istream>
 
 namespace rsnsec {
 
@@ -26,12 +27,11 @@ std::vector<std::string> split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
+void split_ws(std::string_view s, std::vector<std::string_view>& out) {
   // The "C" locale's isspace, inlined: this runs on every byte of the
   // .rsn and .spec readers.
   auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
-  std::vector<std::string_view> out;
-  out.reserve(8);  // every .rsn/.spec statement in one allocation
+  out.clear();
   std::size_t pos = 0;
   while (pos < s.size()) {
     while (pos < s.size() && space(s[pos])) ++pos;
@@ -39,7 +39,14 @@ std::vector<std::string_view> split_ws(std::string_view s) {
     while (pos < s.size() && !space(s[pos])) ++pos;
     if (pos > start) out.push_back(s.substr(start, pos - start));
   }
-  return out;
+}
+
+std::string read_all(std::istream& is) {
+  std::string text;
+  char buf[1 << 16];
+  while (is.read(buf, sizeof buf), is.gcount() > 0)
+    text.append(buf, static_cast<std::size_t>(is.gcount()));
+  return text;
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view s) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -14,11 +15,35 @@ std::string_view trim(std::string_view s);
 /// Splits `s` on `sep`, trimming each piece; empty pieces are dropped.
 std::vector<std::string> split(std::string_view s, char sep);
 
-/// Splits `s` on runs of ASCII whitespace (spaces, tabs, ...). Leading,
+/// Splits `s` on runs of ASCII whitespace (spaces, tabs, ...) into `out`
+/// (cleared first, so a reader reuses one vector for every line). Leading,
 /// trailing and consecutive whitespace never yield empty tokens, so the
 /// line-oriented readers (.rsn, .spec) see the same token list however
 /// the input was indented. The tokens are views into `s`.
-std::vector<std::string_view> split_ws(std::string_view s);
+void split_ws(std::string_view s, std::vector<std::string_view>& out);
+inline std::vector<std::string_view> split_ws(std::string_view s) {
+  std::vector<std::string_view> out;
+  split_ws(s, out);
+  return out;
+}
+
+/// Reads the line of `text` starting at `pos` into `line` (without its
+/// '\n') and moves `pos` past it; false once `text` is used up. Lines
+/// split as std::getline splits them: a last line without '\n' is a
+/// line, the empty rest after a final '\n' is not.
+inline bool next_line(std::string_view text, std::size_t& pos,
+                      std::string_view& line) {
+  if (pos >= text.size()) return false;
+  std::size_t end = text.find('\n', pos);
+  if (end == std::string_view::npos) end = text.size();
+  line = text.substr(pos, end - pos);
+  pos = end + 1;
+  return true;
+}
+
+/// All remaining bytes of `is`, read in bulk: how every reader's stream
+/// entry point hands its input to the reader's string_view entry point.
+std::string read_all(std::istream& is);
 
 /// True if `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace rsnsec::rsn {
 namespace {
@@ -158,6 +161,79 @@ TEST(RsnIo, RejectsMissingHeader) {
 TEST(RsnIo, RejectsNonConsecutiveModules) {
   std::istringstream is("rsn x\nmodule 1 foo\n");
   EXPECT_THROW(read_rsn(is), std::runtime_error);
+}
+
+// The line walk over the input buffer splits lines as std::getline did.
+std::string rsn_error(std::string_view text) {
+  try {
+    read_rsn(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(RsnIo, CrlfLineEndingsParseLikeLf) {
+  const std::string text =
+      "rsn x\r\n"
+      "register r ffs 2 module -1\r\n"
+      "connect scan_in r 0\r\n"
+      "connect r scan_out 0\r\n";
+  RsnDocument doc = read_rsn(text);
+  ASSERT_EQ(doc.network.registers().size(), 1u);
+  EXPECT_EQ(doc.network.elem(doc.network.registers()[0]).name, "r");
+  EXPECT_EQ(doc.network.num_scan_ffs(), 2u);
+  EXPECT_TRUE(doc.network.validate());
+  EXPECT_EQ(rsn_error("rsn x\r\nfrobnicate y\r\n"),
+            "rsn parse error at line 2: unknown keyword 'frobnicate'");
+}
+
+TEST(RsnIo, LastLineWithoutNewlineIsRead) {
+  RsnDocument doc = read_rsn(
+      "rsn x\nregister r ffs 1 module -1\nconnect scan_in r 0\n"
+      "connect r scan_out 0");
+  EXPECT_TRUE(doc.network.validate());
+  EXPECT_EQ(rsn_error("rsn x\nconnect scan_in nosuch 0"),
+            "rsn parse error at line 2: unknown element 'nosuch'");
+}
+
+TEST(RsnIo, BlankAndCommentLinesCountTowardLineNumbers) {
+  const std::string text =
+      "\n"
+      "# header follows\n"
+      "   \t\n"
+      "rsn x\n"
+      "  # indented comment\n"
+      "\n"
+      "mux m inputs zero\n";
+  EXPECT_EQ(rsn_error(text),
+            "rsn parse error at line 7: invalid mux input count 'zero' "
+            "(expected a non-negative integer)");
+  // Trailing blank lines count too, as the empty-document error shows.
+  EXPECT_EQ(rsn_error("# nothing\n\n\n"),
+            "rsn parse error at line 3: empty document (no rsn header)");
+}
+
+TEST(RsnIo, OverlongStatementKeepsItsExpectedMessage) {
+  std::string line = "register r ffs 1 module 0";
+  for (int i = 0; i < 64; ++i) line += " extra" + std::to_string(i);
+  EXPECT_EQ(rsn_error("rsn x\n# c\n" + line + "\n"),
+            "rsn parse error at line 3: expected: register <name> ffs <n> "
+            "module <index>");
+  EXPECT_EQ(rsn_error("rsn x\nconnect a b 0 1 2 3 4 5 6 7 8 9\n"),
+            "rsn parse error at line 2: expected: connect <from> <to> <port>");
+}
+
+TEST(RsnIo, StreamAndBufferEntryPointsAgree) {
+  RsnDocument doc = make_doc();
+  std::ostringstream os;
+  write_rsn(os, doc.network, doc.module_names);
+  std::istringstream is(os.str());
+  std::ostringstream from_stream, from_buffer;
+  write_rsn(from_stream, read_rsn(is).network, doc.module_names);
+  write_rsn(from_buffer, read_rsn(os.str()).network, doc.module_names);
+  EXPECT_EQ(from_stream.str(), os.str());
+  EXPECT_EQ(from_buffer.str(), os.str());
 }
 
 TEST(RsnIo, SummarizeMentionsCounts) {

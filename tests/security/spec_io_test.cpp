@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace rsnsec::security {
 namespace {
@@ -156,6 +159,55 @@ TEST(SpecIo, ParseErrorsCarryTheFailingLineNumber) {
   } catch (const SpecParseError& e) {
     EXPECT_EQ(e.line(), 4);
   }
+}
+
+// The line walk over the input buffer splits lines as std::getline did.
+std::string spec_error(std::string_view text,
+                       const std::vector<std::string>& names = {}) {
+  try {
+    read_spec(text, names);
+  } catch (const SpecParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SpecIo, CrlfLineEndingsParseLikeLf) {
+  SecuritySpec spec = read_spec(
+      "categories 3\r\nmodule crypto trust 2 accepts 1,2\r\n",
+      {"dma", "crypto"});
+  EXPECT_EQ(spec.num_categories(), 3u);
+  EXPECT_EQ(spec.policy(1).trust, 2);
+  EXPECT_EQ(spec.policy(1).accepted, 0b110u);
+  EXPECT_EQ(spec_error("categories 2\r\nmodule 0 trust 5 accepts 0\r\n"),
+            "spec parse error at line 2: trust category out of range");
+}
+
+TEST(SpecIo, LastLineWithoutNewlineIsRead) {
+  SecuritySpec spec = read_spec("categories 2\nmodule 0 trust 1 accepts 1");
+  EXPECT_EQ(spec.policy(0).accepted, 0b10u);
+  EXPECT_EQ(spec_error("categories 2\nmodule 0 trust 1 accepts 0"),
+            "spec parse error at line 2: module must accept its own trust "
+            "category");
+}
+
+TEST(SpecIo, BlankAndCommentLinesCountTowardLineNumbers) {
+  EXPECT_EQ(spec_error("\n# policy\n \t \ncategories 2\n  # note\n\n"
+                       "module nosuch trust 0 accepts 0\n"),
+            "spec parse error at line 7: unknown module 'nosuch'");
+  // Trailing blank lines count too, as the missing-header error shows.
+  EXPECT_EQ(spec_error("# empty\n\n\n\n"),
+            "spec parse error at line 4: missing 'categories' line");
+}
+
+TEST(SpecIo, OverlongStatementKeepsItsExpectedMessage) {
+  std::string line = "module 0 trust 1 accepts 1";
+  for (int i = 0; i < 64; ++i) line += " extra" + std::to_string(i);
+  EXPECT_EQ(spec_error("categories 2\n\n" + line + "\n"),
+            "spec parse error at line 3: expected: module <name|index> trust "
+            "<cat> accepts <list>");
+  EXPECT_EQ(spec_error("categories 2 3 4 5 6 7 8 9\n"),
+            "spec parse error at line 1: expected: categories <n>");
 }
 
 TEST(SpecIo, ParsedSpecValidates) {

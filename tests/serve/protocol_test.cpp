@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
+#include "support/table1_frame.hpp"
 #include "util/minijson.hpp"
+#include "util/strings.hpp"
 
 namespace rsnsec::serve {
 namespace {
@@ -185,6 +188,30 @@ TEST(ProtocolParse, UnicodeEscapesDecodeToUtf8) {
       "{\"command\": \"ping\", \"tenant\": \"\\u00e9\\u0041\"}");
   ASSERT_TRUE(o.ok());
   EXPECT_EQ(o.request->tenant, "\xc3\xa9" "A");
+}
+
+TEST(ProtocolParse, ServeOpenPayloadsArriveUnchanged) {
+  // The eight designs of the serve_open benchmark workload: each payload
+  // survives json_escape + parse_json, and parse_request hands it over
+  // as sent.
+  const char* const families[] = {"BasicSCB", "Mingle",       "TreeFlat",
+                                  "TreeFlatEx", "q12710",     "TreeBalanced",
+                                  "p22810",   "p93791"};
+  for (std::size_t i = 0; i < std::size(families); ++i) {
+    const Table1Frame f = table1_frame(families[i], i);
+    for (const std::string* payload : {&f.rsn, &f.verilog, &f.spec}) {
+      JsonParseResult r = parse_json("\"" + json_escape(*payload) + "\"");
+      ASSERT_TRUE(r.ok()) << families[i] << ": " << r.error;
+      EXPECT_EQ(r.value->string, *payload) << families[i];
+    }
+    ParseOutcome o = parse_request(f.frame);
+    ASSERT_TRUE(o.ok()) << families[i] << ": " << o.message;
+    EXPECT_EQ(o.request->command, Command::Analyze);
+    EXPECT_EQ(o.request->id, std::to_string(i));
+    EXPECT_EQ(o.request->rsn, f.rsn) << families[i];
+    EXPECT_EQ(o.request->verilog, f.verilog) << families[i];
+    EXPECT_EQ(o.request->spec, f.spec) << families[i];
+  }
 }
 
 TEST(ProtocolReply, OkReplyIsOneValidJsonLine) {

@@ -292,6 +292,37 @@ TEST(AnalysisService, RecordsOnlyIntoTheCallersTraceSession) {
   EXPECT_EQ(analyze_spans, 1u);
 }
 
+// The front end's spans: a warm analyze still parses its three payloads,
+// once each, inside the request's own span.
+TEST(AnalysisService, TracedWarmAnalyzeRecordsEachParseSpanOnce) {
+  Workload w;
+  fs::path dir = test_root();
+  AnalysisService service({.store_dir = (dir / "store").string()});
+  ExecResult cold = service.execute(w.request(Command::Analyze));
+  ASSERT_TRUE(cold.ok()) << cold.message;
+
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  ExecResult warm = service.execute(w.request(Command::Analyze));
+  obs::TraceSession::set_active(nullptr);
+  ASSERT_TRUE(warm.ok()) << warm.message;
+  EXPECT_TRUE(warm.cache_hit);
+
+  std::uint64_t request = 0;
+  for (const obs::SpanEvent& e : session.events())
+    if (e.name == "serve.analyze") request = e.id;
+  ASSERT_NE(request, 0u);
+  for (const char* name : {"parse.rsn", "parse.verilog", "parse.spec"}) {
+    std::size_t count = 0;
+    for (const obs::SpanEvent& e : session.events()) {
+      if (e.name != name) continue;
+      ++count;
+      EXPECT_EQ(e.parent, request) << name;
+    }
+    EXPECT_EQ(count, 1u) << name;
+  }
+}
+
 // Satellite check: SecureFlowTool / DependencyAnalyzer are re-entrant
 // when sharing one service (one pool, one store). Concurrent execute()
 // calls must produce exactly the serial bytes.

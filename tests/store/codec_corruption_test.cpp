@@ -4,7 +4,8 @@
 // single request larger than kAllocMultiple times the blob or text being
 // read. A corrupted count that asks for gigabytes therefore fails here on
 // every host, instead of passing or throwing std::bad_alloc depending on
-// the host's overcommit policy.
+// the host's overcommit policy. The override also counts the bytes
+// requested, so a test can bound what one call allocates in total.
 //
 // Separate binary because the operator new override applies to the whole
 // executable.
@@ -34,6 +35,7 @@
 #include "serve/protocol.hpp"
 #include "store/codec.hpp"
 #include "store/dep_cache.hpp"
+#include "support/table1_frame.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -42,10 +44,13 @@ namespace {
 /// size of the last request refused.
 std::atomic<std::size_t> g_alloc_cap{0};
 std::atomic<std::size_t> g_refused{0};
+/// Bytes requested so far, for the allocation-volume checks.
+std::atomic<std::size_t> g_allocated{0};
 
 }  // namespace
 
 void* operator new(std::size_t n) {
+  g_allocated.fetch_add(n, std::memory_order_relaxed);
   const std::size_t cap = g_alloc_cap.load(std::memory_order_relaxed);
   if (cap != 0 && n > cap) {
     g_refused.store(n, std::memory_order_relaxed);
@@ -450,6 +455,22 @@ TEST(ProtocolFrames, AnalyzeFrameParsesWithinBudget) {
   EXPECT_GT(frame.size(), 1000u);
   EXPECT_LT(frame.size(), 8000u);
   EXPECT_EQ(parse_frame_capped(frame), FrameOutcome::Request);
+}
+
+TEST(ProtocolFrames, TableISizeFrameAllocatesAboutItsOwnSize) {
+  // The q12710 design of the serve_open workload (~170 KB of frame). Each
+  // payload is decoded into one string sized from its raw extent and then
+  // moved into the request, so parsing allocates about the frame once.
+  const std::string frame = table1_frame("q12710", 4).frame;
+  ASSERT_GT(frame.size(), 100000u);
+  const std::size_t before = g_allocated.load(std::memory_order_relaxed);
+  serve::ParseOutcome o = serve::parse_request(frame);
+  const std::size_t allocated =
+      g_allocated.load(std::memory_order_relaxed) - before;
+  ASSERT_TRUE(o.ok()) << o.message;
+  EXPECT_LE(allocated, frame.size() * 3 / 2)
+      << allocated << " bytes allocated for a " << frame.size()
+      << "-byte frame";
 }
 
 TEST(ProtocolFrames, EveryTruncationReturnsAnOutcome) {
