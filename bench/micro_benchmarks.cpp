@@ -14,6 +14,7 @@
 #include "benchgen/families.hpp"
 #include "benchgen/running_example.hpp"
 #include "benchgen/specgen.hpp"
+#include "core/analyze.hpp"
 #include "dep/analyzer.hpp"
 #include "flow/certify.hpp"
 #include "netlist/cone_check.hpp"
@@ -30,7 +31,9 @@
 #include "serve/protocol.hpp"
 #include "store/artifact_store.hpp"
 #include "store/dep_cache.hpp"
+#include "tests/support/table1_frame.hpp"
 #include "util/dep_matrix.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -347,21 +350,7 @@ BENCHMARK(BM_ReadSpec)->ArgName("mbist")->Arg(100);
 // payloads inline), decoded by serve::parse_request as the daemon's
 // reader thread does.
 void BM_ParseRequest(benchmark::State& state) {
-  bench::SweepOptions opt;
-  bench::Instance inst = bench::make_instance("q12710", opt, 0);
-  Rng spec_rng(104729 + 4);  // serve_open's spec stream, design 4
-  security::SecuritySpec spec = benchgen::random_spec(
-      inst.doc.module_names.size(), opt.spec, spec_rng);
-  std::ostringstream rsn_os, v_os, spec_os;
-  rsn::write_rsn(rsn_os, inst.doc.network, inst.doc.module_names,
-                 &inst.circuit);
-  netlist::verilog::write(v_os, inst.circuit, inst.doc.network.name());
-  security::write_spec(spec_os, spec, inst.doc.module_names);
-  const std::string frame =
-      "{\"command\": \"analyze\", \"id\": \"4\", \"tenant\": \"client-0\", "
-      "\"rsn\": \"" + json_escape(rsn_os.str()) + "\", \"verilog\": \"" +
-      json_escape(v_os.str()) + "\", \"spec\": \"" +
-      json_escape(spec_os.str()) + "\"}";
+  const std::string frame = table1_frame("q12710", 4).frame;
   for (auto _ : state) {
     serve::ParseOutcome o = serve::parse_request(frame);
     benchmark::DoNotOptimize(o.request->verilog.size());
@@ -657,6 +646,61 @@ BENCHMARK(BM_DependencyAnalysisStore)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+// SHA-256 of `bytes` random bytes (1 KiB, and the 170,000 bytes of a
+// serve_open request's three texts): the dispatched compression
+// (dispatched:1, the SHA extensions where CPUID reports them; the label
+// says which ran) against the portable one (dispatched:0).
+void BM_StoreSha256(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+  Rng rng(29);
+  for (char& c : data) c = static_cast<char>(rng.below(256));
+  const bool dispatched = state.range(1) != 0;
+  for (auto _ : state) {
+    store::Sha256 h = dispatched ? store::Sha256() : store::Sha256::portable();
+    h.update(data);
+    benchmark::DoNotOptimize(h.digest());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+  state.SetLabel(dispatched && store::Sha256::uses_sha_extensions()
+                     ? "sha-extensions"
+                     : "portable");
+}
+BENCHMARK(BM_StoreSha256)
+    ->ArgNames({"bytes", "dispatched"})
+    ->Args({1024, 1})
+    ->Args({1024, 0})
+    ->Args({170000, 1})
+    ->Args({170000, 0});
+
+// A warm daemon `analyze`: the serve_open q12710 payloads (design 4,
+// seed 1) through the text-level analyze against a store that already
+// holds their report, so each iteration hashes the texts and loads and
+// decodes the report.
+void BM_StoreWarmAnalyze(benchmark::State& state) {
+  const Table1Frame f = table1_frame("q12710", 4);
+  DesignText text;
+  text.network = f.rsn;
+  text.verilog = f.verilog;
+  text.spec = f.spec;
+  std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "rsnsec_bench_store_warm";
+  std::filesystem::remove_all(root);
+  store::ArtifactStore st(root);
+  analyze(text, {}, &st);  // the cold run publishes the report
+  for (auto _ : state) {
+    AnalyzeResult r = analyze(text, {}, &st);
+    benchmark::DoNotOptimize(r.report.violating_registers);
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(f.rsn.size() + f.verilog.size() +
+                                f.spec.size()));
+  state.counters["store_hits"] = static_cast<double>(st.counters().hits);
+  std::filesystem::remove_all(root);
+}
+BENCHMARK(BM_StoreWarmAnalyze)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,9 +33,22 @@ struct Workload {
 /// document's module names. Throws the readers' line-numbered errors.
 Workload attach_design(rsn::RsnDocument doc, std::string_view verilog,
                        std::string_view spec);
-/// The same on whole streams (read once, then parsed as above).
-Workload attach_design(rsn::RsnDocument doc, std::istream& verilog,
-                       std::istream& spec);
+
+/// One design's texts as a front end received them: the scan network
+/// (`.rsn`, or ICL elaborated at `top`), the structural Verilog and the
+/// specification. Views; the caller owns the bytes.
+struct DesignText {
+  std::string_view network;
+  std::string_view verilog;
+  std::string_view spec;
+  bool icl = false;       ///< `network` is ICL, not `.rsn`
+  std::string_view top;   ///< ICL top module ("" = the document's top)
+};
+
+/// Reads the network text: rsn::read_rsn, or ICL parse and elaborate.
+rsn::RsnDocument read_network(const DesignText& text);
+/// read_network, then attach_design.
+Workload load_design(const DesignText& text);
 
 /// Everything one analyze run computes.
 struct AnalyzeResult {
@@ -55,5 +68,32 @@ struct AnalyzeResult {
 /// count (Table I, column 5). The network is not modified.
 AnalyzeResult analyze(const Workload& w, const dep::DepOptions& options,
                       store::ArtifactStore* store = nullptr);
+
+/// Raised by analyze(DesignText) when the design read but its analysis
+/// failed: a fault of the analyzer, not of the texts, whose reader errors
+/// propagate with their own types.
+struct AnalysisError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The analyze entry point of both front ends (`rsnsec analyze`, the
+/// daemon's analyze). With a store, it first loads the report published
+/// under store::analysis_key of the texts: a hit returns it with
+/// cache_hit set, parsing nothing and computing no dependency key. A
+/// miss runs load_design and analyze(Workload) (whose dependency snapshot
+/// is keyed by the parsed design, so an edit that parses the same still
+/// makes no SAT call) and publishes the report; a damaged report is
+/// discarded and recomputed. Without a store nothing is hashed. Each
+/// outcome counts one store hit or miss.
+AnalyzeResult analyze(const DesignText& text, const dep::DepOptions& options,
+                      store::ArtifactStore* store = nullptr);
+
+/// Codec of the report artifact: the AnalyzeResult fields but cache_hit
+/// (timings, which describe the producing run, are not stored), sealed
+/// by a trailing FNV-1a 64 of the bytes before it. The decoder checks the
+/// seal first, so any truncation or byte flip raises store::CodecError,
+/// and bounds every count and length by the payload's size.
+std::string encode_analyze_result(const AnalyzeResult& r);
+AnalyzeResult decode_analyze_result(std::string_view payload);
 
 }  // namespace rsnsec

@@ -297,20 +297,26 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::find_violation(
         for (const RsnEdge& e : rsn_edges) fn(e);
       },
       preds);
-  return trace_violation(preds,
-                         run_worklist(rsn_successors(network), false));
+  TraceScratch scratch;
+  return trace_violation(
+      preds, run_worklist(rsn_successors(network), false), scratch);
 }
 
 std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
-    const Predecessors& preds, const std::vector<TokenSet>& state) const {
+    const Predecessors& preds, const std::vector<TokenSet>& state,
+    TraceScratch& scratch) const {
   const std::size_t nodes = owner_module_.size();
+  if (scratch.seen.size() != nodes) {
+    scratch.parent.assign(nodes, 0);
+    scratch.parent_edge.assign(nodes, nullptr);
+    scratch.seen.assign(nodes, false);
+  }
   // BFS parents (node and crossed chain, nullptr for a fixed edge) of the
-  // nodes in `queue`; `seen` is cleared again after a victim whose token
-  // has no seed, so one allocation serves every victim.
-  std::vector<std::size_t> parent(nodes, 0);
-  std::vector<const RsnEdge*> parent_edge(nodes, nullptr);
-  std::vector<bool> seen(nodes, false);
-  std::vector<std::size_t> queue;
+  // nodes in `queue`, whose `seen` marks are cleared after each victim.
+  std::vector<std::size_t>& parent = scratch.parent;
+  std::vector<const RsnEdge*>& parent_edge = scratch.parent_edge;
+  std::vector<bool>& seen = scratch.seen;
+  std::vector<std::size_t>& queue = scratch.queue;
   for (std::size_t victim = 0; victim < nodes; ++victim) {
     if (owner_module_[victim] < 0) continue;
     TrustCategory t = spec_.policy(owner_module_[victim]).trust;
@@ -343,13 +349,11 @@ std::optional<HybridAnalyzer::Violation> HybridAnalyzer::trace_violation(
            ++i)
         visit(preds.rsn[i].from, cur, preds.rsn[i].edge);
     }
+    for (std::size_t n : queue) seen[n] = false;
     // The token can only have been seeded upstream; if no seed was found
     // the victim itself must carry it (cannot happen after spec
     // validation, but keep the analysis robust).
-    if (seed == nodes) {
-      for (std::size_t n : queue) seen[n] = false;
-      continue;
-    }
+    if (seed == nodes) continue;
 
     Violation v;
     v.token = tok;

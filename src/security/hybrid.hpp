@@ -308,12 +308,23 @@ class HybridAnalyzer {
           static_cast<std::uint32_t>(from), &e};
     });
   }
+  /// trace_violation's BFS buffers, sized to the node count on first use
+  /// and kept by the violation index across its searches. Between
+  /// searches every `seen` entry is false: a search clears the entries it
+  /// set. `parent` and `parent_edge` are read only where the search wrote.
+  struct TraceScratch {
+    std::vector<std::size_t> parent;
+    std::vector<const RsnEdge*> parent_edge;
+    std::vector<bool> seen;
+    std::vector<std::size_t> queue;
+  };
   /// The first violation of the fixpoint `state` with its witnessing
   /// path: a backward BFS from the victim over `preds` that carry the
   /// token, to a seed of it. Shared by find_violation and the violation
   /// index, so both return the same Violation for the same state.
-  std::optional<Violation> trace_violation(
-      const Predecessors& preds, const std::vector<TokenSet>& state) const;
+  std::optional<Violation> trace_violation(const Predecessors& preds,
+                                           const std::vector<TokenSet>& state,
+                                           TraceScratch& scratch) const;
 
   void build_nodes(const rsn::Rsn& layout);
   /// Calls on_static(from, to) for every static edge, then

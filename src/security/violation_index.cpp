@@ -636,7 +636,7 @@ std::optional<HybridAnalyzer::Violation> HybridViolationIndex::find_violation()
   // HybridAnalyzer::find_violation, answered from the committed fixpoint
   // over the committed predecessors, which list the in-edges in
   // build_rsn_edges' emission order: the same Violation.
-  return a_.trace_violation(preds_, state_);
+  return a_.trace_violation(preds_, state_, trace_scratch_);
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ class HybridViolationIndex {
   /// from the committed fixpoint instead of a fresh propagation. The
   /// witnessing path and cut candidates are bit-identical to the from-
   /// scratch result (same tracing code, same edge order, same state).
+  /// Reuses the index's search buffers, so not thread-safe (like commit).
   std::optional<HybridAnalyzer::Violation> find_violation() const;
 
  private:
@@ -197,6 +198,8 @@ class HybridViolationIndex {
   std::vector<std::uint32_t> sup_end_;
   std::vector<std::uint32_t> sup_order_;
   Scratch commit_scratch_;
+  /// find_violation's BFS buffers, kept across searches.
+  mutable HybridAnalyzer::TraceScratch trace_scratch_;
 
   std::size_t node_pair_count(std::size_t node, const TokenSet& st) const;
   std::size_t from_node(rsn::ElemId reg) const;

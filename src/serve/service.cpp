@@ -46,11 +46,13 @@ struct TenantStats {
   obs::Histogram queue_wait_us{"queue_wait_us"};
 };
 
-/// Parses the inline payloads where they lie. Throws std::runtime_error
-/// with the parser's line-numbered message (surfaced to the client as
-/// SRV004).
-Workload parse_workload(const Request& req) {
-  return attach_design(rsn::read_rsn(req.rsn), req.verilog, req.spec);
+/// The inline payloads as one design's texts; a request carries `.rsn`.
+DesignText design_text(const Request& req) {
+  DesignText text;
+  text.network = req.rsn;
+  text.verilog = req.verilog;
+  text.spec = req.spec;
+  return text;
 }
 
 std::uint64_t to_us(double seconds) {
@@ -58,17 +60,26 @@ std::uint64_t to_us(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e6);
 }
 
-ExecResult run_analyze(const Request& req, const Workload& w,
-                       store::ArtifactStore* store) {
+/// A payload that does not read is the client's mistake (SRV004); an
+/// analysis that fails on one that does is ours (SRV007).
+ExecResult run_analyze(const Request& req, store::ArtifactStore* store) {
   dep::DepOptions dopt;
   if (req.structural) dopt.mode = dep::DepMode::StructuralOnly;
   dopt.ternary_prefilter = !req.no_ternary;
-  AnalyzeResult analysis = analyze(w, dopt, store);
-  std::ostringstream os;
-  write_analyze_json(os, analysis.report);
   ExecResult r;
-  r.cache_hit = analysis.cache_hit;
-  r.result_json = os.str();
+  try {
+    AnalyzeResult analysis = analyze(design_text(req), dopt, store);
+    std::ostringstream os;
+    write_analyze_json(os, analysis.report);
+    r.cache_hit = analysis.cache_hit;
+    r.result_json = os.str();
+  } catch (const AnalysisError& e) {
+    r.code = ServeCode::Internal;
+    r.message = e.what();
+  } catch (const std::exception& e) {
+    r.code = ServeCode::BadField;
+    r.message = std::string("payload: ") + e.what();
+  }
   return r;
 }
 
@@ -211,13 +222,12 @@ ExecResult AnalysisService::execute(const Request& req) {
   obs::TraceSession* trace = obs::TraceSession::active();
   obs::Span span(trace,
                  std::string("serve.") + command_name(req.command));
+  if (req.command == Command::Analyze) return run_analyze(req, store_.get());
   Workload w;
-  bool needs_workload = req.command == Command::Analyze ||
-                        req.command == Command::Secure ||
-                        req.command == Command::Certify;
-  if (needs_workload) {
+  if (req.command == Command::Secure || req.command == Command::Certify) {
     try {
-      w = parse_workload(req);
+      // The readers' line-numbered messages reach the client as SRV004.
+      w = load_design(design_text(req));
     } catch (const std::exception& e) {
       ExecResult r;
       r.code = ServeCode::BadField;
@@ -227,8 +237,6 @@ ExecResult AnalysisService::execute(const Request& req) {
   }
   try {
     switch (req.command) {
-      case Command::Analyze:
-        return run_analyze(req, w, store_.get());
       case Command::Secure:
         return run_secure(req, w, pool_, store_.get());
       case Command::Certify:

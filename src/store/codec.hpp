@@ -37,6 +37,7 @@ class ByteWriter {
   void fixed64(std::uint64_t v);
   void str(std::string_view s);
   void raw(const void* data, std::size_t n);
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   /// Length-prefixed section framing: a reader can skip or bound a
   /// section without understanding its contents.
@@ -94,23 +95,42 @@ std::uint64_t fnv1a64(std::string_view bytes);
 /// mapping to one key would silently serve the wrong analysis — so a
 /// cryptographic hash is used even though blobs only carry the cheap
 /// FNV checksum against accidental corruption.
+///
+/// update() compresses whole 64-byte blocks straight from the caller's
+/// buffer; only a partial block is copied. Where CPUID reports the SHA
+/// extensions together with SSSE3 and SSE4.1, the compression runs on
+/// sha256rnds2/sha256msg1/sha256msg2; on every other CPU, and on non-x86
+/// builds, the portable compression runs. Both give the same digest.
 class Sha256 {
  public:
   Sha256();
+  /// A hasher that always runs the portable compression: the reference
+  /// the dispatched one is tested against.
+  static Sha256 portable();
+  /// True iff default-constructed hashers use the SHA extensions.
+  static bool uses_sha_extensions();
+
   void update(const void* data, std::size_t n);
   void update(std::string_view s) { update(s.data(), s.size()); }
   std::array<std::uint8_t, 32> digest();
+  /// digest() as 64 lowercase hex characters.
+  std::string hex_digest();
 
   /// Hex digest of `bytes` (64 lowercase hex characters).
   static std::string hex(std::string_view bytes);
 
  private:
+  /// Compresses `blocks` consecutive 64-byte blocks into `state`.
+  using Compress = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks);
+
+  explicit Sha256(Compress compress);
+
+  Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> block_;
   std::uint64_t total_ = 0;
   std::size_t fill_ = 0;
-
-  void compress(const std::uint8_t* block);
 };
 
 // ------------------------------------------------- model object codecs

@@ -10,6 +10,9 @@ namespace {
 /// payload format must bump this, so old blobs become unreachable rather
 /// than mis-decoded.
 constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v6";
+/// The same rule for analyze reports (analysis_key and the report codec
+/// in core/analyze).
+constexpr std::string_view kAnalysisKeyLabel = "rsnsec-analyze-v1";
 
 void encode_options_fingerprint(ByteWriter& w,
                                 const dep::DepOptions& options) {
@@ -60,7 +63,63 @@ std::vector<bool> decode_bits(ByteReader& r) {
   return bits;
 }
 
-void encode_stats(ByteWriter& w, const dep::DepStats& s) {
+/// Feeds `body` to `h` the way ByteWriter::str and ::section frame a
+/// field: its varint length, then its bytes. A key hashed this way equals
+/// the SHA-256 of the same fields written into one ByteWriter, without
+/// copying them there.
+void hash_framed(Sha256& h, std::string_view body) {
+  ByteWriter length;
+  length.varint(body.size());
+  h.update(length.bytes());
+  h.update(body);
+}
+
+}  // namespace
+
+std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
+                          const dep::DepOptions& options) {
+  Sha256 h;
+  hash_framed(h, kDepKeyLabel);
+  {
+    // The generated designs encode to 14-19 bytes a node, and 24 an
+    // element plus up to 10 a scan FF: reserving that much saves the
+    // buffer's regrowth copies.
+    ByteWriter nl_bytes;
+    nl_bytes.reserve(20 * nl.num_nodes() + 16 * nl.num_modules() + 16);
+    encode_netlist(nl_bytes, nl);
+    hash_framed(h, nl_bytes.bytes());
+  }
+  {
+    ByteWriter rsn_bytes;
+    rsn_bytes.reserve(24 * network.num_elements() +
+                      8 * network.num_scan_ffs() + 16);
+    encode_rsn(rsn_bytes, network);
+    hash_framed(h, rsn_bytes.bytes());
+  }
+  ByteWriter opt_bytes;
+  encode_options_fingerprint(opt_bytes, options);
+  hash_framed(h, opt_bytes.bytes());
+  return h.hex_digest();
+}
+
+std::string analysis_key(const dep::DepOptions& options,
+                         std::string_view format, std::string_view top,
+                         std::initializer_list<std::string_view> texts) {
+  ByteWriter head;
+  head.str(kAnalysisKeyLabel);
+  encode_options_fingerprint(head, options);
+  // The report carries dep_matrix_bytes and dep_tiles_spilled, which the
+  // budget moves.
+  head.varint(options.tile_spill_budget);
+  head.str(format);
+  head.str(top);
+  Sha256 h;
+  h.update(head.bytes());
+  for (std::string_view text : texts) hash_framed(h, text);
+  return h.hex_digest();
+}
+
+void encode_dep_stats(ByteWriter& w, const dep::DepStats& s) {
   // Logical result fields only: the wall-clock fields describe the run
   // that produced the snapshot, not the result, and restore() zeroes
   // them regardless.
@@ -96,7 +155,7 @@ void encode_stats(ByteWriter& w, const dep::DepStats& s) {
   w.varint(s.regions);
 }
 
-dep::DepStats decode_stats(ByteReader& r) {
+dep::DepStats decode_dep_stats(ByteReader& r) {
   dep::DepStats s;
   s.circuit_ffs = static_cast<std::size_t>(r.varint());
   s.internal_ffs = static_cast<std::size_t>(r.varint());
@@ -124,24 +183,6 @@ dep::DepStats decode_stats(ByteReader& r) {
   s.rotation_witnesses = r.varint();
   s.regions = static_cast<std::size_t>(r.varint());
   return s;
-}
-
-}  // namespace
-
-std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
-                          const dep::DepOptions& options) {
-  ByteWriter w;
-  w.str(kDepKeyLabel);
-  ByteWriter nl_bytes;
-  encode_netlist(nl_bytes, nl);
-  w.section(nl_bytes);
-  ByteWriter rsn_bytes;
-  encode_rsn(rsn_bytes, network);
-  w.section(rsn_bytes);
-  ByteWriter opt_bytes;
-  encode_options_fingerprint(opt_bytes, options);
-  w.section(opt_bytes);
-  return Sha256::hex(w.bytes());
 }
 
 void encode_dep_snapshot(ByteWriter& w,
@@ -177,7 +218,7 @@ void encode_dep_snapshot(ByteWriter& w,
       }
     }
   }
-  encode_stats(w, s.stats);
+  encode_dep_stats(w, s.stats);
 }
 
 dep::DependencyAnalyzer::AnalysisSnapshot decode_dep_snapshot(ByteReader& r) {
@@ -226,7 +267,7 @@ dep::DependencyAnalyzer::AnalysisSnapshot decode_dep_snapshot(ByteReader& r) {
       }
     }
   }
-  s.stats = decode_stats(r);
+  s.stats = decode_dep_stats(r);
   return s;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "dep/analyzer.hpp"
 #include "store/artifact_store.hpp"
@@ -16,6 +18,22 @@ namespace rsnsec::store {
 /// excluded, so every value shares one cache entry.
 std::string dep_cache_key(const netlist::Netlist& nl, const rsn::Rsn& network,
                           const dep::DepOptions& options);
+
+/// Content-addressed key of an analyze report (core::analyze on texts):
+/// SHA-256 over a versioned label, dep_cache_key's option fingerprint
+/// plus tile_spill_budget (it moves the report's footprint figures), the
+/// network's format ("rsn" or "icl") and top module, and every byte of
+/// `texts` (network, Verilog, spec), each length-prefixed. It hashes the
+/// request as sent, so a hit needs no reader; any edit, even a comment,
+/// is another key. num_threads and spill_backend stay out, as above.
+std::string analysis_key(const dep::DepOptions& options,
+                         std::string_view format, std::string_view top,
+                         std::initializer_list<std::string_view> texts);
+
+/// The logical DepStats fields (counters and the region count; no
+/// timings, no footprint), shared by the snapshot and the analyze report.
+void encode_dep_stats(ByteWriter& w, const dep::DepStats& s);
+dep::DepStats decode_dep_stats(ByteReader& r);
 
 /// Codec for the analysis result payload stored under the key. Decode
 /// throws CodecError on any malformed input; shape validation against the

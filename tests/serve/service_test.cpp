@@ -13,15 +13,19 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "benchgen/families.hpp"
 #include "obs/trace.hpp"
 #include "rsn/io.hpp"
+#include "store/artifact_store.hpp"
 #include "store/codec.hpp"
+#include "store/dep_cache.hpp"
 #include "tests/serve/test_workload.hpp"
 #include "tools/cli.hpp"
 #include "util/minijson.hpp"
@@ -47,21 +51,57 @@ JsonParseResult parse_result(const ExecResult& result) {
   return parse_json(result.result_json);
 }
 
-/// `rsnsec analyze --json` on the files of `w`, with `extra` flags.
-std::string cli_analyze_json(const Workload& w, const fs::path& dir,
-                             const std::vector<std::string>& extra) {
+struct CliRun {
+  int rc = 0;
+  std::string out;
+};
+
+/// `rsnsec analyze` on the files of `w`, its spec replaced by `spec` when
+/// given, with `extra` flags.
+CliRun cli_analyze(const Workload& w, const fs::path& dir,
+                   const std::vector<std::string>& extra,
+                   const std::string* spec = nullptr) {
   std::ofstream(dir / "net.rsn") << w.rsn_text;
   std::ofstream(dir / "ckt.v") << w.verilog_text;
-  std::ofstream(dir / "policy.spec") << w.spec_text;
+  std::ofstream(dir / "policy.spec") << (spec ? *spec : w.spec_text);
   std::vector<std::string> args = {
       "analyze", "--rsn", (dir / "net.rsn").string(), "--verilog",
-      (dir / "ckt.v").string(), "--spec", (dir / "policy.spec").string(),
-      "--json"};
+      (dir / "ckt.v").string(), "--spec", (dir / "policy.spec").string()};
   args.insert(args.end(), extra.begin(), extra.end());
   std::ostringstream out, err;
-  cli::run(args, out, err);
-  EXPECT_FALSE(out.str().empty()) << err.str();
-  return out.str();
+  CliRun run;
+  run.rc = cli::run(args, out, err);
+  run.out = out.str();
+  EXPECT_FALSE(run.out.empty()) << err.str();
+  return run;
+}
+
+/// `rsnsec analyze --json` on the files of `w`, with `extra` flags.
+std::string cli_analyze_json(const Workload& w, const fs::path& dir,
+                             std::vector<std::string> extra) {
+  extra.push_back("--json");
+  return cli_analyze(w, dir, extra).out;
+}
+
+/// The spans named `name` in `session`, each checked to sit directly
+/// under the span `parent`.
+std::size_t count_spans(const obs::TraceSession& session,
+                        std::string_view name, std::uint64_t parent) {
+  std::size_t count = 0;
+  for (const obs::SpanEvent& e : session.events()) {
+    if (e.name != name) continue;
+    ++count;
+    EXPECT_EQ(e.parent, parent) << name;
+  }
+  return count;
+}
+
+/// Id of the (last) span named `name`, 0 if there is none.
+std::uint64_t span_id(const obs::TraceSession& session, std::string_view name) {
+  std::uint64_t id = 0;
+  for (const obs::SpanEvent& e : session.events())
+    if (e.name == name) id = e.id;
+  return id;
 }
 
 TEST(AnalysisService, AnalyzeMatchesCliJsonByteForByte) {
@@ -92,42 +132,43 @@ TEST(AnalysisService, AnalyzeMatchesCliJsonByteForByte) {
 
 // `analyze --json` of one small design per generator family, in exact and
 // structural mode, pinned by FNV-1a digest. Seeds and sizes pick a design
-// with violations where the family yields one at this size. Both front
-// ends must produce the pinned bytes, and each analyze runs the hybrid
-// fixpoint three times: twice in the static check, once for both
+// with violations where the family yields one at this size.
+struct Pinned {
+  const char* family;
+  std::uint64_t seed;
+  double target_ffs;
+  std::uint64_t exact;
+  std::uint64_t structural;
+};
+constexpr Pinned kPinned[] = {
+    {"BasicSCB", 2, 300, 0x893461c05ae11380ull, 0xa266ce7e1c598c4bull},
+    {"Mingle", 8, 300, 0x4c44800821015471ull, 0x4973f3a9c0531be3ull},
+    {"TreeFlat", 3, 300, 0x703864abcfe0e869ull, 0x16973cb344b50b9full},
+    {"TreeFlatEx", 6, 300, 0x407a768ab0056f8eull, 0x133a43fdc7acb323ull},
+    {"TreeBalanced", 12, 300, 0x7045b4bca239b13bull, 0x74f0c5bf6316d1fdull},
+    {"TreeUnbalanced", 12, 300, 0x552f3e040727e7fbull, 0x931f3afb17a0009aull},
+    {"q12710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
+    {"t512505", 5, 1200, 0xec16d5a2864481afull, 0x9c201547332d6b07ull},
+    {"p22810", 2, 600, 0xd7b830a9d439cc08ull, 0xbf29873223d0c039ull},
+    {"a586710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
+    {"p34392", 7, 1200, 0xd5c4e15a51a59effull, 0xd4b41df84ea04b2dull},
+    {"p93791", 5, 600, 0x4b73b871c1395aa3ull, 0xd4085ad9ca876626ull},
+    {"FlexScan", 3, 300, 0x31435779c0cd1478ull, 0xcc81ef1e54c17470ull},
+    {"MBIST_2_4_4", 5, 0, 0x1bce45ca5dd776abull, 0x13c5b50d225cfe3aull},
+};
+
+// Both front ends must produce the pinned bytes, and each analyze runs the
+// hybrid fixpoint three times: twice in the static check, once for both
 // violation counts.
 TEST(AnalysisService, AnalyzeJsonPinnedOnEveryFamily) {
-  struct Pinned {
-    const char* family;
-    std::uint64_t seed;
-    double target_ffs;
-    std::uint64_t exact;
-    std::uint64_t structural;
-  };
-  const Pinned pinned[] = {
-      {"BasicSCB", 2, 300, 0x893461c05ae11380ull, 0xa266ce7e1c598c4bull},
-      {"Mingle", 8, 300, 0x4c44800821015471ull, 0x4973f3a9c0531be3ull},
-      {"TreeFlat", 3, 300, 0x703864abcfe0e869ull, 0x16973cb344b50b9full},
-      {"TreeFlatEx", 6, 300, 0x407a768ab0056f8eull, 0x133a43fdc7acb323ull},
-      {"TreeBalanced", 12, 300, 0x7045b4bca239b13bull, 0x74f0c5bf6316d1fdull},
-      {"TreeUnbalanced", 12, 300, 0x552f3e040727e7fbull, 0x931f3afb17a0009aull},
-      {"q12710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
-      {"t512505", 5, 1200, 0xec16d5a2864481afull, 0x9c201547332d6b07ull},
-      {"p22810", 2, 600, 0xd7b830a9d439cc08ull, 0xbf29873223d0c039ull},
-      {"a586710", 11, 300, 0x1b384ae8f774e38aull, 0x26cce44bd697fca1ull},
-      {"p34392", 7, 1200, 0xd5c4e15a51a59effull, 0xd4b41df84ea04b2dull},
-      {"p93791", 5, 600, 0x4b73b871c1395aa3ull, 0xd4085ad9ca876626ull},
-      {"FlexScan", 3, 300, 0x31435779c0cd1478ull, 0xcc81ef1e54c17470ull},
-      {"MBIST_2_4_4", 5, 0, 0x1bce45ca5dd776abull, 0x13c5b50d225cfe3aull},
-  };
-  ASSERT_EQ(std::size(pinned), benchgen::bastion_profiles().size() + 1);
+  ASSERT_EQ(std::size(kPinned), benchgen::bastion_profiles().size() + 1);
   obs::TraceSession session;
   obs::TraceSession::set_active(&session);
   obs::Counter& propagations = session.counter("hybrid.propagations");
   fs::path dir = test_root();
   {
     AnalysisService service({});
-    for (const Pinned& p : pinned) {
+    for (const Pinned& p : kPinned) {
       const Workload w(p.family, p.seed, p.target_ffs);
       for (bool structural : {false, true}) {
         const std::string what =
@@ -155,6 +196,68 @@ TEST(AnalysisService, AnalyzeJsonPinnedOnEveryFamily) {
     }
   }
   obs::TraceSession::set_active(nullptr);
+  fs::remove_all(dir);
+}
+
+// The three ways a store answers analyze give the same bytes as a cold
+// run, on every pinned design in both modes: a report hit (an exact
+// repeat), and a snapshot hit (a `#` line appended to the spec, which
+// misses the report but parses to the same design). The CLI's JSON and
+// text output and its exit code, and the daemon's reply, all agree.
+TEST(AnalysisService, ReportAndSnapshotHitsMatchColdOnEveryFamily) {
+  fs::path dir = test_root();
+  for (const Pinned& p : kPinned) {
+    const Workload w(p.family, p.seed, p.target_ffs);
+    const std::string edited = w.spec_text + "# reviewed\n";
+    for (bool structural : {false, true}) {
+      const std::string what =
+          std::string(p.family) + (structural ? " structural" : " exact");
+      const std::string tag =
+          std::string(p.family) + (structural ? "-s" : "-e");
+      for (bool json : {true, false}) {
+        // A fresh store per output form: the report key does not depend
+        // on it, so each form gets its own cold run.
+        const char* form = json ? "json" : "text";
+        std::vector<std::string> flags = {
+            "--store", (dir / (tag + "-" + form)).string()};
+        if (structural) flags.push_back("--structural");
+        if (json) flags.push_back("--json");
+        const CliRun cold = cli_analyze(w, dir, flags);
+        const CliRun repeat = cli_analyze(w, dir, flags);
+        const CliRun snapshot = cli_analyze(w, dir, flags, &edited);
+        EXPECT_EQ(repeat.out, cold.out) << what << " " << form;
+        EXPECT_EQ(snapshot.out, cold.out) << what << " " << form;
+        EXPECT_EQ(repeat.rc, cold.rc) << what << " " << form;
+        EXPECT_EQ(snapshot.rc, cold.rc) << what << " " << form;
+        if (json)
+          EXPECT_EQ(store::fnv1a64(cold.out),
+                    structural ? p.structural : p.exact)
+              << what;
+      }
+
+      AnalysisService service(
+          {.store_dir = (dir / (tag + "-daemon")).string()});
+      Request req = w.request(Command::Analyze);
+      req.structural = structural;
+      const ExecResult cold = service.execute(req);
+      const ExecResult repeat = service.execute(req);
+      req.spec = edited;
+      const ExecResult snapshot = service.execute(req);
+      ASSERT_TRUE(cold.ok() && repeat.ok() && snapshot.ok()) << what;
+      EXPECT_FALSE(cold.cache_hit) << what;
+      EXPECT_TRUE(repeat.cache_hit) << what;
+      EXPECT_TRUE(snapshot.cache_hit) << what;
+      EXPECT_EQ(repeat.result_json, cold.result_json) << what;
+      EXPECT_EQ(snapshot.result_json, cold.result_json) << what;
+      EXPECT_EQ(store::fnv1a64(cold.result_json + "\n"),
+                structural ? p.structural : p.exact)
+          << what;
+      // Cold: one miss; repeat: the report; edit: the snapshot.
+      const store::StoreCounters c = service.store()->counters();
+      EXPECT_EQ(c.misses, 1u) << what;
+      EXPECT_EQ(c.hits, 2u) << what;
+    }
+  }
   fs::remove_all(dir);
 }
 
@@ -292,9 +395,45 @@ TEST(AnalysisService, RecordsOnlyIntoTheCallersTraceSession) {
   EXPECT_EQ(analyze_spans, 1u);
 }
 
-// The front end's spans: a warm analyze still parses its three payloads,
-// once each, inside the request's own span.
+// A spec edit that parses to the same design (a `#` line appended) is
+// another request: it misses the report, so the front end parses its
+// three payloads, once each inside the request's span, and the
+// dependency snapshot the parse keys answers it: the cold run's bytes,
+// cache_hit set, no SAT call.
 TEST(AnalysisService, TracedWarmAnalyzeRecordsEachParseSpanOnce) {
+  Workload w;
+  fs::path dir = test_root();
+  AnalysisService service({.store_dir = (dir / "store").string()});
+  Request req = w.request(Command::Analyze);
+  req.no_ternary = true;  // the cold run reaches SAT, so zero means something
+  obs::TraceSession cold_session;
+  obs::TraceSession::set_active(&cold_session);
+  ExecResult cold = service.execute(req);
+  obs::TraceSession::set_active(nullptr);
+  ASSERT_TRUE(cold.ok()) << cold.message;
+  ASSERT_GT(cold_session.counter("dep.sat_calls").value(), 0u);
+
+  req.spec += "# reviewed\n";
+  obs::TraceSession session;
+  obs::TraceSession::set_active(&session);
+  ExecResult warm = service.execute(req);
+  obs::TraceSession::set_active(nullptr);
+  ASSERT_TRUE(warm.ok()) << warm.message;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.result_json, cold.result_json);
+  EXPECT_EQ(session.counter("dep.sat_calls").value(), 0u);
+
+  const std::uint64_t request = span_id(session, "serve.analyze");
+  ASSERT_NE(request, 0u);
+  for (const char* name : {"parse.rsn", "parse.verilog", "parse.spec"})
+    EXPECT_EQ(count_spans(session, name, request), 1u) << name;
+  EXPECT_EQ(count_spans(session, "analyze.lookup", request), 1u);
+  fs::remove_all(dir);
+}
+
+// An exact repeat is answered from the report: one lookup span inside
+// the request's span, and no reader runs.
+TEST(AnalysisService, TracedRepeatAnalyzeParsesNothing) {
   Workload w;
   fs::path dir = test_root();
   AnalysisService service({.store_dir = (dir / "store").string()});
@@ -307,49 +446,95 @@ TEST(AnalysisService, TracedWarmAnalyzeRecordsEachParseSpanOnce) {
   obs::TraceSession::set_active(nullptr);
   ASSERT_TRUE(warm.ok()) << warm.message;
   EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.result_json, cold.result_json);
 
-  std::uint64_t request = 0;
-  for (const obs::SpanEvent& e : session.events())
-    if (e.name == "serve.analyze") request = e.id;
+  const std::uint64_t request = span_id(session, "serve.analyze");
   ASSERT_NE(request, 0u);
-  for (const char* name : {"parse.rsn", "parse.verilog", "parse.spec"}) {
-    std::size_t count = 0;
-    for (const obs::SpanEvent& e : session.events()) {
-      if (e.name != name) continue;
-      ++count;
-      EXPECT_EQ(e.parent, request) << name;
-    }
-    EXPECT_EQ(count, 1u) << name;
+  EXPECT_EQ(count_spans(session, "analyze.lookup", request), 1u);
+  for (const obs::SpanEvent& e : session.events()) {
+    EXPECT_NE(e.name.rfind("parse.", 0), 0u) << e.name;
+    EXPECT_NE(e.name, "store.key");
   }
+  fs::remove_all(dir);
+}
+
+// A report the store returns but that does not decode is never served:
+// it is discarded (counted corrupt), the request is answered from the
+// dependency snapshot with the cold bytes, and the report is published
+// again for the next repeat.
+TEST(AnalysisService, DamagedReportIsDiscardedAndRecomputed) {
+  Workload w;
+  fs::path dir = test_root();
+  const std::string store_dir = (dir / "store").string();
+  const Request req = w.request(Command::Analyze);
+  const std::string key = store::analysis_key(
+      {}, "rsn", "", {req.rsn, req.verilog, req.spec});
+  std::string cold_json;
+  {
+    AnalysisService cold_service({.store_dir = store_dir});
+    const ExecResult cold = cold_service.execute(req);
+    ASSERT_TRUE(cold.ok()) << cold.message;
+    cold_json = cold.result_json;
+  }
+  {
+    // Another process rewrites the report with one byte flipped, inside
+    // a valid envelope.
+    store::ArtifactStore other(store_dir);
+    std::optional<std::string> report = other.load(key);
+    ASSERT_TRUE(report.has_value()) << "no report published";
+    (*report)[report->size() / 2] ^= 0x01;
+    other.put(key, *report);
+  }
+  AnalysisService service({.store_dir = store_dir});
+  const ExecResult again = service.execute(req);
+  ASSERT_TRUE(again.ok()) << again.message;
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.result_json, cold_json);
+  EXPECT_EQ(service.store()->counters().corrupt, 1u);
+  const ExecResult repeat = service.execute(req);
+  EXPECT_EQ(repeat.result_json, cold_json);
+  EXPECT_EQ(service.store()->counters().corrupt, 1u);
+  EXPECT_EQ(service.store()->counters().hits, 2u);
+  fs::remove_all(dir);
 }
 
 // Satellite check: SecureFlowTool / DependencyAnalyzer are re-entrant
 // when sharing one service (one pool, one store). Concurrent execute()
-// calls must produce exactly the serial bytes.
+// calls must produce exactly the serial bytes, without a store and with
+// an empty one, whose report and snapshot the first requests race to
+// miss and publish.
 TEST(AnalysisService, ConcurrentExecuteIsBitIdenticalToSerial) {
   Workload w;
-  AnalysisService service({.store_dir = "", .analysis_threads = 2});
-  ExecResult ref_analyze = service.execute(w.request(Command::Analyze));
-  ExecResult ref_secure = service.execute(w.request(Command::Secure));
+  AnalysisService reference({.store_dir = "", .analysis_threads = 2});
+  ExecResult ref_analyze = reference.execute(w.request(Command::Analyze));
+  ExecResult ref_secure = reference.execute(w.request(Command::Secure));
   ASSERT_TRUE(ref_analyze.ok()) << ref_analyze.message;
   ASSERT_TRUE(ref_secure.ok()) << ref_secure.message;
 
-  constexpr int kThreads = 4;
-  std::vector<std::string> analyze_out(kThreads), secure_out(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      analyze_out[t] =
-          service.execute(w.request(Command::Analyze)).result_json;
-      secure_out[t] =
-          service.execute(w.request(Command::Secure)).result_json;
-    });
+  fs::path dir = test_root();
+  for (const std::string& store_dir :
+       {std::string(), (dir / "store").string()}) {
+    AnalysisService service({.store_dir = store_dir, .analysis_threads = 2});
+    constexpr int kThreads = 4;
+    std::vector<std::string> analyze_out(kThreads), secure_out(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        analyze_out[t] =
+            service.execute(w.request(Command::Analyze)).result_json;
+        secure_out[t] =
+            service.execute(w.request(Command::Secure)).result_json;
+      });
+    }
+    for (auto& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(analyze_out[t], ref_analyze.result_json)
+          << "thread " << t << ", store '" << store_dir << "'";
+      EXPECT_EQ(secure_out[t], ref_secure.result_json)
+          << "thread " << t << ", store '" << store_dir << "'";
+    }
   }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(analyze_out[t], ref_analyze.result_json) << "thread " << t;
-    EXPECT_EQ(secure_out[t], ref_secure.result_json) << "thread " << t;
-  }
+  fs::remove_all(dir);
 }
 
 TEST(AnalysisService, GarbagePayloadIsBadFieldNotCrash) {
@@ -363,6 +548,45 @@ TEST(AnalysisService, GarbagePayloadIsBadFieldNotCrash) {
   EXPECT_EQ(result.code, ServeCode::BadField);
   EXPECT_NE(result.message.find("payload"), std::string::npos)
       << result.message;
+}
+
+// A design that reads but that the analysis cannot take is the daemon's
+// failure, not the client's: 300 modules with distinct accepted sets
+// exceed the 256 sensitivity tokens. With a store or without, the reply
+// is SRV007 with the analysis's message, and nothing is stored as a
+// report for the next request to serve.
+TEST(AnalysisService, AnalysisFailureIsInternalNotBadField) {
+  Request req;
+  req.command = Command::Analyze;
+  req.rsn = "rsn wide\n";
+  req.spec = "categories 16\n";
+  for (int m = 0; m < 300; ++m) {
+    const std::string i = std::to_string(m);
+    req.rsn += "module " + i + " m" + i + "\n";
+    req.rsn += "register r" + i + " ffs 1 module " + i + "\n";
+    // Accepted set: its own category 0, plus categories 1-15 by the bits
+    // of m + 1: distinct per module, never all 16.
+    std::string accepts = "0";
+    for (int c = 1; c < 16; ++c)
+      if (((m + 1) >> (c - 1)) & 1) accepts += "," + std::to_string(c);
+    req.spec += "module m" + i + " trust 0 accepts " + accepts + "\n";
+  }
+  req.rsn += "connect scan_in r0 0\n";
+  for (int m = 1; m < 300; ++m)
+    req.rsn += "connect r" + std::to_string(m - 1) + " r" +
+               std::to_string(m) + " 0\n";
+  req.rsn += "connect r299 scan_out 0\n";
+  req.verilog = "module wide(input a);\nendmodule\n";
+  fs::path dir = test_root();
+  for (const std::string& store_dir : {std::string(), (dir / "st").string()}) {
+    AnalysisService service({.store_dir = store_dir});
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const ExecResult result = service.execute(req);
+      EXPECT_EQ(result.code, ServeCode::Internal) << result.message;
+      EXPECT_EQ(result.message, "too many distinct sensitivity classes");
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(AnalysisService, SecureReturnsParseableSecuredNetwork) {

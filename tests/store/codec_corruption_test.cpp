@@ -27,6 +27,7 @@
 #include "benchgen/circuit.hpp"
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
+#include "core/analyze.hpp"
 #include "dep/analyzer.hpp"
 #include "netlist/verilog.hpp"
 #include "rsn/icl.hpp"
@@ -196,6 +197,72 @@ TEST(DepSnapshotCodec, EveryTruncationThrowsCodecError) {
                    decode_snapshot_only);
   sweep_truncation(snapshot_blob(dep::PartitionMode::Tiled),
                    decode_snapshot_only);
+}
+
+/// The report artifact of an analyze of a small generated design, with
+/// two static-detail lines added so the sweeps reach the string list.
+std::string report_blob() {
+  Rng rng(3);
+  rsn::RsnDocument doc = benchgen::generate_bastion(
+      benchgen::bastion_profile("Mingle"), 0.02, rng);
+  netlist::Netlist circuit = benchgen::attach_random_circuit(doc, {}, rng);
+  security::SecuritySpec spec =
+      benchgen::random_spec(doc.module_names.size(), {}, rng);
+  AnalyzeResult r = analyze(Workload{doc, circuit, spec}, {});
+  r.static_details.push_back("insecure logic: m1 -> m0 through g17");
+  r.static_details.push_back("intra-segment flow in r3");
+  return encode_analyze_result(r);
+}
+
+/// decode_analyze_result takes the whole payload; read it out of `r`.
+void decode_report_only(ByteReader& r) {
+  std::string payload(r.remaining(), '\0');
+  r.raw(payload.data(), payload.size());
+  decode_analyze_result(payload);
+}
+
+TEST(AnalyzeReportCodec, RoundTripsAndEveryTruncationThrowsCodecError) {
+  const std::string blob = report_blob();
+  const AnalyzeResult back = decode_analyze_result(blob);
+  EXPECT_EQ(back.static_details.size(), 2u);
+  EXPECT_EQ(encode_analyze_result(back), blob);
+  sweep_truncation(blob, decode_report_only);
+}
+
+// The seal makes every single-byte flip a CodecError, so a damaged report
+// is never served.
+TEST(AnalyzeReportCodec, EverySingleByteFlipIsRejected) {
+  const std::string blob = report_blob();
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    for (unsigned char delta : {0x01, 0x80, 0xff}) {
+      std::string mutated = blob;
+      mutated[i] = static_cast<char>(
+          static_cast<unsigned char>(mutated[i]) ^ delta);
+      EXPECT_EQ(decode_capped(mutated, decode_report_only), Outcome::Rejected)
+          << "byte " << i << " ^ " << static_cast<int>(delta);
+    }
+  }
+}
+
+// A forged report, its seal recomputed over a flipped body, reaches the
+// field decoders: every count and length stays bounded by the payload.
+TEST(AnalyzeReportCodec, ResealedCorruptionNeverCrashes) {
+  const std::string blob = report_blob();
+  const std::string body = blob.substr(0, blob.size() - 8);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    for (unsigned char delta : {0x01, 0x80, 0xff}) {
+      std::string mutated = body;
+      mutated[i] = static_cast<char>(
+          static_cast<unsigned char>(mutated[i]) ^ delta);
+      ByteWriter w;
+      w.raw(mutated.data(), mutated.size());
+      w.fixed64(fnv1a64(mutated));
+      EXPECT_NE(decode_capped(w.bytes(), decode_report_only),
+                Outcome::OverBudget)
+          << "byte " << i << " ^ " << static_cast<int>(delta) << " asked for "
+          << g_refused.load() << " bytes";
+    }
+  }
 }
 
 TEST(AllocationBudget, RefusesOversizedRequests) {

@@ -11,7 +11,10 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace rsnsec::store {
 namespace {
@@ -163,6 +166,47 @@ TEST(Checksums, Sha256IncrementalMatchesOneShot) {
   Sha256 h2;
   h2.update(data);
   EXPECT_EQ(a, h2.digest());
+}
+
+/// Hex digest of `data` fed to `h` in two updates, split at `cut`.
+std::string split_digest(Sha256 h, std::string_view data, std::size_t cut) {
+  h.update(data.substr(0, cut));
+  h.update(data.substr(cut));
+  return h.hex_digest();
+}
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.below(256));
+  return s;
+}
+
+// The SHA-extension compression against the portable one, which stays
+// the reference: every message length across the padding boundaries
+// (0 to 257 bytes, so 0 to 5 blocks), every split of update() over each
+// of them, and one 1 MB input fed in uneven pieces.
+TEST(Checksums, Sha256DispatchedMatchesPortable) {
+  if (!Sha256::uses_sha_extensions())
+    GTEST_SKIP() << "this CPU lacks the SHA extensions (or SSSE3/SSE4.1); "
+                    "every hasher runs the portable compression";
+  const std::string data = random_bytes(257, 7);
+  for (std::size_t n = 0; n <= data.size(); ++n) {
+    const std::string_view msg(data.data(), n);
+    Sha256 reference = Sha256::portable();
+    reference.update(msg);
+    const std::string expected = reference.hex_digest();
+    for (std::size_t cut = 0; cut <= n; ++cut)
+      ASSERT_EQ(split_digest(Sha256(), msg, cut), expected)
+          << "length " << n << ", split at " << cut;
+  }
+  const std::string big = random_bytes(1 << 20, 11);
+  Sha256 dispatched;
+  for (std::size_t at = 0, step = 1; at < big.size(); at += step, step += 37)
+    dispatched.update(std::string_view(big).substr(at, step));
+  Sha256 reference = Sha256::portable();
+  reference.update(big);
+  EXPECT_EQ(dispatched.hex_digest(), reference.hex_digest());
 }
 
 // ------------------------------------------------------------- dep matrix

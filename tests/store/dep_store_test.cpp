@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,7 +18,9 @@
 #include "benchgen/families.hpp"
 #include "benchgen/specgen.hpp"
 #include "core/tool.hpp"
+#include "netlist/verilog.hpp"
 #include "obs/trace.hpp"
+#include "rsn/io.hpp"
 #include "store/artifact_store.hpp"
 
 namespace rsnsec::dep {
@@ -177,6 +180,75 @@ TEST(DepStore, KeyIgnoresThreadCountOnly) {
   Workload other("TreeFlat");
   EXPECT_NE(dep_cache_key(other.circuit, other.doc.network, base), k);
   EXPECT_NE(dep_cache_key(w.circuit, other.doc.network, base), k);
+}
+
+// The key of one generated design, computed by the recipe that copied
+// the three encodings into one ByteWriter before hashing it. Hashing the
+// sections in place must give the same bytes to SHA-256, so every store
+// written before stays readable.
+TEST(DepStore, KeyOfAGeneratedDesignIsPinned) {
+  Workload w("p93791");
+  EXPECT_EQ(dep_cache_key(w.circuit, w.doc.network, {}),
+            "6f7dca0fb353f1a7d3073a3438afb6ac7d27ea5e0ca2f317cd35615788c4437c");
+  DepOptions structural;
+  structural.mode = dep::DepMode::StructuralOnly;
+  EXPECT_EQ(dep_cache_key(w.circuit, w.doc.network, structural),
+            "3394ac83283bc8e1648ee0649f7509f488a39d98bdef5ab9512a6254dce1cb4b");
+}
+
+// The report key hashes the request texts themselves: one flipped byte
+// in any of them, either daemon option, the spill budget, the format or
+// the top module is another key; the thread count is not.
+TEST(DepStore, AnalysisKeyCoversEveryByteAndOption) {
+  Workload w("Mingle");
+  std::ostringstream rsn_os, v_os;
+  rsn::write_rsn(rsn_os, w.doc.network, w.doc.module_names, &w.circuit);
+  netlist::verilog::write(v_os, w.circuit, w.doc.network.name());
+  std::string texts[3] = {rsn_os.str(), v_os.str(),
+                          "categories 2\nmodule m0 trust 1 accepts 1\n"};
+  auto key = [&texts](const DepOptions& o, std::string_view format = "rsn",
+                      std::string_view top = "") {
+    return analysis_key(o, format, top, {texts[0], texts[1], texts[2]});
+  };
+  const DepOptions base;
+  const std::string k = key(base);
+  EXPECT_TRUE(is_store_key(k));
+  EXPECT_NE(k, dep_cache_key(w.circuit, w.doc.network, base));
+
+  std::size_t flips = 0;
+  for (std::string& text : texts) {
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      text[i] = static_cast<char>(text[i] ^ 0x01);
+      EXPECT_NE(key(base), k) << "text " << (&text - texts) << " byte " << i;
+      text[i] = static_cast<char>(text[i] ^ 0x01);
+      ++flips;
+    }
+  }
+  EXPECT_GT(flips, 1000u);
+  EXPECT_EQ(key(base), k);
+  // A byte moved from one text to the next keeps the concatenation but
+  // not the key: each text is length-prefixed.
+  texts[1].insert(texts[1].begin(), texts[0].back());
+  texts[0].pop_back();
+  EXPECT_NE(key(base), k);
+  texts[0].push_back(texts[1].front());
+  texts[1].erase(texts[1].begin());
+  ASSERT_EQ(key(base), k);
+
+  DepOptions structural = base;
+  structural.mode = dep::DepMode::StructuralOnly;
+  EXPECT_NE(key(structural), k);
+  DepOptions no_ternary = base;
+  no_ternary.ternary_prefilter = false;
+  EXPECT_NE(key(no_ternary), k);
+  DepOptions budget = base;
+  budget.tile_spill_budget = 1 << 20;
+  EXPECT_NE(key(budget), k);
+  EXPECT_NE(key(base, "icl"), k);
+  EXPECT_NE(key(base, "icl", "Top"), key(base, "icl"));
+  DepOptions threads = base;
+  threads.num_threads = 8;
+  EXPECT_EQ(key(threads), k);
 }
 
 /// A small design with one knob per field the key's netlist and RSN

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -896,6 +897,63 @@ TEST_F(CliTest, TileSpillBudgetRequiresStore) {
   EXPECT_NE(out_.str().find("\"dep_tiled\": true"), std::string::npos);
   EXPECT_EQ(out_.str().find("\"dep_tiles_spilled\": 0"), std::string::npos)
       << out_.str();
+}
+
+// A repeated `analyze --store` of the same files is answered from the
+// stored report: the same output and exit code, and its trace holds an
+// analyze.lookup span but no reader's span. --filter-baseline, which
+// needs the network, reads the files again. An ICL network is keyed with
+// its top module: another top parses again.
+TEST_F(CliTest, RepeatedAnalyzeWithStoreParsesNothing) {
+  ASSERT_EQ(run_cli({"generate", "--benchmark", "Mingle", "--seed", "2",
+                     "--out-rsn", path("n.rsn"), "--out-verilog",
+                     path("c.v"), "--out-spec", path("s.spec")}),
+            0)
+      << err_.str();
+  const std::vector<std::string> analyze = {
+      "analyze", "--rsn", path("n.rsn"), "--verilog", path("c.v"),
+      "--spec", path("s.spec"), "--store", path("store")};
+  std::vector<std::string> json = analyze;
+  json.push_back("--json");
+  const int cold_rc = run_cli(json);
+  ASSERT_TRUE(cold_rc == 0 || cold_rc == 2) << err_.str();
+  const std::string cold = out_.str();
+  std::vector<std::string> traced = json;
+  traced.push_back("--trace");
+  traced.push_back(path("t.json"));
+  EXPECT_EQ(run_cli(traced), cold_rc) << err_.str();
+  EXPECT_EQ(out_.str(), cold);
+  std::ifstream f(path("t.json"));
+  const std::string trace((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_NE(trace.find("\"analyze.lookup\""), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("\"parse."), std::string::npos) << trace;
+
+  std::vector<std::string> baseline = analyze;
+  baseline.push_back("--filter-baseline");
+  EXPECT_EQ(run_cli(baseline), cold_rc) << err_.str();
+  EXPECT_NE(out_.str().find("filter baseline would lock out "),
+            std::string::npos)
+      << out_.str();
+
+  std::ofstream(path("chip.v")) << "module chip(input a);\nendmodule\n";
+  std::ofstream(path("chip.spec")) << "categories 2\n";
+  // The trace of an ICL analyze elaborated at `top`.
+  auto icl_trace = [&](const char* top) {
+    EXPECT_EQ(run_cli({"analyze", "--icl",
+                       RSNSEC_SOURCE_DIR "/examples/data/soc_demo.icl",
+                       "--top", top, "--verilog", path("chip.v"), "--spec",
+                       path("chip.spec"), "--store", path("store"),
+                       "--trace", path("icl.json")}),
+              0)
+        << err_.str();
+    std::ifstream in(path("icl.json"));
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  EXPECT_NE(icl_trace("Chip").find("\"parse.icl\""), std::string::npos);
+  EXPECT_EQ(icl_trace("Chip").find("\"parse.icl\""), std::string::npos);
+  EXPECT_NE(icl_trace("Sib").find("\"parse.icl\""), std::string::npos);
 }
 
 TEST_F(CliTest, OverflowingGenerateDimensionsAreUsageErrors) {

@@ -48,23 +48,53 @@ std::ofstream open_output(const std::string& path) {
   return f;
 }
 
-rsn::RsnDocument load_network(const Args& args) {
+std::string read_file(const std::string& path) {
+  std::ifstream f = open_input(path);
+  return read_all(f);
+}
+
+/// The texts `--rsn FILE` or `--icl FILE [--top T]`, `--verilog FILE`
+/// and `--spec FILE` name, each file read whole.
+struct DesignFiles {
+  bool icl = false;
+  std::string network, top, verilog, spec;
+
+  DesignText text() const {
+    return {.network = network, .verilog = verilog, .spec = spec,
+            .icl = icl, .top = top};
+  }
+};
+
+DesignFiles read_network_file(const Args& args) {
+  DesignFiles f;
   if (auto p = args.get("rsn")) {
-    std::ifstream f = open_input(*p);
-    return rsn::read_rsn(f);
+    f.network = read_file(*p);
+    return f;
   }
   if (auto p = args.get("icl")) {
-    std::ifstream f = open_input(*p);
-    return rsn::icl::load_icl(f, args.get("top").value_or(""));
+    f.icl = true;
+    f.network = read_file(*p);
+    f.top = args.get("top").value_or("");
+    return f;
   }
   throw UsageError("need --rsn FILE or --icl FILE");
 }
 
+/// The network file is read first, so an unreadable one is reported
+/// before a missing --verilog or --spec.
+DesignFiles read_design_files(const Args& args) {
+  DesignFiles f = read_network_file(args);
+  f.verilog = read_file(args.require("verilog"));
+  f.spec = read_file(args.require("spec"));
+  return f;
+}
+
+rsn::RsnDocument load_network(const Args& args) {
+  return read_network(read_network_file(args).text());
+}
+
 Workload load_workload(const Args& args) {
-  rsn::RsnDocument doc = load_network(args);
-  std::ifstream verilog = open_input(args.require("verilog"));
-  std::ifstream spec = open_input(args.require("spec"));
-  return attach_design(std::move(doc), verilog, spec);
+  return load_design(read_design_files(args).text());
 }
 
 }  // namespace
@@ -347,12 +377,13 @@ int cmd_analyze(const Args& args, std::ostream& out) {
   if (args.has_flag("json") && args.has_flag("filter-baseline"))
     throw UsageError(
         "analyze --filter-baseline only has a text report; drop --json");
-  Workload w = load_workload(args);
+  const DesignFiles files = read_design_files(args);
   std::unique_ptr<store::ArtifactStore> artifact_store = open_store(args);
   PipelineOptions popt = pipeline_options(args);
   std::unique_ptr<store::ArtifactSpillBackend> spill =
       wire_spill(popt, artifact_store.get());
-  const AnalyzeResult result = analyze(w, popt.dep, artifact_store.get());
+  const AnalyzeResult result =
+      analyze(files.text(), popt.dep, artifact_store.get());
   const AnalyzeReport& rep = result.report;
 
   if (args.has_flag("json")) {
@@ -379,11 +410,15 @@ int cmd_analyze(const Args& args, std::ostream& out) {
       out << "  " << d << "\n";
   }
   if (args.has_flag("filter-baseline")) {
-    security::TokenTable tokens(w.spec, w.spec.num_modules());
-    security::AccessFilterBaseline filter(w.doc.network, w.spec, tokens);
+    // The report keeps no network: read it and the spec again.
+    const rsn::RsnDocument doc = read_network(files.text());
+    const security::SecuritySpec spec =
+        security::read_spec(files.spec, doc.module_names);
+    security::TokenTable tokens(spec, spec.num_modules());
+    security::AccessFilterBaseline filter(doc.network, spec, tokens);
     security::FilterReport fr = filter.analyze();
     out << "filter baseline would lock out " << fr.inaccessible.size()
-        << " / " << w.doc.network.registers().size() << " registers\n";
+        << " / " << doc.network.registers().size() << " registers\n";
   }
   bool any = rep.insecure_logic || rep.intra_segment ||
              rep.hybrid_violating_pairs > 0;
