@@ -98,30 +98,35 @@ Enum decode_enum(store::ByteReader& r, Enum last) {
 
 }  // namespace
 
+ReportLookup lookup_report(const DesignText& text,
+                           const dep::DepOptions& options,
+                           store::ArtifactStore& store) {
+  obs::Span span(obs::TraceSession::active(), "analyze.lookup");
+  ReportLookup lookup;
+  lookup.key = store::analysis_key(options, text.icl ? "icl" : "rsn",
+                                   text.top,
+                                   {text.network, text.verilog, text.spec});
+  if (std::optional<std::string> payload = store.load(lookup.key)) {
+    try {
+      lookup.hit = decode_analyze_result(*payload);
+      lookup.hit->cache_hit = true;
+      store.note_hit();
+    } catch (const store::CodecError&) {
+      store.discard(lookup.key);
+    }
+  }
+  return lookup;
+}
+
 AnalyzeResult analyze(const DesignText& text, const dep::DepOptions& options,
                       store::ArtifactStore* store) {
   if (store == nullptr) return analyze_design(text, options, nullptr);
-  obs::TraceSession* trace = obs::TraceSession::active();
-  std::string key;
-  {
-    obs::Span span(trace, "analyze.lookup");
-    key = store::analysis_key(options, text.icl ? "icl" : "rsn", text.top,
-                              {text.network, text.verilog, text.spec});
-    if (std::optional<std::string> payload = store->load(key)) {
-      try {
-        AnalyzeResult hit = decode_analyze_result(*payload);
-        hit.cache_hit = true;
-        store->note_hit();
-        return hit;
-      } catch (const store::CodecError&) {
-        store->discard(key);
-      }
-    }
-  }
+  ReportLookup lookup = lookup_report(text, options, *store);
+  if (lookup.hit) return std::move(*lookup.hit);
   AnalyzeResult result = analyze_design(text, options, store);
-  obs::Span span(trace, "analyze.publish");
+  obs::Span span(obs::TraceSession::active(), "analyze.publish");
   try {
-    store->put(key, encode_analyze_result(result));
+    store->put(lookup.key, encode_analyze_result(result));
   } catch (const std::exception&) {
     // As for snapshots: a store that cannot take the report (read-only,
     // disk full) costs the next request a parse, not this one its answer.

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -77,16 +78,29 @@ struct AnalysisError : std::runtime_error {
 };
 
 /// The analyze entry point of both front ends (`rsnsec analyze`, the
-/// daemon's analyze). With a store, it first loads the report published
-/// under store::analysis_key of the texts: a hit returns it with
-/// cache_hit set, parsing nothing and computing no dependency key. A
-/// miss runs load_design and analyze(Workload) (whose dependency snapshot
-/// is keyed by the parsed design, so an edit that parses the same still
-/// makes no SAT call) and publishes the report; a damaged report is
-/// discarded and recomputed. Without a store nothing is hashed. Each
-/// outcome counts one store hit or miss.
+/// daemon's analyze). With a store, it first runs lookup_report: a hit
+/// returns the stored report with cache_hit set, parsing nothing and
+/// computing no dependency key. A miss runs load_design and
+/// analyze(Workload) (whose dependency snapshot is keyed by the parsed
+/// design, so an edit that parses the same still makes no SAT call) and
+/// publishes the report; a damaged report is discarded and recomputed.
+/// Without a store nothing is hashed. Each outcome counts one store hit
+/// or miss.
 AnalyzeResult analyze(const DesignText& text, const dep::DepOptions& options,
                       store::ArtifactStore* store = nullptr);
+
+/// The first step of analyze(DesignText) with a store, under an
+/// `analyze.lookup` span: the store::analysis_key of the texts, and the
+/// report stored under it when there is a readable one (cache_hit set,
+/// counted as a store hit). A damaged report is discarded; a miss counts
+/// nothing, as the analysis after it counts its own hit or miss.
+struct ReportLookup {
+  std::string key;
+  std::optional<AnalyzeResult> hit;
+};
+ReportLookup lookup_report(const DesignText& text,
+                           const dep::DepOptions& options,
+                           store::ArtifactStore& store);
 
 /// Codec of the report artifact: the AnalyzeResult fields but cache_hit
 /// (timings, which describe the producing run, are not stored), sealed

@@ -123,6 +123,7 @@ void write_json(std::ostream& os, const PipelineResult& r) {
 }
 
 void write_analyze_json(std::ostream& os, const AnalyzeReport& r) {
+  obs::Span span(obs::TraceSession::active(), "report.emit");
   os << "{\"insecure_logic\": " << (r.insecure_logic ? "true" : "false")
      << ", \"intra_segment\": " << (r.intra_segment ? "true" : "false")
      << ", \"pure_violating_pairs\": " << r.pure_violating_pairs

@@ -74,7 +74,8 @@ struct AnalyzeReport {
 };
 
 /// Writes the analyze summary as a single-line JSON object, no trailing
-/// newline (the CLI appends one; the daemon embeds it in a reply frame).
+/// newline (the CLI appends one; the daemon embeds it in a reply frame),
+/// under a `report.emit` span.
 void write_analyze_json(std::ostream& os, const AnalyzeReport& r);
 
 }  // namespace rsnsec

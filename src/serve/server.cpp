@@ -1,10 +1,11 @@
 #include "serve/server.hpp"
 
 #include <csignal>
-#include <chrono>
+#include <optional>
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "util/stopwatch.hpp"
 
 namespace rsnsec::serve {
 
@@ -162,7 +163,8 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
   }
 
   // Cheap introspection runs inline on the reader thread; only analysis
-  // work goes through admission control.
+  // work goes through admission control, and a repeated analyze not even
+  // that (below).
   switch (req.command) {
     case Command::Ping:
       conn->send(ok_reply(req.id, "\"pong\""));
@@ -181,32 +183,25 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
       break;
   }
 
+  // A repeated analyze is answered here, before admission: its answer
+  // costs one hash of the texts just decoded, and it must not queue
+  // behind cold work. Only a miss goes to an executor.
+  if (req.command == Command::Analyze && service_.store() != nullptr) {
+    const Stopwatch sw;
+    if (std::optional<ExecResult> hit = service_.answer_from_store(req)) {
+      reply(*conn, req, *hit, sw.seconds(), 0.0);
+      return;
+    }
+  }
+
   // The request, payloads included, moves into its job; the admission
   // replies below need only its id and tenant.
   const std::string id = req.id;
   const std::string tenant = req.tenant;
   auto job = [this, conn, req = std::move(req)](double queue_wait_seconds) {
-    service_.record_queue_wait(req.tenant, queue_wait_seconds);
-    auto t0 = std::chrono::steady_clock::now();
+    const Stopwatch sw;
     ExecResult result = service_.execute(req);
-    double seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    service_.record_result(req.tenant, result, seconds);
-    if (result.ok()) {
-      // Wall clock and cache provenance live in the separate "server"
-      // object: the "result" value stays a deterministic function of the
-      // request, byte-identical to a one-shot CLI run.
-      std::string server_json =
-          "{\"cache_hit\": " +
-          std::string(result.cache_hit ? "true" : "false") +
-          ", \"seconds\": " + std::to_string(seconds) +
-          ", \"queue_wait_seconds\": " +
-          std::to_string(queue_wait_seconds) + "}";
-      conn->send(ok_reply(req.id, result.result_json, server_json));
-    } else {
-      conn->send(error_reply(req.id, result.code, result.message));
-    }
+    reply(*conn, req, result, sw.seconds(), queue_wait_seconds);
   };
 
   switch (scheduler_.submit(tenant, std::move(job))) {
@@ -225,6 +220,26 @@ void Server::handle_line(const std::shared_ptr<Conn>& conn,
                              "server is draining"));
       break;
   }
+}
+
+void Server::reply(Conn& conn, const Request& req, const ExecResult& result,
+                   double seconds, double queue_wait_seconds) {
+  service_.record_queue_wait(req.tenant, queue_wait_seconds);
+  service_.record_result(req.tenant, result, seconds);
+  obs::Span span(obs::TraceSession::active(), "serve.reply");
+  if (!result.ok()) {
+    conn.send(error_reply(req.id, result.code, result.message));
+    return;
+  }
+  // Wall clock and cache provenance live in the separate "server" object:
+  // the "result" value stays a deterministic function of the request,
+  // byte-identical to a one-shot CLI run.
+  const std::string server_json =
+      "{\"cache_hit\": " + std::string(result.cache_hit ? "true" : "false") +
+      ", \"seconds\": " + std::to_string(seconds) +
+      ", \"queue_wait_seconds\": " + std::to_string(queue_wait_seconds) +
+      "}";
+  conn.send(ok_reply(req.id, result.result_json, server_json));
 }
 
 }  // namespace rsnsec::serve

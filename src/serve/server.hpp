@@ -6,11 +6,13 @@
 //
 // Threading model: the thread calling serve() owns the accept loop
 // (polling its stop flag between 200 ms accept waits). Each connection
-// gets a reader thread; replies are written by whichever thread finishes
-// the work — the connection's write mutex serializes frames, and pending
-// jobs hold the connection alive via shared_ptr, so an abrupt disconnect
-// never leaves a scheduler job with a dangling socket (the reply write
-// just fails and is dropped).
+// gets a reader thread, which also answers the cheap commands and, with
+// a store, every analyze the stored report answers; the rest go through
+// admission to the scheduler's executors. Replies are written by
+// whichever thread finishes the work — the connection's write mutex
+// serializes frames, and pending jobs hold the connection alive via
+// shared_ptr, so an abrupt disconnect never leaves a scheduler job with
+// a dangling socket (the reply write just fails and is dropped).
 //
 // Graceful shutdown (SIGINT/SIGTERM via request_stop(), or a `shutdown`
 // request): stop accepting, mark draining (new frames get SRV006),
@@ -76,6 +78,10 @@ class Server {
   void reader_loop(std::shared_ptr<Conn> conn);
   void handle_line(const std::shared_ptr<Conn>& conn,
                    const std::string& text);
+  /// Records an executed request in its tenant's stats and sends its
+  /// reply, under a `serve.reply` span.
+  void reply(Conn& conn, const Request& req, const ExecResult& result,
+             double seconds, double queue_wait_seconds);
 
   AnalysisService& service_;
   ServerOptions options_;

@@ -60,19 +60,29 @@ std::uint64_t to_us(double seconds) {
   return static_cast<std::uint64_t>(seconds * 1e6);
 }
 
-/// A payload that does not read is the client's mistake (SRV004); an
-/// analysis that fails on one that does is ours (SRV007).
-ExecResult run_analyze(const Request& req, store::ArtifactStore* store) {
+dep::DepOptions analyze_options(const Request& req) {
   dep::DepOptions dopt;
   if (req.structural) dopt.mode = dep::DepMode::StructuralOnly;
   dopt.ternary_prefilter = !req.no_ternary;
+  return dopt;
+}
+
+ExecResult analyze_reply(const AnalyzeResult& analysis) {
+  std::ostringstream os;
+  write_analyze_json(os, analysis.report);
+  ExecResult r;
+  r.cache_hit = analysis.cache_hit;
+  r.result_json = os.str();
+  return r;
+}
+
+/// A payload that does not read is the client's mistake (SRV004); an
+/// analysis that fails on one that does is ours (SRV007).
+ExecResult run_analyze(const Request& req, store::ArtifactStore* store) {
   ExecResult r;
   try {
-    AnalyzeResult analysis = analyze(design_text(req), dopt, store);
-    std::ostringstream os;
-    write_analyze_json(os, analysis.report);
-    r.cache_hit = analysis.cache_hit;
-    r.result_json = os.str();
+    return analyze_reply(
+        analyze(design_text(req), analyze_options(req), store));
   } catch (const AnalysisError& e) {
     r.code = ServeCode::Internal;
     r.message = e.what();
@@ -257,6 +267,19 @@ ExecResult AnalysisService::execute(const Request& req) {
     r.message = e.what();
     return r;
   }
+}
+
+std::optional<ExecResult> AnalysisService::answer_from_store(
+    const Request& req) {
+  obs::Span span(obs::TraceSession::active(), "serve.analyze");
+  try {
+    ReportLookup lookup =
+        lookup_report(design_text(req), analyze_options(req), *store_);
+    if (lookup.hit) return analyze_reply(*lookup.hit);
+  } catch (const std::exception&) {
+    // A miss: execute looks up again and reports the error.
+  }
+  return std::nullopt;
 }
 
 std::string AnalysisService::store_stats_json() const {

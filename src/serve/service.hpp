@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "serve/protocol.hpp"
@@ -71,6 +72,14 @@ class AnalysisService {
   /// unparsable payloads come back as BadField (SRV004), execution
   /// failures as Internal (SRV007).
   ExecResult execute(const Request& request);
+
+  /// The report lookup an analyze request runs first (lookup_report),
+  /// for the connection thread to answer a repeat before admission:
+  /// the request's result on a hit (cache_hit set), nullopt on a miss,
+  /// which counts nothing (execute's own lookup counts the request).
+  /// Records a `serve.analyze` span. Needs a store; never throws (a
+  /// lookup that fails is a miss, and execute reports the failure).
+  std::optional<ExecResult> answer_from_store(const Request& request);
 
   /// Result bodies of the cheap introspection commands (handled inline
   /// on the connection thread, bypassing the scheduler).

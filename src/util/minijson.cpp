@@ -7,6 +7,10 @@
 #include <deque>
 #include <iterator>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace rsnsec {
 
 namespace {
@@ -17,6 +21,20 @@ constexpr auto kPlain = [] {
   std::array<bool, 256> plain{};
   for (int c = 0x20; c < 256; ++c) plain[c] = c != '"' && c != '\\';
   return plain;
+}();
+
+/// The byte each one-letter escape stands for (0: not one).
+constexpr auto kSimpleEscape = [] {
+  std::array<char, 256> decoded{};
+  decoded['"'] = '"';
+  decoded['\\'] = '\\';
+  decoded['/'] = '/';
+  decoded['b'] = '\b';
+  decoded['f'] = '\f';
+  decoded['n'] = '\n';
+  decoded['r'] = '\r';
+  decoded['t'] = '\t';
+  return decoded;
 }();
 
 class Parser {
@@ -140,84 +158,114 @@ class Parser {
     return true;
   }
 
-  static void append_utf8(std::string& out, unsigned cp) {
+  /// Writes code point `cp` (at most U+FFFF) as UTF-8 at `w`.
+  static char* put_utf8(char* w, unsigned cp) {
     if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
+      *w++ = static_cast<char>(cp);
     } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xc0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
+      *w++ = static_cast<char>(0xc0 | (cp >> 6));
+      *w++ = static_cast<char>(0x80 | (cp & 0x3f));
     } else {
-      out.push_back(static_cast<char>(0xe0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3f)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3f)));
+      *w++ = static_cast<char>(0xe0 | (cp >> 12));
+      *w++ = static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+      *w++ = static_cast<char>(0x80 | (cp & 0x3f));
     }
+    return w;
   }
 
   /// Raw bytes from the cursor to the string's closing quote: the first
-  /// '"' not preceded by an odd run of backslashes (0 if there is none).
-  /// A decoded string is never longer than its raw extent.
+  /// '"' not preceded by an odd run of backslashes, or the end of input
+  /// when there is none. A decoded string is never longer than its raw
+  /// extent, and decoding stops at that quote or fails before it.
   std::size_t raw_extent() const {
     const char* const begin = text_.data() + pos_;
     const char* const end = text_.data() + text_.size();
     for (const char* p = begin; p < end; ++p) {
       p = static_cast<const char*>(std::memchr(p, '"', end - p));
-      if (p == nullptr) return 0;
+      if (p == nullptr) break;
       std::size_t backslashes = 0;
       while (p - backslashes > begin && p[-1 - backslashes] == '\\')
         ++backslashes;
       if (backslashes % 2 == 0) return static_cast<std::size_t>(p - begin);
     }
-    return 0;
+    return static_cast<std::size_t>(end - begin);
   }
 
+  /// Copies the plain bytes at `p` to `w`, up to the next quote,
+  /// backslash or control byte or `end`, and moves both past them.
+  /// `cap - w` is at least the raw bytes left before the closing quote,
+  /// so every write stays inside the decoded string.
+  static void copy_run(const char*& p, const char* end, char*& w,
+                       const char* cap) {
+#ifdef __SSE2__
+    // 16-byte blocks while a whole one fits in the input and the output;
+    // each block is stored before it is tested, and the cursor stops at
+    // its first special byte.
+    const __m128i quote = _mm_set1_epi8('"');
+    const __m128i backslash = _mm_set1_epi8('\\');
+    const __m128i control_max = _mm_set1_epi8(0x1f);
+    while (end - p >= 16 && cap - w >= 16) {
+      const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(w), b);
+      const __m128i special = _mm_or_si128(
+          _mm_or_si128(_mm_cmpeq_epi8(b, quote), _mm_cmpeq_epi8(b, backslash)),
+          _mm_cmpeq_epi8(_mm_min_epu8(b, control_max), b));
+      if (const int mask = _mm_movemask_epi8(special); mask != 0) {
+        const int n = __builtin_ctz(static_cast<unsigned>(mask));
+        w += n;
+        p += n;
+        return;
+      }
+      p += 16;
+      w += 16;
+    }
+#endif
+    const char* run = p;
+    while (run < end && kPlain[static_cast<unsigned char>(*run)]) ++run;
+    std::memcpy(w, p, static_cast<std::size_t>(run - p));
+    w += run - p;
+    p = run;
+  }
+
+  /// Decodes into `out` sized once from the raw extent. The cursor is a
+  /// local pointer, stored back into pos_ when the string ends or fails.
   bool string(std::string& out) {
     if (!consume('"')) return fail("expected '\"'");
-    out.clear();
-    out.reserve(raw_extent());
-    const std::string_view s = text_;
+    out.resize(raw_extent());
+    char* w = out.data();
+    const char* const cap = w + out.size();
+    const char* p = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    auto fail_at = [&](const char* msg) {
+      pos_ = static_cast<std::size_t>(p - text_.data());
+      return fail(msg);
+    };
     for (;;) {
-      // Copy the run up to the next quote, backslash or control character
-      // in one append.
-      std::size_t run = pos_;
-      while (run < s.size() && kPlain[static_cast<unsigned char>(s[run])])
-        ++run;
-      out.append(s.data() + pos_, run - pos_);
-      pos_ = run;
-      if (eof()) return fail("unterminated string");
-      const auto c = static_cast<unsigned char>(s[pos_]);
+      copy_run(p, end, w, cap);
+      if (p == end) return fail_at("unterminated string");
+      const auto c = static_cast<unsigned char>(*p);
       if (c == '"') {
-        ++pos_;
+        pos_ = static_cast<std::size_t>(p + 1 - text_.data());
+        out.resize(static_cast<std::size_t>(w - out.data()));
         return true;
       }
-      if (c < 0x20) return fail("raw control character in string");
-      ++pos_;  // the backslash
-      if (eof()) return fail("truncated escape");
-      char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek())))
-              return fail("malformed \\u escape");
-            char h = text_[pos_++];
-            cp = cp * 16 +
-                 static_cast<unsigned>(h <= '9' ? h - '0'
-                                                : (h | 0x20) - 'a' + 10);
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default:
-          return fail("invalid escape character");
+      if (c < 0x20) return fail_at("raw control character in string");
+      if (++p == end) return fail_at("truncated escape");
+      const char e = *p++;
+      if (const char d = kSimpleEscape[static_cast<unsigned char>(e)]) {
+        *w++ = d;
+        continue;
       }
+      if (e != 'u') return fail_at("invalid escape character");
+      unsigned cp = 0;
+      for (int i = 0; i < 4; ++i, ++p) {
+        if (p == end || !std::isxdigit(static_cast<unsigned char>(*p)))
+          return fail_at("malformed \\u escape");
+        const char h = *p;
+        cp = cp * 16 + static_cast<unsigned>(h <= '9' ? h - '0'
+                                                      : (h | 0x20) - 'a' + 10);
+      }
+      w = put_utf8(w, cp);
     }
   }
 

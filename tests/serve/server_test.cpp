@@ -276,6 +276,52 @@ TEST(ServeServer, AbruptDisconnectMidRequestLeavesDaemonAlive) {
   EXPECT_TRUE(reply.bool_field("ok").value_or(false)) << "daemon wedged";
 }
 
+TEST(ServeServer, RepeatedAnalyzeIsAnsweredBeforeQueuedColdWork) {
+  // One executor, busy with a cold analyze of a larger design: a repeat
+  // of a stored design is answered on the connection thread instead of
+  // queueing behind it.
+  ServerOptions opt;
+  opt.workers = 1;
+  ServiceOptions sopt;
+  sopt.store_dir = "store";  // rewritten to a temp path by TestServer
+  TestServer srv(opt, sopt);
+  static const TestWorkload cold_design("q12710", 5, 4000);
+  const std::string cold_frame =
+      "{\"command\": \"analyze\", \"id\": \"cold\", \"rsn\": \"" +
+      json_escape(cold_design.rsn_text) + "\", \"verilog\": \"" +
+      json_escape(cold_design.verilog_text) + "\", \"spec\": \"" +
+      json_escape(cold_design.spec_text) +
+      "\", \"options\": {\"no_ternary\": true}}\n";
+
+  Client c(srv.socket_path());
+  c.send(analyze_frame("first"));
+  JsonValue first = c.reply();
+  ASSERT_TRUE(first.bool_field("ok").value_or(false));
+  EXPECT_FALSE(first.find("server")->bool_field("cache_hit").value_or(true));
+
+  c.send(cold_frame + analyze_frame("repeat"));
+  JsonValue earlier = c.reply();
+  JsonValue later = c.reply();
+  ASSERT_TRUE(earlier.bool_field("ok").value_or(false));
+  ASSERT_TRUE(later.bool_field("ok").value_or(false));
+  EXPECT_GE(later.find("server")->number_field("seconds").value_or(0), 0.05)
+      << "the cold request must occupy the executor for a while";
+  EXPECT_EQ(earlier.string_field("id").value_or(""), "repeat");
+  EXPECT_EQ(later.string_field("id").value_or(""), "cold");
+  const JsonValue* repeat = earlier.find("server");
+  ASSERT_NE(repeat, nullptr);
+  EXPECT_TRUE(repeat->bool_field("cache_hit").value_or(false));
+  EXPECT_EQ(repeat->number_field("queue_wait_seconds").value_or(-1), 0.0);
+
+  // One store hit or miss per analyze request, wherever it was answered.
+  c.send("{\"command\": \"store-stats\"}\n");
+  JsonValue stats = c.reply();
+  const JsonValue* result = stats.find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_EQ(result->number_field("hits").value_or(0), 1);
+  EXPECT_EQ(result->number_field("misses").value_or(0), 2);
+}
+
 TEST(ServeServer, BackpressureRepliesBusyWithRetryAfter) {
   ServerOptions opt;
   opt.workers = 1;

@@ -3,7 +3,10 @@
 
 #include "tools/cli.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -13,6 +16,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -260,6 +264,36 @@ TEST_F(CliTest, AnalyzeJsonAndFilterBaseline) {
   EXPECT_NE(out_.str().find("filter baseline would lock out "),
             std::string::npos)
       << out_.str();
+}
+
+// An input file that reports no length (a pipe here, as a procfs file
+// reports 0) is read to its end, and analyzes as the regular file does.
+TEST_F(CliTest, InputWithoutALengthIsReadToItsEnd) {
+  ASSERT_EQ(run_cli({"generate", "--benchmark", "BasicSCB", "--scale", "1",
+                     "--seed", "3", "--out-rsn", path("n.rsn"),
+                     "--out-verilog", path("c.v"), "--out-spec",
+                     path("s.spec")}),
+            0)
+      << err_.str();
+  auto analyze = [&](const std::string& spec) {
+    return run_cli({"analyze", "--json", "--rsn", path("n.rsn"), "--verilog",
+                    path("c.v"), "--spec", spec});
+  };
+  const int rc = analyze(path("s.spec"));
+  ASSERT_TRUE(rc == 0 || rc == 2) << err_.str();
+  const std::string expected = out_.str();
+
+  std::ifstream in(path("s.spec"));
+  const std::string spec{std::istreambuf_iterator<char>(in), {}};
+  ASSERT_FALSE(spec.empty());
+  ASSERT_EQ(::mkfifo(path("s.fifo").c_str(), 0600), 0);
+  std::thread writer([&] { std::ofstream(path("s.fifo")) << spec; });
+  EXPECT_EQ(analyze(path("s.fifo")), rc) << err_.str();
+  // Releases the writer should the CLI not have opened the pipe.
+  const int fd = ::open(path("s.fifo").c_str(), O_RDONLY | O_NONBLOCK);
+  writer.join();
+  if (fd >= 0) ::close(fd);
+  EXPECT_EQ(out_.str(), expected);
 }
 
 TEST_F(CliTest, InfoFromIcl) {

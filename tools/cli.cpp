@@ -4,6 +4,7 @@
 #include <array>
 #include <climits>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -48,9 +49,21 @@ std::ofstream open_output(const std::string& path) {
   return f;
 }
 
+/// The whole file: one read into a string sized from its length, then
+/// read_all to the end, which finds nothing more unless the length was
+/// short (a file still growing, a procfs file that reports 0, a pipe or
+/// device, which has none).
 std::string read_file(const std::string& path) {
+  obs::Span span(obs::TraceSession::active(), "input.read");
   std::ifstream f = open_input(path);
-  return read_all(f);
+  std::error_code ec;
+  std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (ec) size = 0;
+  std::string text(size, '\0');
+  f.read(text.data(), static_cast<std::streamsize>(size));
+  text.resize(static_cast<std::size_t>(f.gcount()));
+  text += read_all(f);
+  return text;
 }
 
 /// The texts `--rsn FILE` or `--icl FILE [--top T]`, `--verilog FILE`
