@@ -145,6 +145,35 @@ void BM_DepMatrixClosure(benchmark::State& state) {
 }
 BENCHMARK(BM_DepMatrixClosure)->Arg(128)->Arg(512)->Arg(1024)->Arg(2048);
 
+void BM_DepMatrixTableICell(benchmark::State& state) {
+  // The relation of a Table I cell: 400 flip-flops, about one edge each,
+  // about half of them internal. Times the dense bridging and the closure
+  // over the rest, which skip the rows that are empty (BM_DepMatrixClosure
+  // draws 4n edges, so none of its rows is).
+  constexpr std::size_t n = 400;
+  Rng rng(7);
+  DepMatrix base(n);
+  std::vector<bool> internal(n);
+  std::vector<bool> active(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    internal[v] = rng.chance(0.45);
+    active[v] = !internal[v];
+  }
+  for (std::size_t e = 0; e < n; ++e) {
+    std::size_t a = rng.below(static_cast<std::uint32_t>(n));
+    std::size_t b = rng.below(static_cast<std::uint32_t>(n));
+    base.upgrade(a, b,
+                 rng.chance(0.7) ? DepKind::Path : DepKind::Structural);
+  }
+  for (auto _ : state) {
+    DepMatrix m = base;
+    m.eliminate_all(internal);
+    m.transitive_closure(&active);
+    benchmark::DoNotOptimize(m.count_nonzero());
+  }
+}
+BENCHMARK(BM_DepMatrixTableICell);
+
 struct Workload {
   rsn::RsnDocument doc;
   netlist::Netlist circuit;

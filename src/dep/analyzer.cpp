@@ -280,47 +280,61 @@ std::vector<DependencyAnalyzer::LeafDep> DependencyAnalyzer::cone_deps(
     }
   }
 
-  if (undecided > 0) {
-    // Exact SAT check for the leaves simulation could not witness. The
-    // checker resets and borrows the slot's solver; the exact reset keeps
-    // every verdict and solver counter independent of the cones the
-    // solver ran before.
-    netlist::ConeDependenceChecker checker(slot.ws, cone,
-                                           options_.sat_conflict_limit);
-    for (std::size_t i : ff_leaves) {
-      if (decided[i]) continue;
-      ++stats.sat_calls;
-      switch (checker.query(i)) {
-        case sat::Result::Sat:
-          ++stats.sat_functional;
-          out.push_back({i, DepKind::Path});
-          break;
-        case sat::Result::Unsat:
-          ++stats.sat_structural;
-          out.push_back({i, DepKind::Structural});
-          break;
-        case sat::Result::Unknown:
-          // Conflict budget exhausted: sound over-approximation — treat
-          // the dependency as functional (a missed real flow would be
-          // unsound for security; a false Path only costs precision).
-          ++stats.sat_unknown;
-          out.push_back({i, DepKind::Path});
-          break;
-      }
+  if (undecided == 0) return out;
+  // Exact check of the leaves simulation and the ternary proof left open;
+  // each is one exact query (sat_calls), whichever engine decides it.
+  auto record = [&](std::size_t i, sat::Result r) {
+    ++stats.sat_calls;
+    switch (r) {
+      case sat::Result::Sat:
+        ++stats.sat_functional;
+        out.push_back({i, DepKind::Path});
+        break;
+      case sat::Result::Unsat:
+        ++stats.sat_structural;
+        out.push_back({i, DepKind::Structural});
+        break;
+      case sat::Result::Unknown:
+        // Conflict budget exhausted: sound over-approximation — treat
+        // the dependency as functional (a missed real flow would be
+        // unsound for security; a false Path only costs precision).
+        ++stats.sat_unknown;
+        out.push_back({i, DepKind::Path});
+        break;
     }
-    // Solver work counters; the caller aggregates them once per
-    // isomorphism-group representative (not per cache member).
-    const sat::SolverStats& ss = checker.solver_stats();
-    stats.solver_solves += checker.solver_solves();
-    stats.solver_conflicts += ss.conflicts;
-    stats.solver_decisions += ss.decisions;
-    stats.solver_propagations += ss.propagations;
-    stats.solver_restarts += ss.restarts;
-    stats.solver_learned += ss.learned_clauses;
-    stats.lbd_protected += ss.lbd_protected;
-    stats.cores_reused += checker.cores_reused();
-    stats.rotation_witnesses += checker.rotation_witnesses();
+  };
+  // A cone of at most kExhaustiveLeaves non-constant leaves is decided by
+  // one exhaustive simulation: the Boolean difference the solver's miter
+  // asks, over every assignment, so the verdicts are the solver's and
+  // none is Unknown.
+  std::vector<bool> depends;
+  if (netlist::exhaustive_dependence(slot.ws, cone, depends)) {
+    for (std::size_t i : ff_leaves) {
+      if (!decided[i])
+        record(i, depends[i] ? sat::Result::Sat : sat::Result::Unsat);
+    }
+    return out;
   }
+  // A wider cone goes to the SAT checker. It resets and borrows the slot's
+  // solver; the exact reset keeps every verdict and solver counter
+  // independent of the cones the solver ran before.
+  netlist::ConeDependenceChecker checker(slot.ws, cone,
+                                         options_.sat_conflict_limit);
+  for (std::size_t i : ff_leaves) {
+    if (!decided[i]) record(i, checker.query(i));
+  }
+  // Solver work counters; the caller aggregates them once per
+  // isomorphism-group representative (not per cache member).
+  const sat::SolverStats& ss = checker.solver_stats();
+  stats.solver_solves += checker.solver_solves();
+  stats.solver_conflicts += ss.conflicts;
+  stats.solver_decisions += ss.decisions;
+  stats.solver_propagations += ss.propagations;
+  stats.solver_restarts += ss.restarts;
+  stats.solver_learned += ss.learned_clauses;
+  stats.lbd_protected += ss.lbd_protected;
+  stats.cores_reused += checker.cores_reused();
+  stats.rotation_witnesses += checker.rotation_witnesses();
   return out;
 }
 

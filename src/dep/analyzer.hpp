@@ -108,11 +108,16 @@ struct DepStats {
   /// Only-structural deps proven by the pair-ternary evaluator (each one
   /// is a SAT query avoided; 0 when DepOptions::ternary_prefilter is off).
   std::uint64_t ternary_resolved = 0;
+  /// Exact queries (the leaves simulation and the ternary proof left
+  /// open) and their answers, whichever engine decides them: exhaustive
+  /// simulation on a cone of at most netlist::kExhaustiveLeaves
+  /// non-constant leaves, which answers what the solver would, else SAT.
   std::uint64_t sat_calls = 0;
   std::uint64_t sat_functional = 0;
   std::uint64_t sat_structural = 0;
   /// Queries that exhausted DepOptions::sat_conflict_limit; each is
-  /// conservatively classified as a functional (Path) dependency.
+  /// conservatively classified as a functional (Path) dependency. Only
+  /// the solver can run out, so only cones wider than kExhaustiveLeaves.
   std::uint64_t sat_unknown = 0;
   /// Cones whose classification was reused from an isomorphic cone. All
   /// other counters report the logical work — a cache hit replicates the
@@ -123,6 +128,8 @@ struct DepStats {
   /// these measure *actual* work: they are aggregated once per
   /// isomorphism-group representative, not replicated per cache member,
   /// so they shrink as the cone cache and the incremental machinery bite.
+  /// The exhaustive check of small cones does no solver work, so they
+  /// count only the cones wider than kExhaustiveLeaves.
   std::uint64_t solver_solves = 0;    ///< solver solve() calls issued
   std::uint64_t solver_conflicts = 0;
   std::uint64_t solver_decisions = 0;
@@ -337,7 +344,9 @@ class DependencyAnalyzer {
   /// Scratch of the one-cycle phase (defined in analyzer.cpp).
   struct ConeSlot;
   /// Classifies the dependencies of the cone root on the cone's flip-flop
-  /// leaves (functional vs. only-structural). Draws patterns from the
+  /// leaves (functional vs. only-structural): simulation, the ternary
+  /// proof, then an exact check of the rest (exhaustive simulation on a
+  /// small cone, SAT on a wider one). Draws patterns from the
   /// caller-provided RNG stream, works in `slot`, and accumulates the
   /// sim/SAT counters into `stats` (one instance per isomorphism group).
   std::vector<LeafDep> cone_deps(const netlist::Cone& cone, Rng& rng,

@@ -35,6 +35,66 @@ void encode_gate(sat::Solver& s, GateType type, Lit out,
                          gate_type_name(type));
 }
 
+namespace {
+
+/// Per 64-pattern lane, the patterns p whose bit c (c < 6) is clear.
+constexpr std::uint64_t kColumnClear[6] = {
+    0x5555555555555555ULL, 0x3333333333333333ULL, 0x0f0f0f0f0f0f0f0fULL,
+    0x00ff00ff00ff00ffULL, 0x0000ffff0000ffffULL, 0x00000000ffffffffULL};
+
+/// Truth-table column of variable c < 8: pattern p carries bit c of p.
+/// Variables 6 and 7 are the bits of the lane index.
+Word256 column(std::size_t c) {
+  constexpr std::uint64_t all = ~0ULL;
+  if (c == 6) return Word256{{0, all, 0, all}};
+  if (c == 7) return Word256{{0, 0, all, all}};
+  const std::uint64_t w = ~kColumnClear[c];
+  return Word256{{w, w, w, w}};
+}
+
+/// True if `f` differs between some pattern p and p ^ 2^c.
+bool differs_by(const Word256& f, std::size_t c) {
+  if (c < 6) {
+    std::uint64_t d = 0;
+    for (std::uint64_t w : f.lane)
+      d |= (w ^ (w >> (1u << c))) & kColumnClear[c];
+    return d != 0;
+  }
+  if (c == 6) return ((f.lane[0] ^ f.lane[1]) | (f.lane[2] ^ f.lane[3])) != 0;
+  return ((f.lane[0] ^ f.lane[2]) | (f.lane[1] ^ f.lane[3])) != 0;
+}
+
+bool is_const(GateType t) {
+  return t == GateType::Const0 || t == GateType::Const1;
+}
+
+}  // namespace
+
+bool exhaustive_dependence(ConeWorkspace& ws, const Cone& cone,
+                           std::vector<bool>& depends) {
+  const Netlist& nl = ws.netlist();
+  std::vector<Word256>& values = ws.leaf_values;
+  values.resize(cone.leaves.size());
+  std::size_t free = 0;
+  for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
+    const GateType t = nl.node(cone.leaves[i]).type;
+    if (is_const(t)) {
+      values[i] = Word256::broadcast(t == GateType::Const1);
+    } else {
+      if (free == kExhaustiveLeaves) return false;
+      values[i] = column(free++);
+    }
+  }
+  const Word256 f = eval_cone(nl, cone, values, ws.node_values);
+  depends.assign(cone.leaves.size(), false);
+  free = 0;
+  for (std::size_t i = 0; i < cone.leaves.size(); ++i) {
+    if (!is_const(nl.node(cone.leaves[i]).type))
+      depends[i] = differs_by(f, free++);
+  }
+  return true;
+}
+
 ConeDependenceChecker::ConeDependenceChecker(ConeWorkspace& ws,
                                              const Cone& cone,
                                              std::uint64_t conflict_limit)
@@ -66,12 +126,12 @@ void ConeDependenceChecker::encode(std::uint64_t conflict_limit) {
   leaf_is_const_.reserve(cone_.leaves.size());
   for (NodeId leaf : cone_.leaves) {
     GateType t = nl_.node(leaf).type;
-    bool is_const = (t == GateType::Const0 || t == GateType::Const1);
-    leaf_is_const_.push_back(is_const);
+    const bool pinned = is_const(t);
+    leaf_is_const_.push_back(pinned);
     Lit a = mk_lit(solver_.new_var());
     Lit b = mk_lit(solver_.new_var());
     Lit eq = mk_lit(solver_.new_var());
-    if (is_const) {
+    if (pinned) {
       bool v = (t == GateType::Const1);
       solver_.add_clause(v ? a : ~a);
       solver_.add_clause(v ? b : ~b);

@@ -19,6 +19,27 @@ namespace rsnsec::netlist {
 void encode_gate(sat::Solver& s, GateType type, sat::Lit out,
                  std::span<const sat::Lit> ins);
 
+/// Cones with at most this many non-constant leaves have all their leaf
+/// assignments (2^8 = 256) in the patterns of one Word256, so
+/// exhaustive_dependence() decides them.
+inline constexpr std::size_t kExhaustiveLeaves = 8;
+
+/// Decides without a solver, for every leaf of `cone`, the question
+/// ConeDependenceChecker::query asks, provided the cone has at most
+/// kExhaustiveLeaves non-constant leaves; otherwise returns false and
+/// leaves `depends` as it was. Non-constant leaf c (counted in leaf order)
+/// gets the truth-table column of variable c over the 256 patterns,
+/// constants are pinned, and the cone is evaluated once. Complementing
+/// column c turns pattern p into pattern p ^ 2^c, so depends[i] is set
+/// exactly when the root differs on some such pair: some assignment of
+/// the other leaves lets a flip of leaf i flip the root. That is the
+/// Boolean difference the two-copy miter asks the solver, so depends[i]
+/// holds exactly when query(i) would answer Sat with an unlimited budget
+/// (never for a constant leaf); there is no Unknown. Works in the
+/// workspace's simulation buffers (leaf_values, node_values).
+bool exhaustive_dependence(ConeWorkspace& ws, const Cone& cone,
+                           std::vector<bool>& depends);
+
 /// SAT-based exact functional-dependence check for one combinational cone
 /// (the method of [18], Sec. III-A of the paper).
 ///

@@ -299,9 +299,10 @@ class PureViolationIndex {
 /// `candidates(v)` lists the cut candidates of violation `v`;
 /// `isolated(v)` names its fallback register. `stage` ("pure", "hybrid")
 /// names the spans, the iteration counter and the change notes: one
-/// `<stage>.resolve` span per run, and per iteration one
-/// `<stage>.find_violation`, `<stage>.select` and `<stage>.commit` (the
-/// applied change, folded into the index).
+/// `<stage>.resolve` span per run holding one `<stage>.index` (the index
+/// constructor) and per iteration one `<stage>.find_violation`,
+/// `<stage>.select` and `<stage>.commit` (the applied change, folded into
+/// the index).
 template <typename Stats, typename Index, typename Analyzer,
           typename Candidates, typename Isolated>
 Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
@@ -318,7 +319,9 @@ Stats resolve_with_index(const char* stage, const Analyzer& analyzer,
   const std::string commit_span_name = prefix + ".commit";
   Stats stats;
 
+  obs::Span index_span(trace, prefix + ".index");
   Index index(analyzer, network);
+  index_span.close();
   // The run's trial workspaces (see Rewirer::TrialSlots): each slot's
   // counter owns one Index::Scratch, and a slot re-syncs its working copy
   // after a commit the first time a selection claims it.

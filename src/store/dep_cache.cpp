@@ -9,7 +9,7 @@ namespace {
 /// Versioned domain label: any change to the key recipe or the snapshot
 /// payload format must bump this, so old blobs become unreachable rather
 /// than mis-decoded.
-constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v6";
+constexpr std::string_view kDepKeyLabel = "rsnsec-dep-v7";
 /// The same rule for analyze reports (analysis_key and the report codec
 /// in core/analyze).
 constexpr std::string_view kAnalysisKeyLabel = "rsnsec-analyze-v1";

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <ranges>
 
 #include "obs/trace.hpp"
 
@@ -59,22 +60,39 @@ std::size_t DepMatrix::count_path() const {
   return c;
 }
 
+std::vector<std::size_t> DepMatrix::nonzero_rows(
+    const std::vector<std::uint64_t>& plane) const {
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::uint64_t* row = plane.data() + i * words_per_row_;
+    if (std::any_of(row, row + words_per_row_,
+                    [](std::uint64_t w) { return w != 0; }))
+      rows.push_back(i);
+  }
+  return rows;
+}
+
 void DepMatrix::closure_plane(std::vector<std::uint64_t>& plane,
                               const std::vector<bool>* active) {
   // Warshall's algorithm with bit-parallel row unions: for each allowed
   // intermediate node k, every row that reaches k absorbs k's row. Row k
-  // itself is skipped, so the via row stays stable during its step. The
-  // row width is a local: the row words are std::uint64_t, the same type
-  // as the words_per_row_ member, so the compiler would otherwise reload
-  // it after every store.
+  // itself is skipped, so the via row stays stable during its step. A row
+  // that is empty when the kernel starts reaches no k, so it never absorbs
+  // one and stays empty: only the rows nonzero at the start are visited,
+  // as absorbing rows and as vias (an empty via row has nothing to give).
+  // After bridging, that leaves out every internal flip-flop. The row
+  // width is a local: the row words are std::uint64_t, the same type as
+  // the words_per_row_ member, so the compiler would otherwise reload it
+  // after every store.
   const std::size_t wpr = words_per_row_;
   std::uint64_t* data = plane.data();
-  for (std::size_t k = 0; k < n_; ++k) {
+  const std::vector<std::size_t> rows = nonzero_rows(plane);
+  for (std::size_t k : rows) {
     if (active && !(*active)[k]) continue;
     const std::uint64_t* krow = data + k * wpr;
     const std::size_t kw = k >> 6;
     const std::uint64_t kb = bit(k);
-    for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t i : rows) {
       std::uint64_t* irow = data + i * wpr;
       if (i == k || !(irow[kw] & kb)) continue;
       for (std::size_t w = 0; w < wpr; ++w) irow[w] |= krow[w];
@@ -94,68 +112,20 @@ void DepMatrix::transitive_closure(const std::vector<bool>* active) {
   for (std::size_t w = 0; w < s_.size(); ++w) s_[w] |= p_[w];
 }
 
-void DepMatrix::eliminate(std::size_t v) {
-  bridge_row(v);
-  clear_node(v);
-}
-
-void DepMatrix::eliminate_all(const std::vector<bool>& marked) {
-  assert(marked.size() == n_);
-  std::vector<std::uint64_t> mask(words_per_row_, 0);
-  bool any = false;
-  for (std::size_t v = 0; v < n_; ++v) {
-    if (!marked[v]) continue;
-    bridge_row(v);
-    // Row v is zeroed now, so no later pivot composes through it; its
-    // column waits for the masked pass below.
-    std::fill_n(&s_[v * words_per_row_], words_per_row_, 0);
-    std::fill_n(&p_[v * words_per_row_], words_per_row_, 0);
-    mask[v >> 6] |= bit(v);
-    any = true;
-  }
-  if (!any) return;
-  for (std::uint64_t& w : mask) w = ~w;
-  for (std::size_t r = 0; r < n_; ++r) {
-    std::uint64_t* rs = &s_[r * words_per_row_];
-    std::uint64_t* rp = &p_[r * words_per_row_];
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      rs[w] &= mask[w];
-      rp[w] &= mask[w];
-    }
-  }
-}
-
-void DepMatrix::mark_endpoints(std::vector<bool>& endpoints) const {
-  assert(endpoints.size() == n_);
-  std::vector<std::uint64_t> cols(words_per_row_, 0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::uint64_t* row = &s_[i * words_per_row_];
-    std::uint64_t any = 0;
-    for (std::size_t w = 0; w < words_per_row_; ++w) {
-      any |= row[w];
-      cols[w] |= row[w];
-    }
-    if (any != 0) endpoints[i] = true;
-  }
-  for (std::size_t w = 0; w < words_per_row_; ++w) {
-    for (std::uint64_t bits = cols[w]; bits != 0; bits &= bits - 1)
-      endpoints[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] =
-          true;
-  }
-}
-
-void DepMatrix::bridge_row(std::size_t v) {
+template <typename Rows>
+void DepMatrix::bridge_row(std::size_t v, const Rows& rows) {
   assert(v < n_);
   const std::uint64_t* vrow_s = &s_[v * words_per_row_];
   const std::uint64_t* vrow_p = &p_[v * words_per_row_];
   const std::size_t vw = v >> 6;
   const std::uint64_t vb = bit(v);
-  // Scan column v for predecessors p of v; for each, OR v's outgoing row
-  // into p's row word-parallel. compose_dep(in, out): a Path in-edge keeps
-  // out kinds as-is; a Structural in-edge demotes every composition to
-  // Structural (so only the S plane is extended). Row v stays stable
-  // during the loop (p == v is skipped), so no snapshot is needed.
-  for (std::size_t p = 0; p < n_; ++p) {
+  // Scan column v, over `rows`, for predecessors p of v; for each, OR v's
+  // outgoing row into p's row word-parallel. compose_dep(in, out): a Path
+  // in-edge keeps out kinds as-is; a Structural in-edge demotes every
+  // composition to Structural (so only the S plane is extended). Row v
+  // stays stable during the loop (p == v is skipped), so no snapshot is
+  // needed.
+  for (std::size_t p : rows) {
     if (p == v) continue;
     if (!(s_[p * words_per_row_ + vw] & vb)) continue;
     const bool in_path = (p_[p * words_per_row_ + vw] & vb) != 0;
@@ -181,6 +151,65 @@ void DepMatrix::bridge_row(std::size_t v) {
     }
     prow_s[pw] = (prow_s[pw] & ~pb) | old_diag_s;
     prow_p[pw] = (prow_p[pw] & ~pb) | old_diag_p;
+  }
+}
+
+void DepMatrix::eliminate(std::size_t v) {
+  bridge_row(v, std::views::iota(std::size_t{0}, n_));
+  clear_node(v);
+}
+
+void DepMatrix::eliminate_all(const std::vector<bool>& marked) {
+  assert(marked.size() == n_);
+  // A row gains bits only as a predecessor of a pivot, which takes a bit
+  // in it, so a row that is empty at the start stays empty. Pivots,
+  // predecessors and the masked pass therefore visit only the rows
+  // nonzero at the start; a marked node with an empty row composes
+  // nothing and only has its column cleared.
+  const std::vector<std::size_t> rows = nonzero_rows(s_);
+  std::vector<std::uint64_t> mask(words_per_row_, 0);
+  bool any = false;
+  for (std::size_t v = 0; v < n_; ++v) {
+    if (!marked[v]) continue;
+    mask[v >> 6] |= bit(v);
+    any = true;
+  }
+  if (!any) return;
+  for (std::size_t v : rows) {
+    if (!marked[v]) continue;
+    bridge_row(v, rows);
+    // Row v is zeroed now, so no later pivot composes through it; its
+    // column waits for the masked pass below.
+    std::fill_n(&s_[v * words_per_row_], words_per_row_, 0);
+    std::fill_n(&p_[v * words_per_row_], words_per_row_, 0);
+  }
+  for (std::uint64_t& w : mask) w = ~w;
+  for (std::size_t r : rows) {
+    std::uint64_t* rs = &s_[r * words_per_row_];
+    std::uint64_t* rp = &p_[r * words_per_row_];
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      rs[w] &= mask[w];
+      rp[w] &= mask[w];
+    }
+  }
+}
+
+void DepMatrix::mark_endpoints(std::vector<bool>& endpoints) const {
+  assert(endpoints.size() == n_);
+  std::vector<std::uint64_t> cols(words_per_row_, 0);
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::uint64_t* row = &s_[i * words_per_row_];
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < words_per_row_; ++w) {
+      any |= row[w];
+      cols[w] |= row[w];
+    }
+    if (any != 0) endpoints[i] = true;
+  }
+  for (std::size_t w = 0; w < words_per_row_; ++w) {
+    for (std::uint64_t bits = cols[w]; bits != 0; bits &= bits - 1)
+      endpoints[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] =
+          true;
   }
 }
 

@@ -73,9 +73,11 @@ class DepMatrix {
   /// the closure of functional edges; structural dependence is the closure
   /// of all edges. `active` (optional) restricts the intermediate ("via")
   /// nodes to those marked true — used to exclude bridged-out internal
-  /// flip-flops from the cubic computation. Runs on the calling thread:
-  /// the pivot steps are sequential, and a fork and join per step would
-  /// cost more than the step.
+  /// flip-flops from the cubic computation. Only the rows nonzero when
+  /// it starts take part, as rows and as vias: an empty row reaches no
+  /// via, so it stays empty. Runs on the calling thread: the pivot steps
+  /// are sequential, and a fork and join per step would cost more than
+  /// the step.
   void transitive_closure(const std::vector<bool>* active = nullptr);
 
   /// Bridges node `v` out of the relation (Fig. 3 of the paper): every
@@ -99,7 +101,9 @@ class DepMatrix {
   /// are cleared together at the end. Exact because a bit in an
   /// eliminated column only ever flows into that same column: a pivot's
   /// predecessors are read from its own column, and the pivot is not
-  /// eliminated yet.
+  /// eliminated yet. Only the rows nonzero at the start are visited, as
+  /// pivots, predecessors and in the masked pass: a row gains bits only
+  /// as a predecessor, which takes a bit in it.
   void eliminate_all(const std::vector<bool>& marked);
 
   /// Sets endpoints[i] for every i that has a dependency in either
@@ -166,10 +170,15 @@ class DepMatrix {
   }
   static std::uint64_t bit(std::size_t j) { return 1ULL << (j & 63); }
 
+  /// Indices of the rows of `plane` with a bit set, ascending.
+  std::vector<std::size_t> nonzero_rows(
+      const std::vector<std::uint64_t>& plane) const;
   void closure_plane(std::vector<std::uint64_t>& plane,
                      const std::vector<bool>* active);
-  /// Composes row v into each predecessor's row (eliminate's first half).
-  void bridge_row(std::size_t v);
+  /// Composes row v into the row of each predecessor among `rows` (a
+  /// range of row indices; eliminate's first half).
+  template <typename Rows>
+  void bridge_row(std::size_t v, const Rows& rows);
 };
 
 }  // namespace rsnsec

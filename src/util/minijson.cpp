@@ -176,17 +176,33 @@ class Parser {
   /// Raw bytes from the cursor to the string's closing quote: the first
   /// '"' not preceded by an odd run of backslashes, or the end of input
   /// when there is none. A decoded string is never longer than its raw
-  /// extent, and decoding stops at that quote or fails before it.
+  /// extent, and decoding stops at that quote or fails before it. One
+  /// forward pass, 16 bytes at a time with SSE2 (as copy_run), then byte
+  /// by byte: each quote is tested where it stands, by the parity of the
+  /// backslash run before it, so an escaped quote costs no restart.
   std::size_t raw_extent() const {
     const char* const begin = text_.data() + pos_;
     const char* const end = text_.data() + text_.size();
-    for (const char* p = begin; p < end; ++p) {
-      p = static_cast<const char*>(std::memchr(p, '"', end - p));
-      if (p == nullptr) break;
-      std::size_t backslashes = 0;
-      while (p - backslashes > begin && p[-1 - backslashes] == '\\')
-        ++backslashes;
-      if (backslashes % 2 == 0) return static_cast<std::size_t>(p - begin);
+    auto closes = [begin](const char* quote_at) {
+      const char* run = quote_at;
+      while (run > begin && run[-1] == '\\') --run;
+      return (quote_at - run) % 2 == 0;
+    };
+    const char* p = begin;
+#ifdef __SSE2__
+    const __m128i quote = _mm_set1_epi8('"');
+    for (; end - p >= 16; p += 16) {
+      const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      for (auto m = static_cast<unsigned>(
+               _mm_movemask_epi8(_mm_cmpeq_epi8(b, quote)));
+           m != 0; m &= m - 1) {
+        const char* q = p + __builtin_ctz(m);
+        if (closes(q)) return static_cast<std::size_t>(q - begin);
+      }
+    }
+#endif
+    for (; p < end; ++p) {
+      if (*p == '"' && closes(p)) return static_cast<std::size_t>(p - begin);
     }
     return static_cast<std::size_t>(end - begin);
   }

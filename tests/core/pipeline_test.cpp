@@ -206,9 +206,11 @@ TEST(Pipeline, TracedRunRecordsEveryPhaseSpanUnderItsPipelineParent) {
       {"pipeline.validate", "pipeline"},
       {"pipeline.static", "pipeline"},
       {"hybrid.build", "pipeline.static"},
+      {"pure.index", "pipeline.pure"},
       {"pure.find_violation", "pipeline.pure"},
       {"pure.select", "pipeline.pure"},
       {"pure.commit", "pipeline.pure"},
+      {"hybrid.index", "pipeline.hybrid"},
       {"hybrid.find_violation", "pipeline.hybrid"},
       {"hybrid.select", "pipeline.hybrid"},
       {"hybrid.commit", "pipeline.hybrid"},
@@ -223,10 +225,12 @@ TEST(Pipeline, TracedRunRecordsEveryPhaseSpanUnderItsPipelineParent) {
   }
   for (const auto& [name, parent] : expected)
     EXPECT_TRUE(seen.count(name)) << name << " was not recorded";
-  // One find_violation per loop iteration (the last one finds none), one
-  // select and one commit per applied change.
+  // One index per stage, one find_violation per loop iteration (the last
+  // one finds none), one select and one commit per applied change.
   std::map<std::string, int> count;
   for (const obs::SpanEvent& e : events) ++count[e.name];
+  EXPECT_EQ(count["pure.index"], 1);
+  EXPECT_EQ(count["hybrid.index"], 1);
   EXPECT_EQ(count["pure.commit"], r.pure.applied_changes);
   EXPECT_EQ(count["pure.select"], r.pure.applied_changes);
   EXPECT_EQ(count["pure.find_violation"], r.pure.applied_changes + 1);

@@ -175,5 +175,91 @@ TEST_P(ConeFuzz, AgreesWithExhaustiveSimulation) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, ConeFuzz, ::testing::Range(0, 40));
 
+// Property: on random cones of 1-8 free leaves (flip-flops and inputs),
+// with constant leaves and fanins shared between gates, the exhaustive
+// check decides every leaf as the SAT checker does. Every tenth case is
+// the degenerate cone of a single leaf.
+class ExhaustiveFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExhaustiveFuzz, EqualsTheCheckerOnEveryLeaf) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 17);
+  Netlist nl;
+  std::vector<NodeId> pool;
+  const std::size_t n_free = 1 + rng.below(8);
+  for (std::size_t i = 0; i < n_free; ++i) {
+    if (rng.chance(0.7)) {
+      NodeId f = nl.add_ff("f" + std::to_string(i));
+      nl.set_ff_input(f, f);
+      pool.push_back(f);
+    } else {
+      pool.push_back(nl.add_input("i" + std::to_string(i)));
+    }
+  }
+  const std::size_t n_const = rng.below(3);
+  for (std::size_t i = 0; i < n_const; ++i)
+    pool.push_back(nl.add_const(rng.chance(0.5)));
+
+  NodeId root = rng.pick(pool);
+  if (GetParam() % 10 != 0) {
+    const std::size_t n_gates = 1 + rng.below(10);
+    for (std::size_t g = 0; g < n_gates; ++g) {
+      // Fanins are drawn with replacement from everything built so far,
+      // so gates share fanins and reconverge.
+      std::vector<NodeId> ins;
+      const std::size_t arity = 1 + rng.below(4);
+      for (std::size_t k = 0; k < arity; ++k) ins.push_back(rng.pick(pool));
+      static constexpr GateType kNary[] = {GateType::And,  GateType::Nand,
+                                           GateType::Or,   GateType::Nor,
+                                           GateType::Xor,  GateType::Xnor};
+      switch (rng.below(4)) {
+        case 0:
+          root = nl.add_gate(rng.chance(0.5) ? GateType::Not : GateType::Buf,
+                             {ins[0]});
+          break;
+        case 1:
+          root = nl.add_gate(GateType::Mux, {ins[0], rng.pick(pool),
+                                             rng.pick(pool)});
+          break;
+        default:
+          root = nl.add_gate(kNary[rng.below(6)], ins);
+          break;
+      }
+      pool.push_back(root);
+    }
+  }
+
+  ConeWorkspace ws(nl);
+  Cone cone;
+  ws.extract_signal_cone(root, cone);
+  std::vector<bool> depends;
+  ASSERT_TRUE(exhaustive_dependence(ws, cone, depends));
+  ASSERT_EQ(depends.size(), cone.leaves.size());
+  ConeDependenceChecker chk(nl, cone);
+  for (std::size_t li = 0; li < cone.leaves.size(); ++li)
+    EXPECT_EQ(depends[li], chk.query(li) == sat::Result::Sat) << "leaf " << li;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fuzz, ExhaustiveFuzz, ::testing::Range(0, 200));
+
+TEST(ConeCheck, ExhaustiveCheckStopsAtNineFreeLeaves) {
+  // Constants do not count toward the limit; a ninth free leaf does.
+  Netlist nl;
+  std::vector<NodeId> leaves{nl.add_const(false), nl.add_const(true)};
+  for (int i = 0; i < 8; ++i) leaves.push_back(nl.add_input("x"));
+  ConeWorkspace ws(nl);
+  Cone cone;
+  ws.extract_signal_cone(nl.add_gate(GateType::Xor, leaves), cone);
+  std::vector<bool> depends;
+  ASSERT_TRUE(exhaustive_dependence(ws, cone, depends));
+  for (std::size_t i = 0; i < cone.leaves.size(); ++i)
+    EXPECT_EQ(depends[i], nl.node(cone.leaves[i]).type == GateType::Input);
+
+  leaves.push_back(nl.add_input("y"));
+  ws.extract_signal_cone(nl.add_gate(GateType::Xor, leaves), cone);
+  depends.assign(3, true);
+  EXPECT_FALSE(exhaustive_dependence(ws, cone, depends));
+  EXPECT_EQ(depends, std::vector<bool>(3, true));
+}
+
 }  // namespace
 }  // namespace rsnsec::netlist

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "util/dep_matrix.hpp"
@@ -291,6 +292,88 @@ TEST(TiledDepMatrix, MixedKernelSequenceMatchesDense) {
   dense.transitive_closure(&active);
   tiled.transitive_closure(&active);
   expect_same(dense, tiled);
+}
+
+/// Closure under compose_dep/max_dep over the `active` vias, one entry at
+/// a time (Floyd-Warshall on the lattice): the reference for the dense
+/// kernel's row skips.
+DepMatrix entrywise_closure(DepMatrix m, const std::vector<bool>& active) {
+  const std::size_t n = m.size();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!active[k]) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      const DepKind in = m.get(i, k);
+      if (in == DepKind::None) continue;
+      for (std::size_t j = 0; j < n; ++j) {
+        const DepKind out = m.get(k, j);
+        if (out != DepKind::None) m.upgrade(i, j, compose_dep(in, out));
+      }
+    }
+  }
+  return m;
+}
+
+TEST(TiledDepMatrix, SparseBridgingThenClosureMatchesReferences) {
+  // Shaped like a Table I cell: about one edge per flip-flop, about half
+  // of them internal, so most rows are empty; with self-loops, and
+  // cycles that run through internal nodes only. eliminate_all then the
+  // closure must equal per-node eliminate then the entrywise closure,
+  // and the tiled kernels, bit for bit.
+  Rng rng(53);
+  for (std::size_t n : {1u, 2u, 63u, 64u, 65u, 130u, 400u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::string label =
+          "n=" + std::to_string(n) + " trial=" + std::to_string(trial);
+      const auto below = [&rng](std::size_t bound) {
+        return static_cast<std::size_t>(
+            rng.below(static_cast<std::uint32_t>(bound)));
+      };
+      const auto kind = [&rng] {
+        return rng.below(3) == 0 ? DepKind::Structural : DepKind::Path;
+      };
+      DepMatrix dense(n);
+      std::vector<bool> internal(n);
+      std::vector<std::size_t> internals;
+      for (std::size_t v = 0; v < n; ++v) {
+        internal[v] = rng.chance(0.5);
+        if (internal[v]) internals.push_back(v);
+      }
+      for (std::size_t e = 0; e < n; ++e)
+        dense.upgrade(below(n), below(n), kind());
+      for (std::size_t v = 0; v < n; ++v)
+        if (rng.chance(0.05)) dense.upgrade(v, v, kind());
+      for (int c = 0; c < 3 && internals.size() >= 2; ++c) {
+        // A cycle through 2-4 internal nodes, entered from and left to
+        // arbitrary nodes.
+        const std::size_t len =
+            2 + below(std::min<std::size_t>(3, internals.size() - 1));
+        std::vector<std::size_t> ring;
+        for (std::size_t i = 0; i < len; ++i)
+          ring.push_back(rng.pick(internals));
+        for (std::size_t i = 0; i < len; ++i)
+          dense.upgrade(ring[i], ring[(i + 1) % len], kind());
+        dense.upgrade(below(n), ring[0], kind());
+        dense.upgrade(ring[len - 1], below(n), kind());
+      }
+
+      DepMatrix ref = dense;
+      TiledDepMatrix tiled = TiledDepMatrix::from_dense(dense);
+      for (std::size_t v : internals) {
+        ref.eliminate(v);
+        tiled.eliminate(v);
+      }
+      dense.eliminate_all(internal);
+      ASSERT_TRUE(dense == ref) << label;
+      expect_same(dense, tiled);
+
+      std::vector<bool> active(n);
+      for (std::size_t v = 0; v < n; ++v) active[v] = !internal[v];
+      dense.transitive_closure(&active);
+      tiled.transitive_closure(&active);
+      ASSERT_TRUE(dense == entrywise_closure(ref, active)) << label;
+      expect_same(dense, tiled);
+    }
+  }
 }
 
 TEST(TiledDepMatrix, MarkEndpoints) {
